@@ -25,6 +25,7 @@ from .funcspace import (
     PiecewiseMap,
     SUP,
     SegalNorm,
+    SupNorm,
     linear_interpolate,
     norm,
     restrict,
@@ -53,7 +54,7 @@ __all__ = [
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_min(fn, a: float, b: float, tol: float = 1e-8):
+def _golden_min(fn, a: float, b: float, tol: float):
     """Golden-section minimum of a unimodal function on [a, b]."""
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
@@ -71,14 +72,91 @@ def _golden_min(fn, a: float, b: float, tol: float = 1e-8):
     return x, fn(x)
 
 
+def _three_point_centres(ck, wk, cj, wj, cl, wl):
+    """The (at most two) points at equal weighted distance from c_k, c_j
+    and c_l, for arrays of pairs (c_j, c_l).
+
+    With mu = lam - c_k, a = c_j - c_k, b = c_l - c_k and u = (w_max / w)**2,
+    the differences of the circle equations |mu|**2 = R u_k,
+    |mu - a|**2 = R u_j and |mu - b|**2 = R u_l are linear, so
+    mu = P + R Q, and the first equation leaves a quadratic in R.
+    Collinear triples (a singular linear part) and complex roots come out
+    non-finite; the caller drops them.
+    """
+    a, b = cj - ck, cl - ck
+    top = np.maximum(np.maximum(wk, wj), wl)
+    uk, uj, ul = (top / wk) ** 2, (top / wj) ** 2, (top / wl) ** 2
+    det2 = 2.0 * (a.real * b.imag - a.imag * b.real)
+    P = -1j * (np.abs(a) ** 2 * b - np.abs(b) ** 2 * a) / det2
+    Q = -1j * ((ul - uk) * a - (uj - uk) * b) / det2
+    A = np.abs(Q) ** 2
+    B = 2.0 * (P.real * Q.real + P.imag * Q.imag) - uk
+    C = np.abs(P) ** 2
+    q = -0.5 * (B + np.copysign(np.sqrt(B * B - 4.0 * A * C), B))
+    return np.concatenate([ck + P + (q / A) * Q, ck + P + (C / q) * Q])
+
+
+def _centre_with(c, w, active, k):
+    """Minimiser of max_i w_i |lam - c_i| over ``active`` plus ``k``, given
+    that ``k`` violates the optimum of ``active`` and so lies in every basis
+    of the enlarged set: the candidates are c_k, the weighted midpoints of k
+    with each active point, and the three-point centres of k with each
+    active pair."""
+    ca, wa = c[active], w[active]
+    ck, wk = c[k], w[k]
+    cands = [np.array([ck]), (wk * ck + wa * ca) / (wk + wa)]
+    if len(active) >= 2:
+        j, l = np.triu_indices(len(active), 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            three = _three_point_centres(ck, wk, ca[j], wa[j], ca[l], wa[l])
+        cands.append(three[np.isfinite(three)])
+    lam = np.concatenate(cands)
+    pts, wts = np.append(ca, ck), np.append(wa, wk)
+    worst = (wts * np.abs(lam[:, None] - pts)).max(axis=1)
+    return lam[int(np.argmin(worst))]
+
+
+def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
+    """argmin over lam of max_i |lam f_i - g_i|, f != 0.
+
+    Rows with f_i = 0 contribute the constant |g_i|; the others are the
+    weighted Euclidean 1-centre problem max_i w_i |lam - c_i| with
+    c_i = g_i / f_i and w_i = |f_i| (Megiddo 1983).  The problem is
+    LP-type with bases of at most three points, so an active set grown by
+    the worst violator, each time re-solved exactly among the candidates
+    whose basis holds the violator, only ever raises its optimum towards
+    the full one.  The loop ends when no row exceeds the active optimum by
+    more than the rounding of the residuals; that O(N) pass over all rows
+    is the optimality certificate.
+    """
+    supp = fv != 0
+    c = gv[supp] / fv[supp]
+    w = np.abs(fv[supp])
+    slack = 16.0 * np.finfo(float).eps * float(np.abs(gv).max())
+    active = [int(np.argmax(w))]
+    lam = c[active[0]]
+    while True:
+        e = w * np.abs(lam - c)
+        k = int(np.argmax(e))
+        if e[k] <= e[active].max() + slack:
+            return complex(lam)
+        lam = _centre_with(c, w, active, k)
+        active.append(k)
+
+
 def projective_distance(f: GridFunction, g: GridFunction,
                         kind: NormKind = L2):
     """min over scalars lambda of ||lambda f - g|| and the minimizer.
 
-    The L2 case is the closed least-squares form.  For the other norms a
-    coarse grid of 64 phases is refined by golden-section searches on the
-    modulus and then on the phase; any minimizer matching the brute-force
-    grid oracle is acceptable.
+    L2 is the closed least-squares form.  The sup norm is an exact weighted
+    Euclidean 1-centre solve (see ``_sup_projective``); the returned
+    distance is the sup norm of lambda f - g at the returned lambda, so it
+    never exceeds ||g|| and exceeds the minimum only by rounding.  Any
+    other norm (the Segal norm) is minimised by nested golden-section
+    searches over Re lambda and Im lambda on the box |Re|, |Im| <= rho,
+    which holds every minimiser because |lambda| ||f|| <= 2 ||g|| there;
+    the objective is jointly convex in (Re, Im), so its partial minimum
+    over Im is convex in Re and both searches converge to the minimum.
     """
     if f.is_zero:
         raise ZeroVectorError("projective distance needs f != 0")
@@ -92,33 +170,27 @@ def projective_distance(f: GridFunction, g: GridFunction,
         return float(math.sqrt(max(d2, 0.0))), complex(lam)
     if g.is_zero:
         return 0.0, 0j
-    rho_max = 2.0 * norm(g, kind) / norm(f, kind) * 1.05
+    if isinstance(kind, SupNorm):
+        lam = _sup_projective(f.values, g.values)
+        d = float(np.abs(lam * f.values - g.values).max())
+        g_sup = float(np.abs(g.values).max())
+        # lambda = 0 is feasible; keep it when rounding at the centre is
+        # no better
+        if g_sup <= d:
+            return g_sup, 0j
+        return d, lam
+    rho = 2.1 * norm(g, kind) / norm(f, kind)
+    tol = 1e-14 * rho
 
-    def dist(rho: float, theta: float) -> float:
-        lam = rho * complex(math.cos(theta), math.sin(theta))
-        return norm(lam * f - g, kind)
+    def dist(x: float, y: float) -> float:
+        return norm(complex(x, y) * f - g, kind)
 
-    best = (math.inf, 0.0, 0.0)
-    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
-    for theta in thetas:
-        rho, d = _golden_min(lambda r: dist(r, theta), 0.0, rho_max)
-        if d < best[0]:
-            best = (d, rho, theta)
-    # phase refinement around the best coarse angle; the tight tolerance
-    # keeps the minimum scale-invariant to 1e-10 even at sup-norm kinks
-    span = 2.0 * math.pi / 64
+    def partial(x: float) -> float:
+        return _golden_min(lambda y: dist(x, y), -rho, rho, tol)[1]
 
-    def per_theta(theta: float) -> float:
-        return _golden_min(lambda r: dist(r, theta), 0.0, rho_max,
-                           tol=1e-12)[1]
-
-    theta, _ = _golden_min(per_theta, best[2] - span, best[2] + span,
-                           tol=1e-12)
-    rho, d = _golden_min(lambda r: dist(r, theta), 0.0, rho_max, tol=1e-12)
-    if d < best[0]:
-        best = (d, rho, theta)
-    d, rho, theta = best
-    return float(d), rho * complex(math.cos(theta), math.sin(theta))
+    x, _ = _golden_min(partial, -rho, rho, tol)
+    y, d = _golden_min(lambda y: dist(x, y), -rho, rho, tol)
+    return float(d), complex(x, y)
 
 
 def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,

@@ -189,6 +189,23 @@ class TestOtherCommands:
         rows = (tmp_path / "orbit.csv").read_text().strip().splitlines()
         assert len(rows) == 11
 
+    def test_orbit_c0_target_deterministic(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "operator": {"preset": "ex3.5"}, "space": {"kind": "C0"},
+            "grid": {"half_width": 8.0, "step": 0.25}, "horizon": 6,
+            "targets": [{"center": 3.0, "half_width": 1.5,
+                         "height": "0.5-0.25j"}],
+            "mode": "scaled"}))
+        outputs = []
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir
+            assert run(["orbit", "--config", str(cfg),
+                        "--out", str(out)]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("orbit.csv", "best.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_adjoint_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"operator": {"preset": "ex4.3a"},

@@ -86,11 +86,46 @@ class TestProjectiveDistance:
             projective_distance(GridFunction.zero(SMALL), rand5())
 
     def test_sup_matches_brute_force(self):
-        for _ in range(4):
-            f, g = rand5(), rand5()
-            d, _ = projective_distance(f, g, SUP)
+        cases = [(rand5(), rand5()) for _ in range(4)]
+        rng = np.random.default_rng(44)
+        f, g = rand5(rng), rand5(rng)
+        # real-valued pair: every centre g_i / f_i lies on one line
+        cases.append((GridFunction(SMALL, f.values.real),
+                      GridFunction(SMALL, g.values.real)))
+        # duplicate centres: g = c f on three of the five rows
+        gv = g.values.copy()
+        gv[:3] = (0.3 - 1.1j) * f.values[:3]
+        cases.append((f, GridFunction(SMALL, gv)))
+        # zero rows of f under a dominant |g|: the floor is the distance
+        fv = f.values.copy()
+        fv[[0, 4]] = 0
+        gv = g.values.copy()
+        gv[0] = 10.0
+        cases.append((GridFunction(SMALL, fv), GridFunction(SMALL, gv)))
+        for f, g in cases:
+            d, lam = projective_distance(f, g, SUP)
+            assert norm(lam * f - g, SUP) == d
             brute = brute_projective_sup(f, g)
             assert abs(d - brute) <= 1e-4
+        assert d == 10.0
+
+    def test_sup_full_grid_matches_brute_force(self):
+        rng = np.random.default_rng(513)
+        grid = Grid(64.0, 0.25)
+        f = GridFunction(grid, rng.standard_normal(513)
+                         + 1j * rng.standard_normal(513))
+        g = GridFunction(grid, rng.standard_normal(513)
+                         + 1j * rng.standard_normal(513))
+        d, lam = projective_distance(f, g, SUP)
+        assert norm(lam * f - g, SUP) == d
+        # the grid oracle cannot hold 513 rows; a sub-problem's minimum never
+        # exceeds the full one's, so on the nine rows of largest residual the
+        # oracle bounds the minimum from below while d bounds it from above
+        top = np.argsort(np.abs(lam * f.values - g.values))[-9:]
+        nine = Grid(1.0, 0.25)
+        brute = brute_projective_sup(GridFunction(nine, f.values[top]),
+                                     GridFunction(nine, g.values[top]))
+        assert abs(d - brute) <= 1e-4
 
     def test_l2_matches_brute_force(self):
         for _ in range(4):
@@ -108,6 +143,16 @@ class TestProjectiveDistance:
                   - 2 * np.real(lam * np.conj(ip)) + ng2)
             brute = math.sqrt(max(float(d2.min()), 0.0))
             assert abs(d - brute) <= 1e-4
+
+    def test_segal_constant_tau_doubles_sup(self):
+        # with tau = 1/2 the Segal series is exactly 2 ||.||_inf, so the
+        # Cartesian search must reproduce twice the exact sup-norm solve
+        kind = SegalNorm(PiecewiseMap.constant(0.5), tail_tol=1e-9)
+        rng = np.random.default_rng(12)
+        f, g = rand5(rng), rand5(rng)
+        d, lam = projective_distance(f, g, kind)
+        assert norm(lam * f - g, kind) == d
+        assert abs(d - 2.0 * projective_distance(f, g, SUP)[0]) <= 1e-9
 
     def test_scale_invariance(self):
         for kind in (L2, SUP):
