@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +44,7 @@ from .porosity import (
     porosity_probe,
     random_scene,
 )
-from .presets import REGISTRY, build_preset, run_expectation
+from .presets import REGISTRY, build_preset, run_expectation, telescoping_depth
 from . import dynamics
 
 _SPACE_KINDS = {
@@ -55,17 +53,6 @@ _SPACE_KINDS = {
     "C0": (CriterionKind.SUPERCYCLIC_C0, CriterionKind.CESARO_C0),
     "SEGAL": (CriterionKind.SUPERCYCLIC_SEGAL, CriterionKind.CESARO_SEGAL),
 }
-
-
-def worker_count() -> int:
-    cap = os.environ.get("LINDYN_THREADS", "")
-    if cap.strip():
-        try:
-            return max(1, int(cap))
-        except ValueError as exc:
-            raise ConfigError(f"LINDYN_THREADS must be an integer: {cap!r}") \
-                from exc
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -96,11 +83,28 @@ class ExperimentConfig:
             raw.update({k: v for k, v in overrides.items() if v is not None})
         op_spec = raw.get("operator", {})
         preset_name = preset or op_spec.get("preset")
+        horizon = int(raw.get("horizon", 200))
+        wspec = raw.get("window", {})
+        window_m = float(wspec.get("m", 2.0))
+        gspec = raw.get("grid", {})
+        try:
+            grid = Grid(float(gspec.get("half_width", 64.0)),
+                        float(gspec.get("step", 0.25)))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         try:
             if preset_name:
+                # a sweep reaches horizon steps past the window, an orbit
+                # trace past every grid point
                 depth = raw.get("depth")
-                op = build_preset(preset_name,
-                                  depth=depth if depth else None)
+                needed = telescoping_depth(horizon, window_m)
+                if depth is None:
+                    depth = telescoping_depth(
+                        horizon, max(window_m, grid.half_width))
+                elif preset_name == "ex3.8" and depth < needed:
+                    raise ConfigError(f"depth {depth} does not cover the "
+                                      f"sweep: need >= {needed}")
+                op = build_preset(preset_name, depth=depth)
             elif "alpha" in op_spec and "weight" in op_spec:
                 alpha = homeo_from_json(json.dumps(op_spec["alpha"]))
                 wm = op_spec["weight"]
@@ -121,22 +125,15 @@ class ExperimentConfig:
             tm = raw["space"]["tau"]
             tau = PiecewiseMap(tm["breakpoints"], tm["values"])
         tail_tol = float(raw.get("space", {}).get("tail_tol", 1e-9))
-        gspec = raw.get("grid", {})
-        try:
-            grid = Grid(float(gspec.get("half_width", 64.0)),
-                        float(gspec.get("step", 0.25)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        wspec = raw.get("window", {})
         return cls(
             operator=op,
             space=space,
             tau=tau,
             tail_tol=tail_tol,
             grid=grid,
-            window_m=float(wspec.get("m", 2.0)),
+            window_m=window_m,
             window_eps=wspec.get("eps"),
-            horizon=int(raw.get("horizon", 200)),
+            horizon=horizon,
             tol=float(raw.get("tol", 1e-6)),
             seed=int(raw.get("seed", 0)),
             trim=int(raw.get("trim", 0)),
@@ -174,13 +171,8 @@ def cmd_classify(args) -> int:
     if cfg.space == "SEGAL":
         window.validate_segal(cfg.tau)
     trim = TrimPolicy(cfg.trim) if cfg.trim else None
-
-    def cell(kind):
-        return evaluate(kind, cfg.operator, window, cfg.horizon, cfg.tol,
+    verdicts = evaluate(kinds, cfg.operator, window, cfg.horizon, cfg.tol,
                         trim, inverse=args.inverse)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        verdicts = list(pool.map(cell, kinds))
     lines = []
     for v in verdicts:
         lines.extend(json.dumps(r, sort_keys=True) for r in v.jsonl_records())
@@ -329,10 +321,8 @@ def cmd_examples(args) -> int:
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise ConfigError(f"unknown example ids: {unknown}")
-    jobs = [(REGISTRY[i], exp) for i in ids
-            for exp in REGISTRY[i].expectations]
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(lambda je: run_expectation(*je), jobs))
+    results = [run_expectation(REGISTRY[i], exp) for i in ids
+               for exp in REGISTRY[i].expectations]
     lines = []
     failures = 0
     header = (f"{'example':18s} {'check':20s} {'inv':3s} {'expected':30s} "

@@ -50,6 +50,7 @@ __all__ = [
     "sweep_factors",
     "quantity",
     "evaluate",
+    "verdict_from_trace",
     "implication_check",
     "ImplicationReport",
 ]
@@ -140,30 +141,42 @@ class TrimPolicy:
     max_drop: int = 0
 
 
-def _kind_q(kind: CriterionKind, n: int, lf: np.ndarray,
-            lb: np.ndarray) -> float:
-    """Assemble q(n) from the two product legs.
+def _supercyclic(n, x, y):
+    return np.exp2(x + y)
 
-    Products of two exponentials stay in log2 space (a vanished leg times a
-    diverged one must not produce 0 * inf); the integer Cesaro scalings are
-    applied outside, which keeps them exact.
-    """
-    if kind in (CriterionKind.SUPERCYCLIC_SOLID,
-                CriterionKind.SUPERCYCLIC_SEGAL,
-                CriterionKind.SUPERCYCLIC_C0):
-        return float(np.exp2(lb.max() - lf.min()))
-    if kind in (CriterionKind.CESARO_SOLID, CriterionKind.CESARO_SEGAL,
-                CriterionKind.CESARO_C0):
-        return max(n * float(np.exp2(-lf.min())),
-                   float(np.exp2(lb.max())) / n)
-    if kind is CriterionKind.HYPERCYCLIC_SOLID:
-        return float(np.exp2(max(-lf.min(), lb.max())))
-    if kind is CriterionKind.ADJOINT_SUPER:
-        return float(np.exp2(lf.max() - lb.min()))
-    if kind is CriterionKind.ADJOINT_CESARO:
-        return max(float(np.exp2(lf.max())) / n,
-                   n * float(np.exp2(-lb.min())))
-    raise TypeError(f"unknown criterion kind {kind!r}")
+
+def _cesaro(n, x, y):
+    return np.maximum(n * np.exp2(x), np.exp2(y) / n)
+
+
+def _hypercyclic(n, x, y):
+    return np.exp2(np.maximum(x, y))
+
+
+# Each kind is a formula in x = -min lf and y = max lb, at one n or
+# vectorised over n; adjoint kinds (True) read the mirrored legs x = -min lb,
+# y = max lf.  The log2 factors are combined before exponentiating (a
+# vanished leg times a diverged one must not give 0 * inf), and the integer
+# Cesaro scalings are applied outside, which keeps them exact.
+_FORMULA = {
+    CriterionKind.SUPERCYCLIC_SOLID: (_supercyclic, False),
+    CriterionKind.SUPERCYCLIC_SEGAL: (_supercyclic, False),
+    CriterionKind.SUPERCYCLIC_C0: (_supercyclic, False),
+    CriterionKind.CESARO_SOLID: (_cesaro, False),
+    CriterionKind.CESARO_SEGAL: (_cesaro, False),
+    CriterionKind.CESARO_C0: (_cesaro, False),
+    CriterionKind.HYPERCYCLIC_SOLID: (_hypercyclic, False),
+    CriterionKind.ADJOINT_SUPER: (_supercyclic, True),
+    CriterionKind.ADJOINT_CESARO: (_cesaro, True),
+}
+
+
+def _q_at(kind: CriterionKind, n: int, lf: np.ndarray,
+          lb: np.ndarray) -> float:
+    """q(n) of one kind from the two legs over the window points."""
+    formula, adjoint = _FORMULA[kind]
+    x, y = (-lb.min(), lf.max()) if adjoint else (-lf.min(), lb.max())
+    return float(formula(n, x, y))
 
 
 def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
@@ -174,14 +187,14 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
     dropped = 0
     while dropped < budget and keep.sum() > 1:
         idx = np.flatnonzero(keep)
-        q0 = _kind_q(kind, n, lf[keep], lb[keep])
+        q0 = _q_at(kind, n, lf[keep], lb[keep])
         candidates = {int(idx[np.argmin(lf[idx])]),
                       int(idx[np.argmax(lb[idx])])}
         best_q, best_i = q0, None
         for i in sorted(candidates):
             trial = keep.copy()
             trial[i] = False
-            qt = _kind_q(kind, n, lf[trial], lb[trial])
+            qt = _q_at(kind, n, lf[trial], lb[trial])
             if qt < best_q:
                 best_q, best_i = qt, i
         if best_i is None:
@@ -199,15 +212,15 @@ class CriterionVerdict:
     means exactly that its final q is <= tol.
     """
 
-    def __init__(self, kind: str, status: str, witness, trace, horizon: int,
-                 tol: float, trimmed=None, params=None):
+    def __init__(self, kind: str, status: str, witness, trace, tol: float,
+                 trimmed=None, params=None):
         self.kind = str(kind)
         self.status = status
         self.witness = tuple((int(n), float(q)) for n, q in witness)
         trace = np.asarray(trace, dtype=float)
         trace.setflags(write=False)
         self.trace = trace
-        self.horizon = int(horizon)
+        self.horizon = trace.size
         self.tol = float(tol)
         self.trimmed = None if trimmed is None else tuple(trimmed)
         self.params = dict(params or {})
@@ -219,11 +232,6 @@ class CriterionVerdict:
     @property
     def best(self) -> tuple[int, float]:
         return self.witness[-1]
-
-    def relabel(self, kind: str) -> "CriterionVerdict":
-        return CriterionVerdict(kind, self.status, self.witness, self.trace,
-                                self.horizon, self.tol, self.trimmed,
-                                self.params)
 
     def jsonl_records(self):
         """Per-n records followed by one summary record."""
@@ -253,6 +261,19 @@ class CriterionVerdict:
 
 def _json_float(x: float):
     return float(x) if math.isfinite(x) else repr(x)
+
+
+def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
+                       params=None) -> CriterionVerdict:
+    """The verdict of a q trace over n = 1..len(trace): the witness is its
+    record minima (NaN sets none), SATISFIED iff the last is <= tol."""
+    trace = np.asarray(trace, dtype=float)
+    earlier = np.fmin.accumulate(np.concatenate(([math.inf], trace)))[:-1]
+    records = np.flatnonzero(trace < earlier)
+    best = trace[records[-1]] if records.size else math.inf
+    return CriterionVerdict(kind, SATISFIED if best <= tol else NOT_SATISFIED,
+                            [(i + 1, trace[i]) for i in records], trace, tol,
+                            trimmed, params)
 
 
 def _log_sweep(op: CompositionOperator, points: np.ndarray, horizon: int,
@@ -320,15 +341,29 @@ def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
     return q_back, q_inv
 
 
+def _leg_extremes(op: CompositionOperator, window: CompactWindow,
+                  horizon: int, inverse: bool, trim_kinds=(),
+                  max_drop: int = 0):
+    """The one cocycle sweep behind every criterion of a run: rows (-min lf,
+    max lb, -min lb, max lf) over the window for n = 1..horizon, and per kind
+    in ``trim_kinds`` its trimmed q trace and drop counts (trimming picks its
+    points per n, so it cannot be read off the extremes)."""
+    ext = np.empty((4, horizon))
+    trimmed = {kind: (np.empty(horizon), []) for kind in trim_kinds}
+    for n, lf, lb in _log_sweep(op, window.points, horizon, inverse):
+        ext[:, n - 1] = -lf.min(), lb.max(), -lb.min(), lf.max()
+        for kind, (trace, drops) in trimmed.items():
+            keep, dropped = _trim_greedy(kind, n, lf, lb, max_drop)
+            drops.append(dropped)
+            trace[n - 1] = _q_at(kind, n, lf[keep], lb[keep])
+    return ext, trimmed
+
+
 def sweep_factors(op: CompositionOperator, window: CompactWindow,
                   horizon: int, *, inverse: bool = False):
     """Arrays (P_minus[n-1], P_plus[n-1]) for n = 1..horizon in O(horizon)."""
-    p_minus = np.empty(horizon)
-    p_plus = np.empty(horizon)
-    for n, lf, lb in _log_sweep(op, window.points, horizon, inverse):
-        p_minus[n - 1] = np.exp2(-lf.min())
-        p_plus[n - 1] = np.exp2(lb.max())
-    return p_minus, p_plus
+    ext, _ = _leg_extremes(op, window, horizon, inverse)
+    return np.exp2(ext[0]), np.exp2(ext[1])
 
 
 def quantity(kind: CriterionKind, op: CompositionOperator,
@@ -345,42 +380,41 @@ def quantity(kind: CriterionKind, op: CompositionOperator,
     if trim is not None and trim.max_drop > 0 and kind in _SOLID_KINDS:
         keep, _ = _trim_greedy(kind, n, lf, lb, trim.max_drop)
         lf, lb = lf[keep], lb[keep]
-    return _kind_q(kind, n, lf, lb)
+    return _q_at(kind, n, lf, lb)
 
 
-def evaluate(kind: CriterionKind, op: CompositionOperator,
-             window: CompactWindow, horizon: int, tol: float,
-             trim: TrimPolicy | None = None, *,
-             inverse: bool = False) -> CriterionVerdict:
-    """Sweep q(n) for n = 1..horizon and report the record-minimum witness.
-
-    Deterministic: identical inputs give bit-identical verdicts.
-    """
+def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
+             horizon: int, tol: float, trim: TrimPolicy | None = None, *,
+             inverse: bool = False) -> list[CriterionVerdict]:
+    """One verdict per kind, in order: q(n) for n = 1..horizon and its
+    record-minimum witness.  The kinds share one cocycle sweep, then each
+    trace is one formula over n, so a verdict is bit-identical whichever
+    other kinds ride along."""
+    if isinstance(kinds, str):
+        raise TypeError("kinds must be a sequence of criterion kinds")
+    kinds = [CriterionKind(k) for k in kinds]
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    trimming = trim is not None and trim.max_drop > 0 and kind in _SOLID_KINDS
-    trace = np.empty(horizon)
-    trimmed = [] if trimming else None
-    witness = []
-    best = math.inf
-    for n, lf, lb in _log_sweep(op, window.points, horizon, inverse):
-        if trimming:
-            keep, dropped = _trim_greedy(kind, n, lf, lb, trim.max_drop)
-            trimmed.append(dropped)
-            lf, lb = lf[keep], lb[keep]
-        q = _kind_q(kind, n, lf, lb)
-        trace[n - 1] = q
-        if q < best:
-            best = q
-            witness.append((n, q))
-    status = SATISFIED if best <= tol else NOT_SATISFIED
-    params = {"window_radius": window.radius, "inverse": inverse}
-    if trimming:
-        params["max_drop"] = trim.max_drop
-    return CriterionVerdict(kind.value, status, witness, trace, horizon, tol,
-                            trimmed, params)
+    max_drop = 0 if trim is None else trim.max_drop
+    trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
+    ext, trimmed = _leg_extremes(op, window, horizon, inverse, trim_kinds,
+                                 max_drop)
+    ns = np.arange(1, horizon + 1, dtype=float)
+    verdicts = []
+    for kind in kinds:
+        params = {"window_radius": window.radius, "inverse": inverse}
+        if kind in trimmed:
+            trace, drops = trimmed[kind]
+            params["max_drop"] = max_drop
+        else:
+            formula, adjoint = _FORMULA[kind]
+            trace = formula(ns, *(ext[2:] if adjoint else ext[:2]))
+            drops = None
+        verdicts.append(verdict_from_trace(kind.value, trace, tol, drops,
+                                           params))
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -412,18 +446,11 @@ def implication_check(op: CompositionOperator, window: CompactWindow,
     }
     if family not in kinds:
         raise ValueError("family must be 'solid' or 'c0'")
-    ck, sk = kinds[family]
-    ces = evaluate(ck, op, window, horizon, tol)
-    sup = evaluate(sk, op, window, horizon, tol)
-    verdict_violations = []
-    qlevel_violations = []
-    effective = min(tol, 1.0)
-    for i in range(horizon):
-        qc, qs = ces.trace[i], sup.trace[i]
-        if qc <= effective and qs > tol:
-            verdict_violations.append(i + 1)
-        if qc <= 1.0 and qs > qc * qc + 1e-10:
-            qlevel_violations.append(i + 1)
-    return ImplicationReport(family, ces, sup,
-                             tuple(verdict_violations),
-                             tuple(qlevel_violations))
+    ces, sup = evaluate(kinds[family], op, window, horizon, tol)
+    qc, qs = ces.trace, sup.trace
+    verdict_violations = (qc <= min(tol, 1.0)) & (qs > tol)
+    qlevel_violations = (qc <= 1.0) & (qs > qc * qc + 1e-10)
+    return ImplicationReport(
+        family, ces, sup,
+        tuple((np.flatnonzero(verdict_violations) + 1).tolist()),
+        tuple((np.flatnonzero(qlevel_violations) + 1).tolist()))

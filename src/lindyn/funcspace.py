@@ -43,7 +43,6 @@ __all__ = [
     "norm",
     "restrict",
     "linear_interpolate",
-    "eval_map",
     "triangular_bump",
     "rectangular_bump",
 ]
@@ -240,11 +239,6 @@ class PiecewiseMap:
         if obj.get("right_tail") is not None and obj["right_tail"] != pm.values[-1]:
             raise ValueError("right_tail must equal the last node value")
         return pm
-
-
-def eval_map(pmap: PiecewiseMap, t):
-    """Evaluate a piecewise map; thin functional alias for ``pmap(t)``."""
-    return pmap(t)
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .criteria import (
-    NOT_SATISFIED,
-    SATISFIED,
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
-    _kind_q,
+    _log_sweep,
+    _q_at,
+    verdict_from_trace,
 )
 from .errors import DegenerateApproximantError, SupportOutsideWindowError
 from .funcspace import GridFunction, linear_interpolate
 from .operators import (
-    CocycleSweep,
     CompositionOperator,
     apply_T,
     backward_log2,
@@ -209,34 +208,24 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
             raise SupportOutsideWindowError(
                 f"{name} has atoms outside [-{m}, {m}]"
             )
-    sweep_mu = CocycleSweep(op, mu.locations)
-    sweep_nu = CocycleSweep(op, nu.locations)
     trace = np.empty(horizon)
-    witness = []
     trimmed = [] if atom_trim_budget > 0 else None
     best = math.inf
     records = 0
-    for n in range(1, horizon + 1):
-        sweep_mu.step()
-        sweep_nu.step()
-        lf = sweep_mu.log_forward
-        lb = sweep_nu.log_backward
+    sweeps = zip(_log_sweep(op, mu.locations, horizon, False),
+                 _log_sweep(op, nu.locations, horizon, False))
+    for (n, lf, _), (_, _, lb) in sweeps:
         if atom_trim_budget > 0:
             budget_n = atom_trim_budget * 2.0 ** (-records)
             keep_f, tv_f = _trim_tv(lf, mu.weights, budget_n, "max")
             keep_b, tv_b = _trim_tv(-lb, nu.weights, budget_n, "max")
             trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
             lf, lb = lf[keep_f], lb[keep_b]
-        q = _kind_q(kind, n, lf, lb)
-        trace[n - 1] = q
-        if q < best:
-            best = q
-            witness.append((n, q))
-            records += 1
-    status = SATISFIED if best <= tol else NOT_SATISFIED
+        q = trace[n - 1] = _q_at(kind, n, lf, lb)
+        if q < best:  # the trim budget halves at each new record minimum
+            best, records = q, records + 1
     params = {"window_radius": m, "atom_trim_budget": atom_trim_budget}
-    return CriterionVerdict(kind.value, status, witness, trace, horizon, tol,
-                            trimmed, params)
+    return verdict_from_trace(kind.value, trace, tol, trimmed, params)
 
 
 def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,

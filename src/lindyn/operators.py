@@ -343,19 +343,18 @@ def shift_cocycle(s: BilateralShift, n: int, start: int = 0,
     return float(np.exp2(acc.total))
 
 
-def wedge_condition(op: CompositionOperator, m: int, horizon: int,
+def wedge_condition(op: CompositionOperator, window, horizon: int,
                     tol: float):
     """Scalar decay condition implying supercyclicity of the induced
     conjugation and wedge operators on compact operators.
 
-    The quantity is the product of the two orbit-product sups over [-m, m];
-    it coincides with the supremum-norm supercyclicity quantity, so the
-    evaluation is delegated there and relabeled.
+    The quantity is the product of the two orbit-product sups over a
+    ``CompactWindow`` of radius m >= 1; it coincides with the supremum-norm
+    supercyclicity quantity, so the evaluation is delegated there.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    from .criteria import CompactWindow, CriterionKind, evaluate
+    if window.radius < 1:
+        raise ValueError("window radius must be >= 1")
+    from .criteria import CriterionKind, evaluate, verdict_from_trace
 
-    window = CompactWindow.from_interval(m, step=0.25)
-    verdict = evaluate(CriterionKind.SUPERCYCLIC_C0, op, window, horizon, tol)
-    return verdict.relabel("WEDGE")
+    [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, horizon, tol)
+    return verdict_from_trace("WEDGE", c0.trace, tol, params=c0.params)

@@ -21,6 +21,7 @@ from .criteria import (
     CriterionKind,
     CriterionVerdict,
     evaluate,
+    verdict_from_trace,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
 from .measures import AtomicMeasure, adjoint_criterion
@@ -40,6 +41,7 @@ __all__ = [
     "ExpectationResult",
     "run_expectation",
     "run_example",
+    "telescoping_depth",
     "DEFAULT_GRID",
 ]
 
@@ -65,12 +67,19 @@ def _shift_weight(j: int) -> float:
     return 0.5 if j >= 0 else (abs(j) + 1.0) / abs(j)
 
 
+def telescoping_depth(horizon: int, m: float) -> int:
+    """Depth of ``ex3.8``'s telescoping weight for a sweep of ``horizon``
+    steps from the window [-m, m]: the deepest orbit point visited, plus a
+    margin of 8."""
+    return horizon + math.ceil(m) + 8
+
+
 def build_preset(name: str, *, depth: int | None = None,
                  shift_window: int = 260):
     """Instantiate a named preset operator.
 
-    ``depth`` sizes the telescoping weight of ``ex3.8`` (it must cover the
-    deepest orbit point visited, i.e. horizon plus window radius).
+    ``depth`` sizes the telescoping weight of ``ex3.8``; it must cover the
+    deepest orbit point visited, see :func:`telescoping_depth`.
     """
     if name == "ex3.5":
         return CompositionOperator(Translation(-1.0), _bridge_weight(2.0, 1.0))
@@ -109,25 +118,17 @@ def shift_verdict(shift: BilateralShift, kind: str, horizon: int,
     fwd = KahanSum(())
     bwd = KahanSum(())
     trace = np.empty(horizon)
-    witness = []
-    best = math.inf
     for n in range(1, horizon + 1):
         fwd.add(np.log2(shift.weight_fn(n - 1)))
         bwd.add(np.log2(shift.weight_fn(-n)))
         log_fwd = float(fwd.total)
         log_bwd = -float(bwd.total)
         if kind == "SHIFT_HYPERCYCLIC":
-            q = float(np.exp2(max(log_fwd, log_bwd)))
+            trace[n - 1] = np.exp2(max(log_fwd, log_bwd))
         else:
             log2n = math.log2(n)
-            q = float(np.exp2(max(log_bwd + log2n, log_fwd - log2n)))
-        trace[n - 1] = q
-        if q < best:
-            best = q
-            witness.append((n, q))
-    status = SATISFIED if best <= tol else NOT_SATISFIED
-    return CriterionVerdict(kind, status, witness, trace, horizon, tol,
-                            params={"coordinate": 0})
+            trace[n - 1] = np.exp2(max(log_bwd + log2n, log_fwd - log2n))
+    return verdict_from_trace(kind, trace, tol, params={"coordinate": 0})
 
 
 @dataclass(frozen=True)
@@ -293,27 +294,24 @@ class ExpectationResult:
 def run_expectation(example: GoldenExample, exp: Expectation,
                     grid: Grid | None = None) -> ExpectationResult:
     grid = grid or DEFAULT_GRID
+    window = CompactWindow.from_grid(grid, exp.window)
     if exp.check in ("SHIFT_HYPERCYCLIC", "SHIFT_CESARO"):
         shift = build_preset(example.preset,
                              shift_window=exp.horizon + 8)
         verdict = shift_verdict(shift, exp.check, exp.horizon, exp.tol)
     elif exp.check == "WEDGE":
         op = build_preset(example.preset)
-        verdict = wedge_condition(op, int(exp.window), exp.horizon, exp.tol)
+        verdict = wedge_condition(op, window, exp.horizon, exp.tol)
     elif exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
         op = build_preset(example.preset)
-        window = CompactWindow.from_grid(grid, exp.window)
         mu = AtomicMeasure.delta(0.0)
         verdict = adjoint_criterion(CriterionKind(exp.check), op, mu, mu,
                                     window, exp.horizon, exp.tol)
     else:
-        depth = None
-        if example.preset == "ex3.8":
-            depth = exp.horizon + int(exp.window) + 8
-        op = build_preset(example.preset, depth=depth)
-        window = CompactWindow.from_grid(grid, exp.window)
-        verdict = evaluate(CriterionKind(exp.check), op, window, exp.horizon,
-                           exp.tol, inverse=exp.inverse)
+        op = build_preset(example.preset,
+                          depth=telescoping_depth(exp.horizon, exp.window))
+        [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
+                             inverse=exp.inverse)
     n_best, q_best = verdict.best
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,

@@ -128,8 +128,8 @@ def test_04_approximant_contracts():
     window = CompactWindow.from_grid(grid, 1.0)
 
     op36 = build_preset("ex3.6")
-    verdict = evaluate(CriterionKind.SUPERCYCLIC_SOLID, op36, window, 60,
-                       1e-6)
+    [verdict] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op36, window,
+                         60, 1e-6)
     nf, ng = norm(f, L2), norm(g, L2)
     for n, q in verdict.witness:
         ap = supercyclic_approximant(op36, f, g, n, kind=L2)
@@ -137,7 +137,8 @@ def test_04_approximant_contracts():
         assert lhs <= math.sqrt(q) * math.sqrt(nf * ng) + 1e-10, (n, lhs)
 
     op35 = build_preset("ex3.5")
-    verdict35 = evaluate(CriterionKind.CESARO_SOLID, op35, window, 60, 1e-1)
+    [verdict35] = evaluate([CriterionKind.CESARO_SOLID], op35, window, 60,
+                           1e-1)
     for n, q in verdict35.witness:
         ap = cesaro_approximant(op35, f, g, n, kind=L2)
         lhs = norm(ap.lam * apply_Tn(op35, ap.v, n) - g, L2)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from lindyn.cli import main, worker_count
+from lindyn.cli import ExperimentConfig, main
+from lindyn.criteria import CriterionKind, TrimPolicy, quantity
 from lindyn.presets import REGISTRY, build_preset, preset_names
 
 
@@ -179,6 +180,65 @@ class TestClassifyCommand:
         assert run(["classify", "--config", cfg]) == 0
 
 
+    def test_ex38_depth_follows_horizon(self, tmp_path, capsys):
+        # the telescoping weight must reach every orbit point: on [-m, m]
+        # the hypercyclic quantity is then 2^(m+1) / (H - m) exactly
+        horizon, m = 2500, 1
+        cfg = self.config(tmp_path, operator={"preset": "ex3.8"},
+                          space={"kind": "L2"}, window={"m": m},
+                          horizon=horizon)
+        assert run(["classify", "--config", cfg,
+                    "--out", str(tmp_path)]) == 0
+        summary = [json.loads(line) for line in
+                   (tmp_path / "verdicts.jsonl").read_text().splitlines()
+                   if '"status"' in line]
+        [hyper] = [r for r in summary if r["kind"] == "HYPERCYCLIC_SOLID"]
+        n, q = hyper["witness"][-1]
+        assert n == horizon
+        assert q == pytest.approx(2.0 ** (m + 1) / (horizon - m),
+                                  rel=1e-12, abs=0)
+
+    def test_ex38_depth_too_shallow_exit_2(self, tmp_path, capsys):
+        shallow = self.config(tmp_path, operator={"preset": "ex3.8"},
+                              window={"m": 2}, horizon=300, depth=309)
+        assert run(["classify", "--config", shallow]) == 2
+        assert "depth" in capsys.readouterr().err
+        enough = self.config(tmp_path, operator={"preset": "ex3.8"},
+                             window={"m": 2}, horizon=300, depth=310)
+        assert run(["classify", "--config", enough]) == 0
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},
+          "window": {"m": 2.0}}, []),
+        ({}, []),
+        ({"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"}},
+         ["--inverse"]),
+        ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},
+          "window": {"m": 2.0}, "trim": 2}, ["--inverse"]),
+    ], ids=["ex38-L2", "C0", "inverse", "trim2"])
+    def test_records_match_per_n_quantity(self, tmp_path, capsys,
+                                          overrides, flags):
+        horizon = 60
+        cfg = self.config(tmp_path, horizon=horizon, **overrides)
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]
+                   + flags) == 0
+        loaded = ExperimentConfig.load(cfg, None)
+        window = loaded.compact_window()
+        trim = TrimPolicy(loaded.trim) if loaded.trim else None
+        per_n = {}
+        for line in (tmp_path / "verdicts.jsonl").read_text().splitlines():
+            rec = json.loads(line)
+            if "n" in rec:
+                per_n[rec["kind"], rec["n"]] = float(rec["q"])
+        kinds = {kind for kind, _ in per_n}
+        assert len(per_n) == len(kinds) * horizon
+        for kind in kinds:
+            for n in (1, 17, horizon):
+                assert per_n[kind, n] == quantity(
+                    CriterionKind(kind), loaded.operator, window, n, trim,
+                    inverse="--inverse" in flags)
+
+
 class TestOtherCommands:
     def test_orbit_csv(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -242,16 +302,3 @@ class TestOtherCommands:
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rec["lift_in_gamma_h"] is True
 
-
-class TestWorkerCount:
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("LINDYN_THREADS", "2")
-        assert worker_count() == 2
-        monkeypatch.setenv("LINDYN_THREADS", "junk")
-        from lindyn.errors import ConfigError
-        with pytest.raises(ConfigError):
-            worker_count()
-
-    def test_examples_respect_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("LINDYN_THREADS", "1")
-        assert run(["examples", "ex4.3b"]) == 0

@@ -11,6 +11,7 @@ from lindyn.criteria import (
     quantity,
     segal_factors,
     sweep_factors,
+    verdict_from_trace,
 )
 from lindyn.errors import SegalIncompatibleError
 from lindyn.funcspace import (
@@ -142,7 +143,7 @@ class TestEvaluate:
     def test_record_minimum_witness(self):
         op = build_preset("ex3.5")
         win = CompactWindow.from_grid(GRID, 2.0)
-        v = evaluate(CriterionKind.SUPERCYCLIC_SOLID, op, win, 60, 1e-6)
+        [v] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op, win, 60, 1e-6)
         assert v.satisfied
         qs = [q for _, q in v.witness]
         assert all(a > b for a, b in zip(qs, qs[1:]))
@@ -153,8 +154,8 @@ class TestEvaluate:
     def test_determinism_bit_identical(self):
         op = build_preset("ex3.6")
         win = CompactWindow.from_grid(GRID, 1.0)
-        a = evaluate(CriterionKind.CESARO_SOLID, op, win, 100, 1e-2)
-        b = evaluate(CriterionKind.CESARO_SOLID, op, win, 100, 1e-2)
+        [a] = evaluate([CriterionKind.CESARO_SOLID], op, win, 100, 1e-2)
+        [b] = evaluate([CriterionKind.CESARO_SOLID], op, win, 100, 1e-2)
         assert np.array_equal(a.trace, b.trace)
         assert a.witness == b.witness and a.status == b.status
         assert a.to_jsonl() == b.to_jsonl()
@@ -197,6 +198,66 @@ class TestEvaluate:
             assert mine == pytest.approx(brute, rel=1e-11)
 
 
+class TestSharedSweep:
+    """All kinds of one call share a sweep; none may see the others."""
+
+    def test_many_kinds_equal_one_at_a_time(self):
+        kinds = list(CriterionKind)
+        win = CompactWindow.from_grid(GRID, 2.0)
+        for preset, trim, inverse in (("ex3.7", None, False),
+                                      ("ex3.8", TrimPolicy(2), False),
+                                      ("ex3.6", TrimPolicy(1), True)):
+            op = build_preset(preset, depth=80)
+            together = evaluate(kinds, op, win, 60, 1e-2, trim,
+                                inverse=inverse)
+            assert [v.kind for v in together] == [k.value for k in kinds]
+            for kind, v in zip(kinds, together):
+                [alone] = evaluate([kind], op, win, 60, 1e-2, trim,
+                                   inverse=inverse)
+                assert np.array_equal(v.trace, alone.trace)
+                assert v.trimmed == alone.trimmed
+                assert v.to_jsonl() == alone.to_jsonl()
+
+    def test_trace_matches_per_n_quantity(self):
+        op = build_preset("ex3.8", depth=80)
+        win = CompactWindow.from_grid(GRID, 2.0)
+        kinds = list(CriterionKind)
+        for trim in (None, TrimPolicy(2)):
+            for inverse in (False, True):
+                verdicts = evaluate(kinds, op, win, 40, 1e-2, trim,
+                                    inverse=inverse)
+                for kind, v in zip(kinds, verdicts):
+                    for n in (1, 17, 40):
+                        assert v.trace[n - 1] == quantity(
+                            kind, op, win, n, trim, inverse=inverse)
+
+    def test_single_kind_is_rejected(self):
+        with pytest.raises(TypeError):
+            evaluate(CriterionKind.SUPERCYCLIC_SOLID, OP_DOUBLE, K0, 5, 1e-6)
+
+
+class TestVerdictFromTrace:
+    def test_matches_record_minimum_loop(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            trace = rng.integers(0, 6, rng.integers(1, 30)).astype(float)
+            trace[rng.random(trace.size) < 0.1] = np.inf
+            trace[rng.random(trace.size) < 0.1] = np.nan
+            witness, best = [], np.inf
+            for n, q in enumerate(trace, start=1):
+                if q < best:
+                    best = q
+                    witness.append((n, q))
+            v = verdict_from_trace("K", trace, 2.0)
+            assert v.witness == tuple(witness)
+            assert v.satisfied == (best <= 2.0)
+            assert v.horizon == trace.size
+
+    def test_no_record_is_not_satisfied(self):
+        v = verdict_from_trace("K", [np.inf, np.nan], 1.0)
+        assert v.witness == () and not v.satisfied
+
+
 class TestTrim:
     def test_trimming_reduces_quantity(self):
         # weight with a dip inside the window: the dip point carries the
@@ -222,8 +283,8 @@ class TestTrim:
                          [1.0, 1.0, 6.0, 1.0, 1.0], positive=True)
         op = CompositionOperator(Translation(-8.0), w)
         win = CompactWindow.from_grid(Grid(8.0, 0.25), 2.0)
-        v = evaluate(CriterionKind.SUPERCYCLIC_SOLID, op, win, 5, 1e-6,
-                     TrimPolicy(2))
+        [v] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op, win, 5, 1e-6,
+                       TrimPolicy(2))
         assert v.trimmed is not None and len(v.trimmed) == 5
         assert all(0 <= d <= 2 for d in v.trimmed)
 

@@ -21,7 +21,6 @@ from lindyn.funcspace import (
     Translation,
     aperiodicity_bound,
     apply_homeo,
-    eval_map,
     homeo_from_json,
     homeo_power,
     homeo_to_json,
@@ -72,16 +71,16 @@ class TestGrid:
 
 class TestPiecewiseMap:
     def test_constant_map(self):
-        assert eval_map(PiecewiseMap.constant(2.0), -7.3) == 2.0
+        assert PiecewiseMap.constant(2.0)(-7.3) == 2.0
 
     def test_bridge_weight_value(self):
         # left level M = 4, right level 1 + delta = 2: midpoint is 3
         w = PiecewiseMap([-1.0, 1.0], [4.0, 2.0], positive=True)
-        assert eval_map(w, 0.0) == 3.0
+        assert w(0.0) == 3.0
 
     def test_ramp_midpoint(self):
         ramp = PiecewiseMap([-1.0, 1.0], [2.0, 1.0])
-        assert eval_map(ramp, 0.0) == 1.5
+        assert ramp(0.0) == 1.5
 
     def test_constant_tails(self):
         pm = PiecewiseMap([-1.0, 1.0], [2.0, 1.0])

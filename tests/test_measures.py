@@ -215,8 +215,8 @@ class TestAdjointCriterion:
         win = CompactWindow(1.0, mu.locations)
         adj = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
                                 win, 20, 1e-6)
-        fwd = evaluate(CriterionKind.SUPERCYCLIC_SOLID, flipped, win, 20,
-                       1e-6)
+        [fwd] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], flipped, win,
+                         20, 1e-6)
         assert np.allclose(adj.trace, fwd.trace, rtol=1e-11, atol=0)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lindyn.criteria import CompactWindow, CriterionKind, evaluate
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -200,17 +201,34 @@ class TestBilateralShift:
 class TestWedge:
     def test_bridge_instance_satisfied(self):
         op = build_preset("ex3.6")
-        verdict = wedge_condition(op, 2, 200, 1e-6)
+        verdict = wedge_condition(op, CompactWindow.from_grid(GRID, 2.0), 200,
+                                  1e-6)
         assert verdict.kind == "WEDGE" and verdict.satisfied
 
     def test_unit_weight_not_satisfied(self):
         op = CompositionOperator(Translation(-1.0),
                                  PiecewiseMap.constant(1.0, positive=True))
-        verdict = wedge_condition(op, 2, 50, 1e-6)
+        verdict = wedge_condition(op, CompactWindow.from_grid(GRID, 2.0), 50,
+                                  1e-6)
         assert not verdict.satisfied
         assert np.all(verdict.trace == 1.0)
 
     def test_constant_weight_cancels(self):
-        verdict = wedge_condition(OP_DOUBLE, 1, 50, 1e-6)
+        window = CompactWindow.from_grid(GRID, 1.0)
+        verdict = wedge_condition(OP_DOUBLE, window, 50, 1e-6)
         assert not verdict.satisfied
         assert np.all(verdict.trace == 1.0)
+
+    def test_window_follows_the_grid(self):
+        # a step-0.5 grid gives the window its own nine points, not the
+        # seventeen of a step-0.25 interval
+        op = build_preset("ex3.6")
+        window = CompactWindow.from_grid(Grid(16.0, 0.5), 2.0)
+        verdict = wedge_condition(op, window, 40, 1e-6)
+        [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, 40, 1e-6)
+        assert window.points.size == 9
+        assert np.array_equal(verdict.trace, c0.trace)
+        assert verdict.params["window_radius"] == 2.0
+        with pytest.raises(ValueError):
+            wedge_condition(op, CompactWindow.from_grid(Grid(16.0, 0.5), 0.5),
+                            40, 1e-6)
