@@ -19,13 +19,11 @@ from .funcspace import (
 )
 from .operators import (
     CompositionOperator,
-    BilateralShift,
     apply_T,
     apply_S,
     apply_Tn,
     apply_Sn,
     cocycle,
-    shift_apply,
     wedge_condition,
 )
 from .criteria import (

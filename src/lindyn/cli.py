@@ -44,7 +44,13 @@ from .porosity import (
     porosity_probe,
     random_scene,
 )
-from .presets import REGISTRY, build_preset, run_expectation, telescoping_depth
+from .presets import (
+    REGISTRY,
+    TELESCOPING_PRESETS,
+    build_preset,
+    run_expectation,
+    telescoping_depth,
+)
 from . import dynamics
 
 _SPACE_KINDS = {
@@ -66,7 +72,6 @@ class ExperimentConfig:
     window_eps: float | None
     horizon: int
     tol: float
-    seed: int
     trim: int
     preset_name: str | None
 
@@ -101,7 +106,7 @@ class ExperimentConfig:
                 if depth is None:
                     depth = telescoping_depth(
                         horizon, max(window_m, grid.half_width))
-                elif preset_name == "ex3.8" and depth < needed:
+                elif preset_name in TELESCOPING_PRESETS and depth < needed:
                     raise ConfigError(f"depth {depth} does not cover the "
                                       f"sweep: need >= {needed}")
                 op = build_preset(preset_name, depth=depth)
@@ -135,7 +140,6 @@ class ExperimentConfig:
             window_eps=wspec.get("eps"),
             horizon=horizon,
             tol=float(raw.get("tol", 1e-6)),
-            seed=int(raw.get("seed", 0)),
             trim=int(raw.get("trim", 0)),
             preset_name=preset_name,
         )
@@ -157,8 +161,6 @@ def _write_lines(out_dir: str | None, name: str, lines: list[str]):
 
 def cmd_classify(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    if not isinstance(cfg.operator, CompositionOperator):
-        raise ConfigError("classify needs a composition-operator preset")
     kinds = _SPACE_KINDS[cfg.space]
     if cfg.space == "SEGAL":
         if cfg.tau is None:
@@ -190,8 +192,6 @@ def _bump_from_spec(grid: Grid, spec: dict) -> GridFunction:
 
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    if not isinstance(cfg.operator, CompositionOperator):
-        raise ConfigError("orbit needs a composition-operator preset")
     raw = json.loads(Path(args.config).read_text()) if args.config else {}
     seed_fn = _bump_from_spec(cfg.grid, raw.get("seed_function", {}))
     target_specs = raw.get("targets", [])
@@ -301,8 +301,6 @@ def cmd_porosity(args) -> int:
 
 def cmd_adjoint(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    if not isinstance(cfg.operator, CompositionOperator):
-        raise ConfigError("adjoint needs a composition-operator preset")
     window = cfg.compact_window()
     mu = AtomicMeasure.delta(0.0)
     lines = []

@@ -110,12 +110,6 @@ class CompactWindow:
         return cls(m, pts[np.abs(pts) <= m + 1e-12], segal_eps)
 
     @classmethod
-    def from_interval(cls, m: float, step: float = 0.25,
-                      segal_eps: float | None = None) -> "CompactWindow":
-        k = max(1, round(2 * m / step))
-        return cls(m, np.linspace(-m, m, k + 1), segal_eps)
-
-    @classmethod
     def singleton(cls, t: float = 0.0,
                   segal_eps: float | None = None) -> "CompactWindow":
         return cls(abs(t), [t], segal_eps)

@@ -33,6 +33,7 @@ from .funcspace import (
 from .operators import (
     CocycleSweep,
     CompositionOperator,
+    _loses_mass,
     apply_Sn,
     apply_Tn,
     scale_by_exp2,
@@ -199,7 +200,6 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
     sweep = CocycleSweep(op, f.grid.points)
-    L = f.grid.half_width
     for n in range(1, horizon + 1):
         sweep.step()
         if side == "T":
@@ -209,11 +209,8 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
             pos = sweep.backward_positions
             logs = -sweep.log_backward
         vals = scale_by_exp2(logs, linear_interpolate(f, pos))
-        out_of_grid = bool(np.any(np.abs(pos) > L))
-        truncated = f.truncated or (
-            out_of_grid and (f.values[0] != 0 or f.values[-1] != 0)
-        )
-        yield n, GridFunction(f.grid, vals, truncated)
+        yield n, GridFunction(f.grid, vals,
+                              f.truncated or _loses_mass(f, pos))
 
 
 @dataclass(frozen=True)

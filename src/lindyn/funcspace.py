@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -170,12 +170,6 @@ class PiecewiseMap:
             positive = not isinstance(c, complex) and c > 0
         return cls([0.0], [c], positive=positive)
 
-    @classmethod
-    def from_nodes(cls, nodes: Iterable[tuple], positive=False):
-        """Build from (t, value) pairs with constant tails."""
-        pts = sorted(nodes, key=lambda p: p[0])
-        return cls([p[0] for p in pts], [p[1] for p in pts], positive=positive)
-
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.iscomplexobj(self.values):
@@ -194,21 +188,6 @@ class PiecewiseMap:
         if np.isscalar(t) or (hasattr(t, "ndim") and t.ndim == 0):
             return out[()]
         return out
-
-    @property
-    def min_value(self) -> float:
-        """Infimum over the line (constant tails only)."""
-        if self.left_slope != 0.0 or self.right_slope != 0.0:
-            raise ValueError("min_value requires constant tails")
-        return float(np.min(np.abs(self.values)) if np.iscomplexobj(self.values)
-                     else self.values.min())
-
-    @property
-    def max_value(self) -> float:
-        if self.left_slope != 0.0 or self.right_slope != 0.0:
-            raise ValueError("max_value requires constant tails")
-        return float(np.max(np.abs(self.values)) if np.iscomplexobj(self.values)
-                     else self.values.max())
 
     def shifted(self, c: float) -> "PiecewiseMap":
         """The map t -> self(t - c); breakpoints move by +c."""

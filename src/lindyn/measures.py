@@ -28,13 +28,12 @@ from .criteria import (
     verdict_from_trace,
 )
 from .errors import DegenerateApproximantError, SupportOutsideWindowError
-from .funcspace import GridFunction, linear_interpolate
+from .funcspace import GridFunction, homeo_power, linear_interpolate
 from .operators import (
     CompositionOperator,
     apply_T,
     backward_log2,
     forward_log2,
-    homeo_power,
 )
 
 __all__ = [
@@ -212,9 +211,11 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
     trimmed = [] if atom_trim_budget > 0 else None
     best = math.inf
     records = 0
-    sweeps = zip(_log_sweep(op, mu.locations, horizon, False),
-                 _log_sweep(op, nu.locations, horizon, False))
-    for (n, lf, _), (_, _, lb) in sweeps:
+    # one sweep over both supports: mu's atoms come first, nu's after
+    k = mu.locations.size
+    points = np.concatenate([mu.locations, nu.locations])
+    for n, lf, lb in _log_sweep(op, points, horizon, False):
+        lf, lb = lf[:k], lb[k:]
         if atom_trim_budget > 0:
             budget_n = atom_trim_budget * 2.0 ** (-records)
             keep_f, tv_f = _trim_tv(lf, mu.weights, budget_n, "max")

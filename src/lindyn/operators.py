@@ -11,7 +11,6 @@ bit-exact for dyadic weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from .funcspace import (
     PiecewiseMap,
     Translation,
     apply_homeo,
-    homeo_power,
     linear_interpolate,
 )
 
@@ -37,9 +35,6 @@ __all__ = [
     "backward_log2",
     "scale_by_exp2",
     "segal_compatible",
-    "BilateralShift",
-    "shift_apply",
-    "shift_cocycle",
     "wedge_condition",
 ]
 
@@ -73,10 +68,6 @@ class CompositionOperator:
 
     def log2_weight(self, t) -> np.ndarray:
         return np.log2(self.weight(t))
-
-
-def _positions(alpha: Homeo, pts: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(homeo_power(alpha, pts, n), dtype=float)
 
 
 def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
@@ -181,11 +172,13 @@ def scale_by_exp2(logs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _boundary_truncation(f: GridFunction, images: np.ndarray) -> bool:
-    L = f.grid.half_width
-    left_out = bool(np.any(images < -L))
-    right_out = bool(np.any(images > L))
-    return (left_out and f.values[0] != 0) or (right_out and f.values[-1] != 0)
+def _loses_mass(f: GridFunction, images: np.ndarray) -> bool:
+    """True iff f is nonzero at a grid point outside [min, max] of the
+    points it is read at: for a monotone map that interval is the image of
+    the grid, and f's values outside it never reach the result."""
+    pts = f.grid.points
+    outside = (pts < images.min()) | (pts > images.max())
+    return bool(np.any(f.values[outside] != 0))
 
 
 def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
@@ -194,7 +187,7 @@ def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
     img = np.asarray(apply_homeo(op.alpha, pts), dtype=float)
     vals = op.weight(pts) * linear_interpolate(f, img)
     return GridFunction(f.grid, vals,
-                        f.truncated or _boundary_truncation(f, img))
+                        f.truncated or _loses_mass(f, img))
 
 
 def apply_S(op: CompositionOperator, f: GridFunction) -> GridFunction:
@@ -203,7 +196,7 @@ def apply_S(op: CompositionOperator, f: GridFunction) -> GridFunction:
     pre = np.asarray(apply_homeo(op.alpha, pts, "inverse"), dtype=float)
     vals = linear_interpolate(f, pre) / op.weight(pre)
     return GridFunction(f.grid, vals,
-                        f.truncated or _boundary_truncation(f, pre))
+                        f.truncated or _loses_mass(f, pre))
 
 
 def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
@@ -229,7 +222,7 @@ def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
     for j in range(n - 1, -1, -1):
         acc = op.weight(orbit[j]) * acc
     return GridFunction(f.grid, acc,
-                        f.truncated or _boundary_truncation(f, orbit[n]))
+                        f.truncated or _loses_mass(f, orbit[n]))
 
 
 def apply_Sn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
@@ -250,7 +243,7 @@ def apply_Sn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
     for j in range(n, 0, -1):
         acc = acc / op.weight(orbit[j])
     return GridFunction(f.grid, acc,
-                        f.truncated or _boundary_truncation(f, orbit[n]))
+                        f.truncated or _loses_mass(f, orbit[n]))
 
 
 def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,
@@ -259,88 +252,6 @@ def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,
     pts = grid.points
     moved = np.asarray(apply_homeo(op.alpha, pts), dtype=float)
     return bool(np.max(np.abs(tau(moved) - tau(pts))) <= tol)
-
-
-# ---------------------------------------------------------------------------
-# Bilateral weighted shifts on a finite coordinate window
-
-
-@dataclass(frozen=True)
-class BilateralShift:
-    """Weighted shift on doubly infinite coordinates, stored on a window.
-
-    ``weight_fn(j)`` gives the positive weight attached to index j; the
-    forward shift sends e_j to weight_fn(j) * e_{j+1}.  ``lo..hi`` is the
-    stored index window.
-    """
-
-    weight_fn: Callable[[int], float]
-    lo: int
-    hi: int
-    direction: str = "forward"
-
-    def __post_init__(self):
-        if self.hi < self.lo:
-            raise ValueError("window must satisfy hi >= lo")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be forward or backward")
-
-    def window_weights(self) -> np.ndarray:
-        w = np.array([self.weight_fn(j) for j in range(self.lo, self.hi + 1)],
-                     dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("shift weights must be positive")
-        return w
-
-    def basis_vector(self, j: int) -> np.ndarray:
-        x = np.zeros(self.hi - self.lo + 1)
-        x[j - self.lo] = 1.0
-        return x
-
-
-def shift_apply(s: BilateralShift, x: np.ndarray, n: int):
-    """Apply the shift n times; returns (vector, truncated flag)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (s.hi - s.lo + 1,):
-        raise ValueError("coordinate vector does not match the window")
-    w = s.window_weights()
-    truncated = False
-    for _ in range(n):
-        out = np.zeros_like(x)
-        if s.direction == "forward":
-            if x[-1] != 0:
-                truncated = True
-            out[1:] = w[:-1] * x[:-1]
-        else:
-            if x[0] != 0:
-                truncated = True
-            out[:-1] = w[1:] * x[1:]
-        x = out
-    return x, truncated
-
-
-def shift_cocycle(s: BilateralShift, n: int, start: int = 0,
-                  direction: str = "forward") -> float:
-    """Coefficient product along the coordinate orbit of e_start.
-
-    forward:  prod_{j=0}^{n-1} weight_fn(start + j)  (T^n e_start coefficient)
-    backward: prod_{j=1}^{n}   weight_fn(start - j)  (1 / that is the
-    T^{-n} e_start coefficient)
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    acc = KahanSum(())
-    if direction == "forward":
-        for j in range(n):
-            acc.add(np.log2(s.weight_fn(start + j)))
-    elif direction == "backward":
-        for j in range(1, n + 1):
-            acc.add(np.log2(s.weight_fn(start - j)))
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return float(np.exp2(acc.total))
 
 
 def wedge_condition(op: CompositionOperator, window, horizon: int,

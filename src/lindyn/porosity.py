@@ -24,8 +24,8 @@ from .errors import (
     NoValidNError,
     PreconditionViolatedError,
 )
-from .funcspace import Grid, GridFunction, SUP, norm
-from .operators import CompositionOperator, backward_log2, homeo_power
+from .funcspace import Grid, GridFunction, SUP, homeo_power, norm
+from .operators import CompositionOperator, backward_log2
 from .dynamics import operator_orbit
 
 __all__ = [

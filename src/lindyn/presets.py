@@ -19,18 +19,11 @@ from .criteria import (
     SATISFIED,
     CompactWindow,
     CriterionKind,
-    CriterionVerdict,
     evaluate,
-    verdict_from_trace,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
 from .measures import AtomicMeasure, adjoint_criterion
-from .operators import (
-    BilateralShift,
-    CompositionOperator,
-    KahanSum,
-    wedge_condition,
-)
+from .operators import CompositionOperator, wedge_condition
 
 __all__ = [
     "build_preset",
@@ -42,6 +35,7 @@ __all__ = [
     "run_expectation",
     "run_example",
     "telescoping_depth",
+    "TELESCOPING_PRESETS",
     "DEFAULT_GRID",
 ]
 
@@ -63,23 +57,22 @@ def _telescoping_weight(depth: int) -> PiecewiseMap:
     return PiecewiseMap(breakpoints, values, positive=True)
 
 
-def _shift_weight(j: int) -> float:
-    return 0.5 if j >= 0 else (abs(j) + 1.0) / abs(j)
+# presets whose weight is the telescoping weight, sized by ``depth``
+TELESCOPING_PRESETS = ("ex3.8", "rem3.10")
 
 
 def telescoping_depth(horizon: int, m: float) -> int:
-    """Depth of ``ex3.8``'s telescoping weight for a sweep of ``horizon``
+    """Depth of a telescoping preset's weight for a sweep of ``horizon``
     steps from the window [-m, m]: the deepest orbit point visited, plus a
     margin of 8."""
     return horizon + math.ceil(m) + 8
 
 
-def build_preset(name: str, *, depth: int | None = None,
-                 shift_window: int = 260):
+def build_preset(name: str, *, depth: int | None = None):
     """Instantiate a named preset operator.
 
-    ``depth`` sizes the telescoping weight of ``ex3.8``; it must cover the
-    deepest orbit point visited, see :func:`telescoping_depth`.
+    ``depth`` sizes the weight of the :data:`TELESCOPING_PRESETS`; it must
+    cover the deepest orbit point visited, see :func:`telescoping_depth`.
     """
     if name == "ex3.5":
         return CompositionOperator(Translation(-1.0), _bridge_weight(2.0, 1.0))
@@ -93,7 +86,11 @@ def build_preset(name: str, *, depth: int | None = None,
         return CompositionOperator(Translation(-1.0),
                                    _telescoping_weight(depth or 2100))
     if name == "rem3.10":
-        return BilateralShift(_shift_weight, -shift_window, shift_window)
+        # the forward shift e_j -> w_j e_{j+1} on the counting measure of
+        # the integers is f -> w(t-1) f(t-1), with w the telescoping weight
+        return CompositionOperator(Translation(-1.0),
+                                   _telescoping_weight(depth or 2100)
+                                   .shifted(1.0))
     if name == "ex4.3a":
         return CompositionOperator(Translation(1.0), _bridge_weight(2.0, 1.0))
     if name == "ex4.3b":
@@ -103,32 +100,6 @@ def build_preset(name: str, *, depth: int | None = None,
 
 def preset_names() -> tuple[str, ...]:
     return ("ex3.5", "ex3.6", "ex3.7", "ex3.8", "rem3.10", "ex4.3a", "ex4.3b")
-
-
-def shift_verdict(shift: BilateralShift, kind: str, horizon: int,
-                  tol: float) -> CriterionVerdict:
-    """Criterion sweep for a bilateral shift at the coordinate e_0.
-
-    The forward orbit norm is the running product of w_0, w_1, ...; the
-    backward orbit norm is the reciprocal product of w_{-1}, w_{-2}, ....
-    HYPERCYCLIC asks both to vanish; CESARO pins the scalars to n and 1/n.
-    """
-    if kind not in ("SHIFT_HYPERCYCLIC", "SHIFT_CESARO"):
-        raise ValueError(f"unknown shift criterion {kind!r}")
-    fwd = KahanSum(())
-    bwd = KahanSum(())
-    trace = np.empty(horizon)
-    for n in range(1, horizon + 1):
-        fwd.add(np.log2(shift.weight_fn(n - 1)))
-        bwd.add(np.log2(shift.weight_fn(-n)))
-        log_fwd = float(fwd.total)
-        log_bwd = -float(bwd.total)
-        if kind == "SHIFT_HYPERCYCLIC":
-            trace[n - 1] = np.exp2(max(log_fwd, log_bwd))
-        else:
-            log2n = math.log2(n)
-            trace[n - 1] = np.exp2(max(log_bwd + log2n, log_fwd - log2n))
-    return verdict_from_trace(kind, trace, tol, params={"coordinate": 0})
 
 
 @dataclass(frozen=True)
@@ -229,16 +200,17 @@ REGISTRY: dict[str, GoldenExample] = {
     "rem3.10": GoldenExample(
         "rem3.10", "rem3.10",
         (
-            Expectation("SHIFT_HYPERCYCLIC", SAT, tol=1e-2,
-                        note="forward coefficient products are 2^-n and "
-                             "backward ones 1/(n+1): both vanish, the "
-                             "slower at rate 1/n, hence tol 1e-2"),
-            Expectation("SHIFT_CESARO", NOT, tol=1e-2,
-                        note="n times the backward norm is n/(n+1), bounded "
-                             "below by 1/2"),
+            Expectation("HYPERCYCLIC_SOLID", SAT, window=0.0, tol=1e-2,
+                        note="at 0 the backward product is 2^-n and the "
+                             "inverse forward product 1/(n+1): both vanish, "
+                             "the slower at rate 1/n, hence tol 1e-2"),
+            Expectation("CESARO_SOLID", NOT, window=0.0, tol=1e-2,
+                        note="n times the inverse forward product is "
+                             "n/(n+1), bounded below by 1/2"),
         ),
         note="bilateral forward shift with weights (j+1)/j at negative "
-             "indices and 1/2 at nonnegative ones",
+             "indices and 1/2 at nonnegative ones, as the composition "
+             "operator f -> w(t-1) f(t-1) on the window {0}",
     ),
     "ex4.3a": GoldenExample(
         "ex4.3a", "ex4.3a",
@@ -295,11 +267,7 @@ def run_expectation(example: GoldenExample, exp: Expectation,
                     grid: Grid | None = None) -> ExpectationResult:
     grid = grid or DEFAULT_GRID
     window = CompactWindow.from_grid(grid, exp.window)
-    if exp.check in ("SHIFT_HYPERCYCLIC", "SHIFT_CESARO"):
-        shift = build_preset(example.preset,
-                             shift_window=exp.horizon + 8)
-        verdict = shift_verdict(shift, exp.check, exp.horizon, exp.tol)
-    elif exp.check == "WEDGE":
+    if exp.check == "WEDGE":
         op = build_preset(example.preset)
         verdict = wedge_condition(op, window, exp.horizon, exp.tol)
     elif exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):

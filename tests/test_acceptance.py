@@ -31,6 +31,7 @@ from lindyn.funcspace import (
     SUP,
     SegalNorm,
     Translation,
+    homeo_power,
     norm,
     triangular_bump,
 )
@@ -41,7 +42,6 @@ from lindyn.operators import (
     apply_T,
     apply_Tn,
     cocycle,
-    homeo_power,
 )
 from lindyn.porosity import (
     GammaSet,
@@ -99,7 +99,7 @@ def test_02_golden_verdicts():
 
 def test_03_criterion_hierarchy():
     rng = np.random.default_rng(31415)
-    window = CompactWindow.from_interval(1.0, 0.25)
+    window = CompactWindow.from_grid(Grid(64.0, 0.25), 1.0)
     checked = 0
     for _ in range(50):
         shift = float(rng.choice([-1.0, 1.0, -0.5, 0.5]))

@@ -52,9 +52,10 @@ class TestPresetFidelity:
         assert np.all(w(ts) == 0.5)
 
     def test_shift_preset_weights(self):
-        s = build_preset("rem3.10")
-        assert s.weight_fn(0) == 0.5 and s.weight_fn(7) == 0.5
-        assert s.weight_fn(-3) == pytest.approx(4.0 / 3.0)
+        # the shift weight w_j sits at j + 1: T f(t) = w(t-1) f(t-1)
+        w = build_preset("rem3.10").weight
+        assert w(1.0) == 0.5 and w(8.0) == 0.5
+        assert w(-2.0) == pytest.approx(4.0 / 3.0)
 
     def test_names(self):
         for name in preset_names():
@@ -199,13 +200,24 @@ class TestClassifyCommand:
                                   rel=1e-12, abs=0)
 
     def test_ex38_depth_too_shallow_exit_2(self, tmp_path, capsys):
-        shallow = self.config(tmp_path, operator={"preset": "ex3.8"},
-                              window={"m": 2}, horizon=300, depth=309)
-        assert run(["classify", "--config", shallow]) == 2
-        assert "depth" in capsys.readouterr().err
-        enough = self.config(tmp_path, operator={"preset": "ex3.8"},
-                             window={"m": 2}, horizon=300, depth=310)
-        assert run(["classify", "--config", enough]) == 0
+        # rem3.10 carries the telescoping weight too, under the same rule
+        for preset in ("ex3.8", "rem3.10"):
+            shallow = self.config(tmp_path, operator={"preset": preset},
+                                  window={"m": 2}, horizon=300, depth=309)
+            assert run(["classify", "--config", shallow]) == 2
+            assert "depth" in capsys.readouterr().err
+            enough = self.config(tmp_path, operator={"preset": preset},
+                                 window={"m": 2}, horizon=300, depth=310)
+            assert run(["classify", "--config", enough]) == 0
+
+    def test_rem310_preset_runs_everywhere(self, tmp_path, capsys):
+        # the shift preset is a composition operator like every other
+        cfg = self.config(tmp_path, operator={"preset": "rem3.10"},
+                          space={"kind": "L2"}, window={"m": 0.0},
+                          grid={"half_width": 16.0, "step": 1.0}, horizon=20)
+        for command in ("classify", "orbit", "adjoint"):
+            assert run([command, "--config", cfg,
+                        "--out", str(tmp_path)]) == 0
 
     @pytest.mark.parametrize("overrides, flags", [
         ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},

@@ -313,7 +313,7 @@ class TestImplication:
         assert report.ok
 
     def test_square_identity_random_instances(self):
-        win = CompactWindow.from_interval(1.0, 0.25)
+        win = CompactWindow.from_grid(Grid(64.0, 0.25), 1.0)
         for _ in range(25):
             op = random_translation_operator()
             for n in (1, 3, 8, 20):

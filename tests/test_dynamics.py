@@ -191,6 +191,24 @@ class TestOrbitTrace:
                   for n, sf in operator_orbit(op, f, 30, "S")]
         assert min(floors) >= 1.9
 
+    def test_truncation_flags_lost_mass(self):
+        # ex3.5 reads T^n f on [-8 - n, 8 - n]: a tent at 7.25 (half-width
+        # 0.5) loses mass from n = 1 and all of it from n = 2
+        grid = Grid(8.0, 0.25)
+        op = build_preset("ex3.5")
+        f = triangular_bump(grid, 7.25, 0.5)
+        steps = list(operator_orbit(op, f, 5))
+        assert all(tf.truncated for _, tf in steps)
+        assert steps[4][1].is_zero
+        assert orbit_trace(op, f, 5, SUP).truncated.all()
+        # the inverse side reads S^n f on [-8 + n, 8 + n] and loses nothing
+        assert not any(sf.truncated for _, sf in operator_orbit(op, f, 5, "S"))
+        # an interior tent is read in full until its support leaves the
+        # image [-8, 8 - n]: its last nonzero point 2.75 goes at n = 6
+        g = triangular_bump(grid, 2.0, 1.0)
+        flags = [tf.truncated for _, tf in operator_orbit(op, g, 8)]
+        assert flags == [False] * 5 + [True] * 3
+
     def test_csv(self, tmp_path):
         op = build_preset("ex3.5")
         f = triangular_bump(GRID)

@@ -24,7 +24,12 @@ from lindyn.measures import (
     measure_approximant,
     tv_norm,
 )
-from lindyn.operators import CompositionOperator, cocycle
+from lindyn.operators import (
+    CompositionOperator,
+    backward_log2,
+    cocycle,
+    forward_log2,
+)
 from lindyn.presets import build_preset
 
 RNG = np.random.default_rng(99)
@@ -199,6 +204,22 @@ class TestAdjointCriterion:
                                     win, 30, 1e-12, atom_trim_budget=0.05)
         assert trimmed.trimmed is not None
         assert min(trimmed.trace) <= min(raw.trace) * (1 + 1e-12)
+
+    def test_distinct_measures_read_their_own_leg(self):
+        # the forward leg sups over mu's atoms and the backward leg over
+        # nu's, also when the two supports differ in place and in size
+        op = build_preset("ex4.3a")
+        mu = AtomicMeasure([(-1.0, 1.0), (0.25, 2.0), (1.25, -1.0)])
+        nu = AtomicMeasure([(-0.75, 1.0), (0.5, 0.5j)])
+        win = self.window(1.5)
+        sup, ces = (adjoint_criterion(kind, op, mu, nu, win, 40, 1e-6)
+                    for kind in (CriterionKind.ADJOINT_SUPER,
+                                 CriterionKind.ADJOINT_CESARO))
+        for n in (1, 2, 7, 40):
+            x = -backward_log2(op, nu.locations, n).min()
+            y = forward_log2(op, mu.locations, n).max()
+            assert sup.trace[n - 1] == np.exp2(x + y)
+            assert ces.trace[n - 1] == max(n * np.exp2(x), np.exp2(y) / n)
 
     def test_matches_forward_criteria_of_flipped_operator(self):
         # adjoint sweep of (alpha, w) against the forward sweep of

@@ -14,7 +14,6 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.operators import (
-    BilateralShift,
     CompositionOperator,
     apply_S,
     apply_Sn,
@@ -23,8 +22,6 @@ from lindyn.operators import (
     cocycle,
     forward_log2,
     segal_compatible,
-    shift_apply,
-    shift_cocycle,
     wedge_condition,
 )
 from lindyn.presets import build_preset
@@ -170,32 +167,74 @@ class TestSegalCompatible:
         assert not segal_compatible(op, tau, GRID)
 
 
-class TestBilateralShift:
-    def test_unit_weights_pure_shift(self):
-        s = BilateralShift(lambda j: 1.0, -5, 5)
-        x, trunc = shift_apply(s, s.basis_vector(0), 1)
-        assert not trunc
-        assert x[s.hi - s.lo].real == 0 and x[6].real == 1.0
+class TestShiftPreset:
+    """rem3.10, the forward shift e_j -> w_j e_{j+1}, as the composition
+    operator f -> w(t-1) f(t-1); on a unit-step grid a tent of half-width
+    1/2 at j is the coordinate vector e_j."""
+
+    grid = Grid(10.0, 1.0)
 
     def test_preset_weights(self):
-        s = build_preset("rem3.10", shift_window=10)
-        x, _ = shift_apply(s, s.basis_vector(0), 2)
-        expect = np.zeros(21, dtype=complex)
-        expect[12] = 0.25
-        assert np.array_equal(x, expect)
-        y, _ = shift_apply(s, s.basis_vector(-3), 1)
-        assert y[8] == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-    def test_truncation_flag(self):
-        s = BilateralShift(lambda j: 1.0, -1, 1)
-        x, trunc = shift_apply(s, s.basis_vector(1), 1)
-        assert trunc
+        op = build_preset("rem3.10")
+        e0 = triangular_bump(self.grid, 0.0, 0.5)
+        expect = 0.25 * triangular_bump(self.grid, 2.0, 0.5)
+        assert np.array_equal(apply_Tn(op, e0, 2).values, expect.values)
+        y = apply_T(op, triangular_bump(self.grid, -3.0, 0.5))
+        assert y.value_at(-2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_cocycle(self):
-        s = build_preset("rem3.10", shift_window=10)
-        assert shift_cocycle(s, 3) == pytest.approx(0.125, rel=1e-14)
-        assert shift_cocycle(s, 3, direction="backward") == pytest.approx(
-            4.0, rel=1e-14)
+        # the shift's forward coefficient product 2^-n is the composition
+        # operator's backward leg at 0, and the reciprocal backward one
+        # 1/(n+1) its inverse forward leg
+        op = build_preset("rem3.10")
+        assert cocycle(op, 3, 0.0, "backward") == pytest.approx(0.125,
+                                                                rel=1e-14)
+        assert cocycle(op, 3, 0.0, "forward") == pytest.approx(4.0,
+                                                               rel=1e-14)
+
+
+class TestTruncation:
+    """The flag reports mass of f that the operator never reads."""
+
+    grid = Grid(8.0, 0.25)
+    op = build_preset("ex3.5")  # translation by -1: reads f on [-9, 7]
+
+    def edge_tent(self):
+        # support (6.75, 7.75): away from the last grid point 8, but partly
+        # right of 7, the largest point T reads
+        return triangular_bump(self.grid, 7.25, 0.5)
+
+    def test_apply_T_flags_lost_mass(self):
+        f = self.edge_tent()
+        tf = apply_T(self.op, f)
+        assert norm(tf, SUP) == 0.5 * norm(f, SUP)
+        assert tf.truncated
+
+    def test_apply_Tn_flags_lost_mass(self):
+        tf = apply_Tn(self.op, self.edge_tent(), 5)
+        assert tf.is_zero and tf.truncated
+
+    def test_apply_S_flags_lost_mass(self):
+        # S reads f on [-7, 9]; a tent at -7.25 loses its left part
+        f = triangular_bump(self.grid, -7.25, 0.5)
+        assert apply_S(self.op, f).truncated
+        assert apply_Sn(self.op, f, 3).truncated
+
+    def test_interior_mass_not_flagged(self):
+        f = triangular_bump(self.grid, 0.0, 1.0)
+        assert not apply_T(self.op, f).truncated
+        assert not apply_Tn(self.op, f, 6).truncated
+        assert not apply_Sn(self.op, f, 6).truncated
+        # the last nonzero point 6.75 is still read by T, but not by T^2
+        f = triangular_bump(self.grid, 6.0, 1.0)
+        assert not apply_T(self.op, f).truncated
+        assert apply_Tn(self.op, f, 2).truncated
+
+    def test_flag_is_sticky(self):
+        # once lost, the mass stays lost under an operator that loses none
+        tf = apply_T(self.op, self.edge_tent())
+        assert not apply_T(OP_ID, triangular_bump(self.grid)).truncated
+        assert apply_T(OP_ID, tf).truncated
 
 
 class TestWedge:
