@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import CompactWindow, CriterionKind, TrimPolicy, evaluate
+from .criteria import (CompactWindow, CriterionKind, TrimPolicy, _json_float,
+                       evaluate)
 from .errors import ConfigError, LindynError
 from .funcspace import (
     Grid,
@@ -66,14 +67,12 @@ class ExperimentConfig:
     operator: CompositionOperator
     space: str
     tau: PiecewiseMap | None
-    tail_tol: float
     grid: Grid
     window_m: float
     window_eps: float | None
     horizon: int
     tol: float
     trim: int
-    preset_name: str | None
 
     @classmethod
     def load(cls, path: str | None, preset: str | None,
@@ -129,19 +128,16 @@ class ExperimentConfig:
         if raw.get("space", {}).get("tau") is not None:
             tm = raw["space"]["tau"]
             tau = PiecewiseMap(tm["breakpoints"], tm["values"])
-        tail_tol = float(raw.get("space", {}).get("tail_tol", 1e-9))
         return cls(
             operator=op,
             space=space,
             tau=tau,
-            tail_tol=tail_tol,
             grid=grid,
             window_m=window_m,
             window_eps=wspec.get("eps"),
             horizon=horizon,
             tol=float(raw.get("tol", 1e-6)),
             trim=int(raw.get("trim", 0)),
-            preset_name=preset_name,
         )
 
     def compact_window(self) -> CompactWindow:
@@ -157,6 +153,13 @@ def _write_lines(out_dir: str | None, name: str, lines: list[str]):
     target = path / name
     target.write_text("\n".join(lines) + ("\n" if lines else ""))
     return target
+
+
+def _print_verdict(v, width: int):
+    best = v.best
+    summary = ("no finite q by the horizon" if best is None
+               else f"best q({best[0]}) = {best[1]:.6g}")
+    print(f"{v.kind:{width}s} {v.status:30s} {summary}")
 
 
 def cmd_classify(args) -> int:
@@ -175,12 +178,9 @@ def cmd_classify(args) -> int:
     trim = TrimPolicy(cfg.trim) if cfg.trim else None
     verdicts = evaluate(kinds, cfg.operator, window, cfg.horizon, cfg.tol,
                         trim, inverse=args.inverse)
-    lines = []
     for v in verdicts:
-        lines.extend(json.dumps(r, sort_keys=True) for r in v.jsonl_records())
-        n, q = v.best
-        print(f"{v.kind:20s} {v.status:30s} best q({n}) = {q:.6g}")
-    _write_lines(args.out, "verdicts.jsonl", lines)
+        _print_verdict(v, 20)
+    _write_lines(args.out, "verdicts.jsonl", [v.to_jsonl() for v in verdicts])
     return 0
 
 
@@ -307,9 +307,8 @@ def cmd_adjoint(args) -> int:
     for kind in (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO):
         v = adjoint_criterion(kind, cfg.operator, mu, mu, window,
                               cfg.horizon, cfg.tol)
-        lines.extend(json.dumps(r, sort_keys=True) for r in v.jsonl_records())
-        n, q = v.best
-        print(f"{v.kind:16s} {v.status:30s} best q({n}) = {q:.6g}")
+        lines.append(v.to_jsonl())
+        _print_verdict(v, 16)
     _write_lines(args.out, "adjoint.jsonl", lines)
     return 0
 
@@ -335,7 +334,7 @@ def cmd_examples(args) -> int:
         lines.append(json.dumps({
             "example": r.example_id, "check": r.check, "inverse": r.inverse,
             "expected": r.expected, "actual": r.actual, "best_n": r.best_n,
-            "best_q": r.best_q if np.isfinite(r.best_q) else repr(r.best_q),
+            "best_q": _json_float(r.best_q),
             "passed": r.passed,
         }, sort_keys=True))
     _write_lines(args.out, "examples.jsonl", lines)
@@ -355,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--preset", help="named operator preset")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="run the criteria for a space kind")
     common(p)
@@ -370,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("porosity", help="porosity scenes and probes")
     common(p)
     p.add_argument("--scene", help="scene JSON file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="theorem",
                    choices=("theorem", "corollary", "singleton"))
     p.set_defaults(fn=cmd_porosity)

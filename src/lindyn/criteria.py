@@ -31,12 +31,11 @@ from .funcspace import Grid, PiecewiseMap
 from .operators import (
     CocycleSweep,
     CompositionOperator,
-    KahanSum,
+    _orbit_log2,
     backward_log2,
     forward_log2,
     segal_compatible,
 )
-from .funcspace import apply_homeo, homeo_power, Translation
 
 __all__ = [
     "SATISFIED",
@@ -224,8 +223,9 @@ class CriterionVerdict:
         return self.status == SATISFIED
 
     @property
-    def best(self) -> tuple[int, float]:
-        return self.witness[-1]
+    def best(self) -> tuple[int, float] | None:
+        """The last record (n, q), or None when no n gave a finite q."""
+        return self.witness[-1] if self.witness else None
 
     def jsonl_records(self):
         """Per-n records followed by one summary record."""
@@ -319,17 +319,7 @@ def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
                 "tau is not alpha-invariant within tolerance"
             )
     pts = window.points
-    acc = KahanSum(pts.shape)
-    if isinstance(op.alpha, Translation):
-        c = op.alpha.shift
-        for j in range(n):
-            acc.add(np.log2(op.weight(pts + (j - n) * c)))
-    else:
-        cur = np.asarray(homeo_power(op.alpha, pts, -n), dtype=float)
-        for _ in range(n):
-            acc.add(np.log2(op.weight(cur)))
-            cur = np.asarray(apply_homeo(op.alpha, cur), dtype=float)
-    q_back = float(np.exp2(acc.total.max()))
+    q_back = float(np.exp2(_orbit_log2(op, pts, n, start=-n).max()))
     lf = forward_log2(op, pts, n)
     q_inv = float(np.exp2(-lf.min()))
     return q_back, q_inv

@@ -215,24 +215,25 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
 
 @dataclass(frozen=True)
 class OrbitTrace:
-    """Per-n orbit norms, their Cesaro scalings, and optional scaled
-    distances to a target."""
+    """Per-n orbit norms, their Cesaro scalings, optional scaled
+    distances to a target, and whether mass has left the grid by n."""
 
     norms: np.ndarray
     cesaro_norms: np.ndarray
     scaled_dists: Optional[np.ndarray]
     truncated: np.ndarray
-    kind_label: str
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["n", "norm", "cesaro_norm", "scaled_dist"])
+            writer.writerow(["n", "norm", "cesaro_norm", "scaled_dist",
+                             "truncated"])
             for i in range(len(self.norms)):
                 d = "" if self.scaled_dists is None else repr(
                     float(self.scaled_dists[i]))
                 writer.writerow([i + 1, repr(float(self.norms[i])),
-                                 repr(float(self.cesaro_norms[i])), d])
+                                 repr(float(self.cesaro_norms[i])), d,
+                                 int(self.truncated[i])])
 
 
 def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
@@ -253,8 +254,7 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
                 dists[n - 1] = norm(target, kind)
             else:
                 dists[n - 1] = projective_distance(tf, target, kind)[0]
-    label = type(kind).__name__
-    return OrbitTrace(norms, cesaro, dists, trunc, label)
+    return OrbitTrace(norms, cesaro, dists, trunc)
 
 
 @dataclass(frozen=True)

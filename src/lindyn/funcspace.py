@@ -10,6 +10,7 @@ sup-norm series built from a profile tau.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,8 +31,8 @@ __all__ = [
     "PiecewiseAffineHomeo",
     "Homeo",
     "identity_homeo",
-    "apply_homeo",
     "homeo_power",
+    "homeo_orbit",
     "aperiodicity_bound",
     "GridFunction",
     "SupNorm",
@@ -271,15 +272,6 @@ def identity_homeo() -> PiecewiseAffineHomeo:
     return PiecewiseAffineHomeo(PiecewiseMap([0.0], [0.0], 1.0, 1.0))
 
 
-def apply_homeo(a: Homeo, t, direction: str = "forward"):
-    """Apply the homeomorphism or its inverse to a point or array."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    if isinstance(a, Translation):
-        return t + a.shift if direction == "forward" else t - a.shift
-    return a.map(t) if direction == "forward" else a.inverse_map(t)
-
-
 def homeo_power(a: Homeo, t, n: int):
     """alpha^n applied to t; n may be negative.
 
@@ -293,6 +285,25 @@ def homeo_power(a: Homeo, t, n: int):
     for _ in range(abs(n)):
         cur = fn(cur)
     return cur
+
+
+def homeo_orbit(a: Homeo, t, step: int = 1, start: int = 0):
+    """Yield alpha^k(t) for k = start, start + step, ... without end.
+
+    The one walker behind every multi-step orbit: translations give the
+    closed form t + k*shift at every k, so long walks do not drift; other
+    maps start at alpha^start(t) and iterate alpha (or its inverse) |step|
+    times between yields.
+    """
+    if isinstance(a, Translation):
+        for k in itertools.count(start, step):
+            yield t + k * a.shift
+    cur = homeo_power(a, t, start)
+    fn = a.map if step >= 0 else a.inverse_map
+    while True:
+        yield cur
+        for _ in range(abs(step)):
+            cur = fn(cur)
 
 
 def aperiodicity_bound(a: Homeo, m: float, horizon: int = 10000):

@@ -11,6 +11,7 @@ bit-exact for dyadic weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,8 +19,8 @@ from .funcspace import (
     GridFunction,
     Homeo,
     PiecewiseMap,
-    Translation,
-    apply_homeo,
+    homeo_orbit,
+    homeo_power,
     linear_interpolate,
 )
 
@@ -70,34 +71,25 @@ class CompositionOperator:
         return np.log2(self.weight(t))
 
 
-def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
-    """sum_{j=0}^{n-1} log2 w(alpha^j(t)), compensated, elementwise in t."""
+def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
+                start: int = 0) -> np.ndarray:
+    """sum_{j=0}^{n-1} log2 w(alpha^{start + j*step}(t)), compensated,
+    elementwise in t, summed in walk order."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     acc = KahanSum(pts.shape)
-    if isinstance(op.alpha, Translation):
-        for j in range(n):
-            acc.add(op.log2_weight(pts + j * op.alpha.shift))
-    else:
-        cur = pts
-        for _ in range(n):
-            acc.add(op.log2_weight(cur))
-            cur = apply_homeo(op.alpha, cur)
+    for cur in islice(homeo_orbit(op.alpha, pts, step, start), n):
+        acc.add(op.log2_weight(cur))
     return acc.total
+
+
+def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
+    """sum_{j=0}^{n-1} log2 w(alpha^j(t)), compensated, elementwise in t."""
+    return _orbit_log2(op, pts, n)
 
 
 def backward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
     """sum_{j=1}^{n} log2 w(alpha^{-j}(t)), compensated, elementwise in t."""
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    acc = KahanSum(pts.shape)
-    if isinstance(op.alpha, Translation):
-        for j in range(1, n + 1):
-            acc.add(op.log2_weight(pts - j * op.alpha.shift))
-    else:
-        cur = pts
-        for _ in range(n):
-            cur = apply_homeo(op.alpha, cur, "inverse")
-            acc.add(op.log2_weight(cur))
-    return acc.total
+    return _orbit_log2(op, pts, n, -1, -1)
 
 
 def cocycle(op: CompositionOperator, n: int, t: float,
@@ -120,9 +112,10 @@ class CocycleSweep:
     """Incremental forward/backward log-products over a fixed point set.
 
     After n calls to :meth:`step`, ``log_forward[i]`` equals
-    ``forward_log2(op, pts, n)[i]`` bit for bit (same summation order), and
-    likewise for the backward side; ``forward_positions`` holds
-    alpha^n(pts), the argument of f in the closed form of T^n.
+    ``forward_log2(op, pts, n)[i]`` bit for bit (the same ``homeo_orbit``
+    walk, summed in the same order), and likewise for the backward side;
+    ``forward_positions`` holds alpha^n(pts), the argument of f in the
+    closed form of T^n.
     """
 
     def __init__(self, op: CompositionOperator, pts):
@@ -130,21 +123,16 @@ class CocycleSweep:
         self.base = np.atleast_1d(np.asarray(pts, dtype=float)).copy()
         self._fwd = KahanSum(self.base.shape)
         self._bwd = KahanSum(self.base.shape)
-        self._fwd_pos = self.base.copy()
-        self._bwd_pos = self.base.copy()
-        self.n = 0
+        self._fwd_walk = homeo_orbit(op.alpha, self.base)
+        self._bwd_walk = homeo_orbit(op.alpha, self.base, -1, -1)
+        self._fwd_pos = next(self._fwd_walk)
+        self._bwd_pos = self.base
 
     def step(self):
-        op, a = self.op, self.op.alpha
-        self._fwd.add(op.log2_weight(self._fwd_pos))
-        if isinstance(a, Translation):
-            self._fwd_pos = self.base + (self.n + 1) * a.shift
-            self._bwd_pos = self.base - (self.n + 1) * a.shift
-        else:
-            self._fwd_pos = apply_homeo(a, self._fwd_pos)
-            self._bwd_pos = apply_homeo(a, self._bwd_pos, "inverse")
-        self._bwd.add(op.log2_weight(self._bwd_pos))
-        self.n += 1
+        self._fwd.add(self.op.log2_weight(self._fwd_pos))
+        self._fwd_pos = next(self._fwd_walk)
+        self._bwd_pos = next(self._bwd_walk)
+        self._bwd.add(self.op.log2_weight(self._bwd_pos))
 
     @property
     def log_forward(self) -> np.ndarray:
@@ -184,7 +172,7 @@ def _loses_mass(f: GridFunction, images: np.ndarray) -> bool:
 def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
     """(T f)(t) = w(t) * f(alpha(t)) on the grid."""
     pts = f.grid.points
-    img = np.asarray(apply_homeo(op.alpha, pts), dtype=float)
+    img = homeo_power(op.alpha, pts, 1)
     vals = op.weight(pts) * linear_interpolate(f, img)
     return GridFunction(f.grid, vals,
                         f.truncated or _loses_mass(f, img))
@@ -193,7 +181,7 @@ def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
 def apply_S(op: CompositionOperator, f: GridFunction) -> GridFunction:
     """(S f)(t) = f(alpha^{-1}(t)) / w(alpha^{-1}(t)); S inverts T."""
     pts = f.grid.points
-    pre = np.asarray(apply_homeo(op.alpha, pts, "inverse"), dtype=float)
+    pre = homeo_power(op.alpha, pts, -1)
     vals = linear_interpolate(f, pre) / op.weight(pre)
     return GridFunction(f.grid, vals,
                         f.truncated or _loses_mass(f, pre))
@@ -210,14 +198,7 @@ def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
         raise ValueError("n must be >= 0")
     if n == 0:
         return f
-    pts = f.grid.points
-    if isinstance(op.alpha, Translation):
-        orbit = [pts + j * op.alpha.shift for j in range(n + 1)]
-    else:
-        orbit = [pts]
-        for _ in range(n):
-            orbit.append(np.asarray(apply_homeo(op.alpha, orbit[-1]),
-                                    dtype=float))
+    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points), n + 1))
     acc = linear_interpolate(f, orbit[n])
     for j in range(n - 1, -1, -1):
         acc = op.weight(orbit[j]) * acc
@@ -231,14 +212,7 @@ def apply_Sn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
         raise ValueError("n must be >= 0")
     if n == 0:
         return f
-    pts = f.grid.points
-    if isinstance(op.alpha, Translation):
-        orbit = [pts - j * op.alpha.shift for j in range(n + 1)]
-    else:
-        orbit = [pts]
-        for _ in range(n):
-            orbit.append(np.asarray(
-                apply_homeo(op.alpha, orbit[-1], "inverse"), dtype=float))
+    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points, -1), n + 1))
     acc = linear_interpolate(f, orbit[n])
     for j in range(n, 0, -1):
         acc = acc / op.weight(orbit[j])
@@ -250,7 +224,7 @@ def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,
                      tol: float = 1e-9) -> bool:
     """True iff max over grid points of |tau(alpha(t)) - tau(t)| <= tol."""
     pts = grid.points
-    moved = np.asarray(apply_homeo(op.alpha, pts), dtype=float)
+    moved = homeo_power(op.alpha, pts, 1)
     return bool(np.max(np.abs(tau(moved) - tau(pts))) <= tol)
 
 

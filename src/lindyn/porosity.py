@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .funcspace import Grid, GridFunction, SUP, homeo_power, norm
-from .operators import CompositionOperator, backward_log2
+from .operators import CocycleSweep, CompositionOperator
 from .dynamics import operator_orbit
 
 __all__ = [
@@ -400,8 +400,10 @@ def corollary_g(op: CompositionOperator, grid: Grid,
     top = int(math.floor(grid.half_width))
     node_t = np.arange(0, top + 1, dtype=float)
     node_v = np.zeros(top + 1)
+    sweep = CocycleSweep(op, node_t[1:])
     for n in range(1, top + 1):
-        node_v[n] = float(np.exp2(-backward_log2(op, float(n), n)[0]))
+        sweep.step()
+        node_v[n] = float(np.exp2(-sweep.log_backward[n - 1]))
     if node_v[top] > decay_tol:
         warnings.warn(
             f"inverse backward products have not decayed below {decay_tol} "

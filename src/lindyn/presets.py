@@ -280,7 +280,7 @@ def run_expectation(example: GoldenExample, exp: Expectation,
                           depth=telescoping_depth(exp.horizon, exp.window))
         [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
                              inverse=exp.inverse)
-    n_best, q_best = verdict.best
+    n_best, q_best = verdict.best or (0, math.inf)
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,
         verdict.status, n_best, q_best, verdict.status == exp.expected,

@@ -219,6 +219,29 @@ class TestClassifyCommand:
             assert run([command, "--config", cfg,
                         "--out", str(tmp_path)]) == 0
 
+    def test_no_finite_q_is_reported(self, tmp_path, capsys):
+        # a subnormal weight: the Cesaro and hypercyclic q are inf at every
+        # n, so those verdicts have no record minimum at all
+        tiny = {"alpha": {"kind": "translation", "shift": -1.0},
+                "weight": {"breakpoints": [0.0], "values": [1e-310]}}
+        cfg = self.config(tmp_path, operator=tiny, space={"kind": "L2"},
+                          horizon=5)
+        for command, name in (("classify", "verdicts.jsonl"),
+                              ("adjoint", "adjoint.jsonl")):
+            out_dir = tmp_path / command
+            assert run([command, "--config", cfg, "--out", str(out_dir)]) == 0
+            out = capsys.readouterr().out
+            assert "no finite q by the horizon" in out
+            records = [json.loads(line) for line in
+                       (out_dir / name).read_text().splitlines()]
+            summaries = {r["kind"]: r for r in records if "status" in r}
+            cesaro = "CESARO_SOLID" if command == "classify" \
+                else "ADJOINT_CESARO"
+            assert summaries[cesaro]["witness"] == []
+            assert summaries[cesaro]["status"] == \
+                "NOT_SATISFIED_UP_TO_HORIZON"
+        assert summaries["ADJOINT_SUPER"]["witness"] == [[1, 1.0]]
+
     @pytest.mark.parametrize("overrides, flags", [
         ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},
           "window": {"m": 2.0}}, []),
@@ -261,6 +284,26 @@ class TestOtherCommands:
         rows = (tmp_path / "orbit.csv").read_text().strip().splitlines()
         assert len(rows) == 11
 
+    def test_orbit_csv_truncated_column(self, tmp_path, capsys):
+        # ex3.5 moves mass right by 1 per step: a tent at 7.25 on [-8, 8]
+        # loses mass at every n, a centred tent on [-64, 64] does not
+        def truncated(overrides, horizon):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({
+                "operator": {"preset": "ex3.5"}, "space": {"kind": "C0"},
+                "horizon": horizon, **overrides}))
+            assert run(["orbit", "--config", str(cfg),
+                        "--out", str(tmp_path)]) == 0
+            rows = (tmp_path / "orbit.csv").read_text().splitlines()
+            assert rows[0].split(",") == ["n", "norm", "cesaro_norm",
+                                          "scaled_dist", "truncated"]
+            return [row.split(",")[-1] for row in rows[1:]]
+
+        edge = {"grid": {"half_width": 8.0, "step": 0.25},
+                "seed_function": {"center": 7.25, "half_width": 0.5}}
+        assert truncated(edge, 6) == ["1"] * 6
+        assert truncated({}, 1) == ["0"]
+
     def test_orbit_c0_target_deterministic(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -288,6 +331,12 @@ class TestOtherCommands:
         assert code == 0
         assert "ADJOINT_CESARO" in out
         assert (tmp_path / "adjoint.jsonl").exists()
+
+    def test_seed_belongs_to_porosity(self, capsys):
+        for command in ("classify", "orbit", "adjoint", "examples"):
+            with pytest.raises(SystemExit) as exc:
+                run([command, "--preset", "ex3.5", "--seed", "1"])
+            assert exc.value.code == 2
 
     def test_porosity_modes(self, tmp_path, capsys):
         assert run(["porosity", "--mode", "corollary",

@@ -16,6 +16,7 @@ from lindyn.criteria import (
 from lindyn.errors import SegalIncompatibleError
 from lindyn.funcspace import (
     Grid,
+    PiecewiseAffineHomeo,
     PiecewiseMap,
     Translation,
 )
@@ -82,8 +83,12 @@ class TestSegalFactors:
     def test_matches_backward_reindexing(self):
         # literal product over w(alpha^{j-n}) equals the backward leg
         window = CompactWindow.from_grid(GRID, 2.0)
-        for name in ("ex3.5", "ex3.6", "ex3.7"):
-            op = build_preset(name)
+        piecewise = CompositionOperator(
+            PiecewiseAffineHomeo(PiecewiseMap([-1.0, 1.0], [-2.5, 0.5],
+                                              1.0, 1.0)),
+            PiecewiseMap([-1.0, 1.0], [2.0, 1.0], positive=True))
+        ops = [build_preset(name) for name in ("ex3.5", "ex3.6", "ex3.7")]
+        for op in ops + [piecewise]:
             for n in (1, 2, 7, 23):
                 q_back, q_inv = segal_factors(op, window, n)
                 p_minus, p_plus = product_factors(op, window, n)

@@ -216,8 +216,9 @@ class TestOrbitTrace:
         path = tmp_path / "orbit.csv"
         tr.to_csv(path)
         rows = path.read_text().strip().splitlines()
-        assert rows[0] == "n,norm,cesaro_norm,scaled_dist"
+        assert rows[0] == "n,norm,cesaro_norm,scaled_dist,truncated"
         assert len(rows) == 6
+        assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["0"] * 5
 
 
 class TestApproximants:

@@ -1,4 +1,5 @@
 import json
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from lindyn.funcspace import (
     SegalNorm,
     Translation,
     aperiodicity_bound,
-    apply_homeo,
     homeo_from_json,
+    homeo_orbit,
     homeo_power,
     homeo_to_json,
     identity_homeo,
@@ -109,9 +110,9 @@ class TestPiecewiseMap:
 
 class TestHomeo:
     def test_translation_examples(self):
-        assert apply_homeo(Translation(-1.0), 0.0) == -1.0
-        assert apply_homeo(Translation(1.0), 0.0, "inverse") == -1.0
-        assert apply_homeo(identity_homeo(), 3.5) == 3.5
+        assert homeo_power(Translation(-1.0), 0.0, 1) == -1.0
+        assert homeo_power(Translation(1.0), 0.0, -1) == -1.0
+        assert homeo_power(identity_homeo(), 3.5, 1) == 3.5
 
     def test_translation_requires_nonzero_shift(self):
         with pytest.raises(ValueError):
@@ -121,14 +122,14 @@ class TestHomeo:
         fwd = PiecewiseMap([-1.0, 1.0], [-2.0, 3.0], 0.5, 2.0)
         h = PiecewiseAffineHomeo(fwd)
         for t in np.linspace(-20, 20, 41):
-            assert apply_homeo(h, apply_homeo(h, t), "inverse") == \
+            assert homeo_power(h, homeo_power(h, t, 1), -1) == \
                 pytest.approx(t, abs=1e-12)
 
     def test_decreasing_homeo(self):
         fwd = PiecewiseMap([0.0], [0.0], -1.0, -1.0)  # t -> -t
         h = PiecewiseAffineHomeo(fwd)
-        assert apply_homeo(h, 2.0) == -2.0
-        assert apply_homeo(h, -2.0, "inverse") == 2.0
+        assert homeo_power(h, 2.0, 1) == -2.0
+        assert homeo_power(h, -2.0, -1) == 2.0
 
     def test_non_invertible_rejected(self):
         flat = PiecewiseMap([-1.0, 1.0], [0.0, 0.0])
@@ -143,14 +144,14 @@ class TestHomeo:
            st.floats(-5.0, 5.0).filter(lambda c: abs(c) > 1e-3))
     def test_translation_round_trip(self, t, c):
         a = Translation(c)
-        back = apply_homeo(a, apply_homeo(a, t), "inverse")
+        back = homeo_power(a, homeo_power(a, t, 1), -1)
         assert abs(back - t) <= 1e-12 * max(1.0, abs(t))
 
     def test_round_trip_piecewise_many_points(self):
         fwd = PiecewiseMap([-2.0, 0.0, 1.5], [-3.0, 0.5, 4.0], 1.5, 0.25)
         h = PiecewiseAffineHomeo(fwd)
         ts = RNG.uniform(-50, 50, size=1000)
-        back = apply_homeo(h, apply_homeo(h, ts), "inverse")
+        back = homeo_power(h, homeo_power(h, ts, 1), -1)
         assert np.max(np.abs(back - ts)) <= 1e-12 * 50
 
     def test_homeo_power_translation_closed_form(self):
@@ -158,13 +159,35 @@ class TestHomeo:
         assert homeo_power(a, 0.0, 5) == -5.0
         assert homeo_power(a, 0.0, -5) == 5.0
 
+    def test_homeo_orbit_translation_closed_form(self):
+        a = Translation(0.3)
+        walk = list(islice(homeo_orbit(a, 0.0), 11))
+        assert walk[10] == 3.0
+        drift = 0.0
+        for _ in range(10):
+            drift += 0.3
+        assert drift != 3.0  # iterated addition would not give 3.0
+        back = list(islice(homeo_orbit(a, 0.0, -1, -1), 10))
+        assert back == [-k * 0.3 for k in range(1, 11)]
+
+    def test_homeo_orbit_piecewise_matches_powers(self):
+        fwd = PiecewiseMap([-2.0, 0.0, 1.5], [-3.0, 0.5, 4.0], 1.5, 0.25)
+        h = PiecewiseAffineHomeo(fwd)
+        ts = np.linspace(-6.0, 6.0, 25)
+        # walks that never turn back are bit-identical to the powers
+        for step, start in ((1, 0), (-1, -1), (1, 3), (2, 1), (-3, -2)):
+            walk = islice(homeo_orbit(h, ts, step, start), 5)
+            for j, pts in enumerate(walk):
+                assert np.array_equal(
+                    pts, homeo_power(h, ts, start + j * step))
+
     def test_json_round_trip(self):
         a = Translation(-1.0)
         b = homeo_from_json(homeo_to_json(a))
         assert isinstance(b, Translation) and b.shift == -1.0
         h = identity_homeo()
         h2 = homeo_from_json(homeo_to_json(h))
-        assert apply_homeo(h2, 1.25) == 1.25
+        assert homeo_power(h2, 1.25, 1) == 1.25
 
 
 class TestAperiodicity:

@@ -5,6 +5,7 @@ from lindyn.criteria import CompactWindow, CriterionKind, evaluate
 from lindyn.funcspace import (
     Grid,
     GridFunction,
+    PiecewiseAffineHomeo,
     PiecewiseMap,
     SUP,
     Translation,
@@ -14,11 +15,13 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.operators import (
+    CocycleSweep,
     CompositionOperator,
     apply_S,
     apply_Sn,
     apply_T,
     apply_Tn,
+    backward_log2,
     cocycle,
     forward_log2,
     segal_compatible,
@@ -96,6 +99,35 @@ class TestCocycle:
             mid = float(homeo_power(op.alpha, t, m))
             rhs = cocycle(op, m, t) * cocycle(op, n, mid)
             assert abs(lhs / rhs - 1.0) <= 1e-10
+
+
+class TestSweepMatchesOracles:
+    """The incremental sweep and the one-shot legs walk the same orbit in
+    the same order, so they agree bit for bit, not just to rounding."""
+
+    WEIGHT = PiecewiseMap([-3.0, 0.0, 2.0], [0.5, 1.5, 0.75], positive=True)
+    OPS = {
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_legs_and_positions(self, name):
+        op = self.OPS[name]
+        pts = Grid(4.0, 0.25).points
+        sweep = CocycleSweep(op, pts)
+        for n in range(1, 41):
+            sweep.step()
+            if n not in (1, 7, 40):
+                continue
+            assert np.array_equal(sweep.log_forward, forward_log2(op, pts, n))
+            assert np.array_equal(sweep.log_backward,
+                                  backward_log2(op, pts, n))
+            assert np.array_equal(sweep.forward_positions,
+                                  homeo_power(op.alpha, pts, n))
+            assert np.array_equal(sweep.backward_positions,
+                                  homeo_power(op.alpha, pts, -n))
 
 
 class TestPowers:

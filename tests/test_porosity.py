@@ -11,7 +11,7 @@ from lindyn.funcspace import (
     norm,
     rectangular_bump,
 )
-from lindyn.operators import CompositionOperator
+from lindyn.operators import CompositionOperator, backward_log2
 from lindyn.porosity import (
     GammaSet,
     PorosityScene,
@@ -294,6 +294,19 @@ class TestCorollary:
         assert gamma.g.value_at(-2.0).real == 0.0
         # linear on [0, 1]
         assert gamma.g.value_at(0.5).real == 0.25
+
+    def test_nodes_are_backward_products(self):
+        # a weight that varies along every backward orbit n+1, ..., 2n, so
+        # reading a node after the wrong number of steps changes its value
+        grid = Grid(16.0, 0.5)
+        weight = PiecewiseMap([0.0, 5.0, 11.0, 20.0, 33.0],
+                              [1.5, 3.0, 1.25, 2.5, 4.0], positive=True)
+        for alpha in (Translation(-1.0), Translation(-0.75)):
+            op = CompositionOperator(alpha, weight)
+            gamma = corollary_g(op, grid, decay_tol=1.0)
+            for n in range(1, 17):
+                node = np.exp2(-backward_log2(op, float(n), n)[0])
+                assert gamma.g.value_at(float(n)).real == node
 
     def test_unit_weight_warns(self):
         grid = Grid(16.0, 0.5)
