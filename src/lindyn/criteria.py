@@ -22,16 +22,14 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
-
 import numpy as np
 
 from .errors import SegalIncompatibleError
 from .funcspace import Grid, PiecewiseMap
 from .operators import (
-    CocycleSweep,
     CompositionOperator,
     _orbit_log2,
+    _orbit_log2_rows,
     backward_log2,
     forward_log2,
     segal_compatible,
@@ -228,33 +226,38 @@ class CriterionVerdict:
         return self.witness[-1] if self.witness else None
 
     def jsonl_records(self):
-        """Per-n records followed by one summary record."""
-        records = []
-        record_ns = {n for n, _ in self.witness}
-        for i, q in enumerate(self.trace, start=1):
-            records.append({
-                "kind": self.kind,
-                "n": i,
-                "q": _json_float(q),
-                "record_min": i in record_ns,
-            })
+        """Per-n records followed by one summary record: the decoded lines
+        of :meth:`to_jsonl`."""
+        return [json.loads(line) for line in self.to_jsonl().split("\n")]
+
+    def to_jsonl(self) -> str:
+        """One line per n, then the summary line; keys sorted, floats as
+        ``json.dumps`` writes them and non-finite ones as strings."""
+        kind = json.dumps(self.kind)
+        record = np.zeros(self.horizon, dtype=bool)
+        record[[n - 1 for n, _ in self.witness]] = True
+        lines = [f'{{"kind": {kind}, "n": {n}, "q": {_json_repr(q)}, '
+                 f'"record_min": {"true" if r else "false"}}}'
+                 for n, (q, r) in enumerate(zip(self.trace.tolist(),
+                                                record.tolist()), start=1)]
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
-        records.append({
+        lines.append(json.dumps({
             "kind": self.kind,
             "status": self.status,
             "witness": [[n, _json_float(q)] for n, q in self.witness],
             "params": params,
-        })
-        return records
-
-    def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True)
-                         for r in self.jsonl_records())
+        }, sort_keys=True))
+        return "\n".join(lines)
 
 
 def _json_float(x: float):
     return float(x) if math.isfinite(x) else repr(x)
+
+
+def _json_repr(x: float) -> str:
+    """``json.dumps(_json_float(x))`` for a Python float."""
+    return repr(x) if math.isfinite(x) else json.dumps(repr(x))
 
 
 def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
@@ -268,24 +271,6 @@ def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
     return CriterionVerdict(kind, SATISFIED if best <= tol else NOT_SATISFIED,
                             [(i + 1, trace[i]) for i in records], trace, tol,
                             trimmed, params)
-
-
-def _log_sweep(op: CompositionOperator, points: np.ndarray, horizon: int,
-               inverse: bool) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (n, lf, lb) for n = 1..horizon.
-
-    With ``inverse`` the roles encode the inverse operator S, whose weight
-    along forward orbits is the reciprocal backward product of T:
-    lf_S = -lb_T and lb_S = -lf_T.
-    """
-    sweep = CocycleSweep(op, points)
-    for n in range(1, horizon + 1):
-        sweep.step()
-        lf = sweep.log_forward
-        lb = sweep.log_backward
-        if inverse:
-            lf, lb = -lb, -lf
-        yield n, lf, lb
 
 
 def product_factors(op: CompositionOperator, window: CompactWindow,
@@ -331,15 +316,30 @@ def _leg_extremes(op: CompositionOperator, window: CompactWindow,
     """The one cocycle sweep behind every criterion of a run: rows (-min lf,
     max lb, -min lb, max lf) over the window for n = 1..horizon, and per kind
     in ``trim_kinds`` its trimmed q trace and drop counts (trimming picks its
-    points per n, so it cannot be read off the extremes)."""
+    points per n, so it cannot be read off the extremes).
+
+    The legs arrive as blocks of the orbit lattice, one row per n.  With
+    ``inverse`` they encode the inverse operator S, whose weight along
+    forward orbits is the reciprocal backward product of T:
+    lf_S = -lb_T and lb_S = -lf_T.
+    """
     ext = np.empty((4, horizon))
     trimmed = {kind: (np.empty(horizon), []) for kind in trim_kinds}
-    for n, lf, lb in _log_sweep(op, window.points, horizon, inverse):
-        ext[:, n - 1] = -lf.min(), lb.max(), -lb.min(), lf.max()
+    pts = window.points
+    n0 = 0
+    for lf, lb in zip(_orbit_log2_rows(op, pts, horizon),
+                      _orbit_log2_rows(op, pts, horizon, -1, -1)):
+        if inverse:
+            lf, lb = -lb, -lf
+        n1 = n0 + len(lf)
+        ext[:, n0:n1] = (-lf.min(axis=1), lb.max(axis=1),
+                         -lb.min(axis=1), lf.max(axis=1))
         for kind, (trace, drops) in trimmed.items():
-            keep, dropped = _trim_greedy(kind, n, lf, lb, max_drop)
-            drops.append(dropped)
-            trace[n - 1] = _q_at(kind, n, lf[keep], lb[keep])
+            for n, lf_n, lb_n in zip(range(n0 + 1, n1 + 1), lf, lb):
+                keep, dropped = _trim_greedy(kind, n, lf_n, lb_n, max_drop)
+                drops.append(dropped)
+                trace[n - 1] = _q_at(kind, n, lf_n[keep], lb_n[keep])
+        n0 = n1
     return ext, trimmed
 
 

@@ -33,6 +33,7 @@ __all__ = [
     "identity_homeo",
     "homeo_power",
     "homeo_orbit",
+    "homeo_orbit_blocks",
     "aperiodicity_bound",
     "GridFunction",
     "SupNorm",
@@ -304,6 +305,26 @@ def homeo_orbit(a: Homeo, t, step: int = 1, start: int = 0):
         yield cur
         for _ in range(abs(step)):
             cur = fn(cur)
+
+
+def homeo_orbit_blocks(a: Homeo, t, n: int, rows: int, step: int = 1,
+                       start: int = 0):
+    """The first n points of ``homeo_orbit(a, t, step, start)`` as stacked
+    (rows, |t|) blocks, the last one possibly shorter.
+
+    A translation fills each block in closed form, t + k*shift for a column
+    of k, which is bit-identical to the walker's rows; other maps stack
+    rows of one continuing walk, which never steps past the n-th point.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if isinstance(a, Translation):
+        for k0 in range(0, n, rows):
+            k = start + step * np.arange(k0, min(k0 + rows, n))
+            yield t + k[:, None] * a.shift
+        return
+    walk = homeo_orbit(a, t, step, start)
+    for k0 in range(0, n, rows):
+        yield np.stack(list(itertools.islice(walk, min(rows, n - k0))))
 
 
 def aperiodicity_bound(a: Homeo, m: float, horizon: int = 10000):

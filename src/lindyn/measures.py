@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,7 +24,6 @@ from .criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
-    _log_sweep,
     _q_at,
     verdict_from_trace,
 )
@@ -31,6 +31,7 @@ from .errors import DegenerateApproximantError, SupportOutsideWindowError
 from .funcspace import GridFunction, homeo_power, linear_interpolate
 from .operators import (
     CompositionOperator,
+    _orbit_log2_rows,
     apply_T,
     backward_log2,
     forward_log2,
@@ -211,11 +212,12 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
     trimmed = [] if atom_trim_budget > 0 else None
     best = math.inf
     records = 0
-    # one sweep over both supports: mu's atoms come first, nu's after
-    k = mu.locations.size
-    points = np.concatenate([mu.locations, nu.locations])
-    for n, lf, lb in _log_sweep(op, points, horizon, False):
-        lf, lb = lf[:k], lb[k:]
+    # the forward leg over mu's atoms, the backward leg over nu's, one row
+    # of each per n
+    rows = chain.from_iterable
+    legs = zip(rows(_orbit_log2_rows(op, mu.locations, horizon)),
+               rows(_orbit_log2_rows(op, nu.locations, horizon, -1, -1)))
+    for n, (lf, lb) in enumerate(legs, start=1):
         if atom_trim_budget > 0:
             budget_n = atom_trim_budget * 2.0 ** (-records)
             keep_f, tv_f = _trim_tv(lf, mu.weights, budget_n, "max")

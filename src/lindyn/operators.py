@@ -20,6 +20,7 @@ from .funcspace import (
     Homeo,
     PiecewiseMap,
     homeo_orbit,
+    homeo_orbit_blocks,
     homeo_power,
     linear_interpolate,
 )
@@ -55,6 +56,14 @@ class KahanSum:
         self._comp = (t - self.total) - y
         self.total = t
 
+    def add_rows(self, rows: np.ndarray):
+        """Add the rows of a block of terms in order, overwriting each row
+        with the running total after it (an in-place compensated prefix
+        sum, bit-identical to one ``add`` per row)."""
+        for row in rows:
+            self.add(row)
+            row[...] = self.total
+
 
 @dataclass(frozen=True)
 class CompositionOperator:
@@ -71,15 +80,34 @@ class CompositionOperator:
         return np.log2(self.weight(t))
 
 
-def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
-                start: int = 0) -> np.ndarray:
-    """sum_{j=0}^{n-1} log2 w(alpha^{start + j*step}(t)), compensated,
-    elementwise in t, summed in walk order."""
+# Rows of orbit lattice per block: bounds a sweep's memory at
+# O(rows * |points|) whatever its horizon.
+_BLOCK_ROWS = 1024
+
+
+def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
+                     start: int = 0):
+    """Yield, in (rows, |t|) blocks, the partial sums
+    sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
+    compensated, elementwise in t, summed in walk order; one weight call
+    per block."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     acc = KahanSum(pts.shape)
-    for cur in islice(homeo_orbit(op.alpha, pts, step, start), n):
-        acc.add(op.log2_weight(cur))
-    return acc.total
+    for block in homeo_orbit_blocks(op.alpha, pts, n, _BLOCK_ROWS, step,
+                                    start):
+        rows = op.log2_weight(block)
+        acc.add_rows(rows)
+        yield rows
+
+
+def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
+                start: int = 0) -> np.ndarray:
+    """sum_{j=0}^{n-1} log2 w(alpha^{start + j*step}(t)): the last row of
+    :func:`_orbit_log2_rows` (zeros when n = 0)."""
+    total = np.zeros(np.shape(np.atleast_1d(pts)))
+    for rows in _orbit_log2_rows(op, pts, n, step, start):
+        total = rows[-1].copy()
+    return total
 
 
 def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .funcspace import Grid, GridFunction, SUP, homeo_power, norm
-from .operators import CocycleSweep, CompositionOperator
+from .operators import CompositionOperator, _orbit_log2_rows
 from .dynamics import operator_orbit
 
 __all__ = [
@@ -400,10 +400,12 @@ def corollary_g(op: CompositionOperator, grid: Grid,
     top = int(math.floor(grid.half_width))
     node_t = np.arange(0, top + 1, dtype=float)
     node_v = np.zeros(top + 1)
-    sweep = CocycleSweep(op, node_t[1:])
-    for n in range(1, top + 1):
-        sweep.step()
-        node_v[n] = float(np.exp2(-sweep.log_backward[n - 1]))
+    # node n is the diagonal entry [n-1, n-1] of the backward-leg lattice
+    n0 = 0
+    for rows in _orbit_log2_rows(op, node_t[1:], top, -1, -1):
+        i = np.arange(len(rows))
+        node_v[n0 + 1 + i] = np.exp2(-rows[i, n0 + i])
+        n0 += len(rows)
     if node_v[top] > decay_tol:
         warnings.warn(
             f"inverse backward products have not decayed below {decay_tol} "

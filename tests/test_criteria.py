@@ -1,7 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from lindyn.criteria import (
+    _leg_extremes,
+    _q_at,
+    _trim_greedy,
     CompactWindow,
     CriterionKind,
     TrimPolicy,
@@ -20,7 +26,7 @@ from lindyn.funcspace import (
     PiecewiseMap,
     Translation,
 )
-from lindyn.operators import CompositionOperator
+from lindyn.operators import _BLOCK_ROWS, CocycleSweep, CompositionOperator
 from lindyn.presets import build_preset
 
 RNG = np.random.default_rng(7)
@@ -241,6 +247,60 @@ class TestSharedSweep:
             evaluate(CriterionKind.SUPERCYCLIC_SOLID, OP_DOUBLE, K0, 5, 1e-6)
 
 
+class TestBlockSeams:
+    """The sweep reads the orbit lattice in blocks of _BLOCK_ROWS rows; its
+    extremes and trimmed traces equal a sweep stepped once per n, on both
+    sides of each block seam."""
+
+    # the weight varies along every orbit walked here, so a row read from
+    # the wrong orbit point differs
+    BP = np.linspace(-3200.0, 3200.0, 6401)
+    WEIGHT = PiecewiseMap(BP, 1.0 + 0.5 * np.sin(1.3 * BP), positive=True)
+    OPS = {
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "shift-1": CompositionOperator(Translation(-1), WEIGHT),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+    KIND = CriterionKind.SUPERCYCLIC_SOLID
+
+    @staticmethod
+    def stepped(op, pts, horizon, inverse, max_drop):
+        sweep = CocycleSweep(op, pts)
+        ext = np.empty((4, horizon))
+        trace, drops = np.empty(horizon), []
+        for n in range(1, horizon + 1):
+            sweep.step()
+            lf, lb = sweep.log_forward, sweep.log_backward
+            if inverse:
+                lf, lb = -lb, -lf
+            ext[:, n - 1] = -lf.min(), lb.max(), -lb.min(), lf.max()
+            keep, dropped = _trim_greedy(TestBlockSeams.KIND, n, lf, lb,
+                                         max_drop)
+            drops.append(dropped)
+            trace[n - 1] = _q_at(TestBlockSeams.KIND, n, lf[keep], lb[keep])
+        return ext, trace, drops
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_rows_across_seams(self, name, inverse):
+        op = self.OPS[name]
+        win = CompactWindow.from_grid(Grid(2.0, 0.5), 2.0)
+        b = _BLOCK_ROWS
+        horizon = 2 * b + 3
+        ext, trimmed = _leg_extremes(op, win, horizon, inverse, [self.KIND],
+                                     2)
+        ref_ext, ref_trace, ref_drops = self.stepped(op, win.points, horizon,
+                                                     inverse, 2)
+        trace, drops = trimmed[self.KIND]
+        for n in (b - 1, b, b + 1, horizon):
+            assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])
+            assert trace[n - 1] == ref_trace[n - 1]
+        assert np.array_equal(ext, ref_ext)
+        assert np.array_equal(trace, ref_trace)
+        assert drops == ref_drops
+
+
 class TestVerdictFromTrace:
     def test_matches_record_minimum_loop(self):
         rng = np.random.default_rng(11)
@@ -261,6 +321,41 @@ class TestVerdictFromTrace:
     def test_no_record_is_not_satisfied(self):
         v = verdict_from_trace("K", [np.inf, np.nan], 1.0)
         assert v.witness == () and not v.satisfied
+
+    @staticmethod
+    def dict_serialiser(v):
+        """The per-record dict + json.dumps writer that to_jsonl replaced;
+        it reads the trace as Python floats, so non-finite q are written as
+        "inf", "-inf" and "nan"."""
+        def enc(x):
+            return float(x) if math.isfinite(x) else repr(x)
+
+        record_ns = {n for n, _ in v.witness}
+        records = [{"kind": v.kind, "n": i, "q": enc(q),
+                    "record_min": i in record_ns}
+                   for i, q in enumerate(v.trace.tolist(), start=1)]
+        params = {"horizon": v.horizon, "tol": v.tol}
+        params.update(v.params)
+        records.append({"kind": v.kind, "status": v.status,
+                        "witness": [[n, enc(q)] for n, q in v.witness],
+                        "params": params})
+        return "\n".join(json.dumps(r, sort_keys=True) for r in records)
+
+    def test_to_jsonl_matches_dict_serialiser(self):
+        trace = [3.0, 0.0, -0.0, 0.0, 5e-324, 5e-324, 1e308, np.inf, np.nan,
+                 -np.inf, -np.inf, 2.5, np.nan, np.inf]
+        verdicts = [verdict_from_trace("K", trace, 1e-6, [0, 1],
+                                       {"inverse": True, "max_drop": 2}),
+                    verdict_from_trace("K", trace[:5], 1e-6),
+                    verdict_from_trace("K", [np.inf, np.nan], 1.0)]
+        for v in verdicts:
+            assert v.to_jsonl() == self.dict_serialiser(v)
+            assert v.jsonl_records() == [
+                json.loads(line)
+                for line in self.dict_serialiser(v).split("\n")]
+        # ties (-0.0 after 0.0) and NaN set no record
+        flags = [r["record_min"] for r in verdicts[0].jsonl_records()[:-1]]
+        assert [n for n, f in enumerate(flags, start=1) if f] == [1, 2, 10]
 
 
 class TestTrim:

@@ -15,6 +15,8 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.operators import (
+    _BLOCK_ROWS,
+    _orbit_log2_rows,
     CocycleSweep,
     CompositionOperator,
     apply_S,
@@ -36,6 +38,11 @@ OP_DOUBLE = CompositionOperator(Translation(-1.0),
                                 PiecewiseMap.constant(2.0, positive=True))
 OP_ID = CompositionOperator(identity_homeo(),
                             PiecewiseMap.constant(1.0, positive=True))
+
+# varies along every orbit a seam test walks, so a row read from the wrong
+# orbit point differs
+_BP = np.linspace(-3200.0, 3200.0, 6401)
+SEAM_WEIGHT = PiecewiseMap(_BP, 1.0 + 0.5 * np.sin(1.3 * _BP), positive=True)
 
 
 def interior_function(grid=GRID, margin=4.0, complex_valued=True):
@@ -108,6 +115,7 @@ class TestSweepMatchesOracles:
     WEIGHT = PiecewiseMap([-3.0, 0.0, 2.0], [0.5, 1.5, 0.75], positive=True)
     OPS = {
         "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "shift-1": CompositionOperator(Translation(-1), WEIGHT),
         "piecewise": CompositionOperator(PiecewiseAffineHomeo(
             PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
     }
@@ -128,6 +136,27 @@ class TestSweepMatchesOracles:
                                   homeo_power(op.alpha, pts, n))
             assert np.array_equal(sweep.backward_positions,
                                   homeo_power(op.alpha, pts, -n))
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_block_rows_across_seams(self, name):
+        # row n-1 of the lattice blocks is the sweep after n steps, on both
+        # sides of each block seam; the weight varies along the whole walk
+        op = CompositionOperator(self.OPS[name].alpha, SEAM_WEIGHT)
+        pts = Grid(2.0, 0.5).points
+        b = _BLOCK_ROWS
+        horizon = 2 * b + 3
+        fwd = list(_orbit_log2_rows(op, pts, horizon))
+        bwd = list(_orbit_log2_rows(op, pts, horizon, -1, -1))
+        assert [len(r) for r in fwd] == [b, b, 3]
+        fwd, bwd = np.concatenate(fwd), np.concatenate(bwd)
+        sweep = CocycleSweep(op, pts)
+        for n in range(1, horizon + 1):
+            sweep.step()
+            if n in (b - 1, b, b + 1, horizon):
+                assert np.array_equal(fwd[n - 1], sweep.log_forward)
+                assert np.array_equal(bwd[n - 1], sweep.log_backward)
+        assert np.array_equal(fwd[-1], forward_log2(op, pts, horizon))
+        assert np.array_equal(bwd[-1], backward_log2(op, pts, horizon))
 
 
 class TestPowers:
