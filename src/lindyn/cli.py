@@ -157,8 +157,12 @@ def _write_lines(out_dir: str | None, name: str, lines: list[str]):
 
 def _print_verdict(v, width: int):
     best = v.best
-    summary = ("no finite q by the horizon" if best is None
-               else f"best q({best[0]}) = {best[1]:.6g}")
+    if best is None:
+        summary = "no finite q by the horizon"
+    else:
+        summary = f"best q({best[0]}) = {best[1]:.6g}"
+        if best[1] == 0:  # underflowed; a record's q is never inf
+            summary += f" (log2 q = {v.best_log2_q:.6g})"
     print(f"{v.kind:{width}s} {v.status:30s} {summary}")
 
 

@@ -133,22 +133,29 @@ class TrimPolicy:
 
 
 def _supercyclic(n, x, y):
-    return np.exp2(x + y)
+    log2_q = x + y
+    return log2_q, np.exp2(log2_q)
 
 
 def _cesaro(n, x, y):
-    return np.maximum(n * np.exp2(x), np.exp2(y) / n)
+    log2_n = np.log2(n)
+    return (np.maximum(log2_n + x, y - log2_n),
+            np.maximum(n * np.exp2(x), np.exp2(y) / n))
 
 
 def _hypercyclic(n, x, y):
-    return np.exp2(np.maximum(x, y))
+    log2_q = np.maximum(x, y)
+    return log2_q, np.exp2(log2_q)
 
 
 # Each kind is a formula in x = -min lf and y = max lb, at one n or
-# vectorised over n; adjoint kinds (True) read the mirrored legs x = -min lb,
-# y = max lf.  The log2 factors are combined before exponentiating (a
-# vanished leg times a diverged one must not give 0 * inf), and the integer
-# Cesaro scalings are applied outside, which keeps them exact.
+# vectorised over n, giving (log2 q, q); adjoint kinds (True) read the
+# mirrored legs x = -min lb, y = max lf.  log2 q stays finite where q
+# underflows to 0 or overflows to inf.  q combines the log2 factors before
+# exponentiating (a vanished leg times a diverged one must not give 0 * inf),
+# and applies the integer Cesaro scalings outside, which keeps them exact.
+# Callers evaluate the formulas under np.errstate(over="ignore"): past the
+# exp2 range q = inf is the intended value.
 _FORMULA = {
     CriterionKind.SUPERCYCLIC_SOLID: (_supercyclic, False),
     CriterionKind.SUPERCYCLIC_SEGAL: (_supercyclic, False),
@@ -162,30 +169,38 @@ _FORMULA = {
 }
 
 
+def _xy(kind: CriterionKind, lf: np.ndarray, lb: np.ndarray):
+    """The formula arguments (x, y) of one kind from the two legs."""
+    if _FORMULA[kind][1]:
+        return -lb.min(), lf.max()
+    return -lf.min(), lb.max()
+
+
 def _q_at(kind: CriterionKind, n: int, lf: np.ndarray,
-          lb: np.ndarray) -> float:
-    """q(n) of one kind from the two legs over the window points."""
-    formula, adjoint = _FORMULA[kind]
-    x, y = (-lb.min(), lf.max()) if adjoint else (-lf.min(), lb.max())
-    return float(formula(n, x, y))
+          lb: np.ndarray) -> tuple[float, float]:
+    """(log2 q(n), q(n)) of one kind from the two legs over the window
+    points."""
+    with np.errstate(over="ignore"):
+        log2_q, q = _FORMULA[kind][0](n, *_xy(kind, lf, lb))
+    return float(log2_q), float(q)
 
 
 def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
                  budget: int):
     """Drop up to ``budget`` points, greedily removing whichever current
-    extreme point lowers q the most.  Never empties the window."""
+    extreme point lowers log2 q the most.  Never empties the window."""
     keep = np.ones(lf.size, dtype=bool)
     dropped = 0
     while dropped < budget and keep.sum() > 1:
         idx = np.flatnonzero(keep)
-        q0 = _q_at(kind, n, lf[keep], lb[keep])
+        q0, _ = _q_at(kind, n, lf[keep], lb[keep])
         candidates = {int(idx[np.argmin(lf[idx])]),
                       int(idx[np.argmax(lb[idx])])}
         best_q, best_i = q0, None
         for i in sorted(candidates):
             trial = keep.copy()
             trial[i] = False
-            qt = _q_at(kind, n, lf[trial], lb[trial])
+            qt, _ = _q_at(kind, n, lf[trial], lb[trial])
             if qt < best_q:
                 best_q, best_i = qt, i
         if best_i is None:
@@ -198,19 +213,23 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
 class CriterionVerdict:
     """Outcome of one finite-horizon criterion sweep.
 
+    ``trace`` holds q(n) and ``log2_trace`` log2 q(n) for n = 1..horizon.
     ``witness`` is the record-minimum sequence of (n, q) pairs, a canonical
-    deterministic choice of the strictly increasing sequence; SATISFIED
-    means exactly that its final q is <= tol.
+    deterministic choice of the strictly increasing sequence, taken on
+    log2 q; SATISFIED means exactly that its final log2 q is <= log2 tol.
     """
 
-    def __init__(self, kind: str, status: str, witness, trace, tol: float,
-                 trimmed=None, params=None):
+    def __init__(self, kind: str, status: str, witness, trace, log2_trace,
+                 tol: float, trimmed=None, params=None):
         self.kind = str(kind)
         self.status = status
         self.witness = tuple((int(n), float(q)) for n, q in witness)
         trace = np.asarray(trace, dtype=float)
         trace.setflags(write=False)
         self.trace = trace
+        log2_trace = np.asarray(log2_trace, dtype=float)
+        log2_trace.setflags(write=False)
+        self.log2_trace = log2_trace
         self.horizon = trace.size
         self.tol = float(tol)
         self.trimmed = None if trimmed is None else tuple(trimmed)
@@ -225,6 +244,13 @@ class CriterionVerdict:
         """The last record (n, q), or None when no n gave a finite q."""
         return self.witness[-1] if self.witness else None
 
+    @property
+    def best_log2_q(self) -> float | None:
+        """log2 q of the last record, or None when there is none."""
+        if not self.witness:
+            return None
+        return float(self.log2_trace[self.witness[-1][0] - 1])
+
     def jsonl_records(self):
         """Per-n records followed by one summary record: the decoded lines
         of :meth:`to_jsonl`."""
@@ -236,13 +262,18 @@ class CriterionVerdict:
         kind = json.dumps(self.kind)
         record = np.zeros(self.horizon, dtype=bool)
         record[[n - 1 for n, _ in self.witness]] = True
-        lines = [f'{{"kind": {kind}, "n": {n}, "q": {_json_repr(q)}, '
+        lines = [f'{{"kind": {kind}, "log2_q": {_json_repr(lq)}, "n": {n}, '
+                 f'"q": {_json_repr(q)}, '
                  f'"record_min": {"true" if r else "false"}}}'
-                 for n, (q, r) in enumerate(zip(self.trace.tolist(),
-                                                record.tolist()), start=1)]
+                 for n, (lq, q, r) in enumerate(
+                     zip(self.log2_trace.tolist(), self.trace.tolist(),
+                         record.tolist()), start=1)]
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
+        best_log2_q = self.best_log2_q
         lines.append(json.dumps({
+            "best_log2_q": (None if best_log2_q is None
+                            else _json_float(best_log2_q)),
             "kind": self.kind,
             "status": self.status,
             "witness": [[n, _json_float(q)] for n, q in self.witness],
@@ -261,16 +292,27 @@ def _json_repr(x: float) -> str:
 
 
 def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
-                       params=None) -> CriterionVerdict:
-    """The verdict of a q trace over n = 1..len(trace): the witness is its
-    record minima (NaN sets none), SATISFIED iff the last is <= tol."""
+                       params=None, log2_trace=None) -> CriterionVerdict:
+    """The verdict of a q trace over n = 1..len(trace).
+
+    The witness is the record minima of log2 q (``log2_trace``, log2 of the
+    trace when not given) over the n whose q is below inf; NaN sets none.
+    SATISFIED iff the last record's log2 q is <= log2 tol.
+    """
     trace = np.asarray(trace, dtype=float)
-    earlier = np.fmin.accumulate(np.concatenate(([math.inf], trace)))[:-1]
-    records = np.flatnonzero(trace < earlier)
-    best = trace[records[-1]] if records.size else math.inf
-    return CriterionVerdict(kind, SATISFIED if best <= tol else NOT_SATISFIED,
-                            [(i + 1, trace[i]) for i in records], trace, tol,
-                            trimmed, params)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_tol = np.log2(tol)
+        if log2_trace is None:
+            log2_trace = np.log2(trace)
+    log2_trace = np.asarray(log2_trace, dtype=float)
+    key = np.where(trace < math.inf, log2_trace, math.nan)
+    earlier = np.fmin.accumulate(np.concatenate(([math.inf], key)))[:-1]
+    records = np.flatnonzero(key < earlier)
+    best = key[records[-1]] if records.size else math.inf
+    return CriterionVerdict(kind,
+                            SATISFIED if best <= log2_tol else NOT_SATISFIED,
+                            [(i + 1, trace[i]) for i in records], trace,
+                            log2_trace, tol, trimmed, params)
 
 
 def product_factors(op: CompositionOperator, window: CompactWindow,
@@ -315,8 +357,9 @@ def _leg_extremes(op: CompositionOperator, window: CompactWindow,
                   max_drop: int = 0):
     """The one cocycle sweep behind every criterion of a run: rows (-min lf,
     max lb, -min lb, max lf) over the window for n = 1..horizon, and per kind
-    in ``trim_kinds`` its trimmed q trace and drop counts (trimming picks its
-    points per n, so it cannot be read off the extremes).
+    in ``trim_kinds`` its formula arguments (x, y) over the trimmed window
+    and drop counts (trimming picks its points per n, so it cannot be read
+    off the extremes).
 
     The legs arrive as blocks of the orbit lattice, one row per n.  With
     ``inverse`` they encode the inverse operator S, whose weight along
@@ -324,7 +367,7 @@ def _leg_extremes(op: CompositionOperator, window: CompactWindow,
     lf_S = -lb_T and lb_S = -lf_T.
     """
     ext = np.empty((4, horizon))
-    trimmed = {kind: (np.empty(horizon), []) for kind in trim_kinds}
+    trimmed = {kind: (np.empty((2, horizon)), []) for kind in trim_kinds}
     pts = window.points
     n0 = 0
     for lf, lb in zip(_orbit_log2_rows(op, pts, horizon),
@@ -334,11 +377,11 @@ def _leg_extremes(op: CompositionOperator, window: CompactWindow,
         n1 = n0 + len(lf)
         ext[:, n0:n1] = (-lf.min(axis=1), lb.max(axis=1),
                          -lb.min(axis=1), lf.max(axis=1))
-        for kind, (trace, drops) in trimmed.items():
+        for kind, (xy, drops) in trimmed.items():
             for n, lf_n, lb_n in zip(range(n0 + 1, n1 + 1), lf, lb):
                 keep, dropped = _trim_greedy(kind, n, lf_n, lb_n, max_drop)
                 drops.append(dropped)
-                trace[n - 1] = _q_at(kind, n, lf_n[keep], lb_n[keep])
+                xy[:, n - 1] = _xy(kind, lf_n[keep], lb_n[keep])
         n0 = n1
     return ext, trimmed
 
@@ -364,16 +407,16 @@ def quantity(kind: CriterionKind, op: CompositionOperator,
     if trim is not None and trim.max_drop > 0 and kind in _SOLID_KINDS:
         keep, _ = _trim_greedy(kind, n, lf, lb, trim.max_drop)
         lf, lb = lf[keep], lb[keep]
-    return _q_at(kind, n, lf, lb)
+    return _q_at(kind, n, lf, lb)[1]
 
 
 def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
              horizon: int, tol: float, trim: TrimPolicy | None = None, *,
              inverse: bool = False) -> list[CriterionVerdict]:
-    """One verdict per kind, in order: q(n) for n = 1..horizon and its
-    record-minimum witness.  The kinds share one cocycle sweep, then each
-    trace is one formula over n, so a verdict is bit-identical whichever
-    other kinds ride along."""
+    """One verdict per kind, in order: q(n) and log2 q(n) for
+    n = 1..horizon and the record-minimum witness.  The kinds share one
+    cocycle sweep, then each trace is one formula over n, so a verdict is
+    bit-identical whichever other kinds ride along."""
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
@@ -389,15 +432,16 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     verdicts = []
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}
+        formula, adjoint = _FORMULA[kind]
         if kind in trimmed:
-            trace, drops = trimmed[kind]
+            xy, drops = trimmed[kind]
             params["max_drop"] = max_drop
         else:
-            formula, adjoint = _FORMULA[kind]
-            trace = formula(ns, *(ext[2:] if adjoint else ext[:2]))
-            drops = None
-        verdicts.append(verdict_from_trace(kind.value, trace, tol, drops,
-                                           params))
+            xy, drops = (ext[2:] if adjoint else ext[:2]), None
+        with np.errstate(over="ignore"):
+            log2_q, q = formula(ns, *xy)
+        verdicts.append(verdict_from_trace(kind.value, q, tol, drops, params,
+                                           log2_q))
     return verdicts
 
 

@@ -209,6 +209,7 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
                 f"{name} has atoms outside [-{m}, {m}]"
             )
     trace = np.empty(horizon)
+    log2_trace = np.empty(horizon)
     trimmed = [] if atom_trim_budget > 0 else None
     best = math.inf
     records = 0
@@ -224,11 +225,13 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
             keep_b, tv_b = _trim_tv(-lb, nu.weights, budget_n, "max")
             trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
             lf, lb = lf[keep_f], lb[keep_b]
-        q = trace[n - 1] = _q_at(kind, n, lf, lb)
-        if q < best:  # the trim budget halves at each new record minimum
-            best, records = q, records + 1
+        log2_q, q = log2_trace[n - 1], trace[n - 1] = _q_at(kind, n, lf, lb)
+        # the trim budget halves at each new record minimum of the witness
+        if q < math.inf and log2_q < best:
+            best, records = log2_q, records + 1
     params = {"window_radius": m, "atom_trim_budget": atom_trim_budget}
-    return verdict_from_trace(kind.value, trace, tol, trimmed, params)
+    return verdict_from_trace(kind.value, trace, tol, trimmed, params,
+                              log2_trace)
 
 
 def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,

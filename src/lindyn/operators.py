@@ -270,4 +270,5 @@ def wedge_condition(op: CompositionOperator, window, horizon: int,
     from .criteria import CriterionKind, evaluate, verdict_from_trace
 
     [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, horizon, tol)
-    return verdict_from_trace("WEDGE", c0.trace, tol, params=c0.params)
+    return verdict_from_trace("WEDGE", c0.trace, tol, params=c0.params,
+                              log2_trace=c0.log2_trace)

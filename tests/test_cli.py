@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -241,6 +242,29 @@ class TestClassifyCommand:
             assert summaries[cesaro]["status"] == \
                 "NOT_SATISFIED_UP_TO_HORIZON"
         assert summaries["ADJOINT_SUPER"]["witness"] == [[1, 1.0]]
+
+    def test_log2_q_carries_past_underflow(self, tmp_path, capsys):
+        # ex3.7 in L2: the supercyclic q underflows to 0 from n = 1080 on
+        # and the Cesaro and hypercyclic q overflow to inf; log2 q keeps
+        # the values, so the supercyclic witness runs on past n = 1079
+        cfg = self.config(tmp_path, operator={"preset": "ex3.7"},
+                          space={"kind": "L2"}, window={"m": 2.0},
+                          horizon=3000, tol=1e-6)
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        records = [json.loads(line) for line in
+                   (tmp_path / "verdicts.jsonl").read_text().splitlines()]
+        per_n = {(r["kind"], r["n"]): r for r in records if "n" in r}
+        extreme = [r for r in per_n.values() if r["q"] in (0.0, "inf")]
+        assert {r["q"] for r in extreme} == {0.0, "inf"}
+        assert all(isinstance(r["log2_q"], float) and
+                   math.isfinite(r["log2_q"]) for r in extreme)
+        sup = next(r for r in records
+                   if r.get("kind") == "SUPERCYCLIC_SOLID" and "n" not in r)
+        n, q = sup["witness"][-1]
+        assert n > 1079 and q == 0.0
+        assert sup["best_log2_q"] == per_n["SUPERCYCLIC_SOLID", n]["log2_q"]
+        assert f"best q({n}) = 0 (log2 q = " in out
 
     @pytest.mark.parametrize("overrides, flags", [
         ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},

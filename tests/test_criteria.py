@@ -6,7 +6,6 @@ import pytest
 
 from lindyn.criteria import (
     _leg_extremes,
-    _q_at,
     _trim_greedy,
     CompactWindow,
     CriterionKind,
@@ -249,8 +248,8 @@ class TestSharedSweep:
 
 class TestBlockSeams:
     """The sweep reads the orbit lattice in blocks of _BLOCK_ROWS rows; its
-    extremes and trimmed traces equal a sweep stepped once per n, on both
-    sides of each block seam."""
+    extremes, with and without trimming, equal a sweep stepped once per n,
+    on both sides of each block seam."""
 
     # the weight varies along every orbit walked here, so a row read from
     # the wrong orbit point differs
@@ -267,8 +266,7 @@ class TestBlockSeams:
     @staticmethod
     def stepped(op, pts, horizon, inverse, max_drop):
         sweep = CocycleSweep(op, pts)
-        ext = np.empty((4, horizon))
-        trace, drops = np.empty(horizon), []
+        ext, xy, drops = np.empty((4, horizon)), np.empty((2, horizon)), []
         for n in range(1, horizon + 1):
             sweep.step()
             lf, lb = sweep.log_forward, sweep.log_backward
@@ -278,8 +276,8 @@ class TestBlockSeams:
             keep, dropped = _trim_greedy(TestBlockSeams.KIND, n, lf, lb,
                                          max_drop)
             drops.append(dropped)
-            trace[n - 1] = _q_at(TestBlockSeams.KIND, n, lf[keep], lb[keep])
-        return ext, trace, drops
+            xy[:, n - 1] = -lf[keep].min(), lb[keep].max()
+        return ext, xy, drops
 
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -290,14 +288,14 @@ class TestBlockSeams:
         horizon = 2 * b + 3
         ext, trimmed = _leg_extremes(op, win, horizon, inverse, [self.KIND],
                                      2)
-        ref_ext, ref_trace, ref_drops = self.stepped(op, win.points, horizon,
-                                                     inverse, 2)
-        trace, drops = trimmed[self.KIND]
+        ref_ext, ref_xy, ref_drops = self.stepped(op, win.points, horizon,
+                                                  inverse, 2)
+        xy, drops = trimmed[self.KIND]
         for n in (b - 1, b, b + 1, horizon):
             assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])
-            assert trace[n - 1] == ref_trace[n - 1]
+            assert np.array_equal(xy[:, n - 1], ref_xy[:, n - 1])
         assert np.array_equal(ext, ref_ext)
-        assert np.array_equal(trace, ref_trace)
+        assert np.array_equal(xy, ref_xy)
         assert drops == ref_drops
 
 
@@ -325,27 +323,34 @@ class TestVerdictFromTrace:
     @staticmethod
     def dict_serialiser(v):
         """The per-record dict + json.dumps writer that to_jsonl replaced;
-        it reads the trace as Python floats, so non-finite q are written as
-        "inf", "-inf" and "nan"."""
+        it reads the traces as Python floats, so non-finite values are
+        written as "inf", "-inf" and "nan"."""
         def enc(x):
             return float(x) if math.isfinite(x) else repr(x)
 
         record_ns = {n for n, _ in v.witness}
-        records = [{"kind": v.kind, "n": i, "q": enc(q),
+        records = [{"kind": v.kind, "n": i, "q": enc(q), "log2_q": enc(lq),
                     "record_min": i in record_ns}
-                   for i, q in enumerate(v.trace.tolist(), start=1)]
+                   for i, (q, lq) in enumerate(zip(v.trace.tolist(),
+                                                   v.log2_trace.tolist()),
+                                               start=1)]
         params = {"horizon": v.horizon, "tol": v.tol}
         params.update(v.params)
+        best = v.best_log2_q
         records.append({"kind": v.kind, "status": v.status,
                         "witness": [[n, enc(q)] for n, q in v.witness],
+                        "best_log2_q": None if best is None else enc(best),
                         "params": params})
         return "\n".join(json.dumps(r, sort_keys=True) for r in records)
 
     def test_to_jsonl_matches_dict_serialiser(self):
         trace = [3.0, 0.0, -0.0, 0.0, 5e-324, 5e-324, 1e308, np.inf, np.nan,
                  -np.inf, -np.inf, 2.5, np.nan, np.inf]
+        log2_trace = [1.5, -2000.0, -2000.0, -0.0, 0.0, -1074.0, 1023.5,
+                      1e308, np.nan, -np.inf, -np.inf, 1.25, 5e-324, np.inf]
         verdicts = [verdict_from_trace("K", trace, 1e-6, [0, 1],
-                                       {"inverse": True, "max_drop": 2}),
+                                       {"inverse": True, "max_drop": 2},
+                                       log2_trace),
                     verdict_from_trace("K", trace[:5], 1e-6),
                     verdict_from_trace("K", [np.inf, np.nan], 1.0)]
         for v in verdicts:
@@ -353,7 +358,7 @@ class TestVerdictFromTrace:
             assert v.jsonl_records() == [
                 json.loads(line)
                 for line in self.dict_serialiser(v).split("\n")]
-        # ties (-0.0 after 0.0) and NaN set no record
+        # ties, NaN and q = inf set no record
         flags = [r["record_min"] for r in verdicts[0].jsonl_records()[:-1]]
         assert [n for n, f in enumerate(flags, start=1) if f] == [1, 2, 10]
 
