@@ -151,7 +151,10 @@ def _write_lines(out_dir: str | None, name: str, lines: list[str]):
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     target = path / name
-    target.write_text("\n".join(lines) + ("\n" if lines else ""))
+    with open(target, "w") as fh:  # line by line: no joined copy of the file
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
     return target
 
 

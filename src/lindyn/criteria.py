@@ -259,15 +259,15 @@ class CriterionVerdict:
     def to_jsonl(self) -> str:
         """One line per n, then the summary line; keys sorted, floats as
         ``json.dumps`` writes them and non-finite ones as strings."""
-        kind = json.dumps(self.kind)
+        head = f'{{"kind": {json.dumps(self.kind)}, "log2_q": '
         record = np.zeros(self.horizon, dtype=bool)
         record[[n - 1 for n, _ in self.witness]] = True
-        lines = [f'{{"kind": {kind}, "log2_q": {_json_repr(lq)}, "n": {n}, '
-                 f'"q": {_json_repr(q)}, '
-                 f'"record_min": {"true" if r else "false"}}}'
-                 for n, (lq, q, r) in enumerate(
-                     zip(self.log2_trace.tolist(), self.trace.tolist(),
-                         record.tolist()), start=1)]
+        flag = ("false}", "true}")
+        lines = [f'{head}{lq}, "n": {n}, "q": {q}, "record_min": {flag[r]}'
+                 for n, lq, q, r in zip(range(1, self.horizon + 1),
+                                        _json_reprs(self.log2_trace),
+                                        _json_reprs(self.trace),
+                                        record.tolist())]
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
         best_log2_q = self.best_log2_q
@@ -286,9 +286,12 @@ def _json_float(x: float):
     return float(x) if math.isfinite(x) else repr(x)
 
 
-def _json_repr(x: float) -> str:
-    """``json.dumps(_json_float(x))`` for a Python float."""
-    return repr(x) if math.isfinite(x) else json.dumps(repr(x))
+def _json_reprs(values: np.ndarray) -> list[str]:
+    """``json.dumps(_json_float(x))`` for each x in a float array."""
+    out = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        out[i] = json.dumps(out[i])
+    return out
 
 
 def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
@@ -311,7 +314,8 @@ def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
     best = key[records[-1]] if records.size else math.inf
     return CriterionVerdict(kind,
                             SATISFIED if best <= log2_tol else NOT_SATISFIED,
-                            [(i + 1, trace[i]) for i in records], trace,
+                            zip((records + 1).tolist(),
+                                trace[records].tolist()), trace,
                             log2_trace, tol, trimmed, params)
 
 
