@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+
 import numpy as np
 
 from .errors import SegalIncompatibleError

@@ -215,17 +215,18 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
     records = 0
     # the forward leg over mu's atoms, the backward leg over nu's, one row
     # of each per n
-    rows = chain.from_iterable
-    legs = zip(rows(_orbit_log2_rows(op, mu.locations, horizon)),
-               rows(_orbit_log2_rows(op, nu.locations, horizon, -1, -1)))
-    for n, (lf, lb) in enumerate(legs, start=1):
+    fwd = chain.from_iterable(_orbit_log2_rows(op, mu.locations, horizon))
+    bwd = chain.from_iterable(_orbit_log2_rows(op, nu.locations, horizon,
+                                               -1, -1))
+    for n, (lf, lb) in enumerate(zip(fwd, bwd), start=1):
         if atom_trim_budget > 0:
             budget_n = atom_trim_budget * 2.0 ** (-records)
             keep_f, tv_f = _trim_tv(lf, mu.weights, budget_n, "max")
             keep_b, tv_b = _trim_tv(-lb, nu.weights, budget_n, "max")
             trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
             lf, lb = lf[keep_f], lb[keep_b]
-        log2_q, q = log2_trace[n - 1], trace[n - 1] = _q_at(kind, n, lf, lb)
+        log2_q, q = _q_at(kind, n, lf, lb)
+        log2_trace[n - 1], trace[n - 1] = log2_q, q
         # the trim budget halves at each new record minimum of the witness
         if q < math.inf and log2_q < best:
             best, records = log2_q, records + 1
