@@ -140,8 +140,8 @@ class CocycleSweep:
     """Incremental forward/backward log-products over a fixed point set.
 
     After n calls to :meth:`step`, ``log_forward[i]`` equals
-    ``forward_log2(op, pts, n)[i]`` bit for bit (the same ``homeo_orbit``
-    walk, summed in the same order), and likewise for the backward side;
+    ``forward_log2(op, pts, n)[i]`` bit for bit (the same orbit points,
+    summed in the same order), and likewise for the backward side;
     ``forward_positions`` holds alpha^n(pts), the argument of f in the
     closed form of T^n.
     """
