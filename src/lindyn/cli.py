@@ -200,24 +200,25 @@ def _bump_from_spec(grid: Grid, spec: dict) -> GridFunction:
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
     raw = json.loads(Path(args.config).read_text()) if args.config else {}
+    mode = raw.get("mode", "scaled")
+    if mode not in dynamics.MODES:
+        raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")
     seed_fn = _bump_from_spec(cfg.grid, raw.get("seed_function", {}))
-    target_specs = raw.get("targets", [])
-    targets = [_bump_from_spec(cfg.grid, spec) for spec in target_specs]
+    targets = [_bump_from_spec(cfg.grid, s) for s in raw.get("targets", [])]
     kind = L2 if cfg.space == "L2" else SUP
+    # one walk fills both files; in scaled mode the first target's
+    # orbit.csv column is also its best.csv distance
     trace = dynamics.orbit_trace(cfg.operator, seed_fn, cfg.horizon, kind,
-                                 target=targets[0] if targets else None)
-    out_dir = Path(args.out) if args.out else Path(".")
+                                 targets[0] if targets else None, targets,
+                                 mode)
+    out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / "orbit.csv"
-    trace.to_csv(target)
-    print(f"wrote {target} ({cfg.horizon} rows)")
+    trace.to_csv(out_dir / "orbit.csv")
+    print(f"wrote {out_dir / 'orbit.csv'} ({cfg.horizon} rows)")
     if targets:
-        mode = raw.get("mode", "scaled")
-        rows = dynamics.empirical_best(cfg.operator, seed_fn, targets,
-                                       cfg.horizon, kind, mode)
-        best_path = out_dir / "best.csv"
-        dynamics.best_table_csv(rows, best_path)
-        print(f"wrote {best_path} ({len(rows)} targets, mode {mode})")
+        dynamics.best_table_csv(trace.best, out_dir / "best.csv")
+        print(f"wrote {out_dir / 'best.csv'} ({len(targets)} targets, "
+              f"mode {mode})")
     return 0
 
 

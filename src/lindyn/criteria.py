@@ -139,9 +139,13 @@ def _supercyclic(n, x, y):
 
 
 def _cesaro(n, x, y):
+    # log2 of q itself where q is finite and nonzero, so that log2 q ties
+    # where q ties; the log form only where q under- or overflowed
     log2_n = np.log2(n)
-    return (np.maximum(log2_n + x, y - log2_n),
-            np.maximum(n * np.exp2(x), np.exp2(y) / n))
+    q = np.maximum(n * np.exp2(x), np.exp2(y) / n)
+    with np.errstate(divide="ignore"):
+        return (np.where((q > 0) & (q < np.inf), np.log2(q),
+                         np.maximum(log2_n + x, y - log2_n)), q)
 
 
 def _hypercyclic(n, x, y):

@@ -10,13 +10,15 @@ quantitatively by the callers.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateApproximantError, ZeroVectorError
+from .errors import (DegenerateApproximantError, SegalIncompatibleError,
+                     ZeroVectorError)
 from .funcspace import (
     GridFunction,
     L2,
@@ -26,14 +28,16 @@ from .funcspace import (
     SUP,
     SegalNorm,
     SupNorm,
+    homeo_orbit_blocks,
     linear_interpolate,
     norm,
     restrict,
 )
 from .operators import (
-    CocycleSweep,
+    _BLOCK_ROWS,
     CompositionOperator,
     _loses_mass,
+    _orbit_log2_rows,
     apply_Sn,
     apply_Tn,
     scale_by_exp2,
@@ -196,32 +200,42 @@ def projective_distance(f: GridFunction, g: GridFunction,
 
 def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
                    side: str = "T") -> Iterator[tuple[int, GridFunction]]:
-    """Yield (n, T^n f) (or S^n f) incrementally, one cocycle step per n."""
+    """Yield (n, T^n f) (or S^n f) for n = 1..horizon, walking only the leg
+    the side reads, in row blocks: the forward (T) or negated backward (S)
+    rows of ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t).
+    Same points and Kahan order as ``CocycleSweep``, so bit-identical."""
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
-    sweep = CocycleSweep(op, f.grid.points)
-    for n in range(1, horizon + 1):
-        sweep.step()
-        if side == "T":
-            pos = sweep.forward_positions
-            logs = sweep.log_forward
-        else:
-            pos = sweep.backward_positions
-            logs = -sweep.log_backward
-        vals = scale_by_exp2(logs, linear_interpolate(f, pos))
+    step = 1 if side == "T" else -1
+    pts = f.grid.points
+    logs = _orbit_log2_rows(op, pts, horizon, step, min(step, 0))
+    walk = homeo_orbit_blocks(op.alpha, pts, horizon, _BLOCK_ROWS, step, step)
+    rows = zip(itertools.chain.from_iterable(logs),
+               itertools.chain.from_iterable(walk))
+    for n, (lg, pos) in enumerate(rows, 1):
+        vals = scale_by_exp2(step * lg, linear_interpolate(f, pos))
         yield n, GridFunction(f.grid, vals,
                               f.truncated or _loses_mass(f, pos))
 
 
 @dataclass(frozen=True)
+class BestApproach:
+    target_index: int
+    best_n: int
+    best_distance: float
+
+
+@dataclass(frozen=True)
 class OrbitTrace:
     """Per-n orbit norms, their Cesaro scalings, optional scaled
-    distances to a target, and whether mass has left the grid by n."""
+    distances to a target, whether mass has left the grid by n, and the
+    closest approach to each of a list of targets."""
 
     norms: np.ndarray
     cesaro_norms: np.ndarray
     scaled_dists: Optional[np.ndarray]
     truncated: np.ndarray
+    best: tuple[BestApproach, ...] = ()
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -236,25 +250,46 @@ class OrbitTrace:
                                  int(self.truncated[i])])
 
 
+MODES = ("plain", "scaled", "cesaro")
+
+
+def _scaled_distance(tf: GridFunction, g: GridFunction, kind: NormKind):
+    return norm(g, kind) if tf.is_zero else projective_distance(tf, g,
+                                                                kind)[0]
+
+
 def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
-                kind: NormKind = SUP,
-                target: GridFunction | None = None) -> OrbitTrace:
+                kind: NormKind = SUP, target: GridFunction | None = None,
+                targets: Sequence[GridFunction] = (),
+                mode: str = "scaled") -> OrbitTrace:
+    """One walk of the orbit of f: per n the norm, its Cesaro scaling, the
+    truncation flag, the scaled distance to ``target`` if given, and the
+    distance to each of ``targets`` under ``mode`` (see
+    :func:`empirical_best`), of which ``best`` keeps the closest.  A
+    scaled-mode target that is ``target`` reuses the column's distance."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     norms = np.empty(horizon)
-    cesaro = np.empty(horizon)
     dists = np.empty(horizon) if target is not None else None
     trunc = np.zeros(horizon, dtype=bool)
+    best = [(math.inf, 0)] * len(targets)
     for n, tf in operator_orbit(op, f, horizon):
         norms[n - 1] = norm(tf, kind)
-        cesaro[n - 1] = norms[n - 1] / n
         trunc[n - 1] = tf.truncated
         if target is not None:
-            if tf.is_zero:
-                dists[n - 1] = norm(target, kind)
-            else:
-                dists[n - 1] = projective_distance(tf, target, kind)[0]
-    return OrbitTrace(norms, cesaro, dists, trunc)
+            dists[n - 1] = col = _scaled_distance(tf, target, kind)
+        for i, g in enumerate(targets):
+            if mode == "scaled":
+                d = col if g is target else _scaled_distance(tf, g, kind)
+            else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
+                d = norm((1.0 if mode == "plain" else 1.0 / n) * tf - g, kind)
+            if d < best[i][0]:
+                best[i] = (d, n)
+    return OrbitTrace(norms, norms / np.arange(1, horizon + 1), dists, trunc,
+                      tuple(BestApproach(i, n, d)
+                            for i, (d, n) in enumerate(best)))
 
 
 @dataclass(frozen=True)
@@ -264,10 +299,27 @@ class Approximant:
     n: int
 
 
-def _restricted(f: GridFunction, mask) -> GridFunction:
-    if mask is None:
-        return f
-    return restrict(f, mask)
+def _nonzero_pair(f: GridFunction, g: GridFunction, mask):
+    """f and g restricted to ``mask`` (whole when it is None), both
+    nonzero."""
+    if mask is not None:
+        f, g = restrict(f, mask), restrict(g, mask)
+    if f.is_zero or g.is_zero:
+        raise DegenerateApproximantError("(restricted) f or g is zero")
+    return f, g
+
+
+def _ratio_approximant(op: CompositionOperator, f: GridFunction,
+                       g: GridFunction, n: int, kind: NormKind) -> Approximant:
+    """v = f + (||T^n f|| / ||S^n g||)^(1/2) S^n g, with the reciprocal
+    square-root ratio as the scalar."""
+    sg = apply_Sn(op, g, n)
+    a, b = norm(apply_Tn(op, f, n), kind), norm(sg, kind)
+    if a == 0 or b == 0:
+        raise DegenerateApproximantError(
+            "operator power lost all mass (grid truncation)"
+        )
+    return Approximant(f + math.sqrt(a / b) * sg, math.sqrt(b / a), n)
 
 
 def supercyclic_approximant(op: CompositionOperator, f: GridFunction,
@@ -275,20 +327,7 @@ def supercyclic_approximant(op: CompositionOperator, f: GridFunction,
                             kind: NormKind = L2) -> Approximant:
     """v = f chi + (||T^n (f chi)|| / ||S^n (g chi)||)^(1/2) S^n (g chi),
     with the reciprocal square-root ratio as the scalar."""
-    fr = _restricted(f, mask)
-    gr = _restricted(g, mask)
-    if fr.is_zero or gr.is_zero:
-        raise DegenerateApproximantError("restricted f or g is zero")
-    tf = apply_Tn(op, fr, n)
-    sg = apply_Sn(op, gr, n)
-    a = norm(tf, kind)
-    b = norm(sg, kind)
-    if a == 0 or b == 0:
-        raise DegenerateApproximantError(
-            "operator power lost all mass (grid truncation)"
-        )
-    v = fr + math.sqrt(a / b) * sg
-    return Approximant(v, math.sqrt(b / a), n)
+    return _ratio_approximant(op, *_nonzero_pair(f, g, mask), n, kind)
 
 
 def cesaro_approximant(op: CompositionOperator, f: GridFunction,
@@ -296,13 +335,8 @@ def cesaro_approximant(op: CompositionOperator, f: GridFunction,
                        kind: NormKind = L2) -> Approximant:
     """Cesaro variant: the scalar is pinned to 1/n, so the corrector enters
     with the compensating factor n and no norm ratio."""
-    fr = _restricted(f, mask)
-    gr = _restricted(g, mask)
-    if fr.is_zero or gr.is_zero:
-        raise DegenerateApproximantError("restricted f or g is zero")
-    sg = apply_Sn(op, gr, n)
-    v = fr + float(n) * sg
-    return Approximant(v, 1.0 / n, n)
+    fr, gr = _nonzero_pair(f, g, mask)
+    return Approximant(fr + float(n) * apply_Sn(op, gr, n), 1.0 / n, n)
 
 
 def segal_approximant(op: CompositionOperator, f: GridFunction,
@@ -311,30 +345,10 @@ def segal_approximant(op: CompositionOperator, f: GridFunction,
                       tau_tol: float = 1e-9) -> Approximant:
     """Weighted-algebra variant: same ratio construction, norms taken in
     the tau-weighted series norm, no restriction step."""
-    from .errors import SegalIncompatibleError
-
     if not segal_compatible(op, tau, f.grid, tau_tol):
         raise SegalIncompatibleError("tau is not alpha-invariant")
-    if f.is_zero or g.is_zero:
-        raise DegenerateApproximantError("f and g must be nonzero")
-    kind = SegalNorm(tau, tail_tol)
-    tf = apply_Tn(op, f, n)
-    sg = apply_Sn(op, g, n)
-    a = norm(tf, kind)
-    b = norm(sg, kind)
-    if a == 0 or b == 0:
-        raise DegenerateApproximantError(
-            "operator power lost all mass (grid truncation)"
-        )
-    v = f + math.sqrt(a / b) * sg
-    return Approximant(v, math.sqrt(b / a), n)
-
-
-@dataclass(frozen=True)
-class BestApproach:
-    target_index: int
-    best_n: int
-    best_distance: float
+    return _ratio_approximant(op, *_nonzero_pair(f, g, None), n,
+                              SegalNorm(tau, tail_tol))
 
 
 def empirical_best(op: CompositionOperator, f: GridFunction,
@@ -347,23 +361,8 @@ def empirical_best(op: CompositionOperator, f: GridFunction,
     scaled: min_n projective_distance(T^n f, g)
     cesaro: min_n ||n^{-1} T^n f - g||
     """
-    if mode not in ("plain", "scaled", "cesaro"):
-        raise ValueError("mode must be plain, scaled, or cesaro")
-    best = [(math.inf, 0)] * len(targets)
-    for n, tf in operator_orbit(op, f, horizon):
-        for i, g in enumerate(targets):
-            if mode == "plain":
-                d = norm(tf - g, kind)
-            elif mode == "cesaro":
-                d = norm((1.0 / n) * tf - g, kind)
-            else:
-                if tf.is_zero:
-                    d = norm(g, kind)
-                else:
-                    d = projective_distance(tf, g, kind)[0]
-            if d < best[i][0]:
-                best[i] = (d, n)
-    return [BestApproach(i, n, d) for i, (d, n) in enumerate(best)]
+    return list(orbit_trace(op, f, horizon, kind, targets=targets,
+                            mode=mode).best)
 
 
 def best_table_csv(rows: Sequence[BestApproach], path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lindyn import dynamics
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CriterionKind, TrimPolicy, quantity
 from lindyn.presets import REGISTRY, build_preset, preset_names
@@ -266,6 +267,25 @@ class TestClassifyCommand:
         assert sup["best_log2_q"] == per_n["SUPERCYCLIC_SOLID", n]["log2_q"]
         assert f"best q({n}) = 0 (log2 q = " in out
 
+    def test_cesaro_log2_q_ties_where_q_ties(self, tmp_path, capsys):
+        # ex3.5 in C0 at m = 2: the Cesaro q(3) equals q(1) = 2.0, and so
+        # must log2 q, or the tie sets a record
+        cfg = self.config(tmp_path, window={"m": 2.0}, tol=1e-6)
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        records = [json.loads(line) for line in
+                   (tmp_path / "verdicts.jsonl").read_text().splitlines()]
+        per_n = {r["n"]: r for r in records
+                 if r["kind"] == "CESARO_C0" and "n" in r}
+        summary = next(r for r in records
+                       if r["kind"] == "CESARO_C0" and "n" not in r)
+        assert per_n[3]["q"] == per_n[1]["q"] == 2.0
+        assert per_n[3]["log2_q"] == per_n[1]["log2_q"] == 1.0
+        assert not per_n[3]["record_min"]
+        assert [3, 2.0] not in summary["witness"]
+        # wherever q is finite and nonzero, log2 q is its log2
+        assert all(r["log2_q"] == float(np.log2(r["q"]))
+                   for r in per_n.values())
+
     @pytest.mark.parametrize("overrides, flags", [
         ({"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},
           "window": {"m": 2.0}}, []),
@@ -344,6 +364,44 @@ class TestOtherCommands:
             outputs.append([(out / name).read_bytes()
                             for name in ("orbit.csv", "best.csv")])
         assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def orbit_config(tmp_path, targets, mode):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "operator": {"preset": "ex3.5"}, "space": {"kind": "C0"},
+            "grid": {"half_width": 8.0, "step": 0.25}, "horizon": 6,
+            "targets": [{"center": 0.5 * i, "half_width": 1.0 + i}
+                        for i in range(targets)],
+            "mode": mode}))
+        return str(cfg)
+
+    def test_orbit_unknown_mode_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = self.orbit_config(tmp_path, 1, "bogus")
+        assert run(["orbit", "--config", cfg, "--out", str(out)]) == 2
+        assert "orbit mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode, targets, per_n", [
+        ("scaled", 1, 1), ("scaled", 2, 2), ("scaled", 3, 3),
+        ("plain", 2, 1), ("cesaro", 2, 1)])
+    def test_orbit_projective_distance_count(self, tmp_path, capsys,
+                                             monkeypatch, mode, targets,
+                                             per_n):
+        # one walk: the orbit.csv column is the first target's scaled
+        # distance, which a scaled best.csv reuses; T^n f is never zero here
+        calls = []
+        solve = dynamics.projective_distance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "projective_distance", counted)
+        cfg = self.orbit_config(tmp_path, targets, mode)
+        assert run(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 6 * per_n
 
     def test_adjoint_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

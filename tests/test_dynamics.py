@@ -9,10 +9,13 @@ from lindyn.funcspace import (
     Grid,
     GridFunction,
     L2,
+    PiecewiseAffineHomeo,
     PiecewiseMap,
     SUP,
     SegalNorm,
+    Translation,
     identity_homeo,
+    linear_interpolate,
     norm,
     triangular_bump,
 )
@@ -25,7 +28,14 @@ from lindyn.dynamics import (
     segal_approximant,
     supercyclic_approximant,
 )
-from lindyn.operators import CompositionOperator, apply_Tn
+from lindyn.operators import (
+    _BLOCK_ROWS,
+    CocycleSweep,
+    CompositionOperator,
+    _loses_mass,
+    apply_Tn,
+    scale_by_exp2,
+)
 from lindyn.presets import build_preset
 
 RNG = np.random.default_rng(11)
@@ -219,6 +229,50 @@ class TestOrbitTrace:
         assert rows[0] == "n,norm,cesaro_norm,scaled_dist,truncated"
         assert len(rows) == 6
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["0"] * 5
+
+
+class TestOrbitBlockSeams:
+    """operator_orbit reads one leg of the orbit lattice in blocks of
+    _BLOCK_ROWS rows; each T^n f and S^n f equals the one read off a
+    CocycleSweep stepped n times, on both sides of the block seam."""
+
+    # the weight varies along every orbit walked here, so a row read from
+    # the wrong orbit point differs
+    BP = np.linspace(-3200.0, 3200.0, 6401)
+    WEIGHT = PiecewiseMap(BP, 1.0 + 0.5 * np.sin(1.3 * BP), positive=True)
+    OPS = {
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "shift-1": CompositionOperator(Translation(-1), WEIGHT),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+    # wide enough that part of every orbit is still on the grid, and f
+    # nonzero there, past the seam
+    GRID = Grid(640.0, 1.0)
+
+    @pytest.mark.parametrize("side", ["T", "S"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_matches_stepped_sweep(self, name, side):
+        op = self.OPS[name]
+        f = triangular_bump(self.GRID, 0.0, 640.0)
+        b = _BLOCK_ROWS
+        horizon = b + 3
+        sweep = CocycleSweep(op, f.grid.points)
+        checked = []
+        for n, tf in operator_orbit(op, f, horizon, side):
+            sweep.step()
+            if n not in (b - 1, b, b + 1, horizon):
+                continue
+            if side == "T":
+                pos, logs = sweep.forward_positions, sweep.log_forward
+            else:
+                pos, logs = sweep.backward_positions, -sweep.log_backward
+            ref = scale_by_exp2(logs, linear_interpolate(f, pos))
+            assert np.count_nonzero(ref) > 100
+            assert np.array_equal(tf.values, ref)
+            assert tf.truncated == (f.truncated or _loses_mass(f, pos))
+            checked.append(n)
+        assert checked == [b - 1, b, b + 1, horizon]
 
 
 class TestApproximants:

@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import lindyn
 
@@ -15,3 +17,19 @@ def test_every_export_resolves():
             assert hasattr(module, export), f"{name}.{export}"
             checked += 1
     assert checked > 50
+
+
+def test_bench_spans_resolve():
+    # the bench's tracer wraps these names at install time; a rename or
+    # delete in lindyn must fail here, not in a traced bench run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert len(tracing.SPANS) > 10
+    for name, module, attr, _ in tracing.SPANS:
+        owner = importlib.import_module(module)
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"{name}: {module}.{attr}"
+            owner = getattr(owner, part)
+        assert callable(owner), name
