@@ -30,10 +30,7 @@ from .criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
-    TrimPolicy,
     evaluate,
-    product_factors,
-    segal_factors,
     implication_check,
 )
 from .dynamics import (

@@ -16,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .criteria import (CompactWindow, CriterionKind, TrimPolicy, _json_float,
-                       evaluate)
+from .criteria import CompactWindow, CriterionKind, _json_float, evaluate
 from .errors import ConfigError, LindynError
 from .funcspace import (
     Grid,
@@ -182,9 +181,8 @@ def cmd_classify(args) -> int:
     window = cfg.compact_window()
     if cfg.space == "SEGAL":
         window.validate_segal(cfg.tau)
-    trim = TrimPolicy(cfg.trim) if cfg.trim else None
     verdicts = evaluate(kinds, cfg.operator, window, cfg.horizon, cfg.tol,
-                        trim, inverse=args.inverse)
+                        cfg.trim, inverse=args.inverse)
     for v in verdicts:
         _print_verdict(v, 20)
     _write_lines(args.out, "verdicts.jsonl", [v.to_jsonl() for v in verdicts])
@@ -209,8 +207,7 @@ def cmd_orbit(args) -> int:
     # one walk fills both files; in scaled mode the first target's
     # orbit.csv column is also its best.csv distance
     trace = dynamics.orbit_trace(cfg.operator, seed_fn, cfg.horizon, kind,
-                                 targets[0] if targets else None, targets,
-                                 mode)
+                                 targets, mode)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     trace.to_csv(out_dir / "orbit.csv")

@@ -9,7 +9,7 @@ products over a compact window K:
 The supremum-norm/weighted-algebra variants are stated with the product
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)), which re-indexes (i = n - j) to the
 backward leg above for any homeomorphism; the sweep uses that identity,
-and :func:`segal_factors` keeps the literal form as an independent route.
+and the test oracles keep the literal form as an independent route.
 
 A criterion asks for q(n_k) -> 0 along a strictly increasing sequence; the
 finite-horizon semidecision reports SATISFIED only in the sense "q reached
@@ -27,26 +27,14 @@ import numpy as np
 
 from .errors import SegalIncompatibleError
 from .funcspace import Grid, PiecewiseMap
-from .operators import (
-    CompositionOperator,
-    _orbit_log2,
-    _orbit_log2_rows,
-    backward_log2,
-    forward_log2,
-    segal_compatible,
-)
+from .operators import CompositionOperator, _block_rows, _orbit_log2_rows
 
 __all__ = [
     "SATISFIED",
     "NOT_SATISFIED",
     "CriterionKind",
     "CompactWindow",
-    "TrimPolicy",
     "CriterionVerdict",
-    "product_factors",
-    "segal_factors",
-    "sweep_factors",
-    "quantity",
     "evaluate",
     "verdict_from_trace",
     "implication_check",
@@ -121,16 +109,6 @@ class CompactWindow:
             raise SegalIncompatibleError(
                 f"max |tau| = {worst} exceeds the window bound {self.segal_eps}"
             )
-
-
-@dataclass(frozen=True)
-class TrimPolicy:
-    """Exceptional-set budget: up to ``max_drop`` worst window points may be
-    removed per n.  Meaningful for the quadrature-backed (solid) kinds only;
-    in sup norm any nonempty removal keeps full indicator mass, so the other
-    kinds ignore it."""
-
-    max_drop: int = 0
 
 
 def _supercyclic(n, x, y):
@@ -324,63 +302,26 @@ def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
                             log2_trace, tol, trimmed, params)
 
 
-def product_factors(op: CompositionOperator, window: CompactWindow,
-                    n: int) -> tuple[float, float]:
-    """(P_minus, P_plus): sup over K of the inverse forward product and of
-    the backward product."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lf = forward_log2(op, window.points, n)
-    lb = backward_log2(op, window.points, n)
-    return float(np.exp2(-lf.min())), float(np.exp2(lb.max()))
-
-
-def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
-                  tau: PiecewiseMap | None = None, grid: Grid | None = None,
-                  tau_tol: float = 1e-9) -> tuple[float, float]:
-    """(Q_back, Q_inv) in the literal form of the sup-norm criteria.
-
-    Q_back walks forward from alpha^{-n}(t) so the product
-    prod_{j=0}^{n-1} w(alpha^{j-n}(t)) is computed as displayed, not via
-    the backward-leg re-indexing; Q_inv is the inverse forward product.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if tau is not None:
-        window.validate_segal(tau)
-        if grid is None:
-            raise ValueError("grid is required to check tau invariance")
-        if not segal_compatible(op, tau, grid, tau_tol):
-            raise SegalIncompatibleError(
-                "tau is not alpha-invariant within tolerance"
-            )
-    pts = window.points
-    q_back = float(np.exp2(_orbit_log2(op, pts, n, start=-n).max()))
-    lf = forward_log2(op, pts, n)
-    q_inv = float(np.exp2(-lf.min()))
-    return q_back, q_inv
-
-
-def _leg_extremes(op: CompositionOperator, window: CompactWindow,
-                  horizon: int, inverse: bool, trim_kinds=(),
-                  max_drop: int = 0):
+def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
+                  inverse: bool = False, trim_kinds=(), max_drop: int = 0):
     """The one cocycle sweep behind every criterion of a run: rows (-min lf,
-    max lb, -min lb, max lf) over the window for n = 1..horizon, and per kind
-    in ``trim_kinds`` its formula arguments (x, y) over the trimmed window
-    and drop counts (trimming picks its points per n, so it cannot be read
-    off the extremes).
+    max lb, -min lb, max lf) for n = 1..horizon, the forward leg over
+    ``fwd_pts`` and the backward leg over ``bwd_pts``, and per kind in
+    ``trim_kinds`` its formula arguments (x, y) over the trimmed points and
+    drop counts (trimming picks its points per n, so it cannot be read off
+    the extremes, and is defined only when both legs read the same points).
 
-    The legs arrive as blocks of the orbit lattice, one row per n.  With
-    ``inverse`` they encode the inverse operator S, whose weight along
-    forward orbits is the reciprocal backward product of T:
-    lf_S = -lb_T and lb_S = -lf_T.
+    The legs arrive as blocks of the orbit lattice, one row per n, both of
+    the height the wider point set allows.  With ``inverse`` they encode the
+    inverse operator S, whose weight along forward orbits is the reciprocal
+    backward product of T: lf_S = -lb_T and lb_S = -lf_T.
     """
     ext = np.empty((4, horizon))
     trimmed = {kind: (np.empty((2, horizon)), []) for kind in trim_kinds}
-    pts = window.points
+    rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     n0 = 0
-    for lf, lb in zip(_orbit_log2_rows(op, pts, horizon),
-                      _orbit_log2_rows(op, pts, horizon, -1, -1)):
+    for lf, lb in zip(_orbit_log2_rows(op, fwd_pts, horizon, rows=rows),
+                      _orbit_log2_rows(op, bwd_pts, horizon, -1, -1, rows)):
         if inverse:
             lf, lb = -lb, -lf
         n1 = n0 + len(lf)
@@ -395,37 +336,29 @@ def _leg_extremes(op: CompositionOperator, window: CompactWindow,
     return ext, trimmed
 
 
-def sweep_factors(op: CompositionOperator, window: CompactWindow,
-                  horizon: int, *, inverse: bool = False):
-    """Arrays (P_minus[n-1], P_plus[n-1]) for n = 1..horizon in O(horizon)."""
-    ext, _ = _leg_extremes(op, window, horizon, inverse)
-    return np.exp2(ext[0]), np.exp2(ext[1])
-
-
-def quantity(kind: CriterionKind, op: CompositionOperator,
-             window: CompactWindow, n: int,
-             trim: TrimPolicy | None = None, *,
-             inverse: bool = False) -> float:
-    """The scalar q(n) for one criterion kind at one n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lf = forward_log2(op, window.points, n)
-    lb = backward_log2(op, window.points, n)
-    if inverse:
-        lf, lb = -lb, -lf
-    if trim is not None and trim.max_drop > 0 and kind in _SOLID_KINDS:
-        keep, _ = _trim_greedy(kind, n, lf, lb, trim.max_drop)
-        lf, lb = lf[keep], lb[keep]
-    return _q_at(kind, n, lf, lb)[1]
+def _kind_verdict(kind: CriterionKind, xy, tol: float, trimmed=None,
+                  params=None) -> CriterionVerdict:
+    """One kind's verdict from its formula arguments (x, y) over
+    n = 1..horizon: the formula vectorised over n, then the record
+    minima."""
+    ns = np.arange(1, len(xy[0]) + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        log2_q, q = _FORMULA[kind][0](ns, *xy)
+    return verdict_from_trace(kind.value, q, tol, trimmed, params, log2_q)
 
 
 def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
-             horizon: int, tol: float, trim: TrimPolicy | None = None, *,
+             horizon: int, tol: float, max_drop: int = 0, *,
              inverse: bool = False) -> list[CriterionVerdict]:
     """One verdict per kind, in order: q(n) and log2 q(n) for
     n = 1..horizon and the record-minimum witness.  The kinds share one
     cocycle sweep, then each trace is one formula over n, so a verdict is
-    bit-identical whichever other kinds ride along."""
+    bit-identical whichever other kinds ride along.
+
+    ``max_drop`` is the exceptional-set budget: up to that many worst
+    window points may be removed per n.  Only the solid kinds trim; in sup
+    norm any nonempty removal keeps full indicator mass, so the other kinds
+    ignore it."""
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
@@ -433,24 +366,18 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
         raise ValueError("horizon must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    max_drop = 0 if trim is None else trim.max_drop
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
-    ext, trimmed = _leg_extremes(op, window, horizon, inverse, trim_kinds,
-                                 max_drop)
-    ns = np.arange(1, horizon + 1, dtype=float)
+    ext, trimmed = _leg_extremes(op, window.points, window.points, horizon,
+                                 inverse, trim_kinds, max_drop)
     verdicts = []
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}
-        formula, adjoint = _FORMULA[kind]
         if kind in trimmed:
             xy, drops = trimmed[kind]
             params["max_drop"] = max_drop
         else:
-            xy, drops = (ext[2:] if adjoint else ext[:2]), None
-        with np.errstate(over="ignore"):
-            log2_q, q = formula(ns, *xy)
-        verdicts.append(verdict_from_trace(kind.value, q, tol, drops, params,
-                                           log2_q))
+            xy, drops = (ext[2:] if _FORMULA[kind][1] else ext[:2]), None
+        verdicts.append(_kind_verdict(kind, xy, tol, drops, params))
     return verdicts
 
 

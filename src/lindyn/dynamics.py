@@ -34,8 +34,8 @@ from .funcspace import (
     restrict,
 )
 from .operators import (
-    _BLOCK_ROWS,
     CompositionOperator,
+    _block_rows,
     _loses_mass,
     _orbit_log2_rows,
     apply_Sn,
@@ -209,7 +209,8 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
     step = 1 if side == "T" else -1
     pts = f.grid.points
     logs = _orbit_log2_rows(op, pts, horizon, step, min(step, 0))
-    walk = homeo_orbit_blocks(op.alpha, pts, horizon, _BLOCK_ROWS, step, step)
+    walk = homeo_orbit_blocks(op.alpha, pts, horizon, _block_rows(pts.size),
+                              step, step)
     rows = zip(itertools.chain.from_iterable(logs),
                itertools.chain.from_iterable(walk))
     for n, (lg, pos) in enumerate(rows, 1):
@@ -227,9 +228,9 @@ class BestApproach:
 
 @dataclass(frozen=True)
 class OrbitTrace:
-    """Per-n orbit norms, their Cesaro scalings, optional scaled
-    distances to a target, whether mass has left the grid by n, and the
-    closest approach to each of a list of targets."""
+    """Per-n orbit norms, their Cesaro scalings, the scaled distances to
+    the first target (None without targets), whether mass has left the grid
+    by n, and the closest approach to each of a list of targets."""
 
     norms: np.ndarray
     cesaro_norms: np.ndarray
@@ -259,30 +260,29 @@ def _scaled_distance(tf: GridFunction, g: GridFunction, kind: NormKind):
 
 
 def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
-                kind: NormKind = SUP, target: GridFunction | None = None,
-                targets: Sequence[GridFunction] = (),
+                kind: NormKind = SUP, targets: Sequence[GridFunction] = (),
                 mode: str = "scaled") -> OrbitTrace:
     """One walk of the orbit of f: per n the norm, its Cesaro scaling, the
-    truncation flag, the scaled distance to ``target`` if given, and the
+    truncation flag, the scaled distance to ``targets[0]`` if any, and the
     distance to each of ``targets`` under ``mode`` (see
-    :func:`empirical_best`), of which ``best`` keeps the closest.  A
-    scaled-mode target that is ``target`` reuses the column's distance."""
+    :func:`empirical_best`), of which ``best`` keeps the closest.  In scaled
+    mode the first target's distance is the column's."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     norms = np.empty(horizon)
-    dists = np.empty(horizon) if target is not None else None
+    dists = np.empty(horizon) if targets else None
     trunc = np.zeros(horizon, dtype=bool)
     best = [(math.inf, 0)] * len(targets)
     for n, tf in operator_orbit(op, f, horizon):
         norms[n - 1] = norm(tf, kind)
         trunc[n - 1] = tf.truncated
-        if target is not None:
-            dists[n - 1] = col = _scaled_distance(tf, target, kind)
+        if targets:
+            dists[n - 1] = col = _scaled_distance(tf, targets[0], kind)
         for i, g in enumerate(targets):
             if mode == "scaled":
-                d = col if g is target else _scaled_distance(tf, g, kind)
+                d = col if i == 0 else _scaled_distance(tf, g, kind)
             else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
                 d = norm((1.0 if mode == "plain" else 1.0 / n) * tf - g, kind)
             if d < best[i][0]:

@@ -283,8 +283,11 @@ def homeo_power(a: Homeo, t, n: int):
         return t + n * a.shift
     cur = np.asarray(t, dtype=float)
     fn = a.map if n >= 0 else a.inverse_map
-    for _ in range(abs(n)):
-        cur = fn(cur)
+    # an expanding walk may overflow to +-inf; a positive weight has
+    # constant tails, so it reads the exact tail value there
+    with np.errstate(over="ignore"):
+        for _ in range(abs(n)):
+            cur = fn(cur)
     return cur
 
 
@@ -303,8 +306,9 @@ def homeo_orbit(a: Homeo, t, step: int = 1, start: int = 0):
     fn = a.map if step >= 0 else a.inverse_map
     while True:
         yield cur
-        for _ in range(abs(step)):
-            cur = fn(cur)
+        with np.errstate(over="ignore"):  # +-inf reads the tail, as above
+            for _ in range(abs(step)):
+                cur = fn(cur)
 
 
 def homeo_orbit_blocks(a: Homeo, t, n: int, rows: int, step: int = 1,

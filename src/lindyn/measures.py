@@ -24,6 +24,8 @@ from .criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
+    _kind_verdict,
+    _leg_extremes,
     _q_at,
     verdict_from_trace,
 )
@@ -208,29 +210,30 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
             raise SupportOutsideWindowError(
                 f"{name} has atoms outside [-{m}, {m}]"
             )
+    params = {"window_radius": m, "atom_trim_budget": atom_trim_budget}
+    if atom_trim_budget <= 0:
+        ext, _ = _leg_extremes(op, mu.locations, nu.locations, horizon)
+        return _kind_verdict(kind, ext[2:], tol, None, params)
     trace = np.empty(horizon)
     log2_trace = np.empty(horizon)
-    trimmed = [] if atom_trim_budget > 0 else None
+    trimmed = []
     best = math.inf
     records = 0
-    # the forward leg over mu's atoms, the backward leg over nu's, one row
-    # of each per n
+    # the budget needs q online, so the trimmed legs are read row by row:
+    # the forward leg over mu's atoms, the backward leg over nu's
     fwd = chain.from_iterable(_orbit_log2_rows(op, mu.locations, horizon))
     bwd = chain.from_iterable(_orbit_log2_rows(op, nu.locations, horizon,
                                                -1, -1))
     for n, (lf, lb) in enumerate(zip(fwd, bwd), start=1):
-        if atom_trim_budget > 0:
-            budget_n = atom_trim_budget * 2.0 ** (-records)
-            keep_f, tv_f = _trim_tv(lf, mu.weights, budget_n, "max")
-            keep_b, tv_b = _trim_tv(-lb, nu.weights, budget_n, "max")
-            trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
-            lf, lb = lf[keep_f], lb[keep_b]
-        log2_q, q = _q_at(kind, n, lf, lb)
+        budget_n = atom_trim_budget * 2.0 ** (-records)
+        keep_f, _ = _trim_tv(lf, mu.weights, budget_n, "max")
+        keep_b, _ = _trim_tv(-lb, nu.weights, budget_n, "max")
+        trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
+        log2_q, q = _q_at(kind, n, lf[keep_f], lb[keep_b])
         log2_trace[n - 1], trace[n - 1] = log2_q, q
         # the trim budget halves at each new record minimum of the witness
         if q < math.inf and log2_q < best:
             best, records = log2_q, records + 1
-    params = {"window_radius": m, "atom_trim_budget": atom_trim_budget}
     return verdict_from_trace(kind.value, trace, tol, trimmed, params,
                               log2_trace)
 

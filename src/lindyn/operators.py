@@ -80,24 +80,31 @@ class CompositionOperator:
         return np.log2(self.weight(t))
 
 
-# Rows of orbit lattice per block: bounds a sweep's memory at
-# O(rows * |points|) whatever its horizon.
+# Rows of orbit lattice per block, at most _BLOCK_CELLS cells (rows x
+# points) in all: bounds a sweep's memory whatever its horizon and width.
 _BLOCK_ROWS = 1024
+_BLOCK_CELLS = 32768
+
+
+def _block_rows(width: int) -> int:
+    """Rows per lattice block for ``width`` points per row."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(width, 1)))
 
 
 def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
-                     start: int = 0):
+                     start: int = 0, rows: int | None = None):
     """Yield, in (rows, |t|) blocks, the partial sums
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
     compensated, elementwise in t, summed in walk order; one weight call
-    per block."""
+    per block.  ``rows`` defaults to :func:`_block_rows` of |t|."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     acc = KahanSum(pts.shape)
-    for block in homeo_orbit_blocks(op.alpha, pts, n, _BLOCK_ROWS, step,
+    for block in homeo_orbit_blocks(op.alpha, pts, n,
+                                    rows or _block_rows(pts.size), step,
                                     start):
-        rows = op.log2_weight(block)
-        acc.add_rows(rows)
-        yield rows
+        logs = op.log2_weight(block)
+        acc.add_rows(logs)
+        yield logs
 
 
 def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,

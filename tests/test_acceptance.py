@@ -10,13 +10,7 @@ import time
 
 import numpy as np
 
-from lindyn.criteria import (
-    CompactWindow,
-    CriterionKind,
-    evaluate,
-    quantity,
-    sweep_factors,
-)
+from lindyn.criteria import CompactWindow, CriterionKind, evaluate
 from lindyn.dynamics import (
     cesaro_approximant,
     operator_orbit,
@@ -55,6 +49,7 @@ from lindyn.porosity import (
     random_scene,
 )
 from lindyn.presets import REGISTRY, run_example
+from oracles import quantity, sweep_factors
 
 
 def report(idx, text):

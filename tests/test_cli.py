@@ -1,13 +1,15 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lindyn import dynamics
 from lindyn.cli import ExperimentConfig, main
-from lindyn.criteria import CriterionKind, TrimPolicy, quantity
+from lindyn.criteria import CriterionKind
 from lindyn.presets import REGISTRY, build_preset, preset_names
+from oracles import quantity
 
 
 def run(args):
@@ -267,6 +269,30 @@ class TestClassifyCommand:
         assert sup["best_log2_q"] == per_n["SUPERCYCLIC_SOLID", n]["log2_q"]
         assert f"best q({n}) = 0 (log2 q = " in out
 
+    def test_contracting_alpha_walks_to_the_tail(self, tmp_path, capsys):
+        # alpha = t/2: the backward leg walks the expanding inverse 2t past
+        # the float range to -inf, where the weight's left tail 2 adds
+        # exactly 1 to log2 q per n, and no overflow warning is printed
+        cfg = self.config(
+            tmp_path, space={"kind": "L2"}, window={"m": 2.0},
+            horizon=1200, tol=1e-6,
+            operator={"alpha": {"kind": "piecewise_affine",
+                                "breakpoints": [0.0], "values": [0.0],
+                                "left_slope": 0.5, "right_slope": 0.5},
+                      "weight": {"breakpoints": [-1.0, 0.0, 1.0],
+                                 "values": [2.0, 1.0, 0.5]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["classify", "--config", cfg,
+                        "--out", str(tmp_path)]) == 0
+        log2_q = [json.loads(line)["log2_q"] for line in
+                  (tmp_path / "verdicts.jsonl").read_text().splitlines()
+                  if '"kind": "SUPERCYCLIC_SOLID", "log2_q"' in line]
+        assert len(log2_q) == 1200
+        assert all(math.isfinite(lq) for lq in log2_q)
+        assert np.diff(log2_q[-200:]) == pytest.approx(np.ones(199),
+                                                       abs=1e-9)
+
     def test_cesaro_log2_q_ties_where_q_ties(self, tmp_path, capsys):
         # ex3.5 in C0 at m = 2: the Cesaro q(3) equals q(1) = 2.0, and so
         # must log2 q, or the tie sets a record
@@ -303,7 +329,7 @@ class TestClassifyCommand:
                    + flags) == 0
         loaded = ExperimentConfig.load(cfg, None)
         window = loaded.compact_window()
-        trim = TrimPolicy(loaded.trim) if loaded.trim else None
+        trim = loaded.trim
         per_n = {}
         for line in (tmp_path / "verdicts.jsonl").read_text().splitlines():
             rec = json.loads(line)

@@ -9,13 +9,8 @@ from lindyn.criteria import (
     _trim_greedy,
     CompactWindow,
     CriterionKind,
-    TrimPolicy,
     evaluate,
     implication_check,
-    product_factors,
-    quantity,
-    segal_factors,
-    sweep_factors,
     verdict_from_trace,
 )
 from lindyn.errors import SegalIncompatibleError
@@ -25,8 +20,9 @@ from lindyn.funcspace import (
     PiecewiseMap,
     Translation,
 )
-from lindyn.operators import _BLOCK_ROWS, CocycleSweep, CompositionOperator
+from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
 from lindyn.presets import build_preset
+from oracles import product_factors, quantity, segal_factors, sweep_factors
 
 RNG = np.random.default_rng(7)
 GRID = Grid(64.0, 0.25)
@@ -214,9 +210,9 @@ class TestSharedSweep:
     def test_many_kinds_equal_one_at_a_time(self):
         kinds = list(CriterionKind)
         win = CompactWindow.from_grid(GRID, 2.0)
-        for preset, trim, inverse in (("ex3.7", None, False),
-                                      ("ex3.8", TrimPolicy(2), False),
-                                      ("ex3.6", TrimPolicy(1), True)):
+        for preset, trim, inverse in (("ex3.7", 0, False),
+                                      ("ex3.8", 2, False),
+                                      ("ex3.6", 1, True)):
             op = build_preset(preset, depth=80)
             together = evaluate(kinds, op, win, 60, 1e-2, trim,
                                 inverse=inverse)
@@ -232,7 +228,7 @@ class TestSharedSweep:
         op = build_preset("ex3.8", depth=80)
         win = CompactWindow.from_grid(GRID, 2.0)
         kinds = list(CriterionKind)
-        for trim in (None, TrimPolicy(2)):
+        for trim in (0, 2):
             for inverse in (False, True):
                 verdicts = evaluate(kinds, op, win, 40, 1e-2, trim,
                                     inverse=inverse)
@@ -247,7 +243,7 @@ class TestSharedSweep:
 
 
 class TestBlockSeams:
-    """The sweep reads the orbit lattice in blocks of _BLOCK_ROWS rows; its
+    """The sweep reads the orbit lattice in blocks of _block_rows rows; its
     extremes, with and without trimming, equal a sweep stepped once per n,
     on both sides of each block seam."""
 
@@ -284,10 +280,10 @@ class TestBlockSeams:
     def test_rows_across_seams(self, name, inverse):
         op = self.OPS[name]
         win = CompactWindow.from_grid(Grid(2.0, 0.5), 2.0)
-        b = _BLOCK_ROWS
+        b = _block_rows(win.points.size)
         horizon = 2 * b + 3
-        ext, trimmed = _leg_extremes(op, win, horizon, inverse, [self.KIND],
-                                     2)
+        ext, trimmed = _leg_extremes(op, win.points, win.points, horizon,
+                                     inverse, [self.KIND], 2)
         ref_ext, ref_xy, ref_drops = self.stepped(op, win.points, horizon,
                                                   inverse, 2)
         xy, drops = trimmed[self.KIND]
@@ -373,13 +369,13 @@ class TestTrim:
         win = CompactWindow.from_grid(Grid(8.0, 0.25), 2.0)
         q_raw = quantity(CriterionKind.SUPERCYCLIC_SOLID, op, win, 1)
         q_trim = quantity(CriterionKind.SUPERCYCLIC_SOLID, op, win, 1,
-                          TrimPolicy(2))
+                          max_drop=2)
         assert q_raw == pytest.approx(6.0, rel=1e-12)
         assert q_trim < q_raw
 
     def test_trim_never_empties_window(self):
         q = quantity(CriterionKind.SUPERCYCLIC_SOLID, OP_DOUBLE, K0, 3,
-                     TrimPolicy(5))
+                     max_drop=5)
         assert q == quantity(CriterionKind.SUPERCYCLIC_SOLID, OP_DOUBLE,
                              K0, 3)
 
@@ -389,7 +385,7 @@ class TestTrim:
         op = CompositionOperator(Translation(-8.0), w)
         win = CompactWindow.from_grid(Grid(8.0, 0.25), 2.0)
         [v] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op, win, 5, 1e-6,
-                       TrimPolicy(2))
+                       max_drop=2)
         assert v.trimmed is not None and len(v.trimmed) == 5
         assert all(0 <= d <= 2 for d in v.trimmed)
 

@@ -29,14 +29,15 @@ from lindyn.dynamics import (
     supercyclic_approximant,
 )
 from lindyn.operators import (
-    _BLOCK_ROWS,
     CocycleSweep,
     CompositionOperator,
+    _block_rows,
     _loses_mass,
     apply_Tn,
     scale_by_exp2,
 )
 from lindyn.presets import build_preset
+from oracles import product_factors
 
 RNG = np.random.default_rng(11)
 SMALL = Grid(1.0, 0.5)  # five points
@@ -222,7 +223,7 @@ class TestOrbitTrace:
     def test_csv(self, tmp_path):
         op = build_preset("ex3.5")
         f = triangular_bump(GRID)
-        tr = orbit_trace(op, f, 5, L2, target=f)
+        tr = orbit_trace(op, f, 5, L2, targets=[f])
         path = tmp_path / "orbit.csv"
         tr.to_csv(path)
         rows = path.read_text().strip().splitlines()
@@ -233,7 +234,7 @@ class TestOrbitTrace:
 
 class TestOrbitBlockSeams:
     """operator_orbit reads one leg of the orbit lattice in blocks of
-    _BLOCK_ROWS rows; each T^n f and S^n f equals the one read off a
+    _block_rows rows; each T^n f and S^n f equals the one read off a
     CocycleSweep stepped n times, on both sides of the block seam."""
 
     # the weight varies along every orbit walked here, so a row read from
@@ -255,7 +256,7 @@ class TestOrbitBlockSeams:
     def test_matches_stepped_sweep(self, name, side):
         op = self.OPS[name]
         f = triangular_bump(self.GRID, 0.0, 640.0)
-        b = _BLOCK_ROWS
+        b = _block_rows(f.grid.points.size)
         horizon = b + 3
         sweep = CocycleSweep(op, f.grid.points)
         checked = []
@@ -299,7 +300,6 @@ class TestApproximants:
         grid = Grid(64.0, 0.25)
         f = triangular_bump(grid)
         win = CompactWindow.from_grid(grid, 1.0)
-        from lindyn.criteria import product_factors
         from lindyn.operators import apply_Sn
         for n in (1, 3, 9, 20):
             p_minus, p_plus = product_factors(op, win, n)

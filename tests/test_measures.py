@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lindyn.criteria import CompactWindow, CriterionKind
+from lindyn.criteria import CompactWindow, CriterionKind, evaluate
 from lindyn.errors import (
     DegenerateApproximantError,
     GridMismatchError,
@@ -239,6 +239,69 @@ class TestAdjointCriterion:
         [fwd] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], flipped, win,
                          20, 1e-6)
         assert np.allclose(adj.trace, fwd.trace, rtol=1e-11, atol=0)
+
+
+class TestSharedAdjointSweep:
+    """An untrimmed adjoint sweep is the block sweep of ``evaluate`` over
+    two point sets; only the TV trim reads q one n at a time."""
+
+    ADJOINT_KINDS = (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO)
+
+    def test_untrimmed_is_vectorised(self, monkeypatch):
+        import lindyn.measures
+
+        calls = []
+        q_at = lindyn.measures._q_at
+
+        def counted(*args):
+            calls.append(args[1])  # n
+            return q_at(*args)
+
+        monkeypatch.setattr(lindyn.measures, "_q_at", counted)
+        op = build_preset("ex4.3a")
+        mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
+        win = CompactWindow.from_grid(GRID, 1.5)
+        for kind in self.ADJOINT_KINDS:
+            adjoint_criterion(kind, op, mu, mu, win, 30, 1e-6)
+        assert calls == []
+        adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu, win, 30,
+                          1e-6, atom_trim_budget=0.05)
+        assert calls == list(range(1, 31))
+
+    @pytest.mark.parametrize("preset", ["ex3.5", "ex3.7", "ex4.3a", "ex4.3b"])
+    @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
+    def test_unit_atoms_on_window_equal_evaluate(self, preset, m):
+        op = build_preset(preset)
+        win = CompactWindow.from_grid(GRID, m)
+        mu = AtomicMeasure((x, 1.0) for x in win.points)
+        for kind in self.ADJOINT_KINDS:
+            adj = adjoint_criterion(kind, op, mu, mu, win, 150, 1e-6)
+            [ref] = evaluate([kind], op, win, 150, 1e-6)
+            assert np.array_equal(adj.trace, ref.trace)
+            assert np.array_equal(adj.log2_trace, ref.log2_trace)
+            assert adj.witness == ref.witness
+
+    def test_supports_of_different_width_across_seams(self):
+        # 40 atoms get narrower lattice blocks than 1 atom would: both legs
+        # must still read row n at n, on both sides of either seam
+        bp = np.linspace(-3200.0, 3200.0, 6401)
+        weight = PiecewiseMap(bp, 1.0 + 0.5 * np.sin(1.3 * bp),
+                              positive=True)
+        op = CompositionOperator(Translation(0.3), weight)
+        mu = AtomicMeasure((x, 1.0) for x in np.linspace(-2.0, 2.0, 40))
+        nu = AtomicMeasure.delta(0.5)
+        win = CompactWindow(2.0, [0.0])
+        horizon = 2100
+        for kind in self.ADJOINT_KINDS:
+            v = adjoint_criterion(kind, op, mu, nu, win, horizon, 1e-6)
+            for n in (819, 820, 1024, 1025, horizon):
+                x = -backward_log2(op, nu.locations, n).min()
+                y = forward_log2(op, mu.locations, n).max()
+                if kind == CriterionKind.ADJOINT_SUPER:
+                    q = np.exp2(x + y)
+                else:
+                    q = max(n * np.exp2(x), np.exp2(y) / n)
+                assert v.trace[n - 1] == q
 
 
 class TestMeasureApproximant:

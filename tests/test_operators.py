@@ -15,7 +15,7 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.operators import (
-    _BLOCK_ROWS,
+    _block_rows,
     _orbit_log2_rows,
     CocycleSweep,
     CompositionOperator,
@@ -143,7 +143,7 @@ class TestSweepMatchesOracles:
         # sides of each block seam; the weight varies along the whole walk
         op = CompositionOperator(self.OPS[name].alpha, SEAM_WEIGHT)
         pts = Grid(2.0, 0.5).points
-        b = _BLOCK_ROWS
+        b = _block_rows(pts.size)
         horizon = 2 * b + 3
         fwd = list(_orbit_log2_rows(op, pts, horizon))
         bwd = list(_orbit_log2_rows(op, pts, horizon, -1, -1))
