@@ -24,7 +24,6 @@ from .operators import (
     apply_Tn,
     apply_Sn,
     cocycle,
-    wedge_condition,
 )
 from .criteria import (
     CompactWindow,
@@ -32,6 +31,7 @@ from .criteria import (
     CriterionVerdict,
     evaluate,
     implication_check,
+    wedge_condition,
 )
 from .dynamics import (
     projective_distance,

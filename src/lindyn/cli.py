@@ -74,16 +74,13 @@ class ExperimentConfig:
     trim: int
 
     @classmethod
-    def load(cls, path: str | None, preset: str | None,
-             overrides: dict | None = None) -> "ExperimentConfig":
+    def load(cls, path: str | None, preset: str | None) -> "ExperimentConfig":
         raw: dict = {}
         if path:
             try:
                 raw = json.loads(Path(path).read_text())
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if overrides:
-            raw.update({k: v for k, v in overrides.items() if v is not None})
         op_spec = raw.get("operator", {})
         preset_name = preset or op_spec.get("preset")
         horizon = int(raw.get("horizon", 200))
@@ -219,14 +216,27 @@ def cmd_orbit(args) -> int:
     return 0
 
 
-def _porosity_theorem(cfg_seed: int, out):
-    rng = np.random.default_rng(cfg_seed)
-    scene = random_scene(rng)
+def _lift(scene: PorosityScene):
+    """The cut N, the level function h and the lift E(k) of a scene."""
     p = scene.params
     n_cut = choose_N(scene.f, scene.k, scene.g, p.beta, p.r)
     h = build_h(scene.g, n_cut, p.delta, p.beta)
     lifted = build_script_E(scene.k, scene.f, h, scene.g, n_cut, p.delta,
                             p.r_tilde)
+    return n_cut, h, lifted
+
+
+def _porosity_scene(path: str):
+    n_cut, h, lifted = _lift(PorosityScene.from_json(Path(path).read_text()))
+    return [], {"mode": "scene", "N": n_cut,
+                "lift_in_gamma_h": gamma_membership(lifted, GammaSet(h))}
+
+
+def _porosity_theorem(cfg_seed: int):
+    rng = np.random.default_rng(cfg_seed)
+    scene = random_scene(rng)
+    p = scene.params
+    n_cut, h, lifted = _lift(scene)
     gamma_set = GammaSet(scene.g)
     r_prime = min(p.delta, p.lam * (p.r_tilde - norm(scene.f - lifted, SUP)))
     bump = triangular_bump(scene.f.grid, 0.0, 1.0, 0.5 * r_prime)
@@ -242,66 +252,52 @@ def _porosity_theorem(cfg_seed: int, out):
                            margined, p.lam, 0.1, budget=64, inner_budget=64,
                            seed=cfg_seed)
     lines = [probe.to_jsonl()] if probe.records else []
-    summary = {
+    return lines, {
         "mode": "theorem", "seed": cfg_seed, "N": n_cut,
         "refill_in_gamma_g": gamma_membership(refill, gamma_set),
         "probe_witness_found": probe.witness is not None,
     }
-    lines.append(json.dumps(summary, sort_keys=True))
-    _write_lines(out, "porosity.jsonl", lines)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
 
 
-def _porosity_corollary(out):
+def _porosity_corollary():
     grid = Grid(256.0, 1.0)
     op = CompositionOperator(Translation(-1.0),
                              PiecewiseMap.constant(2.0, positive=True))
     gamma_set = corollary_g(op, grid)
     floor = corollary_check(op, gamma_set, gamma_set.g, 100)
-    summary = {"mode": "corollary", "min_orbit_sup": floor,
-               "floor_holds": bool(floor >= 1.0)}
-    _write_lines(out, "porosity.jsonl", [json.dumps(summary, sort_keys=True)])
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return [], {"mode": "corollary", "min_orbit_sup": floor,
+                "floor_holds": bool(floor >= 1.0)}
 
 
-def _porosity_singleton(cfg_seed: int, out):
+def _porosity_singleton(cfg_seed: int):
     grid = Grid(8.0, 0.25)
     origin = GridFunction.zero(grid)
     probe = porosity_probe(lambda fn: fn.is_zero, origin, 0.5, 0.1,
                            budget=16, inner_budget=64, seed=cfg_seed)
-    summary = {"mode": "singleton", "seed": cfg_seed,
-               "probe_witness_found": probe.witness is not None}
-    lines = [probe.to_jsonl(), json.dumps(summary, sort_keys=True)]
-    _write_lines(out, "porosity.jsonl", lines)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    return [probe.to_jsonl()], {
+        "mode": "singleton", "seed": cfg_seed,
+        "probe_witness_found": probe.witness is not None,
+    }
 
 
 def cmd_porosity(args) -> int:
-    if args.scene:
-        scene = PorosityScene.from_json(Path(args.scene).read_text())
-        p = scene.params
-        n_cut = choose_N(scene.f, scene.k, scene.g, p.beta, p.r)
-        h = build_h(scene.g, n_cut, p.delta, p.beta)
-        lifted = build_script_E(scene.k, scene.f, h, scene.g, n_cut, p.delta,
-                                p.r_tilde)
-        summary = {"mode": "scene", "N": n_cut,
-                   "lift_in_gamma_h": gamma_membership(lifted, GammaSet(h))}
-        _write_lines(args.out, "porosity.jsonl",
-                     [json.dumps(summary, sort_keys=True)])
-        print(json.dumps(summary, sort_keys=True))
-        return 0
-    mode = args.mode
+    """Run one porosity mode: its records, then its summary line, go to
+    porosity.jsonl, and the summary line to stdout."""
     seed = args.seed or 0
-    if mode == "theorem":
-        return _porosity_theorem(seed, args.out)
-    if mode == "corollary":
-        return _porosity_corollary(args.out)
-    if mode == "singleton":
-        return _porosity_singleton(seed, args.out)
-    raise ConfigError(f"unknown porosity mode {mode!r}")
+    if args.scene:
+        lines, summary = _porosity_scene(args.scene)
+    elif args.mode == "theorem":
+        lines, summary = _porosity_theorem(seed)
+    elif args.mode == "corollary":
+        lines, summary = _porosity_corollary()
+    elif args.mode == "singleton":
+        lines, summary = _porosity_singleton(seed)
+    else:
+        raise ConfigError(f"unknown porosity mode {args.mode!r}")
+    summary_line = json.dumps(summary, sort_keys=True)
+    _write_lines(args.out, "porosity.jsonl", [*lines, summary_line])
+    print(summary_line)
+    return 0
 
 
 def cmd_adjoint(args) -> int:

@@ -340,15 +340,14 @@ def cesaro_approximant(op: CompositionOperator, f: GridFunction,
 
 
 def segal_approximant(op: CompositionOperator, f: GridFunction,
-                      g: GridFunction, n: int, tau: PiecewiseMap,
-                      tail_tol: float = 1e-9,
-                      tau_tol: float = 1e-9) -> Approximant:
+                      g: GridFunction, n: int,
+                      tau: PiecewiseMap) -> Approximant:
     """Weighted-algebra variant: same ratio construction, norms taken in
     the tau-weighted series norm, no restriction step."""
-    if not segal_compatible(op, tau, f.grid, tau_tol):
+    if not segal_compatible(op, tau, f.grid):
         raise SegalIncompatibleError("tau is not alpha-invariant")
     return _ratio_approximant(op, *_nonzero_pair(f, g, None), n,
-                              SegalNorm(tau, tail_tol))
+                              SegalNorm(tau))
 
 
 def empirical_best(op: CompositionOperator, f: GridFunction,

@@ -131,7 +131,7 @@ class PiecewiseMap:
     """Continuous piecewise-affine map determined by its node values.
 
     Values left of the first breakpoint follow an affine tail of slope
-    ``left_slope`` (constant when 0, the default), and symmetrically onend
+    ``left_slope`` (constant when 0, the default), and symmetrically on
     the right.  Node values may be real or complex; a map flagged
     ``positive`` must be real with strictly positive nodes and constant
     tails, so both the map and its reciprocal are bounded on the line.

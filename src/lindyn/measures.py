@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,14 +25,11 @@ from .criteria import (
     CriterionVerdict,
     _kind_verdict,
     _leg_extremes,
-    _q_at,
-    verdict_from_trace,
 )
 from .errors import DegenerateApproximantError, SupportOutsideWindowError
 from .funcspace import GridFunction, homeo_power, linear_interpolate
 from .operators import (
     CompositionOperator,
-    _orbit_log2_rows,
     apply_T,
     backward_log2,
     forward_log2,
@@ -96,12 +92,6 @@ class AtomicMeasure:
         return AtomicMeasure._from_arrays(self.locations, self.weights * c)
 
     __rmul__ = __mul__
-
-    def drop(self, indices: Sequence[int]) -> "AtomicMeasure":
-        keep = np.ones(self.locations.size, dtype=bool)
-        keep[list(indices)] = False
-        return AtomicMeasure._from_arrays(self.locations[keep],
-                                          self.weights[keep])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -166,40 +156,13 @@ def duality_check(op: CompositionOperator, f: GridFunction,
     return abs(lhs - rhs) <= tol
 
 
-def _trim_tv(logs: np.ndarray, weights: np.ndarray, budget: float,
-             side: str):
-    """Drop atoms with the worst product leg while the dropped total
-    variation stays within budget.  ``side='max'`` drops the largest logs,
-    ``side='min'`` the smallest.  At least one atom always survives."""
-    keep = np.ones(logs.size, dtype=bool)
-    if budget <= 0:
-        return keep, 0.0
-    order = np.argsort(logs)
-    if side == "max":
-        order = order[::-1]
-    dropped_tv = 0.0
-    for i in order:
-        if keep.sum() <= 1:
-            break
-        cost = abs(weights[i])
-        if dropped_tv + cost > budget:
-            break
-        keep[i] = False
-        dropped_tv += cost
-    return keep, dropped_tv
-
-
 def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
                       mu: AtomicMeasure, nu: AtomicMeasure,
-                      window: CompactWindow, horizon: int, tol: float,
-                      atom_trim_budget: float = 0.0) -> CriterionVerdict:
-    """Adjoint-side criterion sweep over the supports of mu and nu.
-
-    The forward leg sups over mu's (untrimmed) atom locations, the inverse
-    backward leg over nu's.  Trim sets are chosen greedily under a total
-    variation budget that halves at each new record minimum; the defaults
-    disable trimming, which is what the concrete instances need.
-    """
+                      window: CompactWindow, horizon: int,
+                      tol: float) -> CriterionVerdict:
+    """Adjoint-side criterion sweep over the supports of mu and nu: the
+    forward leg sups over mu's atom locations, the inverse backward leg
+    over nu's, in the one shared cocycle sweep of :mod:`criteria`."""
     if kind not in (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO):
         raise ValueError("kind must be an adjoint criterion")
     if mu.is_zero or nu.is_zero:
@@ -210,50 +173,24 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
             raise SupportOutsideWindowError(
                 f"{name} has atoms outside [-{m}, {m}]"
             )
-    params = {"window_radius": m, "atom_trim_budget": atom_trim_budget}
-    if atom_trim_budget <= 0:
-        ext, _ = _leg_extremes(op, mu.locations, nu.locations, horizon)
-        return _kind_verdict(kind, ext[2:], tol, None, params)
-    trace = np.empty(horizon)
-    log2_trace = np.empty(horizon)
-    trimmed = []
-    best = math.inf
-    records = 0
-    # the budget needs q online, so the trimmed legs are read row by row:
-    # the forward leg over mu's atoms, the backward leg over nu's
-    fwd = chain.from_iterable(_orbit_log2_rows(op, mu.locations, horizon))
-    bwd = chain.from_iterable(_orbit_log2_rows(op, nu.locations, horizon,
-                                               -1, -1))
-    for n, (lf, lb) in enumerate(zip(fwd, bwd), start=1):
-        budget_n = atom_trim_budget * 2.0 ** (-records)
-        keep_f, _ = _trim_tv(lf, mu.weights, budget_n, "max")
-        keep_b, _ = _trim_tv(-lb, nu.weights, budget_n, "max")
-        trimmed.append(int((~keep_f).sum() + (~keep_b).sum()))
-        log2_q, q = _q_at(kind, n, lf[keep_f], lb[keep_b])
-        log2_trace[n - 1], trace[n - 1] = log2_q, q
-        # the trim budget halves at each new record minimum of the witness
-        if q < math.inf and log2_q < best:
-            best, records = log2_q, records + 1
-    return verdict_from_trace(kind.value, trace, tol, trimmed, params,
-                              log2_trace)
+    # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
+    params = {"window_radius": m, "atom_trim_budget": 0.0}
+    ext, _ = _leg_extremes(op, mu.locations, nu.locations, horizon)
+    return _kind_verdict(kind, ext[2:], tol, None, params)
 
 
 def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
-                        nu: AtomicMeasure, n: int,
-                        mu_drop: Sequence[int] = (),
-                        nu_drop: Sequence[int] = ()):
-    """eta = mu~ + (||T*^n mu~|| / ||S*^n nu~||)^(1/2) S*^n nu~ and the
+                        nu: AtomicMeasure, n: int):
+    """eta = mu + (||T*^n mu|| / ||S*^n nu||)^(1/2) S*^n nu and the
     matching scalar; the caller checks both convergence legs."""
-    mu_t = mu.drop(mu_drop) if mu_drop else mu
-    nu_t = nu.drop(nu_drop) if nu_drop else nu
-    if mu_t.is_zero or nu_t.is_zero:
-        raise DegenerateApproximantError("trimmed measure is zero")
-    t_mu = adjoint_Tn(op, mu_t, n)
-    s_nu = adjoint_Sn(op, nu_t, n)
+    if mu.is_zero or nu.is_zero:
+        raise DegenerateApproximantError("mu and nu must be nonzero")
+    t_mu = adjoint_Tn(op, mu, n)
+    s_nu = adjoint_Sn(op, nu, n)
     a = tv_norm(t_mu)
     b = tv_norm(s_nu)
     if a == 0 or b == 0:
         raise DegenerateApproximantError("adjoint power has zero norm")
-    eta = mu_t + math.sqrt(a / b) * s_nu
+    eta = mu + math.sqrt(a / b) * s_nu
     lam = math.sqrt(b / a)
     return eta, lam

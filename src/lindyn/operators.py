@@ -37,7 +37,6 @@ __all__ = [
     "backward_log2",
     "scale_by_exp2",
     "segal_compatible",
-    "wedge_condition",
 ]
 
 
@@ -206,27 +205,19 @@ def _loses_mass(f: GridFunction, images: np.ndarray) -> bool:
 
 def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
     """(T f)(t) = w(t) * f(alpha(t)) on the grid."""
-    pts = f.grid.points
-    img = homeo_power(op.alpha, pts, 1)
-    vals = op.weight(pts) * linear_interpolate(f, img)
-    return GridFunction(f.grid, vals,
-                        f.truncated or _loses_mass(f, img))
+    return apply_Tn(op, f, 1)
 
 
 def apply_S(op: CompositionOperator, f: GridFunction) -> GridFunction:
     """(S f)(t) = f(alpha^{-1}(t)) / w(alpha^{-1}(t)); S inverts T."""
-    pts = f.grid.points
-    pre = homeo_power(op.alpha, pts, -1)
-    vals = linear_interpolate(f, pre) / op.weight(pre)
-    return GridFunction(f.grid, vals,
-                        f.truncated or _loses_mass(f, pre))
+    return apply_Sn(op, f, 1)
 
 
 def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
     """T^n f via one interpolation of f o alpha^n and a per-point weight fold.
 
-    The weights are multiplied right to left, which reproduces n-fold
-    ``apply_T`` bit for bit when alpha maps grid points to grid points, and
+    The weights are multiplied right to left, which reproduces n single
+    steps bit for bit when alpha maps grid points to grid points, and
     keeps zero-support points exactly zero.
     """
     if n < 0:
@@ -262,20 +253,3 @@ def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,
     moved = homeo_power(op.alpha, pts, 1)
     return bool(np.max(np.abs(tau(moved) - tau(pts))) <= tol)
 
-
-def wedge_condition(op: CompositionOperator, window, horizon: int,
-                    tol: float):
-    """Scalar decay condition implying supercyclicity of the induced
-    conjugation and wedge operators on compact operators.
-
-    The quantity is the product of the two orbit-product sups over a
-    ``CompactWindow`` of radius m >= 1; it coincides with the supremum-norm
-    supercyclicity quantity, so the evaluation is delegated there.
-    """
-    if window.radius < 1:
-        raise ValueError("window radius must be >= 1")
-    from .criteria import CriterionKind, evaluate, verdict_from_trace
-
-    [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, horizon, tol)
-    return verdict_from_trace("WEDGE", c0.trace, tol, params=c0.params,
-                              log2_trace=c0.log2_trace)

@@ -20,10 +20,11 @@ from .criteria import (
     CompactWindow,
     CriterionKind,
     evaluate,
+    wedge_condition,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
 from .measures import AtomicMeasure, adjoint_criterion
-from .operators import CompositionOperator, wedge_condition
+from .operators import CompositionOperator
 
 __all__ = [
     "build_preset",

@@ -21,7 +21,7 @@ from lindyn.funcspace import (
     Translation,
 )
 from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
-from lindyn.presets import build_preset
+from lindyn.presets import REGISTRY, build_preset
 from oracles import product_factors, quantity, segal_factors, sweep_factors
 
 RNG = np.random.default_rng(7)
@@ -412,6 +412,27 @@ class TestImplication:
         assert not report.cesaro.satisfied
         assert not report.supercyclic.satisfied
         assert report.ok
+
+    @pytest.mark.parametrize("example_id", sorted(REGISTRY))
+    def test_space_variants_agree(self, example_id):
+        # the C0 and Segal kinds run the solid formulas on the same legs,
+        # so the check needs only the solid pair
+        example = REGISTRY[example_id]
+        op = build_preset(example.preset)
+        families = (
+            (CriterionKind.SUPERCYCLIC_SOLID, CriterionKind.SUPERCYCLIC_C0,
+             CriterionKind.SUPERCYCLIC_SEGAL),
+            (CriterionKind.CESARO_SOLID, CriterionKind.CESARO_C0,
+             CriterionKind.CESARO_SEGAL),
+        )
+        for m in sorted({exp.window for exp in example.expectations}):
+            win = CompactWindow.from_grid(GRID, m)
+            for kinds in families:
+                ref, *rest = evaluate(kinds, op, win, 300, 1e-2)
+                for v in rest:
+                    assert np.array_equal(v.trace, ref.trace)
+                    assert np.array_equal(v.log2_trace, ref.log2_trace)
+                    assert v.witness == ref.witness
 
     def test_square_identity_random_instances(self):
         win = CompactWindow.from_grid(Grid(64.0, 0.25), 1.0)

@@ -192,19 +192,6 @@ class TestAdjointCriterion:
             adjoint_criterion(CriterionKind.ADJOINT_SUPER, OP_UNIT, mu, mu,
                               self.window(), 10, 1e-6)
 
-    def test_atom_trim(self):
-        # one heavy-product atom plus one light one: a budget covering the
-        # light atom's variation cannot drop the heavy one
-        op = build_preset("ex4.3b")
-        mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
-        win = self.window(1.5)
-        raw = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
-                                win, 30, 1e-12)
-        trimmed = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
-                                    win, 30, 1e-12, atom_trim_budget=0.05)
-        assert trimmed.trimmed is not None
-        assert min(trimmed.trace) <= min(raw.trace) * (1 + 1e-12)
-
     def test_distinct_measures_read_their_own_leg(self):
         # the forward leg sups over mu's atoms and the backward leg over
         # nu's, also when the two supports differ in place and in size
@@ -242,31 +229,28 @@ class TestAdjointCriterion:
 
 
 class TestSharedAdjointSweep:
-    """An untrimmed adjoint sweep is the block sweep of ``evaluate`` over
-    two point sets; only the TV trim reads q one n at a time."""
+    """An adjoint sweep is the block sweep of ``evaluate`` over two point
+    sets, with no per-n q."""
 
     ADJOINT_KINDS = (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO)
 
     def test_untrimmed_is_vectorised(self, monkeypatch):
-        import lindyn.measures
+        import lindyn.criteria
 
         calls = []
-        q_at = lindyn.measures._q_at
+        q_at = lindyn.criteria._q_at
 
         def counted(*args):
             calls.append(args[1])  # n
             return q_at(*args)
 
-        monkeypatch.setattr(lindyn.measures, "_q_at", counted)
+        monkeypatch.setattr(lindyn.criteria, "_q_at", counted)
         op = build_preset("ex4.3a")
         mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
         win = CompactWindow.from_grid(GRID, 1.5)
         for kind in self.ADJOINT_KINDS:
             adjoint_criterion(kind, op, mu, mu, win, 30, 1e-6)
         assert calls == []
-        adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu, win, 30,
-                          1e-6, atom_trim_budget=0.05)
-        assert calls == list(range(1, 31))
 
     @pytest.mark.parametrize("preset", ["ex3.5", "ex3.7", "ex4.3a", "ex4.3b"])
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
@@ -318,7 +302,7 @@ class TestMeasureApproximant:
     def test_degenerate(self):
         mu = AtomicMeasure.delta(0.0)
         with pytest.raises(DegenerateApproximantError):
-            measure_approximant(OP_ID, mu, mu, 1, nu_drop=[0])
+            measure_approximant(OP_ID, mu, AtomicMeasure(), 1)
 
     def test_convergence_along_witness(self):
         op = build_preset("ex4.3a")

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from lindyn.criteria import CompactWindow, CriterionKind, evaluate
+from lindyn.criteria import (
+    CompactWindow,
+    CriterionKind,
+    evaluate,
+    wedge_condition,
+)
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -27,7 +32,6 @@ from lindyn.operators import (
     cocycle,
     forward_log2,
     segal_compatible,
-    wedge_condition,
 )
 from lindyn.presets import build_preset
 
