@@ -203,7 +203,7 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
     """Yield (n, T^n f) (or S^n f) for n = 1..horizon, walking only the leg
     the side reads, in row blocks: the forward (T) or negated backward (S)
     rows of ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t).
-    Same points and Kahan order as ``CocycleSweep``, so bit-identical."""
+    Same points and Sum2 sums as ``CocycleSweep``, so bit-identical."""
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
     step = 1 if side == "T" else -1

@@ -3,9 +3,9 @@
 The operator sends f to w * (f o alpha) for a homeomorphism alpha and a
 positive weight w with bounded reciprocal.  Orbit norms are governed by the
 weight products along alpha-orbits; those products are accumulated as
-compensated sums of base-2 logarithms so that sweeps reaching 2**(+-10^4)
-neither overflow nor lose the 1e-12 accuracy the oracles require, and stay
-bit-exact for dyadic weights.
+compensated (Sum2) sums of base-2 logarithms so that sweeps reaching
+2**(+-10^4) neither overflow nor lose the 1e-12 accuracy the oracles
+require, and stay bit-exact for dyadic weights, whose TwoSum errors are 0.
 """
 
 from __future__ import annotations
@@ -40,28 +40,29 @@ __all__ = [
 ]
 
 
-class KahanSum:
-    """Elementwise compensated accumulator over a fixed-shape float array."""
-
-    __slots__ = ("total", "_comp")
-
-    def __init__(self, shape):
-        self.total = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, x):
-        y = x - self._comp
-        t = self.total + y
-        self._comp = (t - self.total) - y
-        self.total = t
-
-    def add_rows(self, rows: np.ndarray):
-        """Add the rows of a block of terms in order, overwriting each row
-        with the running total after it (an in-place compensated prefix
-        sum, bit-identical to one ``add`` per row)."""
-        for row in rows:
-            self.add(row)
-            row[...] = self.total
+def _sum2_rows(x: np.ndarray, s: np.ndarray, e: np.ndarray,
+               buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite the (rows, |t|) block ``x`` of terms with its running
+    totals, continuing the carry (s, e) of the rows before it; return the
+    carry after it.  Sum2 (Ogita, Rump & Oishi 2005, "Accurate sum and dot
+    product"): s runs the plain sum, E = e + the running sum of its exact
+    TwoSum errors, and a row is s + E.  Each pass runs down the rows in
+    order, so one call on a block equals one call per row.  ``buf`` is
+    scratch of (>= 2*rows + 1, |t|)."""
+    r = len(x)
+    cs, z = buf[:r + 1], buf[r + 1:2 * r + 1]
+    cs[0], cs[1:] = s, x
+    np.add.accumulate(cs, out=cs)
+    prev, cur = cs[:-1], cs[1:]
+    np.subtract(cur, prev, out=z)
+    x -= z
+    np.subtract(prev, np.subtract(cur, z, out=z), out=z)
+    x += z
+    x[0] += e
+    np.add.accumulate(x, out=x)
+    e = x[-1].copy()
+    x += cur
+    return cur[-1].copy(), e
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,12 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
     compensated, elementwise in t, summed in walk order; one weight call
     per block.  ``rows`` defaults to :func:`_block_rows` of |t|."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    acc = KahanSum(pts.shape)
-    for block in homeo_orbit_blocks(op.alpha, pts, n,
-                                    rows or _block_rows(pts.size), step,
-                                    start):
+    rows = rows or _block_rows(pts.size)
+    buf = np.empty((2 * min(rows, n) + 1, pts.size))
+    carry = np.zeros(pts.shape), np.zeros(pts.shape)
+    for block in homeo_orbit_blocks(op.alpha, pts, n, rows, step, start):
         logs = op.log2_weight(block)
-        acc.add_rows(logs)
+        carry = _sum2_rows(logs, *carry, buf)
         yield logs
 
 
@@ -146,8 +147,9 @@ class CocycleSweep:
     """Incremental forward/backward log-products over a fixed point set.
 
     After n calls to :meth:`step`, ``log_forward[i]`` equals
-    ``forward_log2(op, pts, n)[i]`` bit for bit (the same orbit points,
-    summed in the same order), and likewise for the backward side;
+    ``forward_log2(op, pts, n)[i]`` bit for bit: the same orbit points,
+    summed by the same block function on one row at a time, which is
+    sequential down the rows.  Likewise for the backward side;
     ``forward_positions`` holds alpha^n(pts), the argument of f in the
     closed form of T^n.
     """
@@ -155,26 +157,23 @@ class CocycleSweep:
     def __init__(self, op: CompositionOperator, pts):
         self.op = op
         self.base = np.atleast_1d(np.asarray(pts, dtype=float)).copy()
-        self._fwd = KahanSum(self.base.shape)
-        self._bwd = KahanSum(self.base.shape)
+        zero = np.zeros(self.base.shape)
+        self.log_forward = self.log_backward = zero
+        self._fwd = self._bwd = zero, zero  # Sum2 carries (s, e)
+        self._buf = np.empty((3, self.base.size))
         self._fwd_walk = homeo_orbit(op.alpha, self.base)
         self._bwd_walk = homeo_orbit(op.alpha, self.base, -1, -1)
         self._fwd_pos = next(self._fwd_walk)
         self._bwd_pos = self.base
 
     def step(self):
-        self._fwd.add(self.op.log2_weight(self._fwd_pos))
+        fwd = self.op.log2_weight(self._fwd_pos)[None]
+        self._fwd = _sum2_rows(fwd, *self._fwd, self._buf)
         self._fwd_pos = next(self._fwd_walk)
         self._bwd_pos = next(self._bwd_walk)
-        self._bwd.add(self.op.log2_weight(self._bwd_pos))
-
-    @property
-    def log_forward(self) -> np.ndarray:
-        return self._fwd.total
-
-    @property
-    def log_backward(self) -> np.ndarray:
-        return self._bwd.total
+        bwd = self.op.log2_weight(self._bwd_pos)[None]
+        self._bwd = _sum2_rows(bwd, *self._bwd, self._buf)
+        self.log_forward, self.log_backward = fwd[0], bwd[0]
 
     @property
     def forward_positions(self) -> np.ndarray:

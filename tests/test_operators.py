@@ -1,3 +1,6 @@
+import math
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from lindyn.funcspace import (
     PiecewiseMap,
     SUP,
     Translation,
+    homeo_orbit_blocks,
     homeo_power,
     identity_homeo,
     norm,
@@ -33,7 +37,7 @@ from lindyn.operators import (
     forward_log2,
     segal_compatible,
 )
-from lindyn.presets import build_preset
+from lindyn.presets import build_preset, telescoping_depth
 
 RNG = np.random.default_rng(42)
 GRID = Grid(16.0, 0.25)
@@ -161,6 +165,46 @@ class TestSweepMatchesOracles:
                 assert np.array_equal(bwd[n - 1], sweep.log_backward)
         assert np.array_equal(fwd[-1], forward_log2(op, pts, horizon))
         assert np.array_equal(bwd[-1], backward_log2(op, pts, horizon))
+
+
+def fsum_prefixes(terms):
+    """math.fsum(terms[:n, j]) for every n and column j.  Each running sum
+    is kept exactly as an integer multiple of 1/D, D the largest of the
+    terms' power-of-two denominators, and divided once, which rounds it
+    correctly, as fsum does."""
+    out = np.empty_like(terms)
+    for j, col in enumerate(terms.T.tolist()):
+        ratios = [x.as_integer_ratio() for x in col]
+        den = max(d for _, d in ratios)
+        sums = accumulate(num * (den // d) for num, d in ratios)
+        out[:, j] = [total / den for total in sums]
+    return out
+
+
+class TestSum2Accuracy:
+    """Every partial sum of a leg is within 1 ulp of the correctly rounded
+    sum of its terms, over long non-dyadic orbits and across block seams."""
+
+    H = 3000
+    PTS = Grid(2.0, 0.25).points
+    OPS = {
+        "ex3.8": build_preset("ex3.8", depth=telescoping_depth(H, 2.0)),
+        "ex3.6": build_preset("ex3.6"),
+        "rem3.10": build_preset("rem3.10", depth=telescoping_depth(H, 2.0)),
+        "seam": CompositionOperator(Translation(0.3), SEAM_WEIGHT),
+    }
+
+    @pytest.mark.parametrize("step", [1, -1])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_legs_within_an_ulp_of_fsum(self, name, step):
+        op, pts, start = self.OPS[name], self.PTS, min(step, 0)
+        legs = np.concatenate(list(_orbit_log2_rows(op, pts, self.H, step,
+                                                    start)))
+        terms = np.concatenate([op.log2_weight(b) for b in homeo_orbit_blocks(
+            op.alpha, pts, self.H, _block_rows(pts.size), step, start)])
+        ref = fsum_prefixes(terms)
+        assert ref[-1, 0] == math.fsum(terms[:, 0])
+        assert np.all(np.abs(legs - ref) <= np.abs(np.spacing(ref)))
 
 
 class TestPowers:
