@@ -7,7 +7,6 @@ from .funcspace import (
     PiecewiseMap,
     Translation,
     PiecewiseAffineHomeo,
-    identity_homeo,
     SUP,
     L2,
     SegalNorm,
@@ -15,22 +14,13 @@ from .funcspace import (
     restrict,
     linear_interpolate,
     triangular_bump,
-    rectangular_bump,
 )
-from .operators import (
-    CompositionOperator,
-    apply_T,
-    apply_S,
-    apply_Tn,
-    apply_Sn,
-    cocycle,
-)
+from .operators import CompositionOperator, apply_Tn, apply_Sn
 from .criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
     evaluate,
-    implication_check,
     wedge_condition,
 )
 from .dynamics import (
@@ -41,16 +31,7 @@ from .dynamics import (
     segal_approximant,
     empirical_best,
 )
-from .measures import (
-    AtomicMeasure,
-    tv_norm,
-    adjoint_T,
-    adjoint_Tn,
-    adjoint_Sn,
-    duality_check,
-    adjoint_criterion,
-    measure_approximant,
-)
+from .measures import AtomicMeasure, adjoint_criterion
 from .porosity import (
     GammaSet,
     gamma_membership,
@@ -62,6 +43,6 @@ from .porosity import (
     corollary_g,
     corollary_check,
 )
-from .presets import build_preset, preset_names, REGISTRY
+from .presets import build_preset, REGISTRY
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from .funcspace import (
     SUP,
     L2,
     Translation,
-    homeo_from_json,
+    homeo_from_spec,
     norm,
     triangular_bump,
 )
@@ -61,6 +61,19 @@ _SPACE_KINDS = {
 }
 
 
+def _bounded(value, name: str, low: int, *, integer: bool = False,
+             strict: bool = False):
+    """``value`` if it is a number (an integer with ``integer``) >= low, or
+    > low with ``strict``; a ConfigError otherwise."""
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (value > low if strict else value >= low)):
+        what = "an integer" if integer else "a number"
+        raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} "
+                          f"{low}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     operator: CompositionOperator
@@ -83,9 +96,10 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
         op_spec = raw.get("operator", {})
         preset_name = preset or op_spec.get("preset")
-        horizon = int(raw.get("horizon", 200))
+        horizon = _bounded(raw.get("horizon", 200), "horizon", 1,
+                           integer=True)
         wspec = raw.get("window", {})
-        window_m = float(wspec.get("m", 2.0))
+        window_m = float(_bounded(wspec.get("m", 2.0), "window.m", 0))
         gspec = raw.get("grid", {})
         try:
             grid = Grid(float(gspec.get("half_width", 64.0)),
@@ -106,7 +120,7 @@ class ExperimentConfig:
                                       f"sweep: need >= {needed}")
                 op = build_preset(preset_name, depth=depth)
             elif "alpha" in op_spec and "weight" in op_spec:
-                alpha = homeo_from_json(json.dumps(op_spec["alpha"]))
+                alpha = homeo_from_spec(op_spec["alpha"])
                 wm = op_spec["weight"]
                 weight = PiecewiseMap(wm["breakpoints"], wm["values"],
                                       positive=True)
@@ -132,8 +146,8 @@ class ExperimentConfig:
             window_m=window_m,
             window_eps=wspec.get("eps"),
             horizon=horizon,
-            tol=float(raw.get("tol", 1e-6)),
-            trim=int(raw.get("trim", 0)),
+            tol=float(_bounded(raw.get("tol", 1e-6), "tol", 0, strict=True)),
+            trim=_bounded(raw.get("trim", 0), "trim", 0, integer=True),
         )
 
     def compact_window(self) -> CompactWindow:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -37,8 +36,6 @@ __all__ = [
     "CriterionVerdict",
     "evaluate",
     "verdict_from_trace",
-    "implication_check",
-    "ImplicationReport",
     "wedge_condition",
 ]
 
@@ -220,10 +217,6 @@ class CriterionVerdict:
         self.params = dict(params or {})
 
     @property
-    def satisfied(self) -> bool:
-        return self.status == SATISFIED
-
-    @property
     def best(self) -> tuple[int, float] | None:
         """The last record (n, q), or None when no n gave a finite q."""
         return self.witness[-1] if self.witness else None
@@ -317,6 +310,8 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     inverse operator S, whose weight along forward orbits is the reciprocal
     backward product of T: lf_S = -lb_T and lb_S = -lf_T.
     """
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     ext = np.empty((4, horizon))
     trimmed = {kind: (np.empty((2, horizon)), []) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
@@ -342,6 +337,8 @@ def _kind_verdict(kind: CriterionKind, xy, tol: float, trimmed=None,
     """One kind's verdict from its formula arguments (x, y) over
     n = 1..horizon: the formula vectorised over n, then the record
     minima."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     ns = np.arange(1, len(xy[0]) + 1, dtype=float)
     with np.errstate(over="ignore"):
         log2_q, q = _FORMULA[kind][0](ns, *xy)
@@ -363,10 +360,6 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
     ext, trimmed = _leg_extremes(op, window.points, window.points, horizon,
                                  inverse, trim_kinds, max_drop)
@@ -380,41 +373,6 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
             xy, drops = (ext[2:] if _FORMULA[kind][1] else ext[:2]), None
         verdicts.append(_kind_verdict(kind, xy, tol, drops, params))
     return verdicts
-
-
-@dataclass(frozen=True)
-class ImplicationReport:
-    """Check that a Cesaro pass forces a supercyclic pass.
-
-    The product identity q_super(n) = (n * P_minus) * (P_plus / n) makes
-    q_super <= q_cesaro**2 whenever both scaled factors sit below their max,
-    so any verdict-level violation is a bug, not mathematics.
-    """
-
-    cesaro: CriterionVerdict
-    supercyclic: CriterionVerdict
-    verdict_violations: tuple[int, ...]
-    qlevel_violations: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.verdict_violations and not self.qlevel_violations
-
-
-def implication_check(op: CompositionOperator, window: CompactWindow,
-                      horizon: int, tol: float) -> ImplicationReport:
-    """The Cesaro-implies-supercyclic check on the solid kinds; the C0 and
-    Segal kinds share their formulas and legs, so their traces agree."""
-    ces, sup = evaluate((CriterionKind.CESARO_SOLID,
-                         CriterionKind.SUPERCYCLIC_SOLID),
-                        op, window, horizon, tol)
-    qc, qs = ces.trace, sup.trace
-    verdict_violations = (qc <= min(tol, 1.0)) & (qs > tol)
-    qlevel_violations = (qc <= 1.0) & (qs > qc * qc + 1e-10)
-    return ImplicationReport(
-        ces, sup,
-        tuple((np.flatnonzero(verdict_violations) + 1).tolist()),
-        tuple((np.flatnonzero(qlevel_violations) + 1).tolist()))
 
 
 def wedge_condition(op: CompositionOperator, window: CompactWindow,

@@ -11,7 +11,6 @@ sup-norm series built from a profile tau.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -30,7 +29,6 @@ __all__ = [
     "Translation",
     "PiecewiseAffineHomeo",
     "Homeo",
-    "identity_homeo",
     "homeo_power",
     "homeo_orbit",
     "homeo_orbit_blocks",
@@ -46,7 +44,6 @@ __all__ = [
     "restrict",
     "linear_interpolate",
     "triangular_bump",
-    "rectangular_bump",
 ]
 
 _ROUND_TOL = 1e-9
@@ -196,31 +193,6 @@ class PiecewiseMap:
         return PiecewiseMap(self.breakpoints + c, self.values,
                             self.left_slope, self.right_slope, self.positive)
 
-    def to_json(self) -> str:
-        if np.iscomplexobj(self.values):
-            raise ValueError("JSON serialization supports real maps only")
-        if self.left_slope != 0.0 or self.right_slope != 0.0:
-            raise ValueError("JSON serialization supports constant tails only")
-        return json.dumps(
-            {
-                "breakpoints": self.breakpoints.tolist(),
-                "values": self.values.tolist(),
-                "left_tail": float(self.values[0]),
-                "right_tail": float(self.values[-1]),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PiecewiseMap":
-        obj = json.loads(text)
-        pm = cls(obj["breakpoints"], obj["values"])
-        if obj.get("left_tail") is not None and obj["left_tail"] != pm.values[0]:
-            raise ValueError("left_tail must equal the first node value")
-        if obj.get("right_tail") is not None and obj["right_tail"] != pm.values[-1]:
-            raise ValueError("right_tail must equal the last node value")
-        return pm
-
 
 @dataclass(frozen=True)
 class Translation:
@@ -267,10 +239,6 @@ class PiecewiseAffineHomeo:
 
 
 Homeo = Union[Translation, PiecewiseAffineHomeo]
-
-
-def identity_homeo() -> PiecewiseAffineHomeo:
-    return PiecewiseAffineHomeo(PiecewiseMap([0.0], [0.0], 1.0, 1.0))
 
 
 def homeo_power(a: Homeo, t, n: int):
@@ -379,10 +347,6 @@ class GridFunction:
     def zero(cls, grid: Grid) -> "GridFunction":
         return cls(grid, np.zeros(grid.size, dtype=complex))
 
-    @classmethod
-    def sample(cls, grid: Grid, fn) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.points), dtype=complex))
-
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0))
@@ -408,24 +372,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * c, self.truncated)
 
     __rmul__ = __mul__
-
-    def to_csv(self, path):
-        data = np.column_stack(
-            [self.grid.points, self.values.real, self.values.imag]
-        )
-        np.savetxt(path, data, delimiter=",", header="t,re,im",
-                   comments="", fmt="%.17g")
-
-    @classmethod
-    def from_csv(cls, path, grid: Grid | None = None) -> "GridFunction":
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        t, re, im = data[:, 0], data[:, 1], data[:, 2]
-        if grid is None:
-            h = t[1] - t[0]
-            grid = Grid(-t[0], round(h, 12))
-        if not np.allclose(t, grid.points, atol=1e-9):
-            raise GridMismatchError("CSV abscissae do not match the grid")
-        return cls(grid, re + 1j * im)
 
 
 def linear_interpolate(f: GridFunction, t):
@@ -536,32 +482,8 @@ def triangular_bump(grid: Grid, center: float = 0.0, half_width: float = 1.0,
     return GridFunction(grid, height * prof)
 
 
-def rectangular_bump(grid: Grid, lo: float, hi: float,
-                     height: complex = 1.0) -> GridFunction:
-    """Indicator-like block: ``height`` on grid points in [lo, hi], else 0."""
-    t = grid.points
-    vals = np.where((t >= lo) & (t <= hi), height, 0.0)
-    return GridFunction(grid, vals)
-
-
-def homeo_to_json(a: Homeo) -> str:
-    if isinstance(a, Translation):
-        return json.dumps({"kind": "translation", "shift": a.shift},
-                          sort_keys=True)
-    return json.dumps(
-        {
-            "kind": "piecewise_affine",
-            "breakpoints": a.map.breakpoints.tolist(),
-            "values": a.map.values.tolist(),
-            "left_slope": a.map.left_slope,
-            "right_slope": a.map.right_slope,
-        },
-        sort_keys=True,
-    )
-
-
-def homeo_from_json(text: str) -> Homeo:
-    obj = json.loads(text)
+def homeo_from_spec(obj: dict) -> Homeo:
+    """The homeomorphism of a config's ``operator.alpha`` object."""
     if obj["kind"] == "translation":
         return Translation(obj["shift"])
     if obj["kind"] == "piecewise_affine":

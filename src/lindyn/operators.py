@@ -27,14 +27,9 @@ from .funcspace import (
 
 __all__ = [
     "CompositionOperator",
-    "apply_T",
-    "apply_S",
     "apply_Tn",
     "apply_Sn",
-    "cocycle",
     "CocycleSweep",
-    "forward_log2",
-    "backward_log2",
     "scale_by_exp2",
     "segal_compatible",
 ]
@@ -107,49 +102,14 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
         yield logs
 
 
-def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
-                start: int = 0) -> np.ndarray:
-    """sum_{j=0}^{n-1} log2 w(alpha^{start + j*step}(t)): the last row of
-    :func:`_orbit_log2_rows` (zeros when n = 0)."""
-    total = np.zeros(np.shape(np.atleast_1d(pts)))
-    for rows in _orbit_log2_rows(op, pts, n, step, start):
-        total = rows[-1].copy()
-    return total
-
-
-def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
-    """sum_{j=0}^{n-1} log2 w(alpha^j(t)), compensated, elementwise in t."""
-    return _orbit_log2(op, pts, n)
-
-
-def backward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
-    """sum_{j=1}^{n} log2 w(alpha^{-j}(t)), compensated, elementwise in t."""
-    return _orbit_log2(op, pts, n, -1, -1)
-
-
-def cocycle(op: CompositionOperator, n: int, t: float,
-            direction: str = "forward") -> float:
-    """Weight product along the orbit of t.
-
-    forward:  prod_{j=0}^{n-1} w(alpha^j(t))
-    backward: prod_{j=1}^{n}   w(alpha^{-j}(t))
-    """
-    if n < 1:
-        raise ValueError("cocycle requires n >= 1")
-    if direction == "forward":
-        return float(np.exp2(forward_log2(op, t, n)[0]))
-    if direction == "backward":
-        return float(np.exp2(backward_log2(op, t, n)[0]))
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 class CocycleSweep:
     """Incremental forward/backward log-products over a fixed point set.
 
-    After n calls to :meth:`step`, ``log_forward[i]`` equals
-    ``forward_log2(op, pts, n)[i]`` bit for bit: the same orbit points,
-    summed by the same block function on one row at a time, which is
-    sequential down the rows.  Likewise for the backward side;
+    After n calls to :meth:`step`, ``log_forward`` equals the last row
+    that ``_orbit_log2_rows(op, pts, n)`` yields, bit for bit: the same
+    orbit points, summed by the same block function on one row at a time,
+    which is sequential down the rows.  Likewise ``log_backward`` for the
+    backward walk ``_orbit_log2_rows(op, pts, n, -1, -1)``;
     ``forward_positions`` holds alpha^n(pts), the argument of f in the
     closed form of T^n.
     """
@@ -200,16 +160,6 @@ def _loses_mass(f: GridFunction, images: np.ndarray) -> bool:
     pts = f.grid.points
     outside = (pts < images.min()) | (pts > images.max())
     return bool(np.any(f.values[outside] != 0))
-
-
-def apply_T(op: CompositionOperator, f: GridFunction) -> GridFunction:
-    """(T f)(t) = w(t) * f(alpha(t)) on the grid."""
-    return apply_Tn(op, f, 1)
-
-
-def apply_S(op: CompositionOperator, f: GridFunction) -> GridFunction:
-    """(S f)(t) = f(alpha^{-1}(t)) / w(alpha^{-1}(t)); S inverts T."""
-    return apply_Sn(op, f, 1)
 
 
 def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:

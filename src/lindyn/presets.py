@@ -28,13 +28,11 @@ from .operators import CompositionOperator
 
 __all__ = [
     "build_preset",
-    "preset_names",
     "Expectation",
     "GoldenExample",
     "REGISTRY",
     "ExpectationResult",
     "run_expectation",
-    "run_example",
     "telescoping_depth",
     "TELESCOPING_PRESETS",
     "DEFAULT_GRID",
@@ -97,10 +95,6 @@ def build_preset(name: str, *, depth: int | None = None):
     if name == "ex4.3b":
         return CompositionOperator(Translation(-1.0), _bridge_weight(0.5, 1.0))
     raise KeyError(f"unknown preset {name!r}")
-
-
-def preset_names() -> tuple[str, ...]:
-    return ("ex3.5", "ex3.6", "ex3.7", "ex3.8", "rem3.10", "ex4.3a", "ex4.3b")
 
 
 @dataclass(frozen=True)
@@ -264,10 +258,9 @@ class ExpectationResult:
     note: str = ""
 
 
-def run_expectation(example: GoldenExample, exp: Expectation,
-                    grid: Grid | None = None) -> ExpectationResult:
-    grid = grid or DEFAULT_GRID
-    window = CompactWindow.from_grid(grid, exp.window)
+def run_expectation(example: GoldenExample,
+                    exp: Expectation) -> ExpectationResult:
+    window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
     if exp.check == "WEDGE":
         op = build_preset(example.preset)
         verdict = wedge_condition(op, window, exp.horizon, exp.tol)
@@ -288,9 +281,3 @@ def run_expectation(example: GoldenExample, exp: Expectation,
         exp.note,
     )
 
-
-def run_example(example_id: str,
-                grid: Grid | None = None) -> list[ExpectationResult]:
-    example = REGISTRY[example_id]
-    return [run_expectation(example, exp, grid)
-            for exp in example.expectations]

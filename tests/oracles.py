@@ -1,13 +1,19 @@
-"""Per-n routes to the two cocycle legs, kept as independent test oracles.
+"""Reference routes the tests compare lindyn against.
 
 ``lindyn.criteria`` computes every criterion from one block sweep
-(``_leg_extremes``); these functions recompute the same quantities one n at
-a time from ``forward_log2``/``backward_log2``, or, in
+(``_leg_extremes``); the functions here recompute the same quantities one n
+at a time from :func:`forward_log2`/:func:`backward_log2`, or, in
 :func:`segal_factors`, from the literal product
-prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.
+prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
+atom-wise adjoint powers, the duality check and the measure approximant
+restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
+off the same legs; the last section holds shared test fixtures.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,19 +21,64 @@ from lindyn.criteria import (
     _SOLID_KINDS,
     CompactWindow,
     CriterionKind,
+    CriterionVerdict,
     _leg_extremes,
     _q_at,
     _trim_greedy,
+    evaluate,
 )
-from lindyn.errors import SegalIncompatibleError
-from lindyn.funcspace import Grid, PiecewiseMap
+from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
+from lindyn.funcspace import (
+    Grid,
+    GridFunction,
+    PiecewiseAffineHomeo,
+    PiecewiseMap,
+    homeo_power,
+    linear_interpolate,
+)
+from lindyn.measures import AtomicMeasure
 from lindyn.operators import (
     CompositionOperator,
-    _orbit_log2,
-    backward_log2,
-    forward_log2,
+    _orbit_log2_rows,
+    apply_Tn,
     segal_compatible,
 )
+
+
+def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
+                start: int = 0) -> np.ndarray:
+    """sum_{j=0}^{n-1} log2 w(alpha^{start + j*step}(t)): the last row of
+    ``_orbit_log2_rows`` (zeros when n = 0)."""
+    total = np.zeros(np.shape(np.atleast_1d(pts)))
+    for rows in _orbit_log2_rows(op, pts, n, step, start):
+        total = rows[-1].copy()
+    return total
+
+
+def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
+    """sum_{j=0}^{n-1} log2 w(alpha^j(t)), compensated, elementwise in t."""
+    return _orbit_log2(op, pts, n)
+
+
+def backward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
+    """sum_{j=1}^{n} log2 w(alpha^{-j}(t)), compensated, elementwise in t."""
+    return _orbit_log2(op, pts, n, -1, -1)
+
+
+def cocycle(op: CompositionOperator, n: int, t: float,
+            direction: str = "forward") -> float:
+    """Weight product along the orbit of t.
+
+    forward:  prod_{j=0}^{n-1} w(alpha^j(t))
+    backward: prod_{j=1}^{n}   w(alpha^{-j}(t))
+    """
+    if n < 1:
+        raise ValueError("cocycle requires n >= 1")
+    if direction == "forward":
+        return float(np.exp2(forward_log2(op, t, n)[0]))
+    if direction == "backward":
+        return float(np.exp2(backward_log2(op, t, n)[0]))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def product_factors(op: CompositionOperator, window: CompactWindow,
@@ -88,3 +139,134 @@ def quantity(kind: CriterionKind, op: CompositionOperator,
         keep, _ = _trim_greedy(kind, n, lf, lb, max_drop)
         lf, lb = lf[keep], lb[keep]
     return _q_at(kind, n, lf, lb)[1]
+
+
+@dataclass(frozen=True)
+class ImplicationReport:
+    """Check that a Cesaro pass forces a supercyclic pass.
+
+    The product identity q_super(n) = (n * P_minus) * (P_plus / n) makes
+    q_super <= q_cesaro**2 whenever both scaled factors sit below their max,
+    so any verdict-level violation is a bug, not mathematics.
+    """
+
+    cesaro: CriterionVerdict
+    supercyclic: CriterionVerdict
+    verdict_violations: tuple[int, ...]
+    qlevel_violations: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.verdict_violations and not self.qlevel_violations
+
+
+def implication_check(op: CompositionOperator, window: CompactWindow,
+                      horizon: int, tol: float) -> ImplicationReport:
+    """The Cesaro-implies-supercyclic check on the solid kinds; the C0 and
+    Segal kinds share their formulas and legs, so their traces agree."""
+    ces, sup = evaluate((CriterionKind.CESARO_SOLID,
+                         CriterionKind.SUPERCYCLIC_SOLID),
+                        op, window, horizon, tol)
+    qc, qs = ces.trace, sup.trace
+    verdict_violations = (qc <= min(tol, 1.0)) & (qs > tol)
+    qlevel_violations = (qc <= 1.0) & (qs > qc * qc + 1e-10)
+    return ImplicationReport(
+        ces, sup,
+        tuple((np.flatnonzero(verdict_violations) + 1).tolist()),
+        tuple((np.flatnonzero(qlevel_violations) + 1).tolist()))
+
+
+# ---------------------------------------------------------------------------
+# The adjoint side on atoms: c * delta_x -> c * w(x) * delta_{alpha(x)}
+
+
+def _measure(locs, weights) -> AtomicMeasure:
+    return AtomicMeasure(zip(np.asarray(locs, float).tolist(),
+                             np.asarray(weights, complex).tolist()))
+
+
+def combine(*terms) -> AtomicMeasure:
+    """The sum of c * mu over the (c, mu) terms."""
+    return AtomicMeasure((x, w) for c, mu in terms for x, w in
+                         zip(mu.locations.tolist(), (mu.weights * c).tolist()))
+
+
+def tv_norm(mu: AtomicMeasure) -> float:
+    return float(np.sum(np.abs(mu.weights)))
+
+
+def adjoint_T(op: CompositionOperator, mu: AtomicMeasure) -> AtomicMeasure:
+    new_locs = homeo_power(op.alpha, mu.locations, 1)
+    return _measure(new_locs, mu.weights * op.weight(mu.locations))
+
+
+def adjoint_Tn(op: CompositionOperator, mu: AtomicMeasure,
+               n: int) -> AtomicMeasure:
+    """n-th adjoint power: atom at x picks up the forward cocycle at x and
+    moves to alpha^n(x)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0 or mu.is_zero:
+        return mu
+    factors = np.exp2(forward_log2(op, mu.locations, n))
+    new_locs = homeo_power(op.alpha, mu.locations, n)
+    return _measure(new_locs, mu.weights * factors)
+
+
+def adjoint_Sn(op: CompositionOperator, mu: AtomicMeasure,
+               n: int) -> AtomicMeasure:
+    """Inverse adjoint power: divide by the backward cocycle, move to
+    alpha^{-n}(x).  Exact two-sided inverse of adjoint_Tn on atoms."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0 or mu.is_zero:
+        return mu
+    factors = np.exp2(-backward_log2(op, mu.locations, n))
+    new_locs = homeo_power(op.alpha, mu.locations, -n)
+    return _measure(new_locs, mu.weights * factors)
+
+
+def duality_check(op: CompositionOperator, f: GridFunction,
+                  mu: AtomicMeasure, tol: float = 1e-12) -> bool:
+    """|<Tf, mu> - <f, T* mu>| <= tol for grid-located atoms."""
+    for x in mu.locations:
+        f.grid.index_of(float(x))  # raises if off-grid
+    tf = apply_Tn(op, f, 1)
+    lhs = complex(np.sum(mu.weights * linear_interpolate(tf, mu.locations)))
+    star = adjoint_T(op, mu)
+    rhs = complex(np.sum(star.weights *
+                         linear_interpolate(f, star.locations)))
+    return abs(lhs - rhs) <= tol
+
+
+def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
+                        nu: AtomicMeasure, n: int):
+    """eta = mu + (||T*^n mu|| / ||S*^n nu||)^(1/2) S*^n nu and the
+    matching scalar; the caller checks both convergence legs."""
+    if mu.is_zero or nu.is_zero:
+        raise DegenerateApproximantError("mu and nu must be nonzero")
+    t_mu = adjoint_Tn(op, mu, n)
+    s_nu = adjoint_Sn(op, nu, n)
+    a = tv_norm(t_mu)
+    b = tv_norm(s_nu)
+    if a == 0 or b == 0:
+        raise DegenerateApproximantError("adjoint power has zero norm")
+    eta = combine((1.0, mu), (math.sqrt(a / b), s_nu))
+    lam = math.sqrt(b / a)
+    return eta, lam
+
+
+# ---------------------------------------------------------------------------
+# Fixtures
+
+
+def identity_homeo() -> PiecewiseAffineHomeo:
+    return PiecewiseAffineHomeo(PiecewiseMap([0.0], [0.0], 1.0, 1.0))
+
+
+def rectangular_bump(grid: Grid, lo: float, hi: float,
+                     height: complex = 1.0) -> GridFunction:
+    """Indicator-like block: ``height`` on grid points in [lo, hi], else 0."""
+    t = grid.points
+    vals = np.where((t >= lo) & (t <= hi), height, 0.0)
+    return GridFunction(grid, vals)

@@ -29,14 +29,8 @@ from lindyn.funcspace import (
     norm,
     triangular_bump,
 )
-from lindyn.measures import AtomicMeasure, adjoint_Tn, duality_check
-from lindyn.operators import (
-    CompositionOperator,
-    apply_S,
-    apply_T,
-    apply_Tn,
-    cocycle,
-)
+from lindyn.measures import AtomicMeasure
+from lindyn.operators import CompositionOperator, apply_Sn, apply_Tn
 from lindyn.porosity import (
     GammaSet,
     build_gamma,
@@ -48,8 +42,14 @@ from lindyn.porosity import (
     gamma_membership,
     random_scene,
 )
-from lindyn.presets import REGISTRY, run_example
-from oracles import quantity, sweep_factors
+from lindyn.presets import REGISTRY, run_expectation
+from oracles import (
+    adjoint_Tn,
+    cocycle,
+    duality_check,
+    quantity,
+    sweep_factors,
+)
 
 
 def report(idx, text):
@@ -80,7 +80,8 @@ def build_ex38(depth):
 
 def test_02_golden_verdicts():
     start = time.perf_counter()
-    results = [r for ex_id in sorted(REGISTRY) for r in run_example(ex_id)]
+    results = [run_expectation(REGISTRY[i], exp) for i in sorted(REGISTRY)
+               for exp in REGISTRY[i].expectations]
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r.passed]
     assert not failures, failures
@@ -176,8 +177,10 @@ def test_05_operator_algebra():
         f = GridFunction(grid, (rng.standard_normal(grid.size)
                                 + 1j * rng.standard_normal(grid.size))
                          * interior)
-        assert np.array_equal(apply_S(op2, apply_T(op2, f)).values, f.values)
-        assert np.array_equal(apply_T(op2, apply_S(op2, f)).values, f.values)
+        assert np.array_equal(apply_Sn(op2, apply_Tn(op2, f, 1), 1).values,
+                              f.values)
+        assert np.array_equal(apply_Tn(op2, apply_Sn(op2, f, 1), 1).values,
+                              f.values)
 
     op35 = build_preset("ex3.5")
     for _ in range(300):
@@ -198,7 +201,7 @@ def test_05_operator_algebra():
                          + 1j * rng.standard_normal(grid.size))
         cur = f
         for _ in range(6):
-            cur = apply_T(op, cur)
+            cur = apply_Tn(op, cur, 1)
         assert np.array_equal(apply_Tn(op, f, 6).values, cur.values)
         count += 1
     report(5, f"inverse identities exact, cocycle identity at 1e-10, "

@@ -8,7 +8,7 @@ import pytest
 from lindyn import dynamics
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CriterionKind
-from lindyn.presets import REGISTRY, build_preset, preset_names
+from lindyn.presets import REGISTRY, build_preset
 from oracles import quantity
 
 
@@ -62,7 +62,7 @@ class TestPresetFidelity:
         assert w(-2.0) == pytest.approx(4.0 / 3.0)
 
     def test_names(self):
-        for name in preset_names():
+        for name in sorted({ex.preset for ex in REGISTRY.values()}):
             build_preset(name)
         with pytest.raises(KeyError):
             build_preset("nope")
@@ -160,6 +160,19 @@ class TestClassifyCommand:
         assert run(["classify", "--config", cfg]) == 2
         cfg = self.config(tmp_path, grid={"half_width": 64.0, "step": 0.3})
         assert run(["classify", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
+    @pytest.mark.parametrize("bad", [
+        {"horizon": 0}, {"horizon": 20.5}, {"tol": -1}, {"tol": "x"},
+        {"window": {"m": -1}}, {"trim": "x"}, {"trim": -1},
+    ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
+            "trim-str", "trim-neg"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
+        out = tmp_path / "out"
+        cfg = self.config(tmp_path, **bad)
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_segal_requires_tau(self, tmp_path, capsys):
         cfg = self.config(tmp_path, space={"kind": "SEGAL"})

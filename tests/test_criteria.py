@@ -7,10 +7,10 @@ import pytest
 from lindyn.criteria import (
     _leg_extremes,
     _trim_greedy,
+    SATISFIED,
     CompactWindow,
     CriterionKind,
     evaluate,
-    implication_check,
     verdict_from_trace,
 )
 from lindyn.errors import SegalIncompatibleError
@@ -22,7 +22,13 @@ from lindyn.funcspace import (
 )
 from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
 from lindyn.presets import REGISTRY, build_preset
-from oracles import product_factors, quantity, segal_factors, sweep_factors
+from oracles import (
+    implication_check,
+    product_factors,
+    quantity,
+    segal_factors,
+    sweep_factors,
+)
 
 RNG = np.random.default_rng(7)
 GRID = Grid(64.0, 0.25)
@@ -150,7 +156,7 @@ class TestEvaluate:
         op = build_preset("ex3.5")
         win = CompactWindow.from_grid(GRID, 2.0)
         [v] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op, win, 60, 1e-6)
-        assert v.satisfied
+        assert v.status == SATISFIED
         qs = [q for _, q in v.witness]
         assert all(a > b for a, b in zip(qs, qs[1:]))
         ns = [n for n, _ in v.witness]
@@ -309,12 +315,12 @@ class TestVerdictFromTrace:
                     witness.append((n, q))
             v = verdict_from_trace("K", trace, 2.0)
             assert v.witness == tuple(witness)
-            assert v.satisfied == (best <= 2.0)
+            assert (v.status == SATISFIED) == (best <= 2.0)
             assert v.horizon == trace.size
 
     def test_no_record_is_not_satisfied(self):
         v = verdict_from_trace("K", [np.inf, np.nan], 1.0)
-        assert v.witness == () and not v.satisfied
+        assert v.witness == () and v.status != SATISFIED
 
     @staticmethod
     def dict_serialiser(v):
@@ -395,22 +401,23 @@ class TestImplication:
         op = build_preset("ex3.5")
         win = CompactWindow.from_grid(GRID, 1.0)
         report = implication_check(op, win, 200, 1e-2)
-        assert report.cesaro.satisfied and report.supercyclic.satisfied
+        assert report.cesaro.status == SATISFIED
+        assert report.supercyclic.status == SATISFIED
         assert report.ok
 
     def test_supercyclic_only_instance(self):
         op = build_preset("ex3.6")
         win = CompactWindow.from_grid(GRID, 1.0)
         report = implication_check(op, win, 200, 1e-2)
-        assert report.supercyclic.satisfied
-        assert not report.cesaro.satisfied
+        assert report.supercyclic.status == SATISFIED
+        assert report.cesaro.status != SATISFIED
         assert report.ok
 
     def test_unit_weight_vacuous(self):
         win = CompactWindow.from_grid(GRID, 1.0)
         report = implication_check(OP_UNIT, win, 50, 1e-6)
-        assert not report.cesaro.satisfied
-        assert not report.supercyclic.satisfied
+        assert report.cesaro.status != SATISFIED
+        assert report.supercyclic.status != SATISFIED
         assert report.ok
 
     @pytest.mark.parametrize("example_id", sorted(REGISTRY))

@@ -14,7 +14,6 @@ from lindyn.funcspace import (
     SUP,
     SegalNorm,
     Translation,
-    identity_homeo,
     linear_interpolate,
     norm,
     triangular_bump,
@@ -37,7 +36,7 @@ from lindyn.operators import (
     scale_by_exp2,
 )
 from lindyn.presets import build_preset
-from oracles import product_factors
+from oracles import identity_homeo, product_factors
 
 RNG = np.random.default_rng(11)
 SMALL = Grid(1.0, 0.5)  # five points

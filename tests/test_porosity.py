@@ -9,9 +9,8 @@ from lindyn.funcspace import (
     SUP,
     Translation,
     norm,
-    rectangular_bump,
 )
-from lindyn.operators import CompositionOperator, backward_log2
+from lindyn.operators import CompositionOperator
 from lindyn.porosity import (
     GammaSet,
     PorosityScene,
@@ -27,6 +26,7 @@ from lindyn.porosity import (
     random_scene,
 )
 from lindyn.presets import build_preset
+from oracles import backward_log2, rectangular_bump
 
 RNG = np.random.default_rng(5)
 GRID = Grid(8.0, 0.25)
