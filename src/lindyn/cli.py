@@ -85,6 +85,7 @@ class ExperimentConfig:
     horizon: int
     tol: float
     trim: int
+    raw: dict  # the parsed file, for the keys only one command reads
 
     @classmethod
     def load(cls, path: str | None, preset: str | None) -> "ExperimentConfig":
@@ -137,17 +138,29 @@ class ExperimentConfig:
         tau = None
         if raw.get("space", {}).get("tau") is not None:
             tm = raw["space"]["tau"]
-            tau = PiecewiseMap(tm["breakpoints"], tm["values"])
+            if not (isinstance(tm, dict) and "breakpoints" in tm
+                    and "values" in tm):
+                raise ConfigError("space.tau needs breakpoints and values")
+            try:
+                tau = PiecewiseMap(tm["breakpoints"], tm["values"])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"space.tau: {exc}") from exc
+        window_eps = wspec.get("eps")
+        if window_eps is not None:
+            _bounded(window_eps, "window.eps", 0, strict=True)
+            if window_eps >= 1:
+                raise ConfigError(f"window.eps must be < 1, got {window_eps}")
         return cls(
             operator=op,
             space=space,
             tau=tau,
             grid=grid,
             window_m=window_m,
-            window_eps=wspec.get("eps"),
+            window_eps=window_eps,
             horizon=horizon,
             tol=float(_bounded(raw.get("tol", 1e-6), "tol", 0, strict=True)),
             trim=_bounded(raw.get("trim", 0), "trim", 0, integer=True),
+            raw=raw,
         )
 
     def compact_window(self) -> CompactWindow:
@@ -208,12 +221,12 @@ def _bump_from_spec(grid: Grid, spec: dict) -> GridFunction:
 
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    raw = json.loads(Path(args.config).read_text()) if args.config else {}
-    mode = raw.get("mode", "scaled")
+    mode = cfg.raw.get("mode", "scaled")
     if mode not in dynamics.MODES:
         raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")
-    seed_fn = _bump_from_spec(cfg.grid, raw.get("seed_function", {}))
-    targets = [_bump_from_spec(cfg.grid, s) for s in raw.get("targets", [])]
+    seed_fn = _bump_from_spec(cfg.grid, cfg.raw.get("seed_function", {}))
+    targets = [_bump_from_spec(cfg.grid, s)
+               for s in cfg.raw.get("targets", [])]
     kind = L2 if cfg.space == "L2" else SUP
     # one walk fills both files; in scaled mode the first target's
     # orbit.csv column is also its best.csv distance

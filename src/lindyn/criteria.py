@@ -195,16 +195,20 @@ class CriterionVerdict:
     """Outcome of one finite-horizon criterion sweep.
 
     ``trace`` holds q(n) and ``log2_trace`` log2 q(n) for n = 1..horizon.
-    ``witness`` is the record-minimum sequence of (n, q) pairs, a canonical
-    deterministic choice of the strictly increasing sequence, taken on
-    log2 q; SATISFIED means exactly that its final log2 q is <= log2 tol.
+    ``records`` holds the record minima of log2 q as one read-only index
+    array into the traces (0-based, n - 1): a canonical deterministic
+    choice of the strictly increasing sequence.  ``witness`` reads it as
+    (n, q) pairs, built on each access.  SATISFIED means exactly that the
+    last record's log2 q is <= log2 tol.
     """
 
-    def __init__(self, kind: str, status: str, witness, trace, log2_trace,
+    def __init__(self, kind: str, status: str, records, trace, log2_trace,
                  tol: float, trimmed=None, params=None):
         self.kind = str(kind)
         self.status = status
-        self.witness = tuple((int(n), float(q)) for n, q in witness)
+        records = np.asarray(records, dtype=np.intp)
+        records.setflags(write=False)
+        self.records = records
         trace = np.asarray(trace, dtype=float)
         trace.setflags(write=False)
         self.trace = trace
@@ -217,16 +221,25 @@ class CriterionVerdict:
         self.params = dict(params or {})
 
     @property
+    def witness(self) -> tuple[tuple[int, float], ...]:
+        """The record-minimum (n, q) pairs."""
+        return tuple(zip((self.records + 1).tolist(),
+                         self.trace[self.records].tolist()))
+
+    @property
     def best(self) -> tuple[int, float] | None:
         """The last record (n, q), or None when no n gave a finite q."""
-        return self.witness[-1] if self.witness else None
+        if not self.records.size:
+            return None
+        i = int(self.records[-1])
+        return i + 1, float(self.trace[i])
 
     @property
     def best_log2_q(self) -> float | None:
         """log2 q of the last record, or None when there is none."""
-        if not self.witness:
+        if not self.records.size:
             return None
-        return float(self.log2_trace[self.witness[-1][0] - 1])
+        return float(self.log2_trace[self.records[-1]])
 
     def jsonl_records(self):
         """Per-n records followed by one summary record: the decoded lines
@@ -235,27 +248,29 @@ class CriterionVerdict:
 
     def to_jsonl(self) -> str:
         """One line per n, then the summary line; keys sorted, floats as
-        ``json.dumps`` writes them and non-finite ones as strings."""
-        head = f'{{"kind": {json.dumps(self.kind)}, "log2_q": '
+        ``json.dumps`` writes them and non-finite ones as strings.  Each
+        float is formatted once: the summary's ``best_log2_q`` and witness
+        reuse the text of the per-n lines."""
+        log2_qs = _json_reprs(self.log2_trace)
+        qs = _json_reprs(self.trace)
+        kind = json.dumps(self.kind)
+        head = f'{{"kind": {kind}, "log2_q": '
         record = np.zeros(self.horizon, dtype=bool)
-        record[[n - 1 for n, _ in self.witness]] = True
+        record[self.records] = True
         flag = ("false}", "true}")
         lines = [f'{head}{lq}, "n": {n}, "q": {q}, "record_min": {flag[r]}'
-                 for n, lq, q, r in zip(range(1, self.horizon + 1),
-                                        _json_reprs(self.log2_trace),
-                                        _json_reprs(self.trace),
-                                        record.tolist())]
+                 for n, lq, q, r in zip(range(1, self.horizon + 1), log2_qs,
+                                        qs, record.tolist())]
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
-        best_log2_q = self.best_log2_q
-        lines.append(json.dumps({
-            "best_log2_q": (None if best_log2_q is None
-                            else _json_float(best_log2_q)),
-            "kind": self.kind,
-            "status": self.status,
-            "witness": [[n, _json_float(q)] for n, q in self.witness],
-            "params": params,
-        }, sort_keys=True))
+        records = self.records.tolist()
+        best_log2_q = log2_qs[records[-1]] if records else "null"
+        witness = ", ".join([f"[{i + 1}, {qs[i]}]" for i in records])
+        # the key order and separators of json.dumps(..., sort_keys=True)
+        lines.append(f'{{"best_log2_q": {best_log2_q}, "kind": {kind}, '
+                     f'"params": {json.dumps(params, sort_keys=True)}, '
+                     f'"status": {json.dumps(self.status)}, '
+                     f'"witness": [{witness}]}}')
         return "\n".join(lines)
 
 
@@ -291,9 +306,7 @@ def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
     best = key[records[-1]] if records.size else math.inf
     return CriterionVerdict(kind,
                             SATISFIED if best <= log2_tol else NOT_SATISFIED,
-                            zip((records + 1).tolist(),
-                                trace[records].tolist()), trace,
-                            log2_trace, tol, trimmed, params)
+                            records, trace, log2_trace, tol, trimmed, params)
 
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,8 +167,17 @@ class TestClassifyCommand:
     @pytest.mark.parametrize("bad", [
         {"horizon": 0}, {"horizon": 20.5}, {"tol": -1}, {"tol": "x"},
         {"window": {"m": -1}}, {"trim": "x"}, {"trim": -1},
+        {"window": {"m": 1, "eps": 2}}, {"window": {"m": 1, "eps": 1}},
+        {"window": {"m": 1, "eps": 0}}, {"window": {"m": 1, "eps": "x"}},
+        {"space": {"kind": "SEGAL", "tau": {"values": [0.25]}}},
+        {"space": {"kind": "SEGAL", "tau": {"breakpoints": [0.0]}}},
+        {"space": {"kind": "SEGAL", "tau": [0.25]}},
+        {"space": {"kind": "SEGAL",
+                   "tau": {"breakpoints": [0.0, 1.0], "values": [0.25]}}},
     ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
-            "trim-str", "trim-neg"])
+            "trim-str", "trim-neg", "eps-2", "eps-1", "eps-0", "eps-str",
+            "tau-no-breakpoints", "tau-no-values", "tau-list",
+            "tau-lengths"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
         cfg = self.config(tmp_path, **bad)
@@ -356,6 +367,54 @@ class TestClassifyCommand:
                     CriterionKind(kind), loaded.operator, window, n, trim,
                     inverse="--inverse" in flags)
 
+    @staticmethod
+    def raw_lines(path):
+        """Per kind, the per-n lines as text fields (log2_q, n, q,
+        record_min) and the summary line's best_log2_q and witness text."""
+        per_n, summary = {}, {}
+        line_re = re.compile(r'\{"kind": "(\w+)", "log2_q": (.*), '
+                             r'"n": (\d+), "q": (.*), '
+                             r'"record_min": (true|false)\}')
+        summary_re = re.compile(r'\{"best_log2_q": (.*), "kind": "(\w+)", '
+                                r'"params": .*, "status": "\w+", '
+                                r'"witness": \[(.*)\]\}')
+        for line in path.read_text().splitlines():
+            match = line_re.fullmatch(line)
+            if match:
+                kind, *fields = match.groups()
+                per_n.setdefault(kind, []).append(fields)
+            else:
+                best, kind, witness = summary_re.fullmatch(line).groups()
+                summary[kind] = best, witness
+        return per_n, summary
+
+    @pytest.mark.parametrize("overrides, flags", [
+        ({"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"},
+          "trim": 2}, []),
+        ({"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"},
+          "trim": 2}, ["--inverse"]),
+        ({"operator": {"preset": "ex3.7"}, "space": {"kind": "L2"},
+          "window": {"m": 2.0}, "horizon": 3000, "tol": 1e-6}, []),
+    ], ids=["ex36-trim2", "ex36-trim2-inverse", "ex37-underflow"])
+    def test_summary_reuses_per_n_text(self, tmp_path, capsys, overrides,
+                                       flags):
+        # the summary's witness is exactly the [n, q] text of the per-n
+        # lines flagged record_min, and best_log2_q the last record's
+        # log2_q text, including q that underflowed to 0
+        cfg = self.config(tmp_path, **overrides)
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]
+                   + flags) == 0
+        per_n, summary = self.raw_lines(tmp_path / "verdicts.jsonl")
+        assert set(per_n) == set(summary) and len(per_n) == 3
+        for kind, lines in per_n.items():
+            records = [(lq, n, q) for lq, n, q, flag in lines
+                       if flag == "true"]
+            best, witness = summary[kind]
+            assert witness == ", ".join(f"[{n}, {q}]" for _, n, q in records)
+            assert best == records[-1][0]
+        if "horizon" in overrides:
+            assert per_n["SUPERCYCLIC_SOLID"][-1][2] == "0.0"
+
 
 class TestOtherCommands:
     def test_orbit_csv(self, tmp_path, capsys):
@@ -441,6 +500,23 @@ class TestOtherCommands:
         cfg = self.orbit_config(tmp_path, targets, mode)
         assert run(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(calls) == 6 * per_n
+
+    def test_orbit_reads_config_once(self, tmp_path, capsys, monkeypatch):
+        # mode, seed_function and targets come from the one parse that
+        # the rest of the config comes from
+        cfg = self.orbit_config(tmp_path, 2, "plain")
+        reads = []
+        read_text = Path.read_text
+
+        def counted(path, *args, **kwargs):
+            reads.append(str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counted)
+        assert run(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert reads == [cfg]
+        assert "mode plain" in capsys.readouterr().out
 
     def test_adjoint_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

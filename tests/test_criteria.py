@@ -315,6 +315,8 @@ class TestVerdictFromTrace:
                     witness.append((n, q))
             v = verdict_from_trace("K", trace, 2.0)
             assert v.witness == tuple(witness)
+            assert v.records.dtype == np.intp
+            assert not v.records.flags.writeable
             assert (v.status == SATISFIED) == (best <= 2.0)
             assert v.horizon == trace.size
 
@@ -363,6 +365,35 @@ class TestVerdictFromTrace:
         # ties, NaN and q = inf set no record
         flags = [r["record_min"] for r in verdicts[0].jsonl_records()[:-1]]
         assert [n for n, f in enumerate(flags, start=1) if f] == [1, 2, 10]
+
+    def test_to_jsonl_matches_dict_serialiser_random(self):
+        # random traces drawn partly from a small pool (ties, signed zeros,
+        # subnormals, inf, nan) and partly over the whole float range
+        rng = np.random.default_rng(12)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf,
+                   np.nan]
+
+        def column(size):
+            pool = np.concatenate((special, rng.integers(-3, 4, 4),
+                                   rng.normal(size=4)))
+            wide = rng.normal(size=size) * 10.0 ** rng.integers(-330, 300,
+                                                                 size)
+            return np.where(rng.random(size) < 0.5,
+                            rng.choice(pool, size), wide)
+
+        for _ in range(200):
+            size = int(rng.integers(1, 301))
+            log2_trace = column(size) if rng.random() < 0.5 else None
+            trimmed = (rng.integers(0, 3, size).tolist()
+                       if rng.random() < 0.5 else None)
+            params = ({"window_radius": float(rng.integers(0, 4)),
+                       "inverse": bool(rng.random() < 0.5),
+                       "max_drop": int(rng.integers(0, 3))}
+                      if rng.random() < 0.5 else None)
+            v = verdict_from_trace("K", column(size),
+                                   10.0 ** rng.uniform(-300, 2), trimmed,
+                                   params, log2_trace)
+            assert v.to_jsonl() == self.dict_serialiser(v)
 
 
 class TestTrim:
