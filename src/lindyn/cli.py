@@ -74,6 +74,14 @@ def _bounded(value, name: str, low: int, *, integer: bool = False,
     return value
 
 
+def _object(value, name: str, kind: type = dict):
+    """``value`` if a JSON object (an array for ``list``), else ConfigError."""
+    if not isinstance(value, kind):
+        what = "object" if kind is dict else "array"
+        raise ConfigError(f"{name} must be a JSON {what}, got {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     operator: CompositionOperator
@@ -92,20 +100,20 @@ class ExperimentConfig:
         raw: dict = {}
         if path:
             try:
-                raw = json.loads(Path(path).read_text())
+                raw = _object(json.loads(Path(path).read_text()), "config")
             except (OSError, json.JSONDecodeError) as exc:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        op_spec = raw.get("operator", {})
+        op_spec = _object(raw.get("operator", {}), "operator")
         preset_name = preset or op_spec.get("preset")
         horizon = _bounded(raw.get("horizon", 200), "horizon", 1,
                            integer=True)
-        wspec = raw.get("window", {})
+        wspec = _object(raw.get("window", {}), "window")
         window_m = float(_bounded(wspec.get("m", 2.0), "window.m", 0))
-        gspec = raw.get("grid", {})
+        gspec = _object(raw.get("grid", {}), "grid")
         try:
             grid = Grid(float(gspec.get("half_width", 64.0)),
                         float(gspec.get("step", 0.25)))
-        except ValueError as exc:
+        except (ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
         try:
             if preset_name:
@@ -132,19 +140,17 @@ class ExperimentConfig:
                 )
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        space = raw.get("space", {}).get("kind", "L2")
+        sspec = _object(raw.get("space", {}), "space")
+        space = sspec.get("kind", "L2")
         if space not in _SPACE_KINDS:
             raise ConfigError(f"space kind must be one of {sorted(_SPACE_KINDS)}")
         tau = None
-        if raw.get("space", {}).get("tau") is not None:
-            tm = raw["space"]["tau"]
-            if not (isinstance(tm, dict) and "breakpoints" in tm
-                    and "values" in tm):
-                raise ConfigError("space.tau needs breakpoints and values")
+        if sspec.get("tau") is not None:
+            tm = _object(sspec["tau"], "space.tau")
             try:
                 tau = PiecewiseMap(tm["breakpoints"], tm["values"])
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"space.tau: {exc}") from exc
+            except (KeyError, ValueError, TypeError) as exc:
+                raise ConfigError(f"space.tau: {exc!r}") from exc
         window_eps = wspec.get("eps")
         if window_eps is not None:
             _bounded(window_eps, "window.eps", 0, strict=True)
@@ -213,7 +219,8 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _bump_from_spec(grid: Grid, spec: dict) -> GridFunction:
+def _bump_from_spec(grid: Grid, spec, name: str) -> GridFunction:
+    spec = _object(spec, name)
     return triangular_bump(grid, float(spec.get("center", 0.0)),
                            float(spec.get("half_width", 1.0)),
                            complex(spec.get("height", 1.0)))
@@ -224,9 +231,10 @@ def cmd_orbit(args) -> int:
     mode = cfg.raw.get("mode", "scaled")
     if mode not in dynamics.MODES:
         raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")
-    seed_fn = _bump_from_spec(cfg.grid, cfg.raw.get("seed_function", {}))
-    targets = [_bump_from_spec(cfg.grid, s)
-               for s in cfg.raw.get("targets", [])]
+    seed_fn = _bump_from_spec(cfg.grid, cfg.raw.get("seed_function", {}),
+                              "seed_function")
+    specs = _object(cfg.raw.get("targets", []), "targets", list)
+    targets = [_bump_from_spec(cfg.grid, s, "a target") for s in specs]
     kind = L2 if cfg.space == "L2" else SUP
     # one walk fills both files; in scaled mode the first target's
     # orbit.csv column is also its best.csv distance

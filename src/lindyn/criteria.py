@@ -129,12 +129,12 @@ def _hypercyclic(n, x, y):
     return log2_q, np.exp2(log2_q)
 
 
-# Each kind is a formula in x = -min lf and y = max lb, at one n or
-# vectorised over n, giving (log2 q, q); adjoint kinds (True) read the
-# mirrored legs x = -min lb, y = max lf.  log2 q stays finite where q
-# underflows to 0 or overflows to inf.  q combines the log2 factors before
-# exponentiating (a vanished leg times a diverged one must not give 0 * inf),
-# and applies the integer Cesaro scalings outside, which keeps them exact.
+# Each kind is a formula in x = -min lf and y = max lb, vectorised over n,
+# giving (log2 q, q); adjoint kinds (True) read the mirrored legs
+# x = -min lb, y = max lf.  log2 q stays finite where q underflows to 0 or
+# overflows to inf.  q combines the log2 factors before exponentiating (a
+# vanished leg times a diverged one must not give 0 * inf), and applies
+# the integer Cesaro scalings outside, which keeps them exact.
 # Callers evaluate the formulas under np.errstate(over="ignore"): past the
 # exp2 range q = inf is the intended value.
 _FORMULA = {
@@ -150,45 +150,38 @@ _FORMULA = {
 }
 
 
-def _xy(kind: CriterionKind, lf: np.ndarray, lb: np.ndarray):
-    """The formula arguments (x, y) of one kind from the two legs."""
-    if _FORMULA[kind][1]:
-        return -lb.min(), lf.max()
-    return -lf.min(), lb.max()
+def _kept_xy(keep: np.ndarray, lf: np.ndarray, lb: np.ndarray):
+    """Per row, the formula arguments (-min lf, max lb) over kept points."""
+    return (-np.where(keep, lf, np.inf).min(axis=1),
+            np.where(keep, lb, -np.inf).max(axis=1))
 
 
-def _q_at(kind: CriterionKind, n: int, lf: np.ndarray,
-          lb: np.ndarray) -> tuple[float, float]:
-    """(log2 q(n), q(n)) of one kind from the two legs over the window
-    points."""
-    with np.errstate(over="ignore"):
-        log2_q, q = _FORMULA[kind][0](n, *_xy(kind, lf, lb))
-    return float(log2_q), float(q)
+def _trim_rows(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
+               lb: np.ndarray, budget: int) -> np.ndarray:
+    """The keep mask of the exceptional-set trim on leg rows at n = ns.  In
+    each of up to ``budget`` rounds a row drops whichever of its kept argmin
+    of lf and argmax of lb lowers log2 q strictly and most (the lower index
+    on a tie), never its last point; a row that drops nothing in a round is
+    unchanged, so it drops nothing in later rounds either."""
+    keep = np.ones(lf.shape, dtype=bool)
+    cols = np.arange(lf.shape[1])
 
+    def log2_q(mask):
+        with np.errstate(over="ignore"):
+            return _FORMULA[kind][0](ns, *_kept_xy(mask, lf, lb))[0]
 
-def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
-                 budget: int):
-    """Drop up to ``budget`` points, greedily removing whichever current
-    extreme point lowers log2 q the most.  Never empties the window."""
-    keep = np.ones(lf.size, dtype=bool)
-    dropped = 0
-    while dropped < budget and keep.sum() > 1:
-        idx = np.flatnonzero(keep)
-        q0, _ = _q_at(kind, n, lf[keep], lb[keep])
-        candidates = {int(idx[np.argmin(lf[idx])]),
-                      int(idx[np.argmax(lb[idx])])}
-        best_q, best_i = q0, None
-        for i in sorted(candidates):
-            trial = keep.copy()
-            trial[i] = False
-            qt, _ = _q_at(kind, n, lf[trial], lb[trial])
-            if qt < best_q:
-                best_q, best_i = qt, i
-        if best_i is None:
+    for _ in range(min(budget, lf.shape[1] - 1)):
+        lo, hi = np.sort([np.where(keep, lf, np.inf).argmin(axis=1),
+                          np.where(keep, lb, -np.inf).argmax(axis=1)], axis=0)
+        q0 = log2_q(keep)
+        q_lo = log2_q(keep & (cols != lo[:, None]))
+        q_hi = log2_q(keep & (cols != hi[:, None]))
+        drop_hi = (hi != lo) & (q_hi < np.where(q_lo < q0, q_lo, q0))
+        drop = drop_hi | (q_lo < q0)
+        keep[drop, np.where(drop_hi, hi, lo)[drop]] = False
+        if not drop.any():
             break
-        keep[best_i] = False
-        dropped += 1
-    return keep, dropped
+    return keep
 
 
 class CriterionVerdict:
@@ -203,7 +196,7 @@ class CriterionVerdict:
     """
 
     def __init__(self, kind: str, status: str, records, trace, log2_trace,
-                 tol: float, trimmed=None, params=None):
+                 tol: float, params=None):
         self.kind = str(kind)
         self.status = status
         records = np.asarray(records, dtype=np.intp)
@@ -217,7 +210,6 @@ class CriterionVerdict:
         self.log2_trace = log2_trace
         self.horizon = trace.size
         self.tol = float(tol)
-        self.trimmed = None if trimmed is None else tuple(trimmed)
         self.params = dict(params or {})
 
     @property
@@ -286,8 +278,8 @@ def _json_reprs(values: np.ndarray) -> list[str]:
     return out
 
 
-def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
-                       params=None, log2_trace=None) -> CriterionVerdict:
+def verdict_from_trace(kind: str, trace, tol: float, params=None,
+                       log2_trace=None) -> CriterionVerdict:
     """The verdict of a q trace over n = 1..len(trace).
 
     The witness is the record minima of log2 q (``log2_trace``, log2 of the
@@ -306,7 +298,7 @@ def verdict_from_trace(kind: str, trace, tol: float, trimmed=None,
     best = key[records[-1]] if records.size else math.inf
     return CriterionVerdict(kind,
                             SATISFIED if best <= log2_tol else NOT_SATISFIED,
-                            records, trace, log2_trace, tol, trimmed, params)
+                            records, trace, log2_trace, tol, params)
 
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
@@ -314,9 +306,9 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     """The one cocycle sweep behind every criterion of a run: rows (-min lf,
     max lb, -min lb, max lf) for n = 1..horizon, the forward leg over
     ``fwd_pts`` and the backward leg over ``bwd_pts``, and per kind in
-    ``trim_kinds`` its formula arguments (x, y) over the trimmed points and
-    drop counts (trimming picks its points per n, so it cannot be read off
-    the extremes, and is defined only when both legs read the same points).
+    ``trim_kinds`` its (x, y) over the points :func:`_trim_rows` keeps
+    (trimming picks its points per n, so it cannot be read off the
+    extremes, and is defined only when both legs read the same points).
 
     The legs arrive as blocks of the orbit lattice, one row per n, both of
     the height the wider point set allows.  With ``inverse`` they encode the
@@ -326,7 +318,7 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     ext = np.empty((4, horizon))
-    trimmed = {kind: (np.empty((2, horizon)), []) for kind in trim_kinds}
+    trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     n0 = 0
     for lf, lb in zip(_orbit_log2_rows(op, fwd_pts, horizon, rows=rows),
@@ -336,16 +328,15 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
         n1 = n0 + len(lf)
         ext[:, n0:n1] = (-lf.min(axis=1), lb.max(axis=1),
                          -lb.min(axis=1), lf.max(axis=1))
-        for kind, (xy, drops) in trimmed.items():
-            for n, lf_n, lb_n in zip(range(n0 + 1, n1 + 1), lf, lb):
-                keep, dropped = _trim_greedy(kind, n, lf_n, lb_n, max_drop)
-                drops.append(dropped)
-                xy[:, n - 1] = _xy(kind, lf_n[keep], lb_n[keep])
+        ns = np.arange(n0 + 1, n1 + 1, dtype=float)
+        for kind, xy in trimmed.items():
+            keep = _trim_rows(kind, ns, lf, lb, max_drop)
+            xy[:, n0:n1] = _kept_xy(keep, lf, lb)
         n0 = n1
     return ext, trimmed
 
 
-def _kind_verdict(kind: CriterionKind, xy, tol: float, trimmed=None,
+def _kind_verdict(kind: CriterionKind, xy, tol: float,
                   params=None) -> CriterionVerdict:
     """One kind's verdict from its formula arguments (x, y) over
     n = 1..horizon: the formula vectorised over n, then the record
@@ -355,7 +346,7 @@ def _kind_verdict(kind: CriterionKind, xy, tol: float, trimmed=None,
     ns = np.arange(1, len(xy[0]) + 1, dtype=float)
     with np.errstate(over="ignore"):
         log2_q, q = _FORMULA[kind][0](ns, *xy)
-    return verdict_from_trace(kind.value, q, tol, trimmed, params, log2_q)
+    return verdict_from_trace(kind.value, q, tol, params, log2_q)
 
 
 def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
@@ -367,9 +358,9 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     bit-identical whichever other kinds ride along.
 
     ``max_drop`` is the exceptional-set budget: up to that many worst
-    window points may be removed per n.  Only the solid kinds trim; in sup
-    norm any nonempty removal keeps full indicator mass, so the other kinds
-    ignore it."""
+    window points may be removed per n, by one greedy per sweep block
+    (:func:`_trim_rows`).  Only the solid kinds trim; in sup norm any
+    nonempty removal keeps full indicator mass, so the others ignore it."""
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
@@ -380,11 +371,11 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}
         if kind in trimmed:
-            xy, drops = trimmed[kind]
+            xy = trimmed[kind]
             params["max_drop"] = max_drop
         else:
-            xy, drops = (ext[2:] if _FORMULA[kind][1] else ext[:2]), None
-        verdicts.append(_kind_verdict(kind, xy, tol, drops, params))
+            xy = ext[2:] if _FORMULA[kind][1] else ext[:2]
+        verdicts.append(_kind_verdict(kind, xy, tol, params))
     return verdicts
 
 

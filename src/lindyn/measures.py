@@ -83,5 +83,5 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
     # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
     params = {"window_radius": m, "atom_trim_budget": 0.0}
     ext, _ = _leg_extremes(op, mu.locations, nu.locations, horizon)
-    return _kind_verdict(kind, ext[2:], tol, None, params)
+    return _kind_verdict(kind, ext[2:], tol, params)
 

@@ -1,9 +1,10 @@
 """Reference routes the tests compare lindyn against.
 
 ``lindyn.criteria`` computes every criterion from one block sweep
-(``_leg_extremes``); the functions here recompute the same quantities one n
-at a time from :func:`forward_log2`/:func:`backward_log2`, or, in
-:func:`segal_factors`, from the literal product
+(``_leg_extremes``) and trims on whole blocks (``_trim_rows``); the
+functions here recompute the same quantities one n at a time from
+:func:`forward_log2`/:func:`backward_log2`, with the scalar greedy trim
+:func:`_trim_greedy`, or, in :func:`segal_factors`, from the literal product
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
@@ -22,9 +23,8 @@ from lindyn.criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
+    _FORMULA,
     _leg_extremes,
-    _q_at,
-    _trim_greedy,
     evaluate,
 )
 from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
@@ -125,6 +125,49 @@ def sweep_factors(op: CompositionOperator, window: CompactWindow,
     return np.exp2(ext[0]), np.exp2(ext[1])
 
 
+def _xy(kind: CriterionKind, lf: np.ndarray, lb: np.ndarray):
+    """The formula arguments (x, y) of one kind from the two legs."""
+    if _FORMULA[kind][1]:
+        return -lb.min(), lf.max()
+    return -lf.min(), lb.max()
+
+
+def _q_at(kind: CriterionKind, n: int, lf: np.ndarray,
+          lb: np.ndarray) -> tuple[float, float]:
+    """(log2 q(n), q(n)) of one kind from the two legs over the window
+    points."""
+    with np.errstate(over="ignore"):
+        log2_q, q = _FORMULA[kind][0](n, *_xy(kind, lf, lb))
+    return float(log2_q), float(q)
+
+
+def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
+                 budget: int) -> np.ndarray:
+    """The keep mask of the exceptional-set trim at one n: drop up to
+    ``budget`` points, greedily removing whichever current extreme point
+    lowers log2 q the most.  Never empties the window.  The scalar
+    reference for ``criteria._trim_rows``."""
+    keep = np.ones(lf.size, dtype=bool)
+    dropped = 0
+    while dropped < budget and keep.sum() > 1:
+        idx = np.flatnonzero(keep)
+        q0, _ = _q_at(kind, n, lf[keep], lb[keep])
+        candidates = {int(idx[np.argmin(lf[idx])]),
+                      int(idx[np.argmax(lb[idx])])}
+        best_q, best_i = q0, None
+        for i in sorted(candidates):
+            trial = keep.copy()
+            trial[i] = False
+            qt, _ = _q_at(kind, n, lf[trial], lb[trial])
+            if qt < best_q:
+                best_q, best_i = qt, i
+        if best_i is None:
+            break
+        keep[best_i] = False
+        dropped += 1
+    return keep
+
+
 def quantity(kind: CriterionKind, op: CompositionOperator,
              window: CompactWindow, n: int, max_drop: int = 0, *,
              inverse: bool = False) -> float:
@@ -136,7 +179,7 @@ def quantity(kind: CriterionKind, op: CompositionOperator,
     if inverse:
         lf, lb = -lb, -lf
     if max_drop > 0 and kind in _SOLID_KINDS:
-        keep, _ = _trim_greedy(kind, n, lf, lb, max_drop)
+        keep = _trim_greedy(kind, n, lf, lb, max_drop)
         lf, lb = lf[keep], lb[keep]
     return _q_at(kind, n, lf, lb)[1]
 

@@ -174,13 +174,20 @@ class TestClassifyCommand:
         {"space": {"kind": "SEGAL", "tau": [0.25]}},
         {"space": {"kind": "SEGAL",
                    "tau": {"breakpoints": [0.0, 1.0], "values": [0.25]}}},
+        [1], {"window": 5}, {"grid": 3}, {"grid": {"half_width": [1]}},
+        {"operator": 7}, {"space": "L2"},
     ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
             "trim-str", "trim-neg", "eps-2", "eps-1", "eps-0", "eps-str",
             "tau-no-breakpoints", "tau-no-values", "tau-list",
-            "tau-lengths"])
+            "tau-lengths", "config-list", "window-int", "grid-int",
+            "half-width-list", "operator-int", "space-str"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
-        cfg = self.config(tmp_path, **bad)
+        if isinstance(bad, dict):
+            cfg = self.config(tmp_path, **bad)
+        else:  # the whole file
+            (tmp_path / "cfg.json").write_text(json.dumps(bad))
+            cfg = str(tmp_path / "cfg.json")
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
@@ -479,6 +486,17 @@ class TestOtherCommands:
         cfg = self.orbit_config(tmp_path, 1, "bogus")
         assert run(["orbit", "--config", cfg, "--out", str(out)]) == 2
         assert "orbit mode" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", [
+        {"targets": [5]}, {"targets": 5}, {"seed_function": 3},
+    ], ids=["target-int", "targets-int", "seed-int"])
+    def test_orbit_bad_function_exit_2(self, tmp_path, capsys, bad):
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"operator": {"preset": "ex3.5"}, **bad}))
+        assert run(["orbit", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode, targets, per_n", [

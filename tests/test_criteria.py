@@ -4,9 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lindyn.criteria import (
+    _SOLID_KINDS,
     _leg_extremes,
-    _trim_greedy,
+    _trim_rows,
     SATISFIED,
     CompactWindow,
     CriterionKind,
@@ -23,6 +27,9 @@ from lindyn.funcspace import (
 from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
 from lindyn.presets import REGISTRY, build_preset
 from oracles import (
+    _trim_greedy,
+    backward_log2,
+    forward_log2,
     implication_check,
     product_factors,
     quantity,
@@ -223,11 +230,17 @@ class TestSharedSweep:
             together = evaluate(kinds, op, win, 60, 1e-2, trim,
                                 inverse=inverse)
             assert [v.kind for v in together] == [k.value for k in kinds]
+            solid = [k for k in kinds if trim and k in _SOLID_KINDS]
+            _, xy = _leg_extremes(op, win.points, win.points, 60, inverse,
+                                  solid, trim)
             for kind, v in zip(kinds, together):
                 [alone] = evaluate([kind], op, win, 60, 1e-2, trim,
                                    inverse=inverse)
                 assert np.array_equal(v.trace, alone.trace)
-                assert v.trimmed == alone.trimmed
+                if kind in solid:
+                    _, alone_xy = _leg_extremes(op, win.points, win.points,
+                                                60, inverse, [kind], trim)
+                    assert np.array_equal(xy[kind], alone_xy[kind])
                 assert v.to_jsonl() == alone.to_jsonl()
 
     def test_trace_matches_per_n_quantity(self):
@@ -250,8 +263,8 @@ class TestSharedSweep:
 
 class TestBlockSeams:
     """The sweep reads the orbit lattice in blocks of _block_rows rows; its
-    extremes, with and without trimming, equal a sweep stepped once per n,
-    on both sides of each block seam."""
+    extremes, with and without trimming, equal a sweep stepped once per n
+    and trimmed by the scalar greedy, on both sides of each block seam."""
 
     # the weight varies along every orbit walked here, so a row read from
     # the wrong orbit point differs
@@ -268,18 +281,16 @@ class TestBlockSeams:
     @staticmethod
     def stepped(op, pts, horizon, inverse, max_drop):
         sweep = CocycleSweep(op, pts)
-        ext, xy, drops = np.empty((4, horizon)), np.empty((2, horizon)), []
+        ext, xy = np.empty((4, horizon)), np.empty((2, horizon))
         for n in range(1, horizon + 1):
             sweep.step()
             lf, lb = sweep.log_forward, sweep.log_backward
             if inverse:
                 lf, lb = -lb, -lf
             ext[:, n - 1] = -lf.min(), lb.max(), -lb.min(), lf.max()
-            keep, dropped = _trim_greedy(TestBlockSeams.KIND, n, lf, lb,
-                                         max_drop)
-            drops.append(dropped)
+            keep = _trim_greedy(TestBlockSeams.KIND, n, lf, lb, max_drop)
             xy[:, n - 1] = -lf[keep].min(), lb[keep].max()
-        return ext, xy, drops
+        return ext, xy
 
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("name", sorted(OPS))
@@ -290,15 +301,13 @@ class TestBlockSeams:
         horizon = 2 * b + 3
         ext, trimmed = _leg_extremes(op, win.points, win.points, horizon,
                                      inverse, [self.KIND], 2)
-        ref_ext, ref_xy, ref_drops = self.stepped(op, win.points, horizon,
-                                                  inverse, 2)
-        xy, drops = trimmed[self.KIND]
+        ref_ext, ref_xy = self.stepped(op, win.points, horizon, inverse, 2)
+        xy = trimmed[self.KIND]
         for n in (b - 1, b, b + 1, horizon):
             assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])
             assert np.array_equal(xy[:, n - 1], ref_xy[:, n - 1])
         assert np.array_equal(ext, ref_ext)
         assert np.array_equal(xy, ref_xy)
-        assert drops == ref_drops
 
 
 class TestVerdictFromTrace:
@@ -352,7 +361,7 @@ class TestVerdictFromTrace:
                  -np.inf, -np.inf, 2.5, np.nan, np.inf]
         log2_trace = [1.5, -2000.0, -2000.0, -0.0, 0.0, -1074.0, 1023.5,
                       1e308, np.nan, -np.inf, -np.inf, 1.25, 5e-324, np.inf]
-        verdicts = [verdict_from_trace("K", trace, 1e-6, [0, 1],
+        verdicts = [verdict_from_trace("K", trace, 1e-6,
                                        {"inverse": True, "max_drop": 2},
                                        log2_trace),
                     verdict_from_trace("K", trace[:5], 1e-6),
@@ -384,15 +393,13 @@ class TestVerdictFromTrace:
         for _ in range(200):
             size = int(rng.integers(1, 301))
             log2_trace = column(size) if rng.random() < 0.5 else None
-            trimmed = (rng.integers(0, 3, size).tolist()
-                       if rng.random() < 0.5 else None)
             params = ({"window_radius": float(rng.integers(0, 4)),
                        "inverse": bool(rng.random() < 0.5),
                        "max_drop": int(rng.integers(0, 3))}
                       if rng.random() < 0.5 else None)
             v = verdict_from_trace("K", column(size),
-                                   10.0 ** rng.uniform(-300, 2), trimmed,
-                                   params, log2_trace)
+                                   10.0 ** rng.uniform(-300, 2), params,
+                                   log2_trace)
             assert v.to_jsonl() == self.dict_serialiser(v)
 
 
@@ -421,10 +428,47 @@ class TestTrim:
                          [1.0, 1.0, 6.0, 1.0, 1.0], positive=True)
         op = CompositionOperator(Translation(-8.0), w)
         win = CompactWindow.from_grid(Grid(8.0, 0.25), 2.0)
-        [v] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], op, win, 5, 1e-6,
-                       max_drop=2)
-        assert v.trimmed is not None and len(v.trimmed) == 5
-        assert all(0 <= d <= 2 for d in v.trimmed)
+        kind = CriterionKind.SUPERCYCLIC_SOLID
+        [v] = evaluate([kind], op, win, 5, 1e-6, max_drop=2)
+        assert v.params["max_drop"] == 2
+        ns = np.arange(1, 6)
+        lf = np.array([forward_log2(op, win.points, n) for n in ns])
+        lb = np.array([backward_log2(op, win.points, n) for n in ns])
+        keep = _trim_rows(kind, ns.astype(float), lf, lb, 2)
+        assert keep.any(axis=1).all()
+        assert ((~keep).sum(axis=1) <= 2).all()
+        x = -np.where(keep, lf, np.inf).min(axis=1)
+        y = np.where(keep, lb, -np.inf).max(axis=1)
+        assert np.array_equal(v.log2_trace, x + y)
+
+    # a small pool of values forces ties; the wide ones reach past the exp2
+    # range, where the Cesaro formula switches to its log form
+    VALUE = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.5, 3.0]),
+                      st.floats(-1100.0, 1100.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_rows_match_scalar_greedy(self, data):
+        kind = data.draw(st.sampled_from(sorted(_SOLID_KINDS)))
+        rows, size = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        budget = data.draw(st.integers(0, size + 1))
+        legs = st.lists(self.VALUE, min_size=rows * size,
+                        max_size=rows * size)
+        lf = np.reshape(data.draw(legs), (rows, size))
+        lb = np.reshape(data.draw(legs), (rows, size))
+        if data.draw(st.booleans()):
+            # lf's argmin and lb's argmax at one index in every row
+            j = data.draw(st.integers(0, size - 1))
+            lf[:, j] = lf.min(axis=1) - 1.0
+            lb[:, j] = lb.max(axis=1) + 1.0
+        ns = data.draw(st.lists(st.integers(1, 5000), min_size=rows,
+                                max_size=rows))
+        keep = _trim_rows(kind, np.array(ns, dtype=float), lf, lb, budget)
+        for row, n in enumerate(ns):
+            assert np.array_equal(
+                keep[row], _trim_greedy(kind, n, lf[row], lb[row], budget))
+        assert keep.any(axis=1).all()
+        assert ((~keep).sum(axis=1) <= budget).all()
 
 
 class TestImplication:

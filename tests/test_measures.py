@@ -231,23 +231,29 @@ class TestSharedAdjointSweep:
 
     ADJOINT_KINDS = (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO)
 
-    def test_untrimmed_is_vectorised(self, monkeypatch):
+    def test_every_q_is_vectorised(self, monkeypatch):
+        # every formula call, trimmed or not, gets a vector of n
         import lindyn.criteria
 
         calls = []
-        q_at = lindyn.criteria._q_at
 
-        def counted(*args):
-            calls.append(args[1])  # n
-            return q_at(*args)
+        def counted(formula):
+            def call(n, x, y):
+                calls.append(np.ndim(n))
+                return formula(n, x, y)
+            return call
 
-        monkeypatch.setattr(lindyn.criteria, "_q_at", counted)
+        monkeypatch.setattr(lindyn.criteria, "_FORMULA", {
+            kind: (counted(formula), mirrored) for kind, (formula, mirrored)
+            in lindyn.criteria._FORMULA.items()})
         op = build_preset("ex4.3a")
         mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
         win = CompactWindow.from_grid(GRID, 1.5)
         for kind in self.ADJOINT_KINDS:
             adjoint_criterion(kind, op, mu, mu, win, 30, 1e-6)
-        assert calls == []
+        for max_drop in (0, 2):
+            evaluate(list(CriterionKind), op, win, 30, 1e-6, max_drop)
+        assert calls and all(ndim == 1 for ndim in calls)
 
     @pytest.mark.parametrize("preset", ["ex3.5", "ex3.7", "ex4.3a", "ex4.3b"])
     @pytest.mark.parametrize("m", [0.0, 1.0, 2.0])
