@@ -220,10 +220,27 @@ def cmd_classify(args) -> int:
 
 
 def _bump_from_spec(grid: Grid, spec, name: str) -> GridFunction:
+    """The tent of a ``{"center", "half_width", "height"}`` object: finite
+    numbers, half_width > 0, and height may also be a complex string such
+    as ``"0.5-0.25j"``; anything else is a ConfigError."""
     spec = _object(spec, name)
-    return triangular_bump(grid, float(spec.get("center", 0.0)),
-                           float(spec.get("half_width", 1.0)),
-                           complex(spec.get("height", 1.0)))
+    values = []
+    for key, default in (("center", 0.0), ("half_width", 1.0),
+                         ("height", 1.0)):
+        raw = spec.get(key, default)
+        number = ((isinstance(raw, (int, float)) and not isinstance(raw, bool))
+                  or (key == "height" and isinstance(raw, str)))
+        try:
+            value = complex(raw) if number else None
+        except (ValueError, OverflowError):  # "x", or an int beyond float
+            value = None
+        if value is None or not np.isfinite(value):
+            raise ConfigError(f"{name} {key} must be a finite number, "
+                              f"got {raw!r}")
+        values.append(value)
+    center, half_width, height = values
+    _bounded(half_width.real, f"{name} half_width", 0, strict=True)
+    return triangular_bump(grid, center.real, half_width.real, height)
 
 
 def cmd_orbit(args) -> int:

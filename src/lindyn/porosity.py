@@ -345,18 +345,35 @@ def _random_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
     return vals * (scale * rng.uniform(0.3, 1.0) / peak)
 
 
+def _inner_candidates(x: GridFunction, y: GridFunction, d: float,
+                      lam: float, draws: int, rng):
+    """Values of y, of its pull toward x (d = ||x - y||), then of ``draws``
+    random points of B(y, lam d), each drawn from rng only when the one
+    before it has been tested."""
+    yield y.values
+    radius = lam * d
+    pull_scale = 0.999 * radius / d if d > 0 else 0.0
+    yield y.values + pull_scale * (x.values - y.values)
+    for _ in range(draws):
+        yield y.values + _random_perturbation(y.grid, 0.999 * radius, rng)
+
+
 def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
                    lam: float, delta: float, *, budget: int = 256,
                    inner_budget: int = 256, seed: int = 0) -> ProbeResult:
     """Search for a porosity witness at x in the sup metric.
 
     Each outer sample draws y in B(x, delta) minus {x} and tests the ball
-    B(y, lam ||x - y||) for members of the set by sampled queries; the
-    inner candidates include y itself and the pull of y toward x, which is
-    the member most likely to survive for margin-dominated envelope sets.
+    B(y, lam ||x - y||) for members of the set by up to ``inner_budget``
+    sampled queries; the inner candidates are y itself, the pull of y
+    toward x, which is the member most likely to survive for
+    margin-dominated envelope sets, and random points of the ball, each
+    drawn only after the previous candidate failed.
     """
-    if not (0 < lam < 1) or delta <= 0 or budget < 1:
-        raise ValueError("need lam in (0,1), delta > 0, budget >= 1")
+    if (not (0 < lam < 1) or delta <= 0 or budget < 1
+            or inner_budget < 2):
+        raise ValueError("need lam in (0,1), delta > 0, budget >= 1, "
+                         "inner_budget >= 2")
     rng = np.random.default_rng(seed)
     grid = x.grid
     records = []
@@ -364,22 +381,10 @@ def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
         y = GridFunction(grid,
                          x.values + _random_perturbation(grid, delta, rng))
         d = norm(y - x, SUP)
-        radius = lam * d
-        hits = 0
-        found = False
-        pull = x.values - y.values
-        pull_scale = 0.999 * radius / d if d > 0 else 0.0
-        candidates = [y.values, y.values + pull_scale * pull]
-        for _ in range(max(0, inner_budget - 2)):
-            candidates.append(
-                y.values + _random_perturbation(grid, 0.999 * radius, rng))
-        for z_vals in candidates:
-            if member(GridFunction(grid, z_vals)):
-                hits += 1
-                found = True
-                break
+        found = any(member(GridFunction(grid, z_vals)) for z_vals in
+                    _inner_candidates(x, y, d, lam, inner_budget - 2, rng))
         records.append({"seed": seed, "outer": outer, "d": d,
-                        "inner_hits": hits, "y_found": not found})
+                        "inner_hits": int(found), "y_found": not found})
         if not found:
             return ProbeResult(y, d, tuple(records))
     return ProbeResult(None, None, tuple(records))

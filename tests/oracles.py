@@ -8,7 +8,9 @@ functions here recompute the same quantities one n at a time from
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
-off the same legs; the last section holds shared test fixtures.
+off the same legs.  :func:`eager_porosity_probe` draws every inner
+candidate of ``lindyn.porosity.porosity_probe`` before testing the first;
+the last section holds shared test fixtures.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from lindyn.funcspace import (
     GridFunction,
     PiecewiseAffineHomeo,
     PiecewiseMap,
+    SUP,
     homeo_power,
     linear_interpolate,
+    norm,
 )
 from lindyn.measures import AtomicMeasure
 from lindyn.operators import (
@@ -43,6 +47,7 @@ from lindyn.operators import (
     apply_Tn,
     segal_compatible,
 )
+from lindyn.porosity import ProbeResult, _random_perturbation
 
 
 def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
@@ -297,6 +302,37 @@ def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
     eta = combine((1.0, mu), (math.sqrt(a / b), s_nu))
     lam = math.sqrt(b / a)
     return eta, lam
+
+
+# ---------------------------------------------------------------------------
+# The porosity probe with every inner candidate drawn up front
+
+
+def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
+                         *, budget: int, inner_budget: int,
+                         seed: int) -> ProbeResult:
+    """``porosity_probe`` drawing all ``inner_budget - 2`` random inner
+    candidates of an outer sample before testing y; it takes the same draws
+    from the generator whenever no candidate but the last is a member."""
+    rng = np.random.default_rng(seed)
+    grid = x.grid
+    records = []
+    for outer in range(budget):
+        y = GridFunction(grid,
+                         x.values + _random_perturbation(grid, delta, rng))
+        d = norm(y - x, SUP)
+        radius = lam * d
+        pull_scale = 0.999 * radius / d if d > 0 else 0.0
+        candidates = [y.values, y.values + pull_scale * (x.values - y.values)]
+        for _ in range(inner_budget - 2):
+            candidates.append(
+                y.values + _random_perturbation(grid, 0.999 * radius, rng))
+        found = any(member(GridFunction(grid, z)) for z in candidates)
+        records.append({"seed": seed, "outer": outer, "d": d,
+                        "inner_hits": int(found), "y_found": not found})
+        if not found:
+            return ProbeResult(y, d, tuple(records))
+    return ProbeResult(None, None, tuple(records))
 
 
 # ---------------------------------------------------------------------------

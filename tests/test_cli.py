@@ -490,7 +490,21 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("bad", [
         {"targets": [5]}, {"targets": 5}, {"seed_function": 3},
-    ], ids=["target-int", "targets-int", "seed-int"])
+        {"seed_function": {"center": "x"}},
+        {"seed_function": {"center": math.inf}},
+        {"seed_function": {"half_width": 0}},
+        {"seed_function": {"height": "x"}},
+        {"targets": [{"center": [1]}]},
+        {"targets": [{"center": 10 ** 400}]},
+        {"targets": [{"half_width": -1}]},
+        {"targets": [{"half_width": math.nan}]},
+        {"targets": [{"height": "nan"}]},
+        {"targets": [{"height": None}]},
+    ], ids=["target-int", "targets-int", "seed-int", "seed-center-str",
+            "seed-center-inf", "seed-half-width-0", "seed-height-str",
+            "target-center-list", "target-center-huge",
+            "target-half-width-neg", "target-half-width-nan",
+            "target-height-nan", "target-height-null"])
     def test_orbit_bad_function_exit_2(self, tmp_path, capsys, bad):
         out = tmp_path / "out"
         cfg = tmp_path / "cfg.json"
@@ -567,6 +581,18 @@ class TestOtherCommands:
         rec = json.loads(out.strip().splitlines()[-1])
         assert rec["refill_in_gamma_g"] is True
         assert rec["probe_witness_found"] is False
+
+    @pytest.mark.parametrize("mode, seed", [("theorem", "5"),
+                                            ("singleton", "3")])
+    def test_porosity_output_deterministic(self, tmp_path, capsys, mode,
+                                           seed):
+        outputs = []
+        for run_dir in ("a", "b"):
+            out = tmp_path / run_dir
+            assert run(["porosity", "--mode", mode, "--seed", seed,
+                        "--out", str(out)]) == 0
+            outputs.append((out / "porosity.jsonl").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_porosity_scene_file(self, tmp_path, capsys):
         from lindyn.porosity import random_scene

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from lindyn import porosity
 from lindyn.errors import NoValidNError, PreconditionViolatedError
 from lindyn.funcspace import (
     Grid,
@@ -26,7 +29,7 @@ from lindyn.porosity import (
     random_scene,
 )
 from lindyn.presets import build_preset
-from oracles import backward_log2, rectangular_bump
+from oracles import backward_log2, eager_porosity_probe, rectangular_bump
 
 RNG = np.random.default_rng(5)
 GRID = Grid(8.0, 0.25)
@@ -267,6 +270,54 @@ class TestProbe:
                              inner_budget=64, seed=1)
         assert res.witness is not None
         assert res.witness_distance > 0
+
+    @pytest.mark.parametrize("inner_budget", [0, 1])
+    def test_inner_budget_below_two_rejected(self, inner_budget):
+        # y and its pull toward x are always tested
+        with pytest.raises(ValueError, match="inner_budget"):
+            porosity_probe(lambda fn: True, GridFunction.zero(GRID), 0.5,
+                           0.1, budget=4, inner_budget=inner_budget)
+
+    @staticmethod
+    def member_every(k):
+        """A predicate that holds on every k-th query."""
+        queries = itertools.count(1)
+        return lambda fn: next(queries) % k == 0
+
+    @pytest.mark.parametrize("every", [1, 4])
+    def test_draws_stop_at_first_member(self, monkeypatch, every):
+        # one draw for y, then one per random candidate tested: the third
+        # query onwards; drawing all of them first would make 16 * 7
+        draws = []
+        draw = porosity._random_perturbation
+
+        def counted(*args):
+            draws.append(1)
+            return draw(*args)
+
+        monkeypatch.setattr(porosity, "_random_perturbation", counted)
+        res = porosity_probe(self.member_every(every),
+                             GridFunction.zero(GRID), 0.5, 0.1, budget=16,
+                             inner_budget=8, seed=1)
+        assert res.witness is None and len(res.records) == 16
+        assert len(draws) == 16 * (1 + max(0, every - 2))
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("member", ["never", "last"])
+    def test_draws_match_eager_when_only_the_last_can_hit(self, seed,
+                                                          member):
+        # with no member before the last candidate both loops take every
+        # draw in the same order, so the records agree bit for bit
+        def probe(route):
+            pred = ((lambda fn: False) if member == "never"
+                    else self.member_every(8))
+            return route(pred, GridFunction.zero(GRID), 0.5, 0.1,
+                         budget=16, inner_budget=8, seed=seed)
+
+        lazy, eager = probe(porosity_probe), probe(eager_porosity_probe)
+        assert len(lazy.records) == (1 if member == "never" else 16)
+        assert lazy.records == eager.records
+        assert lazy.witness_distance == eager.witness_distance
 
     def test_envelope_set_resists_probe(self):
         gamma = GammaSet(decaying_profile(0.05))
