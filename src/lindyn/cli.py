@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 expectation failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ from .presets import (
     REGISTRY,
     TELESCOPING_PRESETS,
     build_preset,
-    run_expectation,
+    run_registry,
     telescoping_depth,
 )
 from . import dynamics
@@ -356,13 +357,12 @@ def cmd_adjoint(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
     window = cfg.compact_window()
     mu = AtomicMeasure.delta(0.0)
-    lines = []
-    for kind in (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO):
-        v = adjoint_criterion(kind, cfg.operator, mu, mu, window,
-                              cfg.horizon, cfg.tol)
-        lines.append(v.to_jsonl())
+    verdicts = adjoint_criterion(
+        (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO),
+        cfg.operator, mu, mu, window, cfg.horizon, cfg.tol)
+    for v in verdicts:
         _print_verdict(v, 16)
-    _write_lines(args.out, "adjoint.jsonl", lines)
+    _write_lines(args.out, "adjoint.jsonl", [v.to_jsonl() for v in verdicts])
     return 0
 
 
@@ -371,8 +371,7 @@ def cmd_examples(args) -> int:
     unknown = [i for i in ids if i not in REGISTRY]
     if unknown:
         raise ConfigError(f"unknown example ids: {unknown}")
-    results = [run_expectation(REGISTRY[i], exp) for i in ids
-               for exp in REGISTRY[i].expectations]
+    results = run_registry(ids)
     lines = []
     failures = 0
     header = (f"{'example':18s} {'check':20s} {'inv':3s} {'expected':30s} "
@@ -403,10 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out_only(p):
+        p.add_argument("--out", help="output directory")
+
     def common(p):
+        # only the commands that load an ExperimentConfig take its flags
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--preset", help="named operator preset")
-        p.add_argument("--out", help="output directory")
+        out_only(p)
 
     p = sub.add_parser("classify", help="run the criteria for a space kind")
     common(p)
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_orbit)
 
     p = sub.add_parser("porosity", help="porosity scenes and probes")
-    common(p)
+    out_only(p)
     p.add_argument("--scene", help="scene JSON file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", default="theorem",
@@ -431,15 +434,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_adjoint)
 
     p = sub.add_parser("examples", help="golden verdict registry")
-    common(p)
+    out_only(p)
     p.add_argument("ids", nargs="*", help="example ids (default: all)")
     p.set_defaults(fn=cmd_examples)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -336,6 +336,12 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     return ext, trimmed
 
 
+def _kind_rows(kind: CriterionKind, ext: np.ndarray) -> np.ndarray:
+    """The formula arguments (x, y) of ``kind`` in the rows of
+    :func:`_leg_extremes`: the mirrored pair for the adjoint kinds."""
+    return ext[2:] if _FORMULA[kind][1] else ext[:2]
+
+
 def _kind_verdict(kind: CriterionKind, xy, tol: float,
                   params=None) -> CriterionVerdict:
     """One kind's verdict from its formula arguments (x, y) over
@@ -374,7 +380,7 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
             xy = trimmed[kind]
             params["max_drop"] = max_drop
         else:
-            xy = ext[2:] if _FORMULA[kind][1] else ext[:2]
+            xy = _kind_rows(kind, ext)
         verdicts.append(_kind_verdict(kind, xy, tol, params))
     return verdicts
 

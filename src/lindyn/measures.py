@@ -63,15 +63,12 @@ class AtomicMeasure:
         return self.locations.size == 0
 
 
-def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
-                      mu: AtomicMeasure, nu: AtomicMeasure,
-                      window: CompactWindow, horizon: int,
-                      tol: float) -> CriterionVerdict:
-    """Adjoint-side criterion sweep over the supports of mu and nu: the
-    forward leg sups over mu's atom locations, the inverse backward leg
-    over nu's, in the one shared cocycle sweep of :mod:`criteria`."""
-    if kind not in (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO):
-        raise ValueError("kind must be an adjoint criterion")
+def _adjoint_extremes(op: CompositionOperator, mu: AtomicMeasure,
+                      nu: AtomicMeasure, window: CompactWindow,
+                      horizon: int) -> np.ndarray:
+    """The leg rows of :func:`criteria._leg_extremes` for an adjoint sweep:
+    the forward leg over mu's atom locations, the backward leg over nu's.
+    Both measures must be nonzero with their support in the window."""
     if mu.is_zero or nu.is_zero:
         raise DegenerateApproximantError("mu and nu must be nonzero")
     m = window.radius
@@ -80,8 +77,24 @@ def adjoint_criterion(kind: CriterionKind, op: CompositionOperator,
             raise SupportOutsideWindowError(
                 f"{name} has atoms outside [-{m}, {m}]"
             )
-    # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
-    params = {"window_radius": m, "atom_trim_budget": 0.0}
     ext, _ = _leg_extremes(op, mu.locations, nu.locations, horizon)
-    return _kind_verdict(kind, ext[2:], tol, params)
+    return ext
 
+
+def adjoint_criterion(kinds, op: CompositionOperator, mu: AtomicMeasure,
+                      nu: AtomicMeasure, window: CompactWindow, horizon: int,
+                      tol: float) -> list[CriterionVerdict]:
+    """One adjoint-side verdict per kind, in order, over the supports of mu
+    and nu: the forward leg sups over mu's atom locations, the inverse
+    backward leg over nu's, and the kinds share one cocycle sweep of
+    :mod:`criteria`."""
+    if isinstance(kinds, str):
+        raise TypeError("kinds must be a sequence of criterion kinds")
+    kinds = [CriterionKind(k) for k in kinds]
+    if any(k not in (CriterionKind.ADJOINT_SUPER,
+                     CriterionKind.ADJOINT_CESARO) for k in kinds):
+        raise ValueError("kind must be an adjoint criterion")
+    ext = _adjoint_extremes(op, mu, nu, window, horizon)
+    # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
+    params = {"window_radius": window.radius, "atom_trim_budget": 0.0}
+    return [_kind_verdict(kind, ext[2:], tol, params) for kind in kinds]

@@ -19,11 +19,13 @@ from .criteria import (
     SATISFIED,
     CompactWindow,
     CriterionKind,
-    evaluate,
+    _kind_rows,
+    _kind_verdict,
+    _leg_extremes,
     wedge_condition,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
-from .measures import AtomicMeasure, adjoint_criterion
+from .measures import AtomicMeasure, _adjoint_extremes
 from .operators import CompositionOperator
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "REGISTRY",
     "ExpectationResult",
     "run_expectation",
+    "run_registry",
     "telescoping_depth",
     "TELESCOPING_PRESETS",
     "DEFAULT_GRID",
@@ -258,22 +261,19 @@ class ExpectationResult:
     note: str = ""
 
 
-def run_expectation(example: GoldenExample,
-                    exp: Expectation) -> ExpectationResult:
-    window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
+def run_expectation(example: GoldenExample, exp: Expectation,
+                    table: np.ndarray | None) -> ExpectationResult:
+    """One registry row's result, read off ``table``: the leg rows of the
+    row's sweep (see :func:`run_registry`), at least ``exp.horizon`` long.
+    The WEDGE row takes None and runs :func:`wedge_condition`."""
     if exp.check == "WEDGE":
-        op = build_preset(example.preset)
-        verdict = wedge_condition(op, window, exp.horizon, exp.tol)
-    elif exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
-        op = build_preset(example.preset)
-        mu = AtomicMeasure.delta(0.0)
-        verdict = adjoint_criterion(CriterionKind(exp.check), op, mu, mu,
-                                    window, exp.horizon, exp.tol)
+        window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
+        verdict = wedge_condition(build_preset(example.preset), window,
+                                  exp.horizon, exp.tol)
     else:
-        op = build_preset(example.preset,
-                          depth=telescoping_depth(exp.horizon, exp.window))
-        [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
-                             inverse=exp.inverse)
+        kind = CriterionKind(exp.check)
+        xy = _kind_rows(kind, table)[:, :exp.horizon]
+        verdict = _kind_verdict(kind, xy, exp.tol)
     n_best, q_best = verdict.best or (0, math.inf)
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,
@@ -281,3 +281,44 @@ def run_expectation(example: GoldenExample,
         exp.note,
     )
 
+
+def _sweep_key(example: GoldenExample, exp: Expectation):
+    """The sweep a registry row reads: (preset, window radius, inverse,
+    adjoint), or None for the WEDGE row."""
+    if exp.check == "WEDGE":
+        return None
+    return (example.preset, exp.window, exp.inverse,
+            exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"))
+
+
+def _sweep(key, horizon: int) -> np.ndarray:
+    """The leg rows of one sweep key over n = 1..horizon: over the window's
+    points, or for the adjoint rows over the support of mu = nu = delta_0."""
+    preset, m, inverse, adjoint = key
+    op = build_preset(preset, depth=telescoping_depth(horizon, m))
+    window = CompactWindow.from_grid(DEFAULT_GRID, m)
+    if adjoint:
+        mu = AtomicMeasure.delta(0.0)
+        return _adjoint_extremes(op, mu, mu, window, horizon)
+    ext, _ = _leg_extremes(op, window.points, window.points, horizon, inverse)
+    return ext
+
+
+def run_registry(ids) -> list[ExpectationResult]:
+    """The results of every row of the examples ``ids``, in order.
+
+    The rows of one sweep key share one sweep, at the longest horizon among
+    them.  A shorter row reads a prefix of it, bit for bit: each leg row is
+    elementwise in n, and a telescoping weight built for the longer sweep
+    agrees with the shorter one's on every point the shorter one reads.
+    """
+    rows = [(REGISTRY[i], exp) for i in ids
+            for exp in REGISTRY[i].expectations]
+    horizons: dict = {}
+    for example, exp in rows:
+        key = _sweep_key(example, exp)
+        if key is not None:
+            horizons[key] = max(horizons.get(key, 0), exp.horizon)
+    tables = {key: _sweep(key, h) for key, h in horizons.items()}
+    return [run_expectation(ex, exp, tables.get(_sweep_key(ex, exp)))
+            for ex, exp in rows]

@@ -9,8 +9,10 @@ prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
 off the same legs.  :func:`eager_porosity_probe` draws every inner
-candidate of ``lindyn.porosity.porosity_probe`` before testing the first;
-the last section holds shared test fixtures.
+candidate of ``lindyn.porosity.porosity_probe`` before testing the first.
+:func:`per_row_expectation` runs one golden-registry row on its own sweep,
+where ``lindyn.presets.run_registry`` shares one sweep across rows; the
+last section holds shared test fixtures.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from lindyn.criteria import (
     _FORMULA,
     _leg_extremes,
     evaluate,
+    wedge_condition,
 )
 from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
 from lindyn.funcspace import (
@@ -40,7 +43,7 @@ from lindyn.funcspace import (
     linear_interpolate,
     norm,
 )
-from lindyn.measures import AtomicMeasure
+from lindyn.measures import AtomicMeasure, adjoint_criterion
 from lindyn.operators import (
     CompositionOperator,
     _orbit_log2_rows,
@@ -48,6 +51,14 @@ from lindyn.operators import (
     segal_compatible,
 )
 from lindyn.porosity import ProbeResult, _random_perturbation
+from lindyn.presets import (
+    DEFAULT_GRID,
+    Expectation,
+    ExpectationResult,
+    GoldenExample,
+    build_preset,
+    telescoping_depth,
+)
 
 
 def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
@@ -333,6 +344,36 @@ def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
         if not found:
             return ProbeResult(y, d, tuple(records))
     return ProbeResult(None, None, tuple(records))
+
+
+# ---------------------------------------------------------------------------
+# The golden registry one row at a time
+
+
+def per_row_expectation(example: GoldenExample,
+                        exp: Expectation) -> ExpectationResult:
+    """One registry row from its own operator, window and sweep: the
+    route ``lindyn.presets.run_registry`` shares sweeps across."""
+    window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
+    if exp.check == "WEDGE":
+        op = build_preset(example.preset)
+        verdict = wedge_condition(op, window, exp.horizon, exp.tol)
+    elif exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
+        op = build_preset(example.preset)
+        mu = AtomicMeasure.delta(0.0)
+        [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,
+                                      exp.horizon, exp.tol)
+    else:
+        op = build_preset(example.preset,
+                          depth=telescoping_depth(exp.horizon, exp.window))
+        [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
+                             inverse=exp.inverse)
+    n_best, q_best = verdict.best or (0, math.inf)
+    return ExpectationResult(
+        example.example_id, exp.check, exp.inverse, exp.expected,
+        verdict.status, n_best, q_best, verdict.status == exp.expected,
+        exp.note,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from lindyn.porosity import (
     gamma_membership,
     random_scene,
 )
-from lindyn.presets import REGISTRY, run_expectation
+from lindyn.presets import REGISTRY, run_registry
 from oracles import (
     adjoint_Tn,
     cocycle,
@@ -80,8 +80,7 @@ def build_ex38(depth):
 
 def test_02_golden_verdicts():
     start = time.perf_counter()
-    results = [run_expectation(REGISTRY[i], exp) for i in sorted(REGISTRY)
-               for exp in REGISTRY[i].expectations]
+    results = run_registry(sorted(REGISTRY))
     elapsed = time.perf_counter() - start
     failures = [r for r in results if not r.passed]
     assert not failures, failures

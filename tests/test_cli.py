@@ -1,17 +1,25 @@
 import json
 import math
+import random
 import re
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lindyn import dynamics
+from lindyn import cli, criteria, dynamics
 from lindyn.cli import ExperimentConfig, main
-from lindyn.criteria import CriterionKind
-from lindyn.presets import REGISTRY, build_preset
-from oracles import quantity
+from lindyn.criteria import CompactWindow, CriterionKind, _leg_extremes
+from lindyn.presets import (
+    DEFAULT_GRID,
+    REGISTRY,
+    build_preset,
+    run_registry,
+    telescoping_depth,
+)
+from oracles import per_row_expectation, quantity
 
 
 def run(args):
@@ -96,6 +104,55 @@ class TestExamplesCommand:
         required = {"ex3.5", "ex3.6", "ex3.7", "ex3.8", "rem3.10",
                     "ex4.3a", "ex4.3b", "ex3.12-condition"}
         assert required <= set(REGISTRY)
+
+
+class TestRegistrySweeps:
+    """``run_registry`` shares one sweep per (preset, window, inverse,
+    adjoint) at the longest horizon among its rows; each row must equal
+    the same row run on its own sweep."""
+
+    @pytest.mark.parametrize("ids", [
+        sorted(REGISTRY),
+        random.Random(15).sample(sorted(REGISTRY), len(REGISTRY)),
+        *([i] for i in sorted(REGISTRY)),
+        ["ex3.8", "ex3.8"],
+        ["ex3.6", "ex3.12-condition", "ex3.6"],
+    ], ids=lambda ids: "+".join(ids))
+    def test_rows_match_per_row_oracle(self, ids):
+        expected = [per_row_expectation(REGISTRY[i], exp) for i in ids
+                    for exp in REGISTRY[i].expectations]
+        assert run_registry(ids) == expected
+
+    @pytest.mark.parametrize("h", [200, 500, 1023, 1024, 1025])
+    def test_short_sweep_is_a_prefix_of_the_long_one(self, h):
+        # ex3.8 each at the depth its own sweep would be built at
+        pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
+        cases = [(build_preset("ex3.8", depth=telescoping_depth(2000, 2.0)),
+                  build_preset("ex3.8", depth=telescoping_depth(h, 2.0)),
+                  False),
+                 (build_preset("ex3.6"), build_preset("ex3.6"), True)]
+        for long_op, short_op, inverse in cases:
+            long_ext, _ = _leg_extremes(long_op, pts, pts, 2000, inverse)
+            short_ext, _ = _leg_extremes(short_op, pts, pts, h, inverse)
+            assert np.array_equal(long_ext[:, :h], short_ext)
+
+    def test_one_sweep_per_key(self, monkeypatch, capsys):
+        # 11 keys at H = 200 but ex3.8's at 2000, plus the WEDGE row's own
+        # sweep: 12 sweeps of 4200 rows (one per row: 24 of 6900)
+        horizons = []
+        sweep = criteria._leg_extremes
+
+        def counted(*args, **kwargs):
+            horizons.append(args[3])
+            return sweep(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "lindyn"
+                    and getattr(module, "_leg_extremes", None) is sweep):
+                monkeypatch.setattr(module, "_leg_extremes", counted)
+        assert run(["examples"]) == 0
+        assert len(horizons) == 12
+        assert sum(horizons) == 4200
 
 
 class TestClassifyCommand:
@@ -566,6 +623,46 @@ class TestOtherCommands:
             with pytest.raises(SystemExit) as exc:
                 run([command, "--preset", "ex3.5", "--seed", "1"])
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["porosity", "--config", "missing.json", "--preset", "nope"],
+        ["porosity", "--preset", "ex3.5"],
+        ["examples", "ex4.3b", "--config", "missing.json"],
+        ["examples", "--preset", "ex3.5"],
+    ], ids=["porosity-config-preset", "porosity-preset", "examples-config",
+            "examples-preset"])
+    def test_unread_config_flags_are_usage_errors(self, capsys, argv):
+        # only classify, orbit and adjoint load a config
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        assert run(["examples", "ex4.3b", "ex3.12-condition"]) == 0
+        assert run(["porosity", "--mode", "corollary"]) == 0
+        assert len(built) == 1
+
+    def test_inverse_does_not_stick(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"operator": {"preset": "ex3.6"},
+                                   "space": {"kind": "L2"},
+                                   "window": {"m": 1.0}, "tol": 2e-2}))
+        for out, flags in (("inv", ["--inverse"]), ("plain", [])):
+            assert run(["classify", "--config", str(cfg),
+                        "--out", str(tmp_path / out), *flags]) == 0
+        summary = json.loads(
+            (tmp_path / "plain" / "verdicts.jsonl").read_text()
+            .splitlines()[-1])
+        assert summary["params"]["inverse"] is False
 
     def test_porosity_modes(self, tmp_path, capsys):
         assert run(["porosity", "--mode", "corollary",

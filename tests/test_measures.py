@@ -153,25 +153,25 @@ class TestAdjointCriterion:
     def test_cesaro_positive_instance(self):
         op = build_preset("ex4.3a")
         mu = AtomicMeasure.delta(0.0)
-        v = adjoint_criterion(CriterionKind.ADJOINT_CESARO, op, mu, mu,
-                              self.window(), 200, 1e-2)
+        [v] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, mu,
+                                mu, self.window(), 200, 1e-2)
         assert v.status == SATISFIED
 
     def test_super_only_instance(self):
         op = build_preset("ex4.3b")
         mu = AtomicMeasure.delta(0.0)
-        sup = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
-                                self.window(), 200, 1e-6)
-        ces = adjoint_criterion(CriterionKind.ADJOINT_CESARO, op, mu, mu,
-                                self.window(), 200, 1e-2)
+        [sup] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op, mu,
+                                  mu, self.window(), 200, 1e-6)
+        [ces] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, mu,
+                                  mu, self.window(), 200, 1e-2)
         assert sup.status == SATISFIED and ces.status != SATISFIED
 
     def test_unit_weight_neither(self):
         mu = AtomicMeasure.delta(0.0)
         for kind in (CriterionKind.ADJOINT_SUPER,
                      CriterionKind.ADJOINT_CESARO):
-            v = adjoint_criterion(kind, OP_UNIT, mu, mu, self.window(),
-                                  100, 1e-6)
+            [v] = adjoint_criterion([kind], OP_UNIT, mu, mu, self.window(),
+                                    100, 1e-6)
             assert v.status != SATISFIED
 
     @pytest.mark.parametrize("horizon, tol", [(0, 1e-6), (10, 0.0),
@@ -180,14 +180,14 @@ class TestAdjointCriterion:
         # the same checks as evaluate, on the route both share
         mu = AtomicMeasure.delta(0.0)
         with pytest.raises(ValueError):
-            adjoint_criterion(CriterionKind.ADJOINT_SUPER, OP_UNIT, mu, mu,
-                              self.window(), horizon, tol)
+            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, mu,
+                              mu, self.window(), horizon, tol)
 
     def test_support_outside_window(self):
         mu = AtomicMeasure.delta(5.0)
         with pytest.raises(SupportOutsideWindowError):
-            adjoint_criterion(CriterionKind.ADJOINT_SUPER, OP_UNIT, mu, mu,
-                              self.window(), 10, 1e-6)
+            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, mu,
+                              mu, self.window(), 10, 1e-6)
 
     def test_distinct_measures_read_their_own_leg(self):
         # the forward leg sups over mu's atoms and the backward leg over
@@ -196,9 +196,9 @@ class TestAdjointCriterion:
         mu = AtomicMeasure([(-1.0, 1.0), (0.25, 2.0), (1.25, -1.0)])
         nu = AtomicMeasure([(-0.75, 1.0), (0.5, 0.5j)])
         win = self.window(1.5)
-        sup, ces = (adjoint_criterion(kind, op, mu, nu, win, 40, 1e-6)
-                    for kind in (CriterionKind.ADJOINT_SUPER,
-                                 CriterionKind.ADJOINT_CESARO))
+        sup, ces = adjoint_criterion((CriterionKind.ADJOINT_SUPER,
+                                      CriterionKind.ADJOINT_CESARO),
+                                     op, mu, nu, win, 40, 1e-6)
         for n in (1, 2, 7, 40):
             x = -backward_log2(op, nu.locations, n).min()
             y = forward_log2(op, mu.locations, n).max()
@@ -218,8 +218,8 @@ class TestAdjointCriterion:
                          positive=True))
         mu = AtomicMeasure([(0.0, 1.0), (0.5, 1.0)])
         win = CompactWindow(1.0, mu.locations)
-        adj = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
-                                win, 20, 1e-6)
+        [adj] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op, mu,
+                                  mu, win, 20, 1e-6)
         [fwd] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], flipped, win,
                          20, 1e-6)
         assert np.allclose(adj.trace, fwd.trace, rtol=1e-11, atol=0)
@@ -250,7 +250,7 @@ class TestSharedAdjointSweep:
         mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
         win = CompactWindow.from_grid(GRID, 1.5)
         for kind in self.ADJOINT_KINDS:
-            adjoint_criterion(kind, op, mu, mu, win, 30, 1e-6)
+            adjoint_criterion([kind], op, mu, mu, win, 30, 1e-6)
         for max_drop in (0, 2):
             evaluate(list(CriterionKind), op, win, 30, 1e-6, max_drop)
         assert calls and all(ndim == 1 for ndim in calls)
@@ -262,7 +262,7 @@ class TestSharedAdjointSweep:
         win = CompactWindow.from_grid(GRID, m)
         mu = AtomicMeasure((x, 1.0) for x in win.points)
         for kind in self.ADJOINT_KINDS:
-            adj = adjoint_criterion(kind, op, mu, mu, win, 150, 1e-6)
+            [adj] = adjoint_criterion([kind], op, mu, mu, win, 150, 1e-6)
             [ref] = evaluate([kind], op, win, 150, 1e-6)
             assert np.array_equal(adj.trace, ref.trace)
             assert np.array_equal(adj.log2_trace, ref.log2_trace)
@@ -280,7 +280,7 @@ class TestSharedAdjointSweep:
         win = CompactWindow(2.0, [0.0])
         horizon = 2100
         for kind in self.ADJOINT_KINDS:
-            v = adjoint_criterion(kind, op, mu, nu, win, horizon, 1e-6)
+            [v] = adjoint_criterion([kind], op, mu, nu, win, horizon, 1e-6)
             for n in (819, 820, 1024, 1025, horizon):
                 x = -backward_log2(op, nu.locations, n).min()
                 y = forward_log2(op, mu.locations, n).max()
@@ -311,8 +311,8 @@ class TestMeasureApproximant:
         op = build_preset("ex4.3a")
         mu = AtomicMeasure.delta(0.0)
         win = CompactWindow.from_grid(GRID, 1.0)
-        verdict = adjoint_criterion(CriterionKind.ADJOINT_SUPER, op, mu, mu,
-                                    win, 60, 1e-6)
+        [verdict] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op,
+                                      mu, mu, win, 60, 1e-6)
         errs = []
         for n, q in verdict.witness:
             eta, lam = measure_approximant(op, mu, mu, n)
