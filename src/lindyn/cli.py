@@ -25,6 +25,7 @@ from .funcspace import (
     PiecewiseMap,
     SUP,
     L2,
+    SegalNorm,
     Translation,
     homeo_from_spec,
     norm,
@@ -111,10 +112,12 @@ class ExperimentConfig:
         wspec = _object(raw.get("window", {}), "window")
         window_m = float(_bounded(wspec.get("m", 2.0), "window.m", 0))
         gspec = _object(raw.get("grid", {}), "grid")
+        half_width = _bounded(gspec.get("half_width", 64.0),
+                              "grid.half_width", 0, strict=True)
+        step = _bounded(gspec.get("step", 0.25), "grid.step", 0, strict=True)
         try:
-            grid = Grid(float(gspec.get("half_width", 64.0)),
-                        float(gspec.get("step", 0.25)))
-        except (ValueError, TypeError) as exc:
+            grid = Grid(float(half_width), float(step))
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         try:
             if preset_name:
@@ -143,7 +146,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         sspec = _object(raw.get("space", {}), "space")
         space = sspec.get("kind", "L2")
-        if space not in _SPACE_KINDS:
+        if not isinstance(space, str) or space not in _SPACE_KINDS:
             raise ConfigError(f"space kind must be one of {sorted(_SPACE_KINDS)}")
         tau = None
         if sspec.get("tau") is not None:
@@ -174,6 +177,22 @@ class ExperimentConfig:
         return CompactWindow.from_grid(self.grid, self.window_m,
                                        self.window_eps)
 
+    def checked_window(self) -> CompactWindow:
+        """The compact window, after the checks a SEGAL space makes:
+        ``space.tau`` present and invariant under alpha on the grid, and
+        ``window.eps`` present and bounding |tau| on the window."""
+        if self.space != "SEGAL":
+            return self.compact_window()
+        if self.tau is None:
+            raise ConfigError("SEGAL space requires space.tau")
+        if not segal_compatible(self.operator, self.tau, self.grid):
+            raise ConfigError("tau is not invariant under alpha on this grid")
+        if self.window_eps is None:
+            raise ConfigError("SEGAL space requires window.eps")
+        window = self.compact_window()
+        window.validate_segal(self.tau)
+        return window
+
 
 def _write_lines(out_dir: str | None, name: str, lines: list[str]):
     if out_dir is None:
@@ -201,22 +220,13 @@ def _print_verdict(v, width: int):
 
 def cmd_classify(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    kinds = _SPACE_KINDS[cfg.space]
-    if cfg.space == "SEGAL":
-        if cfg.tau is None:
-            raise ConfigError("SEGAL space requires space.tau")
-        if not segal_compatible(cfg.operator, cfg.tau, cfg.grid):
-            raise ConfigError("tau is not invariant under alpha on this grid")
-        if cfg.window_eps is None:
-            raise ConfigError("SEGAL space requires window.eps")
-    window = cfg.compact_window()
-    if cfg.space == "SEGAL":
-        window.validate_segal(cfg.tau)
-    verdicts = evaluate(kinds, cfg.operator, window, cfg.horizon, cfg.tol,
-                        cfg.trim, inverse=args.inverse)
+    verdicts = evaluate(_SPACE_KINDS[cfg.space], cfg.operator,
+                        cfg.checked_window(), cfg.horizon, cfg.tol, cfg.trim,
+                        inverse=args.inverse)
     for v in verdicts:
         _print_verdict(v, 20)
-    _write_lines(args.out, "verdicts.jsonl", [v.to_jsonl() for v in verdicts])
+    _write_lines(args.out, "verdicts.jsonl",
+                 [v.to_jsonl(args.per_n) for v in verdicts])
     return 0
 
 
@@ -246,6 +256,7 @@ def _bump_from_spec(grid: Grid, spec, name: str) -> GridFunction:
 
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
+    cfg.checked_window()
     mode = cfg.raw.get("mode", "scaled")
     if mode not in dynamics.MODES:
         raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")
@@ -253,7 +264,14 @@ def cmd_orbit(args) -> int:
                               "seed_function")
     specs = _object(cfg.raw.get("targets", []), "targets", list)
     targets = [_bump_from_spec(cfg.grid, s, "a target") for s in specs]
-    kind = L2 if cfg.space == "L2" else SUP
+    if cfg.space != "SEGAL":
+        kind = L2 if cfg.space == "L2" else SUP
+    elif targets:
+        raise ConfigError("a SEGAL orbit takes no targets: each Segal "
+                          "projective distance is a nested golden-section "
+                          "solve of about 0.7 s")
+    else:
+        kind = SegalNorm(cfg.tau)
     # one walk fills both files; in scaled mode the first target's
     # orbit.csv column is also its best.csv distance
     trace = dynamics.orbit_trace(cfg.operator, seed_fn, cfg.horizon, kind,
@@ -362,7 +380,8 @@ def cmd_adjoint(args) -> int:
         cfg.operator, mu, mu, window, cfg.horizon, cfg.tol)
     for v in verdicts:
         _print_verdict(v, 16)
-    _write_lines(args.out, "adjoint.jsonl", [v.to_jsonl() for v in verdicts])
+    _write_lines(args.out, "adjoint.jsonl",
+                 [v.to_jsonl(args.per_n) for v in verdicts])
     return 0
 
 
@@ -411,10 +430,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help="named operator preset")
         out_only(p)
 
+    def per_n(p):
+        p.add_argument("--per-n", action="store_true",
+                       help="write one line per n before each summary line")
+
     p = sub.add_parser("classify", help="run the criteria for a space kind")
     common(p)
     p.add_argument("--inverse", action="store_true",
                    help="classify the inverse operator instead")
+    per_n(p)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("orbit", help="orbit norm trace to CSV")
@@ -431,6 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("adjoint", help="measure-side criteria")
     common(p)
+    per_n(p)
     p.set_defaults(fn=cmd_adjoint)
 
     p = sub.add_parser("examples", help="golden verdict registry")

@@ -235,35 +235,50 @@ class CriterionVerdict:
 
     def jsonl_records(self):
         """Per-n records followed by one summary record: the decoded lines
-        of :meth:`to_jsonl`."""
-        return [json.loads(line) for line in self.to_jsonl().split("\n")]
+        of ``to_jsonl(per_n=True)``."""
+        return [json.loads(line)
+                for line in self.to_jsonl(per_n=True).split("\n")]
 
-    def to_jsonl(self) -> str:
-        """One line per n, then the summary line; keys sorted, floats as
-        ``json.dumps`` writes them and non-finite ones as strings.  Each
-        float is formatted once: the summary's ``best_log2_q`` and witness
-        reuse the text of the per-n lines."""
+    def to_jsonl(self, per_n: bool = False) -> str:
+        """The summary line, after one line per n with ``per_n``; keys
+        sorted, floats as ``json.dumps`` writes them and non-finite ones as
+        strings.  Each float is formatted once: with ``per_n`` the summary's
+        ``best_log2_q`` and witness reuse the text of the per-n lines,
+        without it only the q at the records and the last record's log2 q
+        are formatted."""
+        if not per_n:
+            return self._summary_line(
+                _json_reprs(self.trace[self.records]),
+                _json_reprs(self.log2_trace[self.records[-1:]]))
         log2_qs = _json_reprs(self.log2_trace)
         qs = _json_reprs(self.trace)
-        kind = json.dumps(self.kind)
-        head = f'{{"kind": {kind}, "log2_q": '
+        head = f'{{"kind": {json.dumps(self.kind)}, "log2_q": '
         record = np.zeros(self.horizon, dtype=bool)
         record[self.records] = True
         flag = ("false}", "true}")
         lines = [f'{head}{lq}, "n": {n}, "q": {q}, "record_min": {flag[r]}'
                  for n, lq, q, r in zip(range(1, self.horizon + 1), log2_qs,
                                         qs, record.tolist())]
+        records = self.records.tolist()
+        lines.append(self._summary_line([qs[i] for i in records],
+                                        [log2_qs[i] for i in records[-1:]]))
+        return "\n".join(lines)
+
+    def _summary_line(self, record_qs: list[str],
+                      last_log2_q: list[str]) -> str:
+        """The summary line from the formatted q at each record and the
+        formatted log2 q of the last record (an empty list without one)."""
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
-        records = self.records.tolist()
-        best_log2_q = log2_qs[records[-1]] if records else "null"
-        witness = ", ".join([f"[{i + 1}, {qs[i]}]" for i in records])
+        best_log2_q = last_log2_q[0] if last_log2_q else "null"
+        witness = ", ".join([f"[{n}, {q}]" for n, q in
+                             zip((self.records + 1).tolist(), record_qs)])
         # the key order and separators of json.dumps(..., sort_keys=True)
-        lines.append(f'{{"best_log2_q": {best_log2_q}, "kind": {kind}, '
-                     f'"params": {json.dumps(params, sort_keys=True)}, '
-                     f'"status": {json.dumps(self.status)}, '
-                     f'"witness": [{witness}]}}')
-        return "\n".join(lines)
+        return (f'{{"best_log2_q": {best_log2_q}, '
+                f'"kind": {json.dumps(self.kind)}, '
+                f'"params": {json.dumps(params, sort_keys=True)}, '
+                f'"status": {json.dumps(self.status)}, '
+                f'"witness": [{witness}]}}')
 
 
 def _json_float(x: float):

@@ -11,12 +11,15 @@ restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
 off the same legs.  :func:`eager_porosity_probe` draws every inner
 candidate of ``lindyn.porosity.porosity_probe`` before testing the first.
 :func:`per_row_expectation` runs one golden-registry row on its own sweep,
-where ``lindyn.presets.run_registry`` shares one sweep across rows; the
-last section holds shared test fixtures.
+where ``lindyn.presets.run_registry`` shares one sweep across rows.
+:func:`dict_serialiser` writes a verdict one json.dumps per record, where
+``CriterionVerdict.to_jsonl`` formats each float once; the last section
+holds shared test fixtures.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -374,6 +377,34 @@ def per_row_expectation(example: GoldenExample,
         verdict.status, n_best, q_best, verdict.status == exp.expected,
         exp.note,
     )
+
+
+# ---------------------------------------------------------------------------
+# Verdict files one record at a time
+
+
+def dict_serialiser(v: CriterionVerdict) -> str:
+    """The per-n lines and the summary line of ``v.to_jsonl(per_n=True)``,
+    from one dict and one ``json.dumps`` per record; it reads the traces as
+    Python floats, so non-finite values are written as "inf", "-inf" and
+    "nan"."""
+    def enc(x):
+        return float(x) if math.isfinite(x) else repr(x)
+
+    record_ns = {n for n, _ in v.witness}
+    records = [{"kind": v.kind, "n": i, "q": enc(q), "log2_q": enc(lq),
+                "record_min": i in record_ns}
+               for i, (q, lq) in enumerate(zip(v.trace.tolist(),
+                                               v.log2_trace.tolist()),
+                                           start=1)]
+    params = {"horizon": v.horizon, "tol": v.tol}
+    params.update(v.params)
+    best = v.best_log2_q
+    records.append({"kind": v.kind, "status": v.status,
+                    "witness": [[n, enc(q)] for n, q in v.witness],
+                    "best_log2_q": None if best is None else enc(best),
+                    "params": params})
+    return "\n".join(json.dumps(r, sort_keys=True) for r in records)
 
 
 # ---------------------------------------------------------------------------

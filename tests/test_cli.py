@@ -12,6 +12,7 @@ import pytest
 from lindyn import cli, criteria, dynamics
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CompactWindow, CriterionKind, _leg_extremes
+from lindyn.measures import AtomicMeasure, adjoint_criterion
 from lindyn.presets import (
     DEFAULT_GRID,
     REGISTRY,
@@ -19,7 +20,7 @@ from lindyn.presets import (
     run_registry,
     telescoping_depth,
 )
-from oracles import per_row_expectation, quantity
+from oracles import dict_serialiser, per_row_expectation, quantity
 
 
 def run(args):
@@ -232,12 +233,15 @@ class TestClassifyCommand:
         {"space": {"kind": "SEGAL",
                    "tau": {"breakpoints": [0.0, 1.0], "values": [0.25]}}},
         [1], {"window": 5}, {"grid": 3}, {"grid": {"half_width": [1]}},
-        {"operator": 7}, {"space": "L2"},
+        {"operator": 7}, {"space": "L2"}, {"space": {"kind": ["L2"]}},
+        {"grid": {"half_width": 64.0, "step": True}},
+        {"grid": {"half_width": True, "step": 0.25}},
     ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
             "trim-str", "trim-neg", "eps-2", "eps-1", "eps-0", "eps-str",
             "tau-no-breakpoints", "tau-no-values", "tau-list",
             "tau-lengths", "config-list", "window-int", "grid-int",
-            "half-width-list", "operator-int", "space-str"])
+            "half-width-list", "operator-int", "space-str",
+            "space-kind-list", "step-bool", "half-width-bool"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
         if isinstance(bad, dict):
@@ -341,7 +345,8 @@ class TestClassifyCommand:
         cfg = self.config(tmp_path, operator={"preset": "ex3.7"},
                           space={"kind": "L2"}, window={"m": 2.0},
                           horizon=3000, tol=1e-6)
-        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path),
+                    "--per-n"]) == 0
         out = capsys.readouterr().out
         records = [json.loads(line) for line in
                    (tmp_path / "verdicts.jsonl").read_text().splitlines()]
@@ -372,7 +377,7 @@ class TestClassifyCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(["classify", "--config", cfg,
-                        "--out", str(tmp_path)]) == 0
+                        "--out", str(tmp_path), "--per-n"]) == 0
         log2_q = [json.loads(line)["log2_q"] for line in
                   (tmp_path / "verdicts.jsonl").read_text().splitlines()
                   if '"kind": "SUPERCYCLIC_SOLID", "log2_q"' in line]
@@ -385,7 +390,8 @@ class TestClassifyCommand:
         # ex3.5 in C0 at m = 2: the Cesaro q(3) equals q(1) = 2.0, and so
         # must log2 q, or the tie sets a record
         cfg = self.config(tmp_path, window={"m": 2.0}, tol=1e-6)
-        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path),
+                    "--per-n"]) == 0
         records = [json.loads(line) for line in
                    (tmp_path / "verdicts.jsonl").read_text().splitlines()]
         per_n = {r["n"]: r for r in records
@@ -413,8 +419,8 @@ class TestClassifyCommand:
                                           overrides, flags):
         horizon = 60
         cfg = self.config(tmp_path, horizon=horizon, **overrides)
-        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]
-                   + flags) == 0
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path),
+                    "--per-n"] + flags) == 0
         loaded = ExperimentConfig.load(cfg, None)
         window = loaded.compact_window()
         trim = loaded.trim
@@ -466,8 +472,8 @@ class TestClassifyCommand:
         # lines flagged record_min, and best_log2_q the last record's
         # log2_q text, including q that underflowed to 0
         cfg = self.config(tmp_path, **overrides)
-        assert run(["classify", "--config", cfg, "--out", str(tmp_path)]
-                   + flags) == 0
+        assert run(["classify", "--config", cfg, "--out", str(tmp_path),
+                    "--per-n"] + flags) == 0
         per_n, summary = self.raw_lines(tmp_path / "verdicts.jsonl")
         assert set(per_n) == set(summary) and len(per_n) == 3
         for kind, lines in per_n.items():
@@ -478,6 +484,133 @@ class TestClassifyCommand:
             assert best == records[-1][0]
         if "horizon" in overrides:
             assert per_n["SUPERCYCLIC_SOLID"][-1][2] == "0.0"
+
+    TINY = {"alpha": {"kind": "translation", "shift": -1.0},
+            "weight": {"breakpoints": [0.0], "values": [1e-310]}}
+    FILE_CASES = [
+        ("classify", {"operator": {"preset": "ex3.8"}, "space": {"kind": "L2"},
+                      "window": {"m": 2.0}, "horizon": 18000}, []),
+        ("classify", {"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"},
+                      "trim": 2}, []),
+        ("classify", {}, []),
+        ("classify", {"space": {"kind": "SEGAL",
+                                "tau": {"breakpoints": [0.0],
+                                        "values": [0.25]}},
+                      "window": {"m": 1.0, "eps": 0.5}}, []),
+        ("classify", {"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"}},
+         ["--inverse"]),
+        ("adjoint", {"operator": {"preset": "ex4.3a"}}, []),
+        ("classify", {"operator": TINY, "space": {"kind": "L2"},
+                      "horizon": 5}, []),
+        ("adjoint", {"operator": TINY, "horizon": 5}, []),
+    ]
+    FILE_IDS = ["ex38-L2-H18000", "trim2", "C0", "SEGAL", "inverse",
+                "adjoint", "no-record", "adjoint-no-record"]
+
+    def verdict_file(self, tmp_path, command, overrides, flags):
+        """The text of the command's verdict file, written to a directory
+        of its own."""
+        cfg = self.config(tmp_path, **overrides)
+        out = tmp_path / "-".join([command, *flags])
+        assert run([command, "--config", cfg, "--out", str(out)]
+                   + flags) == 0
+        name = "verdicts.jsonl" if command == "classify" else "adjoint.jsonl"
+        return (out / name).read_text()
+
+    @pytest.mark.parametrize("command, overrides, flags", FILE_CASES,
+                             ids=FILE_IDS)
+    def test_per_n_file_matches_reference_writer(self, tmp_path, capsys,
+                                                 command, overrides, flags):
+        # with --per-n each verdict is written as one json.dumps per record
+        # writes it: the per-n lines, then the summary line
+        text = self.verdict_file(tmp_path, command, overrides,
+                                 flags + ["--per-n"])
+        loaded = ExperimentConfig.load(str(tmp_path / "cfg.json"), None)
+        window = loaded.compact_window()
+        if command == "adjoint":
+            mu = AtomicMeasure.delta(0.0)
+            verdicts = adjoint_criterion(
+                (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO),
+                loaded.operator, mu, mu, window, loaded.horizon, loaded.tol)
+        else:
+            verdicts = criteria.evaluate(
+                cli._SPACE_KINDS[loaded.space], loaded.operator, window,
+                loaded.horizon, loaded.tol, loaded.trim,
+                inverse="--inverse" in flags)
+        assert text == "".join(dict_serialiser(v) + "\n" for v in verdicts)
+
+    @pytest.mark.parametrize("command, overrides, flags", FILE_CASES,
+                             ids=FILE_IDS)
+    def test_default_file_is_the_summary_lines(self, tmp_path, capsys,
+                                               command, overrides, flags):
+        per_n = self.verdict_file(tmp_path, command, overrides,
+                                  flags + ["--per-n"])
+        summary = self.verdict_file(tmp_path, command, overrides, flags)
+        assert summary.splitlines() == [line for line in per_n.splitlines()
+                                        if '"status"' in line]
+        assert summary.endswith("\n")
+        if overrides.get("operator") is self.TINY:  # q never finite
+            assert '"best_log2_q": null' in summary
+            assert '"witness": []' in summary
+
+
+class TestSegalOrbit:
+    """A SEGAL orbit makes the checks a SEGAL classify makes and traces the
+    Segal norm."""
+
+    SPACE = {"kind": "SEGAL", "tau": {"breakpoints": [0.0], "values": [0.5]}}
+
+    def orbit(self, tmp_path, capsys, **overrides):
+        cfg = {"operator": {"preset": "ex3.5"}, "space": self.SPACE,
+               "grid": {"half_width": 16.0, "step": 0.25},
+               "window": {"m": 1.0, "eps": 0.6}, "horizon": 10}
+        cfg.update(overrides)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code = run(["orbit", "--config", str(path), "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @staticmethod
+    def columns(path):
+        rows = path.read_text().splitlines()[1:]
+        return [[float(x) if x else None for x in row.split(",")]
+                for row in rows]
+
+    @pytest.mark.parametrize("overrides", [
+        {"space": {"kind": "SEGAL"}},
+        {"window": {"m": 1.0}},
+        {"space": {"kind": "SEGAL",
+                   "tau": {"breakpoints": [-1.0, 1.0],
+                           "values": [0.1, 0.3]}}},
+        {"window": {"m": 1.0, "eps": 0.4}},
+    ], ids=["no-tau", "no-eps", "tau-not-invariant", "eps-below-tau"])
+    def test_segal_checks_exit_2(self, tmp_path, capsys, overrides):
+        code, err, out = self.orbit(tmp_path, capsys, **overrides)
+        assert code == 2 and err
+        assert not out.exists()
+
+    def test_targets_exit_2_naming_the_cost(self, tmp_path, capsys):
+        code, err, out = self.orbit(tmp_path, capsys, targets=[{}])
+        assert code == 2
+        assert "golden-section" in err and "0.7 s" in err
+        assert not out.exists()
+
+    def test_constant_tau_doubles_the_sup_norm(self, tmp_path, capsys):
+        # with tau = 1/2 everywhere, ||f||_S = sum_k ||f||_inf / 2^k
+        code, _, out = self.orbit(tmp_path, capsys)
+        assert code == 0
+        segal = self.columns(out / "orbit.csv")
+        (tmp_path / "c0").mkdir()
+        code, _, out = self.orbit(tmp_path / "c0", capsys,
+                                  space={"kind": "C0"})
+        assert code == 0
+        c0 = self.columns(out / "orbit.csv")
+        assert len(segal) == len(c0) == 10
+        for s_row, c_row in zip(segal, c0):
+            assert s_row[0] == c_row[0]
+            assert abs(s_row[1] - 2 * c_row[1]) <= 1e-9
+            assert s_row[3] is None and s_row[4] == c_row[4]
 
 
 class TestOtherCommands:

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -29,6 +28,7 @@ from lindyn.presets import REGISTRY, build_preset
 from oracles import (
     _trim_greedy,
     backward_log2,
+    dict_serialiser,
     forward_log2,
     implication_check,
     product_factors,
@@ -177,7 +177,7 @@ class TestEvaluate:
         [b] = evaluate([CriterionKind.CESARO_SOLID], op, win, 100, 1e-2)
         assert np.array_equal(a.trace, b.trace)
         assert a.witness == b.witness and a.status == b.status
-        assert a.to_jsonl() == b.to_jsonl()
+        assert a.to_jsonl(per_n=True) == b.to_jsonl(per_n=True)
 
     def test_window_monotonicity(self):
         op = build_preset("ex3.7")
@@ -241,7 +241,8 @@ class TestSharedSweep:
                     _, alone_xy = _leg_extremes(op, win.points, win.points,
                                                 60, inverse, [kind], trim)
                     assert np.array_equal(xy[kind], alone_xy[kind])
-                assert v.to_jsonl() == alone.to_jsonl()
+                assert v.to_jsonl(per_n=True) == \
+                    alone.to_jsonl(per_n=True)
 
     def test_trace_matches_per_n_quantity(self):
         op = build_preset("ex3.8", depth=80)
@@ -333,29 +334,6 @@ class TestVerdictFromTrace:
         v = verdict_from_trace("K", [np.inf, np.nan], 1.0)
         assert v.witness == () and v.status != SATISFIED
 
-    @staticmethod
-    def dict_serialiser(v):
-        """The per-record dict + json.dumps writer that to_jsonl replaced;
-        it reads the traces as Python floats, so non-finite values are
-        written as "inf", "-inf" and "nan"."""
-        def enc(x):
-            return float(x) if math.isfinite(x) else repr(x)
-
-        record_ns = {n for n, _ in v.witness}
-        records = [{"kind": v.kind, "n": i, "q": enc(q), "log2_q": enc(lq),
-                    "record_min": i in record_ns}
-                   for i, (q, lq) in enumerate(zip(v.trace.tolist(),
-                                                   v.log2_trace.tolist()),
-                                               start=1)]
-        params = {"horizon": v.horizon, "tol": v.tol}
-        params.update(v.params)
-        best = v.best_log2_q
-        records.append({"kind": v.kind, "status": v.status,
-                        "witness": [[n, enc(q)] for n, q in v.witness],
-                        "best_log2_q": None if best is None else enc(best),
-                        "params": params})
-        return "\n".join(json.dumps(r, sort_keys=True) for r in records)
-
     def test_to_jsonl_matches_dict_serialiser(self):
         trace = [3.0, 0.0, -0.0, 0.0, 5e-324, 5e-324, 1e308, np.inf, np.nan,
                  -np.inf, -np.inf, 2.5, np.nan, np.inf]
@@ -367,10 +345,11 @@ class TestVerdictFromTrace:
                     verdict_from_trace("K", trace[:5], 1e-6),
                     verdict_from_trace("K", [np.inf, np.nan], 1.0)]
         for v in verdicts:
-            assert v.to_jsonl() == self.dict_serialiser(v)
+            assert v.to_jsonl(per_n=True) == dict_serialiser(v)
             assert v.jsonl_records() == [
                 json.loads(line)
-                for line in self.dict_serialiser(v).split("\n")]
+                for line in dict_serialiser(v).split("\n")]
+            assert v.to_jsonl() == dict_serialiser(v).split("\n")[-1]
         # ties, NaN and q = inf set no record
         flags = [r["record_min"] for r in verdicts[0].jsonl_records()[:-1]]
         assert [n for n, f in enumerate(flags, start=1) if f] == [1, 2, 10]
@@ -400,7 +379,8 @@ class TestVerdictFromTrace:
             v = verdict_from_trace("K", column(size),
                                    10.0 ** rng.uniform(-300, 2), params,
                                    log2_trace)
-            assert v.to_jsonl() == self.dict_serialiser(v)
+            assert v.to_jsonl(per_n=True) == dict_serialiser(v)
+            assert v.to_jsonl() == dict_serialiser(v).split("\n")[-1]
 
 
 class TestTrim:
