@@ -46,13 +46,7 @@ from .porosity import (
     porosity_probe,
     random_scene,
 )
-from .presets import (
-    REGISTRY,
-    TELESCOPING_PRESETS,
-    build_preset,
-    run_registry,
-    telescoping_depth,
-)
+from .presets import REGISTRY, build_preset, run_registry
 from . import dynamics
 
 _SPACE_KINDS = {
@@ -121,17 +115,7 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         try:
             if preset_name:
-                # a sweep reaches horizon steps past the window, an orbit
-                # trace past every grid point
-                depth = raw.get("depth")
-                needed = telescoping_depth(horizon, window_m)
-                if depth is None:
-                    depth = telescoping_depth(
-                        horizon, max(window_m, grid.half_width))
-                elif preset_name in TELESCOPING_PRESETS and depth < needed:
-                    raise ConfigError(f"depth {depth} does not cover the "
-                                      f"sweep: need >= {needed}")
-                op = build_preset(preset_name, depth=depth)
+                op = build_preset(preset_name)
             elif "alpha" in op_spec and "weight" in op_spec:
                 alpha = homeo_from_spec(op_spec["alpha"])
                 wm = op_spec["weight"]

@@ -36,8 +36,6 @@ __all__ = [
     "ExpectationResult",
     "run_expectation",
     "run_registry",
-    "telescoping_depth",
-    "TELESCOPING_PRESETS",
     "DEFAULT_GRID",
 ]
 
@@ -50,32 +48,47 @@ def _bridge_weight(left: float, right: float) -> PiecewiseMap:
     return PiecewiseMap([-1.0, 1.0], [left, right], positive=True)
 
 
-def _telescoping_weight(depth: int) -> PiecewiseMap:
-    """Nodes (0, 1/2) and (-m, (m+1)/m) for m = 1..depth, affine between;
-    the value 1/2 continues right, the last ratio continues left."""
-    ms = np.arange(depth, 0, -1, dtype=float)
-    breakpoints = np.concatenate([-ms, [0.0]])
-    values = np.concatenate([(ms + 1.0) / ms, [0.5]])
-    return PiecewiseMap(breakpoints, values, positive=True)
+class _TelescopingWeight:
+    """The weight of ex3.8 with its nodes moved right by ``shift``: 1/2
+    from ``shift`` on and (k+1)/k at ``shift - k`` for k = 1, 2, ...,
+    affine between, for every t.  It performs the float operations
+    ``np.interp`` performs on that table, so it equals any finite table of
+    it bit for bit right of the table's first node.  It works in place: a
+    fresh array per operation slowed long sweeps."""
+
+    positive = True
+
+    def __init__(self, shift: float = 0.0):
+        self.shift = shift
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        out = np.full(t.shape, 0.5)
+        below = t < self.shift
+        x = t[below]
+        # k = ceil(shift - x) >= 1: the node shift - k <= x < shift - k + 1
+        k = np.subtract(self.shift, x)
+        np.ceil(k, out=k)
+        left = k + 1.0
+        left /= k
+        # slope = the right node's value k/(k-1), or k/2 = 1/2 when k = 1,
+        # minus left
+        slope = k - 1.0
+        slope[slope == 0.0] = 2.0
+        np.divide(k, slope, out=slope)
+        slope -= left
+        # x - (shift - k), the node as the table holds it; (x - shift) + k
+        # rounds differently near powers of 2
+        np.subtract(self.shift, k, out=k)
+        x -= k
+        x *= slope
+        x += left
+        out[below] = x
+        return out[()]
 
 
-# presets whose weight is the telescoping weight, sized by ``depth``
-TELESCOPING_PRESETS = ("ex3.8", "rem3.10")
-
-
-def telescoping_depth(horizon: int, m: float) -> int:
-    """Depth of a telescoping preset's weight for a sweep of ``horizon``
-    steps from the window [-m, m]: the deepest orbit point visited, plus a
-    margin of 8."""
-    return horizon + math.ceil(m) + 8
-
-
-def build_preset(name: str, *, depth: int | None = None):
-    """Instantiate a named preset operator.
-
-    ``depth`` sizes the weight of the :data:`TELESCOPING_PRESETS`; it must
-    cover the deepest orbit point visited, see :func:`telescoping_depth`.
-    """
+def build_preset(name: str):
+    """Instantiate a named preset operator."""
     if name == "ex3.5":
         return CompositionOperator(Translation(-1.0), _bridge_weight(2.0, 1.0))
     if name == "ex3.6":
@@ -85,14 +98,11 @@ def build_preset(name: str, *, depth: int | None = None):
         # and delta >= 1; bridge value at 0 is M + (0+1)/2 * (1+delta-M) = 3
         return CompositionOperator(Translation(-1.0), _bridge_weight(4.0, 2.0))
     if name == "ex3.8":
-        return CompositionOperator(Translation(-1.0),
-                                   _telescoping_weight(depth or 2100))
+        return CompositionOperator(Translation(-1.0), _TelescopingWeight())
     if name == "rem3.10":
         # the forward shift e_j -> w_j e_{j+1} on the counting measure of
         # the integers is f -> w(t-1) f(t-1), with w the telescoping weight
-        return CompositionOperator(Translation(-1.0),
-                                   _telescoping_weight(depth or 2100)
-                                   .shifted(1.0))
+        return CompositionOperator(Translation(-1.0), _TelescopingWeight(1.0))
     if name == "ex4.3a":
         return CompositionOperator(Translation(1.0), _bridge_weight(2.0, 1.0))
     if name == "ex4.3b":
@@ -295,7 +305,7 @@ def _sweep(key, horizon: int) -> np.ndarray:
     """The leg rows of one sweep key over n = 1..horizon: over the window's
     points, or for the adjoint rows over the support of mu = nu = delta_0."""
     preset, m, inverse, adjoint = key
-    op = build_preset(preset, depth=telescoping_depth(horizon, m))
+    op = build_preset(preset)
     window = CompactWindow.from_grid(DEFAULT_GRID, m)
     if adjoint:
         mu = AtomicMeasure.delta(0.0)
@@ -309,8 +319,7 @@ def run_registry(ids) -> list[ExpectationResult]:
 
     The rows of one sweep key share one sweep, at the longest horizon among
     them.  A shorter row reads a prefix of it, bit for bit: each leg row is
-    elementwise in n, and a telescoping weight built for the longer sweep
-    agrees with the shorter one's on every point the shorter one reads.
+    elementwise in n.
     """
     rows = [(REGISTRY[i], exp) for i in ids
             for exp in REGISTRY[i].expectations]

@@ -11,7 +11,9 @@ restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
 off the same legs.  :func:`eager_porosity_probe` draws every inner
 candidate of ``lindyn.porosity.porosity_probe`` before testing the first.
 :func:`per_row_expectation` runs one golden-registry row on its own sweep,
-where ``lindyn.presets.run_registry`` shares one sweep across rows.
+where ``lindyn.presets.run_registry`` shares one sweep across rows, and
+:func:`telescoping_table` is the finite ``np.interp`` table that the
+closed-form weight of ex3.8 and rem3.10 reproduces.
 :func:`dict_serialiser` writes a verdict one json.dumps per record, where
 ``CriterionVerdict.to_jsonl`` formats each float once; the last section
 holds shared test fixtures.
@@ -60,7 +62,6 @@ from lindyn.presets import (
     ExpectationResult,
     GoldenExample,
     build_preset,
-    telescoping_depth,
 )
 
 
@@ -353,6 +354,16 @@ def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
 # The golden registry one row at a time
 
 
+def telescoping_table(depth: int) -> PiecewiseMap:
+    """The weight of ex3.8 as a table: nodes (0, 1/2) and (-m, (m+1)/m) for
+    m = 1..depth, affine between; the value 1/2 continues right, the last
+    ratio continues left."""
+    ms = np.arange(depth, 0, -1, dtype=float)
+    breakpoints = np.concatenate([-ms, [0.0]])
+    values = np.concatenate([(ms + 1.0) / ms, [0.5]])
+    return PiecewiseMap(breakpoints, values, positive=True)
+
+
 def per_row_expectation(example: GoldenExample,
                         exp: Expectation) -> ExpectationResult:
     """One registry row from its own operator, window and sweep: the
@@ -367,8 +378,7 @@ def per_row_expectation(example: GoldenExample,
         [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,
                                       exp.horizon, exp.tol)
     else:
-        op = build_preset(example.preset,
-                          depth=telescoping_depth(exp.horizon, exp.window))
+        op = build_preset(example.preset)
         [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
                              inverse=exp.inverse)
     n_best, q_best = verdict.best or (0, math.inf)

@@ -42,7 +42,7 @@ from lindyn.porosity import (
     gamma_membership,
     random_scene,
 )
-from lindyn.presets import REGISTRY, run_registry
+from lindyn.presets import REGISTRY, build_preset, run_registry
 from oracles import (
     adjoint_Tn,
     cocycle,
@@ -58,7 +58,7 @@ def report(idx, text):
 
 def test_01_exact_cocycle_oracle():
     start = time.perf_counter()
-    op = build_ex38(10**4 + 8)
+    op = build_preset("ex3.8")
     window = CompactWindow.singleton(0.0)
     p_minus, _ = sweep_factors(op, window, 10**4)
     n = np.arange(1, 10**4 + 1)
@@ -70,12 +70,6 @@ def test_01_exact_cocycle_oracle():
     assert elapsed < 1.0
     report(1, f"P_minus(n) = 2/n for n <= 1e4, rel err {err_ratio:.2e}, "
               f"{elapsed:.2f}s")
-
-
-def build_ex38(depth):
-    from lindyn.presets import build_preset
-
-    return build_preset("ex3.8", depth=depth)
 
 
 def test_02_golden_verdicts():
@@ -144,7 +138,7 @@ def test_04_approximant_contracts():
     wide = Grid(512.0, 0.25)
     fw = triangular_bump(wide, 0.0, 1.0)
     gw = triangular_bump(wide, 0.0, 1.0)
-    op38 = build_ex38(600)
+    op38 = build_preset("ex3.8")
     lows = []
     for (n, tf), (_, sg) in zip(operator_orbit(op38, fw, 500, "T"),
                                 operator_orbit(op38, gw, 500, "S")):
@@ -192,7 +186,7 @@ def test_05_operator_algebra():
         assert abs(lhs / rhs - 1.0) <= 1e-10
 
     ops = [build_preset(p) for p in ("ex3.5", "ex3.6", "ex3.7")]
-    ops.append(build_ex38(40))
+    ops.append(build_preset("ex3.8"))
     count = 0
     for i in range(1000):
         op = ops[i % len(ops)]

@@ -18,9 +18,13 @@ from lindyn.presets import (
     REGISTRY,
     build_preset,
     run_registry,
-    telescoping_depth,
 )
-from oracles import dict_serialiser, per_row_expectation, quantity
+from oracles import (
+    dict_serialiser,
+    per_row_expectation,
+    quantity,
+    telescoping_table,
+)
 
 
 def run(args):
@@ -59,12 +63,34 @@ class TestPresetFidelity:
         assert w(0.0) == 3.0
 
     def test_telescoping_preset(self):
-        op = build_preset("ex3.8", depth=200)
-        w = op.weight
+        w = build_preset("ex3.8").weight
         ms = np.arange(1, 150)
         assert np.allclose(w(-ms.astype(float)), (ms + 1) / ms, rtol=1e-15)
         ts = self.rng.uniform(0, 50, 500)
         assert np.all(w(ts) == 0.5)
+
+    @pytest.mark.parametrize("preset, shift", [("ex3.8", 0.0),
+                                               ("rem3.10", 1.0)])
+    def test_telescoping_weight_is_the_table(self, preset, shift):
+        # bit for bit the np.interp table, wherever the table has nodes
+        w = build_preset(preset).weight
+        table = telescoping_table(5010).shifted(shift)
+        h, m = 5000, 2.0
+        powers = -2.0 ** np.arange(13)
+        samples = [
+            np.arange(-4 * (h + m), 4 * (h + m) + 1) / 4,  # an H = 5000 sweep
+            self.rng.uniform(-5000.0, 50.0, 20000),
+            -np.arange(1.0, 5001.0),
+            np.nextafter(powers, -np.inf), np.nextafter(powers, np.inf),
+            (powers[:, None] + self.rng.uniform(-1.0, 1.0, (13, 400))).ravel(),
+            self.rng.uniform(0.0, 1.0, 1000), self.rng.uniform(1.0, 2.0, 1000),
+        ]
+        for t in samples + [t + shift for t in samples]:
+            assert np.array_equal(w(t), table(t))
+        for t in (-2.5, np.float64(0.75), np.asarray(-4000.3)):
+            value = w(t)
+            assert value == table(t) and np.ndim(value) == 0
+            assert type(value) is np.float64
 
     def test_shift_preset_weights(self):
         # the shift weight w_j sits at j + 1: T f(t) = w(t-1) f(t-1)
@@ -126,15 +152,11 @@ class TestRegistrySweeps:
 
     @pytest.mark.parametrize("h", [200, 500, 1023, 1024, 1025])
     def test_short_sweep_is_a_prefix_of_the_long_one(self, h):
-        # ex3.8 each at the depth its own sweep would be built at
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
-        cases = [(build_preset("ex3.8", depth=telescoping_depth(2000, 2.0)),
-                  build_preset("ex3.8", depth=telescoping_depth(h, 2.0)),
-                  False),
-                 (build_preset("ex3.6"), build_preset("ex3.6"), True)]
-        for long_op, short_op, inverse in cases:
-            long_ext, _ = _leg_extremes(long_op, pts, pts, 2000, inverse)
-            short_ext, _ = _leg_extremes(short_op, pts, pts, h, inverse)
+        for op, inverse in ((build_preset("ex3.8"), False),
+                            (build_preset("ex3.6"), True)):
+            long_ext, _ = _leg_extremes(op, pts, pts, 2000, inverse)
+            short_ext, _ = _leg_extremes(op, pts, pts, h, inverse)
             assert np.array_equal(long_ext[:, :h], short_ext)
 
     def test_one_sweep_per_key(self, monkeypatch, capsys):
@@ -295,16 +317,20 @@ class TestClassifyCommand:
         assert q == pytest.approx(2.0 ** (m + 1) / (horizon - m),
                                   rel=1e-12, abs=0)
 
-    def test_ex38_depth_too_shallow_exit_2(self, tmp_path, capsys):
-        # rem3.10 carries the telescoping weight too, under the same rule
-        for preset in ("ex3.8", "rem3.10"):
-            shallow = self.config(tmp_path, operator={"preset": preset},
-                                  window={"m": 2}, horizon=300, depth=309)
-            assert run(["classify", "--config", shallow]) == 2
-            assert "depth" in capsys.readouterr().err
-            enough = self.config(tmp_path, operator={"preset": preset},
-                                 window={"m": 2}, horizon=300, depth=310)
-            assert run(["classify", "--config", enough]) == 0
+    @pytest.mark.parametrize("preset", ["ex3.8", "rem3.10"])
+    def test_depth_key_is_ignored(self, tmp_path, capsys, preset):
+        # 2010.5 is no integer; h + m + 8 is what the bench's configs set
+        horizon, m = 2000, 2
+        written = []
+        for extra in ({}, {"depth": 2010.5}, {"depth": horizon + m + 8}):
+            out = tmp_path / str(len(written))
+            cfg = self.config(tmp_path, operator={"preset": preset},
+                              space={"kind": "L2"}, window={"m": m},
+                              horizon=horizon, **extra)
+            assert run(["classify", "--config", cfg, "--per-n",
+                        "--out", str(out)]) == 0
+            written.append((out / "verdicts.jsonl").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
 
     def test_rem310_preset_runs_everywhere(self, tmp_path, capsys):
         # the shift preset is a composition operator like every other

@@ -65,7 +65,7 @@ class TestProductFactors:
         assert p_plus == 1.0
 
     def test_telescoping(self):
-        op = build_preset("ex3.8", depth=40)
+        op = build_preset("ex3.8")
         p_minus, p_plus = product_factors(op, K0, 5)
         assert p_minus == pytest.approx(0.4, rel=1e-13)
         assert p_plus == 2.0 ** -5
@@ -74,11 +74,20 @@ class TestProductFactors:
         assert product_factors(OP_UNIT, K0, 17) == (1.0, 1.0)
 
     def test_telescoping_oracle_long(self):
-        op = build_preset("ex3.8", depth=1100)
+        op = build_preset("ex3.8")
         p_minus, _ = sweep_factors(op, K0, 1000)
         n = np.arange(1, 1001)
         assert np.max(np.abs(p_minus * n / 2.0 - 1.0)) <= 1e-12
         assert np.max(np.abs(n * p_minus - 2.0)) <= 2e-12
+
+    @pytest.mark.parametrize("horizon", [5000, 20000])
+    def test_telescoping_hypercyclic_at_any_horizon(self, horizon):
+        # on [-1, 1] the telescoping products give q(H) = 4 / (H - 1)
+        win = CompactWindow.from_grid(GRID, 1.0)
+        [v] = evaluate([CriterionKind.HYPERCYCLIC_SOLID],
+                       build_preset("ex3.8"), win, horizon, 1e-2)
+        assert v.trace[-1] == pytest.approx(4.0 / (horizon - 1), rel=1e-12,
+                                            abs=0)
 
 
 class TestSegalFactors:
@@ -125,7 +134,7 @@ class TestSegalFactors:
 
 class TestQuantity:
     def test_telescoping_cesaro_is_two(self):
-        op = build_preset("ex3.8", depth=600)
+        op = build_preset("ex3.8")
         for n in (1, 5, 50, 500):
             q = quantity(CriterionKind.CESARO_SOLID, op, K0, n)
             assert q == pytest.approx(2.0, rel=1e-12)
@@ -226,7 +235,7 @@ class TestSharedSweep:
         for preset, trim, inverse in (("ex3.7", 0, False),
                                       ("ex3.8", 2, False),
                                       ("ex3.6", 1, True)):
-            op = build_preset(preset, depth=80)
+            op = build_preset(preset)
             together = evaluate(kinds, op, win, 60, 1e-2, trim,
                                 inverse=inverse)
             assert [v.kind for v in together] == [k.value for k in kinds]
@@ -245,7 +254,7 @@ class TestSharedSweep:
                     alone.to_jsonl(per_n=True)
 
     def test_trace_matches_per_n_quantity(self):
-        op = build_preset("ex3.8", depth=80)
+        op = build_preset("ex3.8")
         win = CompactWindow.from_grid(GRID, 2.0)
         kinds = list(CriterionKind)
         for trim in (0, 2):

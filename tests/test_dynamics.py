@@ -195,7 +195,7 @@ class TestOrbitTrace:
     def test_telescoping_inverse_orbit_bounded_below(self):
         # the Cesaro-scaled inverse orbit carries the 1/n product floor:
         # n ||S^n f||_inf >= f(0) * 2 up to the grid boundary
-        op = build_preset("ex3.8", depth=80)
+        op = build_preset("ex3.8")
         f = triangular_bump(GRID)
         floors = [n * norm(sf, SUP)
                   for n, sf in operator_orbit(op, f, 30, "S")]

@@ -32,7 +32,7 @@ from lindyn.operators import (
     apply_Tn,
     segal_compatible,
 )
-from lindyn.presets import build_preset, telescoping_depth
+from lindyn.presets import build_preset
 from oracles import backward_log2, cocycle, forward_log2, identity_homeo
 
 RNG = np.random.default_rng(42)
@@ -70,7 +70,7 @@ class TestApply:
         assert norm(tf, SUP) == 2.0
 
     def test_preset_weight_read(self):
-        op = build_preset("ex3.8", depth=50)
+        op = build_preset("ex3.8")
         f = triangular_bump(GRID, 0.0, 0.5)
         assert apply_Tn(op, f, 1).value_at(1.0) == 0.5
 
@@ -92,7 +92,7 @@ class TestCocycle:
         assert cocycle(OP_DOUBLE, 10, 3.7) == 1024.0
 
     def test_telescoping_forward(self):
-        op = build_preset("ex3.8", depth=50)
+        op = build_preset("ex3.8")
         assert cocycle(op, 5, 0.0) == pytest.approx(2.5, rel=1e-14)
 
     def test_bridge_backward(self):
@@ -184,9 +184,9 @@ class TestSum2Accuracy:
     H = 3000
     PTS = Grid(2.0, 0.25).points
     OPS = {
-        "ex3.8": build_preset("ex3.8", depth=telescoping_depth(H, 2.0)),
+        "ex3.8": build_preset("ex3.8"),
         "ex3.6": build_preset("ex3.6"),
-        "rem3.10": build_preset("rem3.10", depth=telescoping_depth(H, 2.0)),
+        "rem3.10": build_preset("rem3.10"),
         "seam": CompositionOperator(Translation(0.3), SEAM_WEIGHT),
     }
 

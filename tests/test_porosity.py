@@ -369,7 +369,7 @@ class TestCorollary:
     def test_telescoping_direction_warns(self):
         # for the telescoping preset the backward inverse products grow
         grid = Grid(16.0, 0.5)
-        op = build_preset("ex3.8", depth=40)
+        op = build_preset("ex3.8")
         with pytest.warns(UserWarning):
             corollary_g(op, grid)
 
