@@ -10,15 +10,14 @@ quantitatively by the callers.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateApproximantError, SegalIncompatibleError,
-                     ZeroVectorError)
+from .errors import (DegenerateApproximantError, LindynError,
+                     SegalIncompatibleError, ZeroVectorError)
 from .funcspace import (
     GridFunction,
     L2,
@@ -149,6 +148,21 @@ def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
         active.append(k)
 
 
+def _sup_distance(fv: np.ndarray, gv: np.ndarray):
+    """The sup-norm projective distance of value arrays, fv != 0, and its
+    minimiser (see :func:`projective_distance`)."""
+    g_sup = float(np.abs(gv).max())
+    if g_sup == 0:
+        return 0.0, 0j
+    lam = _sup_projective(fv, gv)
+    d = float(np.abs(lam * fv - gv).max())
+    # lambda = 0 is feasible; keep it when rounding at the centre is no
+    # better
+    if g_sup <= d:
+        return g_sup, 0j
+    return d, lam
+
+
 def projective_distance(f: GridFunction, g: GridFunction,
                         kind: NormKind = L2):
     """min over scalars lambda of ||lambda f - g|| and the minimizer.
@@ -173,17 +187,10 @@ def projective_distance(f: GridFunction, g: GridFunction,
         lam = np.conj(ip_fg) / nf2
         d2 = ng2 - abs(ip_fg) ** 2 / nf2
         return float(math.sqrt(max(d2, 0.0))), complex(lam)
+    if isinstance(kind, SupNorm):
+        return _sup_distance(f.values, g.values)
     if g.is_zero:
         return 0.0, 0j
-    if isinstance(kind, SupNorm):
-        lam = _sup_projective(f.values, g.values)
-        d = float(np.abs(lam * f.values - g.values).max())
-        g_sup = float(np.abs(g.values).max())
-        # lambda = 0 is feasible; keep it when rounding at the centre is
-        # no better
-        if g_sup <= d:
-            return g_sup, 0j
-        return d, lam
     rho = 2.1 * norm(g, kind) / norm(f, kind)
     tol = 1e-14 * rho
 
@@ -198,12 +205,15 @@ def projective_distance(f: GridFunction, g: GridFunction,
     return float(d), complex(x, y)
 
 
-def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
-                   side: str = "T") -> Iterator[tuple[int, GridFunction]]:
-    """Yield (n, T^n f) (or S^n f) for n = 1..horizon, walking only the leg
-    the side reads, in row blocks: the forward (T) or negated backward (S)
-    rows of ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t).
-    Same points and Sum2 sums as ``CocycleSweep``, so bit-identical."""
+def _orbit_blocks(op: CompositionOperator, f: GridFunction, horizon: int,
+                  side: str = "T") -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield T^n f (or S^n f) for n = 1..horizon as row blocks of values,
+    each with its per-row truncation flags, walking only the leg the side
+    reads: the forward (T) or negated backward (S) rows of
+    ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t), both in
+    blocks of ``_block_rows`` rows.  Same points and Sum2 sums as
+    ``CocycleSweep``, so bit-identical.  A row whose values leave the
+    float range raises LindynError naming its n and side."""
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
     step = 1 if side == "T" else -1
@@ -211,12 +221,29 @@ def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
     logs = _orbit_log2_rows(op, pts, horizon, step, min(step, 0))
     walk = homeo_orbit_blocks(op.alpha, pts, horizon, _block_rows(pts.size),
                               step, step)
-    rows = zip(itertools.chain.from_iterable(logs),
-               itertools.chain.from_iterable(walk))
-    for n, (lg, pos) in enumerate(rows, 1):
-        vals = scale_by_exp2(step * lg, linear_interpolate(f, pos))
-        yield n, GridFunction(f.grid, vals,
-                              f.truncated or _loses_mass(f, pos))
+    n0 = 0
+    for lg, pos in zip(logs, walk):
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
+            vals = scale_by_exp2(step * lg, linear_interpolate(f, pos))
+        finite = np.isfinite(vals).all(axis=1)
+        if not finite.all():
+            n = n0 + 1 + int(np.argmin(finite))
+            raise LindynError(f"the orbit overflows at n = {n} on side "
+                              f"{side}: {side}^n f has values beyond the "
+                              f"float range")
+        yield vals, f.truncated | _loses_mass(f, pos)
+        n0 += len(vals)
+
+
+def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
+                   side: str = "T") -> Iterator[tuple[int, GridFunction]]:
+    """Yield (n, T^n f) (or S^n f) for n = 1..horizon: the rows of
+    :func:`_orbit_blocks` as grid functions."""
+    n = 0
+    for vals, lost in _orbit_blocks(op, f, horizon, side):
+        for row, trunc in zip(vals, lost):
+            n += 1
+            yield n, GridFunction(f.grid, row, trunc)
 
 
 @dataclass(frozen=True)
@@ -254,39 +281,79 @@ class OrbitTrace:
 MODES = ("plain", "scaled", "cesaro")
 
 
-def _scaled_distance(tf: GridFunction, g: GridFunction, kind: NormKind):
-    return norm(g, kind) if tf.is_zero else projective_distance(tf, g,
-                                                                kind)[0]
+def _row_norms(rows: np.ndarray, kind: NormKind, grid) -> np.ndarray:
+    """norm(GridFunction(grid, row), kind) for each row of a block."""
+    if isinstance(kind, SupNorm):
+        return np.abs(rows).max(axis=1)
+    if isinstance(kind, L2Norm):
+        return np.sqrt(grid.step * np.sum(np.abs(rows) ** 2, axis=1))
+    return np.array([norm(GridFunction(grid, r), kind) for r in rows])
+
+
+def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
+                      kind: NormKind, grid) -> np.ndarray:
+    """projective_distance(row, g, kind)[0] for each row of a block, and
+    norm(g, kind) at the rows flagged ``zero``.  L2 is the closed form on
+    the whole block; the sup and Segal solves run per row."""
+    out = np.full(len(rows), norm(g, kind))
+    live = np.flatnonzero(~zero)
+    if isinstance(kind, L2Norm):
+        h = grid.step
+        fv = rows[live]
+        ip = h * np.sum(fv * np.conj(g.values), axis=1)
+        nf2 = h * np.sum(np.abs(fv) ** 2, axis=1)
+        ng2 = h * np.sum(np.abs(g.values) ** 2)
+        # the scalar abs of projective_distance, per row: np.abs on a
+        # complex128 array can round |ip| differently
+        ip2 = np.array([abs(z) ** 2 for z in ip])
+        out[live] = np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0))
+    elif isinstance(kind, SupNorm):
+        out[live] = [_sup_distance(rows[i], g.values)[0] for i in live]
+    else:
+        out[live] = [projective_distance(GridFunction(grid, rows[i]), g,
+                                         kind)[0] for i in live]
+    return out
 
 
 def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
                 kind: NormKind = SUP, targets: Sequence[GridFunction] = (),
                 mode: str = "scaled") -> OrbitTrace:
-    """One walk of the orbit of f: per n the norm, its Cesaro scaling, the
-    truncation flag, the scaled distance to ``targets[0]`` if any, and the
-    distance to each of ``targets`` under ``mode`` (see
-    :func:`empirical_best`), of which ``best`` keeps the closest.  In scaled
-    mode the first target's distance is the column's."""
+    """One walk of the orbit of f, in row blocks: per n the norm, its
+    Cesaro scaling, the truncation flag, the scaled distance to
+    ``targets[0]`` if any, and the distance to each of ``targets`` under
+    ``mode`` (see :func:`empirical_best`), of which ``best`` keeps the
+    closest, at the first n that reaches it.  In scaled mode the first
+    target's distance is the column's."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    grid = f.grid
     norms = np.empty(horizon)
     dists = np.empty(horizon) if targets else None
-    trunc = np.zeros(horizon, dtype=bool)
+    trunc = np.empty(horizon, dtype=bool)
     best = [(math.inf, 0)] * len(targets)
-    for n, tf in operator_orbit(op, f, horizon):
-        norms[n - 1] = norm(tf, kind)
-        trunc[n - 1] = tf.truncated
+    n0 = 0
+    for vals, lost in _orbit_blocks(op, f, horizon):
+        ns = slice(n0, n0 + len(vals))
+        norms[ns] = _row_norms(vals, kind, grid)
+        trunc[ns] = lost
         if targets:
-            dists[n - 1] = col = _scaled_distance(tf, targets[0], kind)
+            zero = ~vals.any(axis=1)
+            dists[ns] = col = _scaled_distances(vals, zero, targets[0], kind,
+                                                grid)
         for i, g in enumerate(targets):
             if mode == "scaled":
-                d = col if i == 0 else _scaled_distance(tf, g, kind)
+                d = col if i == 0 else _scaled_distances(vals, zero, g, kind,
+                                                         grid)
             else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
-                d = norm((1.0 if mode == "plain" else 1.0 / n) * tf - g, kind)
-            if d < best[i][0]:
-                best[i] = (d, n)
+                c = (1.0 if mode == "plain"
+                     else 1.0 / np.arange(ns.start + 1, ns.stop + 1)[:, None])
+                d = _row_norms(c * vals - g.values, kind, grid)
+            k = int(np.argmin(d))
+            if d[k] < best[i][0]:
+                best[i] = (float(d[k]), n0 + k + 1)
+        n0 += len(vals)
     return OrbitTrace(norms, norms / np.arange(1, horizon + 1), dists, trunc,
                       tuple(BestApproach(i, n, d)
                             for i, (d, n) in enumerate(best)))

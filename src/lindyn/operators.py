@@ -153,13 +153,15 @@ def scale_by_exp2(logs: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _loses_mass(f: GridFunction, images: np.ndarray) -> bool:
-    """True iff f is nonzero at a grid point outside [min, max] of the
-    points it is read at: for a monotone map that interval is the image of
-    the grid, and f's values outside it never reach the result."""
+def _loses_mass(f: GridFunction, images: np.ndarray) -> np.ndarray:
+    """Per row of ``images``, True iff f is nonzero at a grid point outside
+    [min, max] of the points that row reads it at: for a monotone map that
+    interval is the image of the grid, and f's values outside it never
+    reach the result.  A 1-d ``images`` gives a 0-d answer."""
     pts = f.grid.points
-    outside = (pts < images.min()) | (pts > images.max())
-    return bool(np.any(f.values[outside] != 0))
+    outside = ((pts < images.min(axis=-1, keepdims=True))
+               | (pts > images.max(axis=-1, keepdims=True)))
+    return np.any(outside & (f.values != 0), axis=-1)
 
 
 def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:

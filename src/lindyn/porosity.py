@@ -26,7 +26,7 @@ from .errors import (
 )
 from .funcspace import Grid, GridFunction, SUP, homeo_power, norm
 from .operators import CompositionOperator, _orbit_log2_rows
-from .dynamics import operator_orbit
+from .dynamics import _orbit_blocks
 
 __all__ = [
     "PorosityParams",
@@ -83,13 +83,16 @@ class GammaSet:
         if np.any(vals.imag != 0) or np.any(vals.real < 0):
             raise ValueError("profile must be real and nonnegative at integers")
         self.g = g
+        profile = np.ascontiguousarray(vals.real)
+        profile.setflags(write=False)
+        self._profile = profile
 
     @property
     def grid(self) -> Grid:
         return self.g.grid
 
     def profile_at_integers(self) -> np.ndarray:
-        return self.g.values[self.grid.integer_indices].real
+        return self._profile
 
     def __contains__(self, f: GridFunction) -> bool:
         return gamma_membership(f, self)
@@ -100,7 +103,7 @@ def gamma_membership(f: GridFunction, gamma: GammaSet) -> bool:
     if f.grid != gamma.grid:
         raise GridMismatchError("function and profile grids differ")
     idx = f.grid.integer_indices
-    return bool(np.all(np.abs(f.values[idx]) >= gamma.profile_at_integers()))
+    return bool((np.abs(f.values[idx]) >= gamma.profile_at_integers()).all())
 
 
 def choose_N(f: GridFunction, k: GridFunction, g: GridFunction, beta: float,
@@ -305,6 +308,12 @@ def build_gamma(u: GridFunction, v: GridFunction, g: GridFunction,
 # ---------------------------------------------------------------------------
 # Evidence-grade porosity probe
 
+# a probe record in json.dumps(sort_keys=True) form; d is a finite float
+_RECORD = ('{{"d": {}, "inner_hits": {}, "outer": {}, "seed": {}, '
+           '"y_found": {}}}')
+# rng.choice on [-1.0, 1.0] draws rng.integers(0, 2) and indexes it
+_SIGNS = np.array([-1.0, 1.0])
+
 
 @dataclass(frozen=True)
 class ProbeResult:
@@ -320,7 +329,12 @@ class ProbeResult:
     records: tuple[dict, ...]
 
     def to_jsonl(self) -> str:
-        return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
+        """One line per record, as ``json.dumps(record, sort_keys=True)``
+        writes it."""
+        return "\n".join(
+            _RECORD.format(repr(r["d"]), r["inner_hits"], r["outer"],
+                           r["seed"], "true" if r["y_found"] else "false")
+            for r in self.records)
 
 
 def _random_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
@@ -329,14 +343,14 @@ def _random_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
         ints = grid.integer_indices
         count = min(8, ints.size)
         idx = rng.choice(ints, size=count, replace=False)
-        signs = rng.choice([-1.0, 1.0], size=count)
+        signs = _SIGNS[rng.integers(0, 2, count)]
         vals[idx] = signs * rng.uniform(0.2, 1.0, size=count)
     else:
         center = rng.uniform(-grid.half_width / 2, grid.half_width / 2)
         half_width = rng.uniform(0.5, 2.0)
-        height = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
-        vals = height * np.clip(
-            1.0 - np.abs(grid.points - center) / half_width, 0.0, None)
+        height = _SIGNS[rng.integers(0, 2)] * rng.uniform(0.2, 1.0)
+        vals = height * np.maximum(  # np.clip(., 0.0, None) calls this
+            1.0 - np.abs(grid.points - center) / half_width, 0.0)
     peak = np.abs(vals).max()
     if peak == 0:
         vals = np.zeros(grid.size)
@@ -347,15 +361,16 @@ def _random_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
 
 def _inner_candidates(x: GridFunction, y: GridFunction, d: float,
                       lam: float, draws: int, rng):
-    """Values of y, of its pull toward x (d = ||x - y||), then of ``draws``
-    random points of B(y, lam d), each drawn from rng only when the one
-    before it has been tested."""
-    yield y.values
+    """y itself, its pull toward x (d = ||x - y||), then ``draws`` random
+    points of B(y, lam d), each built, and drawn from rng, only when the
+    one before it has been tested."""
+    yield y
     radius = lam * d
     pull_scale = 0.999 * radius / d if d > 0 else 0.0
-    yield y.values + pull_scale * (x.values - y.values)
+    yield GridFunction(y.grid, y.values + pull_scale * (x.values - y.values))
     for _ in range(draws):
-        yield y.values + _random_perturbation(y.grid, 0.999 * radius, rng)
+        yield GridFunction(y.grid, y.values
+                           + _random_perturbation(y.grid, 0.999 * radius, rng))
 
 
 def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
@@ -380,8 +395,8 @@ def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
     for outer in range(budget):
         y = GridFunction(grid,
                          x.values + _random_perturbation(grid, delta, rng))
-        d = norm(y - x, SUP)
-        found = any(member(GridFunction(grid, z_vals)) for z_vals in
+        d = float(np.abs(y.values - x.values).max())  # norm(y - x, SUP)
+        found = any(member(z) for z in
                     _inner_candidates(x, y, d, lam, inner_budget - 2, rng))
         records.append({"seed": seed, "outer": outer, "d": d,
                         "inner_hits": int(found), "y_found": not found})
@@ -438,8 +453,8 @@ def corollary_check(op: CompositionOperator, gamma: GammaSet,
                 f"witness point alpha^-{n}({n}) = {wp} leaves the grid"
             )
     best = math.inf
-    for n, tf in operator_orbit(op, f, horizon):
-        best = min(best, norm(tf, SUP))
+    for vals, _ in _orbit_blocks(op, f, horizon):
+        best = min(best, float(np.abs(vals).max(axis=1).min()))
     return best
 
 
@@ -508,7 +523,7 @@ def random_scene(rng, grid: Grid | None = None) -> PorosityScene:
     for i, m in enumerate(ints):
         base = float(g_vals[grid.index_of(m)])
         if abs(m) <= 3:
-            sign = rng.choice([-1.0, 1.0])
+            sign = _SIGNS[rng.integers(0, 2)]
             node_vals[i] = sign * (base + rng.uniform(0.02, 0.2))
         else:
             node_vals[i] = base

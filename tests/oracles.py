@@ -9,7 +9,10 @@ prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
 off the same legs.  :func:`eager_porosity_probe` draws every inner
-candidate of ``lindyn.porosity.porosity_probe`` before testing the first.
+candidate of ``lindyn.porosity.porosity_probe`` before testing the first,
+:func:`choice_perturbation` draws its signs with ``rng.choice``, and
+:func:`per_row_orbit_trace` walks ``lindyn.dynamics.orbit_trace`` one
+``GridFunction`` per n where it reads row blocks.
 :func:`per_row_expectation` runs one golden-registry row on its own sweep,
 where ``lindyn.presets.run_registry`` shares one sweep across rows, and
 :func:`telescoping_table` is the finite ``np.interp`` table that the
@@ -37,10 +40,17 @@ from lindyn.criteria import (
     evaluate,
     wedge_condition,
 )
+from lindyn.dynamics import (
+    BestApproach,
+    OrbitTrace,
+    operator_orbit,
+    projective_distance,
+)
 from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
 from lindyn.funcspace import (
     Grid,
     GridFunction,
+    NormKind,
     PiecewiseAffineHomeo,
     PiecewiseMap,
     SUP,
@@ -323,6 +333,30 @@ def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
 # The porosity probe with every inner candidate drawn up front
 
 
+def choice_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
+    """``lindyn.porosity._random_perturbation`` drawing its signs with
+    ``rng.choice`` on a list."""
+    if rng.random() < 0.5:
+        vals = np.zeros(grid.size)
+        ints = grid.integer_indices
+        count = min(8, ints.size)
+        idx = rng.choice(ints, size=count, replace=False)
+        signs = rng.choice([-1.0, 1.0], size=count)
+        vals[idx] = signs * rng.uniform(0.2, 1.0, size=count)
+    else:
+        center = rng.uniform(-grid.half_width / 2, grid.half_width / 2)
+        half_width = rng.uniform(0.5, 2.0)
+        height = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
+        vals = height * np.clip(
+            1.0 - np.abs(grid.points - center) / half_width, 0.0, None)
+    peak = np.abs(vals).max()
+    if peak == 0:
+        vals = np.zeros(grid.size)
+        vals[grid.integer_indices[0]] = 1.0
+        peak = 1.0
+    return vals * (scale * rng.uniform(0.3, 1.0) / peak)
+
+
 def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
                          *, budget: int, inner_budget: int,
                          seed: int) -> ProbeResult:
@@ -348,6 +382,41 @@ def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
         if not found:
             return ProbeResult(y, d, tuple(records))
     return ProbeResult(None, None, tuple(records))
+
+
+# ---------------------------------------------------------------------------
+# The orbit trace one n at a time
+
+
+def per_row_orbit_trace(op: CompositionOperator, f: GridFunction,
+                        horizon: int, kind: NormKind = SUP, targets=(),
+                        mode: str = "scaled") -> OrbitTrace:
+    """``orbit_trace`` from one ``GridFunction`` per n of
+    ``operator_orbit``, with a norm, a projective distance and a strict
+    record minimum per n and target."""
+    def scaled(tf, g):
+        return norm(g, kind) if tf.is_zero else projective_distance(
+            tf, g, kind)[0]
+
+    norms = np.empty(horizon)
+    dists = np.empty(horizon) if targets else None
+    trunc = np.zeros(horizon, dtype=bool)
+    best = [(math.inf, 0)] * len(targets)
+    for n, tf in operator_orbit(op, f, horizon):
+        norms[n - 1] = norm(tf, kind)
+        trunc[n - 1] = tf.truncated
+        if targets:
+            dists[n - 1] = col = scaled(tf, targets[0])
+        for i, g in enumerate(targets):
+            if mode == "scaled":
+                d = col if i == 0 else scaled(tf, g)
+            else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
+                d = norm((1.0 if mode == "plain" else 1.0 / n) * tf - g, kind)
+            if d < best[i][0]:
+                best[i] = (d, n)
+    return OrbitTrace(norms, norms / np.arange(1, horizon + 1), dists, trunc,
+                      tuple(BestApproach(i, n, d)
+                            for i, (d, n) in enumerate(best)))
 
 
 # ---------------------------------------------------------------------------

@@ -697,6 +697,25 @@ class TestOtherCommands:
             "mode": mode}))
         return str(cfg)
 
+    def test_orbit_overflow_exit_2(self, tmp_path, capsys):
+        # w = 1e6: T^52 f exceeds the float range; exit 1 would claim an
+        # expectation failure
+        out = tmp_path / "out"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "operator": {"alpha": {"kind": "translation", "shift": -1.0},
+                         "weight": {"breakpoints": [-1, 1],
+                                    "values": [1e6, 1e6]}},
+            "space": {"kind": "C0"}, "horizon": 60,
+            "targets": [{"center": 3.0}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warnings
+            assert run(["orbit", "--config", str(cfg), "--out",
+                        str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: the orbit overflows at n = 52 on side T" in err
+        assert not out.exists()
+
     def test_orbit_unknown_mode_exit_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         cfg = self.orbit_config(tmp_path, 1, "bogus")
@@ -736,15 +755,17 @@ class TestOtherCommands:
                                              monkeypatch, mode, targets,
                                              per_n):
         # one walk: the orbit.csv column is the first target's scaled
-        # distance, which a scaled best.csv reuses; T^n f is never zero here
+        # distance, which a scaled best.csv reuses; T^n f is never zero
+        # here, so each n solves once per scaled target (the sup solve of
+        # projective_distance, which orbit_trace calls on row values)
         calls = []
-        solve = dynamics.projective_distance
+        solve = dynamics._sup_distance
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "projective_distance", counted)
+        monkeypatch.setattr(dynamics, "_sup_distance", counted)
         cfg = self.orbit_config(tmp_path, targets, mode)
         assert run(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(calls) == 6 * per_n

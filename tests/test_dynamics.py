@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lindyn.criteria import CompactWindow
-from lindyn.errors import DegenerateApproximantError, ZeroVectorError
+from lindyn.errors import (DegenerateApproximantError, LindynError,
+                           ZeroVectorError)
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -36,7 +37,7 @@ from lindyn.operators import (
     scale_by_exp2,
 )
 from lindyn.presets import build_preset
-from oracles import identity_homeo, product_factors
+from oracles import identity_homeo, per_row_orbit_trace, product_factors
 
 RNG = np.random.default_rng(11)
 SMALL = Grid(1.0, 0.5)  # five points
@@ -273,6 +274,106 @@ class TestOrbitBlockSeams:
             assert tf.truncated == (f.truncated or _loses_mass(f, pos))
             checked.append(n)
         assert checked == [b - 1, b, b + 1, horizon]
+
+
+class TestOrbitWalk:
+    """orbit_trace reads T^n f in row blocks; each of its columns and its
+    best approaches equal, bit for bit, those of the per-row walk with one
+    GridFunction per n, on both sides of every block seam."""
+
+    GRID = Grid(128.0, 0.25)  # 1025 points: blocks of 31 rows
+    BP = np.linspace(-200.0, 200.0, 401)
+    WEIGHT = PiecewiseMap(BP, 1.0 + 0.5 * np.sin(1.3 * BP), positive=True)
+    OPS = {
+        "ex3.5": build_preset("ex3.5"),
+        "shift-1": CompositionOperator(Translation(-1.0), WEIGHT),
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+    SEEDS = {
+        "real": triangular_bump(GRID, 0.0, 3.0),
+        "complex": triangular_bump(GRID, 0.0, 1.0, 1 - 0.5j),
+        # under shift -1 it starts to leave the grid at n = 25, mid-block
+        "edge": triangular_bump(GRID, 100.0, 4.0, 0.5 + 1j),
+    }
+    TARGETS = (triangular_bump(GRID, 4.0, 2.0),
+               triangular_bump(GRID, -7.5, 1.5, 0.5 + 0.25j))
+
+    def horizons(self):
+        b = _block_rows(self.GRID.size)
+        assert b == 31
+        return (1, b - 1, b, b + 1, 2 * b + 3)
+
+    @staticmethod
+    def assert_same(trace, ref):
+        assert np.array_equal(trace.norms, ref.norms)
+        assert np.array_equal(trace.cesaro_norms, ref.cesaro_norms)
+        assert np.array_equal(trace.truncated, ref.truncated)
+        if ref.scaled_dists is None:
+            assert trace.scaled_dists is None
+        else:
+            assert np.array_equal(trace.scaled_dists, ref.scaled_dists)
+        assert trace.best == ref.best
+
+    @pytest.mark.parametrize("mode", ["plain", "scaled", "cesaro"])
+    @pytest.mark.parametrize("kind", [SUP, L2], ids=["sup", "l2"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_matches_per_row_oracle(self, name, kind, mode):
+        op = self.OPS[name]
+        for f in self.SEEDS.values():
+            for h in self.horizons():
+                args = (op, f, h, kind, self.TARGETS, mode)
+                self.assert_same(orbit_trace(*args),
+                                 per_row_orbit_trace(*args))
+
+    def test_truncating_run_is_flagged(self):
+        # T^n f reads f on [-128 - n, 128 - n]: its last nonzero point
+        # 103.75 goes at n = 25, and its first, 96.25, at n = 32
+        h = self.horizons()[-1]
+        trace = orbit_trace(self.OPS["shift-1"], self.SEEDS["edge"], h, SUP)
+        assert trace.truncated.tolist() == [False] * 24 + [True] * (h - 24)
+        assert trace.norms[30] > 0 and not trace.norms[31:].any()
+
+    def test_segal_norms_match_per_row_oracle(self):
+        kind = SegalNorm(PiecewiseMap.constant(0.5))
+        for name in ("ex3.5", "shift-0.3"):
+            for h in self.horizons():
+                args = (self.OPS[name], self.SEEDS["complex"], h, kind)
+                self.assert_same(orbit_trace(*args),
+                                 per_row_orbit_trace(*args))
+
+    def test_l2_scaled_distance_of_complex_seed(self):
+        # the L2 closed form takes |<f, g>| with the scalar abs of
+        # projective_distance; np.abs on the complex128 block rounds one
+        # of these distances an ulp away
+        op = build_preset("ex3.5")
+        grid = Grid(64.0, 0.25)
+        f = triangular_bump(grid, 0.0, 1.0, 1 - 0.5j)
+        targets = [triangular_bump(grid, c, w)
+                   for c in (-3.0, 1.5, 4.0) for w in (0.5, 2.0)]
+        for g in targets:
+            args = (op, f, 200, L2, [g], "scaled")
+            self.assert_same(orbit_trace(*args), per_row_orbit_trace(*args))
+
+    @pytest.mark.parametrize("side", ["T", "S"])
+    def test_overflow_names_n_and_side(self, side):
+        # |w| = 1e6 on side T, 1e-6 on side S: 1e6^52 > 1.8e308 > 1e6^51
+        w = 1e6 if side == "T" else 1e-6
+        op = CompositionOperator(Translation(-1.0),
+                                 PiecewiseMap.constant(w, positive=True))
+        f = triangular_bump(Grid(64.0, 0.25))
+        message = f"overflows at n = 52 on side {side}"
+        steps = []
+        with pytest.raises(LindynError, match=message):
+            for n, _ in operator_orbit(op, f, 60, side):
+                steps.append(n)
+        # the block holding n = 52 is checked before any of its rows
+        assert steps == []
+        assert list(operator_orbit(op, f, 51, side))[-1][0] == 51
+        if side == "T":
+            with pytest.raises(LindynError, match=message):
+                orbit_trace(op, f, 60, SUP, [f])
 
 
 class TestApproximants:

@@ -1,10 +1,13 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from lindyn import porosity
-from lindyn.errors import NoValidNError, PreconditionViolatedError
+from lindyn.dynamics import operator_orbit
+from lindyn.errors import (LindynError, NoValidNError,
+                           PreconditionViolatedError)
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -29,7 +32,12 @@ from lindyn.porosity import (
     random_scene,
 )
 from lindyn.presets import build_preset
-from oracles import backward_log2, eager_porosity_probe, rectangular_bump
+from oracles import (
+    backward_log2,
+    choice_perturbation,
+    eager_porosity_probe,
+    rectangular_bump,
+)
 
 RNG = np.random.default_rng(5)
 GRID = Grid(8.0, 0.25)
@@ -319,6 +327,47 @@ class TestProbe:
         assert lazy.records == eager.records
         assert lazy.witness_distance == eager.witness_distance
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_jsonl_is_json_dumps_of_records(self, seed):
+        # with a witness (the singleton) and without one (the margined
+        # envelope member)
+        gamma = GammaSet(decaying_profile(0.05))
+        x = GridFunction(GRID, decaying_profile(0.05).values + 0.3)
+        runs = [
+            porosity_probe(lambda fn: fn.is_zero, GridFunction.zero(GRID),
+                           0.5, 0.1, budget=16, inner_budget=8, seed=seed),
+            porosity_probe(lambda fn: gamma_membership(fn, gamma), x,
+                           0.3, 0.1, budget=8, inner_budget=8,
+                           seed=10 ** 9 + seed),
+        ]
+        assert runs[0].witness is not None and runs[1].witness is None
+        for res in runs:
+            expected = "\n".join(json.dumps(r, sort_keys=True)
+                                  for r in res.records)
+            assert res.to_jsonl() == expected
+
+    @pytest.mark.parametrize("size", [None, 1, 8])
+    def test_sign_draw_is_rng_choice(self, size):
+        # the signs index [-1.0, 1.0] by the draw rng.choice makes on it
+        for seed in range(300):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = porosity._SIGNS[a.integers(0, 2, size)]
+            want = b.choice([-1.0, 1.0], size=size)
+            assert type(got) is type(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+            assert np.array_equal(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_perturbation_matches_choice_reference(self):
+        for seed in range(300):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            for scale in (0.1, 0.5):
+                got = porosity._random_perturbation(GRID, scale, a)
+                want = choice_perturbation(GRID, scale, b)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_envelope_set_resists_probe(self):
         gamma = GammaSet(decaying_profile(0.05))
         # a member with margin: the profile plus a uniform lift
@@ -395,6 +444,29 @@ class TestCorollary:
         vals[grid.index_of(2.0)] *= 0.5
         with pytest.raises(PreconditionViolatedError):
             corollary_check(op, gamma, GridFunction(grid, vals), 30)
+
+    def test_check_is_the_per_row_minimum(self):
+        # 513 points: blocks of 63 rows, so 100 rows cross a seam
+        grid = Grid(256.0, 1.0)
+        weight = PiecewiseMap([0.0, 40.0, 90.0], [2.0, 1.5, 3.0],
+                              positive=True)
+        for op in (self.doubling_op(),
+                   CompositionOperator(Translation(-1.0), weight)):
+            gamma = corollary_g(op, grid)
+            for f in (gamma.g, 3.0 * gamma.g + GridFunction(
+                    grid, np.where(grid.points > 200, 1j, 0))):
+                for horizon in (1, 62, 63, 64, 100):
+                    per_row = min(norm(tf, SUP) for _, tf in
+                                  operator_orbit(op, f, horizon))
+                    assert corollary_check(op, gamma, f, horizon) == per_row
+
+    def test_overflow_is_an_error(self):
+        grid = Grid(128.0, 1.0)
+        op = CompositionOperator(Translation(-1.0),
+                                 PiecewiseMap.constant(1e6, positive=True))
+        gamma = GammaSet(GridFunction.zero(grid))
+        with pytest.raises(LindynError, match="n = 52 on side T"):
+            corollary_check(op, gamma, rectangular_bump(grid, -1.0, 1.0), 60)
 
     def test_grid_too_small(self):
         grid = Grid(16.0, 1.0)
