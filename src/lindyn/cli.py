@@ -70,6 +70,14 @@ def _bounded(value, name: str, low: int, *, integer: bool = False,
     return value
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer >= 0, the seeds numpy accepts."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _object(value, name: str, kind: type = dict):
     """``value`` if a JSON object (an array for ``list``), else ConfigError."""
     if not isinstance(value, kind):
@@ -282,7 +290,17 @@ def _lift(scene: PorosityScene):
 
 
 def _porosity_scene(path: str):
-    n_cut, h, lifted = _lift(PorosityScene.from_json(Path(path).read_text()))
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read scene {path}: {exc}") from exc
+    try:
+        scene = PorosityScene.from_json(text)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # not JSON, a missing or non-object section, value arrays of the
+        # wrong length, or params out of range
+        raise ConfigError(f"bad scene {path}: {exc!r}") from exc
+    n_cut, h, lifted = _lift(scene)
     return [], {"mode": "scene", "N": n_cut,
                 "lift_in_gamma_h": gamma_membership(lifted, GammaSet(h))}
 
@@ -303,9 +321,8 @@ def _porosity_theorem(cfg_seed: int):
     # radius; at boundary-tight members only the refilling construction
     # reaches the ball, which a membership-only sampler cannot know
     margined = GridFunction(scene.g.grid, scene.g.values + 0.3)
-    probe = porosity_probe(lambda fn: gamma_membership(fn, gamma_set),
-                           margined, p.lam, 0.1, budget=64, inner_budget=64,
-                           seed=cfg_seed)
+    probe = porosity_probe(gamma_set.contains_rows, margined, p.lam, 0.1,
+                           budget=64, inner_budget=64, seed=cfg_seed)
     lines = [probe.to_jsonl()] if probe.records else []
     return lines, {
         "mode": "theorem", "seed": cfg_seed, "N": n_cut,
@@ -327,7 +344,7 @@ def _porosity_corollary():
 def _porosity_singleton(cfg_seed: int):
     grid = Grid(8.0, 0.25)
     origin = GridFunction.zero(grid)
-    probe = porosity_probe(lambda fn: fn.is_zero, origin, 0.5, 0.1,
+    probe = porosity_probe(lambda rows: ~rows.any(axis=1), origin, 0.5, 0.1,
                            budget=16, inner_budget=64, seed=cfg_seed)
     return [probe.to_jsonl()], {
         "mode": "singleton", "seed": cfg_seed,
@@ -338,15 +355,14 @@ def _porosity_singleton(cfg_seed: int):
 def cmd_porosity(args) -> int:
     """Run one porosity mode: its records, then its summary line, go to
     porosity.jsonl, and the summary line to stdout."""
-    seed = args.seed or 0
     if args.scene:
         lines, summary = _porosity_scene(args.scene)
     elif args.mode == "theorem":
-        lines, summary = _porosity_theorem(seed)
+        lines, summary = _porosity_theorem(args.seed)
     elif args.mode == "corollary":
         lines, summary = _porosity_corollary()
     elif args.mode == "singleton":
-        lines, summary = _porosity_singleton(seed)
+        lines, summary = _porosity_singleton(args.seed)
     else:
         raise ConfigError(f"unknown porosity mode {args.mode!r}")
     summary_line = json.dumps(summary, sort_keys=True)
@@ -432,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("porosity", help="porosity scenes and probes")
     out_only(p)
     p.add_argument("--scene", help="scene JSON file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--mode", default="theorem",
                    choices=("theorem", "corollary", "singleton"))
     p.set_defaults(fn=cmd_porosity)

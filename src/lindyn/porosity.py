@@ -91,19 +91,21 @@ class GammaSet:
     def grid(self) -> Grid:
         return self.g.grid
 
-    def profile_at_integers(self) -> np.ndarray:
-        return self._profile
-
     def __contains__(self, f: GridFunction) -> bool:
         return gamma_membership(f, self)
+
+    def contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Membership of each row of a (rows, grid.size) value block:
+        modulus domination at every integer grid point, non-strict."""
+        return (np.abs(rows[:, self.grid.integer_indices])
+                >= self._profile).all(axis=1)
 
 
 def gamma_membership(f: GridFunction, gamma: GammaSet) -> bool:
     """Modulus domination at every integer grid point, non-strict."""
     if f.grid != gamma.grid:
         raise GridMismatchError("function and profile grids differ")
-    idx = f.grid.integer_indices
-    return bool((np.abs(f.values[idx]) >= gamma.profile_at_integers()).all())
+    return bool(gamma.contains_rows(f.values[None])[0])
 
 
 def choose_N(f: GridFunction, k: GridFunction, g: GridFunction, beta: float,
@@ -337,53 +339,60 @@ class ProbeResult:
             for r in self.records)
 
 
-def _random_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
-    if rng.random() < 0.5:
-        vals = np.zeros(grid.size)
-        ints = grid.integer_indices
-        count = min(8, ints.size)
-        idx = rng.choice(ints, size=count, replace=False)
-        signs = _SIGNS[rng.integers(0, 2, count)]
-        vals[idx] = signs * rng.uniform(0.2, 1.0, size=count)
-    else:
-        center = rng.uniform(-grid.half_width / 2, grid.half_width / 2)
-        half_width = rng.uniform(0.5, 2.0)
-        height = _SIGNS[rng.integers(0, 2)] * rng.uniform(0.2, 1.0)
-        vals = height * np.maximum(  # np.clip(., 0.0, None) calls this
-            1.0 - np.abs(grid.points - center) / half_width, 0.0)
-    peak = np.abs(vals).max()
-    if peak == 0:
-        vals = np.zeros(grid.size)
-        vals[grid.integer_indices[0]] = 1.0
-        peak = 1.0
-    return vals * (scale * rng.uniform(0.3, 1.0) / peak)
+def _random_perturbations(grid: Grid, scale: float, rng,
+                          count: int) -> np.ndarray:
+    """A (count, grid.size) block of random perturbations, each row of sup
+    norm in [0.3 scale, scale]: with probability 1/2, signed spikes at 8
+    distinct integer points (all of them on a grid with fewer), otherwise a
+    signed triangular bump."""
+    spike = rng.random(count) < 0.5
+    vals = np.zeros((count, grid.size))
+    ints = grid.integer_indices
+    rows = np.flatnonzero(spike)
+    k = min(8, ints.size)
+    # the first k entries of a uniform random permutation are a uniform
+    # k-subset, the law of rng.choice(ints, k, replace=False)
+    order = np.argsort(rng.random((rows.size, ints.size)), axis=1)
+    vals[rows[:, None], ints[order[:, :k]]] = (
+        _SIGNS[rng.integers(0, 2, (rows.size, k))]
+        * rng.uniform(0.2, 1.0, (rows.size, k)))
+    bumps = np.flatnonzero(~spike)
+    center = rng.uniform(-grid.half_width / 2, grid.half_width / 2, bumps.size)
+    half_width = rng.uniform(0.5, 2.0, bumps.size)
+    sign = _SIGNS[rng.integers(0, 2, bumps.size)]
+    height = sign * rng.uniform(0.2, 1.0, bumps.size)
+    vals[bumps] = height[:, None] * np.maximum(  # np.clip(., 0.0, None)
+        1.0 - np.abs(grid.points - center[:, None]) / half_width[:, None],
+        0.0)
+    peak = np.abs(vals).max(axis=1)
+    flat = peak == 0  # a bump between grid points
+    vals[flat, ints[0]] = 1.0
+    peak[flat] = 1.0
+    return vals * (scale * rng.uniform(0.3, 1.0, count) / peak)[:, None]
 
 
-def _inner_candidates(x: GridFunction, y: GridFunction, d: float,
-                      lam: float, draws: int, rng):
-    """y itself, its pull toward x (d = ||x - y||), then ``draws`` random
-    points of B(y, lam d), each built, and drawn from rng, only when the
-    one before it has been tested."""
-    yield y
-    radius = lam * d
-    pull_scale = 0.999 * radius / d if d > 0 else 0.0
-    yield GridFunction(y.grid, y.values + pull_scale * (x.values - y.values))
-    for _ in range(draws):
-        yield GridFunction(y.grid, y.values
-                           + _random_perturbation(y.grid, 0.999 * radius, rng))
+def _finite(block: np.ndarray) -> np.ndarray:
+    """``block``, if finite: the check a ``GridFunction`` makes."""
+    if not np.isfinite(block).all():
+        raise ValueError("grid function values must be finite")
+    return block
 
 
-def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
-                   lam: float, delta: float, *, budget: int = 256,
-                   inner_budget: int = 256, seed: int = 0) -> ProbeResult:
+def porosity_probe(member: Callable[[np.ndarray], np.ndarray],
+                   x: GridFunction, lam: float, delta: float, *,
+                   budget: int = 256, inner_budget: int = 256,
+                   seed: int = 0) -> ProbeResult:
     """Search for a porosity witness at x in the sup metric.
 
-    Each outer sample draws y in B(x, delta) minus {x} and tests the ball
-    B(y, lam ||x - y||) for members of the set by up to ``inner_budget``
-    sampled queries; the inner candidates are y itself, the pull of y
-    toward x, which is the member most likely to survive for
-    margin-dominated envelope sets, and random points of the ball, each
-    drawn only after the previous candidate failed.
+    ``member`` is a row predicate: a (rows, grid.size) block of values in,
+    one bool per row out.  The ``budget`` outer samples y in B(x, delta)
+    minus {x} are drawn as one block and tested by one ``member`` call.
+    Then, in sample order, the ball B(y, lam ||x - y||) of each y that is
+    not a member gets up to ``inner_budget - 1`` more queries: the pull of
+    y toward x, which is the member most likely to survive for
+    margin-dominated envelope sets, then random points of the ball, each
+    drawn only after the previous candidate failed.  The first sample whose
+    ball yields no member is the witness, and the records stop there.
     """
     if (not (0 < lam < 1) or delta <= 0 or budget < 1
             or inner_budget < 2):
@@ -391,17 +400,31 @@ def porosity_probe(member: Callable[[GridFunction], bool], x: GridFunction,
                          "inner_budget >= 2")
     rng = np.random.default_rng(seed)
     grid = x.grid
+    ys = _finite(x.values + _random_perturbations(grid, delta, rng, budget))
+    # norm(y - x, SUP) per row; tolist, so that d is a float and not an
+    # np.float64, whose repr numpy 2 writes as np.float64(...)
+    ds = np.abs(ys - x.values).max(axis=1).tolist()
+    hits = member(ys)
+
+    def hit(rows):
+        return bool(member(_finite(rows))[0])
+
     records = []
-    for outer in range(budget):
-        y = GridFunction(grid,
-                         x.values + _random_perturbation(grid, delta, rng))
-        d = float(np.abs(y.values - x.values).max())  # norm(y - x, SUP)
-        found = any(member(z) for z in
-                    _inner_candidates(x, y, d, lam, inner_budget - 2, rng))
+    for outer, (y, d) in enumerate(zip(ys, ds)):
+        found = bool(hits[outer])
+        if not found:
+            radius = lam * d
+            pull_scale = 0.999 * radius / d if d > 0 else 0.0
+            found = hit((y + pull_scale * (x.values - y))[None])
+            for _ in range(inner_budget - 2):
+                if found:
+                    break
+                found = hit(y + _random_perturbations(grid, 0.999 * radius,
+                                                      rng, 1))
         records.append({"seed": seed, "outer": outer, "d": d,
                         "inner_hits": int(found), "y_found": not found})
         if not found:
-            return ProbeResult(y, d, tuple(records))
+            return ProbeResult(GridFunction(grid, y), d, tuple(records))
     return ProbeResult(None, None, tuple(records))
 
 

@@ -10,8 +10,7 @@ atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
 off the same legs.  :func:`eager_porosity_probe` draws every inner
 candidate of ``lindyn.porosity.porosity_probe`` before testing the first,
-:func:`choice_perturbation` draws its signs with ``rng.choice``, and
-:func:`per_row_orbit_trace` walks ``lindyn.dynamics.orbit_trace`` one
+and :func:`per_row_orbit_trace` walks ``lindyn.dynamics.orbit_trace`` one
 ``GridFunction`` per n where it reads row blocks.
 :func:`per_row_expectation` runs one golden-registry row on its own sweep,
 where ``lindyn.presets.run_registry`` shares one sweep across rows, and
@@ -65,7 +64,7 @@ from lindyn.operators import (
     apply_Tn,
     segal_compatible,
 )
-from lindyn.porosity import ProbeResult, _random_perturbation
+from lindyn.porosity import ProbeResult, _random_perturbations
 from lindyn.presets import (
     DEFAULT_GRID,
     Expectation,
@@ -333,50 +332,31 @@ def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
 # The porosity probe with every inner candidate drawn up front
 
 
-def choice_perturbation(grid: Grid, scale: float, rng) -> np.ndarray:
-    """``lindyn.porosity._random_perturbation`` drawing its signs with
-    ``rng.choice`` on a list."""
-    if rng.random() < 0.5:
-        vals = np.zeros(grid.size)
-        ints = grid.integer_indices
-        count = min(8, ints.size)
-        idx = rng.choice(ints, size=count, replace=False)
-        signs = rng.choice([-1.0, 1.0], size=count)
-        vals[idx] = signs * rng.uniform(0.2, 1.0, size=count)
-    else:
-        center = rng.uniform(-grid.half_width / 2, grid.half_width / 2)
-        half_width = rng.uniform(0.5, 2.0)
-        height = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.0)
-        vals = height * np.clip(
-            1.0 - np.abs(grid.points - center) / half_width, 0.0, None)
-    peak = np.abs(vals).max()
-    if peak == 0:
-        vals = np.zeros(grid.size)
-        vals[grid.integer_indices[0]] = 1.0
-        peak = 1.0
-    return vals * (scale * rng.uniform(0.3, 1.0) / peak)
-
-
 def eager_porosity_probe(member, x: GridFunction, lam: float, delta: float,
                          *, budget: int, inner_budget: int,
                          seed: int) -> ProbeResult:
     """``porosity_probe`` drawing all ``inner_budget - 2`` random inner
-    candidates of an outer sample before testing y; it takes the same draws
-    from the generator whenever no candidate but the last is a member."""
+    candidates of an outer sample before testing any of its candidates, one
+    ``GridFunction`` each.  After the outer block, which both test with one
+    ``member`` call, it takes the same draws from the generator whenever no
+    y is a member and no candidate but the last is."""
     rng = np.random.default_rng(seed)
     grid = x.grid
+    ys = [GridFunction(grid, x.values + row)
+          for row in _random_perturbations(grid, delta, rng, budget)]
+    hits = member(np.array([y.values for y in ys]))
     records = []
-    for outer in range(budget):
-        y = GridFunction(grid,
-                         x.values + _random_perturbation(grid, delta, rng))
+    for outer, y in enumerate(ys):
         d = norm(y - x, SUP)
         radius = lam * d
         pull_scale = 0.999 * radius / d if d > 0 else 0.0
-        candidates = [y.values, y.values + pull_scale * (x.values - y.values)]
+        candidates = [y.values + pull_scale * (x.values - y.values)]
         for _ in range(inner_budget - 2):
-            candidates.append(
-                y.values + _random_perturbation(grid, 0.999 * radius, rng))
-        found = any(member(GridFunction(grid, z)) for z in candidates)
+            candidates.append(y.values + _random_perturbations(
+                grid, 0.999 * radius, rng, 1)[0])
+        found = bool(hits[outer]) or any(
+            member(GridFunction(grid, z).values[None])[0]
+            for z in candidates)
         records.append({"seed": seed, "outer": outer, "d": d,
                         "inner_hits": int(found), "y_found": not found})
         if not found:

@@ -871,6 +871,59 @@ class TestOtherCommands:
             outputs.append((out / "porosity.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("mode", ["theorem", "singleton"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, mode):
+        with pytest.raises(SystemExit) as exc:
+            run(["porosity", "--mode", mode, "--seed", "-5",
+                 "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "porosity.jsonl").exists()
+
+    @staticmethod
+    def bad_scene(tmp_path, case):
+        """The path of a scene file that is broken as ``case`` says."""
+        from lindyn.porosity import random_scene
+
+        obj = json.loads(random_scene(np.random.default_rng(0)).to_json())
+        path = tmp_path / "scene.json"
+        if case == "missing":
+            return path
+        if case == "directory":
+            return tmp_path
+        text = {"not-json": "{grid", "top-level-array": "[1, 2]",
+                "grid-int": '{"grid": 1}'}.get(case)
+        if text is None:
+            if case == "no-params":
+                del obj["params"]
+            elif case == "f-array":
+                obj["f"] = [1.0, 2.0]
+            elif case == "short-values":
+                obj["k"] = {"re": obj["k"]["re"][:-1],
+                            "im": obj["k"]["im"][:-1]}
+            elif case == "string-values":
+                obj["g"]["re"] = ["x"] * len(obj["g"]["re"])
+            elif case == "lam-out-of-range":
+                obj["params"]["lam"] = 0.9
+            elif case == "unknown-param":
+                obj["params"]["eta"] = 1.0
+            elif case == "infinite-grid":
+                obj["grid"]["half_width"] = math.inf
+            text = json.dumps(obj)
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("case", [
+        "missing", "directory", "not-json", "top-level-array", "grid-int",
+        "no-params", "f-array", "short-values", "string-values",
+        "lam-out-of-range", "unknown-param", "infinite-grid"])
+    def test_bad_scene_exit_2(self, tmp_path, capsys, case):
+        path = self.bad_scene(tmp_path, case)
+        out = tmp_path / "out"
+        assert run(["porosity", "--scene", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_porosity_scene_file(self, tmp_path, capsys):
         from lindyn.porosity import random_scene
 

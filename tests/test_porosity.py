@@ -15,6 +15,7 @@ from lindyn.funcspace import (
     SUP,
     Translation,
     norm,
+    triangular_bump,
 )
 from lindyn.operators import CompositionOperator
 from lindyn.porosity import (
@@ -34,7 +35,6 @@ from lindyn.porosity import (
 from lindyn.presets import build_preset
 from oracles import (
     backward_log2,
-    choice_perturbation,
     eager_porosity_probe,
     rectangular_bump,
 )
@@ -69,6 +69,18 @@ class TestGammaMembership:
         i0 = GRID.index_of(0.0)
         vals[i0] -= 1e-9
         assert not gamma_membership(as_gf(vals), GammaSet(g))
+
+    def test_row_test_is_membership_per_row(self):
+        g = decaying_profile()
+        gamma = GammaSet(g)
+        rows = (g.values + RNG.uniform(-0.02, 0.05, (64, GRID.size))
+                * np.exp(1j * RNG.uniform(0, 2 * np.pi, (64, GRID.size))))
+        got = gamma.contains_rows(rows)
+        assert got.shape == (64,) and 0 < got.sum() < 64
+        ints = GRID.integer_indices
+        assert got.tolist() == [
+            bool(np.all(np.abs(r[ints]) >= g.values[ints].real))
+            for r in rows]
 
 
 class TestChooseN:
@@ -264,18 +276,91 @@ class TestPhaseInterpolant:
         assert np.allclose(at_nodes, phases, rtol=0, atol=0)
 
 
+def assert_tent(grid, row):
+    """row is a multiple of triangular_bump(grid, c, w) for some c, w."""
+    nz = np.flatnonzero(row)
+    assert np.array_equal(nz, np.arange(nz[0], nz[-1] + 1))
+    sign = np.sign(row[nz[0]])
+    v, t = sign * row[nz], grid.points[nz]
+    assert np.all(v > 0)
+    # the end points lie on the rising line a + s (t - c) and on the
+    # falling one a - s (t - c); some difference lies wholly on one of them
+    slope = np.abs(np.diff(v)).max() / grid.step
+    rise, fall = v[0] - slope * t[0], v[-1] + slope * t[-1]
+    height, center = (rise + fall) / 2, (fall - rise) / (2 * slope)
+    tent = triangular_bump(grid, center, height / slope, sign * height)
+    assert np.allclose(row, tent.values.real, rtol=0,
+                       atol=1e-12 * np.abs(row).max())
+
+
+def perturbation_kinds(grid, block, scale):
+    """Checks every row of a perturbation block and returns, per integer
+    point, how many spike rows hit it, and the number of spike rows."""
+    assert block.shape[1] == grid.size
+    sup = np.abs(block).max(axis=1)
+    assert np.all(sup >= 0.3 * scale * (1 - 1e-12))
+    assert np.all(sup <= scale * (1 + 1e-12))
+    ints = grid.integer_indices
+    hits = np.zeros(grid.size, dtype=int)
+    spikes = 0
+    for row in block:
+        nz = np.flatnonzero(row)
+        if np.isin(nz, ints).all():
+            assert nz.size == min(8, ints.size)
+            hits[nz] += 1
+            spikes += 1
+        else:
+            assert_tent(grid, row)
+    return hits[ints], spikes
+
+
 class TestProbe:
-    def test_whole_space_never_witnesses(self):
+    @staticmethod
+    def nowhere(rows):
+        return np.zeros(len(rows), dtype=bool)
+
+    @staticmethod
+    def everywhere(rows):
+        return np.ones(len(rows), dtype=bool)
+
+    @staticmethod
+    def member_every(k):
+        """A row predicate that holds on no row of its first call, the
+        outer block, and then on every k-th row it is asked about."""
+        calls, rows_seen = itertools.count(), itertools.count(1)
+
+        def member(rows):
+            if next(calls) == 0:
+                return np.zeros(len(rows), dtype=bool)
+            return np.array([next(rows_seen) % k == 0 for _ in rows])
+        return member
+
+    @staticmethod
+    def counted_draws(monkeypatch):
+        draws = []
+        draw = porosity._random_perturbations
+
+        def counted(*args):
+            draws.append(args[-1])
+            return draw(*args)
+
+        monkeypatch.setattr(porosity, "_random_perturbations", counted)
+        return draws
+
+    def test_whole_space_never_witnesses(self, monkeypatch):
+        # every y is a member, so the outer block is the only draw
+        draws = self.counted_draws(monkeypatch)
         x = GridFunction.zero(GRID)
-        res = porosity_probe(lambda fn: True, x, 0.5, 0.1, budget=16,
+        res = porosity_probe(self.everywhere, x, 0.5, 0.1, budget=16,
                              inner_budget=8, seed=1)
         assert res.witness is None
         assert all(r["inner_hits"] > 0 for r in res.records)
+        assert draws == [16]
 
     def test_singleton_is_porous_at_its_point(self):
         x = GridFunction.zero(GRID)
-        res = porosity_probe(lambda fn: fn.is_zero, x, 0.5, 0.1, budget=16,
-                             inner_budget=64, seed=1)
+        res = porosity_probe(lambda rows: ~rows.any(axis=1), x, 0.5, 0.1,
+                             budget=16, inner_budget=64, seed=1)
         assert res.witness is not None
         assert res.witness_distance > 0
 
@@ -283,32 +368,20 @@ class TestProbe:
     def test_inner_budget_below_two_rejected(self, inner_budget):
         # y and its pull toward x are always tested
         with pytest.raises(ValueError, match="inner_budget"):
-            porosity_probe(lambda fn: True, GridFunction.zero(GRID), 0.5,
+            porosity_probe(self.everywhere, GridFunction.zero(GRID), 0.5,
                            0.1, budget=4, inner_budget=inner_budget)
-
-    @staticmethod
-    def member_every(k):
-        """A predicate that holds on every k-th query."""
-        queries = itertools.count(1)
-        return lambda fn: next(queries) % k == 0
 
     @pytest.mark.parametrize("every", [1, 4])
     def test_draws_stop_at_first_member(self, monkeypatch, every):
-        # one draw for y, then one per random candidate tested: the third
-        # query onwards; drawing all of them first would make 16 * 7
-        draws = []
-        draw = porosity._random_perturbation
-
-        def counted(*args):
-            draws.append(1)
-            return draw(*args)
-
-        monkeypatch.setattr(porosity, "_random_perturbation", counted)
+        # the outer block, then one single-row draw per random candidate
+        # tested: the second query of a sample onwards, since the pull is
+        # the first; drawing all of them first would make 16 * 6
+        draws = self.counted_draws(monkeypatch)
         res = porosity_probe(self.member_every(every),
                              GridFunction.zero(GRID), 0.5, 0.1, budget=16,
                              inner_budget=8, seed=1)
         assert res.witness is None and len(res.records) == 16
-        assert len(draws) == 16 * (1 + max(0, every - 2))
+        assert draws == [16] + [1] * (16 * (every - 1))
 
     @pytest.mark.parametrize("seed", range(3))
     @pytest.mark.parametrize("member", ["never", "last"])
@@ -317,8 +390,8 @@ class TestProbe:
         # with no member before the last candidate both loops take every
         # draw in the same order, so the records agree bit for bit
         def probe(route):
-            pred = ((lambda fn: False) if member == "never"
-                    else self.member_every(8))
+            pred = (self.nowhere if member == "never"
+                    else self.member_every(7))
             return route(pred, GridFunction.zero(GRID), 0.5, 0.1,
                          budget=16, inner_budget=8, seed=seed)
 
@@ -334,17 +407,54 @@ class TestProbe:
         gamma = GammaSet(decaying_profile(0.05))
         x = GridFunction(GRID, decaying_profile(0.05).values + 0.3)
         runs = [
-            porosity_probe(lambda fn: fn.is_zero, GridFunction.zero(GRID),
-                           0.5, 0.1, budget=16, inner_budget=8, seed=seed),
-            porosity_probe(lambda fn: gamma_membership(fn, gamma), x,
-                           0.3, 0.1, budget=8, inner_budget=8,
-                           seed=10 ** 9 + seed),
+            porosity_probe(lambda rows: ~rows.any(axis=1),
+                           GridFunction.zero(GRID), 0.5, 0.1, budget=16,
+                           inner_budget=8, seed=seed),
+            porosity_probe(gamma.contains_rows, x, 0.3, 0.1, budget=8,
+                           inner_budget=8, seed=10 ** 9 + seed),
         ]
         assert runs[0].witness is not None and runs[1].witness is None
         for res in runs:
             expected = "\n".join(json.dumps(r, sort_keys=True)
                                   for r in res.records)
             assert res.to_jsonl() == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("member", ["nowhere", "everywhere"])
+    def test_d_is_the_sup_distance_as_a_float(self, seed, member):
+        # the outer block is the probe's first draw
+        x = GridFunction(GRID, RNG.standard_normal(GRID.size)
+                         + 1j * RNG.standard_normal(GRID.size))
+        res = porosity_probe(getattr(self, member), x, 0.5, 0.1, budget=16,
+                             inner_budget=2, seed=seed)
+        block = porosity._random_perturbations(
+            GRID, 0.1, np.random.default_rng(seed), 16)
+        assert len(res.records) == (1 if member == "nowhere" else 16)
+        for r, row in zip(res.records, block):
+            assert type(r["d"]) is float
+            y = GridFunction(GRID, x.values + row)
+            assert r["d"] == norm(y - x, SUP)
+        if res.witness is not None:
+            assert type(res.witness_distance) is float
+            assert res.witness_distance == norm(res.witness - x, SUP)
+
+    def test_non_finite_outer_block_raises(self):
+        with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                      match="finite"):
+            porosity_probe(self.everywhere, GridFunction.zero(GRID), 0.5,
+                           np.inf, budget=4, inner_budget=2)
+
+    def test_non_finite_inner_candidate_raises(self, monkeypatch):
+        draw = porosity._random_perturbations
+
+        def overflowing(grid, scale, rng, count):
+            block = draw(grid, scale, rng, count)
+            return block if count > 1 else np.full_like(block, np.inf)
+
+        monkeypatch.setattr(porosity, "_random_perturbations", overflowing)
+        with pytest.raises(ValueError, match="finite"):
+            porosity_probe(self.nowhere, GridFunction.zero(GRID), 0.5, 0.1,
+                           budget=4, inner_budget=3)
 
     @pytest.mark.parametrize("size", [None, 1, 8])
     def test_sign_draw_is_rng_choice(self, size):
@@ -358,26 +468,35 @@ class TestProbe:
             assert np.array_equal(got, want)
             assert a.bit_generator.state == b.bit_generator.state
 
-    def test_perturbation_matches_choice_reference(self):
-        for seed in range(300):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for scale in (0.1, 0.5):
-                got = porosity._random_perturbation(GRID, scale, a)
-                want = choice_perturbation(GRID, scale, b)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
-            assert a.bit_generator.state == b.bit_generator.state
+    @pytest.mark.parametrize("scale", [0.1, 0.5])
+    def test_perturbation_block(self, scale):
+        rng = np.random.default_rng(11)
+        block = porosity._random_perturbations(GRID, scale, rng, 2000)
+        hits, spikes = perturbation_kinds(GRID, block, scale)
+        # a fair branch, and 8 of the 17 integer points, uniformly
+        assert 900 < spikes < 1100
+        assert np.all(np.abs(hits / spikes - 8 / 17) < 0.06)
+
+    @pytest.mark.parametrize("grid", [GRID, Grid(2.0, 0.25)],
+                             ids=["17-integers", "5-integers"])
+    def test_single_row_draws(self, grid):
+        # on a grid with fewer than 8 integers a spike row takes all of them
+        rng = np.random.default_rng(3)
+        rows = [porosity._random_perturbations(grid, 0.2, rng, 1)
+                for _ in range(200)]
+        assert all(r.shape == (1, grid.size) for r in rows)
+        _, spikes = perturbation_kinds(grid, np.vstack(rows), 0.2)
+        assert 0 < spikes < 200
 
     def test_envelope_set_resists_probe(self):
         gamma = GammaSet(decaying_profile(0.05))
         # a member with margin: the profile plus a uniform lift
         x = GridFunction(GRID, decaying_profile(0.05).values + 0.3)
-        member = lambda fn: gamma_membership(fn, gamma)
-        assert member(x)
+        assert gamma_membership(x, gamma)
         for seed in range(10):
             for delta in (0.1, 0.01):
-                res = porosity_probe(member, x, 0.5, delta, budget=32,
-                                     inner_budget=32, seed=seed)
+                res = porosity_probe(gamma.contains_rows, x, 0.5, delta,
+                                     budget=32, inner_budget=32, seed=seed)
                 assert res.witness is None
 
 
