@@ -11,11 +11,10 @@ from .funcspace import (
     L2,
     SegalNorm,
     norm,
-    restrict,
     linear_interpolate,
     triangular_bump,
 )
-from .operators import CompositionOperator, apply_Tn, apply_Sn
+from .operators import CompositionOperator
 from .criteria import (
     CompactWindow,
     CriterionKind,
@@ -26,9 +25,6 @@ from .criteria import (
 from .dynamics import (
     projective_distance,
     orbit_trace,
-    supercyclic_approximant,
-    cesaro_approximant,
-    segal_approximant,
     empirical_best,
 )
 from .measures import AtomicMeasure, adjoint_criterion

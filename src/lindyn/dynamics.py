@@ -1,10 +1,11 @@
-"""Orbit probes, scaled approximation distances, and approximant sequences.
+"""Orbit probes and scaled approximation distances.
 
 The probes are empirical counterparts of the transitivity notions: how
-close does some scaled orbit point lambda * T^n f come to a target g?  The
-approximants are the constructive sequences (v_k, lambda_k) whose
-convergence the criteria guarantee; their contracts are checked
-quantitatively by the callers.
+close does some scaled orbit point lambda * T^n f come to a target g?
+Every orbit here is one block walk, :func:`_orbit_blocks`.  The
+constructive approximant sequences (v_k, lambda_k) whose convergence the
+criteria guarantee, and the product-form powers they are built from, are
+test oracles in ``tests/oracles.py``, checked against this walk.
 """
 
 from __future__ import annotations
@@ -16,31 +17,25 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateApproximantError, LindynError,
-                     SegalIncompatibleError, ZeroVectorError)
+from .errors import LindynError, ZeroVectorError
 from .funcspace import (
     GridFunction,
     L2,
     L2Norm,
     NormKind,
-    PiecewiseMap,
     SUP,
-    SegalNorm,
     SupNorm,
     homeo_orbit_blocks,
     linear_interpolate,
     norm,
-    restrict,
+    row_norms,
 )
 from .operators import (
     CompositionOperator,
     _block_rows,
     _loses_mass,
     _orbit_log2_rows,
-    apply_Sn,
-    apply_Tn,
     scale_by_exp2,
-    segal_compatible,
 )
 
 __all__ = [
@@ -48,10 +43,6 @@ __all__ = [
     "OrbitTrace",
     "orbit_trace",
     "operator_orbit",
-    "Approximant",
-    "supercyclic_approximant",
-    "cesaro_approximant",
-    "segal_approximant",
     "empirical_best",
 ]
 
@@ -148,6 +139,19 @@ def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
         active.append(k)
 
 
+def _l2_projective(rows: np.ndarray, gv: np.ndarray, step: float):
+    """The L2 projective distance of each nonzero row f of a value block to
+    the values gv, and its minimiser: the closed least-squares form
+    lam = <g, f> / ||f||**2, d**2 = ||g||**2 - |<f, g>|**2 / ||f||**2."""
+    ip = step * np.sum(rows * np.conj(gv), axis=1)
+    nf2 = step * np.sum(np.abs(rows) ** 2, axis=1)
+    ng2 = step * np.sum(np.abs(gv) ** 2)
+    # a scalar abs per row: np.abs on a complex128 array can round |ip|
+    # differently
+    ip2 = np.array([abs(z) ** 2 for z in ip])
+    return np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0)), np.conj(ip) / nf2
+
+
 def _sup_distance(fv: np.ndarray, gv: np.ndarray):
     """The sup-norm projective distance of value arrays, fv != 0, and its
     minimiser (see :func:`projective_distance`)."""
@@ -180,13 +184,8 @@ def projective_distance(f: GridFunction, g: GridFunction,
     if f.is_zero:
         raise ZeroVectorError("projective distance needs f != 0")
     if isinstance(kind, L2Norm):
-        h = f.grid.step
-        ip_fg = h * np.sum(f.values * np.conj(g.values))
-        nf2 = h * np.sum(np.abs(f.values) ** 2)
-        ng2 = h * np.sum(np.abs(g.values) ** 2)
-        lam = np.conj(ip_fg) / nf2
-        d2 = ng2 - abs(ip_fg) ** 2 / nf2
-        return float(math.sqrt(max(d2, 0.0))), complex(lam)
+        d, lam = _l2_projective(f.values[None], g.values, f.grid.step)
+        return float(d[0]), complex(lam[0])
     if isinstance(kind, SupNorm):
         return _sup_distance(f.values, g.values)
     if g.is_zero:
@@ -281,15 +280,6 @@ class OrbitTrace:
 MODES = ("plain", "scaled", "cesaro")
 
 
-def _row_norms(rows: np.ndarray, kind: NormKind, grid) -> np.ndarray:
-    """norm(GridFunction(grid, row), kind) for each row of a block."""
-    if isinstance(kind, SupNorm):
-        return np.abs(rows).max(axis=1)
-    if isinstance(kind, L2Norm):
-        return np.sqrt(grid.step * np.sum(np.abs(rows) ** 2, axis=1))
-    return np.array([norm(GridFunction(grid, r), kind) for r in rows])
-
-
 def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
                       kind: NormKind, grid) -> np.ndarray:
     """projective_distance(row, g, kind)[0] for each row of a block, and
@@ -298,15 +288,7 @@ def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
     out = np.full(len(rows), norm(g, kind))
     live = np.flatnonzero(~zero)
     if isinstance(kind, L2Norm):
-        h = grid.step
-        fv = rows[live]
-        ip = h * np.sum(fv * np.conj(g.values), axis=1)
-        nf2 = h * np.sum(np.abs(fv) ** 2, axis=1)
-        ng2 = h * np.sum(np.abs(g.values) ** 2)
-        # the scalar abs of projective_distance, per row: np.abs on a
-        # complex128 array can round |ip| differently
-        ip2 = np.array([abs(z) ** 2 for z in ip])
-        out[live] = np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0))
+        out[live] = _l2_projective(rows[live], g.values, grid.step)[0]
     elif isinstance(kind, SupNorm):
         out[live] = [_sup_distance(rows[i], g.values)[0] for i in live]
     else:
@@ -336,7 +318,7 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
     n0 = 0
     for vals, lost in _orbit_blocks(op, f, horizon):
         ns = slice(n0, n0 + len(vals))
-        norms[ns] = _row_norms(vals, kind, grid)
+        norms[ns] = row_norms(vals, kind, grid)
         trunc[ns] = lost
         if targets:
             zero = ~vals.any(axis=1)
@@ -349,7 +331,7 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
             else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
                 c = (1.0 if mode == "plain"
                      else 1.0 / np.arange(ns.start + 1, ns.stop + 1)[:, None])
-                d = _row_norms(c * vals - g.values, kind, grid)
+                d = row_norms(c * vals - g.values, kind, grid)
             k = int(np.argmin(d))
             if d[k] < best[i][0]:
                 best[i] = (float(d[k]), n0 + k + 1)
@@ -357,64 +339,6 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
     return OrbitTrace(norms, norms / np.arange(1, horizon + 1), dists, trunc,
                       tuple(BestApproach(i, n, d)
                             for i, (d, n) in enumerate(best)))
-
-
-@dataclass(frozen=True)
-class Approximant:
-    v: GridFunction
-    lam: float
-    n: int
-
-
-def _nonzero_pair(f: GridFunction, g: GridFunction, mask):
-    """f and g restricted to ``mask`` (whole when it is None), both
-    nonzero."""
-    if mask is not None:
-        f, g = restrict(f, mask), restrict(g, mask)
-    if f.is_zero or g.is_zero:
-        raise DegenerateApproximantError("(restricted) f or g is zero")
-    return f, g
-
-
-def _ratio_approximant(op: CompositionOperator, f: GridFunction,
-                       g: GridFunction, n: int, kind: NormKind) -> Approximant:
-    """v = f + (||T^n f|| / ||S^n g||)^(1/2) S^n g, with the reciprocal
-    square-root ratio as the scalar."""
-    sg = apply_Sn(op, g, n)
-    a, b = norm(apply_Tn(op, f, n), kind), norm(sg, kind)
-    if a == 0 or b == 0:
-        raise DegenerateApproximantError(
-            "operator power lost all mass (grid truncation)"
-        )
-    return Approximant(f + math.sqrt(a / b) * sg, math.sqrt(b / a), n)
-
-
-def supercyclic_approximant(op: CompositionOperator, f: GridFunction,
-                            g: GridFunction, n: int, mask=None,
-                            kind: NormKind = L2) -> Approximant:
-    """v = f chi + (||T^n (f chi)|| / ||S^n (g chi)||)^(1/2) S^n (g chi),
-    with the reciprocal square-root ratio as the scalar."""
-    return _ratio_approximant(op, *_nonzero_pair(f, g, mask), n, kind)
-
-
-def cesaro_approximant(op: CompositionOperator, f: GridFunction,
-                       g: GridFunction, n: int, mask=None,
-                       kind: NormKind = L2) -> Approximant:
-    """Cesaro variant: the scalar is pinned to 1/n, so the corrector enters
-    with the compensating factor n and no norm ratio."""
-    fr, gr = _nonzero_pair(f, g, mask)
-    return Approximant(fr + float(n) * apply_Sn(op, gr, n), 1.0 / n, n)
-
-
-def segal_approximant(op: CompositionOperator, f: GridFunction,
-                      g: GridFunction, n: int,
-                      tau: PiecewiseMap) -> Approximant:
-    """Weighted-algebra variant: same ratio construction, norms taken in
-    the tau-weighted series norm, no restriction step."""
-    if not segal_compatible(op, tau, f.grid):
-        raise SegalIncompatibleError("tau is not alpha-invariant")
-    return _ratio_approximant(op, *_nonzero_pair(f, g, None), n,
-                              SegalNorm(tau))
 
 
 def empirical_best(op: CompositionOperator, f: GridFunction,

@@ -41,7 +41,7 @@ __all__ = [
     "SUP",
     "L2",
     "norm",
-    "restrict",
+    "row_norms",
     "linear_interpolate",
     "triangular_bump",
 ]
@@ -112,16 +112,6 @@ class Grid:
         out = np.rint(self.points[self.integer_indices])
         out.setflags(write=False)
         return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Grid)
-            and self.half_width == other.half_width
-            and self.step == other.step
-        )
-
-    def __hash__(self):
-        return hash((self.half_width, self.step))
 
 
 class PiecewiseMap:
@@ -390,14 +380,6 @@ def linear_interpolate(f: GridFunction, t):
     return out
 
 
-def restrict(f: GridFunction, mask) -> GridFunction:
-    """Multiply by the characteristic function of a set of grid indices."""
-    keep = np.zeros(f.grid.size, dtype=bool)
-    keep[np.asarray(list(mask) if isinstance(mask, (set, frozenset)) else mask,
-                    dtype=int)] = True
-    return GridFunction(f.grid, np.where(keep, f.values, 0.0), f.truncated)
-
-
 # ---------------------------------------------------------------------------
 # Norms
 
@@ -416,24 +398,22 @@ class SegalNorm:
     """Weighted sup-norm series sum_k ||f tau^k||_inf with certified tail.
 
     Terms are accumulated until the geometric tail bound drops below
-    ``tail_tol``; the bound itself is added, so the result overestimates the
-    true value by at most ``tail_tol`` and never underestimates it.
+    ``_TAIL_TOL``; the bound itself is added, so the result overestimates
+    the true value by at most ``_TAIL_TOL`` and never underestimates it.
     """
 
-    def __init__(self, tau: PiecewiseMap, tail_tol: float = 1e-9):
-        if tail_tol <= 0:
-            raise ValueError("tail_tol must be positive")
+    def __init__(self, tau: PiecewiseMap):
         self.tau = tau
-        self.tail_tol = float(tail_tol)
 
+    _TAIL_TOL = 1e-9
     _MAX_TERMS = 200_000
 
-    def compute(self, f: GridFunction) -> float:
-        supp = f.values != 0
+    def compute(self, values: np.ndarray, grid: Grid) -> float:
+        supp = values != 0
         if not supp.any():
             return 0.0
-        a = np.abs(f.values[supp])
-        b = np.abs(np.asarray(self.tau(f.grid.points[supp]), dtype=complex))
+        a = np.abs(values[supp])
+        b = np.abs(np.asarray(self.tau(grid.points[supp]), dtype=complex))
         s = float(b.max())
         if s >= 1.0:
             raise DivergentSegalNormError(
@@ -447,7 +427,7 @@ class SegalNorm:
             if s == 0.0:
                 return total
             tail = m * s / (1.0 - s)
-            if tail <= self.tail_tol:
+            if tail <= self._TAIL_TOL:
                 return total + tail
             cur *= b
         raise DivergentSegalNormError(
@@ -460,14 +440,21 @@ L2 = L2Norm()
 NormKind = Union[SupNorm, L2Norm, SegalNorm]
 
 
-def norm(f: GridFunction, kind: NormKind = SUP) -> float:
+def row_norms(rows: np.ndarray, kind: NormKind, grid: Grid) -> np.ndarray:
+    """The norm of each row of a (rows, grid.size) value block: sup and L2
+    as row reductions, the Segal series per row."""
     if isinstance(kind, SupNorm):
-        return float(np.abs(f.values).max())
+        return np.abs(rows).max(axis=1)
     if isinstance(kind, L2Norm):
-        return float(np.sqrt(f.grid.step * np.sum(np.abs(f.values) ** 2)))
+        return np.sqrt(grid.step * np.sum(np.abs(rows) ** 2, axis=1))
     if isinstance(kind, SegalNorm):
-        return kind.compute(f)
+        return np.array([kind.compute(r, grid) for r in rows])
     raise TypeError(f"unknown norm kind {kind!r}")
+
+
+def norm(f: GridFunction, kind: NormKind = SUP) -> float:
+    """The one-row case of :func:`row_norms`."""
+    return float(row_norms(f.values[None], kind, f.grid)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ require, and stay bit-exact for dyadic weights, whose TwoSum errors are 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -22,13 +21,10 @@ from .funcspace import (
     homeo_orbit,
     homeo_orbit_blocks,
     homeo_power,
-    linear_interpolate,
 )
 
 __all__ = [
     "CompositionOperator",
-    "apply_Tn",
-    "apply_Sn",
     "CocycleSweep",
     "scale_by_exp2",
     "segal_compatible",
@@ -162,39 +158,6 @@ def _loses_mass(f: GridFunction, images: np.ndarray) -> np.ndarray:
     outside = ((pts < images.min(axis=-1, keepdims=True))
                | (pts > images.max(axis=-1, keepdims=True)))
     return np.any(outside & (f.values != 0), axis=-1)
-
-
-def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
-    """T^n f via one interpolation of f o alpha^n and a per-point weight fold.
-
-    The weights are multiplied right to left, which reproduces n single
-    steps bit for bit when alpha maps grid points to grid points, and
-    keeps zero-support points exactly zero.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return f
-    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points), n + 1))
-    acc = linear_interpolate(f, orbit[n])
-    for j in range(n - 1, -1, -1):
-        acc = op.weight(orbit[j]) * acc
-    return GridFunction(f.grid, acc,
-                        f.truncated or _loses_mass(f, orbit[n]))
-
-
-def apply_Sn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
-    """S^n f = (f o alpha^{-n}) / prod_{j=1}^{n} w o alpha^{-j}."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return f
-    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points, -1), n + 1))
-    acc = linear_interpolate(f, orbit[n])
-    for j in range(n, 0, -1):
-        acc = acc / op.weight(orbit[j])
-    return GridFunction(f.grid, acc,
-                        f.truncated or _loses_mass(f, orbit[n]))
 
 
 def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,

@@ -91,9 +91,6 @@ class GammaSet:
     def grid(self) -> Grid:
         return self.g.grid
 
-    def __contains__(self, f: GridFunction) -> bool:
-        return gamma_membership(f, self)
-
     def contains_rows(self, rows: np.ndarray) -> np.ndarray:
         """Membership of each row of a (rows, grid.size) value block:
         modulus domination at every integer grid point, non-strict."""
@@ -524,15 +521,15 @@ class PorosityScene:
                    PorosityParams(**obj["params"]))
 
 
-def random_scene(rng, grid: Grid | None = None) -> PorosityScene:
-    """Seeded scene with strict margins in every posted inequality.
+def random_scene(rng) -> PorosityScene:
+    """Seeded scene on Grid(8, 0.25) with strict margins in every posted
+    inequality.
 
     The profile decays to zero by the grid edge with small positive values
     on some outer integers, k dominates it with a sign pattern and a real
     margin, and f sits well inside the r_tilde ball around k.
     """
-    if grid is None:
-        grid = Grid(8.0, 0.25)
+    grid = Grid(8.0, 0.25)
     t = grid.points
     amp = rng.uniform(0.05, 0.3)
     g_vals = amp * np.clip(1.0 - np.abs(t) / 2.0, 0.0, None)

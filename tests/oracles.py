@@ -8,9 +8,16 @@ functions here recompute the same quantities one n at a time from
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
-off the same legs.  :func:`eager_porosity_probe` draws every inner
-candidate of ``lindyn.porosity.porosity_probe`` before testing the first,
-and :func:`per_row_orbit_trace` walks ``lindyn.dynamics.orbit_trace`` one
+off the same legs.  :func:`apply_Tn`/:func:`apply_Sn` are T^n and S^n in
+product form, one weight factor per step, the reference that the block
+walk ``lindyn.dynamics._orbit_blocks`` (through ``operator_orbit``) is
+checked against; the function-side approximants
+(:func:`supercyclic_approximant`, :func:`cesaro_approximant`,
+:func:`segal_approximant`) are built from them, and the acceptance suite
+checks their convergence against the criteria's q(n).
+:func:`eager_porosity_probe` draws every inner candidate of
+``lindyn.porosity.porosity_probe`` before testing the first, and
+:func:`per_row_orbit_trace` walks ``lindyn.dynamics.orbit_trace`` one
 ``GridFunction`` per n where it reads row blocks.
 :func:`per_row_expectation` runs one golden-registry row on its own sweep,
 where ``lindyn.presets.run_registry`` shares one sweep across rows, and
@@ -26,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -49,10 +57,13 @@ from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
 from lindyn.funcspace import (
     Grid,
     GridFunction,
+    L2,
     NormKind,
     PiecewiseAffineHomeo,
     PiecewiseMap,
     SUP,
+    SegalNorm,
+    homeo_orbit,
     homeo_power,
     linear_interpolate,
     norm,
@@ -60,8 +71,8 @@ from lindyn.funcspace import (
 from lindyn.measures import AtomicMeasure, adjoint_criterion
 from lindyn.operators import (
     CompositionOperator,
+    _loses_mass,
     _orbit_log2_rows,
-    apply_Tn,
     segal_compatible,
 )
 from lindyn.porosity import ProbeResult, _random_perturbations
@@ -326,6 +337,110 @@ def measure_approximant(op: CompositionOperator, mu: AtomicMeasure,
     eta = combine((1.0, mu), (math.sqrt(a / b), s_nu))
     lam = math.sqrt(b / a)
     return eta, lam
+
+
+# ---------------------------------------------------------------------------
+# T^n and S^n in product form, and the function-side approximants: v near
+# f with lam T^n v near g, at a rate set by q(n)
+
+
+def apply_Tn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
+    """T^n f via one interpolation of f o alpha^n and a per-point weight fold.
+
+    The weights are multiplied right to left, which reproduces n single
+    steps bit for bit when alpha maps grid points to grid points, and
+    keeps zero-support points exactly zero.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return f
+    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points), n + 1))
+    acc = linear_interpolate(f, orbit[n])
+    for j in range(n - 1, -1, -1):
+        acc = op.weight(orbit[j]) * acc
+    return GridFunction(f.grid, acc,
+                        f.truncated or _loses_mass(f, orbit[n]))
+
+
+def apply_Sn(op: CompositionOperator, f: GridFunction, n: int) -> GridFunction:
+    """S^n f = (f o alpha^{-n}) / prod_{j=1}^{n} w o alpha^{-j}."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if n == 0:
+        return f
+    orbit = list(islice(homeo_orbit(op.alpha, f.grid.points, -1), n + 1))
+    acc = linear_interpolate(f, orbit[n])
+    for j in range(n, 0, -1):
+        acc = acc / op.weight(orbit[j])
+    return GridFunction(f.grid, acc,
+                        f.truncated or _loses_mass(f, orbit[n]))
+
+
+def restrict(f: GridFunction, mask) -> GridFunction:
+    """Multiply by the characteristic function of a set of grid indices."""
+    keep = np.zeros(f.grid.size, dtype=bool)
+    keep[np.asarray(list(mask) if isinstance(mask, (set, frozenset)) else mask,
+                    dtype=int)] = True
+    return GridFunction(f.grid, np.where(keep, f.values, 0.0), f.truncated)
+
+
+@dataclass(frozen=True)
+class Approximant:
+    v: GridFunction
+    lam: float
+    n: int
+
+
+def _nonzero_pair(f: GridFunction, g: GridFunction, mask):
+    """f and g restricted to ``mask`` (whole when it is None), both
+    nonzero."""
+    if mask is not None:
+        f, g = restrict(f, mask), restrict(g, mask)
+    if f.is_zero or g.is_zero:
+        raise DegenerateApproximantError("(restricted) f or g is zero")
+    return f, g
+
+
+def _ratio_approximant(op: CompositionOperator, f: GridFunction,
+                       g: GridFunction, n: int, kind: NormKind) -> Approximant:
+    """v = f + (||T^n f|| / ||S^n g||)^(1/2) S^n g, with the reciprocal
+    square-root ratio as the scalar."""
+    sg = apply_Sn(op, g, n)
+    a, b = norm(apply_Tn(op, f, n), kind), norm(sg, kind)
+    if a == 0 or b == 0:
+        raise DegenerateApproximantError(
+            "operator power lost all mass (grid truncation)"
+        )
+    return Approximant(f + math.sqrt(a / b) * sg, math.sqrt(b / a), n)
+
+
+def supercyclic_approximant(op: CompositionOperator, f: GridFunction,
+                            g: GridFunction, n: int, mask=None,
+                            kind: NormKind = L2) -> Approximant:
+    """v = f chi + (||T^n (f chi)|| / ||S^n (g chi)||)^(1/2) S^n (g chi),
+    with the reciprocal square-root ratio as the scalar."""
+    return _ratio_approximant(op, *_nonzero_pair(f, g, mask), n, kind)
+
+
+def cesaro_approximant(op: CompositionOperator, f: GridFunction,
+                       g: GridFunction, n: int, mask=None,
+                       kind: NormKind = L2) -> Approximant:
+    """Cesaro variant: the scalar is pinned to 1/n, so the corrector enters
+    with the compensating factor n and no norm ratio."""
+    fr, gr = _nonzero_pair(f, g, mask)
+    return Approximant(fr + float(n) * apply_Sn(op, gr, n), 1.0 / n, n)
+
+
+def segal_approximant(op: CompositionOperator, f: GridFunction,
+                      g: GridFunction, n: int,
+                      tau: PiecewiseMap) -> Approximant:
+    """Weighted-algebra variant: same ratio construction, norms taken in
+    the tau-weighted series norm, no restriction step."""
+    if not segal_compatible(op, tau, f.grid):
+        raise SegalIncompatibleError("tau is not alpha-invariant")
+    return _ratio_approximant(op, *_nonzero_pair(f, g, None), n,
+                              SegalNorm(tau))
 
 
 # ---------------------------------------------------------------------------

@@ -20,24 +20,29 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.dynamics import (
-    cesaro_approximant,
     empirical_best,
     operator_orbit,
     orbit_trace,
     projective_distance,
-    segal_approximant,
-    supercyclic_approximant,
 )
 from lindyn.operators import (
     CocycleSweep,
     CompositionOperator,
     _block_rows,
     _loses_mass,
-    apply_Tn,
     scale_by_exp2,
 )
 from lindyn.presets import build_preset
-from oracles import identity_homeo, per_row_orbit_trace, product_factors
+from oracles import (
+    apply_Sn,
+    apply_Tn,
+    cesaro_approximant,
+    identity_homeo,
+    per_row_orbit_trace,
+    product_factors,
+    segal_approximant,
+    supercyclic_approximant,
+)
 
 RNG = np.random.default_rng(11)
 SMALL = Grid(1.0, 0.5)  # five points
@@ -158,7 +163,7 @@ class TestProjectiveDistance:
     def test_segal_constant_tau_doubles_sup(self):
         # with tau = 1/2 the Segal series is exactly 2 ||.||_inf, so the
         # Cartesian search must reproduce twice the exact sup-norm solve
-        kind = SegalNorm(PiecewiseMap.constant(0.5), tail_tol=1e-9)
+        kind = SegalNorm(PiecewiseMap.constant(0.5))
         rng = np.random.default_rng(12)
         f, g = rand5(rng), rand5(rng)
         d, lam = projective_distance(f, g, kind)
@@ -274,6 +279,40 @@ class TestOrbitBlockSeams:
             assert tf.truncated == (f.truncated or _loses_mass(f, pos))
             checked.append(n)
         assert checked == [b - 1, b, b + 1, horizon]
+
+
+class TestProductFormOracle:
+    """Each row of operator_orbit equals the product-form power of
+    tests/oracles.py, apply_Tn or apply_Sn, to 1e-12 relative, with the
+    same truncation flag: the one T^n of the program against a second,
+    independent fold of the weights."""
+
+    OPS = {name: build_preset(name)
+           for name in ("ex3.5", "ex3.6", "ex3.8", "rem3.10")}
+    OPS["piecewise"] = CompositionOperator(
+        PiecewiseAffineHomeo(PiecewiseMap([-1.0, 1.0], [-2.5, 0.5],
+                                          1.0, 1.0)),
+        PiecewiseMap([-1.0, 0.0, 1.0], [2.0, 1.0, 0.5], positive=True))
+    GRID = Grid(64.0, 0.25)
+    SEEDS = (triangular_bump(GRID, 0.0, 1.0, 1 - 0.5j),
+             # under a shift by -1 it starts to leave the grid on side T
+             # by n = 7 and has left it by n = 40
+             triangular_bump(GRID, 56.0, 4.0, 0.5 + 1j))
+
+    @pytest.mark.parametrize("side", ["T", "S"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_rows_match_product_form(self, name, side):
+        op = self.OPS[name]
+        power = apply_Tn if side == "T" else apply_Sn
+        for f in self.SEEDS:
+            rows = dict(operator_orbit(op, f, 40, side))
+            for n in (1, 7, 40):
+                ref = power(op, f, n)
+                scale = np.abs(ref.values).max()
+                assert scale > 0 or f is self.SEEDS[1], (name, side, n)
+                err = np.abs(rows[n].values - ref.values).max()
+                assert err <= 1e-12 * scale, (name, side, n, err / scale)
+                assert rows[n].truncated == ref.truncated, (name, side, n)
 
 
 class TestOrbitWalk:
@@ -400,7 +439,6 @@ class TestApproximants:
         grid = Grid(64.0, 0.25)
         f = triangular_bump(grid)
         win = CompactWindow.from_grid(grid, 1.0)
-        from lindyn.operators import apply_Sn
         for n in (1, 3, 9, 20):
             p_minus, p_plus = product_factors(op, win, n)
             assert norm(apply_Tn(op, f, n), L2) <= \

@@ -25,10 +25,10 @@ from lindyn.funcspace import (
     homeo_power,
     linear_interpolate,
     norm,
-    restrict,
+    row_norms,
     triangular_bump,
 )
-from oracles import identity_homeo, rectangular_bump
+from oracles import identity_homeo, rectangular_bump, restrict
 
 RNG = np.random.default_rng(20260809)
 
@@ -65,6 +65,12 @@ class TestGrid:
     def test_non_integer_half_width(self):
         grid = Grid(2.5, 0.5)
         assert set(grid.integer_points) == {-2, -1, 0, 1, 2}
+
+    def test_equality_and_hash(self):
+        assert Grid(8, 0.25) == Grid(8.0, 0.25)
+        assert hash(Grid(8, 0.25)) == hash(Grid(8.0, 0.25))
+        assert Grid(8.0, 0.25) != Grid(8.0, 0.5)
+        assert Grid(8.0, 0.25) != (8.0, 0.25)
 
 
 class TestPiecewiseMap:
@@ -221,7 +227,7 @@ class TestNorms:
 
     def test_segal_half_tau_bump(self):
         f = triangular_bump(self.grid, 0.0, 1.0)
-        kind = SegalNorm(PiecewiseMap.constant(0.5), tail_tol=1e-9)
+        kind = SegalNorm(PiecewiseMap.constant(0.5))
         assert abs(norm(f, kind) - 2.0) <= 1e-9
 
     def test_segal_divergence(self):
@@ -249,6 +255,17 @@ class TestNorms:
                                                           rel=1e-12)
                 slack = 1e-12 * (nf + ng) + 2e-9
                 assert norm(f + g, kind) <= nf + ng + slack
+
+    def test_norm_is_the_one_row_case(self):
+        # a block reduction gives each row the bits of its own norm call
+        rng = np.random.default_rng(7)
+        block = np.array([random_function(self.grid, rng).values
+                          for _ in range(7)])
+        for kind in (SUP, L2, SegalNorm(PiecewiseMap.constant(0.5))):
+            ref = [norm(GridFunction(self.grid, r), kind) for r in block]
+            assert row_norms(block, kind, self.grid).tolist() == ref
+        with pytest.raises(TypeError):
+            row_norms(block, "L1", self.grid)
 
     def test_solidity(self):
         for _ in range(25):

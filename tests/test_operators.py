@@ -28,12 +28,17 @@ from lindyn.operators import (
     _orbit_log2_rows,
     CocycleSweep,
     CompositionOperator,
-    apply_Sn,
-    apply_Tn,
     segal_compatible,
 )
 from lindyn.presets import build_preset
-from oracles import backward_log2, cocycle, forward_log2, identity_homeo
+from oracles import (
+    apply_Sn,
+    apply_Tn,
+    backward_log2,
+    cocycle,
+    forward_log2,
+    identity_homeo,
+)
 
 RNG = np.random.default_rng(42)
 GRID = Grid(16.0, 0.25)
