@@ -432,7 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def per_n(p):
         p.add_argument("--per-n", action="store_true",
-                       help="write one line per n before each summary line")
+                       help="write one line per n before each summary "
+                            "line, whose witness then lists every record")
 
     p = sub.add_parser("classify", help="run the criteria for a space kind")
     common(p)

@@ -191,8 +191,9 @@ class CriterionVerdict:
     ``records`` holds the record minima of log2 q as one read-only index
     array into the traces (0-based, n - 1): a canonical deterministic
     choice of the strictly increasing sequence.  ``witness`` reads it as
-    (n, q) pairs, built on each access.  SATISFIED means exactly that the
-    last record's log2 q is <= log2 tol.
+    (n, q) pairs and ``record_runs`` as the (first n, last n) of each run
+    of consecutive record n, both built on each access.  SATISFIED means
+    exactly that the last record's log2 q is <= log2 tol.
     """
 
     def __init__(self, kind: str, status: str, records, trace, log2_trace,
@@ -219,6 +220,18 @@ class CriterionVerdict:
                          self.trace[self.records].tolist()))
 
     @property
+    def record_runs(self) -> tuple[tuple[int, int], ...]:
+        """The (first n, last n) of each run of consecutive record n, in
+        order: the record set exactly, at the size of its runs."""
+        r = self.records
+        if not r.size:
+            return ()
+        cut = np.flatnonzero(np.diff(r) != 1)
+        firsts = r[np.concatenate(([0], cut + 1))] + 1
+        lasts = r[np.concatenate((cut, [r.size - 1]))] + 1
+        return tuple(zip(firsts.tolist(), lasts.tolist()))
+
+    @property
     def best(self) -> tuple[int, float] | None:
         """The last record (n, q), or None when no n gave a finite q."""
         if not self.records.size:
@@ -242,14 +255,21 @@ class CriterionVerdict:
     def to_jsonl(self, per_n: bool = False) -> str:
         """The summary line, after one line per n with ``per_n``; keys
         sorted, floats as ``json.dumps`` writes them and non-finite ones as
-        strings.  Each float is formatted once: with ``per_n`` the summary's
-        ``best_log2_q`` and witness reuse the text of the per-n lines,
-        without it only the q at the records and the last record's log2 q
-        are formatted."""
+        strings.
+
+        Without ``per_n`` the summary line is of the size of the record
+        runs: ``record_runs`` lists [first n, last n] per run and
+        ``witness`` the [n, q] pairs at the run ends only, so only those q
+        and the last record's log2 q are formatted.  With ``per_n`` the
+        summary has no ``record_runs`` and its ``witness`` holds every
+        record; each float is formatted once, and the summary's
+        ``best_log2_q`` and witness reuse the text of the per-n lines."""
         if not per_n:
+            runs = self.record_runs
+            ends = np.unique(np.array(runs, dtype=np.intp)) - 1
             return self._summary_line(
-                _json_reprs(self.trace[self.records]),
-                _json_reprs(self.log2_trace[self.records[-1:]]))
+                ends, _json_reprs(self.trace[ends]),
+                _json_reprs(self.log2_trace[self.records[-1:]]), runs)
         log2_qs = _json_reprs(self.log2_trace)
         qs = _json_reprs(self.trace)
         head = f'{{"kind": {json.dumps(self.kind)}, "log2_q": '
@@ -260,25 +280,33 @@ class CriterionVerdict:
                  for n, lq, q, r in zip(range(1, self.horizon + 1), log2_qs,
                                         qs, record.tolist())]
         records = self.records.tolist()
-        lines.append(self._summary_line([qs[i] for i in records],
+        lines.append(self._summary_line(self.records,
+                                        [qs[i] for i in records],
                                         [log2_qs[i] for i in records[-1:]]))
         return "\n".join(lines)
 
-    def _summary_line(self, record_qs: list[str],
-                      last_log2_q: list[str]) -> str:
-        """The summary line from the formatted q at each record and the
-        formatted log2 q of the last record (an empty list without one)."""
+    def _summary_line(self, idx: np.ndarray, idx_qs: list[str],
+                      last_log2_q: list[str], runs=None) -> str:
+        """The summary line from the record indices ``idx`` the witness
+        lists, the formatted q at each and the formatted log2 q of the last
+        record (an empty list without one); ``runs``, the record runs, adds
+        the key ``record_runs``."""
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
         best_log2_q = last_log2_q[0] if last_log2_q else "null"
-        witness = ", ".join([f"[{n}, {q}]" for n, q in
-                             zip((self.records + 1).tolist(), record_qs)])
+        pairs = ", ".join([f"[{n}, {q}]" for n, q in
+                           zip((idx + 1).tolist(), idx_qs)])
+        record_runs = ""
+        if runs is not None:
+            spans = ", ".join([f"[{a}, {b}]" for a, b in runs])
+            record_runs = f'"record_runs": [{spans}], '
         # the key order and separators of json.dumps(..., sort_keys=True)
         return (f'{{"best_log2_q": {best_log2_q}, '
                 f'"kind": {json.dumps(self.kind)}, '
                 f'"params": {json.dumps(params, sort_keys=True)}, '
+                f'{record_runs}'
                 f'"status": {json.dumps(self.status)}, '
-                f'"witness": [{witness}]}}')
+                f'"witness": [{pairs}]}}')
 
 
 def _json_float(x: float):

@@ -76,6 +76,10 @@ class CompositionOperator:
 _BLOCK_ROWS = 1024
 _BLOCK_CELLS = 32768
 
+# How far tau may move under one step of alpha and still count as
+# alpha-invariant (the Segal norm's weight is read along orbits).
+_SEGAL_TOL = 1e-9
+
 
 def _block_rows(width: int) -> int:
     """Rows per lattice block for ``width`` points per row."""
@@ -160,10 +164,11 @@ def _loses_mass(f: GridFunction, images: np.ndarray) -> np.ndarray:
     return np.any(outside & (f.values != 0), axis=-1)
 
 
-def segal_compatible(op: CompositionOperator, tau: PiecewiseMap, grid,
-                     tol: float = 1e-9) -> bool:
-    """True iff max over grid points of |tau(alpha(t)) - tau(t)| <= tol."""
+def segal_compatible(op: CompositionOperator, tau: PiecewiseMap,
+                     grid) -> bool:
+    """True iff max over grid points of |tau(alpha(t)) - tau(t)| <=
+    ``_SEGAL_TOL``."""
     pts = grid.points
     moved = homeo_power(op.alpha, pts, 1)
-    return bool(np.max(np.abs(tau(moved) - tau(pts))) <= tol)
+    return bool(np.max(np.abs(tau(moved) - tau(pts))) <= _SEGAL_TOL)
 

@@ -24,8 +24,10 @@ where ``lindyn.presets.run_registry`` shares one sweep across rows, and
 :func:`telescoping_table` is the finite ``np.interp`` table that the
 closed-form weight of ex3.8 and rem3.10 reproduces.
 :func:`dict_serialiser` writes a verdict one json.dumps per record, where
-``CriterionVerdict.to_jsonl`` formats each float once; the last section
-holds shared test fixtures.
+``CriterionVerdict.to_jsonl`` formats each float once, and
+:func:`runs_serialiser` its default summary line from that one, grouping
+the record runs one n at a time; the last section holds shared test
+fixtures.
 """
 
 from __future__ import annotations
@@ -133,8 +135,8 @@ def product_factors(op: CompositionOperator, window: CompactWindow,
 
 
 def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
-                  tau: PiecewiseMap | None = None, grid: Grid | None = None,
-                  tau_tol: float = 1e-9) -> tuple[float, float]:
+                  tau: PiecewiseMap | None = None,
+                  grid: Grid | None = None) -> tuple[float, float]:
     """(Q_back, Q_inv) in the literal form of the sup-norm criteria.
 
     Q_back walks forward from alpha^{-n}(t) so the product
@@ -147,7 +149,7 @@ def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
         window.validate_segal(tau)
         if grid is None:
             raise ValueError("grid is required to check tau invariance")
-        if not segal_compatible(op, tau, grid, tau_tol):
+        if not segal_compatible(op, tau, grid):
             raise SegalIncompatibleError(
                 "tau is not alpha-invariant within tolerance"
             )
@@ -528,23 +530,29 @@ def telescoping_table(depth: int) -> PiecewiseMap:
     return PiecewiseMap(breakpoints, values, positive=True)
 
 
+def per_row_verdict(example: GoldenExample,
+                    exp: Expectation) -> CriterionVerdict:
+    """The verdict of one registry row from its own operator, window and
+    sweep."""
+    window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
+    op = build_preset(example.preset)
+    if exp.check == "WEDGE":
+        return wedge_condition(op, window, exp.horizon, exp.tol)
+    if exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
+        mu = AtomicMeasure.delta(0.0)
+        [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,
+                                      exp.horizon, exp.tol)
+        return verdict
+    [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
+                         inverse=exp.inverse)
+    return verdict
+
+
 def per_row_expectation(example: GoldenExample,
                         exp: Expectation) -> ExpectationResult:
     """One registry row from its own operator, window and sweep: the
     route ``lindyn.presets.run_registry`` shares sweeps across."""
-    window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
-    if exp.check == "WEDGE":
-        op = build_preset(example.preset)
-        verdict = wedge_condition(op, window, exp.horizon, exp.tol)
-    elif exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
-        op = build_preset(example.preset)
-        mu = AtomicMeasure.delta(0.0)
-        [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,
-                                      exp.horizon, exp.tol)
-    else:
-        op = build_preset(example.preset)
-        [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,
-                             inverse=exp.inverse)
+    verdict = per_row_verdict(example, exp)
     n_best, q_best = verdict.best or (0, math.inf)
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,
@@ -579,6 +587,30 @@ def dict_serialiser(v: CriterionVerdict) -> str:
                     "best_log2_q": None if best is None else enc(best),
                     "params": params})
     return "\n".join(json.dumps(r, sort_keys=True) for r in records)
+
+
+def record_runs_of(ns) -> list[list[int]]:
+    """[first, last] of each run of consecutive integers in the increasing
+    ``ns``, grouped one n at a time."""
+    runs = []
+    for n in ns:
+        if runs and runs[-1][1] == n - 1:
+            runs[-1][1] = n
+        else:
+            runs.append([n, n])
+    return runs
+
+
+def runs_serialiser(v: CriterionVerdict) -> str:
+    """The line of ``v.to_jsonl()``: the summary line of
+    :func:`dict_serialiser` with the key ``record_runs`` added and the
+    witness cut to the pairs at the run ends."""
+    summary = json.loads(dict_serialiser(v).split("\n")[-1])
+    runs = record_runs_of(n for n, _ in summary["witness"])
+    ends = {n for run in runs for n in run}
+    summary["witness"] = [[n, q] for n, q in summary["witness"] if n in ends]
+    summary["record_runs"] = runs
+    return json.dumps(summary, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from oracles import (
     dict_serialiser,
     per_row_expectation,
     quantity,
+    record_runs_of,
     telescoping_table,
 )
 
@@ -360,8 +361,10 @@ class TestClassifyCommand:
             cesaro = "CESARO_SOLID" if command == "classify" \
                 else "ADJOINT_CESARO"
             assert summaries[cesaro]["witness"] == []
+            assert summaries[cesaro]["record_runs"] == []
             assert summaries[cesaro]["status"] == \
                 "NOT_SATISFIED_UP_TO_HORIZON"
+        assert summaries["ADJOINT_SUPER"]["record_runs"] == [[1, 1]]
         assert summaries["ADJOINT_SUPER"]["witness"] == [[1, 1.0]]
 
     def test_log2_q_carries_past_underflow(self, tmp_path, capsys):
@@ -572,8 +575,22 @@ class TestClassifyCommand:
         per_n = self.verdict_file(tmp_path, command, overrides,
                                   flags + ["--per-n"])
         summary = self.verdict_file(tmp_path, command, overrides, flags)
-        assert summary.splitlines() == [line for line in per_n.splitlines()
-                                        if '"status"' in line]
+        # the --per-n summary lines, with record_runs added, grouped from
+        # the per-n record_min flags, and the witness cut to the run ends
+        records = [json.loads(line) for line in per_n.splitlines()]
+        expected = []
+        for rec in records:
+            if "status" in rec:
+                runs = record_runs_of(r["n"] for r in records
+                                      if r.get("record_min")
+                                      and r["kind"] == rec["kind"])
+                ends = {n for run in runs for n in run}
+                rec["witness"] = [[n, q] for n, q in rec["witness"]
+                                  if n in ends]
+                rec["record_runs"] = runs
+                expected.append(rec)
+        assert [json.loads(line) for line in summary.splitlines()] == \
+            expected
         assert summary.endswith("\n")
         if overrides.get("operator") is self.TINY:  # q never finite
             assert '"best_log2_q": null' in summary

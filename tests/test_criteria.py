@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,8 +32,11 @@ from oracles import (
     dict_serialiser,
     forward_log2,
     implication_check,
+    per_row_verdict,
     product_factors,
     quantity,
+    record_runs_of,
+    runs_serialiser,
     segal_factors,
     sweep_factors,
 )
@@ -358,7 +362,7 @@ class TestVerdictFromTrace:
             assert v.jsonl_records() == [
                 json.loads(line)
                 for line in dict_serialiser(v).split("\n")]
-            assert v.to_jsonl() == dict_serialiser(v).split("\n")[-1]
+            assert v.to_jsonl() == runs_serialiser(v)
         # ties, NaN and q = inf set no record
         flags = [r["record_min"] for r in verdicts[0].jsonl_records()[:-1]]
         assert [n for n, f in enumerate(flags, start=1) if f] == [1, 2, 10]
@@ -389,7 +393,68 @@ class TestVerdictFromTrace:
                                    10.0 ** rng.uniform(-300, 2), params,
                                    log2_trace)
             assert v.to_jsonl(per_n=True) == dict_serialiser(v)
-            assert v.to_jsonl() == dict_serialiser(v).split("\n")[-1]
+            assert v.to_jsonl() == runs_serialiser(v)
+
+
+class TestRecordRuns:
+    """``record_runs`` is the record set exactly, and the default summary
+    line writes q only at the run ends."""
+
+    @staticmethod
+    def check(v):
+        ns = [n for first, last in v.record_runs
+              for n in range(first, last + 1)]
+        assert np.array_equal(np.array(ns, dtype=np.intp) - 1, v.records)
+        assert list(v.record_runs) == [tuple(run) for run in
+                                       record_runs_of(ns)]
+        assert v.to_jsonl() == runs_serialiser(v)
+        line = json.loads(v.to_jsonl())
+        assert line["record_runs"] == [list(run) for run in v.record_runs]
+        if v.records.size:
+            assert line["witness"][-1] == list(v.best)
+        return line
+
+    @pytest.mark.parametrize("example_id", sorted(REGISTRY))
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_registry_rows(self, example_id, inverse):
+        example = REGISTRY[example_id]
+        for exp in example.expectations:
+            v = per_row_verdict(example, replace(exp, inverse=inverse))
+            assert v.records.size
+            self.check(v)
+
+    def test_seeded_traces(self):
+        # ties, NaN and inf break runs; every n a record makes one run
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            size = int(rng.integers(1, 200))
+            trace = np.exp2(-np.cumsum(rng.integers(-1, 3, size)))
+            trace[rng.random(size) < 0.1] = np.nan
+            trace[rng.random(size) < 0.1] = np.inf
+            self.check(verdict_from_trace("K", trace, 1e-3))
+        line = self.check(verdict_from_trace("K", 0.5 ** np.arange(50),
+                                             1e-3))
+        assert line["record_runs"] == [[1, 50]]
+        assert [n for n, _ in line["witness"]] == [1, 50]
+
+    def test_never_finite(self):
+        line = self.check(verdict_from_trace("K", [np.inf, np.nan], 1.0))
+        assert line["record_runs"] == [] and line["witness"] == []
+        assert line["best_log2_q"] is None
+
+    def test_single_record(self):
+        line = self.check(verdict_from_trace("K", [2.0, 3.0, 2.0, np.nan],
+                                             1.0))
+        assert line["record_runs"] == [[1, 1]]
+        assert line["witness"] == [[1, 2.0]]
+
+    def test_distinct_records(self):
+        # no two records adjacent: every record is a run of its own, so
+        # the witness is the whole record set
+        line = self.check(verdict_from_trace("K", [4.0, 5.0, 2.0, 3.0, 1.0],
+                                             1.0))
+        assert line["record_runs"] == [[1, 1], [3, 3], [5, 5]]
+        assert line["witness"] == [[1, 4.0], [3, 2.0], [5, 1.0]]
 
 
 class TestTrim:
