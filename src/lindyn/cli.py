@@ -166,6 +166,13 @@ class ExperimentConfig:
         )
 
     def compact_window(self) -> CompactWindow:
+        """The grid points in [-m, m]; a window wider than the grid is a
+        ConfigError, since its sup would run over fewer points than
+        ``window_radius`` reports."""
+        if self.window_m > self.grid.half_width:
+            raise ConfigError(
+                f"window.m = {self.window_m} exceeds grid.half_width = "
+                f"{self.grid.half_width}: the window must lie on the grid")
         return CompactWindow.from_grid(self.grid, self.window_m,
                                        self.window_eps)
 
@@ -248,7 +255,8 @@ def _bump_from_spec(grid: Grid, spec, name: str) -> GridFunction:
 
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    cfg.checked_window()
+    if cfg.space == "SEGAL":  # the only orbit that reads the window
+        cfg.checked_window()
     mode = cfg.raw.get("mode", "scaled")
     if mode not in dynamics.MODES:
         raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")

@@ -354,9 +354,11 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     extremes, and is defined only when both legs read the same points).
 
     The legs arrive as blocks of the orbit lattice, one row per n, both of
-    the height the wider point set allows.  With ``inverse`` they encode the
-    inverse operator S, whose weight along forward orbits is the reciprocal
-    backward product of T: lf_S = -lb_T and lb_S = -lf_T.
+    the height the wider point set allows.  The extremes reduce point-major
+    copies of the blocks, a whole row of n per step, not one n's 9-25
+    points.  With ``inverse`` they encode the inverse operator S, whose
+    weight along forward orbits is the reciprocal backward product of T:
+    lf_S = -lb_T and lb_S = -lf_T.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -369,8 +371,9 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
         if inverse:
             lf, lb = -lb, -lf
         n1 = n0 + len(lf)
-        ext[:, n0:n1] = (-lf.min(axis=1), lb.max(axis=1),
-                         -lb.min(axis=1), lf.max(axis=1))
+        lf_t, lb_t = np.ascontiguousarray(lf.T), np.ascontiguousarray(lb.T)
+        ext[:, n0:n1] = (-lf_t.min(axis=0), lb_t.max(axis=0),
+                         -lb_t.min(axis=0), lf_t.max(axis=0))
         ns = np.arange(n0 + 1, n1 + 1, dtype=float)
         for kind, xy in trimmed.items():
             keep = _trim_rows(kind, ns, lf, lb, max_drop)

@@ -6,6 +6,12 @@ weight products along alpha-orbits; those products are accumulated as
 compensated (Sum2) sums of base-2 logarithms so that sweeps reaching
 2**(+-10^4) neither overflow nor lose the 1e-12 accuracy the oracles
 require, and stay bit-exact for dyadic weights, whose TwoSum errors are 0.
+
+The Sum2 passes run on a complex128 view of the (rows, points) block, two
+adjacent points per complex column: numpy's sequential scan costs the same
+per element for complex128 as for float64, so each step of it covers two
+points.  Blocks are therefore held at an even width, an odd point set
+padded with one column of zero logs that no caller sees.
 """
 
 from __future__ import annotations
@@ -39,7 +45,14 @@ def _sum2_rows(x: np.ndarray, s: np.ndarray, e: np.ndarray,
     product"): s runs the plain sum, E = e + the running sum of its exact
     TwoSum errors, and a row is s + E.  Each pass runs down the rows in
     order, so one call on a block equals one call per row.  ``buf`` is
-    scratch of (>= 2*rows + 1, |t|)."""
+    scratch of (>= 2*rows + 1, |t|).
+
+    |t| must be even, and the last axis of every array contiguous: the
+    passes run on complex128 views that pair adjacent columns.  Complex
+    add and subtract are the IEEE double operations on each component
+    alone, so every column gets the float64 passes' bits, -0.0, inf and
+    NaN included, while each scan step covers two columns."""
+    x, s, e, buf = (a.view(np.complex128) for a in (x, s, e, buf))
     r = len(x)
     cs, z = buf[:r + 1], buf[r + 1:2 * r + 1]
     cs[0], cs[1:] = s, x
@@ -53,7 +66,7 @@ def _sum2_rows(x: np.ndarray, s: np.ndarray, e: np.ndarray,
     np.add.accumulate(x, out=x)
     e = x[-1].copy()
     x += cur
-    return cur[-1].copy(), e
+    return cur[-1].copy().view(float), e.view(float)
 
 
 @dataclass(frozen=True)
@@ -67,8 +80,19 @@ class CompositionOperator:
         if not self.weight.positive:
             raise ValueError("operator weight must be flagged positive")
 
-    def log2_weight(self, t) -> np.ndarray:
-        return np.log2(self.weight(t))
+    def log2_weight(self, t, out=None) -> np.ndarray:
+        return np.log2(self.weight(t), out=out)
+
+
+def _log2_block(op: CompositionOperator, block: np.ndarray,
+                width: int) -> np.ndarray:
+    """log2 w over the (rows, |t|) ``block`` of orbit points, written into
+    a fresh (rows, ``width``) array whose columns past |t| hold 0."""
+    logs = np.empty((len(block), width))
+    k = block.shape[1]
+    op.log2_weight(block, out=logs[:, :k])
+    logs[:, k:] = 0.0
+    return logs
 
 
 # Rows of orbit lattice per block, at most _BLOCK_CELLS cells (rows x
@@ -91,15 +115,19 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
     """Yield, in (rows, |t|) blocks, the partial sums
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
     compensated, elementwise in t, summed in walk order; one weight call
-    per block.  ``rows`` defaults to :func:`_block_rows` of |t|."""
+    per block.  ``rows`` defaults to :func:`_block_rows` of |t|.  The sums
+    run on an even-width block, and each yielded block is the view of its
+    first |t| columns."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    rows = rows or _block_rows(pts.size)
-    buf = np.empty((2 * min(rows, n) + 1, pts.size))
-    carry = np.zeros(pts.shape), np.zeros(pts.shape)
+    k = pts.size
+    rows = rows or _block_rows(k)
+    width = k + k % 2
+    buf = np.empty((2 * min(rows, n) + 1, width))
+    carry = np.zeros(width), np.zeros(width)
     for block in homeo_orbit_blocks(op.alpha, pts, n, rows, step, start):
-        logs = op.log2_weight(block)
+        logs = _log2_block(op, block, width)
         carry = _sum2_rows(logs, *carry, buf)
-        yield logs
+        yield logs[:, :k]
 
 
 class CocycleSweep:
@@ -117,23 +145,25 @@ class CocycleSweep:
     def __init__(self, op: CompositionOperator, pts):
         self.op = op
         self.base = np.atleast_1d(np.asarray(pts, dtype=float)).copy()
-        zero = np.zeros(self.base.shape)
-        self.log_forward = self.log_backward = zero
+        self._width = self.base.size + self.base.size % 2
+        zero = np.zeros(self._width)
+        self.log_forward = self.log_backward = zero[:self.base.size]
         self._fwd = self._bwd = zero, zero  # Sum2 carries (s, e)
-        self._buf = np.empty((3, self.base.size))
+        self._buf = np.empty((3, self._width))
         self._fwd_walk = homeo_orbit(op.alpha, self.base)
         self._bwd_walk = homeo_orbit(op.alpha, self.base, -1, -1)
         self._fwd_pos = next(self._fwd_walk)
         self._bwd_pos = self.base
 
     def step(self):
-        fwd = self.op.log2_weight(self._fwd_pos)[None]
+        k = self.base.size
+        fwd = _log2_block(self.op, self._fwd_pos[None], self._width)
         self._fwd = _sum2_rows(fwd, *self._fwd, self._buf)
         self._fwd_pos = next(self._fwd_walk)
         self._bwd_pos = next(self._bwd_walk)
-        bwd = self.op.log2_weight(self._bwd_pos)[None]
+        bwd = _log2_block(self.op, self._bwd_pos[None], self._width)
         self._bwd = _sum2_rows(bwd, *self._bwd, self._buf)
-        self.log_forward, self.log_backward = fwd[0], bwd[0]
+        self.log_forward, self.log_backward = fwd[0, :k], bwd[0, :k]
 
     @property
     def forward_positions(self) -> np.ndarray:

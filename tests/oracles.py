@@ -8,10 +8,12 @@ functions here recompute the same quantities one n at a time from
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
 atom-wise adjoint powers, the duality check and the measure approximant
 restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
-off the same legs.  :func:`apply_Tn`/:func:`apply_Sn` are T^n and S^n in
-product form, one weight factor per step, the reference that the block
-walk ``lindyn.dynamics._orbit_blocks`` (through ``operator_orbit``) is
-checked against; the function-side approximants
+off the same legs.  :func:`sum2_rows_real` is the Sum2 block pass on
+float64 columns, the reference for ``lindyn.operators._sum2_rows``, which
+runs it on complex-paired ones.  :func:`apply_Tn`/:func:`apply_Sn` are
+T^n and S^n in product form, one weight factor per step, the reference
+that the block walk ``lindyn.dynamics._orbit_blocks`` (through
+``operator_orbit``) is checked against; the function-side approximants
 (:func:`supercyclic_approximant`, :func:`cesaro_approximant`,
 :func:`segal_approximant`) are built from them, and the acceptance suite
 checks their convergence against the criteria's q(n).
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+import pytest
 
 from lindyn.criteria import (
     _SOLID_KINDS,
@@ -105,6 +108,31 @@ def forward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
 def backward_log2(op: CompositionOperator, pts, n: int) -> np.ndarray:
     """sum_{j=1}^{n} log2 w(alpha^{-j}(t)), compensated, elementwise in t."""
     return _orbit_log2(op, pts, n, -1, -1)
+
+
+def sum2_rows_real(x: np.ndarray, s: np.ndarray, e: np.ndarray,
+                   buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Overwrite the (rows, |t|) block ``x`` of terms with its running
+    totals, continuing the carry (s, e) of the rows before it; return the
+    carry after it.  Sum2 (Ogita, Rump & Oishi 2005, "Accurate sum and dot
+    product"): s runs the plain sum, E = e + the running sum of its exact
+    TwoSum errors, and a row is s + E.  Each pass runs down the rows in
+    order, so one call on a block equals one call per row.  ``buf`` is
+    scratch of (>= 2*rows + 1, |t|)."""
+    r = len(x)
+    cs, z = buf[:r + 1], buf[r + 1:2 * r + 1]
+    cs[0], cs[1:] = s, x
+    np.add.accumulate(cs, out=cs)
+    prev, cur = cs[:-1], cs[1:]
+    np.subtract(cur, prev, out=z)
+    x -= z
+    np.subtract(prev, np.subtract(cur, z, out=z), out=z)
+    x += z
+    x[0] += e
+    np.add.accumulate(x, out=x)
+    e = x[-1].copy()
+    x += cur
+    return cur[-1].copy(), e
 
 
 def cocycle(op: CompositionOperator, n: int, t: float,
@@ -627,3 +655,20 @@ def rectangular_bump(grid: Grid, lo: float, hi: float,
     t = grid.points
     vals = np.where((t >= lo) & (t <= hi), height, 0.0)
     return GridFunction(grid, vals)
+
+
+# Point sets the block-seam tests sweep: the lattice pads an odd width to
+# an even one, and {0} is the one-point window of rem3.10's rows.
+SEAM_POINTS = {
+    "odd-9": Grid(2.0, 0.5).points,
+    "even-10": np.linspace(-2.25, 2.25, 10),
+    "single-0": np.array([0.0]),
+}
+
+
+def seam_cases(names) -> list:
+    """(name, point set) parameters over ``names`` and ``SEAM_POINTS``; the
+    9-point set, the first one swept, keeps the bare name as its id."""
+    return [pytest.param(name, points,
+                         id=name if points == "odd-9" else f"{name}-{points}")
+            for name in names for points in SEAM_POINTS]

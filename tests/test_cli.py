@@ -276,6 +276,27 @@ class TestClassifyCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, space", [
+        ("classify", "L2"), ("adjoint", "L2"), ("orbit", "SEGAL")])
+    def test_window_wider_than_grid_exit_2(self, tmp_path, capsys, command,
+                                           space):
+        # the window would hold only the grid's points in [-64, 64] while
+        # every summary line reported window_radius 100
+        tau = {"breakpoints": [0.0], "values": [0.25]}
+        cfg = self.config(tmp_path, space={"kind": space, "tau": tau},
+                          window={"m": 100.0, "eps": 0.5}, horizon=50)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert "window.m" in err and "grid.half_width" in err
+        assert not out.exists()
+
+    def test_orbit_ignores_window_off_segal(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, window={"m": 100.0}, horizon=50)
+        assert run(["orbit", "--config", cfg,
+                    "--out", str(tmp_path / "out")]) == 0
+
     def test_segal_requires_tau(self, tmp_path, capsys):
         cfg = self.config(tmp_path, space={"kind": "SEGAL"})
         assert run(["classify", "--config", cfg]) == 2

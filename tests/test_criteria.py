@@ -27,6 +27,7 @@ from lindyn.funcspace import (
 from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
 from lindyn.presets import REGISTRY, build_preset
 from oracles import (
+    SEAM_POINTS,
     _trim_greedy,
     backward_log2,
     dict_serialiser,
@@ -37,6 +38,7 @@ from oracles import (
     quantity,
     record_runs_of,
     runs_serialiser,
+    seam_cases,
     segal_factors,
     sweep_factors,
 )
@@ -307,15 +309,15 @@ class TestBlockSeams:
         return ext, xy
 
     @pytest.mark.parametrize("inverse", [False, True])
-    @pytest.mark.parametrize("name", sorted(OPS))
-    def test_rows_across_seams(self, name, inverse):
+    @pytest.mark.parametrize("name, points", seam_cases(sorted(OPS)))
+    def test_rows_across_seams(self, name, inverse, points):
         op = self.OPS[name]
-        win = CompactWindow.from_grid(Grid(2.0, 0.5), 2.0)
-        b = _block_rows(win.points.size)
+        pts = SEAM_POINTS[points]
+        b = _block_rows(pts.size)
         horizon = 2 * b + 3
-        ext, trimmed = _leg_extremes(op, win.points, win.points, horizon,
-                                     inverse, [self.KIND], 2)
-        ref_ext, ref_xy = self.stepped(op, win.points, horizon, inverse, 2)
+        ext, trimmed = _leg_extremes(op, pts, pts, horizon, inverse,
+                                     [self.KIND], 2)
+        ref_ext, ref_xy = self.stepped(op, pts, horizon, inverse, 2)
         xy = trimmed[self.KIND]
         for n in (b - 1, b, b + 1, horizon):
             assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])

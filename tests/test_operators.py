@@ -26,18 +26,22 @@ from lindyn.funcspace import (
 from lindyn.operators import (
     _block_rows,
     _orbit_log2_rows,
+    _sum2_rows,
     CocycleSweep,
     CompositionOperator,
     segal_compatible,
 )
 from lindyn.presets import build_preset
 from oracles import (
+    SEAM_POINTS,
     apply_Sn,
     apply_Tn,
     backward_log2,
     cocycle,
     forward_log2,
     identity_homeo,
+    seam_cases,
+    sum2_rows_real,
 )
 
 RNG = np.random.default_rng(42)
@@ -146,12 +150,12 @@ class TestSweepMatchesOracles:
             assert np.array_equal(sweep.backward_positions,
                                   homeo_power(op.alpha, pts, -n))
 
-    @pytest.mark.parametrize("name", sorted(OPS))
-    def test_block_rows_across_seams(self, name):
+    @pytest.mark.parametrize("name, points", seam_cases(sorted(OPS)))
+    def test_block_rows_across_seams(self, name, points):
         # row n-1 of the lattice blocks is the sweep after n steps, on both
         # sides of each block seam; the weight varies along the whole walk
         op = CompositionOperator(self.OPS[name].alpha, SEAM_WEIGHT)
-        pts = Grid(2.0, 0.5).points
+        pts = SEAM_POINTS[points]
         b = _block_rows(pts.size)
         horizon = 2 * b + 3
         fwd = list(_orbit_log2_rows(op, pts, horizon))
@@ -206,6 +210,81 @@ class TestSum2Accuracy:
         ref = fsum_prefixes(terms)
         assert ref[-1, 0] == math.fsum(terms[:, 0])
         assert np.all(np.abs(legs - ref) <= np.abs(np.spacing(ref)))
+
+
+# terms whose sums pin the sign of zero, infinities, NaN, subnormals and
+# overflow midway through a column
+SPECIAL_TERMS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324,
+                          -5e-324, 2.2250738585072014e-308, 1e-310, 1e308,
+                          -1e308, 1.7976931348623157e308])
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array: -0.0 differs from 0.0 and every NaN
+    payload counts."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestSum2Kernel:
+    """The Sum2 pass on complex-paired columns gives the float64 reference
+    pass's bits, carry included, on every input."""
+
+    @staticmethod
+    def terms(rng, rows, width):
+        """Per column one regime: finite terms, signed zeros, subnormals,
+        terms near the float maximum that overflow midway, or finite terms
+        with a special term at a rate of 1/200.  Adjacent columns share a
+        complex lane, so they mix regimes."""
+        x = rng.standard_normal((rows, width)) * np.exp2(
+            rng.integers(-40, 40, (rows, width)))
+        regime = rng.integers(0, 5, width)
+        for r, col in zip(regime.tolist(), x.T):
+            if r == 1:
+                col[:] = rng.choice([0.0, -0.0], rows)
+            elif r == 2:
+                col *= 2.0 ** -1060
+            elif r == 3:
+                col[:] = rng.choice(SPECIAL_TERMS[-3:], rows)
+            elif r == 4:
+                hit = rng.random(rows) < 0.005
+                col[hit] = rng.choice(SPECIAL_TERMS, hit.sum())
+        return x
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_real_reference_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        width = 2 * int(rng.integers(1, 18))
+        carry = tuple(rng.choice(SPECIAL_TERMS[:2], width) for _ in "se")
+        ref = tuple(c.copy() for c in carry)
+        for _ in range(3):
+            rows = int(rng.integers(1, 1101))
+            x = self.terms(rng, rows, width)
+            x_ref = x.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                carry = _sum2_rows(x, *carry,
+                                   np.empty((2 * rows + 1, width)))
+                ref = sum2_rows_real(x_ref, *ref,
+                                     np.empty((2 * rows + 1, width)))
+            assert np.array_equal(bits(x), bits(x_ref))
+            for c, c_ref in zip(carry, ref):
+                assert c.shape == (width,)
+                assert np.array_equal(bits(c), bits(c_ref))
+
+    @pytest.mark.parametrize("width", [1, 2, 9, 10, 17])
+    def test_lattice_blocks_match_real_reference(self, width):
+        # the lattice pads an odd point set to even width; its blocks are
+        # the reference pass over the unpadded logs, across block seams
+        op = CompositionOperator(Translation(0.3), SEAM_WEIGHT)
+        pts = np.linspace(-2.0, 2.0, width)
+        carry = np.zeros(width), np.zeros(width)
+        walk = homeo_orbit_blocks(op.alpha, pts, 40, 7, -1, -1)
+        for got, orbit in zip(_orbit_log2_rows(op, pts, 40, -1, -1, 7), walk,
+                              strict=True):
+            logs = op.log2_weight(orbit)
+            carry = sum2_rows_real(logs, *carry,
+                                   np.empty((2 * len(logs) + 1, width)))
+            assert got.shape == logs.shape
+            assert np.array_equal(bits(got), bits(logs))
 
 
 class TestPowers:
