@@ -20,7 +20,6 @@ from .criteria import (
     CriterionKind,
     CriterionVerdict,
     evaluate,
-    wedge_condition,
 )
 from .dynamics import (
     projective_distance,

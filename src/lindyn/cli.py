@@ -167,14 +167,11 @@ class ExperimentConfig:
 
     def compact_window(self) -> CompactWindow:
         """The grid points in [-m, m]; a window wider than the grid is a
-        ConfigError, since its sup would run over fewer points than
-        ``window_radius`` reports."""
-        if self.window_m > self.grid.half_width:
-            raise ConfigError(
-                f"window.m = {self.window_m} exceeds grid.half_width = "
-                f"{self.grid.half_width}: the window must lie on the grid")
-        return CompactWindow.from_grid(self.grid, self.window_m,
-                                       self.window_eps)
+        ConfigError (:meth:`CompactWindow.from_grid`)."""
+        try:
+            return CompactWindow.from_grid(self.grid, self.window_m)
+        except ValueError as exc:
+            raise ConfigError(f"window.m, grid.half_width: {exc}") from exc
 
     def checked_window(self) -> CompactWindow:
         """The compact window, after the checks a SEGAL space makes:
@@ -189,7 +186,10 @@ class ExperimentConfig:
         if self.window_eps is None:
             raise ConfigError("SEGAL space requires window.eps")
         window = self.compact_window()
-        window.validate_segal(self.tau)
+        worst = float(np.max(np.abs(self.tau(window.points))))
+        if worst > self.window_eps + 1e-12:
+            raise ConfigError(f"max |tau| = {worst} on the window exceeds "
+                              f"window.eps = {self.window_eps}")
         return window
 
 

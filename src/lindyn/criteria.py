@@ -24,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SegalIncompatibleError
-from .funcspace import Grid, PiecewiseMap
+from .funcspace import Grid
 from .operators import CompositionOperator, _block_rows, _orbit_log2_rows
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "CriterionVerdict",
     "evaluate",
     "verdict_from_trace",
-    "wedge_condition",
 ]
 
 SATISFIED = "SATISFIED"
@@ -53,6 +51,7 @@ class CriterionKind(str, Enum):
     HYPERCYCLIC_SOLID = "HYPERCYCLIC_SOLID"
     ADJOINT_SUPER = "ADJOINT_SUPER"
     ADJOINT_CESARO = "ADJOINT_CESARO"
+    WEDGE = "WEDGE"
 
 
 _SOLID_KINDS = {
@@ -65,13 +64,11 @@ _SOLID_KINDS = {
 class CompactWindow:
     """A symmetric window [-m, m] carried as explicit sample points.
 
-    ``segal_eps`` marks the window as a sublevel window for a profile tau;
-    validity (max |tau| <= eps on the points) is checked where tau is known.
     The degenerate radius 0 (the singleton {0}) is allowed: the exact
     telescoping oracles are stated on it.
     """
 
-    def __init__(self, radius: float, points, segal_eps: float | None = None):
+    def __init__(self, radius: float, points):
         pts = np.atleast_1d(np.asarray(points, dtype=float))
         if radius < 0:
             raise ValueError("window radius must be >= 0")
@@ -79,34 +76,22 @@ class CompactWindow:
             raise ValueError("window must contain at least one point")
         if np.any(np.abs(pts) > radius + 1e-9):
             raise ValueError("window points must lie in [-m, m]")
-        if segal_eps is not None and not (0 < segal_eps < 1):
-            raise ValueError("segal_eps must lie in (0, 1)")
         pts = pts.copy()
         pts.setflags(write=False)
         self.radius = float(radius)
         self.points = pts
-        self.segal_eps = segal_eps
 
     @classmethod
-    def from_grid(cls, grid: Grid, m: float,
-                  segal_eps: float | None = None) -> "CompactWindow":
+    def from_grid(cls, grid: Grid, m: float) -> "CompactWindow":
+        """The grid points in [-m, m].  A window wider than the grid is a
+        ValueError: it would hold only the grid's points while its radius
+        reported m."""
+        if m > grid.half_width:
+            raise ValueError(f"window radius {m} exceeds the grid half-width "
+                             f"{grid.half_width}: the window must lie on the "
+                             "grid")
         pts = grid.points
-        return cls(m, pts[np.abs(pts) <= m + 1e-12], segal_eps)
-
-    @classmethod
-    def singleton(cls, t: float = 0.0,
-                  segal_eps: float | None = None) -> "CompactWindow":
-        return cls(abs(t), [t], segal_eps)
-
-    def validate_segal(self, tau: PiecewiseMap):
-        if self.segal_eps is None:
-            raise SegalIncompatibleError("window carries no segal bound")
-        worst = float(np.max(np.abs(np.asarray(tau(self.points),
-                                               dtype=complex))))
-        if worst > self.segal_eps + 1e-12:
-            raise SegalIncompatibleError(
-                f"max |tau| = {worst} exceeds the window bound {self.segal_eps}"
-            )
+        return cls(m, pts[np.abs(pts) <= m + 1e-12])
 
 
 def _supercyclic(n, x, y):
@@ -131,10 +116,13 @@ def _hypercyclic(n, x, y):
 
 # Each kind is a formula in x = -min lf and y = max lb, vectorised over n,
 # giving (log2 q, q); adjoint kinds (True) read the mirrored legs
-# x = -min lb, y = max lf.  log2 q stays finite where q underflows to 0 or
-# overflows to inf.  q combines the log2 factors before exponentiating (a
-# vanished leg times a diverged one must not give 0 * inf), and applies
-# the integer Cesaro scalings outside, which keeps them exact.
+# x = -min lb, y = max lf.  WEDGE, the scalar condition for supercyclicity
+# of the induced conjugation and wedge operators on compact operators, is
+# the sup-norm supercyclic quantity on a window of radius m >= 1.  log2 q
+# stays finite where q underflows to 0 or overflows to inf.  q combines
+# the log2 factors before exponentiating (a vanished leg times a diverged
+# one must not give 0 * inf), and applies the integer Cesaro scalings
+# outside, which keeps them exact.
 # Callers evaluate the formulas under np.errstate(over="ignore"): past the
 # exp2 range q = inf is the intended value.
 _FORMULA = {
@@ -147,6 +135,7 @@ _FORMULA = {
     CriterionKind.HYPERCYCLIC_SOLID: (_hypercyclic, False),
     CriterionKind.ADJOINT_SUPER: (_supercyclic, True),
     CriterionKind.ADJOINT_CESARO: (_cesaro, True),
+    CriterionKind.WEDGE: (_supercyclic, False),
 }
 
 
@@ -412,10 +401,13 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     ``max_drop`` is the exceptional-set budget: up to that many worst
     window points may be removed per n, by one greedy per sweep block
     (:func:`_trim_rows`).  Only the solid kinds trim; in sup norm any
-    nonempty removal keeps full indicator mass, so the others ignore it."""
+    nonempty removal keeps full indicator mass, so the others ignore it.
+    WEDGE is stated on windows of radius m >= 1 only."""
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
+    if CriterionKind.WEDGE in kinds and window.radius < 1:
+        raise ValueError("WEDGE needs a window radius >= 1")
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
     ext, trimmed = _leg_extremes(op, window.points, window.points, horizon,
                                  inverse, trim_kinds, max_drop)
@@ -429,19 +421,3 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
             xy = _kind_rows(kind, ext)
         verdicts.append(_kind_verdict(kind, xy, tol, params))
     return verdicts
-
-
-def wedge_condition(op: CompositionOperator, window: CompactWindow,
-                    horizon: int, tol: float) -> CriterionVerdict:
-    """Scalar decay condition implying supercyclicity of the induced
-    conjugation and wedge operators on compact operators.
-
-    The quantity is the product of the two orbit-product sups over a
-    ``CompactWindow`` of radius m >= 1; it coincides with the supremum-norm
-    supercyclicity quantity, so the evaluation is delegated there.
-    """
-    if window.radius < 1:
-        raise ValueError("window radius must be >= 1")
-    [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, horizon, tol)
-    return verdict_from_trace("WEDGE", c0.trace, tol, params=c0.params,
-                              log2_trace=c0.log2_trace)

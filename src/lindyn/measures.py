@@ -23,6 +23,8 @@ from .criteria import (
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
+    _FORMULA,
+    _kind_rows,
     _kind_verdict,
     _leg_extremes,
 )
@@ -91,10 +93,10 @@ def adjoint_criterion(kinds, op: CompositionOperator, mu: AtomicMeasure,
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]
-    if any(k not in (CriterionKind.ADJOINT_SUPER,
-                     CriterionKind.ADJOINT_CESARO) for k in kinds):
+    if not all(_FORMULA[k][1] for k in kinds):
         raise ValueError("kind must be an adjoint criterion")
     ext = _adjoint_extremes(op, mu, nu, window, horizon)
     # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
     params = {"window_radius": window.radius, "atom_trim_budget": 0.0}
-    return [_kind_verdict(kind, ext[2:], tol, params) for kind in kinds]
+    return [_kind_verdict(kind, _kind_rows(kind, ext), tol, params)
+            for kind in kinds]

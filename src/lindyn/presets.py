@@ -2,9 +2,10 @@
 
 Each preset is a concrete translation/weight pair whose criterion verdicts
 are known in closed form (the weight products telescope or stabilize), so
-the registry rows double as end-to-end oracles.  Expected statuses are
-finite-horizon statements; entries whose quantity decays only like C/n
-carry a documented coarser tolerance at the same horizon.
+the registry rows double as end-to-end oracles.  Every row, the WEDGE row
+included, reads one of the sweeps :func:`run_registry` shares.  Expected
+statuses are finite-horizon statements; entries whose quantity decays only
+like C/n carry a documented coarser tolerance at the same horizon.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from .criteria import (
     SATISFIED,
     CompactWindow,
     CriterionKind,
+    _FORMULA,
     _kind_rows,
     _kind_verdict,
     _leg_extremes,
-    wedge_condition,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
 from .measures import AtomicMeasure, _adjoint_extremes
@@ -272,18 +273,12 @@ class ExpectationResult:
 
 
 def run_expectation(example: GoldenExample, exp: Expectation,
-                    table: np.ndarray | None) -> ExpectationResult:
+                    table: np.ndarray) -> ExpectationResult:
     """One registry row's result, read off ``table``: the leg rows of the
-    row's sweep (see :func:`run_registry`), at least ``exp.horizon`` long.
-    The WEDGE row takes None and runs :func:`wedge_condition`."""
-    if exp.check == "WEDGE":
-        window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
-        verdict = wedge_condition(build_preset(example.preset), window,
-                                  exp.horizon, exp.tol)
-    else:
-        kind = CriterionKind(exp.check)
-        xy = _kind_rows(kind, table)[:, :exp.horizon]
-        verdict = _kind_verdict(kind, xy, exp.tol)
+    row's sweep (see :func:`run_registry`), at least ``exp.horizon`` long."""
+    kind = CriterionKind(exp.check)
+    xy = _kind_rows(kind, table)[:, :exp.horizon]
+    verdict = _kind_verdict(kind, xy, exp.tol)
     n_best, q_best = verdict.best or (0, math.inf)
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,
@@ -294,11 +289,9 @@ def run_expectation(example: GoldenExample, exp: Expectation,
 
 def _sweep_key(example: GoldenExample, exp: Expectation):
     """The sweep a registry row reads: (preset, window radius, inverse,
-    adjoint), or None for the WEDGE row."""
-    if exp.check == "WEDGE":
-        return None
+    adjoint)."""
     return (example.preset, exp.window, exp.inverse,
-            exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"))
+            _FORMULA[CriterionKind(exp.check)][1])
 
 
 def _sweep(key, horizon: int) -> np.ndarray:
@@ -326,8 +319,7 @@ def run_registry(ids) -> list[ExpectationResult]:
     horizons: dict = {}
     for example, exp in rows:
         key = _sweep_key(example, exp)
-        if key is not None:
-            horizons[key] = max(horizons.get(key, 0), exp.horizon)
+        horizons[key] = max(horizons.get(key, 0), exp.horizon)
     tables = {key: _sweep(key, h) for key, h in horizons.items()}
-    return [run_expectation(ex, exp, tables.get(_sweep_key(ex, exp)))
+    return [run_expectation(ex, exp, tables[_sweep_key(ex, exp)])
             for ex, exp in rows]

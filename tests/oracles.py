@@ -50,7 +50,6 @@ from lindyn.criteria import (
     _FORMULA,
     _leg_extremes,
     evaluate,
-    wedge_condition,
 )
 from lindyn.dynamics import (
     BestApproach,
@@ -163,20 +162,25 @@ def product_factors(op: CompositionOperator, window: CompactWindow,
 
 
 def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
-                  tau: PiecewiseMap | None = None,
+                  tau: PiecewiseMap | None = None, eps: float | None = None,
                   grid: Grid | None = None) -> tuple[float, float]:
     """(Q_back, Q_inv) in the literal form of the sup-norm criteria.
 
     Q_back walks forward from alpha^{-n}(t) so the product
     prod_{j=0}^{n-1} w(alpha^{j-n}(t)) is computed as displayed, not via
     the backward-leg re-indexing; Q_inv is the inverse forward product.
+    With ``tau`` the window must be a sublevel window, max |tau| <= eps on
+    its points, and tau invariant under alpha on ``grid``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if tau is not None:
-        window.validate_segal(tau)
-        if grid is None:
-            raise ValueError("grid is required to check tau invariance")
+        if eps is None or grid is None:
+            raise ValueError("eps and grid are required to check tau")
+        worst = float(np.max(np.abs(tau(window.points))))
+        if worst > eps + 1e-12:
+            raise SegalIncompatibleError(
+                f"max |tau| = {worst} exceeds the window bound {eps}")
         if not segal_compatible(op, tau, grid):
             raise SegalIncompatibleError(
                 "tau is not alpha-invariant within tolerance"
@@ -564,8 +568,6 @@ def per_row_verdict(example: GoldenExample,
     sweep."""
     window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
     op = build_preset(example.preset)
-    if exp.check == "WEDGE":
-        return wedge_condition(op, window, exp.horizon, exp.tol)
     if exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
         mu = AtomicMeasure.delta(0.0)
         [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,

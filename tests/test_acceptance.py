@@ -58,7 +58,7 @@ def report(idx, text):
 def test_01_exact_cocycle_oracle():
     start = time.perf_counter()
     op = build_preset("ex3.8")
-    window = CompactWindow.singleton(0.0)
+    window = CompactWindow(0.0, [0.0])
     p_minus, _ = sweep_factors(op, window, 10**4)
     n = np.arange(1, 10**4 + 1)
     err_ratio = np.max(np.abs(p_minus * n / 2.0 - 1.0))

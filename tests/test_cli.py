@@ -161,8 +161,9 @@ class TestRegistrySweeps:
             assert np.array_equal(long_ext[:, :h], short_ext)
 
     def test_one_sweep_per_key(self, monkeypatch, capsys):
-        # 11 keys at H = 200 but ex3.8's at 2000, plus the WEDGE row's own
-        # sweep: 12 sweeps of 4200 rows (one per row: 24 of 6900)
+        # 11 keys at H = 200 but ex3.8's at 2000; the WEDGE row reads the
+        # (ex3.6, 2, forward) sweep: 11 sweeps of 4000 rows (one per row:
+        # 24 of 6900)
         horizons = []
         sweep = criteria._leg_extremes
 
@@ -175,8 +176,8 @@ class TestRegistrySweeps:
                     and getattr(module, "_leg_extremes", None) is sweep):
                 monkeypatch.setattr(module, "_leg_extremes", counted)
         assert run(["examples"]) == 0
-        assert len(horizons) == 12
-        assert sum(horizons) == 4200
+        assert len(horizons) == 11
+        assert sum(horizons) == 4000
 
 
 class TestClassifyCommand:
@@ -300,6 +301,18 @@ class TestClassifyCommand:
     def test_segal_requires_tau(self, tmp_path, capsys):
         cfg = self.config(tmp_path, space={"kind": "SEGAL"})
         assert run(["classify", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    def test_segal_eps_below_tau_exit_2(self, tmp_path, capsys, command):
+        # |tau| = 0.25 on the window exceeds its sublevel bound 0.2
+        tau = {"breakpoints": [0.0], "values": [0.25]}
+        cfg = self.config(tmp_path, space={"kind": "SEGAL", "tau": tau},
+                          window={"m": 1.0, "eps": 0.2})
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "window.eps" in err
+        assert not out.exists()
 
     def test_segal_with_constant_tau(self, tmp_path, capsys):
         cfg = self.config(

@@ -45,7 +45,7 @@ from oracles import (
 
 RNG = np.random.default_rng(7)
 GRID = Grid(64.0, 0.25)
-K0 = CompactWindow.singleton(0.0)
+K0 = CompactWindow(0.0, [0.0])
 
 OP_UNIT = CompositionOperator(Translation(-1.0),
                               PiecewiseMap.constant(1.0, positive=True))
@@ -126,16 +126,25 @@ class TestSegalFactors:
 
     def test_tau_gate(self):
         op = build_preset("ex3.5")
-        win = CompactWindow.from_grid(GRID, 2.0, segal_eps=0.5)
+        win = CompactWindow.from_grid(GRID, 2.0)
         tau_bad = PiecewiseMap([-1.0, 1.0], [0.0, 0.45])
         with pytest.raises(SegalIncompatibleError):
-            segal_factors(op, win, 3, tau=tau_bad, grid=GRID)
+            segal_factors(op, win, 3, tau=tau_bad, eps=0.5, grid=GRID)
         tau_ok = PiecewiseMap.constant(0.25)
-        q_back, q_inv = segal_factors(op, win, 3, tau=tau_ok, grid=GRID)
+        q_back, q_inv = segal_factors(op, win, 3, tau=tau_ok, eps=0.5,
+                                      grid=GRID)
         assert q_back > 0 and q_inv > 0
-        win_tight = CompactWindow.from_grid(GRID, 2.0, segal_eps=0.1)
         with pytest.raises(SegalIncompatibleError):
-            segal_factors(op, win_tight, 3, tau=tau_ok, grid=GRID)
+            segal_factors(op, win, 3, tau=tau_ok, eps=0.1, grid=GRID)
+
+
+class TestCompactWindow:
+    def test_from_grid_rejects_a_window_wider_than_the_grid(self):
+        # it would hold only the 513 points in [-64, 64] while evaluate
+        # reported window_radius 100
+        with pytest.raises(ValueError, match="100.* 64"):
+            CompactWindow.from_grid(GRID, 100.0)
+        assert CompactWindow.from_grid(GRID, 64.0).points.size == 513
 
 
 class TestQuantity:

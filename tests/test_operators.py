@@ -9,7 +9,6 @@ from lindyn.criteria import (
     CompactWindow,
     CriterionKind,
     evaluate,
-    wedge_condition,
 )
 from lindyn.funcspace import (
     Grid,
@@ -428,36 +427,42 @@ class TestTruncation:
 
 
 class TestWedge:
+    WEDGE = [CriterionKind.WEDGE]
+
     def test_bridge_instance_satisfied(self):
         op = build_preset("ex3.6")
-        verdict = wedge_condition(op, CompactWindow.from_grid(GRID, 2.0), 200,
-                                  1e-6)
+        window = CompactWindow.from_grid(GRID, 2.0)
+        [verdict] = evaluate(self.WEDGE, op, window, 200, 1e-6)
         assert verdict.kind == "WEDGE" and verdict.status == SATISFIED
 
     def test_unit_weight_not_satisfied(self):
         op = CompositionOperator(Translation(-1.0),
                                  PiecewiseMap.constant(1.0, positive=True))
-        verdict = wedge_condition(op, CompactWindow.from_grid(GRID, 2.0), 50,
-                                  1e-6)
+        window = CompactWindow.from_grid(GRID, 2.0)
+        [verdict] = evaluate(self.WEDGE, op, window, 50, 1e-6)
         assert verdict.status != SATISFIED
         assert np.all(verdict.trace == 1.0)
 
     def test_constant_weight_cancels(self):
         window = CompactWindow.from_grid(GRID, 1.0)
-        verdict = wedge_condition(OP_DOUBLE, window, 50, 1e-6)
+        [verdict] = evaluate(self.WEDGE, OP_DOUBLE, window, 50, 1e-6)
         assert verdict.status != SATISFIED
         assert np.all(verdict.trace == 1.0)
 
     def test_window_follows_the_grid(self):
         # a step-0.5 grid gives the window its own nine points, not the
-        # seventeen of a step-0.25 interval
+        # seventeen of a step-0.25 interval; WEDGE is the C0 supercyclic
+        # quantity bit for bit
         op = build_preset("ex3.6")
         window = CompactWindow.from_grid(Grid(16.0, 0.5), 2.0)
-        verdict = wedge_condition(op, window, 40, 1e-6)
-        [c0] = evaluate([CriterionKind.SUPERCYCLIC_C0], op, window, 40, 1e-6)
+        verdict, c0 = evaluate([CriterionKind.WEDGE,
+                                CriterionKind.SUPERCYCLIC_C0], op, window, 40,
+                               1e-6)
         assert window.points.size == 9
-        assert np.array_equal(verdict.trace, c0.trace)
+        for name in ("trace", "log2_trace", "records"):
+            assert (getattr(verdict, name).tobytes()
+                    == getattr(c0, name).tobytes()), name
         assert verdict.params["window_radius"] == 2.0
+        narrow = CompactWindow.from_grid(Grid(16.0, 0.5), 0.5)
         with pytest.raises(ValueError):
-            wedge_condition(op, CompactWindow.from_grid(Grid(16.0, 0.5), 0.5),
-                            40, 1e-6)
+            evaluate(self.WEDGE, op, narrow, 40, 1e-6)
