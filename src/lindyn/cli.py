@@ -381,7 +381,7 @@ def cmd_porosity(args) -> int:
 
 def cmd_adjoint(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
-    window = cfg.compact_window()
+    window = cfg.checked_window()
     mu = AtomicMeasure.delta(0.0)
     verdicts = adjoint_criterion(
         (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO),

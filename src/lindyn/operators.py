@@ -16,6 +16,7 @@ padded with one column of zero logs that no caller sees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .funcspace import (
     GridFunction,
     Homeo,
     PiecewiseMap,
+    Translation,
     homeo_orbit,
     homeo_orbit_blocks,
     homeo_power,
@@ -110,24 +112,125 @@ def _block_rows(width: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_CELLS // max(width, 1)))
 
 
+class _Lattice:
+    """The orbit points t + k*shift of a translation's walk over a point
+    set, read as one 1-D table per block.
+
+    When the points and the shift are integer multiples of 2**-e and every
+    t + k*shift the walk reads is below 2**52 * 2**-e in size, each such
+    sum is exact, and so is lo + i*g for a block's least point lo and the
+    lattice step g, the gcd of the shift and the points' differences.  The
+    table lo + g*arange(size) then holds the very floats of the block's
+    position array, each distinct one once: row r of the block reads the
+    entries r*d + cols, d = step*shift/g and cols = (t - min t)/g, moved
+    by (rows - 1)*|d| when d < 0, so that the block's least point is
+    entry 0."""
+
+    def __init__(self, shift: float, t0: float, g: float, d: int, span: int,
+                 cols):
+        self.shift, self.t0, self.g, self.d = shift, t0, g, d
+        self.span, self.cols = span, cols
+
+    @classmethod
+    def of(cls, alpha, pts: np.ndarray, n: int, step: int,
+           start: int) -> "_Lattice | None":
+        """The lattice of the first n points of ``homeo_orbit(alpha, pts,
+        step, start)``, or None unless alpha is a translation, n and |t|
+        are positive and the walk is exact as above."""
+        k = pts.size
+        if not isinstance(alpha, Translation) or n < 1 or k == 0:
+            return None
+        shift = alpha.shift
+        k_end = start + step * (n - 1)
+        # t + k*shift is -0.0, a float no table holds, only for t = -0.0
+        # read at k = 0 under a negative shift
+        if (shift < 0 and min(start, k_end) <= 0 <= max(start, k_end)
+                and np.signbit(pts[pts == 0]).any()):
+            return None
+        kmax = max(abs(start), abs(k_end), 1)
+        t0, t1 = float(pts.min()), float(pts.max())
+        # e is the largest with reach < 2**52 * 2**-e; rounding is monotone
+        # and that bound a float, so the float reach is below it iff the
+        # exact one is.  NaN and inf fail.
+        reach = max(-t0, t1) + kmax * abs(shift)
+        e = 52 - math.frexp(reach)[1]
+        if (not reach < math.inf or e < 0
+                or not math.ldexp(shift, e).is_integer()):
+            return None
+        scaled = np.ldexp(pts, e)
+        if not (scaled == np.rint(scaled)).all():
+            return None
+        sh = int(math.ldexp(shift, e))
+        offsets = (scaled - math.ldexp(t0, e)).astype(np.int64)
+        g = int(np.gcd.reduce(offsets, initial=sh))
+        offsets //= g
+        # evenly spaced points read the table through a strided view
+        cols = offsets
+        if k > 1:
+            dc = int(offsets[1] - offsets[0])
+            if dc and (np.diff(offsets) == dc).all():
+                cols = slice(int(offsets[0]), None, dc)
+        return cls(shift, t0, math.ldexp(g, -e), step * sh // g,
+                   int(offsets.max()), cols)
+
+    def log2_block(self, op: CompositionOperator, k1: int, rows: int,
+                   k: int) -> np.ndarray | None:
+        """What :func:`_log2_block` gives for the block of ``rows`` rows
+        from k = ``k1`` over the k points, or None when the table would
+        have more entries than the block has cells."""
+        d, span = self.d, self.span
+        size = abs(d) * (rows - 1) + span + 1
+        if size > rows * k:
+            return None
+        # the least point of the block, in its first row or its last
+        low = min(0, d * (rows - 1))
+        table = np.arange(size) * self.g
+        table += self.t0 + k1 * self.shift + low * self.g
+        op.log2_weight(table, out=table)
+        logs = np.empty((rows, k + k % 2))
+        logs[:, :k] = np.ndarray((rows, span + 1), float, table, -8 * low,
+                                 (8 * d, 8))[:, self.cols]
+        logs[:, k:] = 0.0
+        return logs
+
+
 def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
                      start: int = 0, rows: int | None = None):
     """Yield, in (rows, |t|) blocks, the partial sums
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
     compensated, elementwise in t, summed in walk order; one weight call
-    per block.  ``rows`` defaults to :func:`_block_rows` of |t|.  The sums
-    run on an even-width block, and each yielded block is the view of its
-    first |t| columns."""
+    per block, on the block's :class:`_Lattice` table where it has one,
+    else on its position block.  ``rows`` defaults to :func:`_block_rows`
+    of |t|.  The sums run on an even-width block, and each yielded block
+    is the view of its first |t| columns."""
     pts = np.atleast_1d(np.asarray(pts, dtype=float))
     k = pts.size
     rows = rows or _block_rows(k)
     width = k + k % 2
     buf = np.empty((2 * min(rows, n) + 1, width))
     carry = np.zeros(width), np.zeros(width)
-    for block in homeo_orbit_blocks(op.alpha, pts, n, rows, step, start):
-        logs = _log2_block(op, block, width)
+    for logs in _log2_blocks(op, pts, n, rows, step, start):
         carry = _sum2_rows(logs, *carry, buf)
         yield logs[:, :k]
+
+
+def _log2_blocks(op: CompositionOperator, pts: np.ndarray, n: int,
+                 rows: int, step: int, start: int):
+    """log2 w over the blocks of ``homeo_orbit_blocks(op.alpha, pts, n,
+    rows, step, start)``, each as :func:`_log2_block` gives it."""
+    k = pts.size
+    lattice = _Lattice.of(op.alpha, pts, n, step, start)
+    if lattice is None:
+        for block in homeo_orbit_blocks(op.alpha, pts, n, rows, step, start):
+            yield _log2_block(op, block, k + k % 2)
+        return
+    for k0 in range(0, n, rows):
+        r, k1 = min(rows, n - k0), start + step * k0
+        logs = lattice.log2_block(op, k1, r, k)
+        if logs is None:
+            [block] = homeo_orbit_blocks(op.alpha, pts, r, r, step, k1)
+            logs = _log2_block(op, block, k + k % 2)
+        yield logs
 
 
 class CocycleSweep:

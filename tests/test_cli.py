@@ -302,7 +302,7 @@ class TestClassifyCommand:
         cfg = self.config(tmp_path, space={"kind": "SEGAL"})
         assert run(["classify", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("command", ["classify", "orbit"])
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
     def test_segal_eps_below_tau_exit_2(self, tmp_path, capsys, command):
         # |tau| = 0.25 on the window exceeds its sublevel bound 0.2
         tau = {"breakpoints": [0.0], "values": [0.25]}

@@ -23,6 +23,7 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.operators import (
+    _Lattice,
     _block_rows,
     _orbit_log2_rows,
     _sum2_rows,
@@ -30,7 +31,7 @@ from lindyn.operators import (
     CompositionOperator,
     segal_compatible,
 )
-from lindyn.presets import build_preset
+from lindyn.presets import DEFAULT_GRID, build_preset
 from oracles import (
     SEAM_POINTS,
     apply_Sn,
@@ -224,6 +225,62 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
+class CountingWeight:
+    """A positive weight that records how many points each call reads."""
+
+    positive = True
+
+    def __init__(self, weight):
+        self.weight, self.sizes = weight, []
+
+    def __call__(self, t):
+        self.sizes.append(np.size(t))
+        return self.weight(t)
+
+
+def lattice_cases() -> list:
+    """(operator, step, start, points, direct) for the lattice test, the
+    weight varying along every walk; ``direct`` says that the walk has no
+    lattice, so every block reads its position block.  The width-only ids
+    walk the non-dyadic shift 0.3 backward over np.linspace(-2, 2,
+    width)."""
+    def op(shift, weight=SEAM_WEIGHT):
+        return CompositionOperator(Translation(shift), weight)
+
+    cases = [pytest.param(op(0.3), -1, -1, np.linspace(-2.0, 2.0, w), True,
+                          id=str(w)) for w in (1, 2, 9, 10, 17)]
+    grid = Grid(2.0, 0.25).points
+    walks = ((1, 0), (-1, -1), (1, 1), (-1, 0))
+    cases += [pytest.param(op(shift), step, start, grid, False,
+                           id=f"shift{shift:+g}-walk{step:+d}{start:+d}")
+              for shift in (1.0, -1.0, 0.5, -0.5, 0.75)
+              for step, start in walks]
+    uneven = np.array([-2.0, -1.75, -1.0, -0.25, 0.5, 1.75, 2.0])
+    sets = {"reversed": grid[::-1], "uneven": uneven,
+            "unsorted": uneven[[3, 0, 6, 1, 5, 2, 4]],
+            **{f"seam-{name}": p for name, p in SEAM_POINTS.items()}}
+    cases += [pytest.param(op(shift), step, start, p, False,
+                           id=f"{name}-shift{shift:+g}-walk{step:+d}{start:+d}")
+              for name, p in sets.items() for shift in (-1.0, 0.75)
+              for step, start in walks[:2]]
+    # the table outgrows a block of the 7-point set from 5 rows down under
+    # a shift of 1.25, and every block under a shift of 8: those blocks
+    # read their cells
+    cases += [pytest.param(op(shift), step, start, uneven, False,
+                           id=f"uneven-shift{shift:+g}-walk{step:+d}{start:+d}")
+              for shift in (1.25, 8.0) for step, start in walks[:2]]
+    # the quarter grid's guard is 2**52 quarters: 40 steps from k = 2**50
+    # - 42 over [-2, 2] reach 2**50 - 1, just inside it, and from one k
+    # later 2**50, just past it
+    far = SEAM_WEIGHT.shifted(2.0 ** 50)
+    cases += [pytest.param(op(1.0, far), 1, 2 ** 50 - 42 + past, grid,
+                           bool(past), id=f"guard-{'past' if past else 'in'}")
+              for past in (0, 1)]
+    cases.append(pytest.param(op(0.3), 1, 0, Grid(2.0, 0.2).points, True,
+                              id="step0.2-shift+0.3"))
+    return cases
+
+
 class TestSum2Kernel:
     """The Sum2 pass on complex-paired columns gives the float64 reference
     pass's bits, carry included, on every input."""
@@ -269,21 +326,45 @@ class TestSum2Kernel:
                 assert c.shape == (width,)
                 assert np.array_equal(bits(c), bits(c_ref))
 
-    @pytest.mark.parametrize("width", [1, 2, 9, 10, 17])
-    def test_lattice_blocks_match_real_reference(self, width):
+    @pytest.mark.parametrize("op, step, start, pts, direct",
+                             lattice_cases())
+    def test_lattice_blocks_match_real_reference(self, op, step, start, pts,
+                                                 direct):
         # the lattice pads an odd point set to even width; its blocks are
-        # the reference pass over the unpadded logs, across block seams
-        op = CompositionOperator(Translation(0.3), SEAM_WEIGHT)
-        pts = np.linspace(-2.0, 2.0, width)
-        carry = np.zeros(width), np.zeros(width)
-        walk = homeo_orbit_blocks(op.alpha, pts, 40, 7, -1, -1)
-        for got, orbit in zip(_orbit_log2_rows(op, pts, 40, -1, -1, 7), walk,
-                              strict=True):
+        # the reference pass over the unpadded logs of the position blocks,
+        # across block seams, whether they read the translation's table or
+        # the position blocks themselves
+        carry = np.zeros(pts.size), np.zeros(pts.size)
+        walk = homeo_orbit_blocks(op.alpha, pts, 40, 7, step, start)
+        for got, orbit in zip(_orbit_log2_rows(op, pts, 40, step, start, 7),
+                              walk, strict=True):
             logs = op.log2_weight(orbit)
             carry = sum2_rows_real(logs, *carry,
-                                   np.empty((2 * len(logs) + 1, width)))
+                                   np.empty((2 * len(logs) + 1, pts.size)))
             assert got.shape == logs.shape
             assert np.array_equal(bits(got), bits(logs))
+        lattice = _Lattice.of(op.alpha, pts, 40, step, start)
+        assert (lattice is None) == direct
+
+    @pytest.mark.parametrize("shift", [-1.0, 40.0])
+    def test_weight_work_per_block(self, shift):
+        # ex3.8's m = 2 window walks 4 lattice points per row under a unit
+        # shift: each block's one weight call reads its 4*(rows-1) + 17
+        # distinct points, not its rows*17 cells; a shift of 40 spreads
+        # the table wider than the block, which then reads its cells
+        weight = CountingWeight(build_preset("ex3.8").weight)
+        op = CompositionOperator(Translation(shift), weight)
+        pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
+        for step, start in ((1, 0), (-1, -1)):
+            weight.sizes.clear()
+            heights = [len(b) for b in _orbit_log2_rows(op, pts, 18000, step,
+                                                        start)]
+            assert sum(heights) == 18000
+            assert len(weight.sizes) == len(heights)
+            for rows, seen in zip(heights, weight.sizes):
+                assert seen <= rows * pts.size
+                if shift == -1.0:
+                    assert seen <= 4 * rows + pts.size
 
 
 class TestPowers:
