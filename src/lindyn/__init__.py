@@ -26,7 +26,7 @@ from .dynamics import (
     orbit_trace,
     empirical_best,
 )
-from .measures import AtomicMeasure, adjoint_criterion
+from .measures import adjoint_criterion
 from .porosity import (
     GammaSet,
     gamma_membership,

@@ -31,7 +31,7 @@ from .funcspace import (
     norm,
     triangular_bump,
 )
-from .measures import AtomicMeasure, adjoint_criterion
+from .measures import adjoint_criterion
 from .operators import CompositionOperator, segal_compatible
 from .porosity import (
     GammaSet,
@@ -78,6 +78,20 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _finite_json(text: str):
+    """``json.loads`` refusing, with a ValueError, every number that is not
+    finite as a float: the literals NaN and +-Infinity, ``1e400``, which
+    ``json`` reads as inf, and an integer of 400 digits, which no float
+    holds."""
+    def finite(token: str, kind: type = float):
+        if not np.isfinite(float(token)):
+            raise ValueError(f"{token} is not a finite number")
+        return kind(token)
+
+    return json.loads(text, parse_float=finite, parse_constant=finite,
+                      parse_int=functools.partial(finite, kind=int))
+
+
 def _object(value, name: str, kind: type = dict):
     """``value`` if a JSON object (an array for ``list``), else ConfigError."""
     if not isinstance(value, kind):
@@ -104,8 +118,8 @@ class ExperimentConfig:
         raw: dict = {}
         if path:
             try:
-                raw = _object(json.loads(Path(path).read_text()), "config")
-            except (OSError, json.JSONDecodeError) as exc:
+                raw = _object(_finite_json(Path(path).read_text()), "config")
+            except (OSError, ValueError) as exc:  # JSONDecodeError included
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
         op_spec = _object(raw.get("operator", {}), "operator")
         preset_name = preset or op_spec.get("preset")
@@ -382,10 +396,9 @@ def cmd_porosity(args) -> int:
 def cmd_adjoint(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
     window = cfg.checked_window()
-    mu = AtomicMeasure.delta(0.0)
-    verdicts = adjoint_criterion(
+    verdicts = adjoint_criterion(  # mu = nu = delta_0
         (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO),
-        cfg.operator, mu, mu, window, cfg.horizon, cfg.tol)
+        cfg.operator, [0.0], [0.0], window, cfg.horizon, cfg.tol)
     for v in verdicts:
         _print_verdict(v, 16)
     _write_lines(args.out, "adjoint.jsonl",

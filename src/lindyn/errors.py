@@ -17,16 +17,8 @@ class DivergentSegalNormError(LindynError):
     """The weighted sup-norm series diverges: sup|tau| >= 1 on the support."""
 
 
-class SegalIncompatibleError(LindynError):
-    """tau is not invariant under the homeomorphism within tolerance."""
-
-
 class ZeroVectorError(LindynError):
     """Projective distance from the zero function is undefined."""
-
-
-class DegenerateApproximantError(LindynError):
-    """A restricted input function or measure is identically zero."""
 
 
 class NoValidNError(LindynError):
@@ -38,7 +30,7 @@ class PreconditionViolatedError(LindynError):
 
 
 class SupportOutsideWindowError(LindynError):
-    """A measure has atoms outside the compact window."""
+    """A measure's support has points outside the compact window."""
 
 
 class ConfigError(LindynError):

@@ -11,6 +11,8 @@ sup-norm series built from a profile tau.
 from __future__ import annotations
 
 import itertools
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
@@ -119,9 +121,9 @@ class PiecewiseMap:
 
     Values left of the first breakpoint follow an affine tail of slope
     ``left_slope`` (constant when 0, the default), and symmetrically on
-    the right.  Node values may be real or complex; a map flagged
-    ``positive`` must be real with strictly positive nodes and constant
-    tails, so both the map and its reciprocal are bounded on the line.
+    the right.  Node values are real; a map flagged ``positive`` has
+    strictly positive nodes and constant tails, so both the map and its
+    reciprocal are bounded on the line.
     """
 
     def __init__(self, breakpoints, values, left_slope=0.0, right_slope=0.0,
@@ -132,15 +134,12 @@ class PiecewiseMap:
             raise ValueError("breakpoints and values must be equal-length 1-d")
         if bp.size > 1 and not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if np.iscomplexobj(vals):
-            vals = vals.astype(complex)
-        else:
-            vals = vals.astype(float)
+        if np.iscomplexobj(vals):  # astype(float) would drop the imaginary part
+            raise ValueError("map values must be real")
+        vals = vals.astype(float)
         if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(vals)):
             raise ValueError("breakpoints and values must be finite")
         if positive:
-            if np.iscomplexobj(vals):
-                raise ValueError("positive map must be real-valued")
             if left_slope != 0.0 or right_slope != 0.0:
                 raise ValueError("positive map requires constant tails")
             if vals.min() <= 0:
@@ -156,18 +155,12 @@ class PiecewiseMap:
     @classmethod
     def constant(cls, c, positive=None):
         if positive is None:
-            positive = not isinstance(c, complex) and c > 0
+            positive = c.real > 0  # a complex c is refused by __init__
         return cls([0.0], [c], positive=positive)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if np.iscomplexobj(self.values):
-            out = (
-                np.interp(t_arr, self.breakpoints, self.values.real)
-                + 1j * np.interp(t_arr, self.breakpoints, self.values.imag)
-            )
-        else:
-            out = np.interp(t_arr, self.breakpoints, self.values)
+        out = np.interp(t_arr, self.breakpoints, self.values)
         if self.left_slope != 0.0:
             b0, v0 = self.breakpoints[0], self.values[0]
             out = np.where(t_arr < b0, v0 + self.left_slope * (t_arr - b0), out)
@@ -186,12 +179,19 @@ class PiecewiseMap:
 
 @dataclass(frozen=True)
 class Translation:
-    """The homeomorphism t -> t + shift, shift != 0."""
+    """The homeomorphism t -> t + shift, for a finite real shift != 0."""
 
     shift: float
 
     def __post_init__(self):
-        if self.shift == 0:
+        s = self.shift
+        # bool is an int subclass; the bound also refuses nan, +-inf and
+        # an int beyond the float range
+        if (isinstance(s, bool) or not isinstance(s, numbers.Real)
+                or not abs(s) <= sys.float_info.max):
+            raise ValueError(f"translation shift must be a finite real "
+                             f"number, got {s!r}")
+        if s == 0:
             raise ValueError("translation shift must be nonzero")
 
 
@@ -205,8 +205,6 @@ class PiecewiseAffineHomeo:
 
     def __init__(self, forward: PiecewiseMap):
         vals = forward.values
-        if np.iscomplexobj(vals):
-            raise NonInvertibleError("homeomorphism map must be real-valued")
         diffs = np.diff(vals)
         increasing = bool(np.all(diffs > 0)) if diffs.size else None
         decreasing = bool(np.all(diffs < 0)) if diffs.size else None
@@ -413,7 +411,7 @@ class SegalNorm:
         if not supp.any():
             return 0.0
         a = np.abs(values[supp])
-        b = np.abs(np.asarray(self.tau(grid.points[supp]), dtype=complex))
+        b = np.abs(self.tau(grid.points[supp]))
         s = float(b.max())
         if s >= 1.0:
             raise DivergentSegalNormError(

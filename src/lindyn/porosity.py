@@ -234,29 +234,26 @@ def build_script_E(k: GridFunction, f: GridFunction, h: GridFunction,
 
 
 def build_gamma(u: GridFunction, v: GridFunction, g: GridFunction,
-                h: GridFunction, n_cut: int, beta: float, *,
-                delta: float | None = None, lam: float | None = None,
-                r_tilde: float | None = None,
-                f: GridFunction | None = None) -> GridFunction:
+                h: GridFunction, n_cut: int, beta: float, *, delta: float,
+                lam: float, r_tilde: float, f: GridFunction) -> GridFunction:
     """Refilled point: v inside [-N, N], v + beta |u - v| Theta outside,
     affine bridges; Theta interpolates the phases of v on the outer
     integers.
 
-    Requires u in Gamma_h; when the scene context (delta, lam, r_tilde, f)
-    is supplied, the working-radius bound ||u - v|| <= min(delta,
-    lam (r_tilde - ||f - u||)) is enforced as well.  Asserts
-    ||gamma - v|| <= beta ||u - v|| and membership of gamma in Gamma_g.
+    Requires u in Gamma_h and, from the scene context (delta, lam,
+    r_tilde, f), the working-radius bound ||u - v|| <= min(delta,
+    lam (r_tilde - ||f - u||)).  Asserts ||gamma - v|| <= beta ||u - v||
+    and membership of gamma in Gamma_g.
     """
     grid = u.grid
     if not gamma_membership(u, GammaSet(h)):
         raise PreconditionViolatedError("u is not in Gamma_h")
     uv_gap = norm(u - v, SUP)
-    if None not in (delta, lam, r_tilde, f):
-        r_prime = min(delta, lam * (r_tilde - norm(f - u, SUP)))
-        if uv_gap > r_prime:
-            raise PreconditionViolatedError(
-                f"||u - v|| = {uv_gap} exceeds the working radius {r_prime}"
-            )
+    r_prime = min(delta, lam * (r_tilde - norm(f - u, SUP)))
+    if uv_gap > r_prime:
+        raise PreconditionViolatedError(
+            f"||u - v|| = {uv_gap} exceeds the working radius {r_prime}"
+        )
     t, inner, outer, bl, br = _region_masks(grid, n_cut)
     ints = grid.integer_points
     left_nodes = ints[ints <= -n_cut - 1]

@@ -26,7 +26,6 @@ from .criteria import (
     _leg_extremes,
 )
 from .funcspace import Grid, PiecewiseMap, Translation
-from .measures import AtomicMeasure, _adjoint_extremes
 from .operators import CompositionOperator
 
 __all__ = [
@@ -296,14 +295,15 @@ def _sweep_key(example: GoldenExample, exp: Expectation):
 
 def _sweep(key, horizon: int) -> np.ndarray:
     """The leg rows of one sweep key over n = 1..horizon: over the window's
-    points, or for the adjoint rows over the support of mu = nu = delta_0."""
+    points, or for the adjoint rows over the support {0} of mu = nu =
+    delta_0."""
     preset, m, inverse, adjoint = key
     op = build_preset(preset)
-    window = CompactWindow.from_grid(DEFAULT_GRID, m)
     if adjoint:
-        mu = AtomicMeasure.delta(0.0)
-        return _adjoint_extremes(op, mu, mu, window, horizon)
-    ext, _ = _leg_extremes(op, window.points, window.points, horizon, inverse)
+        ext, _ = _leg_extremes(op, [0.0], [0.0], horizon)
+        return ext
+    pts = CompactWindow.from_grid(DEFAULT_GRID, m).points
+    ext, _ = _leg_extremes(op, pts, pts, horizon, inverse)
     return ext
 
 

@@ -6,9 +6,10 @@ functions here recompute the same quantities one n at a time from
 :func:`forward_log2`/:func:`backward_log2`, with the scalar greedy trim
 :func:`_trim_greedy`, or, in :func:`segal_factors`, from the literal product
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
-atom-wise adjoint powers, the duality check and the measure approximant
-restate the adjoint side that ``lindyn.measures.adjoint_criterion`` reads
-off the same legs.  :func:`sum2_rows_real` is the Sum2 block pass on
+finite atomic measures (:class:`AtomicMeasure`), their atom-wise adjoint
+powers, the duality check and the measure approximant restate the adjoint
+side that ``lindyn.measures.adjoint_criterion`` reads off the same legs
+from the supports alone.  :func:`sum2_rows_real` is the Sum2 block pass on
 float64 columns, the reference for ``lindyn.operators._sum2_rows``, which
 runs it on complex-paired ones.  :func:`apply_Tn`/:func:`apply_Sn` are
 T^n and S^n in product form, one weight factor per step, the reference
@@ -57,7 +58,7 @@ from lindyn.dynamics import (
     operator_orbit,
     projective_distance,
 )
-from lindyn.errors import DegenerateApproximantError, SegalIncompatibleError
+from lindyn.errors import LindynError
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -72,7 +73,7 @@ from lindyn.funcspace import (
     linear_interpolate,
     norm,
 )
-from lindyn.measures import AtomicMeasure, adjoint_criterion
+from lindyn.measures import adjoint_criterion
 from lindyn.operators import (
     CompositionOperator,
     _loses_mass,
@@ -87,6 +88,14 @@ from lindyn.presets import (
     GoldenExample,
     build_preset,
 )
+
+
+class DegenerateApproximantError(LindynError):
+    """A restricted input function or measure is identically zero."""
+
+
+class SegalIncompatibleError(LindynError):
+    """tau is not invariant under the homeomorphism within tolerance."""
 
 
 def _orbit_log2(op: CompositionOperator, pts, n: int, step: int = 1,
@@ -295,6 +304,35 @@ def implication_check(op: CompositionOperator, window: CompactWindow,
 
 # ---------------------------------------------------------------------------
 # The adjoint side on atoms: c * delta_x -> c * w(x) * delta_{alpha(x)}
+
+
+class AtomicMeasure:
+    """Canonical finite atomic measure: locations strictly increasing,
+    duplicates merged, zero weights dropped.  ``adjoint_criterion`` reads
+    only the locations."""
+
+    def __init__(self, atoms=()):
+        locs: list[float] = []
+        weights: list[complex] = []
+        for x, c in sorted(atoms, key=lambda a: a[0]):
+            if locs and x == locs[-1]:
+                weights[-1] += complex(c)
+            else:
+                locs.append(float(x))
+                weights.append(complex(c))
+        keep = [i for i, c in enumerate(weights) if c != 0]
+        self.locations = np.array([locs[i] for i in keep], dtype=float)
+        self.weights = np.array([weights[i] for i in keep], dtype=complex)
+        self.locations.setflags(write=False)
+        self.weights.setflags(write=False)
+
+    @classmethod
+    def delta(cls, x: float, c: complex = 1.0) -> "AtomicMeasure":
+        return cls([(x, c)])
+
+    @property
+    def is_zero(self) -> bool:
+        return self.locations.size == 0
 
 
 def _measure(locs, weights) -> AtomicMeasure:
@@ -569,8 +607,7 @@ def per_row_verdict(example: GoldenExample,
     window = CompactWindow.from_grid(DEFAULT_GRID, exp.window)
     op = build_preset(example.preset)
     if exp.check in ("ADJOINT_SUPER", "ADJOINT_CESARO"):
-        mu = AtomicMeasure.delta(0.0)
-        [verdict] = adjoint_criterion([exp.check], op, mu, mu, window,
+        [verdict] = adjoint_criterion([exp.check], op, [0.0], [0.0], window,
                                       exp.horizon, exp.tol)
         return verdict
     [verdict] = evaluate([exp.check], op, window, exp.horizon, exp.tol,

@@ -24,7 +24,6 @@ from lindyn.funcspace import (
     norm,
     triangular_bump,
 )
-from lindyn.measures import AtomicMeasure
 from lindyn.operators import CompositionOperator
 from lindyn.porosity import (
     GammaSet,
@@ -39,6 +38,7 @@ from lindyn.porosity import (
 )
 from lindyn.presets import REGISTRY, build_preset, run_registry
 from oracles import (
+    AtomicMeasure,
     adjoint_Tn,
     apply_Sn,
     apply_Tn,

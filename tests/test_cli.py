@@ -12,7 +12,7 @@ import pytest
 from lindyn import cli, criteria, dynamics
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CompactWindow, CriterionKind, _leg_extremes
-from lindyn.measures import AtomicMeasure, adjoint_criterion
+from lindyn.measures import adjoint_criterion
 from lindyn.presets import (
     DEFAULT_GRID,
     REGISTRY,
@@ -260,18 +260,32 @@ class TestClassifyCommand:
         {"operator": 7}, {"space": "L2"}, {"space": {"kind": ["L2"]}},
         {"grid": {"half_width": 64.0, "step": True}},
         {"grid": {"half_width": True, "step": 0.25}},
+        *({"horizon": 5, "operator": {
+            "alpha": {"kind": "translation", "shift": shift},
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [0.5, 1.0]}}}
+          for shift in ("x", math.nan, math.inf, True)),
+        {"horizon": 5, "tol": math.inf},
+        # json reads a float literal beyond the float range as inf
+        '{"operator": {"alpha": {"kind": "translation", "shift": 1e400}, '
+        '"weight": {"breakpoints": [0.0], "values": [2.0]}}, "horizon": 5}',
+        '{"operator": {"preset": "ex3.5"}, "horizon": 5, "tol": 1e400}',
+        '{"operator": {"preset": "ex3.5"}, "horizon": 5, "window": {"m": 1'
+        + "0" * 400 + "}}",
     ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
             "trim-str", "trim-neg", "eps-2", "eps-1", "eps-0", "eps-str",
             "tau-no-breakpoints", "tau-no-values", "tau-list",
             "tau-lengths", "config-list", "window-int", "grid-int",
             "half-width-list", "operator-int", "space-str",
-            "space-kind-list", "step-bool", "half-width-bool"])
+            "space-kind-list", "step-bool", "half-width-bool", "shift-str",
+            "shift-nan", "shift-inf", "shift-bool", "tol-inf", "shift-1e400",
+            "tol-1e400", "m-int-1e400"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
         if isinstance(bad, dict):
             cfg = self.config(tmp_path, **bad)
-        else:  # the whole file
-            (tmp_path / "cfg.json").write_text(json.dumps(bad))
+        else:  # the whole file, as JSON or as its text
+            text = bad if isinstance(bad, str) else json.dumps(bad)
+            (tmp_path / "cfg.json").write_text(text)
             cfg = str(tmp_path / "cfg.json")
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
@@ -591,10 +605,10 @@ class TestClassifyCommand:
         loaded = ExperimentConfig.load(str(tmp_path / "cfg.json"), None)
         window = loaded.compact_window()
         if command == "adjoint":
-            mu = AtomicMeasure.delta(0.0)
             verdicts = adjoint_criterion(
                 (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO),
-                loaded.operator, mu, mu, window, loaded.horizon, loaded.tol)
+                loaded.operator, [0.0], [0.0], window, loaded.horizon,
+                loaded.tol)
         else:
             verdicts = criteria.evaluate(
                 cli._SPACE_KINDS[loaded.space], loaded.operator, window,

@@ -17,7 +17,6 @@ from lindyn.criteria import (
     evaluate,
     verdict_from_trace,
 )
-from lindyn.errors import SegalIncompatibleError
 from lindyn.funcspace import (
     Grid,
     PiecewiseAffineHomeo,
@@ -28,6 +27,7 @@ from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
 from lindyn.presets import REGISTRY, build_preset
 from oracles import (
     SEAM_POINTS,
+    SegalIncompatibleError,
     _trim_greedy,
     backward_log2,
     dict_serialiser,

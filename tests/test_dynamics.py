@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lindyn.criteria import CompactWindow
-from lindyn.errors import (DegenerateApproximantError, LindynError,
-                           ZeroVectorError)
+from lindyn.errors import LindynError, ZeroVectorError
 from lindyn.funcspace import (
     Grid,
     GridFunction,
@@ -34,6 +33,7 @@ from lindyn.operators import (
 )
 from lindyn.presets import build_preset
 from oracles import (
+    DegenerateApproximantError,
     apply_Sn,
     apply_Tn,
     cesaro_approximant,

@@ -76,6 +76,11 @@ class TestGrid:
 class TestPiecewiseMap:
     def test_constant_map(self):
         assert PiecewiseMap.constant(2.0)(-7.3) == 2.0
+        # node values are real: a complex one is refused, not truncated
+        with pytest.raises(ValueError, match="real"):
+            PiecewiseMap.constant(2.0 + 1j)
+        with pytest.raises(ValueError, match="real"):
+            PiecewiseMap([0.0, 1.0], [1.0, 0.5j], positive=False)
 
     def test_bridge_weight_value(self):
         # left level M = 4, right level 1 + delta = 2: midpoint is 3
@@ -112,6 +117,9 @@ class TestHomeo:
     def test_translation_requires_nonzero_shift(self):
         with pytest.raises(ValueError):
             Translation(0.0)
+        for shift in (True, "1", None, np.nan, np.inf, -np.inf, 10 ** 400):
+            with pytest.raises(ValueError, match="finite real"):
+                Translation(shift)
 
     def test_piecewise_affine_inverse(self):
         fwd = PiecewiseMap([-1.0, 1.0], [-2.0, 3.0], 0.5, 2.0)

@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 
 from lindyn.criteria import SATISFIED, CompactWindow, CriterionKind, evaluate
-from lindyn.errors import (
-    DegenerateApproximantError,
-    GridMismatchError,
-    SupportOutsideWindowError,
-)
+from lindyn.errors import GridMismatchError, SupportOutsideWindowError
 from lindyn.funcspace import Grid, GridFunction, PiecewiseMap, Translation
-from lindyn.measures import AtomicMeasure, adjoint_criterion
+from lindyn.measures import adjoint_criterion
 from lindyn.operators import CompositionOperator
 from lindyn.presets import build_preset
 from oracles import (
+    AtomicMeasure,
+    DegenerateApproximantError,
     adjoint_Sn,
     adjoint_T,
     adjoint_Tn,
@@ -152,56 +150,84 @@ class TestAdjointCriterion:
 
     def test_cesaro_positive_instance(self):
         op = build_preset("ex4.3a")
-        mu = AtomicMeasure.delta(0.0)
-        [v] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, mu,
-                                mu, self.window(), 200, 1e-2)
+        [v] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, [0.0],
+                                [0.0], self.window(), 200, 1e-2)
         assert v.status == SATISFIED
 
     def test_super_only_instance(self):
         op = build_preset("ex4.3b")
-        mu = AtomicMeasure.delta(0.0)
-        [sup] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op, mu,
-                                  mu, self.window(), 200, 1e-6)
-        [ces] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, mu,
-                                  mu, self.window(), 200, 1e-2)
+        [sup] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op, [0.0],
+                                  [0.0], self.window(), 200, 1e-6)
+        [ces] = adjoint_criterion([CriterionKind.ADJOINT_CESARO], op, [0.0],
+                                  [0.0], self.window(), 200, 1e-2)
         assert sup.status == SATISFIED and ces.status != SATISFIED
 
     def test_unit_weight_neither(self):
-        mu = AtomicMeasure.delta(0.0)
         for kind in (CriterionKind.ADJOINT_SUPER,
                      CriterionKind.ADJOINT_CESARO):
-            [v] = adjoint_criterion([kind], OP_UNIT, mu, mu, self.window(),
-                                    100, 1e-6)
+            [v] = adjoint_criterion([kind], OP_UNIT, [0.0], [0.0],
+                                    self.window(), 100, 1e-6)
             assert v.status != SATISFIED
 
     @pytest.mark.parametrize("horizon, tol", [(0, 1e-6), (10, 0.0),
                                               (10, -1.0)])
     def test_rejects_bad_horizon_and_tol(self, horizon, tol):
         # the same checks as evaluate, on the route both share
-        mu = AtomicMeasure.delta(0.0)
         with pytest.raises(ValueError):
-            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, mu,
-                              mu, self.window(), horizon, tol)
+            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, [0.0],
+                              [0.0], self.window(), horizon, tol)
+
+    @pytest.mark.parametrize("mu, nu", [([], [0.0]), ([0.0], []),
+                                        (np.empty(0), np.empty(0))],
+                             ids=["mu", "nu", "both"])
+    def test_empty_support(self, mu, nu):
+        # the zero measure has no support for a leg to sup over
+        with pytest.raises(ValueError, match="nonempty"):
+            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, mu, nu,
+                              self.window(), 10, 1e-6)
 
     def test_support_outside_window(self):
-        mu = AtomicMeasure.delta(5.0)
         with pytest.raises(SupportOutsideWindowError):
-            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, mu,
-                              mu, self.window(), 10, 1e-6)
+            adjoint_criterion([CriterionKind.ADJOINT_SUPER], OP_UNIT, [5.0],
+                              [5.0], self.window(), 10, 1e-6)
+
+    @pytest.mark.parametrize("preset", ["ex4.3a", "wavy"])
+    def test_support_order_and_repeats_ignored(self, preset):
+        # a support is read as its sorted unique set, the locations an
+        # AtomicMeasure of it holds, on the dyadic lattice path (ex4.3a)
+        # and off it (shift 0.3); 50 raw points would get blocks of 655
+        # rows, their 25 distinct ones blocks of 1024
+        if preset == "wavy":
+            bp = np.linspace(-800.0, 800.0, 1601)
+            op = CompositionOperator(Translation(0.3), PiecewiseMap(
+                bp, 1.0 + 0.5 * np.sin(1.3 * bp), positive=True))
+        else:
+            op = build_preset(preset)
+        win = self.window(3.0)
+        mu = np.concatenate([win.points[::-1], win.points]).tolist()
+        nu = [0.5, -0.75, 0.5]
+        kinds = (CriterionKind.ADJOINT_SUPER, CriterionKind.ADJOINT_CESARO)
+        got = adjoint_criterion(kinds, op, mu, nu, win, 1100, 1e-6)
+        ref = adjoint_criterion(kinds, op, sorted(set(mu)), sorted(set(nu)),
+                                win, 1100, 1e-6)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.trace, b.trace)
+            assert np.array_equal(a.log2_trace, b.log2_trace)
+            assert a.to_jsonl(per_n=True) == b.to_jsonl(per_n=True)
 
     def test_distinct_measures_read_their_own_leg(self):
         # the forward leg sups over mu's atoms and the backward leg over
         # nu's, also when the two supports differ in place and in size
         op = build_preset("ex4.3a")
-        mu = AtomicMeasure([(-1.0, 1.0), (0.25, 2.0), (1.25, -1.0)])
-        nu = AtomicMeasure([(-0.75, 1.0), (0.5, 0.5j)])
+        mu = np.array([-1.0, 0.25, 1.25])
+        nu = np.array([-0.75, 0.5])
         win = self.window(1.5)
         sup, ces = adjoint_criterion((CriterionKind.ADJOINT_SUPER,
                                       CriterionKind.ADJOINT_CESARO),
                                      op, mu, nu, win, 40, 1e-6)
         for n in (1, 2, 7, 40):
-            x = -backward_log2(op, nu.locations, n).min()
-            y = forward_log2(op, mu.locations, n).max()
+            x = -backward_log2(op, nu, n).min()
+            y = forward_log2(op, mu, n).max()
             assert sup.trace[n - 1] == np.exp2(x + y)
             assert ces.trace[n - 1] == max(n * np.exp2(x), np.exp2(y) / n)
 
@@ -216,8 +242,8 @@ class TestAdjointCriterion:
             Translation(-shift),
             PiecewiseMap(op.weight.breakpoints + shift, op.weight.values,
                          positive=True))
-        mu = AtomicMeasure([(0.0, 1.0), (0.5, 1.0)])
-        win = CompactWindow(1.0, mu.locations)
+        mu = [0.0, 0.5]
+        win = CompactWindow(1.0, mu)
         [adj] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op, mu,
                                   mu, win, 20, 1e-6)
         [fwd] = evaluate([CriterionKind.SUPERCYCLIC_SOLID], flipped, win,
@@ -247,7 +273,7 @@ class TestSharedAdjointSweep:
             kind: (counted(formula), mirrored) for kind, (formula, mirrored)
             in lindyn.criteria._FORMULA.items()})
         op = build_preset("ex4.3a")
-        mu = AtomicMeasure([(0.0, 1.0), (1.0, 0.01)])
+        mu = [0.0, 1.0]
         win = CompactWindow.from_grid(GRID, 1.5)
         for kind in self.ADJOINT_KINDS:
             adjoint_criterion([kind], op, mu, mu, win, 30, 1e-6)
@@ -260,9 +286,9 @@ class TestSharedAdjointSweep:
     def test_unit_atoms_on_window_equal_evaluate(self, preset, m):
         op = build_preset(preset)
         win = CompactWindow.from_grid(GRID, m)
-        mu = AtomicMeasure((x, 1.0) for x in win.points)
         for kind in self.ADJOINT_KINDS:
-            [adj] = adjoint_criterion([kind], op, mu, mu, win, 150, 1e-6)
+            [adj] = adjoint_criterion([kind], op, win.points, win.points,
+                                      win, 150, 1e-6)
             [ref] = evaluate([kind], op, win, 150, 1e-6)
             assert np.array_equal(adj.trace, ref.trace)
             assert np.array_equal(adj.log2_trace, ref.log2_trace)
@@ -275,15 +301,15 @@ class TestSharedAdjointSweep:
         weight = PiecewiseMap(bp, 1.0 + 0.5 * np.sin(1.3 * bp),
                               positive=True)
         op = CompositionOperator(Translation(0.3), weight)
-        mu = AtomicMeasure((x, 1.0) for x in np.linspace(-2.0, 2.0, 40))
-        nu = AtomicMeasure.delta(0.5)
+        mu = np.linspace(-2.0, 2.0, 40)
+        nu = np.array([0.5])
         win = CompactWindow(2.0, [0.0])
         horizon = 2100
         for kind in self.ADJOINT_KINDS:
             [v] = adjoint_criterion([kind], op, mu, nu, win, horizon, 1e-6)
             for n in (819, 820, 1024, 1025, horizon):
-                x = -backward_log2(op, nu.locations, n).min()
-                y = forward_log2(op, mu.locations, n).max()
+                x = -backward_log2(op, nu, n).min()
+                y = forward_log2(op, mu, n).max()
                 if kind == CriterionKind.ADJOINT_SUPER:
                     q = np.exp2(x + y)
                 else:
@@ -312,7 +338,8 @@ class TestMeasureApproximant:
         mu = AtomicMeasure.delta(0.0)
         win = CompactWindow.from_grid(GRID, 1.0)
         [verdict] = adjoint_criterion([CriterionKind.ADJOINT_SUPER], op,
-                                      mu, mu, win, 60, 1e-6)
+                                      mu.locations, mu.locations, win, 60,
+                                      1e-6)
         errs = []
         for n, q in verdict.witness:
             eta, lam = measure_approximant(op, mu, mu, n)

@@ -207,7 +207,8 @@ class TestBuildGamma:
 
     def test_v_equals_u(self):
         scene, p, n_cut, h, u, _ = self.scene_with_u()
-        out = build_gamma(u, u, scene.g, h, n_cut, p.beta)
+        out = build_gamma(u, u, scene.g, h, n_cut, p.beta, delta=p.delta,
+                          lam=p.lam, r_tilde=p.r_tilde, f=scene.f)
         assert np.array_equal(out.values, u.values)
 
     def test_contract_and_membership(self):
@@ -230,7 +231,8 @@ class TestBuildGamma:
         pert = np.zeros(GRID.size)
         pert[GRID.index_of(m)] = -0.5 * r_prime
         v = GridFunction(GRID, u.values + pert)
-        out = build_gamma(u, v, scene.g, h, n_cut, p.beta)
+        out = build_gamma(u, v, scene.g, h, n_cut, p.beta, delta=p.delta,
+                          lam=p.lam, r_tilde=p.r_tilde, f=scene.f)
         lhs = abs(out.value_at(m))
         rhs = abs(v.value_at(m)) + p.beta * abs(u.value_at(m)
                                                 - v.value_at(m))
@@ -240,7 +242,8 @@ class TestBuildGamma:
         scene, p, n_cut, h, u, r_prime = self.scene_with_u()
         outside = GridFunction(GRID, 0.5 * u.values)  # not in Gamma_h
         with pytest.raises(PreconditionViolatedError):
-            build_gamma(outside, u, scene.g, h, n_cut, p.beta)
+            build_gamma(outside, u, scene.g, h, n_cut, p.beta, delta=p.delta,
+                        lam=p.lam, r_tilde=p.r_tilde, f=scene.f)
         far = GridFunction(GRID, u.values + 10 * r_prime)
         with pytest.raises(PreconditionViolatedError):
             build_gamma(u, far, scene.g, h, n_cut, p.beta, delta=p.delta,
