@@ -70,6 +70,21 @@ def _bounded(value, name: str, low: int, *, integer: bool = False,
     return value
 
 
+def _map_spec(spec, name: str) -> dict:
+    """The JSON object ``spec`` of a map (operator.alpha, operator.weight
+    or space.tau) if each number of its ``breakpoints``, ``values`` and
+    slopes is a real number and not a boolean; a ConfigError otherwise.
+    numpy would read true as 1.0 and "0" as 0.0."""
+    _object(spec, name)
+    for key in ("breakpoints", "values", "left_slope", "right_slope"):
+        value = spec.get(key, [])
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{name}.{key}: {v!r} is not a real "
+                                  "number")
+    return spec
+
+
 def _seed(text: str) -> int:
     """A ``--seed`` value: an integer >= 0, the seeds numpy accepts."""
     seed = int(text)
@@ -139,8 +154,9 @@ class ExperimentConfig:
             if preset_name:
                 op = build_preset(preset_name)
             elif "alpha" in op_spec and "weight" in op_spec:
-                alpha = homeo_from_spec(op_spec["alpha"])
-                wm = op_spec["weight"]
+                alpha = homeo_from_spec(_map_spec(op_spec["alpha"],
+                                                  "operator.alpha"))
+                wm = _map_spec(op_spec["weight"], "operator.weight")
                 weight = PiecewiseMap(wm["breakpoints"], wm["values"],
                                       positive=True)
                 op = CompositionOperator(alpha, weight)
@@ -156,7 +172,7 @@ class ExperimentConfig:
             raise ConfigError(f"space kind must be one of {sorted(_SPACE_KINDS)}")
         tau = None
         if sspec.get("tau") is not None:
-            tm = _object(sspec["tau"], "space.tau")
+            tm = _map_spec(sspec["tau"], "space.tau")
             try:
                 tau = PiecewiseMap(tm["breakpoints"], tm["values"])
             except (KeyError, ValueError, TypeError) as exc:

@@ -334,16 +334,22 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
 
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
-                  inverse: bool = False, trim_kinds=(), max_drop: int = 0):
-    """The one cocycle sweep behind every criterion of a run: rows (-min lf,
-    max lb, -min lb, max lf) for n = 1..horizon, the forward leg over
-    ``fwd_pts`` and the backward leg over ``bwd_pts``, and per kind in
-    ``trim_kinds`` its (x, y) over the points :func:`_trim_rows` keeps
-    (trimming picks its points per n, so it cannot be read off the
-    extremes, and is defined only when both legs read the same points).
+                  inverse: bool = False, trim_kinds=(), max_drop: int = 0,
+                  slices=(slice(None),)):
+    """The one cocycle sweep behind every criterion of a run.  Per slice in
+    ``slices`` of the point columns (the whole set by default), one
+    (4, horizon) table of rows (-min lf, max lb, -min lb, max lf) for
+    n = 1..horizon, with the forward leg over ``fwd_pts`` and the backward
+    leg over ``bwd_pts``; and per kind in ``trim_kinds`` its (x, y) over
+    the points of the whole set that :func:`_trim_rows` keeps (trimming
+    picks its points per n, so it cannot be read off the extremes).
+    Trimming, and a slice short of the whole set, are defined only when
+    both legs read the same points.
 
     The legs arrive as blocks of the orbit lattice, one row per n, both of
-    the height the wider point set allows.  The extremes reduce point-major
+    the height the wider point set allows.  Each leg value is elementwise
+    in its point, so a slice's table is bit for bit the table of a sweep
+    over that slice's points alone.  The extremes reduce point-major
     copies of the blocks, a whole row of n per step, not one n's 9-25
     points.  With ``inverse`` they encode the inverse operator S, whose
     weight along forward orbits is the reciprocal backward product of T:
@@ -351,7 +357,7 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    ext = np.empty((4, horizon))
+    exts = [np.empty((4, horizon)) for _ in slices]
     trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     n0 = 0
@@ -361,14 +367,16 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
             lf, lb = -lb, -lf
         n1 = n0 + len(lf)
         lf_t, lb_t = np.ascontiguousarray(lf.T), np.ascontiguousarray(lb.T)
-        ext[:, n0:n1] = (-lf_t.min(axis=0), lb_t.max(axis=0),
-                         -lb_t.min(axis=0), lf_t.max(axis=0))
+        for ext, cols in zip(exts, slices):
+            f, b = lf_t[cols], lb_t[cols]
+            ext[:, n0:n1] = (-f.min(axis=0), b.max(axis=0),
+                             -b.min(axis=0), f.max(axis=0))
         ns = np.arange(n0 + 1, n1 + 1, dtype=float)
         for kind, xy in trimmed.items():
             keep = _trim_rows(kind, ns, lf, lb, max_drop)
             xy[:, n0:n1] = _kept_xy(keep, lf, lb)
         n0 = n1
-    return ext, trimmed
+    return exts, trimmed
 
 
 def _kind_rows(kind: CriterionKind, ext: np.ndarray) -> np.ndarray:
@@ -409,8 +417,8 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     if CriterionKind.WEDGE in kinds and window.radius < 1:
         raise ValueError("WEDGE needs a window radius >= 1")
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
-    ext, trimmed = _leg_extremes(op, window.points, window.points, horizon,
-                                 inverse, trim_kinds, max_drop)
+    [ext], trimmed = _leg_extremes(op, window.points, window.points,
+                                   horizon, inverse, trim_kinds, max_drop)
     verdicts = []
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}

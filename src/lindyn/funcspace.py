@@ -235,12 +235,15 @@ def homeo_power(a: Homeo, t, n: int):
     Translations use the closed form t + n*shift (no iteration drift);
     piecewise-affine maps iterate |n| times.
     """
+    # a huge shift or an expanding walk may overflow to +-inf; a positive
+    # weight has constant tails, so it reads the exact tail value there,
+    # and a grid function its zero, as at the true points beyond the
+    # float range
     if isinstance(a, Translation):
-        return t + n * a.shift
+        with np.errstate(over="ignore"):
+            return t + n * a.shift
     cur = np.asarray(t, dtype=float)
     fn = a.map if n >= 0 else a.inverse_map
-    # an expanding walk may overflow to +-inf; a positive weight has
-    # constant tails, so it reads the exact tail value there
     with np.errstate(over="ignore"):
         for _ in range(abs(n)):
             cur = fn(cur)
@@ -257,7 +260,9 @@ def homeo_orbit(a: Homeo, t, step: int = 1, start: int = 0):
     """
     if isinstance(a, Translation):
         for k in itertools.count(start, step):
-            yield t + k * a.shift
+            with np.errstate(over="ignore"):  # +-inf as in homeo_power
+                pos = t + k * a.shift
+            yield pos
     cur = homeo_power(a, t, start)
     fn = a.map if step >= 0 else a.inverse_map
     while True:
@@ -280,7 +285,9 @@ def homeo_orbit_blocks(a: Homeo, t, n: int, rows: int, step: int = 1,
     if isinstance(a, Translation):
         for k0 in range(0, n, rows):
             k = start + step * np.arange(k0, min(k0 + rows, n))
-            yield t + k[:, None] * a.shift
+            with np.errstate(over="ignore"):  # +-inf as in homeo_power
+                block = t + k[:, None] * a.shift
+            yield block
         return
     walk = homeo_orbit(a, t, step, start)
     for k0 in range(0, n, rows):

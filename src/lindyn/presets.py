@@ -286,40 +286,50 @@ def run_expectation(example: GoldenExample, exp: Expectation,
     )
 
 
-def _sweep_key(example: GoldenExample, exp: Expectation):
-    """The sweep a registry row reads: (preset, window radius, inverse,
-    adjoint)."""
-    return (example.preset, exp.window, exp.inverse,
-            _FORMULA[CriterionKind(exp.check)][1])
-
-
-def _sweep(key, horizon: int) -> np.ndarray:
-    """The leg rows of one sweep key over n = 1..horizon: over the window's
-    points, or for the adjoint rows over the support {0} of mu = nu =
-    delta_0."""
-    preset, m, inverse, adjoint = key
-    op = build_preset(preset)
-    if adjoint:
-        ext, _ = _leg_extremes(op, [0.0], [0.0], horizon)
-        return ext
-    pts = CompactWindow.from_grid(DEFAULT_GRID, m).points
-    ext, _ = _leg_extremes(op, pts, pts, horizon, inverse)
-    return ext
+def _reads(exp: Expectation) -> tuple[float, bool]:
+    """What a registry row reads of its preset's sweep: the radius of its
+    window, 0 (the points {0}) for an adjoint row, whose mu = nu =
+    delta_0; and whether it reads the legs of the inverse operator."""
+    if _FORMULA[CriterionKind(exp.check)][1]:
+        return 0.0, False
+    return exp.window, exp.inverse
 
 
 def run_registry(ids) -> list[ExpectationResult]:
     """The results of every row of the examples ``ids``, in order.
 
-    The rows of one sweep key share one sweep, at the longest horizon among
-    them.  A shorter row reads a prefix of it, bit for bit: each leg row is
-    elementwise in n.
+    The rows of one preset share one sweep, over the widest window among
+    them and at the longest horizon.  A narrower window's points are a
+    centred slice of the widest window's, so its table is the extremes
+    over that slice's columns; a shorter row reads a prefix.  Both are bit
+    for bit the row's own sweep: each leg value is elementwise in t and
+    n.  An inverse row reads the rows (1, 0, 3, 2) of its table, since
+    the inverse S has lf_S = -lb_T and lb_S = -lf_T, and negation is exact
+    (the legs never hold -0.0).
     """
     rows = [(REGISTRY[i], exp) for i in ids
             for exp in REGISTRY[i].expectations]
+    radii: dict = {}
     horizons: dict = {}
     for example, exp in rows:
-        key = _sweep_key(example, exp)
-        horizons[key] = max(horizons.get(key, 0), exp.horizon)
-    tables = {key: _sweep(key, h) for key, h in horizons.items()}
-    return [run_expectation(ex, exp, tables[_sweep_key(ex, exp)])
-            for ex, exp in rows]
+        radii.setdefault(example.preset, set()).add(_reads(exp)[0])
+        horizons[example.preset] = max(horizons.get(example.preset, 0),
+                                       exp.horizon)
+    tables = {}
+    for preset, ms in radii.items():
+        ms = sorted(ms)
+        windows = [CompactWindow.from_grid(DEFAULT_GRID, m).points
+                   for m in ms]
+        pts = windows[-1]
+        slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
+                  for w in windows]
+        exts, _ = _leg_extremes(build_preset(preset), pts, pts,
+                                horizons[preset], slices=slices)
+        tables.update(((preset, m), ext) for m, ext in zip(ms, exts))
+    results = []
+    for example, exp in rows:
+        m, inverse = _reads(exp)
+        table = tables[example.preset, m]
+        results.append(run_expectation(
+            example, exp, table[[1, 0, 3, 2]] if inverse else table))
+    return results

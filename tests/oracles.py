@@ -204,7 +204,8 @@ def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
 def sweep_factors(op: CompositionOperator, window: CompactWindow,
                   horizon: int, *, inverse: bool = False):
     """Arrays (P_minus[n-1], P_plus[n-1]) for n = 1..horizon in O(horizon)."""
-    ext, _ = _leg_extremes(op, window.points, window.points, horizon, inverse)
+    [ext], _ = _leg_extremes(op, window.points, window.points, horizon,
+                             inverse)
     return np.exp2(ext[0]), np.exp2(ext[1])
 
 

@@ -135,9 +135,9 @@ class TestExamplesCommand:
 
 
 class TestRegistrySweeps:
-    """``run_registry`` shares one sweep per (preset, window, inverse,
-    adjoint) at the longest horizon among its rows; each row must equal
-    the same row run on its own sweep."""
+    """``run_registry`` shares one sweep per preset, over the widest window
+    and at the longest horizon among its rows; each row must equal the
+    same row run on its own sweep."""
 
     @pytest.mark.parametrize("ids", [
         sorted(REGISTRY),
@@ -156,14 +156,35 @@ class TestRegistrySweeps:
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
         for op, inverse in ((build_preset("ex3.8"), False),
                             (build_preset("ex3.6"), True)):
-            long_ext, _ = _leg_extremes(op, pts, pts, 2000, inverse)
-            short_ext, _ = _leg_extremes(op, pts, pts, h, inverse)
+            [long_ext], _ = _leg_extremes(op, pts, pts, 2000, inverse)
+            [short_ext], _ = _leg_extremes(op, pts, pts, h, inverse)
             assert np.array_equal(long_ext[:, :h], short_ext)
 
+    @pytest.mark.parametrize("h", [200, 1023, 1024, 1025, 2000])
+    @pytest.mark.parametrize("preset", sorted({ex.preset for ex in
+                                               REGISTRY.values()}))
+    def test_slices_and_inverse_of_one_sweep(self, preset, h):
+        # a narrower window is a centred column slice of the m = 2 sweep,
+        # and the inverse operator's table its rows (1, 0, 3, 2)
+        op = build_preset(preset)
+        pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
+        windows = [CompactWindow.from_grid(DEFAULT_GRID, m).points
+                   for m in (0.0, 1.0, 2.0)]
+        slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
+                  for w in windows]
+        exts, _ = _leg_extremes(op, pts, pts, h, slices=slices)
+        for w, cols, ext in zip(windows, slices, exts):
+            assert np.array_equal(pts[cols], w)
+            [alone], _ = _leg_extremes(op, w, w, h)
+            [inverse], _ = _leg_extremes(op, w, w, h, inverse=True)
+            assert np.array_equal(ext.view(np.int64), alone.view(np.int64))
+            assert np.array_equal(ext[[1, 0, 3, 2]].view(np.int64),
+                                  inverse.view(np.int64))
+
     def test_one_sweep_per_key(self, monkeypatch, capsys):
-        # 11 keys at H = 200 but ex3.8's at 2000; the WEDGE row reads the
-        # (ex3.6, 2, forward) sweep: 11 sweeps of 4000 rows (one per row:
-        # 24 of 6900)
+        # 7 presets at H = 200 but ex3.8's at 2000; the narrower windows,
+        # the inverse rows, the WEDGE row and the adjoint rows read these
+        # sweeps: 7 sweeps of 3200 rows (one per row: 24 of 6900)
         horizons = []
         sweep = criteria._leg_extremes
 
@@ -176,8 +197,8 @@ class TestRegistrySweeps:
                     and getattr(module, "_leg_extremes", None) is sweep):
                 monkeypatch.setattr(module, "_leg_extremes", counted)
         assert run(["examples"]) == 0
-        assert len(horizons) == 11
-        assert sum(horizons) == 4000
+        assert len(horizons) == 7
+        assert sum(horizons) == 3200
 
 
 class TestClassifyCommand:
@@ -265,6 +286,17 @@ class TestClassifyCommand:
             "weight": {"breakpoints": [-1.0, 1.0], "values": [0.5, 1.0]}}}
           for shift in ("x", math.nan, math.inf, True)),
         {"horizon": 5, "tol": math.inf},
+        {"horizon": 5, "operator": {
+            "alpha": {"kind": "translation", "shift": 1.0},
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [True, 2.0]}}},
+        {"horizon": 5, "operator": {
+            "alpha": {"kind": "translation", "shift": 1.0},
+            "weight": {"breakpoints": ["0", 1.0], "values": [0.5, 1.0]}}},
+        {"horizon": 5, "operator": {
+            "alpha": {"kind": "piecewise_affine", "breakpoints": [0.0],
+                      "values": [0.0], "left_slope": True,
+                      "right_slope": 1.0},
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [0.5, 1.0]}}},
         # json reads a float literal beyond the float range as inf
         '{"operator": {"alpha": {"kind": "translation", "shift": 1e400}, '
         '"weight": {"breakpoints": [0.0], "values": [2.0]}}, "horizon": 5}',
@@ -277,7 +309,9 @@ class TestClassifyCommand:
             "tau-lengths", "config-list", "window-int", "grid-int",
             "half-width-list", "operator-int", "space-str",
             "space-kind-list", "step-bool", "half-width-bool", "shift-str",
-            "shift-nan", "shift-inf", "shift-bool", "tol-inf", "shift-1e400",
+            "shift-nan", "shift-inf", "shift-bool", "tol-inf",
+            "weight-value-bool", "breakpoint-str", "left-slope-bool",
+            "shift-1e400",
             "tol-1e400", "m-int-1e400"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
@@ -288,7 +322,8 @@ class TestClassifyCommand:
             (tmp_path / "cfg.json").write_text(text)
             cfg = str(tmp_path / "cfg.json")
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("command, space", [
@@ -462,6 +497,27 @@ class TestClassifyCommand:
         assert all(math.isfinite(lq) for lq in log2_q)
         assert np.diff(log2_q[-200:]) == pytest.approx(np.ones(199),
                                                        abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["classify", "adjoint", "orbit"])
+    def test_huge_shift_reads_the_tails(self, tmp_path, capsys, command):
+        # k*shift overflows to +-inf from k = 2 on; there the weight reads
+        # its tails and f its zero, as at the true orbit points of a shift
+        # of 1e300, so the files match and no overflow warning is printed
+        outputs = []
+        for shift in (1e308, 1e300):
+            cfg = self.config(
+                tmp_path, horizon=5, targets=[{"center": 3.0}],
+                operator={"alpha": {"kind": "translation", "shift": shift},
+                          "weight": {"breakpoints": [-1.0, 1.0],
+                                     "values": [0.5, 1.0]}})
+            out = tmp_path / f"out{shift}"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run([command, "--config", cfg, "--out", str(out),
+                            *(["--per-n"] if command != "orbit" else [])]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] and outputs[0] == outputs[1]
 
     def test_cesaro_log2_q_ties_where_q_ties(self, tmp_path, capsys):
         # ex3.5 in C0 at m = 2: the Cesaro q(3) equals q(1) = 2.0, and so

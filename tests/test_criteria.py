@@ -324,8 +324,8 @@ class TestBlockSeams:
         pts = SEAM_POINTS[points]
         b = _block_rows(pts.size)
         horizon = 2 * b + 3
-        ext, trimmed = _leg_extremes(op, pts, pts, horizon, inverse,
-                                     [self.KIND], 2)
+        [ext], trimmed = _leg_extremes(op, pts, pts, horizon, inverse,
+                                       [self.KIND], 2)
         ref_ext, ref_xy = self.stepped(op, pts, horizon, inverse, 2)
         xy = trimmed[self.KIND]
         for n in (b - 1, b, b + 1, horizon):

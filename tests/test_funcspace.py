@@ -1,3 +1,4 @@
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -22,6 +23,7 @@ from lindyn.funcspace import (
     aperiodicity_bound,
     homeo_from_spec,
     homeo_orbit,
+    homeo_orbit_blocks,
     homeo_power,
     linear_interpolate,
     norm,
@@ -172,6 +174,20 @@ class TestHomeo:
         assert drift != 3.0  # iterated addition would not give 3.0
         back = list(islice(homeo_orbit(a, 0.0, -1, -1), 10))
         assert back == [-k * 0.3 for k in range(1, 11)]
+
+    @pytest.mark.parametrize("shift", [1e308, np.float64(-1e308)])
+    def test_huge_shift_overflows_quietly(self, shift):
+        # k*shift leaves the float range at k = 2; the closed forms give
+        # +-inf there, which a weight reads as its tail, with no warning
+        a, ts = Translation(shift), np.array([-1.0, 0.0, 2.0])
+        inf = np.copysign(np.inf, shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(homeo_power(a, ts, 3) == inf)
+            walk = list(islice(homeo_orbit(a, ts), 4))
+            [block] = homeo_orbit_blocks(a, ts, 4, 4)
+        assert np.array_equal(np.stack(walk), block)
+        assert np.all(block[2:] == inf)
 
     def test_homeo_orbit_piecewise_matches_powers(self):
         fwd = PiecewiseMap([-2.0, 0.0, 1.5], [-3.0, 0.5, 4.0], 1.5, 0.25)
