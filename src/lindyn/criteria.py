@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .funcspace import Grid
-from .operators import CompositionOperator, _block_rows, _orbit_log2_rows
+from .operators import CompositionOperator, _block_rows, _orbit_log2_legs
 
 __all__ = [
     "SATISFIED",
@@ -101,12 +101,23 @@ def _supercyclic(n, x, y):
 
 def _cesaro(n, x, y):
     # log2 of q itself where q is finite and nonzero, so that log2 q ties
-    # where q ties; the log form only where q under- or overflowed
-    log2_n = np.log2(n)
-    q = np.maximum(n * np.exp2(x), np.exp2(y) / n)
+    # where q ties; the log form only where q under- or overflowed.  Each
+    # pass writes into one of four buffers of the broadcast shape.
+    shape = np.broadcast(n, x, y).shape
+    q, low, log2_n, log2_q = (np.empty(shape) for _ in range(4))
+    np.exp2(x, out=q)
+    q *= n
+    np.exp2(y, out=low)
+    low /= n
+    np.maximum(q, low, out=q)
     with np.errstate(divide="ignore"):
-        return (np.where((q > 0) & (q < np.inf), np.log2(q),
-                         np.maximum(log2_n + x, y - log2_n)), q)
+        np.log2(q, out=log2_q)
+    np.log2(n, out=log2_n)
+    np.add(log2_n, x, out=low)
+    np.subtract(y, log2_n, out=log2_n)
+    np.maximum(low, log2_n, out=low)
+    np.copyto(log2_q, low, where=~((q > 0) & (q < np.inf)))
+    return log2_q[()], q[()]
 
 
 def _hypercyclic(n, x, y):
@@ -324,10 +335,16 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
         if log2_trace is None:
             log2_trace = np.log2(trace)
     log2_trace = np.asarray(log2_trace, dtype=float)
-    key = np.where(trace < math.inf, log2_trace, math.nan)
-    earlier = np.fmin.accumulate(np.concatenate(([math.inf], key)))[:-1]
-    records = np.flatnonzero(key < earlier)
-    best = key[records[-1]] if records.size else math.inf
+    # low[i] is the least key over n <= i, low[0] the seed +inf, where a
+    # key is log2 q at a q below inf and NaN elsewhere, which fmin skips:
+    # n is a record iff its key lowers the running minimum
+    low = np.empty(trace.size + 1)
+    low[0] = math.inf
+    low[1:] = log2_trace
+    np.copyto(low[1:], math.nan, where=~(trace < math.inf))
+    np.fmin.accumulate(low, out=low)
+    records = np.flatnonzero(low[1:] < low[:-1])
+    best = low[-1]
     return CriterionVerdict(kind,
                             SATISFIED if best <= log2_tol else NOT_SATISFIED,
                             records, trace, log2_trace, tol, params)
@@ -335,46 +352,60 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
                   inverse: bool = False, trim_kinds=(), max_drop: int = 0,
-                  slices=(slice(None),)):
+                  slices=(slice(None),), mirrored: bool = True):
     """The one cocycle sweep behind every criterion of a run.  Per slice in
-    ``slices`` of the point columns (the whole set by default), one
-    (4, horizon) table of rows (-min lf, max lb, -min lb, max lf) for
-    n = 1..horizon, with the forward leg over ``fwd_pts`` and the backward
-    leg over ``bwd_pts``; and per kind in ``trim_kinds`` its (x, y) over
-    the points of the whole set that :func:`_trim_rows` keeps (trimming
-    picks its points per n, so it cannot be read off the extremes).
-    Trimming, and a slice short of the whole set, are defined only when
-    both legs read the same points.
+    ``slices`` of the point columns (the whole set by default), one table
+    of rows (-min lf, max lb) for n = 1..horizon, followed with
+    ``mirrored`` by the rows (-min lb, max lf) the adjoint kinds read, with
+    the forward leg over ``fwd_pts`` and the backward leg over
+    ``bwd_pts``; and per kind in ``trim_kinds`` its (x, y) over the points
+    of the whole set that :func:`_trim_rows` keeps (trimming picks its
+    points per n, so it cannot be read off the extremes).  Trimming, and a
+    slice short of the whole set, are defined only when both legs read the
+    same points.
 
     The legs arrive as blocks of the orbit lattice, one row per n, both of
     the height the wider point set allows.  Each leg value is elementwise
     in its point, so a slice's table is bit for bit the table of a sweep
     over that slice's points alone.  The extremes reduce point-major
     copies of the blocks, a whole row of n per step, not one n's 9-25
-    points.  With ``inverse`` they encode the inverse operator S, whose
-    weight along forward orbits is the reciprocal backward product of T:
+    points; the copies go into two buffers that every block reuses.  With
+    ``inverse`` they encode the inverse operator S, whose weight along
+    forward orbits is the reciprocal backward product of T:
     lf_S = -lb_T and lb_S = -lf_T.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    exts = [np.empty((4, horizon)) for _ in slices]
+    exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
     trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
+    legs = [(fwd_pts, 1, 0), (bwd_pts, -1, -1)]
+    sizes = [np.size(p) for p, _, _ in (legs[::-1] if inverse else legs)]
+    bufs = [np.empty((k, min(rows, horizon))) for k in sizes]
     n0 = 0
-    for lf, lb in zip(_orbit_log2_rows(op, fwd_pts, horizon, rows=rows),
-                      _orbit_log2_rows(op, bwd_pts, horizon, -1, -1, rows)):
+    for blocks in _orbit_log2_legs(op, legs, horizon, rows):
+        n1 = n0 + len(blocks[0])
         if inverse:
-            lf, lb = -lb, -lf
-        n1 = n0 + len(lf)
-        lf_t, lb_t = np.ascontiguousarray(lf.T), np.ascontiguousarray(lb.T)
+            blocks = blocks[::-1]
+        lf_t, lb_t = (buf[:, :n1 - n0] for buf in bufs)
+        for block, copy in zip(blocks, (lf_t, lb_t)):
+            if inverse:
+                np.negative(block.T, out=copy)
+            else:
+                copy[...] = block.T
         for ext, cols in zip(exts, slices):
             f, b = lf_t[cols], lb_t[cols]
-            ext[:, n0:n1] = (-f.min(axis=0), b.max(axis=0),
-                             -b.min(axis=0), f.max(axis=0))
+            x, y = ext[:2, n0:n1]
+            np.negative(f.min(axis=0, out=x), out=x)
+            b.max(axis=0, out=y)
+            if mirrored:
+                x, y = ext[2:, n0:n1]
+                np.negative(b.min(axis=0, out=x), out=x)
+                f.max(axis=0, out=y)
         ns = np.arange(n0 + 1, n1 + 1, dtype=float)
         for kind, xy in trimmed.items():
-            keep = _trim_rows(kind, ns, lf, lb, max_drop)
-            xy[:, n0:n1] = _kept_xy(keep, lf, lb)
+            keep = _trim_rows(kind, ns, lf_t.T, lb_t.T, max_drop)
+            xy[:, n0:n1] = _kept_xy(keep, lf_t.T, lb_t.T)
         n0 = n1
     return exts, trimmed
 
@@ -417,8 +448,9 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     if CriterionKind.WEDGE in kinds and window.radius < 1:
         raise ValueError("WEDGE needs a window radius >= 1")
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
-    [ext], trimmed = _leg_extremes(op, window.points, window.points,
-                                   horizon, inverse, trim_kinds, max_drop)
+    [ext], trimmed = _leg_extremes(
+        op, window.points, window.points, horizon, inverse, trim_kinds,
+        max_drop, mirrored=any(_FORMULA[k][1] for k in kinds))
     verdicts = []
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}

@@ -25,6 +25,7 @@ from .funcspace import (
     NormKind,
     SUP,
     SupNorm,
+    exit_time,
     homeo_orbit_blocks,
     linear_interpolate,
     norm,
@@ -212,14 +213,30 @@ def _orbit_blocks(op: CompositionOperator, f: GridFunction, horizon: int,
     ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t), both in
     blocks of ``_block_rows`` rows.  Same points and Sum2 sums as
     ``CocycleSweep``, so bit-identical.  A row whose values leave the
-    float range raises LindynError naming its n and side."""
+    float range raises LindynError naming its n and side.
+
+    Row n reads f at alpha^{+-n}(t), so from the exit time of the grid's
+    walk from the hull of f's support on (:func:`exit_time`), every row
+    is 0 and has lost all of f's mass: those rows are yielded as zeros
+    with their flags set, without the walk, the logs or the
+    interpolation."""
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
     step = 1 if side == "T" else -1
     pts = f.grid.points
-    logs = _orbit_log2_rows(op, pts, horizon, step, min(step, 0))
-    walk = homeo_orbit_blocks(op.alpha, pts, horizon, _block_rows(pts.size),
-                              step, step)
+    rows = _block_rows(pts.size)
+    live = np.flatnonzero(f.values)
+    walked = 0
+    if live.size:
+        # f's interpolant vanishes at and beyond the grid neighbours of its
+        # outermost nonzero points
+        lo = pts[live[0] - 1] if live[0] else pts[0] - f.grid.step
+        hi = (pts[live[-1] + 1] if live[-1] + 1 < pts.size
+              else pts[-1] + f.grid.step)
+        crossing = exit_time(op.alpha, pts, (lo, hi), horizon, step, step)
+        walked = horizon if crossing is None else crossing[0]
+    logs = _orbit_log2_rows(op, pts, walked, step, min(step, 0))
+    walk = homeo_orbit_blocks(op.alpha, pts, walked, rows, step, step)
     n0 = 0
     for lg, pos in zip(logs, walk):
         with np.errstate(over="ignore", invalid="ignore"):  # raised below
@@ -232,6 +249,14 @@ def _orbit_blocks(op: CompositionOperator, f: GridFunction, horizon: int,
                               f"float range")
         yield vals, f.truncated | _loses_mass(f, pos)
         n0 += len(vals)
+    if n0 < horizon:
+        zeros = np.zeros((min(rows, horizon - n0), pts.size), dtype=complex)
+        lost = np.full(len(zeros), f.truncated or bool(live.size))
+        for a in (zeros, lost):
+            a.setflags(write=False)
+        for k0 in range(n0, horizon, rows):
+            r = min(rows, horizon - k0)
+            yield zeros[:r], lost[:r]
 
 
 def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
@@ -265,16 +290,26 @@ class OrbitTrace:
     best: tuple[BestApproach, ...] = ()
 
     def to_csv(self, path):
+        """The rows as ``csv.writer`` writes them: floats as their repr,
+        CRLF line ends, and no field that needs quoting."""
+        n = len(self.norms)
+        dists = ([""] * n if self.scaled_dists is None
+                 else _reprs(self.scaled_dists))
+        cols = (map(str, range(1, n + 1)), _reprs(self.norms),
+                _reprs(self.cesaro_norms), dists,
+                map(("0", "1").__getitem__, self.truncated.tolist()))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "norm", "cesaro_norm", "scaled_dist",
-                             "truncated"])
-            for i in range(len(self.norms)):
-                d = "" if self.scaled_dists is None else repr(
-                    float(self.scaled_dists[i]))
-                writer.writerow([i + 1, repr(float(self.norms[i])),
-                                 repr(float(self.cesaro_norms[i])), d,
-                                 int(self.truncated[i])])
+            fh.write("n,norm,cesaro_norm,scaled_dist,truncated\r\n")
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each float of an array, formatting each distinct one (by
+    its bits, so -0.0 apart from 0.0) once: past its exit time an orbit's
+    columns repeat one value."""
+    texts: dict = {}
+    return [texts[b] if b in texts else texts.setdefault(b, repr(x))
+            for b, x in zip(values.view(np.int64).tolist(), values.tolist())]
 
 
 MODES = ("plain", "scaled", "cesaro")
@@ -287,6 +322,8 @@ def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
     the whole block; the sup and Segal solves run per row."""
     out = np.full(len(rows), norm(g, kind))
     live = np.flatnonzero(~zero)
+    if not live.size:
+        return out
     if isinstance(kind, L2Norm):
         out[live] = _l2_projective(rows[live], g.values, grid.step)[0]
     elif isinstance(kind, SupNorm):
@@ -318,10 +355,11 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
     n0 = 0
     for vals, lost in _orbit_blocks(op, f, horizon):
         ns = slice(n0, n0 + len(vals))
-        norms[ns] = row_norms(vals, kind, grid)
+        zero = ~vals.any(axis=1)
+        # every norm of a zero row is 0, as row_norms gives it
+        norms[ns] = 0.0 if zero.all() else row_norms(vals, kind, grid)
         trunc[ns] = lost
         if targets:
-            zero = ~vals.any(axis=1)
             dists[ns] = col = _scaled_distances(vals, zero, targets[0], kind,
                                                 grid)
         for i, g in enumerate(targets):

@@ -11,6 +11,7 @@ sup-norm series built from a profile tau.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ __all__ = [
     "homeo_power",
     "homeo_orbit",
     "homeo_orbit_blocks",
-    "aperiodicity_bound",
+    "exit_time",
     "GridFunction",
     "SupNorm",
     "L2Norm",
@@ -151,6 +152,14 @@ class PiecewiseMap:
         self.left_slope = float(left_slope)
         self.right_slope = float(right_slope)
         self.positive = bool(positive)
+
+    @property
+    def hull(self) -> tuple[float, float]:
+        """(lo, hi) such that the map is constant on (-inf, lo] and on
+        [hi, inf); an end is infinite where that tail has a slope."""
+        lo = float(self.breakpoints[0]) if self.left_slope == 0 else -math.inf
+        hi = float(self.breakpoints[-1]) if self.right_slope == 0 else math.inf
+        return lo, hi
 
     @classmethod
     def constant(cls, c, positive=None):
@@ -294,26 +303,85 @@ def homeo_orbit_blocks(a: Homeo, t, n: int, rows: int, step: int = 1,
         yield np.stack(list(itertools.islice(walk, min(rows, n - k0))))
 
 
-def aperiodicity_bound(a: Homeo, m: float, horizon: int = 10000):
-    """Smallest verified n with alpha^n([-m, m]) disjoint from [-m, m].
+def exit_time(a: Homeo, t, hull, n: int, step: int = 1, start: int = 0):
+    """The first row i < n of the walk ``homeo_orbit(a, t, step, start)``
+    from which every later point lies beyond ``hull`` = (lo, hi) on the
+    side the walk travels: at or above hi going right, at or below lo going
+    left.  Returns (i, the edge crossed), or None when no such row is below
+    n, the hull is unbounded on that side, or the walk is not certified to
+    stay beyond it.
 
-    For a translation the exact bound floor(2m/|shift|) + 1 is returned and
-    guarantees disjointness for every larger n.  For a piecewise-affine
-    homeomorphism the interval images are searched empirically up to the
-    horizon; ``None`` means not verified within it.
+    A translation travels one way at every point, and its float positions
+    t + k*shift are monotone in t and in k, so the row is where the extreme
+    point crosses: a closed form, settled on those floats.  A
+    piecewise-affine alpha is certified when it is increasing and its step
+    map F (alpha, or its inverse for a backward walk) moves every point on
+    the side of travel, from the walk's first row on, towards that side:
+    F(x) - x of one sign there, checked at F's nodes and tail slope.  Then
+    each orbit is monotone and never comes back, and the row is found by
+    walking until every point has crossed.  Any other alpha gets None.
     """
-    if m < 0:
-        raise ValueError("window radius must be >= 0")
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if n < 1 or t.size == 0 or step == 0:  # step 0 travels nowhere
+        return None
+    lo, hi = float(hull[0]), float(hull[1])
     if isinstance(a, Translation):
-        return int(2 * m / abs(a.shift)) + 1
-    lo, hi = -float(m), float(m)
-    for n in range(1, horizon + 1):
-        lo, hi = a.map(lo), a.map(hi)
-        if not a.increasing:
-            lo, hi = min(lo, hi), max(lo, hi)
-        if hi < -m or lo > m:
-            return n
+        right = step * a.shift > 0
+        edge = hi if right else lo
+        if not abs(edge) < math.inf:
+            return None
+        x0 = float(t.min() if right else t.max())
+
+        def crossed(i: int) -> bool:
+            # the float t + k*shift of homeo_orbit_blocks at the extreme
+            # point: k*shift is the same product (an exact int for an int
+            # shift), and a float overflows to +-inf as there
+            x = x0 + (start + i * step) * a.shift
+            return x >= edge if right else x <= edge
+
+        guess = (edge - x0 - start * float(a.shift)) / (step * float(a.shift))
+        i = 0 if not guess > 0 else n if guess >= n else math.ceil(guess)
+        while i > 0 and crossed(i - 1):
+            i -= 1
+        while i < n and not crossed(i):
+            i += 1
+        return (i, edge) if i < n else None
+    if not isinstance(a, PiecewiseAffineHomeo) or not a.increasing:
+        return None
+    fn = a.map if step >= 0 else a.inverse_map
+    walk = homeo_orbit(a, t, step, start)
+    first = next(walk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(hi) and _moves_towards(fn, min(first.min(), hi), 1):
+            edge, right = hi, True
+        elif np.isfinite(lo) and _moves_towards(fn, max(first.max(), lo), -1):
+            edge, right = lo, False
+        else:
+            return None
+    for i, row in zip(range(n), itertools.chain([first], walk)):
+        if (row >= edge if right else row <= edge).all():
+            return i, edge
     return None
+
+
+# F(x) - x must clear zero by this share of the largest coordinate in play:
+# F's float evaluation errs by a few ulps of it, and a smaller margin could
+# let a rounded step land back across the edge
+_EXIT_MARGIN = 2.0 ** -40
+
+
+def _moves_towards(fn: PiecewiseMap, x: float, sign: int) -> bool:
+    """True iff sign*(fn(y) - y) > 0 for every y on the side ``sign`` of x
+    (y >= x for +1, y <= x for -1), with the margin above: fn - id is
+    affine between fn's nodes, so its extremes there are at x and at the
+    nodes beyond x, and beyond the last node it keeps its sign when fn's
+    tail slope is at least 1."""
+    bp = fn.breakpoints
+    ys = np.concatenate(([x], bp[sign * (bp - x) > 0]))
+    tail = fn.right_slope if sign > 0 else fn.left_slope
+    scale = max(np.abs(ys).max(), np.abs(fn.values).max())
+    gap = sign * (fn(ys) - ys)
+    return bool(tail >= 1 and gap.min() > _EXIT_MARGIN * scale)
 
 
 class GridFunction:

@@ -26,6 +26,7 @@ from .funcspace import (
     Homeo,
     PiecewiseMap,
     Translation,
+    exit_time,
     homeo_orbit,
     homeo_orbit_blocks,
     homeo_power,
@@ -113,41 +114,34 @@ def _block_rows(width: int) -> int:
 
 
 class _Lattice:
-    """The orbit points t + k*shift of a translation's walk over a point
+    """The orbit points t + k*shift of a translation's walks over a point
     set, read as one 1-D table per block.
 
     When the points and the shift are integer multiples of 2**-e and every
-    t + k*shift the walk reads is below 2**52 * 2**-e in size, each such
+    t + k*shift the walks read is below 2**52 * 2**-e in size, each such
     sum is exact, and so is lo + i*g for a block's least point lo and the
     lattice step g, the gcd of the shift and the points' differences.  The
     table lo + g*arange(size) then holds the very floats of the block's
     position array, each distinct one once: row r of the block reads the
     entries r*d + cols, d = step*shift/g and cols = (t - min t)/g, moved
     by (rows - 1)*|d| when d < 0, so that the block's least point is
-    entry 0."""
+    entry 0.  One lattice serves every walk over its points with |k| up to
+    the ``kmax`` it was built for."""
 
-    def __init__(self, shift: float, t0: float, g: float, d: int, span: int,
-                 cols):
-        self.shift, self.t0, self.g, self.d = shift, t0, g, d
-        self.span, self.cols = span, cols
+    def __init__(self, shift: float, t0: float, g: float, unit: int,
+                 span: int, cols, neg_zero: bool):
+        self.shift, self.t0, self.g, self.unit = shift, t0, g, unit
+        self.span, self.cols, self.neg_zero = span, cols, neg_zero
 
     @classmethod
-    def of(cls, alpha, pts: np.ndarray, n: int, step: int,
-           start: int) -> "_Lattice | None":
-        """The lattice of the first n points of ``homeo_orbit(alpha, pts,
-        step, start)``, or None unless alpha is a translation, n and |t|
-        are positive and the walk is exact as above."""
-        k = pts.size
-        if not isinstance(alpha, Translation) or n < 1 or k == 0:
+    def of(cls, alpha, pts: np.ndarray, kmax: int) -> "_Lattice | None":
+        """The lattice of the walks over ``pts`` with |k| <= kmax, or None
+        unless alpha is a translation, |t| is positive and those walks are
+        exact as above."""
+        if not isinstance(alpha, Translation) or pts.size == 0:
             return None
         shift = alpha.shift
-        k_end = start + step * (n - 1)
-        # t + k*shift is -0.0, a float no table holds, only for t = -0.0
-        # read at k = 0 under a negative shift
-        if (shift < 0 and min(start, k_end) <= 0 <= max(start, k_end)
-                and np.signbit(pts[pts == 0]).any()):
-            return None
-        kmax = max(abs(start), abs(k_end), 1)
+        kmax = max(kmax, 1)
         t0, t1 = float(pts.min()), float(pts.max())
         # e is the largest with reach < 2**52 * 2**-e; rounding is monotone
         # and that bound a float, so the float reach is below it iff the
@@ -166,70 +160,140 @@ class _Lattice:
         offsets //= g
         # evenly spaced points read the table through a strided view
         cols = offsets
-        if k > 1:
+        if pts.size > 1:
             dc = int(offsets[1] - offsets[0])
             if dc and (np.diff(offsets) == dc).all():
                 cols = slice(int(offsets[0]), None, dc)
-        return cls(shift, t0, math.ldexp(g, -e), step * sh // g,
-                   int(offsets.max()), cols)
+        # t + k*shift is -0.0, a float no table holds, only for t = -0.0
+        # read at k = 0 under a negative shift
+        neg_zero = shift < 0 and bool(np.signbit(pts[pts == 0]).any())
+        return cls(shift, t0, math.ldexp(g, -e), sh // g, int(offsets.max()),
+                   cols, neg_zero)
 
-    def log2_block(self, op: CompositionOperator, k1: int, rows: int,
-                   k: int) -> np.ndarray | None:
-        """What :func:`_log2_block` gives for the block of ``rows`` rows
-        from k = ``k1`` over the k points, or None when the table would
-        have more entries than the block has cells."""
-        d, span = self.d, self.span
+    def reads(self, n: int, step: int, start: int) -> bool:
+        """Whether the walk of n rows from k = ``start`` by ``step``, with
+        |k| <= kmax, may read this lattice: it reads no -0.0 point."""
+        ks = start, start + step * (n - 1)
+        return not (self.neg_zero and min(ks) <= 0 <= max(ks))
+
+    def log2_block(self, op: CompositionOperator, k1: int, step: int,
+                   out: np.ndarray) -> bool:
+        """Write log2 w over the block of ``len(out)`` rows from k = ``k1``
+        by ``step`` into ``out``, (rows, |t|); False, writing nothing, when
+        the table would have more entries than the block has cells."""
+        rows, k = out.shape
+        d, span = step * self.unit, self.span
         size = abs(d) * (rows - 1) + span + 1
         if size > rows * k:
-            return None
+            return False
         # the least point of the block, in its first row or its last
         low = min(0, d * (rows - 1))
         table = np.arange(size) * self.g
         table += self.t0 + k1 * self.shift + low * self.g
         op.log2_weight(table, out=table)
-        logs = np.empty((rows, k + k % 2))
-        logs[:, :k] = np.ndarray((rows, span + 1), float, table, -8 * low,
-                                 (8 * d, 8))[:, self.cols]
-        logs[:, k:] = 0.0
-        return logs
+        out[...] = np.ndarray((rows, span + 1), float, table, -8 * low,
+                              (8 * d, 8))[:, self.cols]
+        return True
 
 
 def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
                      start: int = 0, rows: int | None = None):
     """Yield, in (rows, |t|) blocks, the partial sums
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
-    compensated, elementwise in t, summed in walk order; one weight call
-    per block, on the block's :class:`_Lattice` table where it has one,
-    else on its position block.  ``rows`` defaults to :func:`_block_rows`
-    of |t|.  The sums run on an even-width block, and each yielded block
-    is the view of its first |t| columns."""
-    pts = np.atleast_1d(np.asarray(pts, dtype=float))
-    k = pts.size
-    rows = rows or _block_rows(k)
+    compensated, elementwise in t, summed in walk order.  ``rows``
+    defaults to :func:`_block_rows` of |t|.  The one-leg case of
+    :func:`_orbit_log2_legs`."""
+    for (block,) in _orbit_log2_legs(op, [(pts, step, start)], n, rows):
+        yield block
+
+
+def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
+                     rows: int | None = None):
+    """Yield, block by block, the tuple of the blocks of
+    ``_orbit_log2_rows(op, pts, n, step, start, rows)`` for each leg
+    (pts, step, start) of ``legs``; ``rows`` defaults to
+    :func:`_block_rows` of the widest point set.
+
+    A leg walks only up to its exit time from the weight's hull (see
+    :func:`_leg_tail`); its later rows hold the tail's log2 constant, with
+    no walk, table or weight call, which are the terms the walk would
+    read.  A walked block makes one weight call, on the block's
+    :class:`_Lattice` table where it has one, else on its position block;
+    legs over the same point set share one lattice, built for the largest
+    |k| any leg walks.  The sums run on even-width blocks, and each
+    yielded block is the view of its first |t| columns."""
+    legs = [(np.atleast_1d(np.asarray(p, dtype=float)), step, start)
+            for p, step, start in legs]
+    rows = rows or _block_rows(max(p.size for p, _, _ in legs))
+    tails = [_leg_tail(op, p, n, step, start) for p, step, start in legs]
+    kmax = max([max(abs(start), abs(start + step * (walked - 1)))
+                for (_, step, start), (walked, _) in zip(legs, tails)
+                if walked], default=None)
+    lattices: dict = {}
+    sums = []
+    for (p, step, start), (walked, tail) in zip(legs, tails):
+        key = p.tobytes()
+        if key not in lattices:
+            lattices[key] = (None if kmax is None
+                             else _Lattice.of(op.alpha, p, kmax))
+        lattice = lattices[key]
+        if lattice is not None and not lattice.reads(walked, step, start):
+            lattice = None
+        sums.append(_summed(_log2_blocks(op, p, n, rows, step, start, walked,
+                                         tail, lattice), p.size, rows, n))
+    return zip(*sums)
+
+
+def _leg_tail(op: CompositionOperator, pts: np.ndarray, n: int, step: int,
+              start: int) -> tuple[int, float]:
+    """The rows of the walk over ``pts`` before its exit time from the
+    weight's hull, and log2 w beyond the edge it crossed; (n, 0.0) without
+    an exit below n.  A weight says where it is constant by its ``hull``;
+    one without says nothing, and is walked throughout."""
+    hull = getattr(op.weight, "hull", (-math.inf, math.inf))
+    crossing = exit_time(op.alpha, pts, hull, n, step, start)
+    if crossing is None:
+        return n, 0.0
+    row, edge = crossing
+    return row, float(op.log2_weight(np.array([edge]))[0])
+
+
+def _summed(blocks, k: int, rows: int, n: int):
+    """The Sum2 partial sums down a leg's even-width ``blocks``, each
+    yielded as the view of its first k columns."""
     width = k + k % 2
     buf = np.empty((2 * min(rows, n) + 1, width))
     carry = np.zeros(width), np.zeros(width)
-    for logs in _log2_blocks(op, pts, n, rows, step, start):
+    for logs in blocks:
         carry = _sum2_rows(logs, *carry, buf)
         yield logs[:, :k]
 
 
 def _log2_blocks(op: CompositionOperator, pts: np.ndarray, n: int,
-                 rows: int, step: int, start: int):
+                 rows: int, step: int, start: int, walked: int, tail: float,
+                 lattice: "_Lattice | None"):
     """log2 w over the blocks of ``homeo_orbit_blocks(op.alpha, pts, n,
-    rows, step, start)``, each as :func:`_log2_block` gives it."""
+    rows, step, start)``, each a fresh (rows, even width) array whose
+    columns past |t| hold 0: the first ``walked`` rows read the weight,
+    through ``lattice`` where it has a table for the block, and the rest
+    hold ``tail``."""
     k = pts.size
-    lattice = _Lattice.of(op.alpha, pts, n, step, start)
-    if lattice is None:
-        for block in homeo_orbit_blocks(op.alpha, pts, n, rows, step, start):
-            yield _log2_block(op, block, k + k % 2)
-        return
+    walk = (homeo_orbit_blocks(op.alpha, pts, walked, rows, step, start)
+            if lattice is None else None)
     for k0 in range(0, n, rows):
-        r, k1 = min(rows, n - k0), start + step * k0
-        logs = lattice.log2_block(op, k1, r, k)
-        if logs is None:
-            [block] = homeo_orbit_blocks(op.alpha, pts, r, r, step, k1)
-            logs = _log2_block(op, block, k + k % 2)
+        logs = np.empty((min(rows, n - k0), k + k % 2))
+        logs[:, k:] = 0.0
+        head = logs[:max(0, walked - k0), :k]
+        k1 = start + step * k0
+        if len(head) and not (lattice is not None
+                              and lattice.log2_block(op, k1, step, head)):
+            if walk is None:
+                [block] = homeo_orbit_blocks(op.alpha, pts, len(head),
+                                             len(head), step, k1)
+            else:
+                block = next(walk)
+            op.log2_weight(block, out=head)
+        logs[len(head):, :k] = tail
         yield logs
 
 

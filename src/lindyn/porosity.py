@@ -24,7 +24,14 @@ from .errors import (
     NoValidNError,
     PreconditionViolatedError,
 )
-from .funcspace import Grid, GridFunction, SUP, homeo_power, norm
+from .funcspace import (
+    Grid,
+    GridFunction,
+    SUP,
+    Translation,
+    homeo_power,
+    norm,
+)
 from .operators import CompositionOperator, _orbit_log2_rows
 from .dynamics import _orbit_blocks
 
@@ -455,6 +462,23 @@ def corollary_g(op: CompositionOperator, grid: Grid,
     return GammaSet(GridFunction(grid, vals))
 
 
+def _witness_points(alpha, horizon: int) -> np.ndarray:
+    """alpha^-n(n) for n = 1..horizon, the floats of ``homeo_power(alpha,
+    float(n), -n)``: a translation's closed form, else one backward walk
+    of the points 1..horizon that drops each point once read."""
+    ns = np.arange(1, horizon + 1)
+    if isinstance(alpha, Translation):
+        return homeo_power(alpha, ns.astype(float), -ns)
+    out = np.empty(horizon)
+    cur = ns.astype(float)
+    with np.errstate(over="ignore"):  # +-inf as in homeo_power
+        for i in range(horizon):
+            cur = alpha.inverse_map(cur)
+            out[i] = cur[0]
+            cur = cur[1:]
+    return out
+
+
 def corollary_check(op: CompositionOperator, gamma: GammaSet,
                     f: GridFunction, horizon: int) -> float:
     """min over n <= horizon of ||T^n f||_inf for a member f of Gamma_g;
@@ -462,13 +486,13 @@ def corollary_check(op: CompositionOperator, gamma: GammaSet,
     when the profile is the inverse product profile."""
     if not gamma_membership(f, gamma):
         raise PreconditionViolatedError("f is not in Gamma_g")
-    L = f.grid.half_width
-    for n in range(1, horizon + 1):
-        wp = float(homeo_power(op.alpha, float(n), -n))
-        if abs(wp) > L:
-            raise PreconditionViolatedError(
-                f"witness point alpha^-{n}({n}) = {wp} leaves the grid"
-            )
+    wps = _witness_points(op.alpha, horizon)
+    far = np.flatnonzero(np.abs(wps) > f.grid.half_width)
+    if far.size:
+        n, wp = int(far[0]) + 1, float(wps[far[0]])
+        raise PreconditionViolatedError(
+            f"witness point alpha^-{n}({n}) = {wp} leaves the grid"
+        )
     best = math.inf
     for vals, _ in _orbit_blocks(op, f, horizon):
         best = min(best, float(np.abs(vals).max(axis=1).min()))

@@ -20,6 +20,7 @@ from .criteria import (
     SATISFIED,
     CompactWindow,
     CriterionKind,
+    CriterionVerdict,
     _FORMULA,
     _kind_rows,
     _kind_verdict,
@@ -60,6 +61,8 @@ class _TelescopingWeight:
 
     def __init__(self, shift: float = 0.0):
         self.shift = shift
+        # constant 1/2 on [shift, inf); no constant left tail
+        self.hull = (-math.inf, shift)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -272,12 +275,9 @@ class ExpectationResult:
 
 
 def run_expectation(example: GoldenExample, exp: Expectation,
-                    table: np.ndarray) -> ExpectationResult:
-    """One registry row's result, read off ``table``: the leg rows of the
-    row's sweep (see :func:`run_registry`), at least ``exp.horizon`` long."""
-    kind = CriterionKind(exp.check)
-    xy = _kind_rows(kind, table)[:, :exp.horizon]
-    verdict = _kind_verdict(kind, xy, exp.tol)
+                    verdict: CriterionVerdict) -> ExpectationResult:
+    """One registry row's result, read off ``verdict``: the verdict of the
+    row's trace (see :func:`run_registry`)."""
     n_best, q_best = verdict.best or (0, math.inf)
     return ExpectationResult(
         example.example_id, exp.check, exp.inverse, exp.expected,
@@ -299,22 +299,28 @@ def run_registry(ids) -> list[ExpectationResult]:
     """The results of every row of the examples ``ids``, in order.
 
     The rows of one preset share one sweep, over the widest window among
-    them and at the longest horizon.  A narrower window's points are a
+    them and at the longest horizon; it reduces the mirrored legs only
+    when an adjoint row reads them.  A narrower window's points are a
     centred slice of the widest window's, so its table is the extremes
     over that slice's columns; a shorter row reads a prefix.  Both are bit
     for bit the row's own sweep: each leg value is elementwise in t and
-    n.  An inverse row reads the rows (1, 0, 3, 2) of its table, since
-    the inverse S has lf_S = -lb_T and lb_S = -lf_T, and negation is exact
-    (the legs never hold -0.0).
+    n.  An inverse row reads the rows (1, 0) of its table, since the
+    inverse S has lf_S = -lb_T and lb_S = -lf_T, and negation is exact
+    (the legs never hold -0.0).  Rows that read the same table through
+    the same formula, horizon and tol share one verdict, computed for the
+    first of them.
     """
     rows = [(REGISTRY[i], exp) for i in ids
             for exp in REGISTRY[i].expectations]
     radii: dict = {}
     horizons: dict = {}
+    mirrored: set = set()
     for example, exp in rows:
         radii.setdefault(example.preset, set()).add(_reads(exp)[0])
         horizons[example.preset] = max(horizons.get(example.preset, 0),
                                        exp.horizon)
+        if _FORMULA[CriterionKind(exp.check)][1]:
+            mirrored.add(example.preset)
     tables = {}
     for preset, ms in radii.items():
         ms = sorted(ms)
@@ -324,12 +330,19 @@ def run_registry(ids) -> list[ExpectationResult]:
         slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
                   for w in windows]
         exts, _ = _leg_extremes(build_preset(preset), pts, pts,
-                                horizons[preset], slices=slices)
+                                horizons[preset], slices=slices,
+                                mirrored=preset in mirrored)
         tables.update(((preset, m), ext) for m, ext in zip(ms, exts))
+    verdicts = {}
     results = []
     for example, exp in rows:
+        kind = CriterionKind(exp.check)
         m, inverse = _reads(exp)
-        table = tables[example.preset, m]
-        results.append(run_expectation(
-            example, exp, table[[1, 0, 3, 2]] if inverse else table))
+        key = (example.preset, m, inverse, _FORMULA[kind], exp.horizon,
+               exp.tol)
+        if key not in verdicts:
+            table = tables[example.preset, m]
+            xy = _kind_rows(kind, table[[1, 0]] if inverse else table)
+            verdicts[key] = _kind_verdict(kind, xy[:, :exp.horizon], exp.tol)
+        results.append(run_expectation(example, exp, verdicts[key]))
     return results

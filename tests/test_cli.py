@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lindyn import cli, criteria, dynamics
+from lindyn import cli, criteria, dynamics, presets
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CompactWindow, CriterionKind, _leg_extremes
 from lindyn.measures import adjoint_criterion
@@ -165,7 +165,8 @@ class TestRegistrySweeps:
                                                REGISTRY.values()}))
     def test_slices_and_inverse_of_one_sweep(self, preset, h):
         # a narrower window is a centred column slice of the m = 2 sweep,
-        # and the inverse operator's table its rows (1, 0, 3, 2)
+        # and the inverse operator's table its rows (1, 0, 3, 2); a sweep
+        # without the mirrored rows gives the first two
         op = build_preset(preset)
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
         windows = [CompactWindow.from_grid(DEFAULT_GRID, m).points
@@ -173,13 +174,33 @@ class TestRegistrySweeps:
         slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
                   for w in windows]
         exts, _ = _leg_extremes(op, pts, pts, h, slices=slices)
-        for w, cols, ext in zip(windows, slices, exts):
+        leans, _ = _leg_extremes(op, pts, pts, h, slices=slices,
+                                 mirrored=False)
+        for w, cols, ext, lean in zip(windows, slices, exts, leans):
+            assert lean.shape == (2, h)
+            assert np.array_equal(lean.view(np.int64), ext[:2].view(np.int64))
             assert np.array_equal(pts[cols], w)
             [alone], _ = _leg_extremes(op, w, w, h)
             [inverse], _ = _leg_extremes(op, w, w, h, inverse=True)
             assert np.array_equal(ext.view(np.int64), alone.view(np.int64))
             assert np.array_equal(ext[[1, 0, 3, 2]].view(np.int64),
                                   inverse.view(np.int64))
+
+    def test_one_verdict_per_distinct_trace(self, monkeypatch, capsys):
+        # 24 rows read 18 distinct (table, formula, horizon, tol) traces:
+        # e.g. ex3.6's SUPERCYCLIC_SOLID and SUPERCYCLIC_C0 rows and the
+        # WEDGE row share one; each row still has its run_expectation
+        calls = {"_kind_verdict": 0, "run_expectation": 0}
+        for name in calls:
+            fn = getattr(presets, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(presets, name, counted)
+        assert run(["examples"]) == 0
+        assert calls == {"_kind_verdict": 18, "run_expectation": 24}
 
     def test_one_sweep_per_key(self, monkeypatch, capsys):
         # 7 presets at H = 200 but ex3.8's at 2000; the narrower windows,

@@ -281,6 +281,65 @@ class TestOrbitBlockSeams:
         assert checked == [b - 1, b, b + 1, horizon]
 
 
+class TestOrbitExit:
+    """From the exit time of the grid's walk from the hull of the seed's
+    support on, every row is 0 and has lost the seed's mass: the block
+    walk yields those rows without walking or interpolating them, bit for
+    bit the rows read off a CocycleSweep stepped n times."""
+
+    GRID = Grid(64.0, 0.25)  # 513 points: blocks of 63 rows
+    WEIGHT = PiecewiseMap([-1.0, 0.0, 1.0], [2.0, 1.0, 0.5], positive=True)
+    OPS = {
+        "ex3.5": build_preset("ex3.5"),
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+    BUMP = triangular_bump(GRID, 0.0, 1.0, 1 - 0.5j)
+    SEEDS = {
+        "bump": BUMP,
+        # nonzero up to the grid's last point
+        "edge": triangular_bump(GRID, 62.0, 4.0, 0.5 + 1j),
+        "truncated": GridFunction(GRID, BUMP.values, truncated=True),
+        "zero": GridFunction.zero(GRID),
+    }
+    HORIZON = 450
+
+    @pytest.mark.parametrize("side", ["T", "S"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_rows_past_the_exit_match_the_sweep(self, name, side,
+                                                monkeypatch):
+        import lindyn.dynamics as dynamics
+
+        read = []
+
+        def interpolate(f, pos):
+            read.append(len(pos))
+            return linear_interpolate(f, pos)
+
+        monkeypatch.setattr(dynamics, "linear_interpolate", interpolate)
+        op = self.OPS[name]
+        for seed, f in self.SEEDS.items():
+            read.clear()
+            blocks = list(dynamics._orbit_blocks(op, f, self.HORIZON, side))
+            vals = np.concatenate([v for v, _ in blocks])
+            lost = np.concatenate([flags for _, flags in blocks])
+            # every walk leaves the grid's seed hull before the horizon
+            assert sum(read) < self.HORIZON if seed != "zero" else not read
+            sweep = CocycleSweep(op, f.grid.points)
+            for n in range(1, self.HORIZON + 1):
+                sweep.step()
+                if side == "T":
+                    pos, logs = sweep.forward_positions, sweep.log_forward
+                else:
+                    pos, logs = sweep.backward_positions, -sweep.log_backward
+                ref = scale_by_exp2(logs, linear_interpolate(f, pos))
+                assert np.array_equal(vals[n - 1].view(np.int64),
+                                      ref.view(np.int64)), (seed, n)
+                assert lost[n - 1] == (f.truncated or _loses_mass(f, pos))
+            assert not vals[-1].any()
+
+
 class TestProductFormOracle:
     """Each row of operator_orbit equals the product-form power of
     tests/oracles.py, apply_Tn or apply_Sn, to 1e-12 relative, with the

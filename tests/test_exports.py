@@ -38,13 +38,11 @@ def test_bench_spans_resolve():
 
 # Exports with no caller in src/lindyn yet, each with the ROADMAP item that
 # decides it: 5 re-points the bench spans that wrap them (operator_orbit's
-# readers are the bench's OrbitBound and its dynamics.orbit_step span), 8
-# may turn aperiodicity_bound into the exit time.
+# readers are the bench's OrbitBound and its dynamics.orbit_step span).
 PENDING = {
     "operators.CocycleSweep": 5,
     "dynamics.empirical_best": 5,
     "dynamics.operator_orbit": 5,
-    "funcspace.aperiodicity_bound": 8,
 }
 
 

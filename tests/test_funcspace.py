@@ -20,7 +20,7 @@ from lindyn.funcspace import (
     SUP,
     SegalNorm,
     Translation,
-    aperiodicity_bound,
+    exit_time,
     homeo_from_spec,
     homeo_orbit,
     homeo_orbit_blocks,
@@ -209,28 +209,91 @@ class TestHomeo:
         assert homeo_power(h2, 1.25, 1) == 1.25
 
 
-class TestAperiodicity:
-    def test_translation_bounds(self):
-        assert aperiodicity_bound(Translation(-1.0), 5.0) == 11
-        assert aperiodicity_bound(Translation(0.5), 1.0) == 5
-        assert aperiodicity_bound(Translation(-1.0), 0.0) == 1
+def first_row_beyond(a, t, hull, n, step=1, start=0):
+    """The first row i < n from which every point of the walk's rows i..n-1
+    lies beyond the hull on one side, by scanning the rows; None if none."""
+    lo, hi = hull
+    rows = np.stack(list(islice(homeo_orbit(a, np.asarray(t, float), step,
+                                            start), n)))
+    for side in (rows >= hi, rows <= lo):
+        done = side.all(axis=1)
+        if done[-1]:
+            return int(n - np.argmin(done[::-1]) if not done.all() else 0)
+    return None
 
-    def test_translation_bound_is_certified(self):
-        # every n >= N_K moves [-m, m] off itself
-        a = Translation(0.75)
-        m = 3.0
-        nk = aperiodicity_bound(a, m)
-        for n in range(nk, nk + 20):
-            lo = homeo_power(a, -m, n)
-            assert lo > m or homeo_power(a, m, n) < -m
 
-    def test_piecewise_search(self):
-        fwd = PiecewiseMap([0.0], [2.0], 1.0, 1.0)  # t -> t + 2
-        h = PiecewiseAffineHomeo(fwd)
-        assert aperiodicity_bound(h, 1.0) == 2
+class TestExitTime:
+    def test_translation_closed_form(self):
+        pts = np.linspace(-5.0, 5.0, 41)
+        assert exit_time(Translation(-1.0), pts, (-5.0, 5.0), 100) == (10,
+                                                                      -5.0)
+        assert exit_time(Translation(0.5), [-1.0, 1.0], (-1.0, 1.0),
+                         100) == (4, 1.0)
+        # the backward walk from k = -1 of ex3.8's window, right tail at 0
+        assert exit_time(Translation(-1.0), pts, (-np.inf, 0.0), 100, -1,
+                         -1) == (4, 0.0)
+        # already beyond, no row below n, and no edge on the side of travel
+        assert exit_time(Translation(1.0), [3.0], (-1.0, 1.0), 5) == (0, 1.0)
+        assert exit_time(Translation(-1.0), pts, (-5.0, 5.0), 10) is None
+        assert exit_time(Translation(-1.0), pts, (-np.inf, 0.0), 100) is None
+        # a walk with step 0 stands still
+        assert exit_time(Translation(1.0), [3.0], (-1.0, 1.0), 5, 0) is None
 
-    def test_identity_not_verified(self):
-        assert aperiodicity_bound(identity_homeo(), 1.0, horizon=50) is None
+    @pytest.mark.parametrize("shift", [0.3, -0.3, 1.0, -0.75, 1e308])
+    @pytest.mark.parametrize("step, start", [(1, 0), (-1, -1), (1, 7),
+                                             (-1, 5)])
+    def test_translation_matches_the_scanned_rows(self, shift, step, start):
+        # settled on the floats the walk computes, non-dyadic shifts and
+        # an overflow to +-inf included
+        a = Translation(shift)
+        pts = Grid(2.0, 0.25).points
+        for hull in ((-1.0, 1.0), (-2.1, 0.7), (-np.inf, 3.3), (0.1, np.inf)):
+            with np.errstate(over="ignore"):
+                want = first_row_beyond(a, pts, hull, 60, step, start)
+            got = exit_time(a, pts, hull, 60, step, start)
+            right = step * shift > 0
+            if want is None or not np.isfinite(hull[right]):
+                assert got is None
+            else:
+                assert got == (want, hull[right])
+
+    def test_piecewise_walk(self):
+        h = PiecewiseAffineHomeo(PiecewiseMap([0.0], [2.0], 1.0, 1.0))
+        assert exit_time(h, [-1.0, 1.0], (-1.0, 1.0), 50) == (1, 1.0)
+        assert exit_time(h, [-1.0, 1.0], (-1.0, 1.0), 50, -1, 0) == (1, -1.0)
+        # F(x) - x < 0 everywhere: forward walks go left and backward walks
+        # go right, each certified
+        a = PiecewiseAffineHomeo(PiecewiseMap([-2.0, 0.0, 2.0],
+                                              [-3.0, -1.5, 1.0], 1.0, 1.0))
+        pts = Grid(2.0, 0.25).points
+        for step, start, edge in ((1, 0, -1.0), (-1, -1, 1.0)):
+            want = first_row_beyond(a, pts, (-1.0, 1.0), 40, step, start)
+            assert exit_time(a, pts, (-1.0, 1.0), 40, step, start) == (
+                want, edge)
+
+    def test_uncertified_maps(self):
+        pts = np.linspace(-1.0, 1.0, 9)
+        # the identity, a fixed point at 3 on the side of travel, and a
+        # decreasing map
+        fixed = PiecewiseAffineHomeo(PiecewiseMap([0.0, 3.0], [1.0, 3.0],
+                                                  1.0, 2.0))
+        flip = PiecewiseAffineHomeo(PiecewiseMap([0.0], [0.0], -1.0, -1.0))
+        for a in (identity_homeo(), fixed, flip):
+            assert exit_time(a, pts, (-2.0, 2.0), 200) is None
+        # a tail slope below 1 turns F(x) - x negative far out: no
+        # certificate, though these points would cross
+        slow = PiecewiseAffineHomeo(PiecewiseMap([0.0, 10.0], [1.0, 11.0],
+                                                 1.0, 0.5))
+        assert first_row_beyond(slow, pts, (-2.0, 2.0), 20) == 3
+        assert exit_time(slow, pts, (-2.0, 2.0), 20) is None
+
+    def test_expanding_walk_overflows(self):
+        # doubling past 1 reaches +inf, which stays beyond
+        a = PiecewiseAffineHomeo(PiecewiseMap([0.0, 1.0], [1.0, 2.0],
+                                              1.0, 2.0))
+        with np.errstate(over="ignore"):
+            assert exit_time(a, [0.0, 0.5], (-1.0, 1e300), 2000) == (
+                first_row_beyond(a, [0.0, 0.5], (-1.0, 1e300), 2000), 1e300)
 
 
 class TestNorms:

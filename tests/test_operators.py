@@ -17,6 +17,7 @@ from lindyn.funcspace import (
     PiecewiseMap,
     SUP,
     Translation,
+    exit_time,
     homeo_orbit_blocks,
     homeo_power,
     norm,
@@ -343,8 +344,10 @@ class TestSum2Kernel:
                                    np.empty((2 * len(logs) + 1, pts.size)))
             assert got.shape == logs.shape
             assert np.array_equal(bits(got), bits(logs))
-        lattice = _Lattice.of(op.alpha, pts, 40, step, start)
-        assert (lattice is None) == direct
+        lattice = _Lattice.of(op.alpha, pts,
+                              max(abs(start), abs(start + 39 * step)))
+        assert (lattice is None or not lattice.reads(40, step, start)) \
+            == direct
 
     @pytest.mark.parametrize("shift", [-1.0, 40.0])
     def test_weight_work_per_block(self, shift):
@@ -365,6 +368,109 @@ class TestSum2Kernel:
                 assert seen <= rows * pts.size
                 if shift == -1.0:
                     assert seen <= 4 * rows + pts.size
+
+
+def warp(phi: PiecewiseMap, shift: float) -> PiecewiseAffineHomeo:
+    """phi^-1 o (t -> t + shift) o phi, for an increasing piecewise-affine
+    phi with a nonzero tail slope on each side: the conjugate of a
+    translation, which is increasing and moves every point one way."""
+    inv = PiecewiseAffineHomeo(phi).inverse_map
+    nodes = np.union1d(phi.breakpoints, inv(phi.values - shift))
+    return PiecewiseAffineHomeo(PiecewiseMap(nodes, inv(phi(nodes) + shift),
+                                             1.0, 1.0))
+
+
+BRIDGE = PiecewiseMap([-1.0, 1.0], [2.0, 1.0], positive=True)
+
+
+def exit_cases() -> list:
+    """(operator, points, horizon, exits) for the tail-fill test: whether
+    the forward and the backward leg exit the weight's hull below the
+    horizon.  Each certified walk crosses the hull's edge from a point
+    inside it, where the weight differs from its tail value."""
+    window = Grid(2.0, 0.25).points
+    # alpha(x) - x < 0 everywhere, the map of the CI's inline config
+    left = PiecewiseAffineHomeo(PiecewiseMap([-2.0, 0.0, 2.0],
+                                             [-3.0, -1.5, 1.0], 1.0, 1.0))
+    cases = [pytest.param(CompositionOperator(left, BRIDGE), window, 3000,
+                          (True, True), id="left-mover")]
+    for name, slopes in (("dyadic", (0.5, 2.0)), ("non-dyadic", (0.7, 3.0))):
+        phi = PiecewiseMap([-1.5, 0.0, 2.5], [-2.0, 0.0, 1.0], *slopes)
+        cases.append(pytest.param(CompositionOperator(warp(phi, -1.0),
+                                                      BRIDGE),
+                                  window, 3000, (True, True),
+                                  id=f"warp-{name}"))
+    # a fixed point at 0.5 inside the hull, a decreasing map: no
+    # certificate, every row walked
+    fixed = PiecewiseAffineHomeo(PiecewiseMap([0.0, 1.0], [-0.5, 1.0],
+                                              1.0, 1.0))
+    flip = PiecewiseAffineHomeo(PiecewiseMap([0.0], [0.5], -1.0, -1.0))
+    cases += [pytest.param(CompositionOperator(a, BRIDGE), window, 1500,
+                           (False, False), id=name)
+              for name, a in (("fixed-point", fixed), ("decreasing", flip))]
+    # doubling past 1 overflows to +inf after about 1024 rows, beyond the
+    # hull [-1, 5], whose right tail 0.75 the overflowed points read
+    expand = PiecewiseAffineHomeo(PiecewiseMap([0.0, 1.0], [1.0, 2.0],
+                                               1.0, 2.0))
+    cases.append(pytest.param(CompositionOperator(
+        expand, PiecewiseMap([-1.0, 5.0], [2.0, 0.75], positive=True)),
+        window, 1500, (True, True), id="overflow"))
+    # translations, across block seams: the seven presets, whose
+    # telescoping weights have no left tail for their forward legs, and
+    # non-dyadic and huge shifts
+    cases += [pytest.param(build_preset(name), window,
+                           2 * _block_rows(window.size) + 3,
+                           (name not in ("ex3.8", "rem3.10"), True), id=name)
+              for name in ("ex3.5", "ex3.6", "ex3.7", "ex3.8", "rem3.10",
+                           "ex4.3a", "ex4.3b")]
+    cases += [pytest.param(CompositionOperator(Translation(shift), BRIDGE),
+                           window, 3000, (True, True), id=f"shift{shift:g}")
+              for shift in (0.3, -0.3, 1e308)]
+    return cases
+
+
+class TestExitFill:
+    """Past a leg's exit time from the weight's hull, the rows hold the
+    tail's log2 constant, unwalked; the legs are bit for bit the Sum2
+    reference over the weight read at every walked position."""
+
+    @pytest.mark.parametrize("op, pts, horizon, exits", exit_cases())
+    def test_legs_match_the_walked_reference(self, op, pts, horizon, exits):
+        rows = _block_rows(pts.size)
+        for (step, start), exits_here in zip(((1, 0), (-1, -1)), exits):
+            crossing = exit_time(op.alpha, pts, op.weight.hull, horizon,
+                                 step, start)
+            assert (crossing is not None) == exits_here, (step, start)
+            with np.errstate(over="ignore"):
+                walk = list(homeo_orbit_blocks(op.alpha, pts, horizon, rows,
+                                               step, start))
+            carry = np.zeros(pts.size), np.zeros(pts.size)
+            got = _orbit_log2_rows(op, pts, horizon, step, start)
+            for block, orbit in zip(got, walk, strict=True):
+                logs = op.log2_weight(orbit)
+                carry = sum2_rows_real(logs, *carry,
+                                       np.empty((2 * len(logs) + 1,
+                                                 pts.size)))
+                assert np.array_equal(bits(block), bits(logs)), (step, start)
+
+    def test_filled_blocks_read_no_weight(self):
+        # ex3.8's backward leg crosses its weight's right edge 0 at row 1
+        # on the m = 2 window: one weight call reads the edge for the tail
+        # value and one the walked row; the forward leg, with no left
+        # tail, reads one table per block
+        class Tailed(CountingWeight):
+            hull = build_preset("ex3.8").weight.hull
+
+        weight = Tailed(build_preset("ex3.8").weight)
+        op = CompositionOperator(Translation(-1.0), weight)
+        pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
+        assert exit_time(op.alpha, pts, weight.hull, 18000, -1, -1) == (1,
+                                                                       0.0)
+        blocks = list(_orbit_log2_rows(op, pts, 18000, -1, -1))
+        assert weight.sizes == [1, pts.size]
+        weight.sizes.clear()
+        assert len(list(_orbit_log2_rows(op, pts, 18000))) == len(blocks)
+        assert len(weight.sizes) == len(blocks)
 
 
 class TestPowers:

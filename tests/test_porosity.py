@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from lindyn.errors import (LindynError, NoValidNError,
 from lindyn.funcspace import (
     Grid,
     GridFunction,
+    PiecewiseAffineHomeo,
     PiecewiseMap,
     SUP,
     Translation,
+    homeo_power,
     norm,
     triangular_bump,
 )
@@ -589,6 +592,32 @@ class TestCorollary:
         gamma = GammaSet(GridFunction.zero(grid))
         with pytest.raises(LindynError, match="n = 52 on side T"):
             corollary_check(op, gamma, rectangular_bump(grid, -1.0, 1.0), 60)
+
+    @pytest.mark.parametrize("alpha", [
+        Translation(-1.0),
+        PiecewiseAffineHomeo(PiecewiseMap([-1.0, 1.0], [-2.5, 0.5],
+                                          1.0, 1.0)),
+    ], ids=["translation", "piecewise"])
+    def test_witness_points_from_one_walk(self, alpha, monkeypatch):
+        # the first n whose witness alpha^-n(n) leaves the grid, named with
+        # the float homeo_power gives; a piecewise-affine alpha makes one
+        # inverse-map call per n, not n of them
+        grid = Grid(16.0, 1.0)
+        op = CompositionOperator(alpha, PiecewiseMap.constant(2.0,
+                                                              positive=True))
+        first = next(n for n in itertools.count(1)
+                     if abs(homeo_power(alpha, float(n), -n)) > 16.0)
+        wp = float(homeo_power(alpha, float(first), -first))
+        calls = []
+        call = PiecewiseMap.__call__
+        monkeypatch.setattr(PiecewiseMap, "__call__",
+                            lambda m, t: calls.append(1) or call(m, t))
+        message = f"witness point alpha^-{first}({first}) = {wp} leaves"
+        with pytest.raises(PreconditionViolatedError,
+                           match=re.escape(message)):
+            corollary_check(op, GammaSet(GridFunction.zero(grid)),
+                            rectangular_bump(grid, -1.0, 1.0), 60)
+        assert len(calls) == (0 if isinstance(alpha, Translation) else 60)
 
     def test_grid_too_small(self):
         grid = Grid(16.0, 1.0)
