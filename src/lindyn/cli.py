@@ -57,6 +57,13 @@ _SPACE_KINDS = {
 }
 
 
+# The most entries a run may ask numpy for along one axis: numpy allocates
+# no array of more bytes than np.intp holds, and a run keeps up to 32
+# bytes per n (a sweep's four float64 rows of extremes) and per grid point
+# (its complex values and their norms).
+_MAX_LENGTH = np.iinfo(np.intp).max // 32
+
+
 def _bounded(value, name: str, low: int, *, integer: bool = False,
              strict: bool = False):
     """``value`` if it is a number (an integer with ``integer``) >= low, or
@@ -140,6 +147,10 @@ class ExperimentConfig:
         preset_name = preset or op_spec.get("preset")
         horizon = _bounded(raw.get("horizon", 200), "horizon", 1,
                            integer=True)
+        if horizon > _MAX_LENGTH:
+            raise ConfigError(f"horizon must be at most {_MAX_LENGTH}, the "
+                              "longest run numpy can allocate, got "
+                              f"{horizon}")
         wspec = _object(raw.get("window", {}), "window")
         window_m = float(_bounded(wspec.get("m", 2.0), "window.m", 0))
         gspec = _object(raw.get("grid", {}), "grid")
@@ -150,6 +161,11 @@ class ExperimentConfig:
             grid = Grid(float(half_width), float(step))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
+        points = 2 * grid.half_width / grid.step + 1  # inf past the floats
+        if not points <= _MAX_LENGTH:
+            raise ConfigError(f"grid.half_width / grid.step gives {points:.4g} "
+                              f"points, more than the {_MAX_LENGTH} numpy can "
+                              "allocate")
         try:
             if preset_name:
                 op = build_preset(preset_name)

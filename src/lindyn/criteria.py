@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -372,29 +373,43 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     points; the copies go into two buffers that every block reuses.  With
     ``inverse`` they encode the inverse operator S, whose weight along
     forward orbits is the reciprocal backward product of T:
-    lf_S = -lb_T and lb_S = -lf_T.
-    """
+    lf_S = -lb_T and lb_S = -lf_T.  Either way the rows read min lf_T and
+    max lb_T, and with ``mirrored`` also max lf_T and min lb_T.
+
+    Past a leg's exit time its rows are sums of one constant, and without
+    a trim the sweep sums them only over the columns that can still hold
+    the extremes it reads (:func:`_tail_columns`); a trim reads every
+    cell, so it keeps every column."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
     trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     legs = [(fwd_pts, 1, 0), (bwd_pts, -1, -1)]
-    sizes = [np.size(p) for p, _, _ in (legs[::-1] if inverse else legs)]
+    sizes = [np.size(p) for p, _, _ in legs]
     bufs = [np.empty((k, min(rows, horizon))) for k in sizes]
+    choose = None if trimmed else [
+        partial(_tail_columns, slices=slices, low=low, high=high)
+        for low, high in ((True, mirrored), (mirrored, True))]
+    # per leg, the columns its blocks hold and each slice's selector there
+    picks = [(None, slices)] * 2
     n0 = 0
-    for blocks in _orbit_log2_legs(op, legs, horizon, rows):
-        n1 = n0 + len(blocks[0])
-        if inverse:
-            blocks = blocks[::-1]
-        lf_t, lb_t = (buf[:, :n1 - n0] for buf in bufs)
-        for block, copy in zip(blocks, (lf_t, lb_t)):
+    for blocks in _orbit_log2_legs(op, legs, horizon, rows, choose):
+        n1 = n0 + len(blocks[0][0])
+        copies, views = [], []
+        for i, (block, cols) in enumerate(blocks):
+            if cols is not picks[i][0]:
+                picks[i] = cols, _slice_columns(cols, slices, sizes[i])
+            copy = bufs[i][:block.shape[1], :n1 - n0]
             if inverse:
                 np.negative(block.T, out=copy)
             else:
                 copy[...] = block.T
-        for ext, cols in zip(exts, slices):
-            f, b = lf_t[cols], lb_t[cols]
+            copies.append(copy)
+            views.append([copy[sel] for sel in picks[i][1]])
+        if inverse:
+            copies, views = copies[::-1], views[::-1]
+        for ext, f, b in zip(exts, *views):
             x, y = ext[:2, n0:n1]
             np.negative(f.min(axis=0, out=x), out=x)
             b.max(axis=0, out=y)
@@ -402,12 +417,89 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
                 x, y = ext[2:, n0:n1]
                 np.negative(b.min(axis=0, out=x), out=x)
                 f.max(axis=0, out=y)
-        ns = np.arange(n0 + 1, n1 + 1, dtype=float)
-        for kind, xy in trimmed.items():
-            keep = _trim_rows(kind, ns, lf_t.T, lb_t.T, max_drop)
-            xy[:, n0:n1] = _kept_xy(keep, lf_t.T, lb_t.T)
+        if trimmed:
+            ns = np.arange(n0 + 1, n1 + 1, dtype=float)
+            lf_t, lb_t = copies
+            for kind, xy in trimmed.items():
+                keep = _trim_rows(kind, ns, lf_t.T, lb_t.T, max_drop)
+                xy[:, n0:n1] = _kept_xy(keep, lf_t.T, lb_t.T)
         n0 = n1
     return exts, trimmed
+
+
+def _slice_columns(cols, slices, k: int):
+    """Per slice of k point columns, its selector among the leg columns
+    ``cols`` (every column when None): the slice itself, or the positions
+    of the chosen columns that lie in it."""
+    if cols is None:
+        return slices
+    member = np.zeros(k, dtype=bool)
+    out = []
+    for sl in slices:
+        member[:] = False
+        member[sl] = True
+        out.append(np.flatnonzero(member[cols]))
+    return out
+
+
+# A tail of more rows keeps every column: the margin of _tail_columns is
+# proved for rows * 2**-53 <= 2**-13.
+_TAIL_ROWS_MAX = 2 ** 40
+
+
+def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int, *,
+                  slices, low: bool, high: bool):
+    """The columns of a leg's constant tail that can hold, at some of its
+    next ``rows`` rows, the least (``low``) or the greatest (``high``)
+    value of a slice in ``slices``, one per distinct (s, e) bit pair per
+    slice, in increasing order; None for every column.  (s, e) is each
+    column's Sum2 carry at the tail's first row, and c the term every
+    later row adds.
+
+    Why this keeps the extremes.  Let u = 2**-53, r <= ``rows`` and
+    M = max_j (|s_j| + |e_j|) + rows*|c|, the same for every column.  Row
+    r of a column is fl(s_r + E_r), where s_r = fl(s_{r-1} + c) with
+    exact error d_r (TwoSum is exact without overflow) and
+    E_r = fl(E_{r-1} + d_r), E_0 = e.  So s_r + E_0 + sum d = R + r*c
+    exactly, R = s + e.  Since |s_r| <= (1 + u)**r (|s| + r|c|), each
+    |d_r| <= u (1 + u)**r M; E_r is the recursive sum of E_0 and r such
+    terms, within gamma_r (|E_0| + r u (1 + u)**r M) of its exact value
+    (Higham 2002, (4.4); gamma_r = r u / (1 - r u)), and the final
+    rounding adds at most u |s_r + E_r|.  For r u <= 2**-13 every row is
+    therefore within B = 1.001 (rows + 1) u M of R + r*c.  A column whose
+    R exceeds the least R by more than 2B is above the least column at
+    every row, and the exit values v = fl(s + e) that this function can
+    read are each within u M of R.  So a column is dropped for the least
+    value only when its v exceeds the slice's least v by more than the
+    margin 2**-50 (rows + 2) M = 8 (rows + 2) u M, which covers 2B + 2uM
+    and the rounding of the comparison with room to spare; likewise for
+    the greatest.  Columns of equal (s, e) bits have equal rows, so one
+    of them speaks for all.  Non-finite carries or terms, M near the
+    float range (TwoSum would no longer be exact) and tails of more than
+    ``_TAIL_ROWS_MAX`` rows keep every column."""
+    if rows > _TAIL_ROWS_MAX:
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = s + e
+        size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
+    if not size < 2.0 ** 1000:  # false for NaN and inf too
+        return None
+    margin = math.ldexp((rows + 2) * size, -50)
+    bits = list(zip(s.view(np.int64).tolist(), e.view(np.int64).tolist()))
+    cols = np.arange(s.size)
+    kept: set = set()
+    for sl in slices:
+        vals = v[sl]
+        near = np.zeros(vals.size, dtype=bool)
+        if low:
+            near |= vals <= vals.min() + margin
+        if high:
+            near |= vals >= vals.max() - margin
+        first: dict = {}
+        for j in cols[sl][near].tolist():
+            first.setdefault(bits[j], j)
+        kept.update(first.values())
+    return None if len(kept) == s.size else np.array(sorted(kept))
 
 
 def _kind_rows(kind: CriterionKind, ext: np.ndarray) -> np.ndarray:

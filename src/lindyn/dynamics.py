@@ -316,11 +316,12 @@ MODES = ("plain", "scaled", "cesaro")
 
 
 def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
-                      kind: NormKind, grid) -> np.ndarray:
+                      g_norm: float, kind: NormKind, grid) -> np.ndarray:
     """projective_distance(row, g, kind)[0] for each row of a block, and
-    norm(g, kind) at the rows flagged ``zero``.  L2 is the closed form on
-    the whole block; the sup and Segal solves run per row."""
-    out = np.full(len(rows), norm(g, kind))
+    ``g_norm``, norm(g, kind), at the rows flagged ``zero``.  L2 is the
+    closed form on the whole block; the sup and Segal solves run per
+    row."""
+    out = np.full(len(rows), g_norm)
     live = np.flatnonzero(~zero)
     if not live.size:
         return out
@@ -352,6 +353,8 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
     dists = np.empty(horizon) if targets else None
     trunc = np.empty(horizon, dtype=bool)
     best = [(math.inf, 0)] * len(targets)
+    # each target's norm, its scaled distance from a zero row, once
+    g_norms = [norm(g, kind) for g in targets]
     n0 = 0
     for vals, lost in _orbit_blocks(op, f, horizon):
         ns = slice(n0, n0 + len(vals))
@@ -360,11 +363,12 @@ def orbit_trace(op: CompositionOperator, f: GridFunction, horizon: int,
         norms[ns] = 0.0 if zero.all() else row_norms(vals, kind, grid)
         trunc[ns] = lost
         if targets:
-            dists[ns] = col = _scaled_distances(vals, zero, targets[0], kind,
-                                                grid)
+            dists[ns] = col = _scaled_distances(vals, zero, targets[0],
+                                                g_norms[0], kind, grid)
         for i, g in enumerate(targets):
             if mode == "scaled":
-                d = col if i == 0 else _scaled_distances(vals, zero, g, kind,
+                d = col if i == 0 else _scaled_distances(vals, zero, g,
+                                                         g_norms[i], kind,
                                                          grid)
             else:  # plain ||T^n f - g||, cesaro ||n^-1 T^n f - g||
                 c = (1.0 if mode == "plain"

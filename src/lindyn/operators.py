@@ -202,17 +202,18 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
     compensated, elementwise in t, summed in walk order.  ``rows``
     defaults to :func:`_block_rows` of |t|.  The one-leg case of
-    :func:`_orbit_log2_legs`."""
-    for (block,) in _orbit_log2_legs(op, [(pts, step, start)], n, rows):
+    :func:`_orbit_log2_legs`, every column of every block."""
+    for ((block, _),) in _orbit_log2_legs(op, [(pts, step, start)], n, rows):
         yield block
 
 
 def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
-                     rows: int | None = None):
-    """Yield, block by block, the tuple of the blocks of
-    ``_orbit_log2_rows(op, pts, n, step, start, rows)`` for each leg
-    (pts, step, start) of ``legs``; ``rows`` defaults to
-    :func:`_block_rows` of the widest point set.
+                     rows: int | None = None, choose=None):
+    """Yield, block by block, per leg (pts, step, start) of ``legs`` the
+    pair (block, cols): the block of ``_orbit_log2_rows(op, pts, n, step,
+    start, rows)`` over the point columns ``cols``, every column when
+    ``cols`` is None.  ``rows`` defaults to :func:`_block_rows` of the
+    widest point set.
 
     A leg walks only up to its exit time from the weight's hull (see
     :func:`_leg_tail`); its later rows hold the tail's log2 constant, with
@@ -221,7 +222,16 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
     :class:`_Lattice` table where it has one, else on its position block;
     legs over the same point set share one lattice, built for the largest
     |k| any leg walks.  The sums run on even-width blocks, and each
-    yielded block is the view of its first |t| columns."""
+    yielded block is the view of its first columns.
+
+    Past the exit every column adds the same constant, so a caller that
+    reads only extremes need not sum them all: ``choose``, one callable
+    or None per leg, is asked once, at the leg's first block seam at or
+    past its exit, as choose(s, e, c, rows_left) with the Sum2 carry
+    (s, e) of each column there, the constant c and the rows still to
+    come.  It returns the increasing indices of the columns to carry on
+    (see :func:`criteria._tail_columns`), or None for all of them.
+    Callers that read cells choose all columns."""
     legs = [(np.atleast_1d(np.asarray(p, dtype=float)), step, start)
             for p, step, start in legs]
     rows = rows or _block_rows(max(p.size for p, _, _ in legs))
@@ -231,7 +241,8 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
                 if walked], default=None)
     lattices: dict = {}
     sums = []
-    for (p, step, start), (walked, tail) in zip(legs, tails):
+    for (p, step, start), (walked, tail), pick in zip(
+            legs, tails, choose or [None] * len(legs)):
         key = p.tobytes()
         if key not in lattices:
             lattices[key] = (None if kmax is None
@@ -240,7 +251,8 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
         if lattice is not None and not lattice.reads(walked, step, start):
             lattice = None
         sums.append(_summed(_log2_blocks(op, p, n, rows, step, start, walked,
-                                         tail, lattice), p.size, rows, n))
+                                         tail, lattice),
+                            p.size, rows, n, walked, tail, pick))
     return zip(*sums)
 
 
@@ -258,35 +270,53 @@ def _leg_tail(op: CompositionOperator, pts: np.ndarray, n: int, step: int,
     return row, float(op.log2_weight(np.array([edge]))[0])
 
 
-def _summed(blocks, k: int, rows: int, n: int):
-    """The Sum2 partial sums down a leg's even-width ``blocks``, each
-    yielded as the view of its first k columns."""
+def _summed(heads, k: int, rows: int, n: int, walked: int, tail: float,
+            choose):
+    """The Sum2 partial sums down a leg of k columns, as (block, cols)
+    pairs: first of its even-width walked blocks ``heads``, which cover
+    the rows up to the block seam at or past ``walked``, then of the tail
+    constant on the later blocks, over the columns ``cols`` that
+    ``choose`` picks there (all of them, and cols None, without
+    ``choose``).  A block is the view of its first columns."""
     width = k + k % 2
     buf = np.empty((2 * min(rows, n) + 1, width))
-    carry = np.zeros(width), np.zeros(width)
-    for logs in blocks:
-        carry = _sum2_rows(logs, *carry, buf)
-        yield logs[:, :k]
+    s, e = np.zeros(width), np.zeros(width)
+    for logs in heads:
+        s, e = _sum2_rows(logs, s, e, buf)
+        yield logs[:, :k], None
+    first = -(-walked // rows) * rows  # the first seam at or past the exit
+    cols = (None if choose is None or first >= n
+            else choose(s[:k], e[:k], tail, n - first))
+    if cols is not None:
+        k, width = len(cols), len(cols) + len(cols) % 2
+        s, e = (np.concatenate((a[cols], np.zeros(width - k))) for a in (s, e))
+        buf = np.empty((2 * min(rows, n - first) + 1, width))
+    for k0 in range(first, n, rows):
+        logs = np.empty((min(rows, n - k0), width))
+        logs[:, :k] = tail
+        logs[:, k:] = 0.0
+        s, e = _sum2_rows(logs, s, e, buf)
+        yield logs[:, :k], cols
 
 
 def _log2_blocks(op: CompositionOperator, pts: np.ndarray, n: int,
                  rows: int, step: int, start: int, walked: int, tail: float,
                  lattice: "_Lattice | None"):
     """log2 w over the blocks of ``homeo_orbit_blocks(op.alpha, pts, n,
-    rows, step, start)``, each a fresh (rows, even width) array whose
-    columns past |t| hold 0: the first ``walked`` rows read the weight,
-    through ``lattice`` where it has a table for the block, and the rest
-    hold ``tail``."""
+    rows, step, start)`` that hold walked rows, the first ``walked``, each
+    a fresh (rows, even width) array whose columns past |t| hold 0: the
+    walked rows read the weight, through ``lattice`` where it has a table
+    for the block, and the rest hold ``tail``."""
     k = pts.size
     walk = (homeo_orbit_blocks(op.alpha, pts, walked, rows, step, start)
             if lattice is None else None)
-    for k0 in range(0, n, rows):
+    for k0 in range(0, walked, rows):
         logs = np.empty((min(rows, n - k0), k + k % 2))
         logs[:, k:] = 0.0
-        head = logs[:max(0, walked - k0), :k]
+        head = logs[:walked - k0, :k]
         k1 = start + step * k0
-        if len(head) and not (lattice is not None
-                              and lattice.log2_block(op, k1, step, head)):
+        if not (lattice is not None
+                and lattice.log2_block(op, k1, step, head)):
             if walk is None:
                 [block] = homeo_orbit_blocks(op.alpha, pts, len(head),
                                              len(head), step, k1)

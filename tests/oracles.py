@@ -5,8 +5,10 @@
 functions here recompute the same quantities one n at a time from
 :func:`forward_log2`/:func:`backward_log2`, with the scalar greedy trim
 :func:`_trim_greedy`, or, in :func:`segal_factors`, from the literal product
-prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria.  The
-finite atomic measures (:class:`AtomicMeasure`), their atom-wise adjoint
+prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria;
+:func:`full_width_extremes` reduces every cell of both legs, where the
+sweep sums a leg's constant tail only on the columns that can hold its
+extremes.  The finite atomic measures (:class:`AtomicMeasure`), their atom-wise adjoint
 powers, the duality check and the measure approximant restate the adjoint
 side that ``lindyn.measures.adjoint_criterion`` reads off the same legs
 from the supports alone.  :func:`sum2_rows_real` is the Sum2 block pass on
@@ -207,6 +209,23 @@ def sweep_factors(op: CompositionOperator, window: CompactWindow,
     [ext], _ = _leg_extremes(op, window.points, window.points, horizon,
                              inverse)
     return np.exp2(ext[0]), np.exp2(ext[1])
+
+
+def full_width_extremes(op: CompositionOperator, fwd_pts, bwd_pts,
+                        horizon: int, inverse: bool = False,
+                        slices=(slice(None),)) -> list[np.ndarray]:
+    """Per slice, the four rows (-min lf, max lb, -min lb, max lf) of
+    ``_leg_extremes`` from every cell of both legs: the rows of
+    ``_orbit_log2_rows`` over all columns, the last of which is
+    :func:`_orbit_log2`, reduced per n."""
+    lf, lb = (np.concatenate(list(_orbit_log2_rows(op, pts, horizon, step,
+                                                   start)))
+              for pts, step, start in ((fwd_pts, 1, 0), (bwd_pts, -1, -1)))
+    if inverse:
+        lf, lb = -lb, -lf
+    return [np.array([-lf[:, cols].min(axis=1), lb[:, cols].max(axis=1),
+                      -lb[:, cols].min(axis=1), lf[:, cols].max(axis=1)])
+            for cols in slices]
 
 
 def _xy(kind: CriterionKind, lf: np.ndarray, lb: np.ndarray):

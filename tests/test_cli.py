@@ -347,6 +347,34 @@ class TestClassifyCommand:
         assert "config error" in err and len(err.splitlines()) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
+    @pytest.mark.parametrize("overrides", [
+        {"horizon": 10 ** 30},
+        {"horizon": cli._MAX_LENGTH + 1},
+        {"grid": {"half_width": 1e300, "step": 1.0}},
+        {"grid": {"half_width": 1.0, "step": 1e-300}, "window": {"m": 1.0}},
+        {"grid": {"half_width": 1e308, "step": 1.0}},
+    ], ids=["horizon-1e30", "horizon-past-limit", "half-width-1e300",
+            "step-1e-300", "half-width-1e308"])
+    def test_unallocatable_run_exit_2(self, tmp_path, capsys, command,
+                                      overrides):
+        # numpy refuses these arrays ("Maximum allowed dimension/size
+        # exceeded"), and 2e308 points overflow the grid's float count;
+        # the config names the limit before any is asked for, rather than
+        # a traceback or a window.m error
+        cfg = self.config(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert ("horizon" if "horizon" in overrides else "grid") in err
+        assert "numpy can allocate" in err
+        assert not out.exists()
+
+    def test_longest_horizon_is_accepted(self, tmp_path):
+        cfg = self.config(tmp_path, horizon=cli._MAX_LENGTH)
+        assert ExperimentConfig.load(cfg, None).horizon == cli._MAX_LENGTH
+
     @pytest.mark.parametrize("command, space", [
         ("classify", "L2"), ("adjoint", "L2"), ("orbit", "SEGAL")])
     def test_window_wider_than_grid_exit_2(self, tmp_path, capsys, command,

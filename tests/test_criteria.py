@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 from lindyn.criteria import (
     _SOLID_KINDS,
     _leg_extremes,
+    _slice_columns,
+    _tail_columns,
     _trim_rows,
     SATISFIED,
     CompactWindow,
@@ -23,7 +26,12 @@ from lindyn.funcspace import (
     PiecewiseMap,
     Translation,
 )
-from lindyn.operators import _block_rows, CocycleSweep, CompositionOperator
+from lindyn.operators import (
+    _block_rows,
+    _sum2_rows,
+    CocycleSweep,
+    CompositionOperator,
+)
 from lindyn.presets import REGISTRY, build_preset
 from oracles import (
     SEAM_POINTS,
@@ -32,6 +40,7 @@ from oracles import (
     backward_log2,
     dict_serialiser,
     forward_log2,
+    full_width_extremes,
     implication_check,
     per_row_verdict,
     product_factors,
@@ -333,6 +342,220 @@ class TestBlockSeams:
             assert np.array_equal(xy[:, n - 1], ref_xy[:, n - 1])
         assert np.array_equal(ext, ref_ext)
         assert np.array_equal(xy, ref_xy)
+
+
+def int64(a: np.ndarray) -> np.ndarray:
+    """The raw bits of a float array: -0.0 differs from 0.0."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+TAIL_PRESETS = ("ex3.5", "ex3.6", "ex3.7", "ex3.8", "rem3.10", "ex4.3a",
+                "ex4.3b")
+
+
+class TestTailColumns:
+    """Past a leg's exit time the sweep sums its constant only on the
+    columns that can hold the extremes its rows read; every table is bit
+    for bit the one reduced from every cell of both legs."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 3, 5, 200, 2000, 18000])
+    @pytest.mark.parametrize("preset", TAIL_PRESETS)
+    def test_extremes_match_the_full_width_legs(self, preset, horizon):
+        op = build_preset(preset)
+        for m in (0.0, 1.0, 2.0, 3.0):
+            pts = CompactWindow.from_grid(GRID, m).points
+            for inverse in (False, True):
+                [full] = full_width_extremes(op, pts, pts, horizon, inverse)
+                for mirrored in (False, True):
+                    [ext], _ = _leg_extremes(op, pts, pts, horizon, inverse,
+                                             mirrored=mirrored)
+                    assert np.array_equal(int64(ext),
+                                          int64(full[:len(ext)])), \
+                        (m, inverse, mirrored)
+
+    @pytest.mark.parametrize("horizon", [1025, 3000])
+    @pytest.mark.parametrize("preset", TAIL_PRESETS)
+    def test_registry_slices(self, preset, horizon):
+        # the registry's nested windows m = 0, 1, 2 as centred slices of
+        # the m = 3 sweep, each with its own candidates
+        op = build_preset(preset)
+        pts = CompactWindow.from_grid(GRID, 3.0).points
+        slices = []
+        for m in (0.0, 1.0, 2.0, 3.0):
+            w = CompactWindow.from_grid(GRID, m).points.size
+            slices.append(slice((pts.size - w) // 2, (pts.size + w) // 2))
+        for inverse in (False, True):
+            full = full_width_extremes(op, pts, pts, horizon, inverse,
+                                       slices)
+            for mirrored in (False, True):
+                exts, _ = _leg_extremes(op, pts, pts, horizon, inverse,
+                                        slices=slices, mirrored=mirrored)
+                for ext, ref in zip(exts, full, strict=True):
+                    assert np.array_equal(int64(ext),
+                                          int64(ref[:len(ext)]))
+
+    @pytest.mark.parametrize("horizon", [1500, 18000])
+    @pytest.mark.parametrize("preset", ["ex3.5", "ex3.8", "ex4.3a", "ex4.3b"])
+    def test_adjoint_supports(self, preset, horizon):
+        # an adjoint sweep walks mu's atoms forward and nu's backward: two
+        # point sets of different sizes, each leg with its own tail
+        op = build_preset(preset)
+        mu = np.array([-1.5, 0.0, 0.25, 2.0])
+        nu = np.array([-2.0, -0.75, 0.0, 0.5, 1.0, 1.75, 3.0])
+        for fwd, bwd in ((mu, nu), (nu, mu)):
+            [full] = full_width_extremes(op, fwd, bwd, horizon)
+            [ext], _ = _leg_extremes(op, fwd, bwd, horizon)
+            assert np.array_equal(int64(ext), int64(full))
+
+
+def tail_sums(s, e, c: float, rows: int, cols=None) -> np.ndarray:
+    """The (rows, |cols|) Sum2 sums of the constant c that continue the
+    carry (s, e) of the columns ``cols`` (all by default), in blocks of
+    1024 rows."""
+    if cols is not None:
+        s, e = s[cols], e[cols]
+    k = s.size
+    width = k + k % 2
+    s, e = (np.concatenate((a, np.zeros(width - k))) for a in (s, e))
+    buf = np.empty((2049, width))
+    out = []
+    for k0 in range(0, rows, 1024):
+        x = np.zeros((min(1024, rows - k0), width))
+        x[:, :k] = c
+        s, e = _sum2_rows(x, s, e, buf)
+        out.append(x[:, :k])
+    return np.concatenate(out)
+
+
+def tail_margin(s, e, c: float, rows: int) -> float:
+    """The margin of ``criteria._tail_columns``: 2**-50 (rows + 2) M."""
+    size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
+    return math.ldexp((rows + 2) * size, -50)
+
+
+def near_tie_carries(rng, c: float, rows: int):
+    """Carries (s, e) with a least and a greatest exit value s + e, each
+    with near ties: the same bits, the same value split as (0, v) or
+    (v - 1/2, 1/2), a few ulps inside, and one column just inside and one
+    just outside the margin; then random columns between the two.  A
+    split with a large e rounds its later rows differently from (v, 0),
+    so either may end up the extreme.  Also the index of each column
+    just inside and just outside, per side."""
+    cols = []
+    ends = {"low": float(rng.uniform(-40.0, -20.0)),
+            "high": float(rng.uniform(20.0, 40.0))}
+    for side, v in ends.items():
+        inward = 1.0 if side == "low" else -1.0
+        cols += [(v, 0.0), (v, 0.0), (0.0, v), (v - 0.5, 0.5)]
+        for k in (1, 2, 3):
+            w = v + inward * k * np.spacing(abs(v))
+            cols += [(w, 0.0), (0.0, w)]
+    cols += [(float(x), 0.0) for x in rng.uniform(-15.0, 15.0, 6)]
+    s, e = (np.array(a) for a in zip(*cols))
+    margin = tail_margin(s, e, c, rows)
+    edges = {}
+    for side, v in ends.items():
+        inward = 1.0 if side == "low" else -1.0
+        edges[side] = (s.size, s.size + 1)
+        s = np.append(s, [v + inward * 0.9 * margin,
+                          v + inward * 1.1 * margin])
+        e = np.append(e, [0.0, 0.0])
+    perm = rng.permutation(s.size)
+    where = {side: tuple(int(np.flatnonzero(perm == i)[0]) for i in pair)
+             for side, pair in edges.items()}
+    return s[perm], e[perm], where
+
+
+class TestTailHelper:
+    """The columns ``_tail_columns`` keeps give a constant tail's least and
+    greatest sums per slice bit for bit, against the Sum2 of the constant
+    over every column."""
+
+    SIDES = {"low": (True, False), "high": (False, True),
+             "both": (True, True)}
+
+    @staticmethod
+    def extremes(sums, sels):
+        with np.errstate(invalid="ignore"):
+            return [(sums[:, sel].min(axis=1), sums[:, sel].max(axis=1))
+                    for sel in sels]
+
+    def check(self, s, e, c, rows, slices, low, high):
+        """Assert the kept columns' extremes equal the full width's; return
+        the kept columns (None for all)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = tail_sums(s, e, c, rows)
+            cols = _tail_columns(s, e, c, rows, slices=slices, low=low,
+                                 high=high)
+            part = tail_sums(s, e, c, rows, cols)
+        got = self.extremes(part, _slice_columns(cols, slices, s.size))
+        for (lo, hi), (ref_lo, ref_hi) in zip(got, self.extremes(full,
+                                                                 slices)):
+            if low:
+                assert np.array_equal(int64(lo), int64(ref_lo))
+            if high:
+                assert np.array_equal(int64(hi), int64(ref_hi))
+        return cols
+
+    @pytest.mark.parametrize("rows", [1, 7, 1024, 1025, 5000])
+    @pytest.mark.parametrize("c", [-1.0, math.log2(3.0), 1e-3, -0.7])
+    def test_near_ties(self, c, rows):
+        rng = np.random.default_rng(rows)
+        for trial in range(4):
+            s, e, where = near_tie_carries(rng, c, rows)
+            half = s.size // 2
+            slice_sets = ((slice(None),),
+                          (slice(None), slice(0, half), slice(half, None)))
+            for slices in slice_sets:
+                for side, (low, high) in self.SIDES.items():
+                    cols = self.check(s, e, c, rows, slices, low, high)
+                    assert cols is not None and cols.size < s.size
+                    if slices == slice_sets[0]:
+                        for name in ("low", "high"):
+                            inside, outside = where[name]
+                            wanted = side in (name, "both")
+                            assert (inside in cols) == wanted
+                            assert outside not in cols
+
+    def test_realistic_carries(self):
+        # carries of a Sum2 over 300 rows of random terms, with copies of
+        # some columns: the copies dedupe, the leaders are kept
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((300, 12)) * rng.uniform(0.1, 3.0, 12)
+        x[:, 7] = x[:, 2]
+        s, e = _sum2_rows(x, np.zeros(12), np.zeros(12), np.empty((601, 12)))
+        for c in (-1.0, math.log2(3.0), -0.7):
+            for low, high in self.SIDES.values():
+                self.check(s, e, c, 2000, (slice(None),), low, high)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_carries_keep_every_column(self, bad):
+        rng = np.random.default_rng(3)
+        s, e, _ = near_tie_carries(rng, -0.7, 100)
+        for which in (0, 1):
+            carry = [s.copy(), e.copy()]
+            carry[which][4] = bad
+            for low, high in self.SIDES.values():
+                assert self.check(*carry, -0.7, 100, (slice(None),), low,
+                                  high) is None
+        for c in (np.inf, -np.inf, np.nan):
+            assert _tail_columns(s, e, c, 100, slices=(slice(None),),
+                                 low=True, high=True) is None
+
+    def test_long_tails_keep_every_column(self):
+        # a zero constant keeps the margin 2**-50 (rows + 2) * 2 below the
+        # gaps of 1 at 2**40 rows; one row more keeps every column
+        s, e = np.array([0.0, 1.0, 2.0]), np.zeros(3)
+        kept = _tail_columns(s, e, 0.0, 2 ** 40, slices=(slice(None),),
+                             low=True, high=False)
+        assert list(kept) == [0]
+        assert _tail_columns(s, e, 0.0, 2 ** 40 + 1,
+                             slices=(slice(None),), low=True,
+                             high=False) is None
+        # so large a carry would overflow the sums
+        assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5,
+                             slices=(slice(None),), low=True,
+                             high=False) is None
 
 
 class TestVerdictFromTrace:

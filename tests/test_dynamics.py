@@ -237,6 +237,39 @@ class TestOrbitTrace:
         assert [r.rsplit(",", 1)[1] for r in rows[1:]] == ["0"] * 5
 
 
+    @pytest.mark.parametrize("kind", [L2, SUP], ids=["L2", "SUP"])
+    def test_target_norms_once_per_orbit(self, monkeypatch, kind):
+        # ex3.5 walks a centred tent on the 513-point grid for 64 rows, in
+        # blocks of 63 and 1; the 317 later blocks are zero, and their
+        # scaled distances are the targets' norms, each taken once
+        import lindyn.dynamics
+        import lindyn.funcspace
+
+        calls = []
+        row_norms = lindyn.funcspace.row_norms
+
+        def counted(rows, kind, grid):
+            calls.append(rows.copy())
+            return row_norms(rows, kind, grid)
+
+        monkeypatch.setattr(lindyn.funcspace, "row_norms", counted)
+        monkeypatch.setattr(lindyn.dynamics, "row_norms", counted)
+        grid = Grid(64.0, 0.25)
+        op = build_preset("ex3.5")
+        f = triangular_bump(grid)
+        targets = [triangular_bump(grid, 3.0, 1.0),
+                   triangular_bump(grid, -2.0, 0.5, 2.0)]
+        for k in (1, 2):
+            calls.clear()
+            trace = orbit_trace(op, f, 20000, kind, targets[:k])
+            assert len(calls) == 2 + k
+            for g in targets[:k]:
+                assert sum(np.array_equal(rows, g.values[None])
+                           for rows in calls) == 1
+            assert np.all(trace.scaled_dists[64:]
+                          == norm(targets[0], kind))
+
+
 class TestOrbitBlockSeams:
     """operator_orbit reads one leg of the orbit lattice in blocks of
     _block_rows rows; each T^n f and S^n f equals the one read off a
