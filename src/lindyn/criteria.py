@@ -95,9 +95,27 @@ class CompactWindow:
         return cls(m, pts[np.abs(pts) <= m + 1e-12])
 
 
+def _exp2(x, out=None):
+    """np.exp2(x), into ``out`` when given, without numpy's slow underflow
+    path: +0.0 where x <= -1076, to which IEEE rounding takes 2**x there,
+    and np.exp2 elsewhere, NaN included.  Masking costs more than it saves
+    where nothing underflows, so only an argument with such entries takes
+    it."""
+    x = np.asarray(x)
+    if out is None:
+        out = np.empty(x.shape)
+    under = x <= -1076.0
+    if under.any():
+        out[...] = 0.0
+        np.exp2(x, out=out, where=~under)
+    else:
+        np.exp2(x, out=out)
+    return out[()]
+
+
 def _supercyclic(n, x, y):
     log2_q = x + y
-    return log2_q, np.exp2(log2_q)
+    return log2_q, _exp2(log2_q)
 
 
 def _cesaro(n, x, y):
@@ -106,9 +124,9 @@ def _cesaro(n, x, y):
     # pass writes into one of four buffers of the broadcast shape.
     shape = np.broadcast(n, x, y).shape
     q, low, log2_n, log2_q = (np.empty(shape) for _ in range(4))
-    np.exp2(x, out=q)
+    _exp2(x, q)
     q *= n
-    np.exp2(y, out=low)
+    _exp2(y, low)
     low /= n
     np.maximum(q, low, out=q)
     with np.errstate(divide="ignore"):
@@ -365,66 +383,101 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     slice short of the whole set, are defined only when both legs read the
     same points.
 
-    The legs arrive as blocks of the orbit lattice, one row per n, both of
-    the height the wider point set allows.  Each leg value is elementwise
-    in its point, so a slice's table is bit for bit the table of a sweep
-    over that slice's points alone.  The extremes reduce point-major
-    copies of the blocks, a whole row of n per step, not one n's 9-25
-    points; the copies go into two buffers that every block reuses.  With
-    ``inverse`` they encode the inverse operator S, whose weight along
-    forward orbits is the reciprocal backward product of T:
-    lf_S = -lb_T and lb_S = -lf_T.  Either way the rows read min lf_T and
-    max lb_T, and with ``mirrored`` also max lf_T and min lb_T.
+    The legs arrive as blocks of the orbit lattice, one row per n.  Each
+    leg value is elementwise in its point, so a slice's table is bit for
+    bit the table of a sweep over that slice's points alone.  The
+    extremes reduce point-major copies of the blocks, a whole row of n per
+    step, not one n's 9-25 points; the copies go into one buffer per leg
+    that its blocks reuse.  With ``inverse`` they encode the inverse
+    operator S, whose weight along forward orbits is the reciprocal
+    backward product of T: lf_S = -lb_T and lb_S = -lf_T.  Either way the
+    rows read min lf_T and max lb_T, and with ``mirrored`` also max lf_T
+    and min lb_T.
 
-    Past a leg's exit time its rows are sums of one constant, and without
-    a trim the sweep sums them only over the columns that can still hold
-    the extremes it reads (:func:`_tail_columns`); a trim reads every
-    cell, so it keeps every column."""
+    Without a trim each leg is reduced on its own, and from its narrowing
+    row on it is summed only over the columns that can still hold the
+    extremes it gives (:func:`_narrow_columns`).  A trim reads every cell
+    of both legs at each n, so it takes their blocks side by side, every
+    column of both."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
     trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     legs = [(fwd_pts, 1, 0), (bwd_pts, -1, -1)]
-    sizes = [np.size(p) for p, _, _ in legs]
-    bufs = [np.empty((k, min(rows, horizon))) for k in sizes]
-    choose = None if trimmed else [
-        partial(_tail_columns, slices=slices, low=low, high=high)
-        for low, high in ((True, mirrored), (mirrored, True))]
-    # per leg, the columns its blocks hold and each slice's selector there
-    picks = [(None, slices)] * 2
-    n0 = 0
-    for blocks in _orbit_log2_legs(op, legs, horizon, rows, choose):
-        n1 = n0 + len(blocks[0][0])
-        copies, views = [], []
-        for i, (block, cols) in enumerate(blocks):
-            if cols is not picks[i][0]:
-                picks[i] = cols, _slice_columns(cols, slices, sizes[i])
-            copy = bufs[i][:block.shape[1], :n1 - n0]
-            if inverse:
-                np.negative(block.T, out=copy)
-            else:
-                copy[...] = block.T
-            copies.append(copy)
-            views.append([copy[sel] for sel in picks[i][1]])
-        if inverse:
-            copies, views = copies[::-1], views[::-1]
-        for ext, f, b in zip(exts, *views):
-            x, y = ext[:2, n0:n1]
-            np.negative(f.min(axis=0, out=x), out=x)
-            b.max(axis=0, out=y)
-            if mirrored:
-                x, y = ext[2:, n0:n1]
-                np.negative(b.min(axis=0, out=x), out=x)
-                f.max(axis=0, out=y)
-        if trimmed:
+    bufs = [np.empty((np.size(p), min(rows, horizon))) for p, _, _ in legs]
+    # the rows of a table that a leg gives (-min, max) of its copies: T's
+    # forward leg gives (-min lf, max lf), its backward leg (-min lb,
+    # max lb); with ``inverse`` the negated copies swap the two
+    roles = [(0, 3), (2, 1)]
+    if inverse:
+        roles.reverse()
+    if trimmed:
+        n0 = 0
+        for blocks in zip(*_orbit_log2_legs(op, legs, horizon, rows)):
+            n1 = n0 + len(blocks[0][0])
+            copies = [_point_major(block, buf, inverse)
+                      for (block, _), buf in zip(blocks, bufs)]
+            for copy, role in zip(copies, roles):
+                _reduce(exts, copy, slices, role, n0, n1)
             ns = np.arange(n0 + 1, n1 + 1, dtype=float)
-            lf_t, lb_t = copies
+            lf_t, lb_t = copies[::-1] if inverse else copies
             for kind, xy in trimmed.items():
                 keep = _trim_rows(kind, ns, lf_t.T, lb_t.T, max_drop)
                 xy[:, n0:n1] = _kept_xy(keep, lf_t.T, lb_t.T)
-        n0 = n1
+            n0 = n1
+        return exts, trimmed
+    # T's forward leg gives min lf, and max lf with the mirrored rows; its
+    # backward leg max lb, and min lb with them
+    choose = [partial(_narrow_columns, slices=slices, low=low, high=high)
+              for low, high in ((True, mirrored), (mirrored, True))]
+    for leg, buf, role, (pts, _, _) in zip(
+            _orbit_log2_legs(op, legs, horizon, rows, choose), bufs, roles,
+            legs):
+        n0, cols, sels = 0, None, slices
+        for block, now in leg:
+            if now is not cols:
+                cols, sels = now, _slice_columns(now, slices, np.size(pts))
+            n1 = n0 + len(block)
+            _reduce(exts, _point_major(block, buf, inverse), sels, role, n0,
+                    n1)
+            n0 = n1
     return exts, trimmed
+
+
+def _point_major(block: np.ndarray, buf: np.ndarray,
+                 inverse: bool) -> np.ndarray:
+    """The (rows, |cols|) ``block`` copied point-major into ``buf``,
+    negated with ``inverse``."""
+    copy = buf[:block.shape[1], :len(block)]
+    if inverse:
+        np.negative(block.T, out=copy)
+    else:
+        copy[...] = block.T
+    return copy
+
+
+def _reduce(exts, copy: np.ndarray, sels, role, n0: int, n1: int):
+    """Write -min and max over each slice's selector in ``sels`` of the
+    point-major ``copy`` into the rows ``role`` of that slice's table, at
+    n0..n1 - 1; a row past a table's end (a mirrored row of an unmirrored
+    table) is not read, and not made."""
+    lo, hi = role
+    for ext, sel in zip(exts, sels):
+        part = copy[sel]
+        if lo < len(ext):
+            x = ext[lo, n0:n1]
+            np.negative(part.min(axis=0, out=x), out=x)
+        if hi < len(ext):
+            part.max(axis=0, out=ext[hi, n0:n1])
+
+
+def _members(slices, k: int) -> np.ndarray:
+    """The (slices, k) membership of k point columns in each slice."""
+    member = np.zeros((len(slices), k), dtype=bool)
+    for row, sl in zip(member, slices):
+        row[sl] = True
+    return member
 
 
 def _slice_columns(cols, slices, k: int):
@@ -433,73 +486,158 @@ def _slice_columns(cols, slices, k: int):
     of the chosen columns that lie in it."""
     if cols is None:
         return slices
-    member = np.zeros(k, dtype=bool)
-    out = []
-    for sl in slices:
-        member[:] = False
-        member[sl] = True
-        out.append(np.flatnonzero(member[cols]))
-    return out
+    return [sl if sl == slice(None) else row.nonzero()[0]
+            for sl, row in zip(slices, _members(slices, k)[:, cols])]
 
 
-# A tail of more rows keeps every column: the margin of _tail_columns is
-# proved for rows * 2**-53 <= 2**-13.
-_TAIL_ROWS_MAX = 2 ** 40
+# A sweep of more rows keeps every column: the margins of _narrow_columns
+# are proved for rows * 2**-53 <= 2**-13.
+_ROWS_MAX = 2 ** 40
+
+# A weight's float evaluation lies within this share of its sup of its
+# exact value, and np.log2 within this share of 1 + |log2 w| of its own:
+# np.interp and the telescoping weight's closed form err by a few ulps.
+_EVAL_SLACK = 2.0 ** -40
 
 
-def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int, *,
-                  slices, low: bool, high: bool):
-    """The columns of a leg's constant tail that can hold, at some of its
-    next ``rows`` rows, the least (``low``) or the greatest (``high``)
-    value of a slice in ``slices``, one per distinct (s, e) bit pair per
-    slice, in increasing order; None for every column.  (s, e) is each
-    column's Sum2 carry at the tail's first row, and c the term every
-    later row adds.
+def _log2_range(bounds) -> tuple[float, float]:
+    """An interval that holds log2 w as the sweep computes it wherever the
+    exact w lies in ``bounds`` = (inf, sup), widened by ``_EVAL_SLACK``;
+    (-inf, inf) unless inf > 0 and sup is finite."""
+    lo, hi = bounds
+    pad = hi * _EVAL_SLACK
+    lo, hi = lo - pad, hi + pad
+    if not (lo > 0 and hi < math.inf):  # false for NaN too
+        return -math.inf, math.inf
+    lo, hi = math.log2(lo), math.log2(hi)
+    return (lo - _EVAL_SLACK * (1 + abs(lo)),
+            hi + _EVAL_SLACK * (1 + abs(hi)))
 
-    Why this keeps the extremes.  Let u = 2**-53, r <= ``rows`` and
-    M = max_j (|s_j| + |e_j|) + rows*|c|, the same for every column.  Row
-    r of a column is fl(s_r + E_r), where s_r = fl(s_{r-1} + c) with
-    exact error d_r (TwoSum is exact without overflow) and
-    E_r = fl(E_{r-1} + d_r), E_0 = e.  So s_r + E_0 + sum d = R + r*c
-    exactly, R = s + e.  Since |s_r| <= (1 + u)**r (|s| + r|c|), each
-    |d_r| <= u (1 + u)**r M; E_r is the recursive sum of E_0 and r such
-    terms, within gamma_r (|E_0| + r u (1 + u)**r M) of its exact value
-    (Higham 2002, (4.4); gamma_r = r u / (1 - r u)), and the final
-    rounding adds at most u |s_r + E_r|.  For r u <= 2**-13 every row is
-    therefore within B = 1.001 (rows + 1) u M of R + r*c.  A column whose
-    R exceeds the least R by more than 2B is above the least column at
-    every row, and the exit values v = fl(s + e) that this function can
-    read are each within u M of R.  So a column is dropped for the least
-    value only when its v exceeds the slice's least v by more than the
-    margin 2**-50 (rows + 2) M = 8 (rows + 2) u M, which covers 2B + 2uM
+
+def _narrow_columns(leg, *, slices, low: bool, high: bool):
+    """The columns of a leg (an ``operators._Narrowing``) that can hold,
+    at some row from its narrowing row on, the least (``low``) or the
+    greatest (``high``) value of a slice in ``slices``; increasing
+    indices, or None for every column.  A column goes when a
+    column of the same slice is proved to stay below it at every row to
+    come by more than the rounding can undo (above it, for the greatest),
+    or, past the exit, when the column just before it lies in the slice
+    too and holds the same carry bits.  Either way it never holds the
+    slice's extreme alone.
+
+    The rounding.  Let u = 2**-53 and H the leg's horizon; H u <= 2**-13,
+    or every column is kept.  Every row of the sweep is a Sum2 of its
+    terms (s runs the plain sum, E the recursive sum of its exact TwoSum
+    errors, a row is fl(s + E)).
+
+    Past the exit time (``tail`` c).  Let r be the rows to come and
+    M = max_j (|s_j| + |e_j|) + r|c|.  Row i of a column is
+    fl(s_i + E_i), where s_i = fl(s_{i-1} + c) with exact error d_i and
+    E_i = fl(E_{i-1} + d_i), E_0 = e.  So s_i + E_0 + sum d = R + i*c
+    exactly, R = s + e.  Since |s_i| <= (1 + u)**i (|s| + i|c|), each
+    |d_i| <= u (1 + u)**i M; E_i is the recursive sum of E_0 and i such
+    terms, within gamma_i (|E_0| + i u (1 + u)**i M) of its exact value
+    (Higham 2002, (4.4); gamma_i = i u / (1 - i u)), and the final
+    rounding adds at most u |s_i + E_i|.  So every row is within
+    B = 1.001 (r + 1) u M of R + i*c.  A column whose R exceeds the least
+    R by more than 2B is above the least column at every row, and the
+    keys v = fl(s + e) are each within u M of R.  So a column goes for the
+    least value only when its v exceeds the slice's least v by more than
+    the margin 2**-50 (r + 2) M = 8 (r + 2) u M, which covers 2B + 2uM
     and the rounding of the comparison with room to spare; likewise for
-    the greatest.  Columns of equal (s, e) bits have equal rows, so one
-    of them speaks for all.  Non-finite carries or terms, M near the
-    float range (TwoSum would no longer be exact) and tails of more than
-    ``_TAIL_ROWS_MAX`` rows keep every column."""
-    if rows > _TAIL_ROWS_MAX:
+    the greatest.  Columns of equal (s, e) bits have equal rows, so the
+    first of a run of them speaks for the run.
+
+    Along a chain (``chain``, ``steps``, ``lead``).  Column t' lies a
+    steps down column t's walk on the lattice, whose orbit points are
+    exact floats, so its term at row i is t's term at row i + a, bit for
+    bit.  With exact sums V*, for every row i
+        V*(t', i) - V*(t, i) = sum_{j=i+1}^{i+a} L_j(t) - P_a(t),
+    P_a(t) = V*(t, a - 1), L = log2 w.  From the narrowing row on both
+    walks read only points in ``later``, where lambda_lo <= L <=
+    lambda_hi (:func:`_log2_range`), so t' stays above t when
+    a lambda_lo - P_a(t) > 0, and below it when a lambda_hi - P_a(t) < 0.
+    Relative to the chain's leader, whose sum of its first a terms is
+    phi(a) (``lead``), P_{b-a} of the member a rows down is
+    phi(b) - phi(a) exactly, so each column's key is a lambda - phi(a),
+    and t' goes when its key exceeds the least key of a member before it
+    in the slice by more than the margin (less than the greatest, for the
+    greatest value).  Rounding: with Lambda >= |L| over ``whole``, each
+    computed V and phi is within (u + gamma_H**2) H Lambda
+    <= u H Lambda (1 + 1.0004 H**2 u) of its exact sum (Ogita, Rump &
+    Oishi 2005, Prop. 4.5), and each key within 3.1 u H Lambda of its
+    exact value, so two rows, two phi and two keys cost at most
+    u H Lambda (10.3 + 4.01 H**2 u), which the margin
+    2**-49 H Lambda (1 + 2**-51 H**2) = 16 u H Lambda (1 + 4 H**2 u)
+    covers with the comparison's rounding.  Non-finite keys or bounds
+    keep every column."""
+    if leg.horizon > _ROWS_MAX:
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = s + e
-        size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
-    if not size < 2.0 ** 1000:  # false for NaN and inf too
-        return None
-    margin = math.ldexp((rows + 2) * size, -50)
-    bits = list(zip(s.view(np.int64).tolist(), e.view(np.int64).tolist()))
-    cols = np.arange(s.size)
-    kept: set = set()
-    for sl in slices:
-        vals = v[sl]
-        near = np.zeros(vals.size, dtype=bool)
-        if low:
-            near |= vals <= vals.min() + margin
-        if high:
-            near |= vals >= vals.max() - margin
-        first: dict = {}
-        for j in cols[sl][near].tolist():
-            first.setdefault(bits[j], j)
-        kept.update(first.values())
-    return None if len(kept) == s.size else np.array(sorted(kept))
+    if leg.tail is not None:
+        s, e = leg.s, leg.e
+        size = float((np.abs(s) + np.abs(e)).max()) + leg.rows * abs(leg.tail)
+        if not size < 2.0 ** 1000:  # false for NaN and inf too
+            return None
+        margin = math.ldexp((leg.rows + 2) * size, -50)
+        lo_key = hi_key = s + e
+    else:
+        lam_lo, lam_hi = _log2_range(leg.later)
+        whole = _log2_range(leg.whole)
+        h = leg.horizon
+        margin = math.ldexp(h * max(-whole[0], whole[1])
+                            * (1.0 + math.ldexp(h * h, -51)), -49)
+        if not (margin < math.inf and -math.inf < lam_lo <= lam_hi
+                < math.inf):
+            return None
+        lo_key = leg.steps * lam_lo - leg.lead if low else None
+        hi_key = leg.steps * lam_hi - leg.lead if high else None
+    member = _members(slices, leg.s.size)
+    near = None
+    if low:
+        keyed = np.where(member, lo_key, math.inf)
+        near = keyed <= _best_before(keyed, np.minimum, leg) + margin
+    if high:
+        keyed = np.where(member, hi_key, -math.inf)
+        side = keyed >= _best_before(keyed, np.maximum, leg) - margin
+        near = side if near is None else near | side
+    # a non-member's fill meets a fill before it in a chain with no member
+    near &= member
+    if leg.tail is not None:
+        # a column that repeats the carry bits of the near column before
+        # it has its rows, so that one speaks for it
+        pairs = near[:, 1:] & near[:, :-1]
+        if pairs.any():
+            sb, eb = s.view(np.int64), e.view(np.int64)
+            near[:, 1:] &= ~(pairs & (sb[1:] == sb[:-1]) & (eb[1:] == eb[:-1]))
+    kept = near.any(axis=0)
+    return None if kept.all() else kept.nonzero()[0]
+
+
+def _best_before(keyed: np.ndarray, better, leg) -> np.ndarray:
+    """Per slice and column, the least (``better`` np.minimum) or greatest
+    (np.maximum) of the ``keyed`` values, one row per slice with its
+    non-members at the fill +-inf, that may rule the column out: past the
+    exit those of the whole slice, along chains those of the column's
+    chain at or before it.  The chain case is a running best along each
+    chain in the leg's chain ``order``, by doubling: after the pass at
+    distance d each column holds the best of the 2d columns up to it in
+    its chain, so a chain of L members takes about log2 L passes over the
+    (slices, k) keys, and no more memory than they hold."""
+    if leg.tail is not None:
+        return better.reduce(keyed, axis=1)[:, None]
+    runs = keyed[:, leg.order]
+    chain = leg.chain[leg.order]
+    d = 1
+    while d < chain.size:
+        same = chain[d:] == chain[:-d]
+        if not same.any():
+            break
+        runs[:, d:] = np.where(same, better(runs[:, d:], runs[:, :-d]),
+                               runs[:, d:])
+        d *= 2
+    best = np.empty_like(runs)
+    best[:, leg.order] = runs
+    return best
 
 
 def _kind_rows(kind: CriterionKind, ext: np.ndarray) -> np.ndarray:

@@ -161,6 +161,23 @@ class PiecewiseMap:
         hi = float(self.breakpoints[-1]) if self.right_slope == 0 else math.inf
         return lo, hi
 
+    def bounds(self, lo: float, hi: float) -> tuple[float, float]:
+        """(inf, sup) of the map on [lo, hi], lo <= hi, either end possibly
+        infinite: the map is affine between its nodes, so both are among
+        its values at the two ends and at the nodes inside; an infinite
+        end reads the tail's limit, +-inf under a slope."""
+        bp = self.breakpoints
+        vals = [self.values[(bp > lo) & (bp < hi)]]
+        for end, slope, tail in ((lo, -self.left_slope, self.values[0]),
+                                 (hi, self.right_slope, self.values[-1])):
+            if abs(end) < math.inf:
+                vals.append(self(np.array([end])))
+            else:
+                vals.append([tail if slope == 0 else math.copysign(math.inf,
+                                                                   slope)])
+        vals = np.concatenate(vals)
+        return float(vals.min()), float(vals.max())
+
     @classmethod
     def constant(cls, c, positive=None):
         if positive is None:

@@ -129,9 +129,10 @@ class _Lattice:
     the ``kmax`` it was built for."""
 
     def __init__(self, shift: float, t0: float, g: float, unit: int,
-                 span: int, cols, neg_zero: bool):
+                 offsets: np.ndarray, cols, neg_zero: bool):
         self.shift, self.t0, self.g, self.unit = shift, t0, g, unit
-        self.span, self.cols, self.neg_zero = span, cols, neg_zero
+        self.offsets, self.span = offsets, int(offsets.max())
+        self.cols, self.neg_zero = cols, neg_zero
 
     @classmethod
     def of(cls, alpha, pts: np.ndarray, kmax: int) -> "_Lattice | None":
@@ -167,8 +168,35 @@ class _Lattice:
         # t + k*shift is -0.0, a float no table holds, only for t = -0.0
         # read at k = 0 under a negative shift
         neg_zero = shift < 0 and bool(np.signbit(pts[pts == 0]).any())
-        return cls(shift, t0, math.ldexp(g, -e), sh // g, int(offsets.max()),
-                   cols, neg_zero)
+        return cls(shift, t0, math.ldexp(g, -e), sh // g, offsets, cols,
+                   neg_zero)
+
+    def chains(self, step: int):
+        """The chains of the walk by ``step`` over the points: points a
+        whole number a of rows apart along it, the later one a*step*shift
+        from the earlier, which at row i reads the term the earlier reads
+        at row i + a.  Per point, the index of its chain's first point
+        along the walk (its leader), its rows a below it, and the point
+        indices sorted by chain and, within a chain, by a; None when the
+        int64 keys that sort the points by chain would overflow."""
+        d = abs(step * self.unit)
+        pos, res = np.divmod(self.offsets, d)
+        if step * self.unit < 0:
+            pos = -pos
+        k, low = pos.size, int(pos.min())
+        width = int(pos.max()) - low + 1
+        if d * width * k >= 2 ** 62:
+            return None
+        # sort by (residue, position): one np.sort of keys that carry the
+        # point index in their low digits
+        order = np.sort((res * width + (pos - low)) * k + np.arange(k)) % k
+        res = res[order]
+        first = np.ones(k, dtype=bool)
+        first[1:] = res[1:] != res[:-1]
+        leader = np.empty(k, dtype=np.intp)
+        leader[order] = order[np.maximum.accumulate(
+            np.where(first, np.arange(k), 0))]
+        return leader, pos - pos[leader], order
 
     def reads(self, n: int, step: int, start: int) -> bool:
         """Whether the walk of n rows from k = ``start`` by ``step``, with
@@ -177,22 +205,33 @@ class _Lattice:
         return not (self.neg_zero and min(ks) <= 0 <= max(ks))
 
     def log2_block(self, op: CompositionOperator, k1: int, step: int,
-                   out: np.ndarray) -> bool:
+                   out: np.ndarray, cols=None) -> bool:
         """Write log2 w over the block of ``len(out)`` rows from k = ``k1``
-        by ``step`` into ``out``, (rows, |t|); False, writing nothing, when
-        the table would have more entries than the block has cells."""
+        by ``step`` into ``out``, (rows, |t|), or over the points ``cols``
+        of |t| only, (rows, |cols|), from a table that spans those points
+        alone; False, writing nothing, when the table would have more
+        entries than the block has cells."""
         rows, k = out.shape
-        d, span = step * self.unit, self.span
+        t0, span = self.t0, self.span
+        if cols is None:
+            cols = self.cols
+        else:
+            # t0 + base*g is a point of the set, so exact
+            cols = self.offsets[cols]
+            base = int(cols.min())
+            cols = cols - base
+            t0, span = t0 + base * self.g, int(cols.max())
+        d = step * self.unit
         size = abs(d) * (rows - 1) + span + 1
         if size > rows * k:
             return False
         # the least point of the block, in its first row or its last
         low = min(0, d * (rows - 1))
         table = np.arange(size) * self.g
-        table += self.t0 + k1 * self.shift + low * self.g
+        table += t0 + k1 * self.shift + low * self.g
         op.log2_weight(table, out=table)
         out[...] = np.ndarray((rows, span + 1), float, table, -8 * low,
-                              (8 * d, 8))[:, self.cols]
+                              (8 * d, 8))[:, cols]
         return True
 
 
@@ -203,14 +242,40 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
     compensated, elementwise in t, summed in walk order.  ``rows``
     defaults to :func:`_block_rows` of |t|.  The one-leg case of
     :func:`_orbit_log2_legs`, every column of every block."""
-    for ((block, _),) in _orbit_log2_legs(op, [(pts, step, start)], n, rows):
+    for block, _ in _orbit_log2_legs(op, [(pts, step, start)], n, rows)[0]:
         yield block
 
 
+class _Narrowing:
+    """A leg at the row where it may go on over fewer columns, as its
+    ``choose`` reads it: each column's Sum2 carry (``s``, ``e``) there, the
+    ``rows`` still to come and the leg's ``horizon``.
+
+    A leg past its exit time has ``tail``, the log2 constant each later
+    row adds.  A leg still walking a translation's :class:`_Lattice` has
+    instead its chains (:meth:`_Lattice.chains`): per column its
+    ``chain``, the column of the chain's leader, its ``steps`` a below
+    it, and ``lead``, the leader's sum of its first a terms (its row
+    a - 1; 0 for a = 0); the columns in chain ``order``, each chain's
+    members by increasing a; and the weight's ``bounds`` over the orbit
+    points the walks read from this row to the last (``later``) and from
+    row 0 (``whole``)."""
+
+    __slots__ = ("s", "e", "rows", "horizon", "tail", "chain", "steps",
+                 "order", "lead", "later", "whole")
+
+    def __init__(self, s, e, rows: int, horizon: int, tail=None, chain=None,
+                 steps=None, order=None, lead=None, later=None, whole=None):
+        self.s, self.e, self.rows, self.horizon = s, e, rows, horizon
+        self.tail, self.chain, self.steps, self.order = (tail, chain, steps,
+                                                         order)
+        self.lead, self.later, self.whole = lead, later, whole
+
+
 def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
-                     rows: int | None = None, choose=None):
-    """Yield, block by block, per leg (pts, step, start) of ``legs`` the
-    pair (block, cols): the block of ``_orbit_log2_rows(op, pts, n, step,
+                     rows: int | None = None, choose=None) -> list:
+    """Per leg (pts, step, start) of ``legs``, a generator of the pairs
+    (block, cols): the blocks of ``_orbit_log2_rows(op, pts, n, step,
     start, rows)`` over the point columns ``cols``, every column when
     ``cols`` is None.  ``rows`` defaults to :func:`_block_rows` of the
     widest point set.
@@ -224,14 +289,18 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
     |k| any leg walks.  The sums run on even-width blocks, and each
     yielded block is the view of its first columns.
 
-    Past the exit every column adds the same constant, so a caller that
-    reads only extremes need not sum them all: ``choose``, one callable
-    or None per leg, is asked once, at the leg's first block seam at or
-    past its exit, as choose(s, e, c, rows_left) with the Sum2 carry
-    (s, e) of each column there, the constant c and the rows still to
-    come.  It returns the increasing indices of the columns to carry on
-    (see :func:`criteria._tail_columns`), or None for all of them.
-    Callers that read cells choose all columns."""
+    A caller that reads only extremes need not sum every column to the
+    end: ``choose``, one callable or None per leg, is asked once, at the
+    leg's narrowing row, as choose(:class:`_Narrowing`), for the
+    increasing indices of the columns to carry on (see
+    :func:`criteria._narrow_columns`), or None for all of them.  A leg
+    narrows at its exit time, past which every column adds one constant;
+    a leg that walks to the end on a lattice narrows at its longest chain
+    offset, when its weight has ``bounds``.  Its blocks run ``rows`` high
+    from row 0 and again from the narrowing row, the block before that
+    row ending there.  A leg of one block, n <= ``rows``, does not
+    narrow.  Without ``choose`` a leg keeps every column, and its blocks
+    run ``rows`` high from row 0."""
     legs = [(np.atleast_1d(np.asarray(p, dtype=float)), step, start)
             for p, step, start in legs]
     rows = rows or _block_rows(max(p.size for p, _, _ in legs))
@@ -250,10 +319,9 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
         lattice = lattices[key]
         if lattice is not None and not lattice.reads(walked, step, start):
             lattice = None
-        sums.append(_summed(_log2_blocks(op, p, n, rows, step, start, walked,
-                                         tail, lattice),
-                            p.size, rows, n, walked, tail, pick))
-    return zip(*sums)
+        sums.append(_summed(op, p, n, rows, step, start, walked, tail,
+                            lattice, pick))
+    return sums
 
 
 def _leg_tail(op: CompositionOperator, pts: np.ndarray, n: int, step: int,
@@ -270,53 +338,109 @@ def _leg_tail(op: CompositionOperator, pts: np.ndarray, n: int, step: int,
     return row, float(op.log2_weight(np.array([edge]))[0])
 
 
-def _summed(heads, k: int, rows: int, n: int, walked: int, tail: float,
-            choose):
-    """The Sum2 partial sums down a leg of k columns, as (block, cols)
-    pairs: first of its even-width walked blocks ``heads``, which cover
-    the rows up to the block seam at or past ``walked``, then of the tail
-    constant on the later blocks, over the columns ``cols`` that
-    ``choose`` picks there (all of them, and cols None, without
-    ``choose``).  A block is the view of its first columns."""
+def _walk_hull(pts: np.ndarray, shift: float, step: int, start: int,
+               first: int, last: int) -> tuple[float, float]:
+    """The least and the greatest orbit point that the translation walks
+    over ``pts`` read at rows ``first`` to ``last``."""
+    ends = [float(x + (start + step * row) * shift)
+            for x in (pts.min(), pts.max()) for row in (first, last)]
+    return min(ends), max(ends)
+
+
+def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
+            step: int, start: int, walked: int, tail: float,
+            lattice: "_Lattice | None", choose):
+    """The Sum2 partial sums down one leg as (block, cols) pairs: first
+    over every column up to the narrowing row ``cut`` (see
+    :func:`_orbit_log2_legs`), then over the columns ``cols`` that
+    ``choose`` picks there, all of them (cols None) without ``choose``.
+    Without it ``cut`` is the block seam at or past the exit, so the
+    walked blocks are those of a leg that never narrows."""
+    k = pts.size
+    if k == 1 or n <= rows:
+        # one column has nothing to narrow, and a leg of one block would
+        # only be cut in two
+        choose = None
+    chains = None
+    if choose is None:
+        cut = min(n, -(-walked // rows) * rows)
+    elif walked < n:
+        cut = walked
+    else:
+        cut = n
+        if lattice is not None and hasattr(op.weight, "bounds"):
+            chains = lattice.chains(step)
+        if chains is not None and 0 < chains[1].max() < n:
+            cut = int(chains[1].max())
+        else:
+            chains = None
     width = k + k % 2
     buf = np.empty((2 * min(rows, n) + 1, width))
     s, e = np.zeros(width), np.zeros(width)
-    for logs in heads:
+    if chains is not None:
+        # each column's certificate reads its leader's row a - 1
+        leader, steps, order = chains
+        need, lead = steps - 1, np.zeros(k)
+    k0 = 0
+    for logs in _log2_blocks(op, pts, 0, cut, rows, step, start, walked,
+                             tail, lattice):
         s, e = _sum2_rows(logs, s, e, buf)
+        if chains is not None:
+            here = (need >= k0) & (need < k0 + len(logs))
+            lead[here] = logs[need[here] - k0, leader[here]]
+        k0 += len(logs)
         yield logs[:, :k], None
-    first = -(-walked // rows) * rows  # the first seam at or past the exit
-    cols = (None if choose is None or first >= n
-            else choose(s[:k], e[:k], tail, n - first))
+    if cut >= n:
+        return
+    cols = None
+    if chains is not None:
+        later, whole = (op.weight.bounds(*_walk_hull(
+            pts, op.alpha.shift, step, start, row, n - 1))
+            for row in (cut, 0))
+        cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, None, leader,
+                                 steps, order, lead, later, whole))
+    elif choose is not None:
+        cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, tail))
     if cols is not None:
         k, width = len(cols), len(cols) + len(cols) % 2
-        s, e = (np.concatenate((a[cols], np.zeros(width - k))) for a in (s, e))
-        buf = np.empty((2 * min(rows, n - first) + 1, width))
-    for k0 in range(first, n, rows):
-        logs = np.empty((min(rows, n - k0), width))
-        logs[:, :k] = tail
+        carry = np.zeros((2, width))
+        carry[0, :k], carry[1, :k] = s[cols], e[cols]
+        s, e = carry
+        buf = np.empty((2 * min(rows, n - cut) + 1, width))
+    if cut >= walked:
+        blocks = (np.full((min(rows, n - k0), width), tail)
+                  for k0 in range(cut, n, rows))
+    else:
+        blocks = _log2_blocks(op, pts, cut, n, rows, step, start, walked,
+                              tail, lattice, cols)
+    for logs in blocks:
         logs[:, k:] = 0.0
         s, e = _sum2_rows(logs, s, e, buf)
         yield logs[:, :k], cols
 
 
-def _log2_blocks(op: CompositionOperator, pts: np.ndarray, n: int,
-                 rows: int, step: int, start: int, walked: int, tail: float,
-                 lattice: "_Lattice | None"):
-    """log2 w over the blocks of ``homeo_orbit_blocks(op.alpha, pts, n,
-    rows, step, start)`` that hold walked rows, the first ``walked``, each
-    a fresh (rows, even width) array whose columns past |t| hold 0: the
-    walked rows read the weight, through ``lattice`` where it has a table
-    for the block, and the rest hold ``tail``."""
+def _log2_blocks(op: CompositionOperator, pts: np.ndarray, first: int,
+                 end: int, rows: int, step: int, start: int, walked: int,
+                 tail: float, lattice: "_Lattice | None", cols=None):
+    """log2 w over the rows ``first`` to ``end`` of the walk over ``pts``
+    (over its points ``cols`` only, when given), ``rows`` rows a block,
+    the last one possibly shorter, each a fresh (rows, even width) array
+    whose columns past the points hold 0: the first ``walked`` rows read
+    the weight, through ``lattice`` where it has a table for the block,
+    and the rest hold ``tail``."""
+    if cols is not None:
+        pts = pts[cols]
     k = pts.size
-    walk = (homeo_orbit_blocks(op.alpha, pts, walked, rows, step, start)
+    walk = (homeo_orbit_blocks(op.alpha, pts, walked - first, rows, step,
+                               start + step * first)
             if lattice is None else None)
-    for k0 in range(0, walked, rows):
-        logs = np.empty((min(rows, n - k0), k + k % 2))
+    for k0 in range(first, end, rows):
+        logs = np.empty((min(rows, end - k0), k + k % 2))
         logs[:, k:] = 0.0
         head = logs[:walked - k0, :k]
         k1 = start + step * k0
         if not (lattice is not None
-                and lattice.log2_block(op, k1, step, head)):
+                and lattice.log2_block(op, k1, step, head, cols)):
             if walk is None:
                 [block] = homeo_orbit_blocks(op.alpha, pts, len(head),
                                              len(head), step, k1)

@@ -89,6 +89,16 @@ class _TelescopingWeight:
         out[below] = x
         return out[()]
 
+    def bounds(self, lo: float, hi: float) -> tuple[float, float]:
+        """(inf, sup) of the weight on [lo, hi], lo <= hi, either end
+        possibly infinite.  It rises towards 2 up to ``shift - 1`` (from
+        its limit 1 at -inf), falls to 1/2 at ``shift`` and stays there,
+        so the inf is at an end and the sup at an end or at the peak."""
+        ends = [1.0 if lo == -math.inf else float(self(lo)),
+                0.5 if hi == math.inf else float(self(hi))]
+        peak = 2.0 if lo <= self.shift - 1.0 <= hi else 0.0
+        return min(ends), max(ends + [peak])
+
 
 def build_preset(name: str):
     """Instantiate a named preset operator."""

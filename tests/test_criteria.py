@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lindyn import criteria, operators
 from lindyn.criteria import (
     _SOLID_KINDS,
+    _exp2,
     _leg_extremes,
+    _log2_range,
+    _narrow_columns,
     _slice_columns,
-    _tail_columns,
     _trim_rows,
     SATISFIED,
     CompactWindow,
@@ -27,6 +31,8 @@ from lindyn.funcspace import (
     Translation,
 )
 from lindyn.operators import (
+    _Lattice,
+    _Narrowing,
     _block_rows,
     _sum2_rows,
     CocycleSweep,
@@ -427,8 +433,17 @@ def tail_sums(s, e, c: float, rows: int, cols=None) -> np.ndarray:
     return np.concatenate(out)
 
 
+def _tail_columns(s, e, c: float, rows: int, *, slices, low: bool,
+                  high: bool):
+    """``criteria._narrow_columns`` of a leg that exits at row 0 of
+    ``rows``, with the carry (s, e) and the tail constant c."""
+    return _narrow_columns(_Narrowing(s, e, rows, rows, tail=c),
+                           slices=slices, low=low, high=high)
+
+
 def tail_margin(s, e, c: float, rows: int) -> float:
-    """The margin of ``criteria._tail_columns``: 2**-50 (rows + 2) M."""
+    """The margin of ``criteria._narrow_columns`` past the exit:
+    2**-50 (rows + 2) M."""
     size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
     return math.ldexp((rows + 2) * size, -50)
 
@@ -467,7 +482,7 @@ def near_tie_carries(rng, c: float, rows: int):
 
 
 class TestTailHelper:
-    """The columns ``_tail_columns`` keeps give a constant tail's least and
+    """The columns ``_narrow_columns`` keeps give a constant tail's least and
     greatest sums per slice bit for bit, against the Sum2 of the constant
     over every column."""
 
@@ -556,6 +571,355 @@ class TestTailHelper:
         assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5,
                              slices=(slice(None),), low=True,
                              high=False) is None
+
+
+@pytest.fixture
+def narrowings(monkeypatch):
+    """Each narrowing the sweeps of a test ask for, in order, as (row,
+    leg, kept columns): ``_leg_extremes`` binds ``_narrow_columns`` when
+    it is called, so the spy sees every leg."""
+    seen = []
+    real = criteria._narrow_columns
+
+    def spy(leg, **kwargs):
+        cols = real(leg, **kwargs)
+        seen.append((leg.horizon - leg.rows, leg, cols))
+        return cols
+
+    monkeypatch.setattr(criteria, "_narrow_columns", spy)
+    return seen
+
+
+def centred_slices(pts: np.ndarray, radii) -> list:
+    """The registry's nested windows of ``radii`` as centred slices of the
+    grid points ``pts``."""
+    slices = []
+    for m in radii:
+        w = CompactWindow.from_grid(GRID, m).points.size
+        slices.append(slice((pts.size - w) // 2, (pts.size + w) // 2))
+    return slices
+
+
+def assert_full_width(op, fwd, bwd, horizon, slices=(slice(None),)):
+    """Every table of ``_leg_extremes``, either side of ``inverse`` and
+    ``mirrored``, is bit for bit the one reduced from every cell."""
+    for inverse in (False, True):
+        full = full_width_extremes(op, fwd, bwd, horizon, inverse, slices)
+        for mirrored in (False, True):
+            exts, _ = _leg_extremes(op, fwd, bwd, horizon, inverse,
+                                    slices=slices, mirrored=mirrored)
+            for ext, ref in zip(exts, full, strict=True):
+                assert np.array_equal(int64(ext), int64(ref[:len(ext)])), \
+                    (horizon, inverse, mirrored)
+
+
+class TestNarrowingRows:
+    """An untrimmed leg narrows at its own row: its exit time, or, when it
+    walks a lattice to the end, its longest chain offset; its first block
+    ends there.  The tables are bit for bit the full-width ones on both
+    sides of that row and of the block seams."""
+
+    @staticmethod
+    def rows_of(op, pts, narrowings, slices=(slice(None),)):
+        narrowings.clear()
+        _leg_extremes(op, pts, pts, 3000, slices=slices)
+        return {row for row, _, _ in narrowings}
+
+    @pytest.mark.parametrize("preset", TAIL_PRESETS)
+    def test_horizons_around_the_rows(self, preset, narrowings):
+        op = build_preset(preset)
+        for m in (1.0, 2.0, 3.0):
+            pts = CompactWindow.from_grid(GRID, m).points
+            rows = self.rows_of(op, pts, narrowings)
+            horizons = {h for r in rows for h in (r - 1, r, r + 1)}
+            for horizon in sorted(horizons | {1023, 1024, 1025}):
+                if horizon >= 1:
+                    assert_full_width(op, pts, pts, horizon)
+
+    @pytest.mark.parametrize("preset", TAIL_PRESETS)
+    def test_registry_slices_around_the_rows(self, preset, narrowings):
+        # a member ruled out in the whole window can lead a narrower one
+        op = build_preset(preset)
+        pts = CompactWindow.from_grid(GRID, 3.0).points
+        slices = centred_slices(pts, (0.0, 1.0, 2.0, 3.0))
+        rows = self.rows_of(op, pts, narrowings, slices)
+        for horizon in sorted({h for r in rows for h in (r - 1, r, r + 1)}
+                              | {200, 1025}):
+            if horizon >= 1:
+                assert_full_width(op, pts, pts, horizon, slices)
+
+    @pytest.mark.parametrize("preset", ["ex3.8", "rem3.10"])
+    def test_rows_past_the_first_block(self, preset, narrowings):
+        # 513 points make blocks of 63 rows and chains 128 rows long: the
+        # leaders' sums the certificates read span three blocks
+        op = build_preset(preset)
+        pts = CompactWindow.from_grid(GRID, 64.0).points
+        assert _block_rows(pts.size) == 63
+        narrowings.clear()
+        _leg_extremes(op, pts, pts, 300, mirrored=False)
+        (row, leg, cols), _ = narrowings
+        assert leg.tail is None and row == 128 and cols is not None
+        for horizon in (127, 128, 129, 300):
+            assert_full_width(op, pts, pts, horizon)
+
+    @pytest.mark.parametrize("m", [1.0, 2.0, 3.0])
+    def test_ex38_legs_narrow_to_their_leaders(self, m, narrowings):
+        # the forward leg never exits: from row 2m on it keeps one column
+        # per chain (residue mod 1), the chain's top; the backward leg
+        # exits at row m - 1 and keeps one column
+        op = build_preset("ex3.8")
+        pts = CompactWindow.from_grid(GRID, m).points
+        _leg_extremes(op, pts, pts, 18000, mirrored=False)
+        (row, fwd, cols), (brow, bwd, bcols) = narrowings
+        assert fwd.tail is None and row == 2 * m
+        assert pts[cols].tolist() == [m - 0.75, m - 0.5, m - 0.25, m]
+        assert bwd.tail == -1.0 and brow == m - 1 and len(bcols) == 1
+
+    def test_one_block_legs_do_not_narrow(self, narrowings):
+        # a leg of one block would only be cut in two at its row
+        op = build_preset("ex3.8")
+        pts = CompactWindow.from_grid(GRID, 2.0).points
+        rows = _block_rows(pts.size)
+        _leg_extremes(op, pts, pts, rows)
+        assert narrowings == []
+        _leg_extremes(op, pts, pts, rows + 1)
+        assert [row for row, _, _ in narrowings] == [4, 1]
+
+    def test_registry_slices_keep_their_chain_tops(self, narrowings):
+        # each nested slice keeps the top of each of its chains, its
+        # greatest point per residue mod 1, and nothing more: a column
+        # with no member of the slice before it in its chain is no
+        # candidate of that slice
+        op = build_preset("ex3.8")
+        pts = CompactWindow.from_grid(GRID, 3.0).points
+        slices = centred_slices(pts, (0.0, 1.0, 2.0, 3.0))
+        _leg_extremes(op, pts, pts, 18000, slices=slices, mirrored=False)
+        row, fwd, cols = narrowings[0]
+        tops = set()
+        for sl in slices:
+            inside = pts[sl]
+            for r in set(inside % 1.0):
+                tops.add(float(inside[inside % 1.0 == r].max()))
+        assert fwd.tail is None and row == 6
+        assert pts[cols].tolist() == sorted(tops)
+        assert len(tops) == 13
+
+    def test_narrowed_lattice_blocks_read_their_own_table(self,
+                                                          monkeypatch):
+        # ex3.8's 4 adjacent chain tops fill a table of 4 * 1023 + 4
+        # entries, one per cell of their 1024-row blocks, so no block of
+        # either leg builds orbit positions: the forward leg reads its 4
+        # rows at full width and 2996 narrowed, the backward leg its one
+        # walked row
+        calls = []
+        real = _Lattice.log2_block
+
+        def spy(self, op, k1, step, out, cols=None):
+            done = real(self, op, k1, step, out, cols)
+            calls.append((cols is not None, done))
+            return done
+
+        def positions(*args, **kwargs):
+            raise AssertionError("orbit positions built")
+
+        monkeypatch.setattr(_Lattice, "log2_block", spy)
+        monkeypatch.setattr(operators, "homeo_orbit_blocks", positions)
+        op = build_preset("ex3.8")
+        pts = CompactWindow.from_grid(GRID, 2.0).points
+        _leg_extremes(op, pts, pts, 3000, mirrored=False)
+        assert calls == [(False, True)] + [(True, True)] * 3 + [(False, True)]
+        monkeypatch.undo()
+        assert_full_width(op, pts, pts, 3000)
+
+    def test_adjoint_supports(self, narrowings):
+        # two point sets, each leg with its own lattice and chains
+        op = build_preset("ex3.8")
+        mu = np.array([-1.5, -1.0, 0.0, 0.25, 1.0, 2.0])
+        nu = np.array([-2.0, -0.75, 0.0, 0.5, 1.0, 1.75, 3.0])
+        for fwd, bwd in ((mu, nu), (nu, mu)):
+            for horizon in (2, 3, 4, 1025):
+                for inverse in (False, True):
+                    [full] = full_width_extremes(op, fwd, bwd, horizon,
+                                                 inverse)
+                    [ext], _ = _leg_extremes(op, fwd, bwd, horizon, inverse)
+                    assert np.array_equal(int64(ext), int64(full))
+
+
+# a telescoping-like weight with a deep dip (a tall peak) 1600 rows down
+# the forward walks, past their first block: the chain certificates must
+# refuse the least (the greatest) value, for a dip lowers a later chain
+# member below its leader
+DIP, PEAK = (PiecewiseMap([-1700.0, -1601.0, -1600.0, -1599.0, -1.0, 0.0],
+                          [1.0, 1.0, v, 1.0, 2.0, 0.5], positive=True)
+             for v in (2.0 ** -20, 2.0 ** 20))
+
+
+class TestChainCertificates:
+    """The chain rule asks the weight's ``bounds`` from the narrowing row
+    on; where they do not prove a column stays clear of the extreme, the
+    column is kept, and the tables stay bit for bit the full-width ones."""
+
+    WINDOW = CompactWindow.from_grid(GRID, 2.0).points
+
+    def test_a_dip_keeps_every_column(self, narrowings):
+        op = CompositionOperator(Translation(-1.0), DIP)
+        pts = self.WINDOW
+        # below its exit at row 1702 the forward leg walks to the end
+        for horizon in (1650, 18000):
+            narrowings.clear()
+            _leg_extremes(op, pts, pts, horizon, mirrored=False)
+            row, fwd, cols = narrowings[0]
+            if horizon == 1650:
+                assert fwd.tail is None and row == 4 and cols is None
+            else:
+                assert fwd.tail == 0.0 and row == 1702
+            assert_full_width(op, pts, pts, horizon)
+
+    def test_a_peak_keeps_the_greatest(self, narrowings):
+        op = CompositionOperator(Translation(-1.0), PEAK)
+        pts = self.WINDOW
+        kept = {}
+        for mirrored in (False, True):
+            narrowings.clear()
+            _leg_extremes(op, pts, pts, 1650, mirrored=mirrored)
+            row, fwd, kept[mirrored] = narrowings[0]
+            assert fwd.tail is None and row == 4
+        # the least value is proved as for ex3.8, the greatest is not
+        assert pts[kept[False]].tolist() == [1.25, 1.5, 1.75, 2.0]
+        assert kept[True] is None
+        assert_full_width(op, pts, pts, 1650)
+
+    def test_each_member_reads_its_leaders_sum_at_its_own_offset(
+            self, narrowings):
+        # along the walk from 0 the terms are 1, -5, then 0 up to the hull
+        # edge 5000 rows on: -1 (a = 1) stays 1 below 0's column, so it
+        # keeps the least value, and -2 (a = 2) stays 4 above 0's column;
+        # a certificate that read 0's sums a row off would keep -2 alone
+        op = CompositionOperator(Translation(-1.0), PiecewiseMap(
+            [-5000.0, -2.0, -1.0, 0.0], [1.0, 1.0, 1.0 / 32, 2.0],
+            positive=True))
+        pts = np.array([-2.0, -1.0, 0.0])
+        _leg_extremes(op, pts, pts, 1100, mirrored=False)
+        row, fwd, cols = narrowings[0]
+        assert fwd.tail is None and row == 2
+        assert fwd.steps.tolist() == [2, 1, 0]
+        assert fwd.lead.tolist() == [-4.0, 1.0, 0.0]
+        assert cols.tolist() == [1, 2]
+        assert_full_width(op, pts, pts, 1100)
+
+
+def chain_leg(keys, steps, chain, horizon=5000, later=(1.0, 1.0),
+              whole=(0.5, 2.0), high=False):
+    """A ``_Narrowing`` at row max(steps) whose chain keys a*lambda - lead,
+    lambda the low (``high``: high) end of ``_log2_range(later)``, are
+    ``keys``."""
+    lam = _log2_range(later)[1 if high else 0]
+    steps = np.array(steps)
+    with np.errstate(invalid="ignore"):  # an unbounded lambda
+        lead = steps * lam - np.array(keys)
+    k = steps.size
+    order = np.array(sorted(range(k), key=lambda i: (chain[i], steps[i])))
+    return _Narrowing(np.zeros(k), np.zeros(k), horizon - int(steps.max()),
+                      horizon, chain=np.array(chain), steps=steps,
+                      order=order, lead=lead, later=later, whole=whole)
+
+
+def chain_margin(horizon=5000, whole=(0.5, 2.0)) -> float:
+    """The chain rule's margin 2**-49 H Lambda (1 + 2**-51 H**2)."""
+    lo, hi = _log2_range(whole)
+    return math.ldexp(horizon * max(-lo, hi)
+                      * (1.0 + math.ldexp(horizon * horizon, -51)), -49)
+
+
+class TestChainHelper:
+    """``_narrow_columns`` along chains: a member goes when its key clears
+    the best key before it in its chain and slice by more than the
+    margin, and stays when it does not."""
+
+    STEPS = [0, 1, 2, 0, 1]
+    CHAIN = [0, 0, 0, 3, 3]  # two chains, led by columns 0 and 3
+
+    def narrow(self, keys, slices=(slice(None),), high=False, **leg):
+        return _narrow_columns(
+            chain_leg(keys, self.STEPS, self.CHAIN, high=high, **leg),
+            slices=slices, low=not high, high=high)
+
+    def test_near_the_margin(self):
+        m = chain_margin()
+        # column 1 clears its leader by 1.1 margins and goes; column 2
+        # clears the best before it by 0.9 margins only; column 4 lies
+        # below its leader and holds the least value
+        keys = [0.0, 1.1 * m, 0.9 * m, 0.0, -1.1 * m]
+        assert self.narrow(keys).tolist() == [0, 2, 3, 4]
+        # the greatest mirrors it
+        cols = self.narrow([-k for k in keys], high=True)
+        assert cols.tolist() == [0, 2, 3, 4]
+
+    def test_only_members_of_the_slice_rule_out(self):
+        m = chain_margin()
+        keys = [0.0, 1.1 * m, 2.2 * m, 0.0, 0.5 * m]
+        assert self.narrow(keys).tolist() == [0, 3, 4]
+        # without column 0, column 1 leads its chain in the second slice
+        # and column 2 clears it by 1.1 margins
+        cols = self.narrow(keys, slices=(slice(None), slice(1, 5)))
+        assert cols.tolist() == [0, 1, 3, 4]
+
+    def test_one_long_chain_takes_memory_linear_in_its_length(self):
+        # a translation by -0.25 chains the 4097 points of the quarter
+        # grid's window of radius 512 into one chain 4096 rows long: the
+        # running best must not take a cell per (member, row) pair
+        pts = CompactWindow.from_grid(Grid(1024.0, 0.25), 512.0).points
+        lattice = _Lattice.of(Translation(-0.25), pts, 5000)
+        leader, steps, order = lattice.chains(1)
+        assert (leader == pts.size - 1).all() and steps.max() == 4096
+        lam = _log2_range((1.0, 1.0))[0]
+        k = pts.size
+        leg = _Narrowing(np.zeros(k), np.zeros(k), 5000 - 4096, 5000,
+                         chain=leader, steps=steps, order=order,
+                         lead=steps * lam - steps, later=(1.0, 1.0),
+                         whole=(0.5, 2.0))
+        tracemalloc.start()
+        try:
+            cols = _narrow_columns(leg, slices=(slice(None),), low=True,
+                                   high=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cols.tolist() == [k - 1]
+        assert peak < 64 * 8 * k
+
+    def test_unproved_bounds_keep_every_column(self):
+        keys = [0.0, 1.0, 2.0, 0.0, 1.0]
+        assert self.narrow(keys).tolist() == [0, 3]
+        for leg in ({"later": (0.0, 2.0)}, {"later": (np.nan, 2.0)},
+                    {"whole": (0.5, np.inf)}, {"whole": (-1.0, 2.0)},
+                    {"horizon": 2 ** 40 + 1}):
+            assert self.narrow(keys, **leg) is None, leg
+
+
+class TestExp2:
+    """``_exp2`` is ``np.exp2`` bit for bit, its underflow written as +0.0
+    without numpy's slow path."""
+
+    def test_bits(self):
+        rng = np.random.default_rng(23)
+        x = np.concatenate((np.arange(-1080.0, -1070.0, 1.0 / 64),
+                            [np.inf, -np.inf, np.nan, 0.0, -0.0, -1076.0,
+                             np.nextafter(-1076.0, 0.0), -1075.0],
+                            rng.uniform(-1100.0, 1100.0, 4000),
+                            rng.standard_normal(500) * 30.0))
+        with np.errstate(over="ignore"):
+            ref = np.exp2(x)
+            for part in (x, x[x > -1000.0], x[x <= -1076.0]):
+                assert np.array_equal(int64(_exp2(part)),
+                                      int64(np.exp2(part)))
+            out = np.full(x.shape, 7.0)
+            assert np.shares_memory(_exp2(x, out), out)
+        assert np.array_equal(int64(out), int64(ref))
+        for scalar in (-2000.0, -1074.0, 3.0, np.nan):
+            got = _exp2(np.float64(scalar))
+            assert np.shape(got) == ()
+            assert int64(np.array(got)) == int64(np.exp2(np.array(scalar)))
 
 
 class TestVerdictFromTrace:

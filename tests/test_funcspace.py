@@ -3,7 +3,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lindyn.errors import (
@@ -30,6 +30,7 @@ from lindyn.funcspace import (
     row_norms,
     triangular_bump,
 )
+from lindyn.presets import _TelescopingWeight
 from oracles import identity_homeo, rectangular_bump, restrict
 
 RNG = np.random.default_rng(20260809)
@@ -108,6 +109,120 @@ class TestPiecewiseMap:
         sh = pm.shifted(3.0)
         for t in (-5.0, 0.0, 2.5, 4.0):
             assert sh(t + 3.0) == pm(t)
+
+
+# how far a weight's float evaluation may stray past its exact range, as a
+# share of its largest size there: the slack criteria._EVAL_SLACK grants
+EVAL_SLACK = 2.0 ** -40
+
+
+def bounds_samples(weight, lo: float, hi: float, nodes) -> np.ndarray:
+    """The weight at 2001 points spread over [lo, hi], an infinite end
+    clipped far past the nodes, and at the nodes inside and the finite
+    ends."""
+    far = 1e3 + float(np.abs(nodes).max())
+    a = lo if lo > -np.inf else min(-far, hi)
+    b = hi if hi < np.inf else max(far, a)
+    xs = np.linspace(a, b, 2001)
+    inside = nodes[(nodes >= lo) & (nodes <= hi)]
+    ends = [x for x in (lo, hi) if abs(x) < np.inf]
+    return np.asarray(weight(np.concatenate((xs, inside, ends))))
+
+
+def check_bounds(weight, lo, hi, nodes, tails):
+    """(inf, sup) = weight.bounds(lo, hi) holds every sampled value, up to
+    the evaluation slack, and is reached by one of them, or by the tail's
+    limit ``tails`` = (at -inf, at +inf) on an infinite side."""
+    assume(not lo == hi == np.copysign(np.inf, lo))  # no point at all
+    inf, sup = weight.bounds(lo, hi)
+    vals = bounds_samples(weight, lo, hi, nodes)
+    assert inf <= sup
+    size = max(abs(inf), abs(sup))
+    slack = EVAL_SLACK * size if size < np.inf else 0.0
+    assert vals.min() >= inf - slack and vals.max() <= sup + slack
+    limits = [t for t, end in zip(tails, (lo, hi)) if abs(end) == np.inf]
+    reached = np.concatenate((vals, limits))
+    low, top = reached.min(), reached.max()
+    assert low == inf or low - inf <= slack
+    assert top == sup or sup - top <= slack
+    return inf, sup
+
+
+@st.composite
+def maps_and_intervals(draw, positive: bool):
+    """A PiecewiseMap and an interval [lo, hi]: ends at nodes, between
+    them, beyond them or infinite; degenerate ones and ones inside one
+    piece included."""
+    nodes = sorted(set(draw(st.lists(st.floats(-50, 50), min_size=1,
+                                     max_size=8))))
+    value = st.floats(0.01, 100) if positive else st.floats(-100, 100)
+    vals = [draw(value) for _ in nodes]
+    slope = st.just(0.0) if positive else st.sampled_from([0.0, 0.5, -2.0])
+    pm = PiecewiseMap(nodes, vals, draw(slope), draw(slope),
+                      positive=positive)
+    end = st.one_of(st.sampled_from([-np.inf, np.inf]),
+                    st.sampled_from(nodes), st.floats(-80, 80))
+    kind = draw(st.sampled_from(["any", "point", "piece"]))
+    if kind == "point":
+        lo = hi = draw(st.one_of(st.sampled_from(nodes), st.floats(-80, 80)))
+    elif kind == "piece" and len(nodes) > 1:
+        i = draw(st.integers(0, len(nodes) - 2))
+        lo, hi = sorted(draw(st.floats(nodes[i], nodes[i + 1]))
+                        for _ in range(2))
+    else:
+        lo, hi = sorted((draw(end), draw(end)))
+    return pm, lo, hi
+
+
+class TestBounds:
+    """``bounds(lo, hi)`` is the inf and sup of a weight on an interval,
+    ends possibly infinite: every value there lies within them, and they
+    are reached, or are a tail's limit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_intervals(positive=True))
+    def test_positive_maps(self, case):
+        pm, lo, hi = case
+        check_bounds(pm, lo, hi, pm.breakpoints,
+                     (pm.values[0], pm.values[-1]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(maps_and_intervals(positive=False))
+    def test_maps_with_slopes(self, case):
+        pm, lo, hi = case
+        tails = [v if slope == 0 else np.copysign(np.inf, sign * slope)
+                 for v, slope, sign in ((pm.values[0], pm.left_slope, -1),
+                                        (pm.values[-1], pm.right_slope, 1))]
+        check_bounds(pm, lo, hi, pm.breakpoints, tails)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([0.0, 1.0, 0.3, -2.5]),
+           st.lists(st.one_of(st.sampled_from([-np.inf, np.inf]),
+                              st.floats(-60, 6),
+                              st.integers(-60, 6).map(float)),
+                    min_size=2, max_size=2))
+    def test_telescoping_weight(self, shift, ends):
+        # 1/2 from shift on, (k+1)/k at shift - k, towards 1 at -inf
+        w = _TelescopingWeight(shift)
+        lo, hi = sorted(ends)
+        nodes = shift - np.arange(0.0, 70.0)
+        inf, sup = check_bounds(w, lo, hi, nodes, (1.0, 0.5))
+        if lo <= shift - 1.0 <= hi:
+            assert sup == 2.0
+
+    def test_examples(self):
+        pm = PiecewiseMap([-1.0, 0.0, 2.0], [2.0, 0.5, 3.0], positive=True)
+        assert pm.bounds(-np.inf, np.inf) == (0.5, 3.0)
+        assert pm.bounds(-np.inf, -1.0) == (2.0, 2.0)
+        assert pm.bounds(-0.5, -0.5) == (1.25, 1.25)
+        assert pm.bounds(0.5, 1.0) == (1.125, 1.75)
+        slopes = PiecewiseMap([0.0], [1.0], left_slope=1.0, right_slope=1.0)
+        assert slopes.bounds(-np.inf, 0.0) == (-np.inf, 1.0)
+        assert slopes.bounds(0.0, np.inf) == (1.0, np.inf)
+        w = _TelescopingWeight()
+        assert w.bounds(-np.inf, -2.0) == (1.0, 1.5)
+        assert w.bounds(-3.0, 5.0) == (0.5, 2.0)
+        assert w.bounds(0.0, np.inf) == (0.5, 0.5)
 
 
 class TestHomeo:
