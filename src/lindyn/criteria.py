@@ -141,7 +141,7 @@ def _cesaro(n, x, y):
 
 def _hypercyclic(n, x, y):
     log2_q = np.maximum(x, y)
-    return log2_q, np.exp2(log2_q)
+    return log2_q, _exp2(log2_q)
 
 
 # Each kind is a formula in x = -min lf and y = max lb, vectorised over n,
@@ -370,91 +370,73 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
 
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
-                  inverse: bool = False, trim_kinds=(), max_drop: int = 0,
-                  slices=(slice(None),), mirrored: bool = True):
-    """The one cocycle sweep behind every criterion of a run.  Per slice in
-    ``slices`` of the point columns (the whole set by default), one table
-    of rows (-min lf, max lb) for n = 1..horizon, followed with
-    ``mirrored`` by the rows (-min lb, max lf) the adjoint kinds read, with
-    the forward leg over ``fwd_pts`` and the backward leg over
-    ``bwd_pts``; and per kind in ``trim_kinds`` its (x, y) over the points
-    of the whole set that :func:`_trim_rows` keeps (trimming picks its
-    points per n, so it cannot be read off the extremes).  Trimming, and a
-    slice short of the whole set, are defined only when both legs read the
-    same points.
+                  slices=(slice(None),), mirrored: bool = True) -> list:
+    """The one cocycle sweep behind every untrimmed criterion of a run:
+    per slice in ``slices`` of the point columns (the whole set by
+    default), T's table of rows (-min lf, max lb) for n = 1..horizon,
+    followed with ``mirrored`` by the rows (-min lb, max lf) the adjoint
+    kinds read, with the forward leg over ``fwd_pts`` and the backward leg
+    over ``bwd_pts``.  A slice short of the whole set is defined only when
+    both legs read the same points.  The inverse S reads the same table
+    through :func:`_kind_rows`.
 
     The legs arrive as blocks of the orbit lattice, one row per n.  Each
     leg value is elementwise in its point, so a slice's table is bit for
     bit the table of a sweep over that slice's points alone.  The
     extremes reduce point-major copies of the blocks, a whole row of n per
     step, not one n's 9-25 points; the copies go into one buffer per leg
-    that its blocks reuse.  With ``inverse`` they encode the inverse
-    operator S, whose weight along forward orbits is the reciprocal
-    backward product of T: lf_S = -lb_T and lb_S = -lf_T.  Either way the
-    rows read min lf_T and max lb_T, and with ``mirrored`` also max lf_T
-    and min lb_T.
-
-    Without a trim each leg is reduced on its own, and from its narrowing
-    row on it is summed only over the columns that can still hold the
-    extremes it gives (:func:`_narrow_columns`).  A trim reads every cell
-    of both legs at each n, so it takes their blocks side by side, every
-    column of both."""
+    that its blocks reuse.  Each leg is reduced on its own, and from its
+    narrowing row on it is summed only over the columns that can still
+    hold the extremes it gives (:func:`_narrow_columns`)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
-    trimmed = {kind: np.empty((2, horizon)) for kind in trim_kinds}
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     legs = [(fwd_pts, 1, 0), (bwd_pts, -1, -1)]
-    bufs = [np.empty((np.size(p), min(rows, horizon))) for p, _, _ in legs]
-    # the rows of a table that a leg gives (-min, max) of its copies: T's
-    # forward leg gives (-min lf, max lf), its backward leg (-min lb,
-    # max lb); with ``inverse`` the negated copies swap the two
-    roles = [(0, 3), (2, 1)]
-    if inverse:
-        roles.reverse()
-    if trimmed:
-        n0 = 0
-        for blocks in zip(*_orbit_log2_legs(op, legs, horizon, rows)):
-            n1 = n0 + len(blocks[0][0])
-            copies = [_point_major(block, buf, inverse)
-                      for (block, _), buf in zip(blocks, bufs)]
-            for copy, role in zip(copies, roles):
-                _reduce(exts, copy, slices, role, n0, n1)
-            ns = np.arange(n0 + 1, n1 + 1, dtype=float)
-            lf_t, lb_t = copies[::-1] if inverse else copies
-            for kind, xy in trimmed.items():
-                keep = _trim_rows(kind, ns, lf_t.T, lb_t.T, max_drop)
-                xy[:, n0:n1] = _kept_xy(keep, lf_t.T, lb_t.T)
-            n0 = n1
-        return exts, trimmed
-    # T's forward leg gives min lf, and max lf with the mirrored rows; its
-    # backward leg max lb, and min lb with them
+    # the rows of a table that a leg gives (-min, max) of: the forward
+    # leg (-min lf, max lf), the backward leg (-min lb, max lb); the
+    # forward leg's max and the backward leg's min only with ``mirrored``
     choose = [partial(_narrow_columns, slices=slices, low=low, high=high)
               for low, high in ((True, mirrored), (mirrored, True))]
-    for leg, buf, role, (pts, _, _) in zip(
-            _orbit_log2_legs(op, legs, horizon, rows, choose), bufs, roles,
-            legs):
+    for leg, role, (pts, _, _) in zip(
+            _orbit_log2_legs(op, legs, horizon, rows, choose),
+            [(0, 3), (2, 1)], legs):
+        buf = np.empty((np.size(pts), min(rows, horizon)))
         n0, cols, sels = 0, None, slices
         for block, now in leg:
             if now is not cols:
                 cols, sels = now, _slice_columns(now, slices, np.size(pts))
             n1 = n0 + len(block)
-            _reduce(exts, _point_major(block, buf, inverse), sels, role, n0,
-                    n1)
+            copy = buf[:block.shape[1], :len(block)]
+            copy[...] = block.T
+            _reduce(exts, copy, sels, role, n0, n1)
             n0 = n1
-    return exts, trimmed
+    return exts
 
 
-def _point_major(block: np.ndarray, buf: np.ndarray,
-                 inverse: bool) -> np.ndarray:
-    """The (rows, |cols|) ``block`` copied point-major into ``buf``,
-    negated with ``inverse``."""
-    copy = buf[:block.shape[1], :len(block)]
-    if inverse:
-        np.negative(block.T, out=copy)
-    else:
-        copy[...] = block.T
-    return copy
+def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
+                budget: int, inverse: bool) -> dict:
+    """Per kind in ``kinds``, its formula arguments (x, y) for
+    n = 1..horizon over the points of ``pts`` that :func:`_trim_rows`
+    keeps with ``budget``: trimming picks its points per n, so it cannot be
+    read off the extremes, and reads every cell of both legs, whose blocks
+    it takes side by side.  For the inverse S the legs are
+    lf_S = -lb_T and lb_S = -lf_T."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    xys = {kind: np.empty((2, horizon)) for kind in kinds}
+    n0 = 0
+    for (lf, _), (lb, _) in zip(*_orbit_log2_legs(
+            op, [(pts, 1, 0), (pts, -1, -1)], horizon)):
+        if inverse:
+            lf, lb = -lb, -lf
+        n1 = n0 + len(lf)
+        ns = np.arange(n0 + 1, n1 + 1, dtype=float)
+        for kind, xy in xys.items():
+            xy[:, n0:n1] = _kept_xy(_trim_rows(kind, ns, lf, lb, budget),
+                                    lf, lb)
+        n0 = n1
+    return xys
 
 
 def _reduce(exts, copy: np.ndarray, sels, role, n0: int, n1: int):
@@ -640,10 +622,15 @@ def _best_before(keyed: np.ndarray, better, leg) -> np.ndarray:
     return best
 
 
-def _kind_rows(kind: CriterionKind, ext: np.ndarray) -> np.ndarray:
-    """The formula arguments (x, y) of ``kind`` in the rows of
-    :func:`_leg_extremes`: the mirrored pair for the adjoint kinds."""
-    return ext[2:] if _FORMULA[kind][1] else ext[:2]
+def _kind_rows(kind: CriterionKind, table: np.ndarray,
+               inverse: bool) -> np.ndarray:
+    """The formula arguments (x, y) of ``kind`` as a view of T's
+    ``table`` from :func:`_leg_extremes`: the mirrored pair for the
+    adjoint kinds, and for the inverse S its rows reversed, since
+    lf_S = -lb_T and lb_S = -lf_T make S's table T's rows (1, 0, 3, 2)
+    (negation is exact)."""
+    xy = table[2:] if _FORMULA[kind][1] else table[:2]
+    return xy[::-1] if inverse else xy
 
 
 def _kind_verdict(kind: CriterionKind, xy, tol: float,
@@ -663,13 +650,15 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
              horizon: int, tol: float, max_drop: int = 0, *,
              inverse: bool = False) -> list[CriterionVerdict]:
     """One verdict per kind, in order: q(n) and log2 q(n) for
-    n = 1..horizon and the record-minimum witness.  The kinds share one
-    cocycle sweep, then each trace is one formula over n, so a verdict is
-    bit-identical whichever other kinds ride along.
+    n = 1..horizon and the record-minimum witness.  The untrimmed kinds
+    share one cocycle sweep (:func:`_leg_extremes`), then each trace is one
+    formula over n, so a verdict is bit-identical whichever other kinds
+    ride along.
 
     ``max_drop`` is the exceptional-set budget: up to that many worst
-    window points may be removed per n, by one greedy per sweep block
-    (:func:`_trim_rows`).  Only the solid kinds trim; in sup norm any
+    window points may be removed per n, by one greedy per block of a
+    full-width pass of its own (:func:`_trimmed_xy`), which an all-trimmed
+    run makes alone.  Only the solid kinds trim; in sup norm any
     nonempty removal keeps full indicator mass, so the others ignore it.
     WEDGE is stated on windows of radius m >= 1 only."""
     if isinstance(kinds, str):
@@ -678,9 +667,12 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     if CriterionKind.WEDGE in kinds and window.radius < 1:
         raise ValueError("WEDGE needs a window radius >= 1")
     trim_kinds = [k for k in kinds if max_drop > 0 and k in _SOLID_KINDS]
-    [ext], trimmed = _leg_extremes(
-        op, window.points, window.points, horizon, inverse, trim_kinds,
-        max_drop, mirrored=any(_FORMULA[k][1] for k in kinds))
+    trimmed = (_trimmed_xy(trim_kinds, op, window.points, horizon, max_drop,
+                           inverse) if trim_kinds else {})
+    if any(k not in trimmed for k in kinds):
+        [table] = _leg_extremes(
+            op, window.points, window.points, horizon,
+            mirrored=any(_FORMULA[k][1] for k in kinds))
     verdicts = []
     for kind in kinds:
         params = {"window_radius": window.radius, "inverse": inverse}
@@ -688,6 +680,6 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
             xy = trimmed[kind]
             params["max_drop"] = max_drop
         else:
-            xy = _kind_rows(kind, ext)
+            xy = _kind_rows(kind, table, inverse)
         verdicts.append(_kind_verdict(kind, xy, tol, params))
     return verdicts

@@ -197,11 +197,6 @@ class PiecewiseMap:
             return out[()]
         return out
 
-    def shifted(self, c: float) -> "PiecewiseMap":
-        """The map t -> self(t - c); breakpoints move by +c."""
-        return PiecewiseMap(self.breakpoints + c, self.values,
-                            self.left_slope, self.right_slope, self.positive)
-
 
 @dataclass(frozen=True)
 class Translation:
@@ -430,9 +425,6 @@ class GridFunction:
     @property
     def is_zero(self) -> bool:
         return bool(np.all(self.values == 0))
-
-    def value_at(self, t: float) -> complex:
-        return complex(self.values[self.grid.index_of(t)])
 
     def _check_same_grid(self, other: "GridFunction"):
         if self.grid != other.grid:

@@ -59,9 +59,9 @@ def adjoint_criterion(kinds, op: CompositionOperator, mu_support,
     kinds = [CriterionKind(k) for k in kinds]
     if not all(_FORMULA[k][1] for k in kinds):
         raise ValueError("kind must be an adjoint criterion")
-    [ext], _ = _leg_extremes(op, _support(mu_support, "mu", window),
-                             _support(nu_support, "nu", window), horizon)
+    [ext] = _leg_extremes(op, _support(mu_support, "mu", window),
+                          _support(nu_support, "nu", window), horizon)
     # atoms are never trimmed; the key keeps adjoint.jsonl's params stable
     params = {"window_radius": window.radius, "atom_trim_budget": 0.0}
-    return [_kind_verdict(kind, _kind_rows(kind, ext), tol, params)
+    return [_kind_verdict(kind, _kind_rows(kind, ext, False), tol, params)
             for kind in kinds]

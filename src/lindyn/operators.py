@@ -407,14 +407,8 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
         carry[0, :k], carry[1, :k] = s[cols], e[cols]
         s, e = carry
         buf = np.empty((2 * min(rows, n - cut) + 1, width))
-    if cut >= walked:
-        blocks = (np.full((min(rows, n - k0), width), tail)
-                  for k0 in range(cut, n, rows))
-    else:
-        blocks = _log2_blocks(op, pts, cut, n, rows, step, start, walked,
-                              tail, lattice, cols)
-    for logs in blocks:
-        logs[:, k:] = 0.0
+    for logs in _log2_blocks(op, pts, cut, n, rows, step, start, walked,
+                             tail, lattice, cols):
         s, e = _sum2_rows(logs, s, e, buf)
         yield logs[:, :k], cols
 
@@ -427,7 +421,8 @@ def _log2_blocks(op: CompositionOperator, pts: np.ndarray, first: int,
     the last one possibly shorter, each a fresh (rows, even width) array
     whose columns past the points hold 0: the first ``walked`` rows read
     the weight, through ``lattice`` where it has a table for the block,
-    and the rest hold ``tail``."""
+    and the rest hold ``tail``, so a block past them makes no weight
+    call."""
     if cols is not None:
         pts = pts[cols]
     k = pts.size
@@ -437,10 +432,10 @@ def _log2_blocks(op: CompositionOperator, pts: np.ndarray, first: int,
     for k0 in range(first, end, rows):
         logs = np.empty((min(rows, end - k0), k + k % 2))
         logs[:, k:] = 0.0
-        head = logs[:walked - k0, :k]
+        head = logs[:max(walked - k0, 0), :k]
         k1 = start + step * k0
-        if not (lattice is not None
-                and lattice.log2_block(op, k1, step, head, cols)):
+        if len(head) and not (lattice is not None and lattice.log2_block(
+                op, k1, step, head, cols)):
             if walk is None:
                 [block] = homeo_orbit_blocks(op.alpha, pts, len(head),
                                              len(head), step, k1)

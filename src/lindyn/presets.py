@@ -314,11 +314,10 @@ def run_registry(ids) -> list[ExpectationResult]:
     centred slice of the widest window's, so its table is the extremes
     over that slice's columns; a shorter row reads a prefix.  Both are bit
     for bit the row's own sweep: each leg value is elementwise in t and
-    n.  An inverse row reads the rows (1, 0) of its table, since the
-    inverse S has lf_S = -lb_T and lb_S = -lf_T, and negation is exact
-    (the legs never hold -0.0).  Rows that read the same table through
-    the same formula, horizon and tol share one verdict, computed for the
-    first of them.
+    n.  An inverse row reads its table through ``_kind_rows``, as every
+    inverse does: S's table is T's rows (1, 0, 3, 2).  Rows that read the
+    same table through the same formula, horizon and tol share one
+    verdict, computed for the first of them.
     """
     rows = [(REGISTRY[i], exp) for i in ids
             for exp in REGISTRY[i].expectations]
@@ -339,9 +338,9 @@ def run_registry(ids) -> list[ExpectationResult]:
         pts = windows[-1]
         slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
                   for w in windows]
-        exts, _ = _leg_extremes(build_preset(preset), pts, pts,
-                                horizons[preset], slices=slices,
-                                mirrored=preset in mirrored)
+        exts = _leg_extremes(build_preset(preset), pts, pts,
+                             horizons[preset], slices=slices,
+                             mirrored=preset in mirrored)
         tables.update(((preset, m), ext) for m, ext in zip(ms, exts))
     verdicts = {}
     results = []
@@ -351,8 +350,7 @@ def run_registry(ids) -> list[ExpectationResult]:
         key = (example.preset, m, inverse, _FORMULA[kind], exp.horizon,
                exp.tol)
         if key not in verdicts:
-            table = tables[example.preset, m]
-            xy = _kind_rows(kind, table[[1, 0]] if inverse else table)
+            xy = _kind_rows(kind, tables[example.preset, m], inverse)
             verdicts[key] = _kind_verdict(kind, xy[:, :exp.horizon], exp.tol)
         results.append(run_expectation(example, exp, verdicts[key]))
     return results

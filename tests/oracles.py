@@ -1,7 +1,9 @@
 """Reference routes the tests compare lindyn against.
 
-``lindyn.criteria`` computes every criterion from one block sweep
-(``_leg_extremes``) and trims on whole blocks (``_trim_rows``); the
+``lindyn.criteria`` computes every untrimmed criterion from one block
+sweep (``_leg_extremes``), the inverse's through a row permutation of its
+table (``_kind_rows``), and trims on whole blocks of a pass of its own
+(``_trimmed_xy``, ``_trim_rows``); the
 functions here recompute the same quantities one n at a time from
 :func:`forward_log2`/:func:`backward_log2`, with the scalar greedy trim
 :func:`_trim_greedy`, or, in :func:`segal_factors`, from the literal product
@@ -51,6 +53,7 @@ from lindyn.criteria import (
     CriterionKind,
     CriterionVerdict,
     _FORMULA,
+    _kind_rows,
     _leg_extremes,
     evaluate,
 )
@@ -206,9 +209,10 @@ def segal_factors(op: CompositionOperator, window: CompactWindow, n: int, *,
 def sweep_factors(op: CompositionOperator, window: CompactWindow,
                   horizon: int, *, inverse: bool = False):
     """Arrays (P_minus[n-1], P_plus[n-1]) for n = 1..horizon in O(horizon)."""
-    [ext], _ = _leg_extremes(op, window.points, window.points, horizon,
-                             inverse)
-    return np.exp2(ext[0]), np.exp2(ext[1])
+    [table] = _leg_extremes(op, window.points, window.points, horizon,
+                            mirrored=False)
+    x, y = _kind_rows(CriterionKind.SUPERCYCLIC_SOLID, table, inverse)
+    return np.exp2(x), np.exp2(y)
 
 
 def full_width_extremes(op: CompositionOperator, fwd_pts, bwd_pts,
@@ -702,6 +706,27 @@ def runs_serialiser(v: CriterionVerdict) -> str:
 
 # ---------------------------------------------------------------------------
 # Fixtures
+
+
+def read_tables(tables, inverse: bool) -> list[np.ndarray]:
+    """Each table of ``criteria._leg_extremes`` read through
+    ``criteria._kind_rows``: T's rows as they are, and for the inverse S
+    its two (x, y) pairs each reversed."""
+    pairs = (CriterionKind.SUPERCYCLIC_SOLID, CriterionKind.ADJOINT_SUPER)
+    return [np.concatenate([_kind_rows(kind, table, inverse)
+                            for kind in pairs[:len(table) // 2]])
+            for table in tables]
+
+
+def value_at(f: GridFunction, t: float) -> complex:
+    """f's value at the grid point t."""
+    return complex(f.values[f.grid.index_of(t)])
+
+
+def shifted(w: PiecewiseMap, c: float) -> PiecewiseMap:
+    """The map t -> w(t - c); breakpoints move by +c."""
+    return PiecewiseMap(w.breakpoints + c, w.values, w.left_slope,
+                        w.right_slope, w.positive)
 
 
 def identity_homeo() -> PiecewiseAffineHomeo:

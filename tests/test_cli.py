@@ -21,9 +21,12 @@ from lindyn.presets import (
 )
 from oracles import (
     dict_serialiser,
+    full_width_extremes,
     per_row_expectation,
     quantity,
+    read_tables,
     record_runs_of,
+    shifted,
     telescoping_table,
 )
 
@@ -75,7 +78,7 @@ class TestPresetFidelity:
     def test_telescoping_weight_is_the_table(self, preset, shift):
         # bit for bit the np.interp table, wherever the table has nodes
         w = build_preset(preset).weight
-        table = telescoping_table(5010).shifted(shift)
+        table = shifted(telescoping_table(5010), shift)
         h, m = 5000, 2.0
         powers = -2.0 ** np.arange(13)
         samples = [
@@ -156,8 +159,10 @@ class TestRegistrySweeps:
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
         for op, inverse in ((build_preset("ex3.8"), False),
                             (build_preset("ex3.6"), True)):
-            [long_ext], _ = _leg_extremes(op, pts, pts, 2000, inverse)
-            [short_ext], _ = _leg_extremes(op, pts, pts, h, inverse)
+            [long_ext] = read_tables(_leg_extremes(op, pts, pts, 2000),
+                                     inverse)
+            [short_ext] = read_tables(_leg_extremes(op, pts, pts, h),
+                                      inverse)
             assert np.array_equal(long_ext[:, :h], short_ext)
 
     @pytest.mark.parametrize("h", [200, 1023, 1024, 1025, 2000])
@@ -165,7 +170,8 @@ class TestRegistrySweeps:
                                                REGISTRY.values()}))
     def test_slices_and_inverse_of_one_sweep(self, preset, h):
         # a narrower window is a centred column slice of the m = 2 sweep,
-        # and the inverse operator's table its rows (1, 0, 3, 2); a sweep
+        # and the inverse operator's table, read through its rows
+        # (1, 0, 3, 2), the one reduced from its negated cells; a sweep
         # without the mirrored rows gives the first two
         op = build_preset(preset)
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
@@ -173,17 +179,18 @@ class TestRegistrySweeps:
                    for m in (0.0, 1.0, 2.0)]
         slices = [slice((pts.size - w.size) // 2, (pts.size + w.size) // 2)
                   for w in windows]
-        exts, _ = _leg_extremes(op, pts, pts, h, slices=slices)
-        leans, _ = _leg_extremes(op, pts, pts, h, slices=slices,
-                                 mirrored=False)
+        exts = _leg_extremes(op, pts, pts, h, slices=slices)
+        leans = _leg_extremes(op, pts, pts, h, slices=slices,
+                              mirrored=False)
         for w, cols, ext, lean in zip(windows, slices, exts, leans):
             assert lean.shape == (2, h)
             assert np.array_equal(lean.view(np.int64), ext[:2].view(np.int64))
             assert np.array_equal(pts[cols], w)
-            [alone], _ = _leg_extremes(op, w, w, h)
-            [inverse], _ = _leg_extremes(op, w, w, h, inverse=True)
+            [alone] = _leg_extremes(op, w, w, h)
+            [inverse] = full_width_extremes(op, w, w, h, inverse=True)
+            [read] = read_tables([ext], True)
             assert np.array_equal(ext.view(np.int64), alone.view(np.int64))
-            assert np.array_equal(ext[[1, 0, 3, 2]].view(np.int64),
+            assert np.array_equal(read.view(np.int64),
                                   inverse.view(np.int64))
 
     def test_one_verdict_per_distinct_trace(self, monkeypatch, capsys):

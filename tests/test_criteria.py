@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from lindyn import criteria, operators
 from lindyn.criteria import (
+    _FORMULA,
     _SOLID_KINDS,
     _exp2,
     _leg_extremes,
@@ -18,6 +19,7 @@ from lindyn.criteria import (
     _narrow_columns,
     _slice_columns,
     _trim_rows,
+    _trimmed_xy,
     SATISFIED,
     CompactWindow,
     CriterionKind,
@@ -51,6 +53,7 @@ from oracles import (
     per_row_verdict,
     product_factors,
     quantity,
+    read_tables,
     record_runs_of,
     runs_serialiser,
     seam_cases,
@@ -270,31 +273,58 @@ class TestSharedSweep:
                                 inverse=inverse)
             assert [v.kind for v in together] == [k.value for k in kinds]
             solid = [k for k in kinds if trim and k in _SOLID_KINDS]
-            _, xy = _leg_extremes(op, win.points, win.points, 60, inverse,
-                                  solid, trim)
+            xy = _trimmed_xy(solid, op, win.points, 60, trim, inverse)
             for kind, v in zip(kinds, together):
                 [alone] = evaluate([kind], op, win, 60, 1e-2, trim,
                                    inverse=inverse)
                 assert np.array_equal(v.trace, alone.trace)
                 if kind in solid:
-                    _, alone_xy = _leg_extremes(op, win.points, win.points,
-                                                60, inverse, [kind], trim)
+                    alone_xy = _trimmed_xy([kind], op, win.points, 60, trim,
+                                           inverse)
                     assert np.array_equal(xy[kind], alone_xy[kind])
                 assert v.to_jsonl(per_n=True) == \
                     alone.to_jsonl(per_n=True)
 
     def test_trace_matches_per_n_quantity(self):
+        # at H = 2500 the 17 points take three blocks of 1024 rows: the
+        # trimmed kinds' own pass and the untrimmed sweep split at the
+        # same seams
         op = build_preset("ex3.8")
         win = CompactWindow.from_grid(GRID, 2.0)
         kinds = list(CriterionKind)
-        for trim in (0, 2):
-            for inverse in (False, True):
-                verdicts = evaluate(kinds, op, win, 40, 1e-2, trim,
-                                    inverse=inverse)
-                for kind, v in zip(kinds, verdicts):
-                    for n in (1, 17, 40):
-                        assert v.trace[n - 1] == quantity(
-                            kind, op, win, n, trim, inverse=inverse)
+        for horizon, ns in ((40, (1, 17, 40)), (2500, (1, 1024, 1025, 2500))):
+            for trim in (0, 2):
+                for inverse in (False, True):
+                    verdicts = evaluate(kinds, op, win, horizon, 1e-2, trim,
+                                        inverse=inverse)
+                    for kind, v in zip(kinds, verdicts):
+                        for n in ns:
+                            assert v.trace[n - 1] == quantity(
+                                kind, op, win, n, trim, inverse=inverse)
+
+    def test_all_trimmed_runs_reduce_no_extremes(self, monkeypatch):
+        # the trimmed kinds read their own full-width pass; the extremes
+        # sweep runs only for a kind that reads its table
+        calls = []
+        sweep = criteria._leg_extremes
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, "_leg_extremes", counted)
+        op = build_preset("ex3.8")
+        win = CompactWindow.from_grid(GRID, 2.0)
+        solid = sorted(_SOLID_KINDS)
+        for inverse in (False, True):
+            calls.clear()
+            evaluate(solid, op, win, 300, 1e-2, 2, inverse=inverse)
+            assert calls == []
+            evaluate(solid, op, win, 300, 1e-2, 0, inverse=inverse)
+            assert calls == [300]
+            evaluate(solid + [CriterionKind.SUPERCYCLIC_C0], op, win, 300,
+                     1e-2, 2, inverse=inverse)
+            assert calls == [300, 300]
 
     def test_single_kind_is_rejected(self):
         with pytest.raises(TypeError):
@@ -339,10 +369,9 @@ class TestBlockSeams:
         pts = SEAM_POINTS[points]
         b = _block_rows(pts.size)
         horizon = 2 * b + 3
-        [ext], trimmed = _leg_extremes(op, pts, pts, horizon, inverse,
-                                       [self.KIND], 2)
+        [ext] = read_tables(_leg_extremes(op, pts, pts, horizon), inverse)
+        xy = _trimmed_xy([self.KIND], op, pts, horizon, 2, inverse)[self.KIND]
         ref_ext, ref_xy = self.stepped(op, pts, horizon, inverse, 2)
-        xy = trimmed[self.KIND]
         for n in (b - 1, b, b + 1, horizon):
             assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])
             assert np.array_equal(xy[:, n - 1], ref_xy[:, n - 1])
@@ -373,8 +402,8 @@ class TestTailColumns:
             for inverse in (False, True):
                 [full] = full_width_extremes(op, pts, pts, horizon, inverse)
                 for mirrored in (False, True):
-                    [ext], _ = _leg_extremes(op, pts, pts, horizon, inverse,
-                                             mirrored=mirrored)
+                    [ext] = read_tables(_leg_extremes(
+                        op, pts, pts, horizon, mirrored=mirrored), inverse)
                     assert np.array_equal(int64(ext),
                                           int64(full[:len(ext)])), \
                         (m, inverse, mirrored)
@@ -394,8 +423,9 @@ class TestTailColumns:
             full = full_width_extremes(op, pts, pts, horizon, inverse,
                                        slices)
             for mirrored in (False, True):
-                exts, _ = _leg_extremes(op, pts, pts, horizon, inverse,
-                                        slices=slices, mirrored=mirrored)
+                exts = read_tables(_leg_extremes(
+                    op, pts, pts, horizon, slices=slices, mirrored=mirrored),
+                    inverse)
                 for ext, ref in zip(exts, full, strict=True):
                     assert np.array_equal(int64(ext),
                                           int64(ref[:len(ext)]))
@@ -410,7 +440,7 @@ class TestTailColumns:
         nu = np.array([-2.0, -0.75, 0.0, 0.5, 1.0, 1.75, 3.0])
         for fwd, bwd in ((mu, nu), (nu, mu)):
             [full] = full_width_extremes(op, fwd, bwd, horizon)
-            [ext], _ = _leg_extremes(op, fwd, bwd, horizon)
+            [ext] = _leg_extremes(op, fwd, bwd, horizon)
             assert np.array_equal(int64(ext), int64(full))
 
 
@@ -606,8 +636,9 @@ def assert_full_width(op, fwd, bwd, horizon, slices=(slice(None),)):
     for inverse in (False, True):
         full = full_width_extremes(op, fwd, bwd, horizon, inverse, slices)
         for mirrored in (False, True):
-            exts, _ = _leg_extremes(op, fwd, bwd, horizon, inverse,
-                                    slices=slices, mirrored=mirrored)
+            exts = read_tables(_leg_extremes(
+                op, fwd, bwd, horizon, slices=slices, mirrored=mirrored),
+                inverse)
             for ext, ref in zip(exts, full, strict=True):
                 assert np.array_equal(int64(ext), int64(ref[:len(ext)])), \
                     (horizon, inverse, mirrored)
@@ -741,7 +772,8 @@ class TestNarrowingRows:
                 for inverse in (False, True):
                     [full] = full_width_extremes(op, fwd, bwd, horizon,
                                                  inverse)
-                    [ext], _ = _leg_extremes(op, fwd, bwd, horizon, inverse)
+                    [ext] = read_tables(_leg_extremes(op, fwd, bwd, horizon),
+                                        inverse)
                     assert np.array_equal(int64(ext), int64(full))
 
 
@@ -920,6 +952,20 @@ class TestExp2:
             got = _exp2(np.float64(scalar))
             assert np.shape(got) == ()
             assert int64(np.array(got)) == int64(np.exp2(np.array(scalar)))
+
+    def test_hypercyclic_underflow(self):
+        # max(x, y) <= -1076 gives q = +0.0 with log2 q kept, as np.exp2
+        # rounds it, in arrays and in scalars
+        x = np.array([-1076.0, -2000.0, -1100.0, -3.0, np.nan])
+        y = np.array([-5000.0, -1077.0, -1076.0, -1080.0, -1090.0])
+        hyper = _FORMULA[CriterionKind.HYPERCYCLIC_SOLID][0]
+        log2_q, q = hyper(np.arange(1.0, 6.0), x, y)
+        assert np.array_equal(log2_q, np.maximum(x, y), equal_nan=True)
+        assert np.array_equal(int64(q), int64(np.exp2(np.maximum(x, y))))
+        assert int64(q[:3]).tolist() == [0, 0, 0]
+        log2_q, q = hyper(7.0, np.float64(-1200.0), np.float64(-1076.0))
+        assert np.shape(q) == () and log2_q == -1076.0
+        assert int64(np.array(q)) == 0
 
 
 class TestVerdictFromTrace:

@@ -31,7 +31,7 @@ from lindyn.funcspace import (
     triangular_bump,
 )
 from lindyn.presets import _TelescopingWeight
-from oracles import identity_homeo, rectangular_bump, restrict
+from oracles import identity_homeo, rectangular_bump, restrict, shifted
 
 RNG = np.random.default_rng(20260809)
 
@@ -106,7 +106,7 @@ class TestPiecewiseMap:
 
     def test_shifted(self):
         pm = PiecewiseMap([-1.0, 1.0], [2.0, 1.0])
-        sh = pm.shifted(3.0)
+        sh = shifted(pm, 3.0)
         for t in (-5.0, 0.0, 2.5, 4.0):
             assert sh(t + 3.0) == pm(t)
 

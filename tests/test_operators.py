@@ -42,7 +42,9 @@ from oracles import (
     forward_log2,
     identity_homeo,
     seam_cases,
+    shifted,
     sum2_rows_real,
+    value_at,
 )
 
 RNG = np.random.default_rng(42)
@@ -76,13 +78,13 @@ class TestApply:
     def test_doubling_shift_moves_bump(self):
         f = triangular_bump(GRID, 0.0, 0.5)
         tf = apply_Tn(OP_DOUBLE, f, 1)
-        assert tf.value_at(1.0) == 2.0
+        assert value_at(tf, 1.0) == 2.0
         assert norm(tf, SUP) == 2.0
 
     def test_preset_weight_read(self):
         op = build_preset("ex3.8")
         f = triangular_bump(GRID, 0.0, 0.5)
-        assert apply_Tn(op, f, 1).value_at(1.0) == 0.5
+        assert value_at(apply_Tn(op, f, 1), 1.0) == 0.5
 
     def test_inverse_identity_bitwise(self):
         f = interior_function()
@@ -94,7 +96,7 @@ class TestApply:
     def test_inverse_bump(self):
         f = triangular_bump(GRID, 1.0, 0.5)
         sf = apply_Sn(OP_DOUBLE, f, 1)
-        assert sf.value_at(0.0) == 0.5
+        assert value_at(sf, 0.0) == 0.5
 
 
 class TestCocycle:
@@ -273,7 +275,7 @@ def lattice_cases() -> list:
     # the quarter grid's guard is 2**52 quarters: 40 steps from k = 2**50
     # - 42 over [-2, 2] reach 2**50 - 1, just inside it, and from one k
     # later 2**50, just past it
-    far = SEAM_WEIGHT.shifted(2.0 ** 50)
+    far = shifted(SEAM_WEIGHT, 2.0 ** 50)
     cases += [pytest.param(op(1.0, far), 1, 2 ** 50 - 42 + past, grid,
                            bool(past), id=f"guard-{'past' if past else 'in'}")
               for past in (0, 1)]
@@ -481,7 +483,7 @@ class TestPowers:
     def test_doubling_power(self):
         f = triangular_bump(GRID, 0.0, 0.5)
         t3 = apply_Tn(OP_DOUBLE, f, 3)
-        assert t3.value_at(3.0) == 8.0
+        assert value_at(t3, 3.0) == 8.0
 
     def test_power_equals_iteration_bitwise(self):
         for name in ("ex3.5", "ex3.6", "ex3.7"):
@@ -556,7 +558,7 @@ class TestShiftPreset:
         expect = 0.25 * triangular_bump(self.grid, 2.0, 0.5)
         assert np.array_equal(apply_Tn(op, e0, 2).values, expect.values)
         y = apply_Tn(op, triangular_bump(self.grid, -3.0, 0.5), 1)
-        assert y.value_at(-2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
+        assert value_at(y, -2.0) == pytest.approx(4.0 / 3.0, rel=1e-15)
 
     def test_cocycle(self):
         # the shift's forward coefficient product 2^-n is the composition
