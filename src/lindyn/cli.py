@@ -174,6 +174,8 @@ class ExperimentConfig:
                                                   "operator.alpha"))
                 wm = _map_spec(op_spec["weight"], "operator.weight")
                 weight = PiecewiseMap(wm["breakpoints"], wm["values"],
+                                      wm.get("left_slope", 0.0),
+                                      wm.get("right_slope", 0.0),
                                       positive=True)
                 op = CompositionOperator(alpha, weight)
             else:
@@ -190,7 +192,9 @@ class ExperimentConfig:
         if sspec.get("tau") is not None:
             tm = _map_spec(sspec["tau"], "space.tau")
             try:
-                tau = PiecewiseMap(tm["breakpoints"], tm["values"])
+                tau = PiecewiseMap(tm["breakpoints"], tm["values"],
+                                   tm.get("left_slope", 0.0),
+                                   tm.get("right_slope", 0.0))
             except (KeyError, ValueError, TypeError) as exc:
                 raise ConfigError(f"space.tau: {exc!r}") from exc
         window_eps = wspec.get("eps")

@@ -169,38 +169,42 @@ _FORMULA = {
 }
 
 
-def _kept_xy(keep: np.ndarray, lf: np.ndarray, lb: np.ndarray):
-    """Per row, the formula arguments (-min lf, max lb) over kept points."""
-    return (-np.where(keep, lf, np.inf).min(axis=1),
-            np.where(keep, lb, -np.inf).max(axis=1))
-
-
-def _trim_rows(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
-               lb: np.ndarray, budget: int) -> np.ndarray:
-    """The keep mask of the exceptional-set trim on leg rows at n = ns.  In
-    each of up to ``budget`` rounds a row drops whichever of its kept argmin
-    of lf and argmax of lb lowers log2 q strictly and most (the lower index
-    on a tie), never its last point; a row that drops nothing in a round is
-    unchanged, so it drops nothing in later rounds either."""
-    keep = np.ones(lf.shape, dtype=bool)
-    cols = np.arange(lf.shape[1])
-
-    def log2_q(mask):
-        with np.errstate(over="ignore"):
-            return _FORMULA[kind][0](ns, *_kept_xy(mask, lf, lb))[0]
-
-    for _ in range(min(budget, lf.shape[1] - 1)):
-        lo, hi = np.sort([np.where(keep, lf, np.inf).argmin(axis=1),
-                          np.where(keep, lb, -np.inf).argmax(axis=1)], axis=0)
-        q0 = log2_q(keep)
-        q_lo = log2_q(keep & (cols != lo[:, None]))
-        q_hi = log2_q(keep & (cols != hi[:, None]))
-        drop_hi = (hi != lo) & (q_hi < np.where(q_lo < q0, q_lo, q0))
-        drop = drop_hi | (q_lo < q0)
-        keep[drop, np.where(drop_hi, hi, lo)[drop]] = False
-        if not drop.any():
-            break
-    return keep
+def _best_removal(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
+                  lb: np.ndarray, budget: int):
+    """Per row of finite legs at n = ns, the trim's formula arguments
+    (x, y), the kept extremes of a removal of at most c = min(budget,
+    points - 1) points with the least log2 q.  As each formula is
+    nondecreasing in x and y, a removal's q is that of the prefixes it
+    holds, A_a of ascending lf and B_b of descending lb (lower column
+    first on a tie), so the least over pairs with |A_a | B_b| <= c, ties
+    to the least a, then b, is the optimum, reached by removing the union."""
+    rows, c = np.arange(len(lf)), min(budget, lf.shape[1] - 1)
+    up, down = np.empty((2, len(lf), c + 1), dtype=np.intp)
+    for order, v in ((up, np.array(lf)), (down, -lb)):
+        for j in range(c + 1):
+            order[:, j] = v.argmin(axis=1)
+            v[rows, order[:, j]] = np.inf
+    del v
+    x, y = -np.take_along_axis(lf, up, 1), np.take_along_axis(lb, down, 1)
+    n, gone = np.repeat(ns, c + 1), np.zeros(lf.shape, dtype=bool)  # A_a
+    best, pick = np.full(len(lf), np.inf), np.zeros((2, len(lf)), np.intp)
+    with np.errstate(over="ignore"):
+        for a in range(c + 1):  # one pass per a over the c + 1 first
+            # B_b spends the budget only on the points A_a lacks
+            fresh = np.cumsum(~gone[rows[:, None], down[:, :c]], axis=1)
+            log2_q = _FORMULA[kind][0](n, np.repeat(x[:, a], c + 1),
+                                       y.ravel())[0].reshape(y.shape)
+            log2_q[:, 1:][fresh > c - a] = np.inf
+            b = log2_q.argmin(axis=1)
+            low = log2_q[rows, b]
+            better = low < best
+            best[better] = low[better]
+            pick[0, better], pick[1, better] = a, b[better]
+            gone[rows, up[:, a]] = True
+    gone[rows[:, None], up] = np.arange(c + 1) < pick[0, :, None]
+    gone[rows[:, None], down] |= np.arange(c + 1) < pick[1, :, None]
+    return (x[rows, gone[rows[:, None], up].argmin(axis=1)],
+            y[rows, gone[rows[:, None], down].argmin(axis=1)])
 
 
 class CriterionVerdict:
@@ -417,11 +421,9 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
 def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
                 budget: int, inverse: bool) -> dict:
     """Per kind in ``kinds``, its formula arguments (x, y) for
-    n = 1..horizon over the points of ``pts`` that :func:`_trim_rows`
-    keeps with ``budget``: trimming picks its points per n, so it cannot be
-    read off the extremes, and reads every cell of both legs, whose blocks
-    it takes side by side.  For the inverse S the legs are
-    lf_S = -lb_T and lb_S = -lf_T."""
+    n = 1..horizon after the best removal of up to ``budget`` points of
+    ``pts`` (:func:`_best_removal`), read from every cell of both legs'
+    blocks; for the inverse S the legs are lf_S = -lb_T and lb_S = -lf_T."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     xys = {kind: np.empty((2, horizon)) for kind in kinds}
@@ -433,8 +435,7 @@ def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
         n1 = n0 + len(lf)
         ns = np.arange(n0 + 1, n1 + 1, dtype=float)
         for kind, xy in xys.items():
-            xy[:, n0:n1] = _kept_xy(_trim_rows(kind, ns, lf, lb, budget),
-                                    lf, lb)
+            xy[:, n0:n1] = _best_removal(kind, ns, lf, lb, budget)
         n0 = n1
     return xys
 
@@ -655,12 +656,11 @@ def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
     formula over n, so a verdict is bit-identical whichever other kinds
     ride along.
 
-    ``max_drop`` is the exceptional-set budget: up to that many worst
-    window points may be removed per n, by one greedy per block of a
-    full-width pass of its own (:func:`_trimmed_xy`), which an all-trimmed
-    run makes alone.  Only the solid kinds trim; in sup norm any
-    nonempty removal keeps full indicator mass, so the others ignore it.
-    WEDGE is stated on windows of radius m >= 1 only."""
+    ``max_drop`` = k is the exceptional-set budget: per n, up to k window
+    points are removed, the best such removal, in a full-width pass of
+    its own (:func:`_trimmed_xy`) that an all-trimmed run makes alone.
+    Only the solid kinds trim: in sup norm any nonempty removal keeps full
+    indicator mass.  WEDGE is stated on windows of radius m >= 1 only."""
     if isinstance(kinds, str):
         raise TypeError("kinds must be a sequence of criterion kinds")
     kinds = [CriterionKind(k) for k in kinds]

@@ -133,13 +133,20 @@ class PiecewiseMap:
         vals = np.asarray(values)
         if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
             raise ValueError("breakpoints and values must be equal-length 1-d")
-        if bp.size > 1 and not np.all(np.diff(bp) > 0):
-            raise ValueError("breakpoints must be strictly increasing")
         if np.iscomplexobj(vals):  # astype(float) would drop the imaginary part
             raise ValueError("map values must be real")
         vals = vals.astype(float)
+        with np.errstate(all="ignore"):  # checked below
+            gaps = bp[1:] - bp[:-1]
+            slopes = (vals[1:] - vals[:-1]) / gaps
+        if not (gaps > 0).all():
+            raise ValueError("breakpoints must be strictly increasing")
         if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(vals)):
             raise ValueError("breakpoints and values must be finite")
+        # np.interp evaluates a piece from its gap and slope
+        if not (np.isfinite(gaps).all() and np.isfinite(slopes).all()
+                and math.isfinite(left_slope) and math.isfinite(right_slope)):
+            raise ValueError("every gap and slope of the map must be finite")
         if positive:
             if left_slope != 0.0 or right_slope != 0.0:
                 raise ValueError("positive map requires constant tails")

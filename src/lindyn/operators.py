@@ -353,21 +353,16 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
     """The Sum2 partial sums down one leg as (block, cols) pairs: first
     over every column up to the narrowing row ``cut`` (see
     :func:`_orbit_log2_legs`), then over the columns ``cols`` that
-    ``choose`` picks there, all of them (cols None) without ``choose``.
-    Without it ``cut`` is the block seam at or past the exit, so the
-    walked blocks are those of a leg that never narrows."""
+    ``choose`` picks there, all of them (cols None) without ``choose``."""
     k = pts.size
     if k == 1 or n <= rows:
         # one column has nothing to narrow, and a leg of one block would
         # only be cut in two
         choose = None
-    chains = None
-    if choose is None:
-        cut = min(n, -(-walked // rows) * rows)
-    elif walked < n:
+    cut, chains = n, None
+    if choose is not None and walked < n:
         cut = walked
-    else:
-        cut = n
+    elif choose is not None:
         if lattice is not None and hasattr(op.weight, "bounds"):
             chains = lattice.chains(step)
         if chains is not None and 0 < chains[1].max() < n:
@@ -392,14 +387,13 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
         yield logs[:, :k], None
     if cut >= n:
         return
-    cols = None
     if chains is not None:
         later, whole = (op.weight.bounds(*_walk_hull(
             pts, op.alpha.shift, step, start, row, n - 1))
             for row in (cut, 0))
         cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, None, leader,
                                  steps, order, lead, later, whole))
-    elif choose is not None:
+    else:
         cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, tail))
     if cols is not None:
         k, width = len(cols), len(cols) + len(cols) % 2

@@ -531,7 +531,11 @@ class PorosityScene:
 
     @classmethod
     def from_json(cls, text: str) -> "PorosityScene":
+        """The scene of ``to_json``'s text; a boolean anywhere in it is a
+        ValueError, where numpy would read it as 0 or 1."""
         obj = json.loads(text)
+        if _holds_bool(obj):
+            raise ValueError("a scene holds numbers, not booleans")
         grid = Grid(obj["grid"]["half_width"], obj["grid"]["step"])
 
         def unpack(d):
@@ -540,6 +544,15 @@ class PorosityScene:
 
         return cls(unpack(obj["f"]), unpack(obj["k"]), unpack(obj["g"]),
                    PorosityParams(**obj["params"]))
+
+
+def _holds_bool(obj) -> bool:
+    """Whether a decoded JSON value holds a boolean at any depth."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return any(map(_holds_bool, obj))
+    return isinstance(obj, bool)
 
 
 def random_scene(rng) -> PorosityScene:

@@ -3,10 +3,12 @@
 ``lindyn.criteria`` computes every untrimmed criterion from one block
 sweep (``_leg_extremes``), the inverse's through a row permutation of its
 table (``_kind_rows``), and trims on whole blocks of a pass of its own
-(``_trimmed_xy``, ``_trim_rows``); the
+(``_trimmed_xy``, ``_best_removal``); the
 functions here recompute the same quantities one n at a time from
-:func:`forward_log2`/:func:`backward_log2`, with the scalar greedy trim
-:func:`_trim_greedy`, or, in :func:`segal_factors`, from the literal product
+:func:`forward_log2`/:func:`backward_log2`, with the trim searched by
+brute force over every removal set (:func:`_trim_exact`; the greedy it
+replaced, :func:`_trim_greedy`, stays as the bound it must never exceed),
+or, in :func:`segal_factors`, from the literal product
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria;
 :func:`full_width_extremes` reduces every cell of both legs, where the
 sweep sums a leg's constant tail only on the columns that can hold its
@@ -42,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
@@ -252,8 +254,9 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
                  budget: int) -> np.ndarray:
     """The keep mask of the exceptional-set trim at one n: drop up to
     ``budget`` points, greedily removing whichever current extreme point
-    lowers log2 q the most.  Never empties the window.  The scalar
-    reference for ``criteria._trim_rows``."""
+    lowers log2 q the most.  Never empties the window.  The greedy that
+    ``criteria._best_removal`` replaced: the exact trim is never above
+    it."""
     keep = np.ones(lf.size, dtype=bool)
     dropped = 0
     while dropped < budget and keep.sum() > 1:
@@ -275,6 +278,39 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
     return keep
 
 
+def _trim_exact(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
+                budget: int) -> np.ndarray:
+    """The keep mask of the exceptional-set trim at one n, the reference
+    for ``criteria._best_removal``.  Its log2 q is the least over every
+    removal of at most c = min(budget, size - 1) points, searched by brute
+    force.  The mask removes A_a | B_b, the a least lf and the b greatest
+    lb (the lower index first on a tie), for the first pair (a, b) in
+    lexicographic order with |A_a | B_b| <= c whose own extremes, lf at
+    the (a+1)-th least and lb at the (b+1)-th greatest, reach that least
+    log2 q; the mask's kept extremes reach it too."""
+    size = lf.size
+    c = min(budget, size - 1)
+    removals = [gone for r in range(c + 1)
+                for gone in combinations(range(size), r)]
+    kept = np.ones((len(removals), size), dtype=bool)
+    for row, gone in zip(kept, removals):
+        row[list(gone)] = False
+    with np.errstate(over="ignore"):
+        least = _FORMULA[kind][0](n, -np.where(kept, lf, np.inf).min(axis=1),
+                                  np.where(kept, lb, -np.inf).max(axis=1))[0]
+    least = least.min()
+    up, down = np.argsort(lf, kind="stable"), np.argsort(-lb, kind="stable")
+    for a, b in product(range(c + 1), repeat=2):
+        gone = sorted(set(up[:a].tolist()) | set(down[:b].tolist()))
+        if (len(gone) <= c and _q_at(kind, n, lf[up[a:a + 1]],
+                                     lb[down[b:b + 1]])[0] == least):
+            keep = np.ones(size, dtype=bool)
+            keep[gone] = False
+            assert _q_at(kind, n, lf[keep], lb[keep])[0] == least
+            return keep
+    raise AssertionError("no prefix pair reaches the least removal")
+
+
 def quantity(kind: CriterionKind, op: CompositionOperator,
              window: CompactWindow, n: int, max_drop: int = 0, *,
              inverse: bool = False) -> float:
@@ -286,7 +322,7 @@ def quantity(kind: CriterionKind, op: CompositionOperator,
     if inverse:
         lf, lb = -lb, -lf
     if max_drop > 0 and kind in _SOLID_KINDS:
-        keep = _trim_greedy(kind, n, lf, lb, max_drop)
+        keep = _trim_exact(kind, n, lf, lb, max_drop)
         lf, lb = lf[keep], lb[keep]
     return _q_at(kind, n, lf, lb)[1]
 

@@ -331,6 +331,21 @@ class TestClassifyCommand:
         '{"operator": {"preset": "ex3.5"}, "horizon": 5, "tol": 1e400}',
         '{"operator": {"preset": "ex3.5"}, "horizon": 5, "window": {"m": 1'
         + "0" * 400 + "}}",
+        # the slopes reach the maps: a weight's tails must be constant,
+        # and a sloped tau is not invariant under a translation
+        {"horizon": 5, "operator": {
+            "alpha": {"kind": "translation", "shift": 1.0},
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [0.5, 1.0],
+                       "left_slope": 5.0}}},
+        {"horizon": 5, "window": {"m": 1, "eps": 0.5},
+         "space": {"kind": "SEGAL", "tau": {
+             "breakpoints": [0.0], "values": [0.25], "right_slope": 0.5}}},
+        # nodes so close that the weight's slope overflows
+        {"horizon": 5, "operator": {
+            "alpha": {"kind": "translation", "shift": 1.0},
+            "weight": {"breakpoints": [-2.2250738585072014e-308,
+                                       2.225073858507e-311, 1.0],
+                       "values": [1.0, 6.0, 1.0]}}},
     ], ids=["horizon-0", "horizon-20.5", "tol-neg", "tol-str", "m-neg",
             "trim-str", "trim-neg", "eps-2", "eps-1", "eps-0", "eps-str",
             "tau-no-breakpoints", "tau-no-values", "tau-list",
@@ -340,7 +355,8 @@ class TestClassifyCommand:
             "shift-nan", "shift-inf", "shift-bool", "tol-inf",
             "weight-value-bool", "breakpoint-str", "left-slope-bool",
             "shift-1e400",
-            "tol-1e400", "m-int-1e400"])
+            "tol-1e400", "m-int-1e400", "weight-slope", "tau-slope",
+            "weight-slope-overflow"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, bad):
         out = tmp_path / "out"
         if isinstance(bad, dict):
@@ -1086,6 +1102,8 @@ class TestOtherCommands:
                 obj["params"]["eta"] = 1.0
             elif case == "infinite-grid":
                 obj["grid"]["half_width"] = math.inf
+            elif case == "bool-value":
+                obj["f"]["im"][3] = False
             text = json.dumps(obj)
         path.write_text(text)
         return path
@@ -1093,12 +1111,15 @@ class TestOtherCommands:
     @pytest.mark.parametrize("case", [
         "missing", "directory", "not-json", "top-level-array", "grid-int",
         "no-params", "f-array", "short-values", "string-values",
-        "lam-out-of-range", "unknown-param", "infinite-grid"])
+        "lam-out-of-range", "unknown-param", "infinite-grid", "bool-value"])
     def test_bad_scene_exit_2(self, tmp_path, capsys, case):
         path = self.bad_scene(tmp_path, case)
         out = tmp_path / "out"
         assert run(["porosity", "--scene", str(path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        if case == "bool-value":
+            assert len(err.splitlines()) == 1 and "boolean" in err
         assert not out.exists()
 
     def test_porosity_scene_file(self, tmp_path, capsys):

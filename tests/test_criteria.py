@@ -13,12 +13,12 @@ from lindyn import criteria, operators
 from lindyn.criteria import (
     _FORMULA,
     _SOLID_KINDS,
+    _best_removal,
     _exp2,
     _leg_extremes,
     _log2_range,
     _narrow_columns,
     _slice_columns,
-    _trim_rows,
     _trimmed_xy,
     SATISFIED,
     CompactWindow,
@@ -44,6 +44,7 @@ from lindyn.presets import REGISTRY, build_preset
 from oracles import (
     SEAM_POINTS,
     SegalIncompatibleError,
+    _trim_exact,
     _trim_greedy,
     backward_log2,
     dict_serialiser,
@@ -334,7 +335,7 @@ class TestSharedSweep:
 class TestBlockSeams:
     """The sweep reads the orbit lattice in blocks of _block_rows rows; its
     extremes, with and without trimming, equal a sweep stepped once per n
-    and trimmed by the scalar greedy, on both sides of each block seam."""
+    and trimmed by brute force, on both sides of each block seam."""
 
     # the weight varies along every orbit walked here, so a row read from
     # the wrong orbit point differs
@@ -358,7 +359,7 @@ class TestBlockSeams:
             if inverse:
                 lf, lb = -lb, -lf
             ext[:, n - 1] = -lf.min(), lb.max(), -lb.min(), lf.max()
-            keep = _trim_greedy(TestBlockSeams.KIND, n, lf, lb, max_drop)
+            keep = _trim_exact(TestBlockSeams.KIND, n, lf, lb, max_drop)
             xy[:, n - 1] = -lf[keep].min(), lb[keep].max()
         return ext, xy
 
@@ -1132,12 +1133,39 @@ class TestTrim:
         ns = np.arange(1, 6)
         lf = np.array([forward_log2(op, win.points, n) for n in ns])
         lb = np.array([backward_log2(op, win.points, n) for n in ns])
-        keep = _trim_rows(kind, ns.astype(float), lf, lb, 2)
-        assert keep.any(axis=1).all()
-        assert ((~keep).sum(axis=1) <= 2).all()
-        x = -np.where(keep, lf, np.inf).min(axis=1)
-        y = np.where(keep, lb, -np.inf).max(axis=1)
+        x, y = _best_removal(kind, ns.astype(float), lf, lb, 2)
         assert np.array_equal(v.log2_trace, x + y)
+        for row, n in enumerate(ns):
+            keep = _trim_exact(kind, n, lf[row], lb[row], 2)
+            assert keep.any() and (~keep).sum() <= 2
+            assert (x[row], y[row]) == (-lf[row, keep].min(),
+                                        lb[row, keep].max())
+
+    @staticmethod
+    def check_rows(kind, ns, lf, lb, budget):
+        """The rows' (x, y) are the kept extremes of the brute-force
+        removal, their log2 q and q are its own bit for bit, and log2 q is
+        never above the greedy's.  A leg never holds -0.0 (its Sum2 starts
+        at +0.0), which ties with +0.0 under min and max, so nor do these."""
+        lf, lb = lf + 0.0, lb + 0.0
+        x, y = _best_removal(kind, np.array(ns, dtype=float), lf, lb, budget)
+        for row, n in enumerate(ns):
+            keep = _trim_exact(kind, n, lf[row], lb[row], budget)
+            assert keep.any()
+            assert (~keep).sum() <= min(budget, lf.shape[1] - 1)
+            kept = (-lf[row, keep].min(), lb[row, keep].max())
+            assert int64(np.array([x[row], y[row]])).tolist() == \
+                int64(np.array(kept)).tolist()
+            with np.errstate(over="ignore"):
+                mine = _FORMULA[kind][0](n, x[row], y[row])
+                ref = _FORMULA[kind][0](n, *kept)
+            assert int64(np.array(mine)).tolist() == \
+                int64(np.array(ref)).tolist()
+            greedy = _trim_greedy(kind, n, lf[row], lb[row], budget)
+            with np.errstate(over="ignore"):
+                above = _FORMULA[kind][0](n, -lf[row, greedy].min(),
+                                          lb[row, greedy].max())[0]
+            assert mine[0] <= above
 
     # a small pool of values forces ties; the wide ones reach past the exp2
     # range, where the Cesaro formula switches to its log form
@@ -1146,10 +1174,11 @@ class TestTrim:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.data())
-    def test_rows_match_scalar_greedy(self, data):
+    def test_rows_match_brute_force(self, data):
         kind = data.draw(st.sampled_from(sorted(_SOLID_KINDS)))
-        rows, size = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
-        budget = data.draw(st.integers(0, size + 1))
+        rows, size = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 8))
+        budget = data.draw(st.one_of(st.integers(0, 3),
+                                     st.integers(size, size + 2)))
         legs = st.lists(self.VALUE, min_size=rows * size,
                         max_size=rows * size)
         lf = np.reshape(data.draw(legs), (rows, size))
@@ -1161,12 +1190,51 @@ class TestTrim:
             lb[:, j] = lb.max(axis=1) + 1.0
         ns = data.draw(st.lists(st.integers(1, 5000), min_size=rows,
                                 max_size=rows))
-        keep = _trim_rows(kind, np.array(ns, dtype=float), lf, lb, budget)
-        for row, n in enumerate(ns):
-            assert np.array_equal(
-                keep[row], _trim_greedy(kind, n, lf[row], lb[row], budget))
-        assert keep.any(axis=1).all()
-        assert ((~keep).sum(axis=1) <= budget).all()
+        self.check_rows(kind, ns, lf, lb, budget)
+
+    @pytest.mark.parametrize("kind", sorted(_SOLID_KINDS))
+    def test_seeded_rows_match_brute_force(self, kind):
+        # every width 1-8 with budgets 0-3 and one at least the width, on
+        # half-integer legs (ties) and on legs past the exp2 range
+        rng = np.random.default_rng(34)
+        for size in range(1, 9):
+            for budget in (0, 1, 2, 3, size + int(rng.integers(0, 2))):
+                for scale in (0.5, 300.0):
+                    lf = np.round(rng.uniform(-4, 4, (8, size))) * scale
+                    lb = np.round(rng.uniform(-4, 4, (8, size))) * scale
+                    ns = rng.integers(1, 5000, 8).tolist()
+                    self.check_rows(kind, ns, lf, lb, budget)
+
+    def test_shared_extreme_costs_one_removal(self):
+        # one point holds both the least lf and the greatest lb, a second
+        # the next of each: removing both fits a budget of 2 only when the
+        # shared points count once (the greedy stops after the first), and
+        # no budget removes the third point too
+        lf = np.array([[-6.0, -6.0, 0.0]])
+        lb = np.array([[6.0, 6.0, 0.0]])
+        for kind in sorted(_SOLID_KINDS):
+            for budget in (2, 3, 9):
+                x, y = _best_removal(kind, np.array([1.0]), lf, lb, budget)
+                assert (x[0], y[0]) == (0.0, 0.0)
+                self.check_rows(kind, [1], lf, lb, budget)
+
+    def test_memory_stays_of_the_block(self):
+        rng = np.random.default_rng(5)
+        lf, lb = rng.standard_normal((2, 63, 513))
+        ns = np.arange(1.0, 64.0)
+        kind = CriterionKind.CESARO_SOLID
+        tracemalloc.start()
+        try:
+            x, y = _best_removal(kind, ns, lf, lb, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * lf.nbytes
+        # a kept set's extremes are at least each of its points' own, so
+        # a budget that may keep any one point alone finds the best point
+        log2_q = _FORMULA[kind][0](ns, x, y)[0]
+        alone = _FORMULA[kind][0](ns[:, None], -lf, lb)[0].min(axis=1)
+        assert np.array_equal(log2_q, alone)
 
 
 class TestImplication:

@@ -104,6 +104,20 @@ class TestPiecewiseMap:
         with pytest.raises(ValueError):
             PiecewiseMap([0.0], [1.0], left_slope=1.0, positive=True)
 
+    def test_non_finite_gap_or_slope_refused(self):
+        # np.interp's slope overflows between nodes 2.2e-308 apart (the map
+        # read inf at 0.0), and the gap between +-1e308 overflows (the map
+        # read 1.0 at 0.0)
+        for nodes, vals, kw in (
+                ([-2.2250738585072014e-308, 2.225073858507e-311, 1.0],
+                 [1.0, 6.0, 1.0], {"positive": True}),
+                ([-1e308, 1e308], [1.0, 3.0], {}),
+                ([0.0], [1.0], {"left_slope": np.inf})):
+            with pytest.raises(ValueError, match="gap and slope"):
+                PiecewiseMap(nodes, vals, **kw)
+        tiny = PiecewiseMap([0.0, 1e-300], [1.0, 2.0])
+        assert tiny(5e-301) == pytest.approx(1.5)
+
     def test_shifted(self):
         pm = PiecewiseMap([-1.0, 1.0], [2.0, 1.0])
         sh = shifted(pm, 3.0)
@@ -158,8 +172,11 @@ def maps_and_intervals(draw, positive: bool):
     value = st.floats(0.01, 100) if positive else st.floats(-100, 100)
     vals = [draw(value) for _ in nodes]
     slope = st.just(0.0) if positive else st.sampled_from([0.0, 0.5, -2.0])
-    pm = PiecewiseMap(nodes, vals, draw(slope), draw(slope),
-                      positive=positive)
+    try:
+        pm = PiecewiseMap(nodes, vals, draw(slope), draw(slope),
+                          positive=positive)
+    except ValueError:  # nodes so close that a slope overflows
+        assume(False)
     end = st.one_of(st.sampled_from([-np.inf, np.inf]),
                     st.sampled_from(nodes), st.floats(-80, 80))
     kind = draw(st.sampled_from(["any", "point", "piece"]))
