@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import math
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -171,13 +170,23 @@ _FORMULA = {
 
 def _best_removal(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
                   lb: np.ndarray, budget: int):
-    """Per row of finite legs at n = ns, the trim's formula arguments
-    (x, y), the kept extremes of a removal of at most c = min(budget,
-    points - 1) points with the least log2 q.  As each formula is
-    nondecreasing in x and y, a removal's q is that of the prefixes it
-    holds, A_a of ascending lf and B_b of descending lb (lower column
-    first on a tie), so the least over pairs with |A_a | B_b| <= c, ties
-    to the least a, then b, is the optimum, reached by removing the union."""
+    """:func:`_best_removals` of the one kind ``kind``."""
+    [xy] = _best_removals([kind], ns, lf, lb, budget)
+    return xy
+
+
+def _best_removals(kinds, ns: np.ndarray, lf: np.ndarray, lb: np.ndarray,
+                   budget: int) -> list:
+    """Per kind in ``kinds`` and row of finite legs at n = ns, the trim's
+    formula arguments (x, y), the kept extremes of a removal of at most
+    c = min(budget, points - 1) points with the least log2 q.  As each
+    formula is nondecreasing in x and y, a removal's q is that of the
+    prefixes it holds, A_a of ascending lf and B_b of descending lb (lower
+    column first on a tie), so the least over pairs with
+    |A_a | B_b| <= c, ties to the least a, then b, is the optimum, reached
+    by removing the union.  The prefixes and their overlaps are the
+    block's, ordered once for every kind; only the formula and its argmin
+    are the kind's."""
     rows, c = np.arange(len(lf)), min(budget, lf.shape[1] - 1)
     up, down = np.empty((2, len(lf), c + 1), dtype=np.intp)
     for order, v in ((up, np.array(lf)), (down, -lb)):
@@ -187,24 +196,32 @@ def _best_removal(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
     del v
     x, y = -np.take_along_axis(lf, up, 1), np.take_along_axis(lb, down, 1)
     n, gone = np.repeat(ns, c + 1), np.zeros(lf.shape, dtype=bool)  # A_a
-    best, pick = np.full(len(lf), np.inf), np.zeros((2, len(lf)), np.intp)
+    best = np.full((len(kinds), len(lf)), np.inf)
+    pick = np.zeros((len(kinds), 2, len(lf)), np.intp)
     with np.errstate(over="ignore"):
         for a in range(c + 1):  # one pass per a over the c + 1 first
             # B_b spends the budget only on the points A_a lacks
-            fresh = np.cumsum(~gone[rows[:, None], down[:, :c]], axis=1)
-            log2_q = _FORMULA[kind][0](n, np.repeat(x[:, a], c + 1),
-                                       y.ravel())[0].reshape(y.shape)
-            log2_q[:, 1:][fresh > c - a] = np.inf
-            b = log2_q.argmin(axis=1)
-            low = log2_q[rows, b]
-            better = low < best
-            best[better] = low[better]
-            pick[0, better], pick[1, better] = a, b[better]
+            over = np.cumsum(~gone[rows[:, None], down[:, :c]], axis=1) > c - a
+            xa = np.repeat(x[:, a], c + 1)
+            for kind, kbest, kpick in zip(kinds, best, pick):
+                log2_q = _FORMULA[kind][0](n, xa, y.ravel())[0].reshape(
+                    y.shape)
+                log2_q[:, 1:][over] = np.inf
+                b = log2_q.argmin(axis=1)
+                low = log2_q[rows, b]
+                better = low < kbest
+                kbest[better] = low[better]
+                kpick[0, better], kpick[1, better] = a, b[better]
             gone[rows, up[:, a]] = True
-    gone[rows[:, None], up] = np.arange(c + 1) < pick[0, :, None]
-    gone[rows[:, None], down] |= np.arange(c + 1) < pick[1, :, None]
-    return (x[rows, gone[rows[:, None], up].argmin(axis=1)],
-            y[rows, gone[rows[:, None], down].argmin(axis=1)])
+    xys = []
+    for a, b in pick:
+        # gone holds no point outside the prefixes, and becomes A_a | B_b
+        gone[rows[:, None], down] = False
+        gone[rows[:, None], up] = np.arange(c + 1) < a[:, None]
+        gone[rows[:, None], down] |= np.arange(c + 1) < b[:, None]
+        xys.append((x[rows, gone[rows[:, None], up].argmin(axis=1)],
+                    y[rows, gone[rows[:, None], down].argmin(axis=1)]))
+    return xys
 
 
 class CriterionVerdict:
@@ -350,7 +367,8 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
 
     The witness is the record minima of log2 q (``log2_trace``, log2 of the
     trace when not given) over the n whose q is below inf; NaN sets none.
-    SATISFIED iff the last record's log2 q is <= log2 tol.
+    SATISFIED iff there is a record and the last one's log2 q is
+    <= log2 tol.
     """
     trace = np.asarray(trace, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -367,9 +385,8 @@ def verdict_from_trace(kind: str, trace, tol: float, params=None,
     np.copyto(low[1:], math.nan, where=~(trace < math.inf))
     np.fmin.accumulate(low, out=low)
     records = np.flatnonzero(low[1:] < low[:-1])
-    best = low[-1]
-    return CriterionVerdict(kind,
-                            SATISFIED if best <= log2_tol else NOT_SATISFIED,
+    met = records.size and low[-1] <= log2_tol
+    return CriterionVerdict(kind, SATISFIED if met else NOT_SATISFIED,
                             records, trace, log2_trace, tol, params)
 
 
@@ -389,9 +406,9 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     bit the table of a sweep over that slice's points alone.  The
     extremes reduce point-major copies of the blocks, a whole row of n per
     step, not one n's 9-25 points; the copies go into one buffer per leg
-    that its blocks reuse.  Each leg is reduced on its own, and from its
-    narrowing row on it is summed only over the columns that can still
-    hold the extremes it gives (:func:`_narrow_columns`)."""
+    that its blocks reuse.  Each leg is reduced on its own, and names the
+    extremes it reads, so that its sweep may narrow to the columns that
+    can still hold them (:func:`operators._orbit_log2_legs`)."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
@@ -400,16 +417,13 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     # the rows of a table that a leg gives (-min, max) of: the forward
     # leg (-min lf, max lf), the backward leg (-min lb, max lb); the
     # forward leg's max and the backward leg's min only with ``mirrored``
-    choose = [partial(_narrow_columns, slices=slices, low=low, high=high)
-              for low, high in ((True, mirrored), (mirrored, True))]
+    reads = [(True, mirrored), (mirrored, True)]
     for leg, role, (pts, _, _) in zip(
-            _orbit_log2_legs(op, legs, horizon, rows, choose),
+            _orbit_log2_legs(op, legs, horizon, rows, reads, slices),
             [(0, 3), (2, 1)], legs):
         buf = np.empty((np.size(pts), min(rows, horizon)))
-        n0, cols, sels = 0, None, slices
-        for block, now in leg:
-            if now is not cols:
-                cols, sels = now, _slice_columns(now, slices, np.size(pts))
+        n0 = 0
+        for block, sels in leg:
             n1 = n0 + len(block)
             copy = buf[:block.shape[1], :len(block)]
             copy[...] = block.T
@@ -422,7 +436,7 @@ def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
                 budget: int, inverse: bool) -> dict:
     """Per kind in ``kinds``, its formula arguments (x, y) for
     n = 1..horizon after the best removal of up to ``budget`` points of
-    ``pts`` (:func:`_best_removal`), read from every cell of both legs'
+    ``pts`` (:func:`_best_removals`), read from every cell of both legs'
     blocks; for the inverse S the legs are lf_S = -lb_T and lb_S = -lf_T."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -434,8 +448,9 @@ def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
             lf, lb = -lb, -lf
         n1 = n0 + len(lf)
         ns = np.arange(n0 + 1, n1 + 1, dtype=float)
-        for kind, xy in xys.items():
-            xy[:, n0:n1] = _best_removal(kind, ns, lf, lb, budget)
+        for xy, kept in zip(xys.values(),
+                            _best_removals(list(xys), ns, lf, lb, budget)):
+            xy[:, n0:n1] = kept
         n0 = n1
     return xys
 
@@ -455,174 +470,6 @@ def _reduce(exts, copy: np.ndarray, sels, role, n0: int, n1: int):
             part.max(axis=0, out=ext[hi, n0:n1])
 
 
-def _members(slices, k: int) -> np.ndarray:
-    """The (slices, k) membership of k point columns in each slice."""
-    member = np.zeros((len(slices), k), dtype=bool)
-    for row, sl in zip(member, slices):
-        row[sl] = True
-    return member
-
-
-def _slice_columns(cols, slices, k: int):
-    """Per slice of k point columns, its selector among the leg columns
-    ``cols`` (every column when None): the slice itself, or the positions
-    of the chosen columns that lie in it."""
-    if cols is None:
-        return slices
-    return [sl if sl == slice(None) else row.nonzero()[0]
-            for sl, row in zip(slices, _members(slices, k)[:, cols])]
-
-
-# A sweep of more rows keeps every column: the margins of _narrow_columns
-# are proved for rows * 2**-53 <= 2**-13.
-_ROWS_MAX = 2 ** 40
-
-# A weight's float evaluation lies within this share of its sup of its
-# exact value, and np.log2 within this share of 1 + |log2 w| of its own:
-# np.interp and the telescoping weight's closed form err by a few ulps.
-_EVAL_SLACK = 2.0 ** -40
-
-
-def _log2_range(bounds) -> tuple[float, float]:
-    """An interval that holds log2 w as the sweep computes it wherever the
-    exact w lies in ``bounds`` = (inf, sup), widened by ``_EVAL_SLACK``;
-    (-inf, inf) unless inf > 0 and sup is finite."""
-    lo, hi = bounds
-    pad = hi * _EVAL_SLACK
-    lo, hi = lo - pad, hi + pad
-    if not (lo > 0 and hi < math.inf):  # false for NaN too
-        return -math.inf, math.inf
-    lo, hi = math.log2(lo), math.log2(hi)
-    return (lo - _EVAL_SLACK * (1 + abs(lo)),
-            hi + _EVAL_SLACK * (1 + abs(hi)))
-
-
-def _narrow_columns(leg, *, slices, low: bool, high: bool):
-    """The columns of a leg (an ``operators._Narrowing``) that can hold,
-    at some row from its narrowing row on, the least (``low``) or the
-    greatest (``high``) value of a slice in ``slices``; increasing
-    indices, or None for every column.  A column goes when a
-    column of the same slice is proved to stay below it at every row to
-    come by more than the rounding can undo (above it, for the greatest),
-    or, past the exit, when the column just before it lies in the slice
-    too and holds the same carry bits.  Either way it never holds the
-    slice's extreme alone.
-
-    The rounding.  Let u = 2**-53 and H the leg's horizon; H u <= 2**-13,
-    or every column is kept.  Every row of the sweep is a Sum2 of its
-    terms (s runs the plain sum, E the recursive sum of its exact TwoSum
-    errors, a row is fl(s + E)).
-
-    Past the exit time (``tail`` c).  Let r be the rows to come and
-    M = max_j (|s_j| + |e_j|) + r|c|.  Row i of a column is
-    fl(s_i + E_i), where s_i = fl(s_{i-1} + c) with exact error d_i and
-    E_i = fl(E_{i-1} + d_i), E_0 = e.  So s_i + E_0 + sum d = R + i*c
-    exactly, R = s + e.  Since |s_i| <= (1 + u)**i (|s| + i|c|), each
-    |d_i| <= u (1 + u)**i M; E_i is the recursive sum of E_0 and i such
-    terms, within gamma_i (|E_0| + i u (1 + u)**i M) of its exact value
-    (Higham 2002, (4.4); gamma_i = i u / (1 - i u)), and the final
-    rounding adds at most u |s_i + E_i|.  So every row is within
-    B = 1.001 (r + 1) u M of R + i*c.  A column whose R exceeds the least
-    R by more than 2B is above the least column at every row, and the
-    keys v = fl(s + e) are each within u M of R.  So a column goes for the
-    least value only when its v exceeds the slice's least v by more than
-    the margin 2**-50 (r + 2) M = 8 (r + 2) u M, which covers 2B + 2uM
-    and the rounding of the comparison with room to spare; likewise for
-    the greatest.  Columns of equal (s, e) bits have equal rows, so the
-    first of a run of them speaks for the run.
-
-    Along a chain (``chain``, ``steps``, ``lead``).  Column t' lies a
-    steps down column t's walk on the lattice, whose orbit points are
-    exact floats, so its term at row i is t's term at row i + a, bit for
-    bit.  With exact sums V*, for every row i
-        V*(t', i) - V*(t, i) = sum_{j=i+1}^{i+a} L_j(t) - P_a(t),
-    P_a(t) = V*(t, a - 1), L = log2 w.  From the narrowing row on both
-    walks read only points in ``later``, where lambda_lo <= L <=
-    lambda_hi (:func:`_log2_range`), so t' stays above t when
-    a lambda_lo - P_a(t) > 0, and below it when a lambda_hi - P_a(t) < 0.
-    Relative to the chain's leader, whose sum of its first a terms is
-    phi(a) (``lead``), P_{b-a} of the member a rows down is
-    phi(b) - phi(a) exactly, so each column's key is a lambda - phi(a),
-    and t' goes when its key exceeds the least key of a member before it
-    in the slice by more than the margin (less than the greatest, for the
-    greatest value).  Rounding: with Lambda >= |L| over ``whole``, each
-    computed V and phi is within (u + gamma_H**2) H Lambda
-    <= u H Lambda (1 + 1.0004 H**2 u) of its exact sum (Ogita, Rump &
-    Oishi 2005, Prop. 4.5), and each key within 3.1 u H Lambda of its
-    exact value, so two rows, two phi and two keys cost at most
-    u H Lambda (10.3 + 4.01 H**2 u), which the margin
-    2**-49 H Lambda (1 + 2**-51 H**2) = 16 u H Lambda (1 + 4 H**2 u)
-    covers with the comparison's rounding.  Non-finite keys or bounds
-    keep every column."""
-    if leg.horizon > _ROWS_MAX:
-        return None
-    if leg.tail is not None:
-        s, e = leg.s, leg.e
-        size = float((np.abs(s) + np.abs(e)).max()) + leg.rows * abs(leg.tail)
-        if not size < 2.0 ** 1000:  # false for NaN and inf too
-            return None
-        margin = math.ldexp((leg.rows + 2) * size, -50)
-        lo_key = hi_key = s + e
-    else:
-        lam_lo, lam_hi = _log2_range(leg.later)
-        whole = _log2_range(leg.whole)
-        h = leg.horizon
-        margin = math.ldexp(h * max(-whole[0], whole[1])
-                            * (1.0 + math.ldexp(h * h, -51)), -49)
-        if not (margin < math.inf and -math.inf < lam_lo <= lam_hi
-                < math.inf):
-            return None
-        lo_key = leg.steps * lam_lo - leg.lead if low else None
-        hi_key = leg.steps * lam_hi - leg.lead if high else None
-    member = _members(slices, leg.s.size)
-    near = None
-    if low:
-        keyed = np.where(member, lo_key, math.inf)
-        near = keyed <= _best_before(keyed, np.minimum, leg) + margin
-    if high:
-        keyed = np.where(member, hi_key, -math.inf)
-        side = keyed >= _best_before(keyed, np.maximum, leg) - margin
-        near = side if near is None else near | side
-    # a non-member's fill meets a fill before it in a chain with no member
-    near &= member
-    if leg.tail is not None:
-        # a column that repeats the carry bits of the near column before
-        # it has its rows, so that one speaks for it
-        pairs = near[:, 1:] & near[:, :-1]
-        if pairs.any():
-            sb, eb = s.view(np.int64), e.view(np.int64)
-            near[:, 1:] &= ~(pairs & (sb[1:] == sb[:-1]) & (eb[1:] == eb[:-1]))
-    kept = near.any(axis=0)
-    return None if kept.all() else kept.nonzero()[0]
-
-
-def _best_before(keyed: np.ndarray, better, leg) -> np.ndarray:
-    """Per slice and column, the least (``better`` np.minimum) or greatest
-    (np.maximum) of the ``keyed`` values, one row per slice with its
-    non-members at the fill +-inf, that may rule the column out: past the
-    exit those of the whole slice, along chains those of the column's
-    chain at or before it.  The chain case is a running best along each
-    chain in the leg's chain ``order``, by doubling: after the pass at
-    distance d each column holds the best of the 2d columns up to it in
-    its chain, so a chain of L members takes about log2 L passes over the
-    (slices, k) keys, and no more memory than they hold."""
-    if leg.tail is not None:
-        return better.reduce(keyed, axis=1)[:, None]
-    runs = keyed[:, leg.order]
-    chain = leg.chain[leg.order]
-    d = 1
-    while d < chain.size:
-        same = chain[d:] == chain[:-d]
-        if not same.any():
-            break
-        runs[:, d:] = np.where(same, better(runs[:, d:], runs[:, :-d]),
-                               runs[:, d:])
-        d *= 2
-    best = np.empty_like(runs)
-    best[:, leg.order] = runs
-    return best
-
-
 def _kind_rows(kind: CriterionKind, table: np.ndarray,
                inverse: bool) -> np.ndarray:
     """The formula arguments (x, y) of ``kind`` as a view of T's
@@ -639,7 +486,7 @@ def _kind_verdict(kind: CriterionKind, xy, tol: float,
     """One kind's verdict from its formula arguments (x, y) over
     n = 1..horizon: the formula vectorised over n, then the record
     minima."""
-    if tol <= 0:
+    if not tol > 0:  # true for NaN too
         raise ValueError("tol must be positive")
     ns = np.arange(1, len(xy[0]) + 1, dtype=float)
     with np.errstate(over="ignore"):

@@ -246,39 +246,14 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
         yield block
 
 
-class _Narrowing:
-    """A leg at the row where it may go on over fewer columns, as its
-    ``choose`` reads it: each column's Sum2 carry (``s``, ``e``) there, the
-    ``rows`` still to come and the leg's ``horizon``.
-
-    A leg past its exit time has ``tail``, the log2 constant each later
-    row adds.  A leg still walking a translation's :class:`_Lattice` has
-    instead its chains (:meth:`_Lattice.chains`): per column its
-    ``chain``, the column of the chain's leader, its ``steps`` a below
-    it, and ``lead``, the leader's sum of its first a terms (its row
-    a - 1; 0 for a = 0); the columns in chain ``order``, each chain's
-    members by increasing a; and the weight's ``bounds`` over the orbit
-    points the walks read from this row to the last (``later``) and from
-    row 0 (``whole``)."""
-
-    __slots__ = ("s", "e", "rows", "horizon", "tail", "chain", "steps",
-                 "order", "lead", "later", "whole")
-
-    def __init__(self, s, e, rows: int, horizon: int, tail=None, chain=None,
-                 steps=None, order=None, lead=None, later=None, whole=None):
-        self.s, self.e, self.rows, self.horizon = s, e, rows, horizon
-        self.tail, self.chain, self.steps, self.order = (tail, chain, steps,
-                                                         order)
-        self.lead, self.later, self.whole = lead, later, whole
-
-
 def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
-                     rows: int | None = None, choose=None) -> list:
+                     rows: int | None = None, reads=None,
+                     slices=(slice(None),)) -> list:
     """Per leg (pts, step, start) of ``legs``, a generator of the pairs
-    (block, cols): the blocks of ``_orbit_log2_rows(op, pts, n, step,
-    start, rows)`` over the point columns ``cols``, every column when
-    ``cols`` is None.  ``rows`` defaults to :func:`_block_rows` of the
-    widest point set.
+    (block, sels): the blocks of ``_orbit_log2_rows(op, pts, n, step,
+    start, rows)`` over the point columns the leg keeps, and per slice of
+    ``slices`` of its points, the slice's selector among those columns.
+    ``rows`` defaults to :func:`_block_rows` of the widest point set.
 
     A leg walks only up to its exit time from the weight's hull (see
     :func:`_leg_tail`); its later rows hold the tail's log2 constant, with
@@ -290,17 +265,18 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
     yielded block is the view of its first columns.
 
     A caller that reads only extremes need not sum every column to the
-    end: ``choose``, one callable or None per leg, is asked once, at the
-    leg's narrowing row, as choose(:class:`_Narrowing`), for the
-    increasing indices of the columns to carry on (see
-    :func:`criteria._narrow_columns`), or None for all of them.  A leg
-    narrows at its exit time, past which every column adds one constant;
-    a leg that walks to the end on a lattice narrows at its longest chain
-    offset, when its weight has ``bounds``.  Its blocks run ``rows`` high
+    end: ``reads`` names, per leg, the extremes it reads of each slice as
+    the flags (least, greatest), or None for every cell.  Such a leg
+    narrows once, to the columns that can still hold those extremes: at
+    its exit time, past which every column adds one constant, to those
+    :func:`_tail_columns` keeps, and when it walks to the end on a
+    lattice and its weight has ``bounds``, at its longest chain offset,
+    to those :func:`_chain_columns` keeps.  Its blocks run ``rows`` high
     from row 0 and again from the narrowing row, the block before that
-    row ending there.  A leg of one block, n <= ``rows``, does not
-    narrow.  Without ``choose`` a leg keeps every column, and its blocks
-    run ``rows`` high from row 0."""
+    row ending there.  A leg of one column or of one block, n <= ``rows``,
+    does not narrow.  A leg that does not narrow keeps every column, its
+    blocks run ``rows`` high from row 0, and its selectors are
+    ``slices``."""
     legs = [(np.atleast_1d(np.asarray(p, dtype=float)), step, start)
             for p, step, start in legs]
     rows = rows or _block_rows(max(p.size for p, _, _ in legs))
@@ -310,8 +286,8 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
                 if walked], default=None)
     lattices: dict = {}
     sums = []
-    for (p, step, start), (walked, tail), pick in zip(
-            legs, tails, choose or [None] * len(legs)):
+    for (p, step, start), (walked, tail), read in zip(
+            legs, tails, reads or [None] * len(legs)):
         key = p.tobytes()
         if key not in lattices:
             lattices[key] = (None if kmax is None
@@ -320,7 +296,7 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
         if lattice is not None and not lattice.reads(walked, step, start):
             lattice = None
         sums.append(_summed(op, p, n, rows, step, start, walked, tail,
-                            lattice, pick))
+                            lattice, read, slices))
     return sums
 
 
@@ -349,20 +325,20 @@ def _walk_hull(pts: np.ndarray, shift: float, step: int, start: int,
 
 def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
             step: int, start: int, walked: int, tail: float,
-            lattice: "_Lattice | None", choose):
-    """The Sum2 partial sums down one leg as (block, cols) pairs: first
+            lattice: "_Lattice | None", read, slices):
+    """The Sum2 partial sums down one leg as (block, sels) pairs: first
     over every column up to the narrowing row ``cut`` (see
-    :func:`_orbit_log2_legs`), then over the columns ``cols`` that
-    ``choose`` picks there, all of them (cols None) without ``choose``."""
+    :func:`_orbit_log2_legs`), then over the columns that can still hold
+    the extremes ``read`` names, every column without ``read``."""
     k = pts.size
     if k == 1 or n <= rows:
         # one column has nothing to narrow, and a leg of one block would
         # only be cut in two
-        choose = None
+        read = None
     cut, chains = n, None
-    if choose is not None and walked < n:
+    if read is not None and walked < n:
         cut = walked
-    elif choose is not None:
+    elif read is not None:
         if lattice is not None and hasattr(op.weight, "bounds"):
             chains = lattice.chains(step)
         if chains is not None and 0 < chains[1].max() < n:
@@ -384,18 +360,24 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
             here = (need >= k0) & (need < k0 + len(logs))
             lead[here] = logs[need[here] - k0, leader[here]]
         k0 += len(logs)
-        yield logs[:, :k], None
+        yield logs[:, :k], slices
     if cut >= n:
         return
-    if chains is not None:
+    member = np.zeros((len(slices), k), dtype=bool)
+    for row, sl in zip(member, slices):
+        row[sl] = True
+    if chains is None:
+        cols = _tail_columns(s[:k], e[:k], tail, n - cut, n, member, *read)
+    else:
         later, whole = (op.weight.bounds(*_walk_hull(
             pts, op.alpha.shift, step, start, row, n - 1))
             for row in (cut, 0))
-        cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, None, leader,
-                                 steps, order, lead, later, whole))
-    else:
-        cols = choose(_Narrowing(s[:k], e[:k], n - cut, n, tail))
+        cols = _chain_columns(leader, steps, order, lead, later, whole, n,
+                              member, *read)
+    sels = slices
     if cols is not None:
+        sels = [sl if sl == slice(None) else row.nonzero()[0]
+                for sl, row in zip(slices, member[:, cols])]
         k, width = len(cols), len(cols) + len(cols) % 2
         carry = np.zeros((2, width))
         carry[0, :k], carry[1, :k] = s[cols], e[cols]
@@ -404,7 +386,173 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
     for logs in _log2_blocks(op, pts, cut, n, rows, step, start, walked,
                              tail, lattice, cols):
         s, e = _sum2_rows(logs, s, e, buf)
-        yield logs[:, :k], cols
+        yield logs[:, :k], sels
+
+
+# A sweep of more rows keeps every column: the margins of the narrowing
+# rules are proved for rows * 2**-53 <= 2**-13.
+_ROWS_MAX = 2 ** 40
+
+# A weight's float evaluation lies within this share of its sup of its
+# exact value, and np.log2 within this share of 1 + |log2 w| of its own:
+# np.interp and the telescoping weight's closed form err by a few ulps.
+_EVAL_SLACK = 2.0 ** -40
+
+
+def _log2_range(bounds) -> tuple[float, float]:
+    """An interval that holds log2 w as the sweep computes it wherever the
+    exact w lies in ``bounds`` = (inf, sup), widened by ``_EVAL_SLACK``;
+    (-inf, inf) unless inf > 0 and sup is finite."""
+    lo, hi = bounds
+    pad = hi * _EVAL_SLACK
+    lo, hi = lo - pad, hi + pad
+    if not (lo > 0 and hi < math.inf):  # false for NaN too
+        return -math.inf, math.inf
+    lo, hi = math.log2(lo), math.log2(hi)
+    return (lo - _EVAL_SLACK * (1 + abs(lo)),
+            hi + _EVAL_SLACK * (1 + abs(hi)))
+
+
+def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int,
+                  horizon: int, member: np.ndarray, low: bool, high: bool):
+    """The exit-time rule: of a leg past its exit time, with each column's
+    Sum2 carry (``s``, ``e``) there and ``rows`` rows of its ``horizon``
+    to come, each adding the log2 constant ``c``, the columns that can
+    hold, at some row to come, the least (``low``) or the greatest
+    (``high``) value of a slice, a row of the (slices, columns)
+    ``member``; increasing indices, or None for every column.  A column
+    goes when a column of the same slice is proved to stay below it at
+    every row to come by more than the rounding can undo (above it, for
+    the greatest), or when the column just before it lies in the slice
+    too and holds the same carry bits.  Either way it never holds the
+    slice's extreme alone.
+
+    The rounding.  Let u = 2**-53 and H the horizon; H u <= 2**-13, or
+    every column is kept.  Let M = max_j (|s_j| + |e_j|) + rows |c|.
+    Row i of a column is fl(s_i + E_i), where s_i = fl(s_{i-1} + c) with
+    exact error d_i and E_i = fl(E_{i-1} + d_i), E_0 = e (see
+    :func:`_sum2_rows`).  So s_i + E_0 + sum d = R + i*c exactly,
+    R = s + e.  Since |s_i| <= (1 + u)**i (|s| + i|c|), each
+    |d_i| <= u (1 + u)**i M; E_i is the recursive sum of E_0 and i such
+    terms, within gamma_i (|E_0| + i u (1 + u)**i M) of its exact value
+    (Higham 2002, (4.4); gamma_i = i u / (1 - i u)), and the final
+    rounding adds at most u |s_i + E_i|.  So every row is within
+    B = 1.001 (rows + 1) u M of R + i*c.  A column whose R exceeds the
+    least R by more than 2B is above the least column at every row, and
+    the keys v = fl(s + e) are each within u M of R.  So a column goes
+    for the least value only when its v exceeds the slice's least v by
+    more than the margin 2**-50 (rows + 2) M = 8 (rows + 2) u M, which
+    covers 2B + 2uM and the rounding of the comparison with room to
+    spare; likewise for the greatest.  Columns of equal (s, e) bits have
+    equal rows, so the first of a run of them speaks for the run.
+    Non-finite carries or c keep every column."""
+    if horizon > _ROWS_MAX:
+        return None
+    size = float((np.abs(s) + np.abs(e)).max()) + rows * abs(c)
+    if not size < 2.0 ** 1000:  # false for NaN and inf too
+        return None
+    margin = math.ldexp((rows + 2) * size, -50)
+    key = s + e
+    keyed = _side_keys(member, low, high, key, key)
+    near = keyed <= keyed.min(axis=2, keepdims=True) + margin
+    # a column that repeats the carry bits of the near column before it
+    # has its rows, so that one speaks for it
+    pairs = near[..., 1:] & near[..., :-1]
+    if pairs.any():
+        sb, eb = s.view(np.int64), e.view(np.int64)
+        near[..., 1:] &= ~(pairs & (sb[1:] == sb[:-1]) & (eb[1:] == eb[:-1]))
+    return _kept(near, member)
+
+
+def _chain_columns(chain: np.ndarray, steps: np.ndarray, order: np.ndarray,
+                   lead: np.ndarray, later, whole, horizon: int,
+                   member: np.ndarray, low: bool, high: bool):
+    """The lattice-chain rule: of a leg that walks a translation's
+    :class:`_Lattice` to its ``horizon``, at the row max(``steps``), the
+    columns that can hold, at some row from there on, the least (``low``)
+    or the greatest (``high``) value of a slice, a row of the (slices,
+    columns) ``member``; increasing indices, or None for every column.
+    Per column (:meth:`_Lattice.chains`) ``chain`` is the column of its
+    chain's leader, ``steps`` its a rows below it, and ``lead`` the
+    leader's sum of its first a terms (its row a - 1; 0 for a = 0);
+    ``order`` lists the columns by chain and each chain's members by
+    increasing a.  ``later`` and ``whole`` are the weight's ``bounds``
+    over the orbit points the walks read from this row to the last and
+    from row 0.  A column goes when a column of the same slice before it
+    in its chain is proved to stay below it at every row to come by more
+    than the rounding can undo (above it, for the greatest), so it never
+    holds the slice's extreme alone.
+
+    Column t' lies a steps down column t's walk on the lattice, whose
+    orbit points are exact floats, so its term at row i is t's term at
+    row i + a, bit for bit.  With exact sums V*, for every row i
+        V*(t', i) - V*(t, i) = sum_{j=i+1}^{i+a} L_j(t) - P_a(t),
+    P_a(t) = V*(t, a - 1), L = log2 w.  From this row on both walks read
+    only points in ``later``, where lambda_lo <= L <= lambda_hi
+    (:func:`_log2_range`), so t' stays above t when
+    a lambda_lo - P_a(t) > 0, and below it when a lambda_hi - P_a(t) < 0.
+    Relative to the chain's leader, whose sum of its first a terms is
+    phi(a) (``lead``), P_{b-a} of the member a rows down is
+    phi(b) - phi(a) exactly, so each column's key is a lambda - phi(a),
+    and t' goes when its key exceeds the least key of a member before it
+    in the slice by more than the margin (less than the greatest, for the
+    greatest value).  Rounding: let u = 2**-53 and H the horizon;
+    H u <= 2**-13, or every column is kept.  With Lambda >= |L| over
+    ``whole``, each computed V and phi is within (u + gamma_H**2) H Lambda
+    <= u H Lambda (1 + 1.0004 H**2 u) of its exact sum (Ogita, Rump &
+    Oishi 2005, Prop. 4.5), and each key within 3.1 u H Lambda of its
+    exact value, so two rows, two phi and two keys cost at most
+    u H Lambda (10.3 + 4.01 H**2 u), which the margin
+    2**-49 H Lambda (1 + 2**-51 H**2) = 16 u H Lambda (1 + 4 H**2 u)
+    covers with the comparison's rounding.  Non-finite keys or bounds
+    keep every column."""
+    if horizon > _ROWS_MAX:
+        return None
+    lam_lo, lam_hi = _log2_range(later)
+    whole = _log2_range(whole)
+    margin = math.ldexp(horizon * max(-whole[0], whole[1])
+                        * (1.0 + math.ldexp(horizon * horizon, -51)), -49)
+    if not (margin < math.inf and -math.inf < lam_lo <= lam_hi < math.inf):
+        return None
+    keyed = _side_keys(member, low, high, steps * lam_lo - lead,
+                       steps * lam_hi - lead)
+    # the least key at or before each column in its chain: a running
+    # least along each chain in ``order``, by doubling.  After the pass at
+    # distance d each column holds the least of the 2d columns up to it
+    # in its chain, so a chain of L members takes about log2 L passes over
+    # the keys, and no more memory than they hold
+    runs, chain = keyed[..., order], chain[order]
+    d = 1
+    while d < chain.size:
+        same = chain[d:] == chain[:-d]
+        if not same.any():
+            break
+        runs[..., d:] = np.where(same, np.minimum(runs[..., d:],
+                                                  runs[..., :-d]),
+                                 runs[..., d:])
+        d *= 2
+    best = np.empty_like(runs)
+    best[..., order] = runs
+    return _kept(keyed <= best + margin, member)
+
+
+def _side_keys(member: np.ndarray, low: bool, high: bool, lo_key, hi_key):
+    """The (sides, slices, columns) keys of a rule, one side per extreme
+    it keeps: the least value's ``lo_key``, and the greatest value's
+    ``hi_key`` negated, so that one least serves both; a non-member's key
+    is +inf."""
+    return np.stack([np.where(member, sign * key, math.inf)
+                     for keep, sign, key in ((low, 1.0, lo_key),
+                                             (high, -1.0, hi_key)) if keep])
+
+
+def _kept(near: np.ndarray, member: np.ndarray):
+    """The increasing indices of the columns ``near`` on some side in a
+    slice they are members of, or None for every column: a non-member's
+    +inf key is near where no member comes before it in its chain, and
+    does not count."""
+    kept = (near & member).any(axis=(0, 1))
+    return None if kept.all() else kept.nonzero()[0]
 
 
 def _log2_blocks(op: CompositionOperator, pts: np.ndarray, first: int,

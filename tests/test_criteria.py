@@ -1,7 +1,9 @@
+import inspect
 import json
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,9 +18,6 @@ from lindyn.criteria import (
     _best_removal,
     _exp2,
     _leg_extremes,
-    _log2_range,
-    _narrow_columns,
-    _slice_columns,
     _trimmed_xy,
     SATISFIED,
     CompactWindow,
@@ -34,8 +33,10 @@ from lindyn.funcspace import (
 )
 from lindyn.operators import (
     _Lattice,
-    _Narrowing,
     _block_rows,
+    _chain_columns,
+    _log2_range,
+    _tail_columns,
     _sum2_rows,
     CocycleSweep,
     CompositionOperator,
@@ -464,17 +465,16 @@ def tail_sums(s, e, c: float, rows: int, cols=None) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _tail_columns(s, e, c: float, rows: int, *, slices, low: bool,
-                  high: bool):
-    """``criteria._narrow_columns`` of a leg that exits at row 0 of
-    ``rows``, with the carry (s, e) and the tail constant c."""
-    return _narrow_columns(_Narrowing(s, e, rows, rows, tail=c),
-                           slices=slices, low=low, high=high)
+def membership(slices, k: int) -> np.ndarray:
+    """The (slices, k) membership of k point columns in each slice."""
+    member = np.zeros((len(slices), k), dtype=bool)
+    for row, sl in zip(member, slices):
+        row[sl] = True
+    return member
 
 
 def tail_margin(s, e, c: float, rows: int) -> float:
-    """The margin of ``criteria._narrow_columns`` past the exit:
-    2**-50 (rows + 2) M."""
+    """The margin of ``operators._tail_columns``: 2**-50 (rows + 2) M."""
     size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
     return math.ldexp((rows + 2) * size, -50)
 
@@ -513,9 +513,9 @@ def near_tie_carries(rng, c: float, rows: int):
 
 
 class TestTailHelper:
-    """The columns ``_narrow_columns`` keeps give a constant tail's least and
+    """The columns ``_tail_columns`` keeps give a constant tail's least and
     greatest sums per slice bit for bit, against the Sum2 of the constant
-    over every column."""
+    over every column; each leg exits at row 0 of its ``rows``."""
 
     SIDES = {"low": (True, False), "high": (False, True),
              "both": (True, True)}
@@ -531,10 +531,12 @@ class TestTailHelper:
         the kept columns (None for all)."""
         with np.errstate(over="ignore", invalid="ignore"):
             full = tail_sums(s, e, c, rows)
-            cols = _tail_columns(s, e, c, rows, slices=slices, low=low,
-                                 high=high)
+            member = membership(slices, s.size)
+            cols = _tail_columns(s, e, c, rows, rows, member, low, high)
             part = tail_sums(s, e, c, rows, cols)
-        got = self.extremes(part, _slice_columns(cols, slices, s.size))
+        sels = (slices if cols is None
+                else [row.nonzero()[0] for row in member[:, cols]])
+        got = self.extremes(part, sels)
         for (lo, hi), (ref_lo, ref_hi) in zip(got, self.extremes(full,
                                                                  slices)):
             if low:
@@ -585,39 +587,46 @@ class TestTailHelper:
                 assert self.check(*carry, -0.7, 100, (slice(None),), low,
                                   high) is None
         for c in (np.inf, -np.inf, np.nan):
-            assert _tail_columns(s, e, c, 100, slices=(slice(None),),
-                                 low=True, high=True) is None
+            assert _tail_columns(s, e, c, 100, 100,
+                                 np.ones((1, s.size), dtype=bool), True,
+                                 True) is None
 
     def test_long_tails_keep_every_column(self):
         # a zero constant keeps the margin 2**-50 (rows + 2) * 2 below the
         # gaps of 1 at 2**40 rows; one row more keeps every column
         s, e = np.array([0.0, 1.0, 2.0]), np.zeros(3)
-        kept = _tail_columns(s, e, 0.0, 2 ** 40, slices=(slice(None),),
-                             low=True, high=False)
+        member = np.ones((1, 3), dtype=bool)
+        kept = _tail_columns(s, e, 0.0, 2 ** 40, 2 ** 40, member, True,
+                             False)
         assert list(kept) == [0]
-        assert _tail_columns(s, e, 0.0, 2 ** 40 + 1,
-                             slices=(slice(None),), low=True,
-                             high=False) is None
+        assert _tail_columns(s, e, 0.0, 2 ** 40 + 1, 2 ** 40 + 1, member,
+                             True, False) is None
         # so large a carry would overflow the sums
-        assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5,
-                             slices=(slice(None),), low=True,
-                             high=False) is None
+        assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5, 5, member, True,
+                             False) is None
 
 
 @pytest.fixture
 def narrowings(monkeypatch):
-    """Each narrowing the sweeps of a test ask for, in order, as (row,
-    leg, kept columns): ``_leg_extremes`` binds ``_narrow_columns`` when
-    it is called, so the spy sees every leg."""
+    """Each narrowing the sweeps of a test make, in order, as (row, rule,
+    kept columns): ``rule`` holds the rule's ``name``, "tail" or "chain",
+    and the arguments it was called with by ``operators._summed``, which
+    looks the rules up at each call, so the spy sees every leg.  The tail
+    rule narrows at row horizon - rows, the chain rule at max(steps)."""
     seen = []
-    real = criteria._narrow_columns
+    for name in ("tail", "chain"):
+        real = getattr(operators, f"_{name}_columns")
 
-    def spy(leg, **kwargs):
-        cols = real(leg, **kwargs)
-        seen.append((leg.horizon - leg.rows, leg, cols))
-        return cols
+        def spy(*args, real=real, name=name):
+            cols = real(*args)
+            rule = SimpleNamespace(
+                name=name, **inspect.signature(real).bind(*args).arguments)
+            row = (rule.horizon - rule.rows if name == "tail"
+                   else int(rule.steps.max()))
+            seen.append((row, rule, cols))
+            return cols
 
-    monkeypatch.setattr(criteria, "_narrow_columns", spy)
+        monkeypatch.setattr(operators, f"_{name}_columns", spy)
     return seen
 
 
@@ -690,7 +699,7 @@ class TestNarrowingRows:
         narrowings.clear()
         _leg_extremes(op, pts, pts, 300, mirrored=False)
         (row, leg, cols), _ = narrowings
-        assert leg.tail is None and row == 128 and cols is not None
+        assert leg.name == "chain" and row == 128 and cols is not None
         for horizon in (127, 128, 129, 300):
             assert_full_width(op, pts, pts, horizon)
 
@@ -703,9 +712,10 @@ class TestNarrowingRows:
         pts = CompactWindow.from_grid(GRID, m).points
         _leg_extremes(op, pts, pts, 18000, mirrored=False)
         (row, fwd, cols), (brow, bwd, bcols) = narrowings
-        assert fwd.tail is None and row == 2 * m
+        assert fwd.name == "chain" and row == 2 * m
         assert pts[cols].tolist() == [m - 0.75, m - 0.5, m - 0.25, m]
-        assert bwd.tail == -1.0 and brow == m - 1 and len(bcols) == 1
+        assert bwd.name == "tail" and bwd.c == -1.0
+        assert brow == m - 1 and len(bcols) == 1
 
     def test_one_block_legs_do_not_narrow(self, narrowings):
         # a leg of one block would only be cut in two at its row
@@ -732,7 +742,7 @@ class TestNarrowingRows:
             inside = pts[sl]
             for r in set(inside % 1.0):
                 tops.add(float(inside[inside % 1.0 == r].max()))
-        assert fwd.tail is None and row == 6
+        assert fwd.name == "chain" and row == 6
         assert pts[cols].tolist() == sorted(tops)
         assert len(tops) == 13
 
@@ -803,9 +813,9 @@ class TestChainCertificates:
             _leg_extremes(op, pts, pts, horizon, mirrored=False)
             row, fwd, cols = narrowings[0]
             if horizon == 1650:
-                assert fwd.tail is None and row == 4 and cols is None
+                assert fwd.name == "chain" and row == 4 and cols is None
             else:
-                assert fwd.tail == 0.0 and row == 1702
+                assert fwd.name == "tail" and fwd.c == 0.0 and row == 1702
             assert_full_width(op, pts, pts, horizon)
 
     def test_a_peak_keeps_the_greatest(self, narrowings):
@@ -816,7 +826,7 @@ class TestChainCertificates:
             narrowings.clear()
             _leg_extremes(op, pts, pts, 1650, mirrored=mirrored)
             row, fwd, kept[mirrored] = narrowings[0]
-            assert fwd.tail is None and row == 4
+            assert fwd.name == "chain" and row == 4
         # the least value is proved as for ex3.8, the greatest is not
         assert pts[kept[False]].tolist() == [1.25, 1.5, 1.75, 2.0]
         assert kept[True] is None
@@ -834,7 +844,7 @@ class TestChainCertificates:
         pts = np.array([-2.0, -1.0, 0.0])
         _leg_extremes(op, pts, pts, 1100, mirrored=False)
         row, fwd, cols = narrowings[0]
-        assert fwd.tail is None and row == 2
+        assert fwd.name == "chain" and row == 2
         assert fwd.steps.tolist() == [2, 1, 0]
         assert fwd.lead.tolist() == [-4.0, 1.0, 0.0]
         assert cols.tolist() == [1, 2]
@@ -842,19 +852,18 @@ class TestChainCertificates:
 
 
 def chain_leg(keys, steps, chain, horizon=5000, later=(1.0, 1.0),
-              whole=(0.5, 2.0), high=False):
-    """A ``_Narrowing`` at row max(steps) whose chain keys a*lambda - lead,
-    lambda the low (``high``: high) end of ``_log2_range(later)``, are
-    ``keys``."""
+              whole=(0.5, 2.0), high=False) -> tuple:
+    """The arguments (chain, steps, order, lead, later, whole, horizon) of
+    ``operators._chain_columns`` for a leg at row max(steps) whose chain
+    keys a*lambda - lead, lambda the low (``high``: high) end of
+    ``_log2_range(later)``, are ``keys``."""
     lam = _log2_range(later)[1 if high else 0]
     steps = np.array(steps)
     with np.errstate(invalid="ignore"):  # an unbounded lambda
         lead = steps * lam - np.array(keys)
-    k = steps.size
-    order = np.array(sorted(range(k), key=lambda i: (chain[i], steps[i])))
-    return _Narrowing(np.zeros(k), np.zeros(k), horizon - int(steps.max()),
-                      horizon, chain=np.array(chain), steps=steps,
-                      order=order, lead=lead, later=later, whole=whole)
+    order = np.array(sorted(range(steps.size),
+                            key=lambda i: (chain[i], steps[i])))
+    return np.array(chain), steps, order, lead, later, whole, horizon
 
 
 def chain_margin(horizon=5000, whole=(0.5, 2.0)) -> float:
@@ -865,7 +874,7 @@ def chain_margin(horizon=5000, whole=(0.5, 2.0)) -> float:
 
 
 class TestChainHelper:
-    """``_narrow_columns`` along chains: a member goes when its key clears
+    """``_chain_columns``: a member goes when its key clears
     the best key before it in its chain and slice by more than the
     margin, and stays when it does not."""
 
@@ -873,9 +882,9 @@ class TestChainHelper:
     CHAIN = [0, 0, 0, 3, 3]  # two chains, led by columns 0 and 3
 
     def narrow(self, keys, slices=(slice(None),), high=False, **leg):
-        return _narrow_columns(
-            chain_leg(keys, self.STEPS, self.CHAIN, high=high, **leg),
-            slices=slices, low=not high, high=high)
+        return _chain_columns(
+            *chain_leg(keys, self.STEPS, self.CHAIN, high=high, **leg),
+            membership(slices, len(keys)), not high, high)
 
     def test_near_the_margin(self):
         m = chain_margin()
@@ -907,14 +916,12 @@ class TestChainHelper:
         assert (leader == pts.size - 1).all() and steps.max() == 4096
         lam = _log2_range((1.0, 1.0))[0]
         k = pts.size
-        leg = _Narrowing(np.zeros(k), np.zeros(k), 5000 - 4096, 5000,
-                         chain=leader, steps=steps, order=order,
-                         lead=steps * lam - steps, later=(1.0, 1.0),
-                         whole=(0.5, 2.0))
+        lead = steps * lam - steps
+        member = np.ones((1, k), dtype=bool)
         tracemalloc.start()
         try:
-            cols = _narrow_columns(leg, slices=(slice(None),), low=True,
-                                   high=False)
+            cols = _chain_columns(leader, steps, order, lead, (1.0, 1.0),
+                                  (0.5, 2.0), 5000, member, True, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -991,6 +998,14 @@ class TestVerdictFromTrace:
     def test_no_record_is_not_satisfied(self):
         v = verdict_from_trace("K", [np.inf, np.nan], 1.0)
         assert v.witness == () and v.status != SATISFIED
+        # not even against an infinite tol, which every log2 q is below
+        v = verdict_from_trace("K", [np.inf, np.inf], math.inf)
+        assert v.witness == () and v.status != SATISFIED
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            evaluate([CriterionKind.SUPERCYCLIC_SOLID], OP_DOUBLE, K0, 5, tol)
 
     def test_to_jsonl_matches_dict_serialiser(self):
         trace = [3.0, 0.0, -0.0, 0.0, 5e-324, 5e-324, 1e308, np.inf, np.nan,

@@ -126,7 +126,7 @@ class TestPiecewiseMap:
 
 
 # how far a weight's float evaluation may stray past its exact range, as a
-# share of its largest size there: the slack criteria._EVAL_SLACK grants
+# share of its largest size there: the slack operators._EVAL_SLACK grants
 EVAL_SLACK = 2.0 ** -40
 
 

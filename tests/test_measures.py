@@ -170,7 +170,7 @@ class TestAdjointCriterion:
             assert v.status != SATISFIED
 
     @pytest.mark.parametrize("horizon, tol", [(0, 1e-6), (10, 0.0),
-                                              (10, -1.0)])
+                                              (10, -1.0), (10, np.nan)])
     def test_rejects_bad_horizon_and_tol(self, horizon, tol):
         # the same checks as evaluate, on the route both share
         with pytest.raises(ValueError):
