@@ -28,6 +28,7 @@ from .funcspace import (
     SegalNorm,
     Translation,
     homeo_from_spec,
+    map_from_spec,
     norm,
     triangular_bump,
 )
@@ -64,32 +65,85 @@ _SPACE_KINDS = {
 _MAX_LENGTH = np.iinfo(np.intp).max // 32
 
 
-def _bounded(value, name: str, low: int, *, integer: bool = False,
-             strict: bool = False):
-    """``value`` if it is a number (an integer with ``integer``) >= low, or
-    > low with ``strict``; a ConfigError otherwise."""
-    kinds = int if integer else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or not (value > low if strict else value >= low)):
-        what = "an integer" if integer else "a number"
-        raise ConfigError(f"{name} must be {what} {'>' if strict else '>='} "
-                          f"{low}, got {value!r}")
-    return value
+def _number(value) -> bool:
+    """A real number of a parsed config; numpy would read true as 1.0."""
+    return type(value) in (int, float)
 
 
-def _map_spec(spec, name: str) -> dict:
-    """The JSON object ``spec`` of a map (operator.alpha, operator.weight
-    or space.tau) if each number of its ``breakpoints``, ``values`` and
-    slopes is a real number and not a boolean; a ConfigError otherwise.
-    numpy would read true as 1.0 and "0" as 0.0."""
-    _object(spec, name)
-    for key in ("breakpoints", "values", "left_slope", "right_slope"):
-        value = spec.get(key, [])
-        for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ConfigError(f"{name}.{key}: {v!r} is not a real "
-                                  "number")
-    return spec
+def _height(value) -> bool:
+    """A number, or a string that ``complex`` reads as a finite value."""
+    if not isinstance(value, str):
+        return _number(value)
+    try:
+        return bool(np.isfinite(complex(value)))
+    except ValueError:
+        return False
+
+
+_NUMBER = ("a number", _number)
+_NUMBERS = ("an array of numbers",
+            lambda v: isinstance(v, list) and all(map(_number, v)))
+_POSITIVE = ("a number > 0", lambda v: _number(v) and v > 0)
+# a piecewise map (operator.alpha's nodes, operator.weight, space.tau)
+_MAP = {"breakpoints": _NUMBERS, "values": _NUMBERS,
+        "left_slope": _NUMBER, "right_slope": _NUMBER}
+# a tent (seed_function, each of targets)
+_BUMP = {"center": _NUMBER, "half_width": _POSITIVE,
+         "height": ('a number, or a complex string such as "0.5-0.25j"',
+                    _height)}
+# Every key a config file may hold: an object is a dict of its keys, an
+# array a one-element list of its items' table, a leaf a (description,
+# check) pair.  An absent key takes its default where it is read.
+_CONFIG = {
+    "operator": {
+        "preset": ("a preset name", lambda v: isinstance(v, str)),
+        "alpha": {"kind": ("translation or piecewise_affine",
+                           lambda v: v in ("translation", "piecewise_affine")),
+                  "shift": _NUMBER, **_MAP},
+        "weight": _MAP,
+    },
+    "space": {"kind": ("L2, C0 or SEGAL", lambda v: v in tuple(_SPACE_KINDS)),
+              "tau": _MAP},
+    "grid": {"half_width": _POSITIVE, "step": _POSITIVE},
+    "window": {"m": ("a number >= 0", lambda v: _number(v) and v >= 0),
+               "eps": ("a number in (0, 1)",
+                       lambda v: _number(v) and 0 < v < 1)},
+    "horizon": (f"an integer from 1 to {_MAX_LENGTH}, the longest run numpy "
+                "can allocate",
+                lambda v: type(v) is int and 1 <= v <= _MAX_LENGTH),
+    "tol": _POSITIVE,
+    "trim": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    # read by no command; the bench's sweep_long configs carry it
+    "depth": ("anything", lambda v: True),
+    "seed_function": _BUMP,
+    "targets": [_BUMP],
+    "mode": ("an orbit mode: plain, scaled or cesaro",
+             lambda v: v in dynamics.MODES),
+}
+
+
+def _walk(value, table, path: str = "") -> None:
+    """Raise a ConfigError naming the first path at or below ``path``
+    where ``value`` leaves ``table``: a key the table does not list, or a
+    value its check refuses."""
+    if isinstance(table, tuple):
+        description, check = table
+        if not check(value):
+            raise ConfigError(f"{path} must be {description}, got {value!r}")
+    elif isinstance(table, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a JSON array, got {value!r}")
+        for i, item in enumerate(value):
+            _walk(item, table[0], f"{path}[{i}]")
+    else:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'config'} must be a JSON object, "
+                              f"got {value!r}")
+        for key, item in value.items():
+            name = f"{path}.{key}" if path else key
+            if key not in table:
+                raise ConfigError(f"unknown key {name}")
+            _walk(item, table[key], name)
 
 
 def _seed(text: str) -> int:
@@ -114,14 +168,6 @@ def _finite_json(text: str):
                       parse_int=functools.partial(finite, kind=int))
 
 
-def _object(value, name: str, kind: type = dict):
-    """``value`` if a JSON object (an array for ``list``), else ConfigError."""
-    if not isinstance(value, kind):
-        what = "object" if kind is dict else "array"
-        raise ConfigError(f"{name} must be a JSON {what}, got {value!r}")
-    return value
-
-
 @dataclass
 class ExperimentConfig:
     operator: CompositionOperator
@@ -140,25 +186,20 @@ class ExperimentConfig:
         raw: dict = {}
         if path:
             try:
-                raw = _object(_finite_json(Path(path).read_text()), "config")
+                raw = _finite_json(Path(path).read_text())
             except (OSError, ValueError) as exc:  # JSONDecodeError included
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        op_spec = _object(raw.get("operator", {}), "operator")
-        preset_name = preset or op_spec.get("preset")
-        horizon = _bounded(raw.get("horizon", 200), "horizon", 1,
-                           integer=True)
-        if horizon > _MAX_LENGTH:
-            raise ConfigError(f"horizon must be at most {_MAX_LENGTH}, the "
-                              "longest run numpy can allocate, got "
-                              f"{horizon}")
-        wspec = _object(raw.get("window", {}), "window")
-        window_m = float(_bounded(wspec.get("m", 2.0), "window.m", 0))
-        gspec = _object(raw.get("grid", {}), "grid")
-        half_width = _bounded(gspec.get("half_width", 64.0),
-                              "grid.half_width", 0, strict=True)
-        step = _bounded(gspec.get("step", 0.25), "grid.step", 0, strict=True)
+        _walk(raw, _CONFIG)
+        op_spec = raw.get("operator", {})
+        inline = "alpha" in op_spec or "weight" in op_spec
+        if (preset is not None) + ("preset" in op_spec) + inline != 1:
+            raise ConfigError("name the operator exactly once: by --preset, "
+                              "operator.preset, or operator.alpha with "
+                              "operator.weight")
+        gspec = raw.get("grid", {})
         try:
-            grid = Grid(float(half_width), float(step))
+            grid = Grid(float(gspec.get("half_width", 64.0)),
+                        float(gspec.get("step", 0.25)))
         except (ValueError, OverflowError) as exc:
             raise ConfigError(str(exc)) from exc
         points = 2 * grid.half_width / grid.step + 1  # inf past the floats
@@ -167,51 +208,30 @@ class ExperimentConfig:
                               f"points, more than the {_MAX_LENGTH} numpy can "
                               "allocate")
         try:
-            if preset_name:
-                op = build_preset(preset_name)
-            elif "alpha" in op_spec and "weight" in op_spec:
-                alpha = homeo_from_spec(_map_spec(op_spec["alpha"],
-                                                  "operator.alpha"))
-                wm = _map_spec(op_spec["weight"], "operator.weight")
-                weight = PiecewiseMap(wm["breakpoints"], wm["values"],
-                                      wm.get("left_slope", 0.0),
-                                      wm.get("right_slope", 0.0),
-                                      positive=True)
-                op = CompositionOperator(alpha, weight)
+            if inline:
+                op = CompositionOperator(
+                    homeo_from_spec(op_spec["alpha"]),
+                    map_from_spec(op_spec["weight"], positive=True))
             else:
-                raise ConfigError(
-                    "config needs operator.preset or operator.alpha/weight"
-                )
+                op = build_preset(op_spec.get("preset", preset))
         except (KeyError, ValueError, TypeError) as exc:
             raise ConfigError(str(exc)) from exc
-        sspec = _object(raw.get("space", {}), "space")
-        space = sspec.get("kind", "L2")
-        if not isinstance(space, str) or space not in _SPACE_KINDS:
-            raise ConfigError(f"space kind must be one of {sorted(_SPACE_KINDS)}")
-        tau = None
-        if sspec.get("tau") is not None:
-            tm = _map_spec(sspec["tau"], "space.tau")
-            try:
-                tau = PiecewiseMap(tm["breakpoints"], tm["values"],
-                                   tm.get("left_slope", 0.0),
-                                   tm.get("right_slope", 0.0))
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ConfigError(f"space.tau: {exc!r}") from exc
-        window_eps = wspec.get("eps")
-        if window_eps is not None:
-            _bounded(window_eps, "window.eps", 0, strict=True)
-            if window_eps >= 1:
-                raise ConfigError(f"window.eps must be < 1, got {window_eps}")
+        sspec = raw.get("space", {})
+        try:
+            tau = map_from_spec(sspec["tau"]) if "tau" in sspec else None
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ConfigError(f"space.tau: {exc!r}") from exc
+        wspec = raw.get("window", {})
         return cls(
             operator=op,
-            space=space,
+            space=sspec.get("kind", "L2"),
             tau=tau,
             grid=grid,
-            window_m=window_m,
-            window_eps=window_eps,
-            horizon=horizon,
-            tol=float(_bounded(raw.get("tol", 1e-6), "tol", 0, strict=True)),
-            trim=_bounded(raw.get("trim", 0), "trim", 0, integer=True),
+            window_m=float(wspec.get("m", 2.0)),
+            window_eps=wspec.get("eps"),
+            horizon=raw.get("horizon", 200),
+            tol=float(raw.get("tol", 1e-6)),
+            trim=raw.get("trim", 0),
             raw=raw,
         )
 
@@ -279,41 +299,19 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _bump_from_spec(grid: Grid, spec, name: str) -> GridFunction:
-    """The tent of a ``{"center", "half_width", "height"}`` object: finite
-    numbers, half_width > 0, and height may also be a complex string such
-    as ``"0.5-0.25j"``; anything else is a ConfigError."""
-    spec = _object(spec, name)
-    values = []
-    for key, default in (("center", 0.0), ("half_width", 1.0),
-                         ("height", 1.0)):
-        raw = spec.get(key, default)
-        number = ((isinstance(raw, (int, float)) and not isinstance(raw, bool))
-                  or (key == "height" and isinstance(raw, str)))
-        try:
-            value = complex(raw) if number else None
-        except (ValueError, OverflowError):  # "x", or an int beyond float
-            value = None
-        if value is None or not np.isfinite(value):
-            raise ConfigError(f"{name} {key} must be a finite number, "
-                              f"got {raw!r}")
-        values.append(value)
-    center, half_width, height = values
-    _bounded(half_width.real, f"{name} half_width", 0, strict=True)
-    return triangular_bump(grid, center.real, half_width.real, height)
-
-
 def cmd_orbit(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.preset)
     if cfg.space == "SEGAL":  # the only orbit that reads the window
         cfg.checked_window()
     mode = cfg.raw.get("mode", "scaled")
-    if mode not in dynamics.MODES:
-        raise ConfigError(f"orbit mode must be one of {dynamics.MODES}")
-    seed_fn = _bump_from_spec(cfg.grid, cfg.raw.get("seed_function", {}),
-                              "seed_function")
-    specs = _object(cfg.raw.get("targets", []), "targets", list)
-    targets = [_bump_from_spec(cfg.grid, s, "a target") for s in specs]
+
+    def bump(spec: dict) -> GridFunction:
+        return triangular_bump(cfg.grid, float(spec.get("center", 0.0)),
+                               float(spec.get("half_width", 1.0)),
+                               complex(spec.get("height", 1.0)))
+
+    seed_fn = bump(cfg.raw.get("seed_function", {}))
+    targets = [bump(spec) for spec in cfg.raw.get("targets", [])]
     if cfg.space != "SEGAL":
         kind = L2 if cfg.space == "L2" else SUP
     elif targets:

@@ -25,6 +25,7 @@ from .funcspace import (
     NormKind,
     SUP,
     SupNorm,
+    _square_scale,
     exit_time,
     homeo_orbit_blocks,
     linear_interpolate,
@@ -143,14 +144,22 @@ def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
 def _l2_projective(rows: np.ndarray, gv: np.ndarray, step: float):
     """The L2 projective distance of each nonzero row f of a value block to
     the values gv, and its minimiser: the closed least-squares form
-    lam = <g, f> / ||f||**2, d**2 = ||g||**2 - |<f, g>|**2 / ||f||**2."""
+    lam = <g, f> / ||f||**2, d**2 = ||g||**2 - |<f, g>|**2 / ||f||**2, on
+    f and g divided by their _square_scale: d scales with g, lam with
+    g / f."""
+    sf = _square_scale(np.abs(rows).max(axis=1))[:, None]
+    sg = _square_scale(np.abs(gv).max())
+    rows = np.where(sf == 1.0, rows, rows / sf)
+    gv = gv if sg == 1.0 else gv / sg
     ip = step * np.sum(rows * np.conj(gv), axis=1)
     nf2 = step * np.sum(np.abs(rows) ** 2, axis=1)
     ng2 = step * np.sum(np.abs(gv) ** 2)
     # a scalar abs per row: np.abs on a complex128 array can round |ip|
     # differently
     ip2 = np.array([abs(z) ** 2 for z in ip])
-    return np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0)), np.conj(ip) / nf2
+    with np.errstate(over="ignore"):  # a lam past the float range is inf
+        lam = np.conj(ip) / nf2 * (sg / sf[:, 0])
+    return sg * np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0)), lam
 
 
 def _sup_distance(fv: np.ndarray, gv: np.ndarray):

@@ -221,6 +221,9 @@ class Translation:
                              f"number, got {s!r}")
         if s == 0:
             raise ValueError("translation shift must be nonzero")
+        # an int shift times numpy's integer steps would wrap, or overflow
+        # a C long
+        object.__setattr__(self, "shift", float(s))
 
 
 class PiecewiseAffineHomeo:
@@ -529,13 +532,26 @@ L2 = L2Norm()
 NormKind = Union[SupNorm, L2Norm, SegalNorm]
 
 
+def _square_scale(top):
+    """The divisor of values whose largest modulus is ``top`` (per row, or
+    a scalar) before their squares are summed: ``top`` where it is outside
+    [2**-200, 2**200], where a square, a sum of up to 2**58 of them or a
+    product of two such sums may leave the float range, else 1.0, which
+    leaves every sum bit for bit."""
+    return np.where((top > 2.0 ** 200) | (top < 2.0 ** -200) & (top > 0),
+                    top, 1.0)
+
+
 def row_norms(rows: np.ndarray, kind: NormKind, grid: Grid) -> np.ndarray:
     """The norm of each row of a (rows, grid.size) value block: sup and L2
     as row reductions, the Segal series per row."""
     if isinstance(kind, SupNorm):
         return np.abs(rows).max(axis=1)
     if isinstance(kind, L2Norm):
-        return np.sqrt(grid.step * np.sum(np.abs(rows) ** 2, axis=1))
+        a = np.abs(rows)
+        scale = _square_scale(a.max(axis=1))
+        return scale * np.sqrt(grid.step * np.sum((a / scale[:, None]) ** 2,
+                                                  axis=1))
     if isinstance(kind, SegalNorm):
         return np.array([kind.compute(r, grid) for r in rows])
     raise TypeError(f"unknown norm kind {kind!r}")
@@ -558,13 +574,18 @@ def triangular_bump(grid: Grid, center: float = 0.0, half_width: float = 1.0,
     return GridFunction(grid, height * prof)
 
 
+def map_from_spec(obj: dict, positive: bool = False) -> PiecewiseMap:
+    """The map of a config's ``breakpoints``, ``values`` and optional
+    ``left_slope`` and ``right_slope`` (0 by default)."""
+    return PiecewiseMap(obj["breakpoints"], obj["values"],
+                        obj.get("left_slope", 0.0),
+                        obj.get("right_slope", 0.0), positive=positive)
+
+
 def homeo_from_spec(obj: dict) -> Homeo:
     """The homeomorphism of a config's ``operator.alpha`` object."""
     if obj["kind"] == "translation":
         return Translation(obj["shift"])
     if obj["kind"] == "piecewise_affine":
-        return PiecewiseAffineHomeo(
-            PiecewiseMap(obj["breakpoints"], obj["values"],
-                         obj.get("left_slope", 0.0), obj.get("right_slope", 0.0))
-        )
+        return PiecewiseAffineHomeo(map_from_spec(obj))
     raise ValueError(f"unknown homeomorphism kind {obj['kind']!r}")

@@ -1,13 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import random
 import re
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindyn import cli, criteria, dynamics, presets
 from lindyn.cli import ExperimentConfig, main
@@ -1132,3 +1138,225 @@ class TestOtherCommands:
         rec = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert rec["lift_in_gamma_h"] is True
 
+
+
+def config_leaves(table, path=""):
+    """The path of every leaf of a config table; an array's items read
+    ``[]``, as in ``targets[].center``."""
+    if isinstance(table, tuple):
+        return [path]
+    if isinstance(table, list):
+        return config_leaves(table[0], path + "[]")
+    return [leaf for key, sub in table.items()
+            for leaf in config_leaves(sub, f"{path}.{key}" if path else key)]
+
+
+def run_quietly(argv):
+    """``main(argv)`` with warnings raised as errors: (exit code, stderr)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestConfigKeys:
+    """Every key of a config file is in ``cli._CONFIG``, or the file is a
+    config error."""
+
+    BASE = {"operator": {"preset": "ex3.5"}, "horizon": 5,
+            "grid": {"half_width": 8.0, "step": 0.25}, "window": {"m": 1.0}}
+
+    def exits_2(self, tmp_path, command, cfg, argv=()):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        code, err = run_quietly([command, "--config", str(path), *argv,
+                                 "--out", str(out)])
+        assert code == 2
+        assert err.startswith("config error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+        return err
+
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
+    @pytest.mark.parametrize("key, cfg", [
+        ("horizn", {"horizn": 18000}),
+        ("window.mm", {"window": {"mm": 0}}),
+        ("grid.stp", {"grid": {"half_width": 8.0, "stp": 0.5}}),
+        ("operator.weight.valeus", {"operator": {
+            "alpha": {"kind": "translation", "shift": -1.0},
+            "weight": {"breakpoints": [0.0], "valeus": [2.0]}}}),
+        ("targets[0].centre", {"targets": [{"centre": 3.0}]}),
+    ])
+    def test_misspelled_key_exit_2(self, tmp_path, command, key, cfg):
+        # each ran on its defaults and exited 0
+        err = self.exits_2(tmp_path, command, {**self.BASE, **cfg})
+        assert key in err
+
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
+    @pytest.mark.parametrize("operator, argv", [
+        ({"preset": "ex3.6", "alpha": {"kind": "translation", "shift": 1.0},
+          "weight": {"breakpoints": [0.0], "values": [2.0]}}, []),
+        ({"preset": "ex3.6"}, ["--preset", "ex3.5"]),
+        ({"alpha": {"kind": "translation", "shift": 1.0},
+          "weight": {"breakpoints": [0.0], "values": [2.0]}},
+         ["--preset", "ex3.5"]),
+        ({"weight": {"breakpoints": [0.0], "values": [2.0]}},
+         ["--preset", "ex3.5"]),
+    ], ids=["preset-and-inline", "flag-and-preset", "flag-and-inline",
+            "flag-and-weight"])
+    def test_operator_named_twice_exit_2(self, tmp_path, command, operator,
+                                         argv):
+        # one of the two was dropped without a word
+        cfg = {**self.BASE, "operator": operator}
+        assert "operator" in self.exits_2(tmp_path, command, cfg, argv)
+
+    def test_readme_table_lists_every_key(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        rows = re.findall(r"^\| `([^`]+)` \|", readme.read_text(),
+                          re.MULTILINE)
+        assert rows == config_leaves(cli._CONFIG)
+
+
+# Small valid configs for the sweep below, at H <= 20 on Grid(8, 0.25): no
+# value of SWEEP_VALUES gives an in-range horizon or grid larger than these
+SWEEP_GRID = {"half_width": 8.0, "step": 0.25}
+SWEEP_WEIGHT = {"breakpoints": [-1.0, 1.0], "values": [2.0, 1.0]}
+SWEEP_BASES = [
+    {"operator": {"preset": "ex3.5"}, "space": {"kind": "L2"},
+     "grid": SWEEP_GRID, "window": {"m": 1.0}, "horizon": 20, "tol": 0.01,
+     "trim": 1, "depth": 29},
+    {"operator": {"alpha": {"kind": "translation", "shift": -1.0},
+                  "weight": {**SWEEP_WEIGHT, "left_slope": 0.0,
+                             "right_slope": 0.0}},
+     "space": {"kind": "C0"}, "grid": SWEEP_GRID, "window": {"m": 2.0},
+     "horizon": 20},
+    {"operator": {"alpha": {"kind": "piecewise_affine",
+                            "breakpoints": [-2.0, 0.0, 2.0],
+                            "values": [-3.0, -1.5, 1.0], "left_slope": 1.0,
+                            "right_slope": 1.0},
+                  "weight": SWEEP_WEIGHT},
+     "grid": SWEEP_GRID, "window": {"m": 2.0}, "horizon": 20},
+    {"operator": {"preset": "ex3.5"},
+     "space": {"kind": "SEGAL", "tau": {"breakpoints": [0.0],
+                                        "values": [0.5]}},
+     "grid": SWEEP_GRID, "window": {"m": 1.0, "eps": 0.6}, "horizon": 10},
+    {"operator": {"preset": "ex3.6"}, "space": {"kind": "C0"},
+     "grid": SWEEP_GRID, "horizon": 12, "mode": "scaled",
+     "seed_function": {"center": 0.0, "half_width": 1.0, "height": 1.0},
+     "targets": [{"center": 3.0, "half_width": 1.5,
+                  "height": "0.5-0.25j"}]},
+]
+SWEEP_VALUES = ["x", True, None, [], {}, 0, 0.0, -0.0, -1, 0.5, 1e-300,
+                1e300, 2 ** 63]
+MISSPELL = object()
+
+
+def mutated(base: dict, path: str, value, depth: int = 0):
+    """A copy of ``base`` with the leaf ``path`` (made if absent; ``[]``
+    is an array's first item) set to ``value``, or, for MISSPELL, with
+    the ``depth``-th key of ``path`` misspelled by doubling its last
+    letter; and that key's misspelled path, or None."""
+    cfg = copy.deepcopy(base)
+    parts = path.replace("[]", ".[]").split(".")
+    keys = [i for i, part in enumerate(parts) if part != "[]"]
+    stop = keys[depth] if value is MISSPELL else len(parts) - 1
+    node = cfg
+    for i, part in enumerate(parts[:stop]):
+        child = [] if parts[i + 1] == "[]" else {}
+        if part == "[]":
+            if not node:
+                node.append(child)
+            node = node[0]
+        else:
+            node = node.setdefault(part, child)
+    key = parts[stop]
+    if value is not MISSPELL:
+        if key == "[]":
+            node[:1] = [value]
+        else:
+            node[key] = value
+        return cfg, None
+    node[key + key[-1]] = node.pop(key, 1.0)
+    named = ".".join(parts[:stop] + [key + key[-1]])
+    return cfg, named.replace(".[]", "[0]")
+
+
+class TestConfigSweep:
+    """One mutated leaf of a valid config runs, or exits 2 with one stderr
+    line and no output; it never raises, warns or runs silently on a
+    misspelled key."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_one_mutation_exits_0_or_2(self, data):
+        base = data.draw(st.sampled_from(SWEEP_BASES))
+        path = data.draw(st.sampled_from(config_leaves(cli._CONFIG)))
+        value = data.draw(st.sampled_from([*SWEEP_VALUES, MISSPELL]))
+        depth = 0
+        if value is MISSPELL:
+            depth = data.draw(st.integers(0, path.count(".")))
+        elif path.endswith(("breakpoints", "values")) and data.draw(
+                st.booleans()):
+            path += "[]"
+        cfg, misspelled = mutated(base, path, value, depth)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps(cfg))
+            for command in ("classify", "orbit", "adjoint"):
+                out = Path(tmp) / command
+                code, err = run_quietly([command, "--config", str(config),
+                                         "--out", str(out)])
+                assert (code, err) == (0, "") or (
+                    code == 2 and len(err.splitlines()) == 1
+                    and not out.exists()), (command, cfg, code, err)
+                if misspelled:
+                    assert code == 2 and misspelled in err, (command, cfg)
+
+    @staticmethod
+    def orbit_columns(tmp_path, seed_height, target_height):
+        """The norm and scaled_dist columns of an L2 orbit of ex3.6 and
+        its best.csv distance, for the given tent heights."""
+        cfg = {"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"},
+               "grid": SWEEP_GRID, "horizon": 12,
+               "seed_function": {"height": seed_height},
+               "targets": [{"center": 3.0, "height": target_height}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_quietly(["orbit", "--config", str(path),
+                            "--out", str(out)]) == (0, "")
+        rows = np.loadtxt(out / "orbit.csv", delimiter=",", skiprows=1)
+        best = np.loadtxt(out / "best.csv", delimiter=",", skiprows=1)
+        return rows[:, 1], rows[:, 3], best[2]
+
+    @pytest.mark.parametrize("height", [1e300, 1e-300])
+    def test_l2_orbit_scales_with_its_heights(self, tmp_path, height):
+        # |v|**2 overflowed at 1e300 (a RuntimeWarning, inf and nan) and
+        # underflowed to 0 at 1e-300
+        norms, dists, best = self.orbit_columns(tmp_path, 1.0, 1.0)
+        norms_f, dists_f, best_f = self.orbit_columns(tmp_path, height, 1.0)
+        norms_g, dists_g, best_g = self.orbit_columns(tmp_path, 1.0, height)
+        close = dict(rtol=1e-12, atol=0)
+        np.testing.assert_allclose(norms_f, height * norms, **close)
+        np.testing.assert_allclose(dists_f, dists, **close)
+        np.testing.assert_allclose(norms_g, norms, **close)
+        np.testing.assert_allclose(dists_g, height * dists, **close)
+        np.testing.assert_allclose([best_f, best_g], [best, height * best],
+                                   **close)
+
+    def test_integer_shift_runs_as_its_float(self, tmp_path):
+        # the int 2**63 reached numpy as a C long: OverflowError
+        written = []
+        for shift in (2 ** 63, float(2 ** 63)):
+            cfg = mutated(SWEEP_BASES[1], "operator.alpha.shift", shift)[0]
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / str(len(written))
+            for command in ("classify", "orbit", "adjoint"):
+                assert run_quietly([command, "--config", str(path),
+                                    "--out", str(out)]) == (0, "")
+            written.append(sorted((p.name, p.read_bytes())
+                                  for p in out.iterdir()))
+        assert written[0] == written[1]
