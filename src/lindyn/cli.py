@@ -91,6 +91,10 @@ _MAP = {"breakpoints": _NUMBERS, "values": _NUMBERS,
 _BUMP = {"center": _NUMBER, "half_width": _POSITIVE,
          "height": ('a number, or a complex string such as "0.5-0.25j"',
                     _height)}
+# The keys of operator.alpha that each kind of alpha reads; _CONFIG lists
+# their union, and a key of the other kind is a config error.
+_ALPHA_KEYS = {"translation": ("kind", "shift"),
+               "piecewise_affine": ("kind", *_MAP)}
 # Every key a config file may hold: an object is a dict of its keys, an
 # array a one-element list of its items' table, a leaf a (description,
 # check) pair.  An absent key takes its default where it is read.
@@ -191,6 +195,13 @@ class ExperimentConfig:
                 raise ConfigError(f"cannot read config {path}: {exc}") from exc
         _walk(raw, _CONFIG)
         op_spec = raw.get("operator", {})
+        alpha = op_spec.get("alpha", {})
+        reads = _ALPHA_KEYS.get(alpha.get("kind"), tuple(alpha))
+        for key in alpha:
+            if key not in reads:
+                raise ConfigError(f"operator.alpha.{key} is no key of a "
+                                  f"{alpha['kind']} alpha, which reads "
+                                  f"{', '.join(reads)}")
         inline = "alpha" in op_spec or "weight" in op_spec
         if (preset is not None) + ("preset" in op_spec) + inline != 1:
             raise ConfigError("name the operator exactly once: by --preset, "
@@ -263,7 +274,9 @@ class ExperimentConfig:
         return window
 
 
-def _write_lines(out_dir: str | None, name: str, lines: list[str]):
+def _write_lines(out_dir: str | None, name: str, lines):
+    """Write the iterable ``lines`` to ``out_dir``/``name`` as they come;
+    nothing, not even the directory, without ``out_dir``."""
     if out_dir is None:
         return None
     path = Path(out_dir)
@@ -274,6 +287,12 @@ def _write_lines(out_dir: str | None, name: str, lines: list[str]):
             fh.write(line)
             fh.write("\n")
     return target
+
+
+def _verdict_lines(verdicts, per_n: bool):
+    """The JSONL lines of ``verdicts`` in order, made as they are
+    written: with ``per_n``, one block of n at a time."""
+    return (line for v in verdicts for line in v.jsonl_lines(per_n))
 
 
 def _print_verdict(v, width: int):
@@ -295,7 +314,7 @@ def cmd_classify(args) -> int:
     for v in verdicts:
         _print_verdict(v, 20)
     _write_lines(args.out, "verdicts.jsonl",
-                 [v.to_jsonl(args.per_n) for v in verdicts])
+                 _verdict_lines(verdicts, args.per_n))
     return 0
 
 
@@ -436,7 +455,7 @@ def cmd_adjoint(args) -> int:
     for v in verdicts:
         _print_verdict(v, 16)
     _write_lines(args.out, "adjoint.jsonl",
-                 [v.to_jsonl(args.per_n) for v in verdicts])
+                 _verdict_lines(verdicts, args.per_n))
     return 0
 
 

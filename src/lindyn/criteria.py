@@ -25,7 +25,12 @@ from enum import Enum
 import numpy as np
 
 from .funcspace import Grid
-from .operators import CompositionOperator, _block_rows, _orbit_log2_legs
+from .operators import (
+    _BLOCK_CELLS,
+    CompositionOperator,
+    _block_rows,
+    _orbit_log2_legs,
+)
 
 __all__ = [
     "SATISFIED",
@@ -34,7 +39,6 @@ __all__ = [
     "CompactWindow",
     "CriterionVerdict",
     "evaluate",
-    "verdict_from_trace",
 ]
 
 SATISFIED = "SATISFIED"
@@ -224,133 +228,209 @@ def _best_removals(kinds, ns: np.ndarray, lf: np.ndarray, lb: np.ndarray,
     return xys
 
 
+# Rows per block of a verdict's pass: each float block is 64 KB, under
+# glibc's 128 KB mmap threshold, so the blocks of a pass come from the heap
+# and are reused across its blocks and kinds.
+_VERDICT_ROWS = _BLOCK_CELLS // 4
+
+
+def _q_blocks(formula, xy: np.ndarray, rows: int):
+    """The one pass behind every verdict: per block of up to ``rows`` rows
+    of the formula arguments ``xy``, n = n0 + 1..n1, yield n0, log2 q, q
+    and ``record``, which marks the block's record minima between a False
+    entry before the block and one after it.
+
+    A key is log2 q at a q below inf and NaN elsewhere, which fmin skips;
+    n is a record iff its key lowers the running minimum of the keys, and
+    that minimum is carried across each seam, so the records are those of
+    the whole trace bit for bit."""
+    carry = math.inf
+    horizon = xy.shape[1]
+    for n0 in range(0, horizon, rows):
+        n1 = min(n0 + rows, horizon)
+        with np.errstate(over="ignore"):
+            log2_q, q = formula(np.arange(n0 + 1, n1 + 1, dtype=float),
+                                xy[0, n0:n1], xy[1, n0:n1])
+        # low[i] is the least key over n <= n0 + i, low[0] the carry
+        low = np.empty(n1 - n0 + 1)
+        low[0] = carry
+        low[1:] = log2_q
+        np.copyto(low[1:], math.nan, where=~(q < math.inf))
+        np.fmin.accumulate(low, out=low)
+        carry = low[-1]
+        record = np.zeros(n1 - n0 + 2, dtype=bool)
+        np.less(low[1:], low[:-1], out=record[1:-1])
+        yield n0, log2_q, q, record
+
+
+def _joined(parts, dtype=float) -> np.ndarray:
+    """The blocks ``parts`` as one read-only array."""
+    out = np.concatenate([np.empty(0, dtype), *parts])
+    out.setflags(write=False)
+    return out
+
+
 class CriterionVerdict:
     """Outcome of one finite-horizon criterion sweep.
 
-    ``trace`` holds q(n) and ``log2_trace`` log2 q(n) for n = 1..horizon.
-    ``records`` holds the record minima of log2 q as one read-only index
-    array into the traces (0-based, n - 1): a canonical deterministic
-    choice of the strictly increasing sequence.  ``witness`` reads it as
-    (n, q) pairs and ``record_runs`` as the (first n, last n) of each run
-    of consecutive record n, both built on each access.  SATISFIED means
-    exactly that the last record's log2 q is <= log2 tol.
+    The verdict of q(n) = ``formula``(n, x, y) for n = 1..horizon, where
+    ``xy`` holds the formula arguments (x, y), one column per n: a view of
+    a sweep's table, which the verdict keeps, unchanged, instead of a
+    trace.  One pass over fixed-height blocks of ``xy``
+    (:func:`_q_blocks`) finds the record minima of log2 q, a canonical
+    deterministic choice of the strictly increasing sequence, and keeps
+    only their runs of consecutive n (``record_runs``), q at each run's
+    two ends and log2 q of the last record (``best_log2_q``, None without
+    a record).  SATISFIED means exactly that there is a record and the
+    last one's log2 q is <= log2 tol.
+
+    ``trace`` (q(n)), ``log2_trace`` (log2 q(n)), ``records`` (the record
+    indices, 0-based, n - 1) and ``witness`` (the record (n, q) pairs) are
+    rebuilt from ``xy`` by the same pass on each access.
     """
 
-    def __init__(self, kind: str, status: str, records, trace, log2_trace,
-                 tol: float, params=None):
+    def __init__(self, kind: str, formula, xy: np.ndarray, tol: float,
+                 params=None):
+        if not tol > 0:  # true for NaN too
+            raise ValueError("tol must be positive")
         self.kind = str(kind)
-        self.status = status
-        records = np.asarray(records, dtype=np.intp)
-        records.setflags(write=False)
-        self.records = records
-        trace = np.asarray(trace, dtype=float)
-        trace.setflags(write=False)
-        self.trace = trace
-        log2_trace = np.asarray(log2_trace, dtype=float)
-        log2_trace.setflags(write=False)
-        self.log2_trace = log2_trace
-        self.horizon = trace.size
         self.tol = float(tol)
         self.params = dict(params or {})
+        self.horizon = xy.shape[1]
+        self._source = formula, xy, _VERDICT_ROWS
+        # the run ends, first n and last n of each run in one flat list,
+        # and q at each
+        ends, end_qs = [], []
+        best_log2_q = None
+        for n0, log2_q, q, record in self._blocks():
+            # where the mark changes: first and last + 1 of each run
+            at = np.flatnonzero(record[1:] != record[:-1])
+            if not at.size:
+                continue
+            at[1::2] -= 1
+            if at[0] == 0 and ends and ends[-1] == n0:
+                # the run ending at the seam goes on in this block
+                del ends[-1], end_qs[-1]
+                at = at[1:]
+            ends += (at + (n0 + 1)).tolist()
+            end_qs += q[at].tolist()
+            best_log2_q = float(log2_q[at[-1]])
+        self._ends, self._end_qs = ends, end_qs
+        self.best_log2_q = best_log2_q
+        met = best_log2_q is not None and best_log2_q <= math.log2(tol)
+        self.status = SATISFIED if met else NOT_SATISFIED
+
+    def _blocks(self):
+        """The verdict's pass over its (x, y), block by block."""
+        return _q_blocks(*self._source)
+
+    @property
+    def trace(self) -> np.ndarray:
+        """q(n) for n = 1..horizon, read-only."""
+        return _joined(q for _, _, q, _ in self._blocks())
+
+    @property
+    def log2_trace(self) -> np.ndarray:
+        """log2 q(n) for n = 1..horizon, read-only."""
+        return _joined(log2_q for _, log2_q, _, _ in self._blocks())
+
+    @property
+    def records(self) -> np.ndarray:
+        """The record indices into the traces (0-based, n - 1), read-only."""
+        return _joined((np.flatnonzero(record[1:-1]) + n0
+                        for n0, _, _, record in self._blocks()), np.intp)
 
     @property
     def witness(self) -> tuple[tuple[int, float], ...]:
         """The record-minimum (n, q) pairs."""
-        return tuple(zip((self.records + 1).tolist(),
-                         self.trace[self.records].tolist()))
+        return tuple(pair for n0, _, q, record in self._blocks()
+                     for pair in zip((np.flatnonzero(record[1:-1])
+                                      + (n0 + 1)).tolist(),
+                                     q[record[1:-1]].tolist()))
 
     @property
     def record_runs(self) -> tuple[tuple[int, int], ...]:
         """The (first n, last n) of each run of consecutive record n, in
         order: the record set exactly, at the size of its runs."""
-        r = self.records
-        if not r.size:
-            return ()
-        cut = np.flatnonzero(np.diff(r) != 1)
-        firsts = r[np.concatenate(([0], cut + 1))] + 1
-        lasts = r[np.concatenate((cut, [r.size - 1]))] + 1
-        return tuple(zip(firsts.tolist(), lasts.tolist()))
+        return tuple(zip(self._ends[::2], self._ends[1::2]))
 
     @property
     def best(self) -> tuple[int, float] | None:
         """The last record (n, q), or None when no n gave a finite q."""
-        if not self.records.size:
+        if not self._ends:
             return None
-        i = int(self.records[-1])
-        return i + 1, float(self.trace[i])
-
-    @property
-    def best_log2_q(self) -> float | None:
-        """log2 q of the last record, or None when there is none."""
-        if not self.records.size:
-            return None
-        return float(self.log2_trace[self.records[-1]])
+        return self._ends[-1], self._end_qs[-1]
 
     def jsonl_records(self):
         """Per-n records followed by one summary record: the decoded lines
         of ``to_jsonl(per_n=True)``."""
-        return [json.loads(line)
-                for line in self.to_jsonl(per_n=True).split("\n")]
+        return [json.loads(line) for line in self.jsonl_lines(per_n=True)]
 
     def to_jsonl(self, per_n: bool = False) -> str:
+        """The lines of :meth:`jsonl_lines`, joined."""
+        return "\n".join(self.jsonl_lines(per_n))
+
+    def jsonl_lines(self, per_n: bool = False):
         """The summary line, after one line per n with ``per_n``; keys
         sorted, floats as ``json.dumps`` writes them and non-finite ones as
         strings.
 
         Without ``per_n`` the summary line is of the size of the record
         runs: ``record_runs`` lists [first n, last n] per run and
-        ``witness`` the [n, q] pairs at the run ends only, so only those q
-        and the last record's log2 q are formatted.  With ``per_n`` the
+        ``witness`` the [n, q] pairs at the run ends only.  With ``per_n``
+        the per-n lines come block by block from the verdict's pass, the
         summary has no ``record_runs`` and its ``witness`` holds every
         record; each float is formatted once, and the summary's
         ``best_log2_q`` and witness reuse the text of the per-n lines."""
         if not per_n:
-            runs = self.record_runs
-            ends = np.unique(np.array(runs, dtype=np.intp)) - 1
-            return self._summary_line(
-                ends, _json_reprs(self.trace[ends]),
-                _json_reprs(self.log2_trace[self.records[-1:]]), runs)
-        log2_qs = _json_reprs(self.log2_trace)
-        qs = _json_reprs(self.trace)
+            pairs = [f"[{n}, {_json_repr(q)}]" for i, (n, q) in
+                     enumerate(zip(self._ends, self._end_qs))
+                     if i % 2 == 0 or n != self._ends[i - 1]]
+            best = ("null" if self.best_log2_q is None
+                    else _json_repr(self.best_log2_q))
+            spans = ", ".join([f"[{a}, {b}]" for a, b in self.record_runs])
+            yield self._summary_line(pairs, best,
+                                     f'"record_runs": [{spans}], ')
+            return
         head = f'{{"kind": {json.dumps(self.kind)}, "log2_q": '
-        record = np.zeros(self.horizon, dtype=bool)
-        record[self.records] = True
         flag = ("false}", "true}")
-        lines = [f'{head}{lq}, "n": {n}, "q": {q}, "record_min": {flag[r]}'
-                 for n, lq, q, r in zip(range(1, self.horizon + 1), log2_qs,
-                                        qs, record.tolist())]
-        records = self.records.tolist()
-        lines.append(self._summary_line(self.records,
-                                        [qs[i] for i in records],
-                                        [log2_qs[i] for i in records[-1:]]))
-        return "\n".join(lines)
+        pairs, best = [], "null"
+        for n0, log2_q, q, record in self._blocks():
+            log2_qs, qs = _json_reprs(log2_q), _json_reprs(q)
+            marks = record[1:-1].tolist()
+            yield from (f'{head}{lq}, "n": {n}, "q": {qv}, '
+                        f'"record_min": {flag[r]}'
+                        for n, (lq, qv, r) in enumerate(
+                            zip(log2_qs, qs, marks), start=n0 + 1))
+            at = np.flatnonzero(record[1:-1]).tolist()
+            pairs += [f"[{n0 + 1 + i}, {qs[i]}]" for i in at]
+            if at:
+                best = log2_qs[at[-1]]
+        yield self._summary_line(pairs, best, "")
 
-    def _summary_line(self, idx: np.ndarray, idx_qs: list[str],
-                      last_log2_q: list[str], runs=None) -> str:
-        """The summary line from the record indices ``idx`` the witness
-        lists, the formatted q at each and the formatted log2 q of the last
-        record (an empty list without one); ``runs``, the record runs, adds
-        the key ``record_runs``."""
+    def _summary_line(self, pairs: list[str], best_log2_q: str,
+                      record_runs: str) -> str:
+        """The summary line from the witness's formatted [n, q] pairs, the
+        formatted log2 q of the last record ("null" without one) and the
+        ``record_runs`` key's text, empty to leave the key out."""
         params = {"horizon": self.horizon, "tol": self.tol}
         params.update(self.params)
-        best_log2_q = last_log2_q[0] if last_log2_q else "null"
-        pairs = ", ".join([f"[{n}, {q}]" for n, q in
-                           zip((idx + 1).tolist(), idx_qs)])
-        record_runs = ""
-        if runs is not None:
-            spans = ", ".join([f"[{a}, {b}]" for a, b in runs])
-            record_runs = f'"record_runs": [{spans}], '
         # the key order and separators of json.dumps(..., sort_keys=True)
         return (f'{{"best_log2_q": {best_log2_q}, '
                 f'"kind": {json.dumps(self.kind)}, '
                 f'"params": {json.dumps(params, sort_keys=True)}, '
                 f'{record_runs}'
                 f'"status": {json.dumps(self.status)}, '
-                f'"witness": [{pairs}]}}')
+                f'"witness": [{", ".join(pairs)}]}}')
 
 
 def _json_float(x: float):
     return float(x) if math.isfinite(x) else repr(x)
+
+
+def _json_repr(x: float) -> str:
+    """``json.dumps(_json_float(x))``."""
+    return repr(x) if math.isfinite(x) else json.dumps(repr(x))
 
 
 def _json_reprs(values: np.ndarray) -> list[str]:
@@ -359,35 +439,6 @@ def _json_reprs(values: np.ndarray) -> list[str]:
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         out[i] = json.dumps(out[i])
     return out
-
-
-def verdict_from_trace(kind: str, trace, tol: float, params=None,
-                       log2_trace=None) -> CriterionVerdict:
-    """The verdict of a q trace over n = 1..len(trace).
-
-    The witness is the record minima of log2 q (``log2_trace``, log2 of the
-    trace when not given) over the n whose q is below inf; NaN sets none.
-    SATISFIED iff there is a record and the last one's log2 q is
-    <= log2 tol.
-    """
-    trace = np.asarray(trace, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log2_tol = np.log2(tol)
-        if log2_trace is None:
-            log2_trace = np.log2(trace)
-    log2_trace = np.asarray(log2_trace, dtype=float)
-    # low[i] is the least key over n <= i, low[0] the seed +inf, where a
-    # key is log2 q at a q below inf and NaN elsewhere, which fmin skips:
-    # n is a record iff its key lowers the running minimum
-    low = np.empty(trace.size + 1)
-    low[0] = math.inf
-    low[1:] = log2_trace
-    np.copyto(low[1:], math.nan, where=~(trace < math.inf))
-    np.fmin.accumulate(low, out=low)
-    records = np.flatnonzero(low[1:] < low[:-1])
-    met = records.size and low[-1] <= log2_tol
-    return CriterionVerdict(kind, SATISFIED if met else NOT_SATISFIED,
-                            records, trace, log2_trace, tol, params)
 
 
 def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
@@ -484,24 +535,18 @@ def _kind_rows(kind: CriterionKind, table: np.ndarray,
 def _kind_verdict(kind: CriterionKind, xy, tol: float,
                   params=None) -> CriterionVerdict:
     """One kind's verdict from its formula arguments (x, y) over
-    n = 1..horizon: the formula vectorised over n, then the record
-    minima."""
-    if not tol > 0:  # true for NaN too
-        raise ValueError("tol must be positive")
-    ns = np.arange(1, len(xy[0]) + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        log2_q, q = _FORMULA[kind][0](ns, *xy)
-    return verdict_from_trace(kind.value, q, tol, params, log2_q)
+    n = 1..horizon: the kind's formula in the verdict's block pass."""
+    return CriterionVerdict(kind.value, _FORMULA[kind][0], xy, tol, params)
 
 
 def evaluate(kinds, op: CompositionOperator, window: CompactWindow,
              horizon: int, tol: float, max_drop: int = 0, *,
              inverse: bool = False) -> list[CriterionVerdict]:
-    """One verdict per kind, in order: q(n) and log2 q(n) for
-    n = 1..horizon and the record-minimum witness.  The untrimmed kinds
-    share one cocycle sweep (:func:`_leg_extremes`), then each trace is one
-    formula over n, so a verdict is bit-identical whichever other kinds
-    ride along.
+    """One verdict per kind, in order, over n = 1..horizon.  The
+    untrimmed kinds share one cocycle sweep (:func:`_leg_extremes`), then
+    each verdict is one block pass of its formula over its rows of the
+    sweep's table (:class:`CriterionVerdict`), so a verdict is
+    bit-identical whichever other kinds ride along.
 
     ``max_drop`` = k is the exceptional-set budget: per n, up to k window
     points are removed, the best such removal, in a full-width pass of

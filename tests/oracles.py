@@ -32,6 +32,11 @@ checks their convergence against the criteria's q(n).
 where ``lindyn.presets.run_registry`` shares one sweep across rows, and
 :func:`telescoping_table` is the finite ``np.interp`` table that the
 closed-form weight of ex3.8 and rem3.10 reproduces.
+:class:`WholeArrayVerdict` finds the record minima of a whole q trace at
+once, the reference for the block pass of ``CriterionVerdict``, and
+:func:`whole_array_verdict` runs a kind's formula over every n for it;
+:func:`verdict_from_trace` feeds a hand-built trace through that block
+pass.
 :func:`dict_serialiser` writes a verdict one json.dumps per record, where
 ``CriterionVerdict.to_jsonl`` formats each float once, and
 :func:`runs_serialiser` its default summary line from that one, grouping
@@ -51,6 +56,8 @@ import pytest
 
 from lindyn.criteria import (
     _SOLID_KINDS,
+    NOT_SATISFIED,
+    SATISFIED,
     CompactWindow,
     CriterionKind,
     CriterionVerdict,
@@ -689,6 +696,107 @@ def per_row_expectation(example: GoldenExample,
 
 
 # ---------------------------------------------------------------------------
+# Verdicts over the whole trace at once
+
+
+def _given(n, log2_q, q):
+    """The formula of a hand-built trace: its rows as they are."""
+    return log2_q, q
+
+
+def verdict_from_trace(kind: str, trace, tol: float, params=None,
+                       log2_trace=None) -> CriterionVerdict:
+    """The verdict of a q trace over n = 1..len(trace), through lindyn's
+    block pass: the trace and ``log2_trace`` (log2 of the trace when not
+    given) are the pass's (x, y) rows under a formula that returns them
+    unchanged."""
+    trace = np.asarray(trace, dtype=float)
+    if log2_trace is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log2_trace = np.log2(trace)
+    return CriterionVerdict(kind, _given, np.array([log2_trace, trace]), tol,
+                            params)
+
+
+class WholeArrayVerdict:
+    """The verdict of a whole q trace at once, the reference for
+    ``CriterionVerdict``'s block pass: the record minima of log2 q over
+    the n whose q is below inf, from one ``fmin.accumulate`` over the
+    whole trace; SATISFIED iff there is a record and the last one's
+    log2 q is <= log2 tol."""
+
+    def __init__(self, kind: str, trace, tol: float, params=None,
+                 log2_trace=None):
+        trace = np.asarray(trace, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log2_tol = np.log2(tol)
+            if log2_trace is None:
+                log2_trace = np.log2(trace)
+        log2_trace = np.asarray(log2_trace, dtype=float)
+        low = np.empty(trace.size + 1)
+        low[0] = math.inf
+        low[1:] = log2_trace
+        np.copyto(low[1:], math.nan, where=~(trace < math.inf))
+        np.fmin.accumulate(low, out=low)
+        self.records = np.flatnonzero(low[1:] < low[:-1])
+        met = self.records.size and low[-1] <= log2_tol
+        self.status = SATISFIED if met else NOT_SATISFIED
+        self.kind, self.trace, self.log2_trace = str(kind), trace, log2_trace
+        self.horizon, self.tol = trace.size, float(tol)
+        self.params = dict(params or {})
+
+    @property
+    def witness(self):
+        return tuple(zip((self.records + 1).tolist(),
+                         self.trace[self.records].tolist()))
+
+    @property
+    def record_runs(self):
+        return tuple(tuple(run) for run in
+                     record_runs_of((self.records + 1).tolist()))
+
+    @property
+    def best(self):
+        if not self.records.size:
+            return None
+        i = int(self.records[-1])
+        return i + 1, float(self.trace[i])
+
+    @property
+    def best_log2_q(self):
+        if not self.records.size:
+            return None
+        return float(self.log2_trace[self.records[-1]])
+
+
+def whole_array_verdict(kind: CriterionKind, xy, tol: float,
+                        params=None) -> WholeArrayVerdict:
+    """``kind``'s verdict from its formula arguments (x, y): the formula
+    over every n at once, then :class:`WholeArrayVerdict`."""
+    ns = np.arange(1, np.shape(xy)[1] + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        log2_q, q = _FORMULA[kind][0](ns, *xy)
+    return WholeArrayVerdict(kind.value, q, tol, params, log2_q)
+
+
+def same_verdict(v: CriterionVerdict, ref: WholeArrayVerdict,
+                 per_n: bool = True) -> None:
+    """Assert that ``v`` is ``ref`` bit for bit: its fields, its rebuilt
+    traces and its summary line, and with ``per_n`` its per-n file."""
+    for name in ("trace", "log2_trace", "records"):
+        got, want = getattr(v, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            name
+    for name in ("kind", "status", "horizon", "tol", "params", "witness",
+                 "record_runs", "best"):
+        assert getattr(v, name) == getattr(ref, name), name
+    assert str(v.best_log2_q) == str(ref.best_log2_q)
+    if per_n:
+        assert v.to_jsonl(per_n=True) == dict_serialiser(ref)
+    assert v.to_jsonl() == runs_serialiser(ref)
+
+
+# ---------------------------------------------------------------------------
 # Verdict files one record at a time
 
 
@@ -697,23 +805,29 @@ def dict_serialiser(v: CriterionVerdict) -> str:
     from one dict and one ``json.dumps`` per record; it reads the traces as
     Python floats, so non-finite values are written as "inf", "-inf" and
     "nan"."""
-    def enc(x):
-        return float(x) if math.isfinite(x) else repr(x)
-
     record_ns = {n for n, _ in v.witness}
-    records = [{"kind": v.kind, "n": i, "q": enc(q), "log2_q": enc(lq),
+    records = [{"kind": v.kind, "n": i, "q": _enc(q), "log2_q": _enc(lq),
                 "record_min": i in record_ns}
                for i, (q, lq) in enumerate(zip(v.trace.tolist(),
                                                v.log2_trace.tolist()),
                                            start=1)]
+    records.append(_summary_record(v))
+    return "\n".join(json.dumps(r, sort_keys=True) for r in records)
+
+
+def _enc(x: float):
+    return float(x) if math.isfinite(x) else repr(x)
+
+
+def _summary_record(v: CriterionVerdict) -> dict:
+    """The summary record of :func:`dict_serialiser`."""
     params = {"horizon": v.horizon, "tol": v.tol}
     params.update(v.params)
     best = v.best_log2_q
-    records.append({"kind": v.kind, "status": v.status,
-                    "witness": [[n, enc(q)] for n, q in v.witness],
-                    "best_log2_q": None if best is None else enc(best),
-                    "params": params})
-    return "\n".join(json.dumps(r, sort_keys=True) for r in records)
+    return {"kind": v.kind, "status": v.status,
+            "witness": [[n, _enc(q)] for n, q in v.witness],
+            "best_log2_q": None if best is None else _enc(best),
+            "params": params}
 
 
 def record_runs_of(ns) -> list[list[int]]:
@@ -732,7 +846,7 @@ def runs_serialiser(v: CriterionVerdict) -> str:
     """The line of ``v.to_jsonl()``: the summary line of
     :func:`dict_serialiser` with the key ``record_runs`` added and the
     witness cut to the pairs at the run ends."""
-    summary = json.loads(dict_serialiser(v).split("\n")[-1])
+    summary = json.loads(json.dumps(_summary_record(v)))
     runs = record_runs_of(n for n, _ in summary["witness"])
     ends = {n for run in runs for n in run}
     summary["witness"] = [[n, q] for n, q in summary["witness"] if n in ends]

@@ -5,8 +5,10 @@ import json
 import math
 import random
 import re
+import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from lindyn import cli, criteria, dynamics, presets
 from lindyn.cli import ExperimentConfig, main
 from lindyn.criteria import CompactWindow, CriterionKind, _leg_extremes
+from lindyn.funcspace import Grid, triangular_bump
 from lindyn.measures import adjoint_criterion
 from lindyn.presets import (
     DEFAULT_GRID,
@@ -249,6 +252,33 @@ class TestClassifyCommand:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         return str(path)
+
+    def test_memory_independent_of_the_horizon(self, tmp_path):
+        # ex3.5 in L2 at H = 10^6 peaked at 124 MB when every verdict kept
+        # its q and log2 q traces; the verdicts keep O(block) now, the run
+        # its 16 MB table of (x, y) rows and the interpreter with numpy
+        cfg = self.config(tmp_path, space={"kind": "L2"}, window={"m": 2.0},
+                          horizon=10 ** 6, tol=1e-6)
+        src = Path(cli.__file__).resolve().parents[1]
+        run_classify = ("import sys\n"
+                        f"sys.path.insert(0, {str(src)!r})\n"
+                        "from lindyn.cli import main\n"
+                        f"sys.exit(main(['classify', '--config', {cfg!r}]))")
+        # Linux carries a process's peak RSS over exec into ru_maxrss, so
+        # the run is forked from a fresh interpreter, not from pytest, and
+        # read as that interpreter's child
+        code = ("import resource, subprocess, sys\n"
+                f"subprocess.run([sys.executable, '-c', {run_classify!r}],"
+                " check=True)\n"
+                "print(resource.getrusage(resource.RUSAGE_CHILDREN)"
+                ".ru_maxrss)")
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert time.perf_counter() - start < 2.0
+        lines = done.stdout.splitlines()
+        assert lines[2].startswith("HYPERCYCLIC_SOLID")
+        assert int(lines[-1]) <= 60 * 1024  # kB
 
     def test_c0_verdicts(self, tmp_path, capsys):
         code = run(["classify", "--config", self.config(tmp_path)])
@@ -1212,6 +1242,42 @@ class TestConfigKeys:
         cfg = {**self.BASE, "operator": operator}
         assert "operator" in self.exits_2(tmp_path, command, cfg, argv)
 
+    TRANSLATION = {"kind": "translation", "shift": -1.0}
+    PIECEWISE = {"kind": "piecewise_affine", "breakpoints": [-2.0, 0.0, 2.0],
+                 "values": [-3.0, -1.5, 1.0], "left_slope": 1.0,
+                 "right_slope": 1.0}
+
+    @pytest.mark.parametrize("command", ["classify", "orbit", "adjoint"])
+    @pytest.mark.parametrize("alpha, key", [
+        ({**TRANSLATION, "breakpoints": [0.0], "values": [7.0]},
+         "breakpoints"),
+        ({**TRANSLATION, "values": [7.0]}, "values"),
+        ({**TRANSLATION, "left_slope": 1.0}, "left_slope"),
+        ({**TRANSLATION, "right_slope": 1.0}, "right_slope"),
+        ({**PIECEWISE, "shift": 1.0}, "shift"),
+        ({"shift": 1.0, **PIECEWISE}, "shift"),
+    ], ids=["translation-nodes", "translation-values", "translation-left",
+            "translation-right", "piecewise-shift", "piecewise-shift-first"])
+    def test_other_kinds_alpha_key_exit_2(self, tmp_path, command, alpha,
+                                          key):
+        # each was accepted and never read
+        cfg = {**self.BASE, "operator": {
+            "alpha": alpha,
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [2.0, 1.0]}}}
+        err = self.exits_2(tmp_path, command, cfg)
+        assert f"operator.alpha.{key} " in err
+
+    @pytest.mark.parametrize("alpha", [TRANSLATION, PIECEWISE])
+    def test_alpha_of_its_own_keys_runs(self, tmp_path, alpha):
+        cfg = {**self.BASE, "operator": {
+            "alpha": alpha,
+            "weight": {"breakpoints": [-1.0, 1.0], "values": [2.0, 1.0]}}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("classify", "orbit", "adjoint"):
+            assert run_quietly([command, "--config", str(path), "--out",
+                                str(tmp_path / command)]) == (0, "")
+
     def test_readme_table_lists_every_key(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         rows = re.findall(r"^\| `([^`]+)` \|", readme.read_text(),
@@ -1345,6 +1411,35 @@ class TestConfigSweep:
         np.testing.assert_allclose(dists_g, height * dists, **close)
         np.testing.assert_allclose([best_f, best_g], [best, height * best],
                                    **close)
+
+    @pytest.mark.parametrize("width", [5e-324, 1e-310])
+    def test_subnormal_tent_is_silent(self, tmp_path, width):
+        # 1/width overflowed: "RuntimeWarning: overflow encountered in
+        # divide", for the same tent, height at the centre and 0 elsewhere;
+        # so is a tent one grid step wide, whose files it must write
+        written = []
+        for w in (width, SWEEP_GRID["step"]):
+            cfg = {"operator": {"preset": "ex3.6"}, "space": {"kind": "L2"},
+                   "grid": SWEEP_GRID, "horizon": 3,
+                   "seed_function": {"center": 0.0, "half_width": w},
+                   "targets": [{"center": 1.0, "half_width": w,
+                                "height": 2.0}]}
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg))
+            out = tmp_path / str(w)
+            assert run_quietly(["orbit", "--config", str(path),
+                                "--out", str(out)]) == (0, "")
+            written.append(sorted((p.name, p.read_bytes())
+                                  for p in out.iterdir()))
+        assert written[0] == written[1]
+        grid = Grid(SWEEP_GRID["half_width"], SWEEP_GRID["step"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for center in (0.0, 1.0, 0.1):
+                tent = triangular_bump(grid, center, width, 2.0)
+                assert np.array_equal(tent.values,
+                                      np.where(grid.points == center,
+                                               2.0, 0.0))
 
     def test_integer_shift_runs_as_its_float(self, tmp_path):
         # the int 2**63 reached numpy as a C long: OverflowError

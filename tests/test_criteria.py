@@ -17,13 +17,14 @@ from lindyn.criteria import (
     _SOLID_KINDS,
     _best_removal,
     _exp2,
+    _kind_rows,
+    _kind_verdict,
     _leg_extremes,
     _trimmed_xy,
     SATISFIED,
     CompactWindow,
     CriterionKind,
     evaluate,
-    verdict_from_trace,
 )
 from lindyn.funcspace import (
     Grid,
@@ -45,6 +46,7 @@ from lindyn.presets import REGISTRY, build_preset
 from oracles import (
     SEAM_POINTS,
     SegalIncompatibleError,
+    WholeArrayVerdict,
     _trim_exact,
     _trim_greedy,
     backward_log2,
@@ -58,9 +60,12 @@ from oracles import (
     read_tables,
     record_runs_of,
     runs_serialiser,
+    same_verdict,
     seam_cases,
     segal_factors,
     sweep_factors,
+    verdict_from_trace,
+    whole_array_verdict,
 )
 
 RNG = np.random.default_rng(7)
@@ -976,6 +981,14 @@ class TestExp2:
         assert int64(np.array(q)) == 0
 
 
+@pytest.fixture
+def seams(monkeypatch):
+    """Verdict blocks of 3 rows: the hand-built traces below, of 1 to 300
+    n, cross seams of the verdict pass."""
+    monkeypatch.setattr(criteria, "_VERDICT_ROWS", 3)
+
+
+@pytest.mark.usefixtures("seams")
 class TestVerdictFromTrace:
     def test_matches_record_minimum_loop(self):
         rng = np.random.default_rng(11)
@@ -1056,6 +1069,7 @@ class TestVerdictFromTrace:
             assert v.to_jsonl() == runs_serialiser(v)
 
 
+@pytest.mark.usefixtures("seams")
 class TestRecordRuns:
     """``record_runs`` is the record set exactly, and the default summary
     line writes q only at the run ends."""
@@ -1115,6 +1129,146 @@ class TestRecordRuns:
                                              1.0))
         assert line["record_runs"] == [[1, 1], [3, 3], [5, 5]]
         assert line["witness"] == [[1, 4.0], [3, 2.0], [5, 1.0]]
+
+
+class TestVerdictBlocks:
+    """The verdict pass over fixed-height blocks is the whole-array verdict
+    of ``oracles.WholeArrayVerdict`` bit for bit: the records, their runs,
+    q and log2 q at every n and both files, on each side of every seam."""
+
+    @staticmethod
+    def horizons(rows):
+        return sorted({h for h in (1, rows - 1, rows, rows + 1, 2 * rows + 1)
+                       if h >= 1})
+
+    @staticmethod
+    def check_evaluate(op, window, horizon, tol, per_n=True):
+        # every kind, T and its inverse; the adjoint kinds read the
+        # mirrored rows of the one table
+        [table] = _leg_extremes(op, window.points, window.points, horizon)
+        for inverse in (False, True):
+            verdicts = evaluate(list(CriterionKind), op, window, horizon, tol,
+                                inverse=inverse)
+            for kind, v in zip(CriterionKind, verdicts):
+                params = {"window_radius": window.radius, "inverse": inverse}
+                ref = whole_array_verdict(
+                    kind, _kind_rows(kind, table, inverse), tol, params)
+                same_verdict(v, ref, per_n)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_every_kind_at_small_blocks(self, monkeypatch, rows):
+        monkeypatch.setattr(criteria, "_VERDICT_ROWS", rows)
+        window = CompactWindow.from_grid(GRID, 1.0)
+        for preset in ("ex3.5", "ex3.8"):
+            for h in self.horizons(rows):
+                self.check_evaluate(build_preset(preset), window, h, 1e-2)
+
+    def test_every_kind_at_the_block_height(self):
+        # ex3.5's supercyclic q underflows (log2 q <= -1076) from
+        # n = 1078 on and stays a record at each n, one run over both seams
+        rows = criteria._VERDICT_ROWS
+        assert rows == operators._BLOCK_CELLS // 4 == 8192
+        window = CompactWindow.from_grid(GRID, 1.0)
+        op = build_preset("ex3.5")
+        for h in self.horizons(rows):
+            self.check_evaluate(op, window, h, 1e-2, per_n=False)
+        # the per-n file of one kind over both seams
+        kind = CriterionKind.SUPERCYCLIC_SOLID
+        [table] = _leg_extremes(op, window.points, window.points,
+                                2 * rows + 1, mirrored=False)
+        [v] = evaluate([kind], op, window, 2 * rows + 1, 1e-2)
+        same_verdict(v, whole_array_verdict(
+            kind, table, 1e-2, {"window_radius": 1.0, "inverse": False}))
+        assert v.record_runs == ((1, 2 * rows + 1),)
+        assert v.best == (2 * rows + 1, 0.0) and v.best_log2_q < -1076
+
+    # formula arguments of every kind: q under- and overflows (log2 q
+    # <= -1076, x + y > 1024), ties, signed zeros and NaN
+    SPECIAL = [-3000.0, -1077.0, -1076.0, -1075.5, -538.0, -3.0, -0.0, 0.0,
+               1.0, 600.0, 1023.9, 1100.0, math.nan]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_specials_at_the_seams(self, monkeypatch, rows):
+        monkeypatch.setattr(criteria, "_VERDICT_ROWS", rows)
+        rng = np.random.default_rng(37 + rows)
+        for h in self.horizons(rows) + [4 * rows + 2]:
+            for _ in range(30):
+                xy = np.where(rng.random((2, h)) < 0.6,
+                              rng.choice(self.SPECIAL, (2, h)),
+                              rng.normal(0.0, 700.0, (2, h)))
+                for kind in CriterionKind:
+                    ref = whole_array_verdict(kind, xy, 1e-3)
+                    same_verdict(_kind_verdict(kind, xy, 1e-3), ref)
+
+    def test_runs_across_seams(self, monkeypatch):
+        # blocks of 4 rows: seams after n = 4, 8, 12
+        monkeypatch.setattr(criteria, "_VERDICT_ROWS", 4)
+        cases = {
+            # one run from n = 3 over two seams
+            (9.0, 9.5, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0):
+                ((1, 1), (3, 10)),
+            # a run ends at a seam, the next starts one n past it
+            (5.0, 6.0, 6.0, 4.0, 7.0, 3.0, 2.0, 1.0): ((1, 1), (4, 4),
+                                                       (6, 8)),
+            # a run ends at a seam and goes on right after it
+            (5.0, 6.0, 6.0, 4.0, 3.0, 7.0): ((1, 1), (4, 5)),
+            # NaN, inf and a tie at the seams break no run but set no
+            # record
+            (5.0, 4.0, 3.0, math.nan, 2.0, math.inf, 2.0, 1.0, 0.5):
+                ((1, 3), (5, 5), (8, 9)),
+            # every n a record: one run of the whole trace
+            tuple(0.5 ** np.arange(13)): ((1, 13),),
+            (math.nan, math.inf, math.nan, math.inf, math.nan): (),
+        }
+        for trace, runs in cases.items():
+            v = verdict_from_trace("K", trace, 1e-3)
+            ref = WholeArrayVerdict("K", trace, 1e-3)
+            assert v.record_runs == runs == ref.record_runs
+            same_verdict(v, ref)
+
+    def test_carry_across_seams(self, monkeypatch):
+        # a block that starts above the minimum of the blocks before it
+        # sets no record: the running minimum is carried over each seam
+        monkeypatch.setattr(criteria, "_VERDICT_ROWS", 2)
+        trace = [1.0, 4.0, 3.0, 2.0, 1.5, 0.5, 0.75, 0.6]
+        v = verdict_from_trace("K", trace, 1.0)
+        assert v.witness == ((1, 1.0), (6, 0.5))
+        assert v.record_runs == ((1, 1), (6, 6))
+        same_verdict(v, WholeArrayVerdict("K", trace, 1.0))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 8192])
+    def test_hand_traces_match_the_whole_array(self, monkeypatch, rows):
+        # the inf/NaN traces of the serialiser tests, split at seams
+        monkeypatch.setattr(criteria, "_VERDICT_ROWS", rows)
+        rng = np.random.default_rng(41)
+        special = [0.0, -0.0, 5e-324, 1e-310, 1.0, 2.0, np.inf, -np.inf,
+                   np.nan]
+        for _ in range(100):
+            size = int(rng.integers(1, 40))
+            trace = rng.choice(special, size)
+            log2_trace = (rng.choice(special + [-2000.0, 1e308], size)
+                          if rng.random() < 0.5 else None)
+            params = {"inverse": bool(rng.random() < 0.5)}
+            tol = float(rng.choice([1e-6, 1.0, 2.0, math.inf]))
+            same_verdict(
+                verdict_from_trace("K", trace, tol, params, log2_trace),
+                WholeArrayVerdict("K", trace, tol, params, log2_trace))
+
+    def test_fields_are_rebuilt_not_kept(self):
+        # a verdict keeps its (x, y) view, the run ends and the best, and
+        # no horizon-sized array; its traces are made again on each read
+        op = build_preset("ex3.8")
+        window = CompactWindow.from_grid(GRID, 2.0)
+        v, = evaluate([CriterionKind.HYPERCYCLIC_SOLID], op, window, 20000,
+                      1e-2)
+        kept = [value for value in vars(v).values()
+                if isinstance(value, np.ndarray)]
+        assert kept == []
+        a, b = v.trace, v.trace
+        assert a is not b and np.array_equal(a, b)
+        assert not a.flags.writeable and not v.records.flags.writeable
+        assert v.records.dtype == np.intp
+        assert v.record_runs == ((1, 1), (7, 20000))
 
 
 class TestTrim:
