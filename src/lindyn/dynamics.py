@@ -25,6 +25,7 @@ from .funcspace import (
     NormKind,
     SUP,
     SupNorm,
+    Translation,
     _square_scale,
     exit_time,
     homeo_orbit_blocks,
@@ -34,6 +35,7 @@ from .funcspace import (
 )
 from .operators import (
     CompositionOperator,
+    _Lattice,
     _block_rows,
     _loses_mass,
     _orbit_log2_rows,
@@ -103,7 +105,10 @@ def _centre_with(c, w, active, k):
     ck, wk = c[k], w[k]
     cands = [np.array([ck]), (wk * ck + wa * ca) / (wk + wa)]
     if len(active) >= 2:
-        j, l = np.triu_indices(len(active), 1)
+        # the pairs j < l in the order of np.triu_indices, at a fifth of
+        # its cost
+        r = np.arange(len(active))
+        j, l = np.nonzero(r[:, None] < r)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             three = _three_point_centres(ck, wk, ca[j], wa[j], ca[l], wa[l])
         cands.append(three[np.isfinite(three)])
@@ -113,8 +118,9 @@ def _centre_with(c, w, active, k):
     return lam[int(np.argmin(worst))]
 
 
-def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
-    """argmin over lam of max_i |lam f_i - g_i|, f != 0.
+def _sup_projective(fv: np.ndarray, gv: np.ndarray, slack: float) -> complex:
+    """argmin over lam of max_i |lam f_i - g_i|, f != 0, up to ``slack``,
+    16 ulps of max |g_i|.
 
     Rows with f_i = 0 contribute the constant |g_i|; the others are the
     weighted Euclidean 1-centre problem max_i w_i |lam - c_i| with
@@ -124,21 +130,32 @@ def _sup_projective(fv: np.ndarray, gv: np.ndarray) -> complex:
     whose basis holds the violator, only ever raises its optimum towards
     the full one.  The loop ends when no row exceeds the active optimum by
     more than the rounding of the residuals; that O(N) pass over all rows
-    is the optimality certificate.
+    is the optimality certificate.  A violator is never active already,
+    so that takes at most one round per row.  A row whose c_i leaves the
+    float range (g_i / f_i overflows) is left out like an f_i = 0 row:
+    the caller's pass over every row counts its term, and the rounds stay
+    bounded by the rows left, whatever the non-finite arithmetic of
+    extreme values makes of the residuals.
     """
     supp = fv != 0
     c = gv[supp] / fv[supp]
+    ok = np.isfinite(c)
+    if not ok.all():
+        supp[supp] = ok
+        c = c[ok]
+    if not c.size:
+        return 0j
     w = np.abs(fv[supp])
-    slack = 16.0 * np.finfo(float).eps * float(np.abs(gv).max())
     active = [int(np.argmax(w))]
     lam = c[active[0]]
-    while True:
+    for _ in range(c.size):
         e = w * np.abs(lam - c)
         k = int(np.argmax(e))
         if e[k] <= e[active].max() + slack:
-            return complex(lam)
+            break
         lam = _centre_with(c, w, active, k)
         active.append(k)
+    return complex(lam)
 
 
 def _l2_projective(rows: np.ndarray, gv: np.ndarray, step: float):
@@ -162,19 +179,23 @@ def _l2_projective(rows: np.ndarray, gv: np.ndarray, step: float):
     return sg * np.sqrt(np.maximum(ng2 - ip2 / nf2, 0.0)), lam
 
 
-def _sup_distance(fv: np.ndarray, gv: np.ndarray):
-    """The sup-norm projective distance of value arrays, fv != 0, and its
-    minimiser (see :func:`projective_distance`)."""
-    g_sup = float(np.abs(gv).max())
+def _sup_distances(rows: np.ndarray, gv: np.ndarray, g_sup: float):
+    """The sup-norm projective distance of each row of a value block, each
+    row nonzero, to the values gv, g_sup = max |gv|, and its minimiser
+    (see :func:`projective_distance`): one solve per row, then one pass
+    over the block for the distances |lam f - g|.  Where that is not
+    below g_sup, lambda = 0, which is feasible, is kept: rounding at the
+    centre is no better there."""
     if g_sup == 0:
-        return 0.0, 0j
-    lam = _sup_projective(fv, gv)
-    d = float(np.abs(lam * fv - gv).max())
-    # lambda = 0 is feasible; keep it when rounding at the centre is no
-    # better
-    if g_sup <= d:
-        return g_sup, 0j
-    return d, lam
+        return np.zeros(len(rows)), np.zeros(len(rows), dtype=complex)
+    slack = 16.0 * np.finfo(float).eps * g_sup
+    # the extreme values of an overflowing g_i / f_i make inf and NaN
+    # residuals; a NaN distance is not below g_sup
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.array([_sup_projective(f, gv, slack) for f in rows])
+        d = np.abs(lam[:, None] * rows - gv).max(axis=1)
+    near = d < g_sup
+    return np.where(near, d, g_sup), np.where(near, lam, 0j)
 
 
 def projective_distance(f: GridFunction, g: GridFunction,
@@ -197,7 +218,8 @@ def projective_distance(f: GridFunction, g: GridFunction,
         d, lam = _l2_projective(f.values[None], g.values, f.grid.step)
         return float(d[0]), complex(lam[0])
     if isinstance(kind, SupNorm):
-        return _sup_distance(f.values, g.values)
+        d, lam = _sup_distances(f.values[None], g.values, norm(g, SUP))
+        return float(d[0]), complex(lam[0])
     if g.is_zero:
         return 0.0, 0j
     rho = 2.1 * norm(g, kind) / norm(f, kind)
@@ -219,7 +241,7 @@ def _orbit_blocks(op: CompositionOperator, f: GridFunction, horizon: int,
     """Yield T^n f (or S^n f) for n = 1..horizon as row blocks of values,
     each with its per-row truncation flags, walking only the leg the side
     reads: the forward (T) or negated backward (S) rows of
-    ``_orbit_log2_rows`` and the read positions alpha^{+-n}(t), both in
+    ``_orbit_log2_rows`` and the reads of f at alpha^{+-n}(t), both in
     blocks of ``_block_rows`` rows.  Same points and Sum2 sums as
     ``CocycleSweep``, so bit-identical.  A row whose values leave the
     float range raises LindynError naming its n and side.
@@ -228,44 +250,101 @@ def _orbit_blocks(op: CompositionOperator, f: GridFunction, horizon: int,
     walk from the hull of f's support on (:func:`exit_time`), every row
     is 0 and has lost all of f's mass: those rows are yielded as zeros
     with their flags set, without the walk, the logs or the
-    interpolation."""
+    interpolation.
+
+    A translation walks only the columns that can read f where it is
+    nonzero (:func:`_live_columns`); the others hold 0, with no logs and
+    no reads.  The live columns read f once per distinct orbit point,
+    through the walk's :class:`_Lattice` table where it has one for the
+    block, which the log leg reads too, and each row's flag comes from
+    the row's two end points: the grid's least and greatest points
+    moved by the row's k*shift.  Other maps walk every column and take
+    the flags from the position blocks (:func:`_loses_mass`)."""
     if side not in ("T", "S"):
         raise ValueError("side must be 'T' or 'S'")
     step = 1 if side == "T" else -1
     pts = f.grid.points
     rows = _block_rows(pts.size)
-    live = np.flatnonzero(f.values)
+    nonzero = np.flatnonzero(f.values)
     walked = 0
-    if live.size:
+    if nonzero.size:
         # f's interpolant vanishes at and beyond the grid neighbours of its
         # outermost nonzero points
-        lo = pts[live[0] - 1] if live[0] else pts[0] - f.grid.step
-        hi = (pts[live[-1] + 1] if live[-1] + 1 < pts.size
+        lo = (pts[nonzero[0] - 1] if nonzero[0]
+              else pts[0] - f.grid.step)
+        hi = (pts[nonzero[-1] + 1] if nonzero[-1] + 1 < pts.size
               else pts[-1] + f.grid.step)
         crossing = exit_time(op.alpha, pts, (lo, hi), horizon, step, step)
         walked = horizon if crossing is None else crossing[0]
-    logs = _orbit_log2_rows(op, pts, walked, step, min(step, 0))
-    walk = homeo_orbit_blocks(op.alpha, pts, walked, rows, step, step)
-    n0 = 0
-    for lg, pos in zip(logs, walk):
-        with np.errstate(over="ignore", invalid="ignore"):  # raised below
-            vals = scale_by_exp2(step * lg, linear_interpolate(f, pos))
-        finite = np.isfinite(vals).all(axis=1)
-        if not finite.all():
-            n = n0 + 1 + int(np.argmin(finite))
-            raise LindynError(f"the orbit overflows at n = {n} on side "
-                              f"{side}: {side}^n f has values beyond the "
-                              f"float range")
-        yield vals, f.truncated | _loses_mass(f, pos)
-        n0 += len(vals)
-    if n0 < horizon:
-        zeros = np.zeros((min(rows, horizon - n0), pts.size), dtype=complex)
-        lost = np.full(len(zeros), f.truncated or bool(live.size))
+    shift = op.alpha.shift if isinstance(op.alpha, Translation) else None
+    cols, lattice, walk = slice(None), None, None
+    if shift is None:
+        walk = homeo_orbit_blocks(op.alpha, pts, walked, rows, step, step)
+    elif walked:
+        cols = _live_columns(pts, step * shift, walked, lo, hi)
+        lattice = _Lattice.of(op.alpha, pts[cols], walked)
+    live = pts[cols]
+    logs = (_orbit_log2_rows(op, live, walked, step, min(step, 0), rows,
+                             lattice) if live.size else None)
+    for n0 in range(0, walked, rows):
+        r = min(rows, walked - n0)
+        if walk is not None:
+            pos = next(walk)
+        if live.size:
+            seed = np.empty((r, live.size), dtype=complex)
+            if lattice is None or not lattice.read(
+                    lambda x: linear_interpolate(f, x), step * (n0 + 1),
+                    step, seed):
+                if walk is None:
+                    [pos] = homeo_orbit_blocks(op.alpha, live, r, r, step,
+                                               step * (n0 + 1))
+                seed = linear_interpolate(f, pos)
+            with np.errstate(over="ignore", invalid="ignore"):  # below
+                out = scale_by_exp2(step * next(logs), seed)
+            finite = np.isfinite(out).all(axis=1)
+            if not finite.all():
+                n = n0 + 1 + int(np.argmin(finite))
+                raise LindynError(f"the orbit overflows at n = {n} on side "
+                                  f"{side}: {side}^n f has values beyond "
+                                  f"the float range")
+        if walk is not None:
+            vals = out
+            lost = f.truncated | _loses_mass(f, pos)
+        else:
+            vals = np.zeros((r, pts.size), dtype=complex)
+            if live.size:
+                vals[:, cols] = out
+            # the float t + k*shift is monotone in t, so a row's least and
+            # greatest reads are those of the grid's ends
+            ks = step * np.arange(n0 + 1, n0 + r + 1)
+            ends = pts[[0, -1]] + ks[:, None] * shift
+            lost = (f.truncated | (pts[nonzero[0]] < ends[:, 0])
+                    | (pts[nonzero[-1]] > ends[:, 1]))
+        yield vals, lost
+    if walked < horizon:
+        zeros = np.zeros((min(rows, horizon - walked), pts.size),
+                         dtype=complex)
+        lost = np.full(len(zeros), f.truncated or bool(nonzero.size))
         for a in (zeros, lost):
             a.setflags(write=False)
-        for k0 in range(n0, horizon, rows):
+        for k0 in range(walked, horizon, rows):
             r = min(rows, horizon - k0)
             yield zeros[:r], lost[:r]
+
+
+def _live_columns(pts: np.ndarray, shift: float, walked: int, lo: float,
+                  hi: float) -> slice:
+    """The columns t of a translation walk over the sorted ``pts`` whose
+    reads t + k*shift, k = 1..``walked``, may enter the open interval
+    (``lo``, ``hi``), where f is nonzero: those whose first and last reads
+    do not both lie at or below lo, nor both at or above hi.  The float
+    t + k*shift is monotone in k and in t, so every read of a column lies
+    between its first and its last, and the live columns are one run."""
+    low, high = pts + shift, pts + walked * shift
+    if shift < 0:
+        low, high = high, low
+    return slice(int(np.searchsorted(high, lo, "right")),
+                 int(np.searchsorted(low, hi, "left")))
 
 
 def operator_orbit(op: CompositionOperator, f: GridFunction, horizon: int,
@@ -328,8 +407,8 @@ def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
                       g_norm: float, kind: NormKind, grid) -> np.ndarray:
     """projective_distance(row, g, kind)[0] for each row of a block, and
     ``g_norm``, norm(g, kind), at the rows flagged ``zero``.  L2 is the
-    closed form on the whole block; the sup and Segal solves run per
-    row."""
+    closed form on the whole block, the sup solves run per row with their
+    distances taken on the block, and the Segal searches run per row."""
     out = np.full(len(rows), g_norm)
     live = np.flatnonzero(~zero)
     if not live.size:
@@ -337,7 +416,7 @@ def _scaled_distances(rows: np.ndarray, zero: np.ndarray, g: GridFunction,
     if isinstance(kind, L2Norm):
         out[live] = _l2_projective(rows[live], g.values, grid.step)[0]
     elif isinstance(kind, SupNorm):
-        out[live] = [_sup_distance(rows[i], g.values)[0] for i in live]
+        out[live] = _sup_distances(rows[live], g.values, g_norm)[0]
     else:
         out[live] = [projective_distance(GridFunction(grid, rows[i]), g,
                                          kind)[0] for i in live]

@@ -204,13 +204,15 @@ class _Lattice:
         ks = start, start + step * (n - 1)
         return not (self.neg_zero and min(ks) <= 0 <= max(ks))
 
-    def log2_block(self, op: CompositionOperator, k1: int, step: int,
-                   out: np.ndarray, cols=None) -> bool:
-        """Write log2 w over the block of ``len(out)`` rows from k = ``k1``
-        by ``step`` into ``out``, (rows, |t|), or over the points ``cols``
-        of |t| only, (rows, |cols|), from a table that spans those points
-        alone; False, writing nothing, when the table would have more
-        entries than the block has cells."""
+    def read(self, fn, k1: int, step: int, out: np.ndarray,
+             cols=None) -> bool:
+        """Write ``fn`` over the orbit points of the block of ``len(out)``
+        rows from k = ``k1`` by ``step`` into ``out``, (rows, |t|), or over
+        the points ``cols`` of |t| only, (rows, |cols|), from a table that
+        spans those points alone, calling ``fn`` once on the table, a 1-D
+        array it may overwrite, for an array of its values, elementwise;
+        False, writing nothing, when the table would have more entries
+        than the block has cells."""
         rows, k = out.shape
         t0, span = self.t0, self.span
         if cols is None:
@@ -229,31 +231,44 @@ class _Lattice:
         low = min(0, d * (rows - 1))
         table = np.arange(size) * self.g
         table += t0 + k1 * self.shift + low * self.g
-        op.log2_weight(table, out=table)
-        out[...] = np.ndarray((rows, span + 1), float, table, -8 * low,
-                              (8 * d, 8))[:, cols]
+        vals = fn(table)
+        b = vals.itemsize
+        out[...] = np.ndarray((rows, span + 1), vals.dtype, vals, -b * low,
+                              (b * d, b))[:, cols]
         return True
+
+    def log2_block(self, op: CompositionOperator, k1: int, step: int,
+                   out: np.ndarray, cols=None) -> bool:
+        """:meth:`read` of log2 w, written in place on the table."""
+        return self.read(lambda x: op.log2_weight(x, out=x), k1, step, out,
+                         cols)
 
 
 def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
-                     start: int = 0, rows: int | None = None):
+                     start: int = 0, rows: int | None = None,
+                     lattice: "_Lattice | None" = None):
     """Yield, in (rows, |t|) blocks, the partial sums
     sum_{j=0}^{i-1} log2 w(alpha^{start + j*step}(t)) for i = 1..n,
     compensated, elementwise in t, summed in walk order.  ``rows``
     defaults to :func:`_block_rows` of |t|.  The one-leg case of
     :func:`_orbit_log2_legs`, every column of every block."""
-    for block, _ in _orbit_log2_legs(op, [(pts, step, start)], n, rows)[0]:
+    for block, _ in _orbit_log2_legs(op, [(pts, step, start)], n, rows,
+                                     lattice=lattice)[0]:
         yield block
 
 
 def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
                      rows: int | None = None, reads=None,
-                     slices=(slice(None),)) -> list:
+                     slices=(slice(None),),
+                     lattice: "_Lattice | None" = None) -> list:
     """Per leg (pts, step, start) of ``legs``, a generator of the pairs
     (block, sels): the blocks of ``_orbit_log2_rows(op, pts, n, step,
     start, rows)`` over the point columns the leg keeps, and per slice of
     ``slices`` of its points, the slice's selector among those columns.
     ``rows`` defaults to :func:`_block_rows` of the widest point set.
+    A caller that holds the :class:`_Lattice` of the legs' one point set,
+    built for a |k| at least as large as any leg walks, passes it as
+    ``lattice``, and the legs build none.
 
     A leg walks only up to its exit time from the weight's hull (see
     :func:`_leg_tail`); its later rows hold the tail's log2 constant, with
@@ -288,15 +303,17 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
     sums = []
     for (p, step, start), (walked, tail), read in zip(
             legs, tails, reads or [None] * len(legs)):
-        key = p.tobytes()
-        if key not in lattices:
-            lattices[key] = (None if kmax is None
-                             else _Lattice.of(op.alpha, p, kmax))
-        lattice = lattices[key]
-        if lattice is not None and not lattice.reads(walked, step, start):
-            lattice = None
-        sums.append(_summed(op, p, n, rows, step, start, walked, tail,
-                            lattice, read, slices))
+        lat = lattice
+        if lat is None:
+            key = p.tobytes()
+            if key not in lattices:
+                lattices[key] = (None if kmax is None
+                                 else _Lattice.of(op.alpha, p, kmax))
+            lat = lattices[key]
+        if lat is not None and not lat.reads(walked, step, start):
+            lat = None
+        sums.append(_summed(op, p, n, rows, step, start, walked, tail, lat,
+                            read, slices))
     return sums
 
 
@@ -305,8 +322,12 @@ def _leg_tail(op: CompositionOperator, pts: np.ndarray, n: int, step: int,
     """The rows of the walk over ``pts`` before its exit time from the
     weight's hull, and log2 w beyond the edge it crossed; (n, 0.0) without
     an exit below n.  A weight says where it is constant by its ``hull``;
-    one without says nothing, and is walked throughout."""
+    one without says nothing, and is walked throughout.  A hull of one
+    point, a map of one node and no slope, is constant everywhere: every
+    row is the tail's, from row 0."""
     hull = getattr(op.weight, "hull", (-math.inf, math.inf))
+    if hull[0] == hull[1]:
+        return 0, float(op.log2_weight(np.array([hull[0]]))[0])
     crossing = exit_time(op.alpha, pts, hull, n, step, start)
     if crossing is None:
         return n, 0.0
@@ -633,11 +654,12 @@ class CocycleSweep:
 
 
 def scale_by_exp2(logs: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """2**logs * vals with zeros kept exact (no 0 * inf artifacts)."""
+    """2**logs * vals with zeros kept exact (no 0 * inf artifacts): both
+    ufuncs skip the cells where vals is 0, which hold 0."""
     out = np.zeros(vals.shape, dtype=vals.dtype)
     nz = vals != 0
-    if nz.any():
-        out[nz] = np.exp2(logs[nz]) * vals[nz]
+    np.multiply(np.exp2(logs, out=np.empty(logs.shape), where=nz), vals,
+                out=out, where=nz)
     return out
 
 

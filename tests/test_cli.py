@@ -985,16 +985,16 @@ class TestOtherCommands:
                                              per_n):
         # one walk: the orbit.csv column is the first target's scaled
         # distance, which a scaled best.csv reuses; T^n f is never zero
-        # here, so each n solves once per scaled target (the sup solve of
-        # projective_distance, which orbit_trace calls on row values)
+        # here, so each n solves once per scaled target (the per-row sup
+        # solve, which orbit_trace runs on the rows of each block)
         calls = []
-        solve = dynamics._sup_distance
+        solve = dynamics._sup_projective
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(dynamics, "_sup_distance", counted)
+        monkeypatch.setattr(dynamics, "_sup_projective", counted)
         cfg = self.orbit_config(tmp_path, targets, mode)
         assert run(["orbit", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert len(calls) == 6 * per_n
@@ -1189,6 +1189,18 @@ def run_quietly(argv):
         warnings.simplefilter("error")
         code = main(argv)
     return code, err.getvalue()
+
+
+def run_in_subprocess(argv, timeout):
+    """``main(argv)`` in a fresh interpreter with warnings raised as
+    errors, killed after ``timeout`` seconds: (exit code, stderr)."""
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+            "from lindyn.cli import main\n"
+            f"sys.exit(main({list(argv)!r}))")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                          capture_output=True, text=True, timeout=timeout)
+    return done.returncode, done.stderr
 
 
 class TestConfigKeys:
@@ -1411,6 +1423,44 @@ class TestConfigSweep:
         np.testing.assert_allclose(dists_g, height * dists, **close)
         np.testing.assert_allclose([best_f, best_g], [best, height * best],
                                    **close)
+
+    @pytest.mark.parametrize("seed_height, target_height", [
+        (1e-300, 1e300), (1e300, 1e-300), (5e-324, 1.0), (1.0, 5e-324),
+        (1e-300, 1e-300), (1e300, 1e300)])
+    def test_sup_orbit_at_extreme_heights(self, tmp_path, seed_height,
+                                          target_height):
+        # two leaves at once, which the one-leaf sweep does not draw: a
+        # g_i / f_i past the float range grew the sup solve's active set
+        # without end, so each run has a timeout
+        cfg = {"operator": {"preset": "ex3.6"}, "space": {"kind": "C0"},
+               "grid": SWEEP_GRID, "horizon": 12,
+               "seed_function": {"height": seed_height},
+               # on the orbit's way: T^n f is supported on [-1 - n, 1 - n]
+               "targets": [{"center": -3.0, "height": target_height}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_in_subprocess(["orbit", "--config", str(path),
+                                  "--out", str(out)], 60) == (0, "")
+        rows = np.loadtxt(out / "orbit.csv", delimiter=",", skiprows=1)
+        # the target's sup norm is its height, at its centre
+        assert ((0.0 <= rows[:, 3]) & (rows[:, 3] <= target_height)).all()
+
+    def test_subnormal_orbit_reaches_its_target(self, tmp_path):
+        # ex3.6's orbit halves at each step, so near the target at -1050
+        # its values are subnormal and g_i / f_i overflows: the run did
+        # not end
+        cfg = {"operator": {"preset": "ex3.6"}, "space": {"kind": "C0"},
+               "grid": {"half_width": 1200, "step": 1}, "horizon": 1060,
+               "targets": [{"center": -1050.0, "half_width": 3.0,
+                            "height": 1.0}]}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_in_subprocess(["orbit", "--config", str(path),
+                                  "--out", str(out)], 60) == (0, "")
+        best = np.loadtxt(out / "best.csv", delimiter=",", skiprows=1)
+        assert 0.0 <= best[2] <= 1.0
 
     @pytest.mark.parametrize("width", [5e-324, 1e-310])
     def test_subnormal_tent_is_silent(self, tmp_path, width):

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,10 @@ from lindyn.funcspace import (
     norm,
     triangular_bump,
 )
+from lindyn import dynamics
 from lindyn.dynamics import (
+    _orbit_blocks,
+    _scaled_distances,
     empirical_best,
     operator_orbit,
     orbit_trace,
@@ -344,21 +350,42 @@ class TestOrbitExit:
                                                 monkeypatch):
         import lindyn.dynamics as dynamics
 
-        read = []
+        read, walked = [], []
 
         def interpolate(f, pos):
-            read.append(len(pos))
+            read.append(np.size(pos))
             return linear_interpolate(f, pos)
 
+        def scale(logs, vals):
+            walked.append(vals.shape)
+            return scale_by_exp2(logs, vals)
+
         monkeypatch.setattr(dynamics, "linear_interpolate", interpolate)
+        monkeypatch.setattr(dynamics, "scale_by_exp2", scale)
         op = self.OPS[name]
+        size = self.GRID.points.size
         for seed, f in self.SEEDS.items():
             read.clear()
+            walked.clear()
             blocks = list(dynamics._orbit_blocks(op, f, self.HORIZON, side))
             vals = np.concatenate([v for v, _ in blocks])
             lost = np.concatenate([flags for _, flags in blocks])
-            # every walk leaves the grid's seed hull before the horizon
-            assert sum(read) < self.HORIZON if seed != "zero" else not read
+            # every walk leaves the grid's seed hull before the horizon,
+            # and interpolates f at most once per cell of its walked rows
+            # and live columns: every column of a piecewise-affine walk,
+            # fewer under a translation
+            rows = sum(r for r, _ in walked)
+            assert rows < self.HORIZON if seed != "zero" else not read
+            assert sum(read) <= sum(r * k for r, k in walked)
+            live = {k for _, k in walked}
+            assert len(live) <= 1
+            if live:
+                assert live == {size} if name == "piecewise" else (
+                    max(live) < size)
+            # the walked rows and columns hold every nonzero value
+            nonzero = np.flatnonzero(vals.any(axis=0))
+            assert rows >= np.flatnonzero(vals.any(axis=1)).size
+            assert not nonzero.size or nonzero[-1] - nonzero[0] < max(live)
             sweep = CocycleSweep(op, f.grid.points)
             for n in range(1, self.HORIZON + 1):
                 sweep.step()
@@ -371,6 +398,189 @@ class TestOrbitExit:
                                       ref.view(np.int64)), (seed, n)
                 assert lost[n - 1] == (f.truncated or _loses_mass(f, pos))
             assert not vals[-1].any()
+
+
+class TestLiveColumns:
+    """A translation walks only its live columns, reads the seed off the
+    walk's lattice table where it has one, and takes each row's flag from
+    the row's two end points; any other map walks every column.  On every
+    path each row equals, bit for bit, the row read off a CocycleSweep
+    stepped n times, and each flag is ``_loses_mass`` of that row's
+    positions, at horizons below and above the walk's exit time."""
+
+    GRID = Grid(64.0, 0.25)  # 513 points: blocks of 63 rows
+    # the weight varies along every orbit walked here, so a row read from
+    # the wrong orbit point differs
+    BP = np.linspace(-200.0, 200.0, 401)
+    WEIGHT = PiecewiseMap(BP, 1.0 + 0.5 * np.sin(1.3 * BP), positive=True)
+    OPS = {
+        "ex3.5": build_preset("ex3.5"),
+        # a lattice of unit 10 on the grid's step 0.25
+        "shift-2.5": CompositionOperator(Translation(2.5), WEIGHT),
+        # no lattice: 0.3 is no dyadic fraction
+        "shift-0.3": CompositionOperator(Translation(0.3), WEIGHT),
+        # constant everywhere: every row of the log leg is the tail's
+        "one-node": CompositionOperator(
+            Translation(-1.0), PiecewiseMap.constant(0.75, positive=True)),
+        "piecewise": CompositionOperator(PiecewiseAffineHomeo(
+            PiecewiseMap([-1.0, 1.0], [-2.5, 0.5], 1.0, 1.0)), WEIGHT),
+    }
+    BUMP = triangular_bump(GRID, 0.5, 1.5, 1 - 0.5j)
+    SEEDS = {
+        "complex": BUMP,
+        # nonzero at the grid's first point, and at its last
+        "left-edge": triangular_bump(GRID, -64.0, 2.0, 0.5 + 1j),
+        "right-edge": triangular_bump(GRID, 64.0, 2.0, 2.0),
+        "one-point": GridFunction(GRID, np.where(GRID.points == 3.0, 1.5j,
+                                                 0.0)),
+        "truncated": GridFunction(GRID, BUMP.values, truncated=True),
+        "zero": GridFunction.zero(GRID),
+    }
+    HORIZONS = (20, 70, 450)
+
+    @pytest.mark.parametrize("side", ["T", "S"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_rows_and_flags_match_the_sweep(self, name, side):
+        op = self.OPS[name]
+        top = max(self.HORIZONS)
+        below = above = 0
+        for seed, f in self.SEEDS.items():
+            sweep = CocycleSweep(op, f.grid.points)
+            refs, flags = [], []
+            for _ in range(top):
+                sweep.step()
+                if side == "T":
+                    pos, logs = sweep.forward_positions, sweep.log_forward
+                else:
+                    pos, logs = sweep.backward_positions, -sweep.log_backward
+                refs.append(scale_by_exp2(logs, linear_interpolate(f, pos)))
+                flags.append(f.truncated or bool(_loses_mass(f, pos)))
+            refs = np.array(refs)
+            for h in self.HORIZONS:
+                blocks = list(_orbit_blocks(op, f, h, side))
+                vals = np.concatenate([v for v, _ in blocks])
+                lost = np.concatenate([b for _, b in blocks])
+                assert np.array_equal(vals.view(np.int64),
+                                      refs[:h].view(np.int64)), (seed, h)
+                assert lost.tolist() == flags[:h], (seed, h)
+            below += bool(refs[min(self.HORIZONS) - 1].any())
+            above += seed != "zero" and not refs[-1].any()
+        # some walk is still on the seed at the least horizon, and every
+        # one has left it by the greatest
+        assert below and above == len(self.SEEDS) - 1
+
+    @pytest.mark.parametrize("shift", [1.0, -1.0, 2.5, -2.5, 0.3, -0.3,
+                                       0.25, -0.1])
+    def test_live_columns_are_those_reading_the_open_hull(self, shift):
+        # a column is dead when every read t + k*shift, k = 1..walked, lies
+        # at or below lo, or every one at or above hi: reads on the hull's
+        # ends are dead, and the hulls here are grid points and half-steps
+        pts = self.GRID.points
+        for lo, hi in [(-1.0, 1.0), (2.75, 3.25), (-64.25, -63.5),
+                       (63.0, 64.25), (10.125, 10.625)]:
+            for walked in (1, 2, 7, 63, 200):
+                reads = pts[:, None] + np.arange(1, walked + 1) * shift
+                dead = (reads <= lo).all(axis=1) | (reads >= hi).all(axis=1)
+                cols = dynamics._live_columns(pts, shift, walked, lo, hi)
+                assert (np.arange(pts.size)[cols].tolist()
+                        == np.flatnonzero(~dead).tolist()), (lo, hi, walked)
+
+    def test_one_node_weight_is_read_at_its_node_only(self, monkeypatch):
+        # a map of one node and no slope is constant: the log leg is the
+        # tail's from row 0, and the weight is evaluated at no orbit point
+        op = self.OPS["one-node"]
+        calls = []
+        call = PiecewiseMap.__call__
+
+        def counted(m, t):
+            if m is op.weight:
+                calls.append(np.size(t))
+            return call(m, t)
+
+        monkeypatch.setattr(PiecewiseMap, "__call__", counted)
+        for side in ("T", "S"):
+            calls.clear()
+            for h in self.HORIZONS:
+                assert len(list(_orbit_blocks(op, self.BUMP, h, side))) > 0
+            assert calls == [1] * len(self.HORIZONS), side
+
+
+class TestSupDistances:
+    """The sup distances of a block, one solve per nonzero row and one
+    pass over the rows' minimisers, equal per-row
+    projective_distance(..., SUP)[0] bit for bit, and norm(g) at the zero
+    rows."""
+
+    GRID = Grid(4.0, 0.5)  # 17 points
+
+    def block(self, rng):
+        rows = (rng.standard_normal((60, 17))
+                + 1j * rng.standard_normal((60, 17)))
+        rows *= rng.random((60, 17)) < 0.6
+        rows[::9] = 0.0
+        # one-point supports, one of them at an extreme scale
+        rows[1:4] = 0.0
+        rows[1, 5], rows[2, 16], rows[3, 0] = 2 - 1j, -0.5, 1e-300
+        # supported on the left half only, and at extreme scales within
+        # the range of every g_i / f_i (TestSupSolveEnds goes past it)
+        rows[5:8, 9:] = 0.0
+        rows[6] *= 1e300
+        rows[7] *= 1e-290
+        return rows
+
+    def targets(self, rng):
+        g = rng.standard_normal(17) + 1j * rng.standard_normal(17)
+        one = np.zeros(17, dtype=complex)
+        one[12] = 3.0
+        right = np.where(np.arange(17) > 9, g, 0.0)
+        return [g, np.zeros(17), one, right, 1e-200 * g]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_equals_per_row_solves(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = self.block(rng)
+        zero = ~rows.any(axis=1)
+        for gv in self.targets(rng):
+            g = GridFunction(self.GRID, gv)
+            g_sup = norm(g, SUP)
+            with np.errstate(divide="raise", over="raise",
+                             invalid="raise"):
+                d = _scaled_distances(rows, zero, g, g_sup, SUP, self.GRID)
+            ref = [g_sup if z else
+                   projective_distance(GridFunction(self.GRID, row), g,
+                                       SUP)[0]
+                   for row, z in zip(rows, zero)]
+            assert np.array_equal(d, ref)
+            assert ((0.0 <= d) & (d <= g_sup)).all()
+
+
+class TestSupSolveEnds:
+    """The sup solve ends, with a distance in [0, ||g||] and no warning,
+    when some g_i / f_i overflows, which made its active set grow without
+    end; each case runs in a fresh interpreter under a timeout, so that a
+    solve that does not return fails."""
+
+    CASES = {
+        "subnormal-f": "GridFunction(Grid(2.0, 1.0), [0, 1, 5e-324, 0, 0]), "
+                       "GridFunction(Grid(2.0, 1.0), [0, 1, 1, 0, 0])",
+        "tents": "triangular_bump(Grid(64.0, 0.25), 0.0, 1.0, 1e-300), "
+                 "triangular_bump(Grid(64.0, 0.25), 0.5, 1.0, 1e300)",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_returns_within_g(self, case):
+        src = Path(dynamics.__file__).resolve().parents[1]
+        code = (f"import sys; sys.path.insert(0, {str(src)!r})\n"
+                "from lindyn.funcspace import Grid, GridFunction, SUP, "
+                "norm, triangular_bump\n"
+                "from lindyn.dynamics import projective_distance\n"
+                f"f, g = {self.CASES[case]}\n"
+                "d, lam = projective_distance(f, g, SUP)\n"
+                "assert 0.0 <= d <= norm(g, SUP), d\n"
+                "print(d)")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, timeout=20)
+        assert (done.returncode, done.stderr) == (0, "")
 
 
 class TestProductFormOracle:
