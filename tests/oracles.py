@@ -12,7 +12,9 @@ or, in :func:`segal_factors`, from the literal product
 prod_{j=0}^{n-1} w(alpha^{j-n}(t)) of the sup-norm criteria;
 :func:`full_width_extremes` reduces every cell of both legs, where the
 sweep sums a leg's constant tail only on the columns that can hold its
-extremes.  The finite atomic measures (:class:`AtomicMeasure`), their atom-wise adjoint
+extremes, and :func:`reflected` conjugates an operator by f -> f(-.),
+whose sweep walks every sign-dependent branch against its twin.  The
+finite atomic measures (:class:`AtomicMeasure`), their atom-wise adjoint
 powers, the duality check and the measure approximant restate the adjoint
 side that ``lindyn.measures.adjoint_criterion`` reads off the same legs
 from the supports alone.  :func:`sum2_rows_real` is the Sum2 block pass on
@@ -82,6 +84,7 @@ from lindyn.funcspace import (
     PiecewiseMap,
     SUP,
     SegalNorm,
+    Translation,
     homeo_orbit,
     homeo_power,
     linear_interpolate,
@@ -239,6 +242,41 @@ def full_width_extremes(op: CompositionOperator, fwd_pts, bwd_pts,
     return [np.array([-lf[:, cols].min(axis=1), lb[:, cols].max(axis=1),
                       -lb[:, cols].min(axis=1), lf[:, cols].max(axis=1)])
             for cols in slices]
+
+
+class _ReflectedWeight:
+    """t -> w(-t) for a positive weight ``w`` given as a function, with
+    its ``hull`` and ``bounds`` reflected: each value is w's own float
+    evaluation at the negated point, which is exact."""
+
+    positive = True
+
+    def __init__(self, w):
+        self.w = w
+        lo, hi = w.hull
+        self.hull = (-hi, -lo)
+
+    def __call__(self, t):
+        return self.w(np.negative(t))
+
+    def bounds(self, lo: float, hi: float) -> tuple[float, float]:
+        return self.w.bounds(-hi, -lo)
+
+
+def reflected(op: CompositionOperator) -> CompositionOperator:
+    """R T R for the reflection R f = f(-.), an isometry of every space
+    here: for T of (t + s, w) the operator of (t - s, w(-.)).  Its legs at
+    t are T's at -t term by term, so over a window symmetric about 0 its
+    extremes are T's.  A ``PiecewiseMap`` weight reflects to the map of
+    breakpoints -bp[::-1] and values vals[::-1]; any other weight goes
+    through :class:`_ReflectedWeight`."""
+    w = op.weight
+    if isinstance(w, PiecewiseMap):
+        w = PiecewiseMap(-w.breakpoints[::-1], w.values[::-1],
+                         -w.right_slope, -w.left_slope, w.positive)
+    else:
+        w = _ReflectedWeight(w)
+    return CompositionOperator(Translation(-op.alpha.shift), w)
 
 
 def _xy(kind: CriterionKind, lf: np.ndarray, lb: np.ndarray):

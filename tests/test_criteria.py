@@ -59,6 +59,7 @@ from oracles import (
     quantity,
     read_tables,
     record_runs_of,
+    reflected,
     runs_serialiser,
     same_verdict,
     seam_cases,
@@ -449,6 +450,44 @@ class TestTailColumns:
             [full] = full_width_extremes(op, fwd, bwd, horizon)
             [ext] = _leg_extremes(op, fwd, bwd, horizon)
             assert np.array_equal(int64(ext), int64(full))
+
+
+class TestReflection:
+    """R f = f(-.) conjugates T to the operator of (t - s, w(-.))
+    (``oracles.reflected``), whose legs at t are T's at -t term by term.
+    On a window symmetric about 0 both sweeps give T's table bit for bit,
+    though the reflection walks every sign-dependent branch, of the
+    lattice tables and chains, the exit times and the hull's ends,
+    against its twin."""
+
+    @pytest.mark.parametrize("preset", TAIL_PRESETS)
+    def test_reflected_tables_are_the_full_width_ones(self, preset,
+                                                      narrowings):
+        op = build_preset(preset)
+        ops = (op, reflected(op))
+        for m in (1.0, 2.0, 3.0):
+            pts = CompactWindow.from_grid(GRID, m).points
+            full = {inverse: full_width_extremes(op, pts, pts, 5000,
+                                                 inverse)[0]
+                    for inverse in (False, True)}
+            for mirrored in (False, True):
+                kept = []
+                for o in ops:
+                    narrowings.clear()
+                    tables = _leg_extremes(o, pts, pts, 5000,
+                                           mirrored=mirrored)
+                    kept.append([(rule.name, None if cols is None
+                                  else len(cols))
+                                 for _, rule, cols in narrowings])
+                    for inverse, ref in full.items():
+                        [ext] = read_tables(tables, inverse)
+                        assert np.array_equal(int64(ext),
+                                              int64(ref[:len(ext)])), \
+                            (o is op, m, mirrored, inverse)
+                # both sides narrow alike, and an unmirrored sweep narrows
+                # both legs
+                assert kept[0] == kept[1], (m, mirrored)
+                assert mirrored or len(kept[0]) == 2
 
 
 def tail_sums(s, e, c: float, rows: int, cols=None) -> np.ndarray:
