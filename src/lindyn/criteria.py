@@ -172,13 +172,6 @@ _FORMULA = {
 }
 
 
-def _best_removal(kind: CriterionKind, ns: np.ndarray, lf: np.ndarray,
-                  lb: np.ndarray, budget: int):
-    """:func:`_best_removals` of the one kind ``kind``."""
-    [xy] = _best_removals([kind], ns, lf, lb, budget)
-    return xy
-
-
 def _best_removals(kinds, ns: np.ndarray, lf: np.ndarray, lb: np.ndarray,
                    budget: int) -> list:
     """Per kind in ``kinds`` and row of finite legs at n = ns, the trim's
@@ -457,28 +450,36 @@ def _leg_extremes(op: CompositionOperator, fwd_pts, bwd_pts, horizon: int,
     bit the table of a sweep over that slice's points alone.  The
     extremes reduce point-major copies of the blocks, a whole row of n per
     step, not one n's 9-25 points; the copies go into one buffer per leg
-    that its blocks reuse.  Each leg is reduced on its own, and names the
-    extremes it reads, so that its sweep may narrow to the columns that
-    can still hold them (:func:`operators._orbit_log2_legs`)."""
+    that its blocks reuse.  Each leg is reduced on its own.  An
+    unmirrored sweep whose one slice holds every point reads the least of
+    the forward leg and the greatest of the backward leg, each over all
+    its points, and names them, so that each leg's sweep may narrow to
+    the columns that can still hold its extreme
+    (:func:`operators._orbit_log2_legs`); a mirrored sweep, or one of
+    several slices, keeps every column."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     exts = [np.empty((4 if mirrored else 2, horizon)) for _ in slices]
     rows = _block_rows(max(np.size(fwd_pts), np.size(bwd_pts)))
     legs = [(fwd_pts, 1, 0), (bwd_pts, -1, -1)]
+    reads = None
+    whole = range(np.size(fwd_pts))
+    if not mirrored and len(slices) == 1 and whole[slices[0]] == whole:
+        # -min lf and max lb: the signs of the least and the greatest
+        reads, slices = [1.0, -1.0], [slice(None)]
     # the rows of a table that a leg gives (-min, max) of: the forward
     # leg (-min lf, max lf), the backward leg (-min lb, max lb); the
     # forward leg's max and the backward leg's min only with ``mirrored``
-    reads = [(True, mirrored), (mirrored, True)]
     for leg, role, (pts, _, _) in zip(
-            _orbit_log2_legs(op, legs, horizon, rows, reads, slices),
+            _orbit_log2_legs(op, legs, horizon, rows, reads),
             [(0, 3), (2, 1)], legs):
         buf = np.empty((np.size(pts), min(rows, horizon)))
         n0 = 0
-        for block, sels in leg:
+        for block in leg:
             n1 = n0 + len(block)
             copy = buf[:block.shape[1], :len(block)]
             copy[...] = block.T
-            _reduce(exts, copy, sels, role, n0, n1)
+            _reduce(exts, copy, slices, role, n0, n1)
             n0 = n1
     return exts
 
@@ -493,7 +494,7 @@ def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
         raise ValueError("horizon must be >= 1")
     xys = {kind: np.empty((2, horizon)) for kind in kinds}
     n0 = 0
-    for (lf, _), (lb, _) in zip(*_orbit_log2_legs(
+    for lf, lb in zip(*_orbit_log2_legs(
             op, [(pts, 1, 0), (pts, -1, -1)], horizon)):
         if inverse:
             lf, lb = -lb, -lf
@@ -506,13 +507,13 @@ def _trimmed_xy(kinds, op: CompositionOperator, pts, horizon: int,
     return xys
 
 
-def _reduce(exts, copy: np.ndarray, sels, role, n0: int, n1: int):
-    """Write -min and max over each slice's selector in ``sels`` of the
-    point-major ``copy`` into the rows ``role`` of that slice's table, at
-    n0..n1 - 1; a row past a table's end (a mirrored row of an unmirrored
-    table) is not read, and not made."""
+def _reduce(exts, copy: np.ndarray, slices, role, n0: int, n1: int):
+    """Write -min and max over each slice in ``slices`` of the point-major
+    ``copy`` into the rows ``role`` of that slice's table, at n0..n1 - 1;
+    a row past a table's end (a mirrored row of an unmirrored table) is
+    not read, and not made."""
     lo, hi = role
-    for ext, sel in zip(exts, sels):
+    for ext, sel in zip(exts, slices):
         part = copy[sel]
         if lo < len(ext):
             x = ext[lo, n0:n1]

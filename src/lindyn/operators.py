@@ -252,20 +252,17 @@ def _orbit_log2_rows(op: CompositionOperator, pts, n: int, step: int = 1,
     compensated, elementwise in t, summed in walk order.  ``rows``
     defaults to :func:`_block_rows` of |t|.  The one-leg case of
     :func:`_orbit_log2_legs`, every column of every block."""
-    for block, _ in _orbit_log2_legs(op, [(pts, step, start)], n, rows,
-                                     lattice=lattice)[0]:
-        yield block
+    yield from _orbit_log2_legs(op, [(pts, step, start)], n, rows,
+                                lattice=lattice)[0]
 
 
 def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
                      rows: int | None = None, reads=None,
-                     slices=(slice(None),),
                      lattice: "_Lattice | None" = None) -> list:
-    """Per leg (pts, step, start) of ``legs``, a generator of the pairs
-    (block, sels): the blocks of ``_orbit_log2_rows(op, pts, n, step,
-    start, rows)`` over the point columns the leg keeps, and per slice of
-    ``slices`` of its points, the slice's selector among those columns.
-    ``rows`` defaults to :func:`_block_rows` of the widest point set.
+    """Per leg (pts, step, start) of ``legs``, a generator of the blocks
+    of ``_orbit_log2_rows(op, pts, n, step, start, rows)`` over the point
+    columns the leg keeps.  ``rows`` defaults to :func:`_block_rows` of
+    the widest point set.
     A caller that holds the :class:`_Lattice` of the legs' one point set,
     built for a |k| at least as large as any leg walks, passes it as
     ``lattice``, and the legs build none.
@@ -279,19 +276,19 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
     |k| any leg walks.  The sums run on even-width blocks, and each
     yielded block is the view of its first columns.
 
-    A caller that reads only extremes need not sum every column to the
-    end: ``reads`` names, per leg, the extremes it reads of each slice as
-    the flags (least, greatest), or None for every cell.  Such a leg
-    narrows once, to the columns that can still hold those extremes: at
-    its exit time, past which every column adds one constant, to those
-    :func:`_tail_columns` keeps, and when it walks to the end on a
-    lattice and its weight has ``bounds``, at its longest chain offset,
-    to those :func:`_chain_columns` keeps.  Its blocks run ``rows`` high
-    from row 0 and again from the narrowing row, the block before that
-    row ending there.  A leg of one column or of one block, n <= ``rows``,
-    does not narrow.  A leg that does not narrow keeps every column, its
-    blocks run ``rows`` high from row 0, and its selectors are
-    ``slices``."""
+    A caller that reads one extreme of every row need not sum every
+    column to the end: ``reads`` names, per leg, the sign of the extreme
+    it reads over all its points, 1.0 for the least and -1.0 for the
+    greatest, or None for every cell.  Such a leg narrows once, to the
+    columns that can still hold that extreme: at its exit time, past
+    which every column adds one constant, to those :func:`_tail_columns`
+    keeps, and when it walks to the end on a lattice and its weight has
+    ``bounds``, at its longest chain offset, to those
+    :func:`_chain_columns` keeps.  Its blocks run ``rows`` high from row 0
+    and again from the narrowing row, the block before that row ending
+    there.  A leg of one column or of one block, n <= ``rows``, does not
+    narrow.  A leg that does not narrow keeps every column, and its blocks
+    run ``rows`` high from row 0."""
     legs = [(np.atleast_1d(np.asarray(p, dtype=float)), step, start)
             for p, step, start in legs]
     rows = rows or _block_rows(max(p.size for p, _, _ in legs))
@@ -313,7 +310,7 @@ def _orbit_log2_legs(op: CompositionOperator, legs, n: int,
         if lat is not None and not lat.reads(walked, step, start):
             lat = None
         sums.append(_summed(op, p, n, rows, step, start, walked, tail, lat,
-                            read, slices))
+                            read))
     return sums
 
 
@@ -346,11 +343,11 @@ def _walk_hull(pts: np.ndarray, shift: float, step: int, start: int,
 
 def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
             step: int, start: int, walked: int, tail: float,
-            lattice: "_Lattice | None", read, slices):
-    """The Sum2 partial sums down one leg as (block, sels) pairs: first
-    over every column up to the narrowing row ``cut`` (see
-    :func:`_orbit_log2_legs`), then over the columns that can still hold
-    the extremes ``read`` names, every column without ``read``."""
+            lattice: "_Lattice | None", read):
+    """The Sum2 partial sums down one leg in blocks: first over every
+    column up to the narrowing row ``cut`` (see :func:`_orbit_log2_legs`),
+    then over the columns that can still hold the extreme of sign
+    ``read``, every column without ``read``."""
     k = pts.size
     if k == 1 or n <= rows:
         # one column has nothing to narrow, and a leg of one block would
@@ -381,24 +378,18 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
             here = (need >= k0) & (need < k0 + len(logs))
             lead[here] = logs[need[here] - k0, leader[here]]
         k0 += len(logs)
-        yield logs[:, :k], slices
+        yield logs[:, :k]
     if cut >= n:
         return
-    member = np.zeros((len(slices), k), dtype=bool)
-    for row, sl in zip(member, slices):
-        row[sl] = True
     if chains is None:
-        cols = _tail_columns(s[:k], e[:k], tail, n - cut, n, member, *read)
+        cols = _tail_columns(s[:k], e[:k], tail, n - cut, n, read)
     else:
         later, whole = (op.weight.bounds(*_walk_hull(
             pts, op.alpha.shift, step, start, row, n - 1))
             for row in (cut, 0))
         cols = _chain_columns(leader, steps, order, lead, later, whole, n,
-                              member, *read)
-    sels = slices
+                              read)
     if cols is not None:
-        sels = [sl if sl == slice(None) else row.nonzero()[0]
-                for sl, row in zip(slices, member[:, cols])]
         k, width = len(cols), len(cols) + len(cols) % 2
         carry = np.zeros((2, width))
         carry[0, :k], carry[1, :k] = s[cols], e[cols]
@@ -407,7 +398,7 @@ def _summed(op: CompositionOperator, pts: np.ndarray, n: int, rows: int,
     for logs in _log2_blocks(op, pts, cut, n, rows, step, start, walked,
                              tail, lattice, cols):
         s, e = _sum2_rows(logs, s, e, buf)
-        yield logs[:, :k], sels
+        yield logs[:, :k]
 
 
 # A sweep of more rows keeps every column: the margins of the narrowing
@@ -435,18 +426,16 @@ def _log2_range(bounds) -> tuple[float, float]:
 
 
 def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int,
-                  horizon: int, member: np.ndarray, low: bool, high: bool):
+                  horizon: int, sign: float):
     """The exit-time rule: of a leg past its exit time, with each column's
     Sum2 carry (``s``, ``e``) there and ``rows`` rows of its ``horizon``
     to come, each adding the log2 constant ``c``, the columns that can
-    hold, at some row to come, the least (``low``) or the greatest
-    (``high``) value of a slice, a row of the (slices, columns)
-    ``member``; increasing indices, or None for every column.  A column
-    goes when a column of the same slice is proved to stay below it at
-    every row to come by more than the rounding can undo (above it, for
-    the greatest), or when the column just before it lies in the slice
-    too and holds the same carry bits.  Either way it never holds the
-    slice's extreme alone.
+    hold, at some row to come, the least value of all columns (``sign``
+    1.0) or the greatest (``sign`` -1.0); increasing indices, or None for
+    every column.  A column goes when another column is proved to stay
+    below it at every row to come by more than the rounding can undo
+    (above it, for the greatest), or when the column just before it holds
+    the same carry bits.  Either way it never holds the extreme alone.
 
     The rounding.  Let u = 2**-53 and H the horizon; H u <= 2**-13, or
     every column is kept.  Let M = max_j (|s_j| + |e_j|) + rows |c|.
@@ -461,7 +450,7 @@ def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int,
     B = 1.001 (rows + 1) u M of R + i*c.  A column whose R exceeds the
     least R by more than 2B is above the least column at every row, and
     the keys v = fl(s + e) are each within u M of R.  So a column goes
-    for the least value only when its v exceeds the slice's least v by
+    for the least value only when its v exceeds the least v by
     more than the margin 2**-50 (rows + 2) M = 8 (rows + 2) u M, which
     covers 2B + 2uM and the rounding of the comparison with room to
     spare; likewise for the greatest.  Columns of equal (s, e) bits have
@@ -473,36 +462,35 @@ def _tail_columns(s: np.ndarray, e: np.ndarray, c: float, rows: int,
     if not size < 2.0 ** 1000:  # false for NaN and inf too
         return None
     margin = math.ldexp((rows + 2) * size, -50)
-    key = s + e
-    keyed = _side_keys(member, low, high, key, key)
-    near = keyed <= keyed.min(axis=2, keepdims=True) + margin
+    # the greatest value's keys negated, so that one least serves both
+    key = sign * (s + e)
+    near = key <= key.min() + margin
     # a column that repeats the carry bits of the near column before it
     # has its rows, so that one speaks for it
-    pairs = near[..., 1:] & near[..., :-1]
+    pairs = near[1:] & near[:-1]
     if pairs.any():
         sb, eb = s.view(np.int64), e.view(np.int64)
-        near[..., 1:] &= ~(pairs & (sb[1:] == sb[:-1]) & (eb[1:] == eb[:-1]))
-    return _kept(near, member)
+        near[1:] &= ~(pairs & (sb[1:] == sb[:-1]) & (eb[1:] == eb[:-1]))
+    return _kept(near)
 
 
 def _chain_columns(chain: np.ndarray, steps: np.ndarray, order: np.ndarray,
-                   lead: np.ndarray, later, whole, horizon: int,
-                   member: np.ndarray, low: bool, high: bool):
+                   lead: np.ndarray, later, whole, horizon: int, sign: float):
     """The lattice-chain rule: of a leg that walks a translation's
     :class:`_Lattice` to its ``horizon``, at the row max(``steps``), the
-    columns that can hold, at some row from there on, the least (``low``)
-    or the greatest (``high``) value of a slice, a row of the (slices,
-    columns) ``member``; increasing indices, or None for every column.
+    columns that can hold, at some row from there on, the least value of
+    all columns (``sign`` 1.0) or the greatest (``sign`` -1.0); increasing
+    indices, or None for every column.
     Per column (:meth:`_Lattice.chains`) ``chain`` is the column of its
     chain's leader, ``steps`` its a rows below it, and ``lead`` the
     leader's sum of its first a terms (its row a - 1; 0 for a = 0);
-    ``order`` lists the columns by chain and each chain's members by
+    ``order`` lists the columns by chain and each chain's columns by
     increasing a.  ``later`` and ``whole`` are the weight's ``bounds``
     over the orbit points the walks read from this row to the last and
-    from row 0.  A column goes when a column of the same slice before it
-    in its chain is proved to stay below it at every row to come by more
-    than the rounding can undo (above it, for the greatest), so it never
-    holds the slice's extreme alone.
+    from row 0.  A column goes when a column before it in its chain is
+    proved to stay below it at every row to come by more than the
+    rounding can undo (above it, for the greatest), so it never holds the
+    extreme alone.
 
     Column t' lies a steps down column t's walk on the lattice, whose
     orbit points are exact floats, so its term at row i is t's term at
@@ -513,11 +501,11 @@ def _chain_columns(chain: np.ndarray, steps: np.ndarray, order: np.ndarray,
     (:func:`_log2_range`), so t' stays above t when
     a lambda_lo - P_a(t) > 0, and below it when a lambda_hi - P_a(t) < 0.
     Relative to the chain's leader, whose sum of its first a terms is
-    phi(a) (``lead``), P_{b-a} of the member a rows down is
+    phi(a) (``lead``), P_{b-a} of the column a rows down is
     phi(b) - phi(a) exactly, so each column's key is a lambda - phi(a),
-    and t' goes when its key exceeds the least key of a member before it
-    in the slice by more than the margin (less than the greatest, for the
-    greatest value).  Rounding: let u = 2**-53 and H the horizon;
+    and t' goes when its key exceeds the least key of a column before it
+    by more than the margin (less than the greatest, for the greatest
+    value).  Rounding: let u = 2**-53 and H the horizon;
     H u <= 2**-13, or every column is kept.  With Lambda >= |L| over
     ``whole``, each computed V and phi is within (u + gamma_H**2) H Lambda
     <= u H Lambda (1 + 1.0004 H**2 u) of its exact sum (Ogita, Rump &
@@ -535,45 +523,29 @@ def _chain_columns(chain: np.ndarray, steps: np.ndarray, order: np.ndarray,
                         * (1.0 + math.ldexp(horizon * horizon, -51)), -49)
     if not (margin < math.inf and -math.inf < lam_lo <= lam_hi < math.inf):
         return None
-    keyed = _side_keys(member, low, high, steps * lam_lo - lead,
-                       steps * lam_hi - lead)
+    # the greatest value's keys negated, so that one least serves both
+    key = sign * (steps * (lam_lo if sign > 0 else lam_hi) - lead)
     # the least key at or before each column in its chain: a running
     # least along each chain in ``order``, by doubling.  After the pass at
     # distance d each column holds the least of the 2d columns up to it
-    # in its chain, so a chain of L members takes about log2 L passes over
+    # in its chain, so a chain of L columns takes about log2 L passes over
     # the keys, and no more memory than they hold
-    runs, chain = keyed[..., order], chain[order]
+    runs, chain = key[order], chain[order]
     d = 1
     while d < chain.size:
         same = chain[d:] == chain[:-d]
         if not same.any():
             break
-        runs[..., d:] = np.where(same, np.minimum(runs[..., d:],
-                                                  runs[..., :-d]),
-                                 runs[..., d:])
+        runs[d:] = np.where(same, np.minimum(runs[d:], runs[:-d]), runs[d:])
         d *= 2
     best = np.empty_like(runs)
-    best[..., order] = runs
-    return _kept(keyed <= best + margin, member)
+    best[order] = runs
+    return _kept(key <= best + margin)
 
 
-def _side_keys(member: np.ndarray, low: bool, high: bool, lo_key, hi_key):
-    """The (sides, slices, columns) keys of a rule, one side per extreme
-    it keeps: the least value's ``lo_key``, and the greatest value's
-    ``hi_key`` negated, so that one least serves both; a non-member's key
-    is +inf."""
-    return np.stack([np.where(member, sign * key, math.inf)
-                     for keep, sign, key in ((low, 1.0, lo_key),
-                                             (high, -1.0, hi_key)) if keep])
-
-
-def _kept(near: np.ndarray, member: np.ndarray):
-    """The increasing indices of the columns ``near`` on some side in a
-    slice they are members of, or None for every column: a non-member's
-    +inf key is near where no member comes before it in its chain, and
-    does not count."""
-    kept = (near & member).any(axis=(0, 1))
-    return None if kept.all() else kept.nonzero()[0]
+def _kept(near: np.ndarray):
+    """The increasing indices of the columns ``near``, or None for all."""
+    return None if near.all() else near.nonzero()[0]
 
 
 def _log2_blocks(op: CompositionOperator, pts: np.ndarray, first: int,

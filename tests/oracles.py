@@ -3,7 +3,7 @@
 ``lindyn.criteria`` computes every untrimmed criterion from one block
 sweep (``_leg_extremes``), the inverse's through a row permutation of its
 table (``_kind_rows``), and trims on whole blocks of a pass of its own
-(``_trimmed_xy``, ``_best_removal``); the
+(``_trimmed_xy``, ``_best_removals``); the
 functions here recompute the same quantities one n at a time from
 :func:`forward_log2`/:func:`backward_log2`, with the trim searched by
 brute force over every removal set (:func:`_trim_exact`; the greedy it
@@ -300,7 +300,7 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
     """The keep mask of the exceptional-set trim at one n: drop up to
     ``budget`` points, greedily removing whichever current extreme point
     lowers log2 q the most.  Never empties the window.  The greedy that
-    ``criteria._best_removal`` replaced: the exact trim is never above
+    ``criteria._best_removals`` replaced: the exact trim is never above
     it."""
     keep = np.ones(lf.size, dtype=bool)
     dropped = 0
@@ -326,7 +326,7 @@ def _trim_greedy(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
 def _trim_exact(kind: CriterionKind, n: int, lf: np.ndarray, lb: np.ndarray,
                 budget: int) -> np.ndarray:
     """The keep mask of the exceptional-set trim at one n, the reference
-    for ``criteria._best_removal``.  Its log2 q is the least over every
+    for ``criteria._best_removals``.  Its log2 q is the least over every
     removal of at most c = min(budget, size - 1) points, searched by brute
     force.  The mask removes A_a | B_b, the a least lf and the b greatest
     lb (the lower index first on a tie), for the first pair (a, b) in

@@ -168,11 +168,12 @@ class TestRegistrySweeps:
         pts = CompactWindow.from_grid(DEFAULT_GRID, 2.0).points
         for op, inverse in ((build_preset("ex3.8"), False),
                             (build_preset("ex3.6"), True)):
-            [long_ext] = read_tables(_leg_extremes(op, pts, pts, 2000),
-                                     inverse)
-            [short_ext] = read_tables(_leg_extremes(op, pts, pts, h),
-                                      inverse)
-            assert np.array_equal(long_ext[:, :h], short_ext)
+            # only the unmirrored sweep narrows
+            for mirrored in (False, True):
+                [long_ext], [short_ext] = (read_tables(_leg_extremes(
+                    op, pts, pts, n, mirrored=mirrored), inverse)
+                    for n in (2000, h))
+                assert np.array_equal(long_ext[:, :h], short_ext)
 
     @pytest.mark.parametrize("h", [200, 1023, 1024, 1025, 2000])
     @pytest.mark.parametrize("preset", sorted({ex.preset for ex in

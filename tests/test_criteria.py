@@ -15,7 +15,7 @@ from lindyn import criteria, operators
 from lindyn.criteria import (
     _FORMULA,
     _SOLID_KINDS,
-    _best_removal,
+    _best_removals,
     _exp2,
     _kind_rows,
     _kind_verdict,
@@ -42,7 +42,7 @@ from lindyn.operators import (
     CocycleSweep,
     CompositionOperator,
 )
-from lindyn.presets import REGISTRY, build_preset
+from lindyn.presets import REGISTRY, build_preset, run_registry
 from oracles import (
     SEAM_POINTS,
     SegalIncompatibleError,
@@ -377,14 +377,19 @@ class TestBlockSeams:
         pts = SEAM_POINTS[points]
         b = _block_rows(pts.size)
         horizon = 2 * b + 3
-        [ext] = read_tables(_leg_extremes(op, pts, pts, horizon), inverse)
         xy = _trimmed_xy([self.KIND], op, pts, horizon, 2, inverse)[self.KIND]
         ref_ext, ref_xy = self.stepped(op, pts, horizon, inverse, 2)
         for n in (b - 1, b, b + 1, horizon):
-            assert np.array_equal(ext[:, n - 1], ref_ext[:, n - 1])
             assert np.array_equal(xy[:, n - 1], ref_xy[:, n - 1])
-        assert np.array_equal(ext, ref_ext)
         assert np.array_equal(xy, ref_xy)
+        # the unmirrored sweep narrows past its first block
+        for mirrored in (False, True):
+            [ext] = read_tables(_leg_extremes(op, pts, pts, horizon,
+                                              mirrored=mirrored), inverse)
+            ref = ref_ext[:len(ext)]
+            for n in (b - 1, b, b + 1, horizon):
+                assert np.array_equal(ext[:, n - 1], ref[:, n - 1])
+            assert np.array_equal(ext, ref)
 
 
 def int64(a: np.ndarray) -> np.ndarray:
@@ -448,8 +453,10 @@ class TestTailColumns:
         nu = np.array([-2.0, -0.75, 0.0, 0.5, 1.0, 1.75, 3.0])
         for fwd, bwd in ((mu, nu), (nu, mu)):
             [full] = full_width_extremes(op, fwd, bwd, horizon)
-            [ext] = _leg_extremes(op, fwd, bwd, horizon)
-            assert np.array_equal(int64(ext), int64(full))
+            for mirrored in (False, True):
+                [ext] = _leg_extremes(op, fwd, bwd, horizon,
+                                      mirrored=mirrored)
+                assert np.array_equal(int64(ext), int64(full[:len(ext)]))
 
 
 class TestReflection:
@@ -509,14 +516,6 @@ def tail_sums(s, e, c: float, rows: int, cols=None) -> np.ndarray:
     return np.concatenate(out)
 
 
-def membership(slices, k: int) -> np.ndarray:
-    """The (slices, k) membership of k point columns in each slice."""
-    member = np.zeros((len(slices), k), dtype=bool)
-    for row, sl in zip(member, slices):
-        row[sl] = True
-    return member
-
-
 def tail_margin(s, e, c: float, rows: int) -> float:
     """The margin of ``operators._tail_columns``: 2**-50 (rows + 2) M."""
     size = float(np.max(np.abs(s) + np.abs(e))) + rows * abs(c)
@@ -557,36 +556,22 @@ def near_tie_carries(rng, c: float, rows: int):
 
 
 class TestTailHelper:
-    """The columns ``_tail_columns`` keeps give a constant tail's least and
-    greatest sums per slice bit for bit, against the Sum2 of the constant
-    over every column; each leg exits at row 0 of its ``rows``."""
+    """The columns ``_tail_columns`` keeps give a constant tail's least or
+    greatest sums bit for bit, against the Sum2 of the constant over every
+    column; each leg exits at row 0 of its ``rows``."""
 
-    SIDES = {"low": (True, False), "high": (False, True),
-             "both": (True, True)}
+    SIDES = {"low": 1.0, "high": -1.0}
 
-    @staticmethod
-    def extremes(sums, sels):
-        with np.errstate(invalid="ignore"):
-            return [(sums[:, sel].min(axis=1), sums[:, sel].max(axis=1))
-                    for sel in sels]
-
-    def check(self, s, e, c, rows, slices, low, high):
-        """Assert the kept columns' extremes equal the full width's; return
-        the kept columns (None for all)."""
+    def check(self, s, e, c, rows, sign):
+        """Assert the kept columns' extreme of ``sign`` equals the full
+        width's; return the kept columns (None for all)."""
         with np.errstate(over="ignore", invalid="ignore"):
             full = tail_sums(s, e, c, rows)
-            member = membership(slices, s.size)
-            cols = _tail_columns(s, e, c, rows, rows, member, low, high)
+            cols = _tail_columns(s, e, c, rows, rows, sign)
             part = tail_sums(s, e, c, rows, cols)
-        sels = (slices if cols is None
-                else [row.nonzero()[0] for row in member[:, cols]])
-        got = self.extremes(part, sels)
-        for (lo, hi), (ref_lo, ref_hi) in zip(got, self.extremes(full,
-                                                                 slices)):
-            if low:
-                assert np.array_equal(int64(lo), int64(ref_lo))
-            if high:
-                assert np.array_equal(int64(hi), int64(ref_hi))
+            extreme = np.min if sign > 0 else np.max
+            got, ref = extreme(part, axis=1), extreme(full, axis=1)
+        assert np.array_equal(int64(got), int64(ref))
         return cols
 
     @pytest.mark.parametrize("rows", [1, 7, 1024, 1025, 5000])
@@ -595,19 +580,13 @@ class TestTailHelper:
         rng = np.random.default_rng(rows)
         for trial in range(4):
             s, e, where = near_tie_carries(rng, c, rows)
-            half = s.size // 2
-            slice_sets = ((slice(None),),
-                          (slice(None), slice(0, half), slice(half, None)))
-            for slices in slice_sets:
-                for side, (low, high) in self.SIDES.items():
-                    cols = self.check(s, e, c, rows, slices, low, high)
-                    assert cols is not None and cols.size < s.size
-                    if slices == slice_sets[0]:
-                        for name in ("low", "high"):
-                            inside, outside = where[name]
-                            wanted = side in (name, "both")
-                            assert (inside in cols) == wanted
-                            assert outside not in cols
+            for side, sign in self.SIDES.items():
+                cols = self.check(s, e, c, rows, sign)
+                assert cols is not None and cols.size < s.size
+                for name in ("low", "high"):
+                    inside, outside = where[name]
+                    assert (inside in cols) == (name == side)
+                    assert outside not in cols
 
     def test_realistic_carries(self):
         # carries of a Sum2 over 300 rows of random terms, with copies of
@@ -617,8 +596,8 @@ class TestTailHelper:
         x[:, 7] = x[:, 2]
         s, e = _sum2_rows(x, np.zeros(12), np.zeros(12), np.empty((601, 12)))
         for c in (-1.0, math.log2(3.0), -0.7):
-            for low, high in self.SIDES.values():
-                self.check(s, e, c, 2000, (slice(None),), low, high)
+            for sign in self.SIDES.values():
+                self.check(s, e, c, 2000, sign)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_carries_keep_every_column(self, bad):
@@ -627,27 +606,21 @@ class TestTailHelper:
         for which in (0, 1):
             carry = [s.copy(), e.copy()]
             carry[which][4] = bad
-            for low, high in self.SIDES.values():
-                assert self.check(*carry, -0.7, 100, (slice(None),), low,
-                                  high) is None
+            for sign in self.SIDES.values():
+                assert self.check(*carry, -0.7, 100, sign) is None
         for c in (np.inf, -np.inf, np.nan):
-            assert _tail_columns(s, e, c, 100, 100,
-                                 np.ones((1, s.size), dtype=bool), True,
-                                 True) is None
+            for sign in self.SIDES.values():
+                assert _tail_columns(s, e, c, 100, 100, sign) is None
 
     def test_long_tails_keep_every_column(self):
         # a zero constant keeps the margin 2**-50 (rows + 2) * 2 below the
         # gaps of 1 at 2**40 rows; one row more keeps every column
         s, e = np.array([0.0, 1.0, 2.0]), np.zeros(3)
-        member = np.ones((1, 3), dtype=bool)
-        kept = _tail_columns(s, e, 0.0, 2 ** 40, 2 ** 40, member, True,
-                             False)
-        assert list(kept) == [0]
-        assert _tail_columns(s, e, 0.0, 2 ** 40 + 1, 2 ** 40 + 1, member,
-                             True, False) is None
+        assert list(_tail_columns(s, e, 0.0, 2 ** 40, 2 ** 40, 1.0)) == [0]
+        assert _tail_columns(s, e, 0.0, 2 ** 40 + 1, 2 ** 40 + 1,
+                             1.0) is None
         # so large a carry would overflow the sums
-        assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5, 5, member, True,
-                             False) is None
+        assert _tail_columns(s + 2.0 ** 1000, e, -1.0, 5, 5, 1.0) is None
 
 
 @pytest.fixture
@@ -705,9 +678,9 @@ class TestNarrowingRows:
     sides of that row and of the block seams."""
 
     @staticmethod
-    def rows_of(op, pts, narrowings, slices=(slice(None),)):
+    def rows_of(op, pts, narrowings):
         narrowings.clear()
-        _leg_extremes(op, pts, pts, 3000, slices=slices)
+        _leg_extremes(op, pts, pts, 3000, mirrored=False)
         return {row for row, _, _ in narrowings}
 
     @pytest.mark.parametrize("preset", TAIL_PRESETS)
@@ -723,11 +696,12 @@ class TestNarrowingRows:
 
     @pytest.mark.parametrize("preset", TAIL_PRESETS)
     def test_registry_slices_around_the_rows(self, preset, narrowings):
-        # a member ruled out in the whole window can lead a narrower one
+        # the nested slices keep every column, around the rows where the
+        # whole window narrows too
         op = build_preset(preset)
         pts = CompactWindow.from_grid(GRID, 3.0).points
         slices = centred_slices(pts, (0.0, 1.0, 2.0, 3.0))
-        rows = self.rows_of(op, pts, narrowings, slices)
+        rows = self.rows_of(op, pts, narrowings)
         for horizon in sorted({h for r in rows for h in (r - 1, r, r + 1)}
                               | {200, 1025}):
             if horizon >= 1:
@@ -766,29 +740,47 @@ class TestNarrowingRows:
         op = build_preset("ex3.8")
         pts = CompactWindow.from_grid(GRID, 2.0).points
         rows = _block_rows(pts.size)
-        _leg_extremes(op, pts, pts, rows)
+        _leg_extremes(op, pts, pts, rows, mirrored=False)
         assert narrowings == []
-        _leg_extremes(op, pts, pts, rows + 1)
+        _leg_extremes(op, pts, pts, rows + 1, mirrored=False)
         assert [row for row, _, _ in narrowings] == [4, 1]
 
-    def test_registry_slices_keep_their_chain_tops(self, narrowings):
-        # each nested slice keeps the top of each of its chains, its
-        # greatest point per residue mod 1, and nothing more: a column
-        # with no member of the slice before it in its chain is no
-        # candidate of that slice
+    def test_mirrored_and_sliced_sweeps_keep_every_column(self,
+                                                          narrowings):
+        # a leg narrows only when its sweep reads one extreme of every
+        # point: a mirrored sweep reads both of each leg, and a sweep of
+        # the registry's nested windows or of one proper slice reads
+        # extremes of parts of the window
         op = build_preset("ex3.8")
-        pts = CompactWindow.from_grid(GRID, 3.0).points
-        slices = centred_slices(pts, (0.0, 1.0, 2.0, 3.0))
-        _leg_extremes(op, pts, pts, 18000, slices=slices, mirrored=False)
-        row, fwd, cols = narrowings[0]
-        tops = set()
-        for sl in slices:
-            inside = pts[sl]
-            for r in set(inside % 1.0):
-                tops.add(float(inside[inside % 1.0 == r].max()))
-        assert fwd.name == "chain" and row == 6
-        assert pts[cols].tolist() == sorted(tops)
-        assert len(tops) == 13
+        two = CompactWindow.from_grid(GRID, 2.0).points
+        three = CompactWindow.from_grid(GRID, 3.0).points
+        for pts, slices, mirrored in (
+                (two, [slice(None)], True),
+                (three, centred_slices(three, (0.0, 1.0, 2.0, 3.0)), False),
+                (two, [slice(4, 13)], False)):
+            narrowings.clear()
+            tables = _leg_extremes(op, pts, pts, 3000, slices=slices,
+                                   mirrored=mirrored)
+            assert narrowings == [], (slices, mirrored)
+            for inverse in (False, True):
+                full = full_width_extremes(op, pts, pts, 3000, inverse,
+                                           slices)
+                for ext, ref in zip(read_tables(tables, inverse), full,
+                                    strict=True):
+                    assert np.array_equal(int64(ext), int64(ref[:len(ext)]))
+
+    def test_registry_narrows_only_ex38(self, narrowings):
+        # of the registry's sweeps only ex3.8's, over its one window
+        # m = 2 at H = 2000 and unmirrored, narrows: the forward leg to
+        # its 4 chain tops at row 2m, the backward leg at its exit, row
+        # m - 1, to one column
+        run_registry(sorted(REGISTRY))
+        (row, fwd, cols), (brow, bwd, bcols) = narrowings
+        pts = CompactWindow.from_grid(GRID, 2.0).points
+        assert fwd.name == "chain" and fwd.sign == 1.0 and row == 4
+        assert pts[cols].tolist() == [1.25, 1.5, 1.75, 2.0]
+        assert bwd.name == "tail" and bwd.sign == -1.0 and brow == 1
+        assert len(bcols) == 1
 
     def test_narrowed_lattice_blocks_read_their_own_table(self,
                                                           monkeypatch):
@@ -827,18 +819,19 @@ class TestNarrowingRows:
                 for inverse in (False, True):
                     [full] = full_width_extremes(op, fwd, bwd, horizon,
                                                  inverse)
-                    [ext] = read_tables(_leg_extremes(op, fwd, bwd, horizon),
-                                        inverse)
-                    assert np.array_equal(int64(ext), int64(full))
+                    for mirrored in (False, True):
+                        [ext] = read_tables(_leg_extremes(
+                            op, fwd, bwd, horizon, mirrored=mirrored),
+                            inverse)
+                        assert np.array_equal(int64(ext),
+                                              int64(full[:len(ext)]))
 
 
-# a telescoping-like weight with a deep dip (a tall peak) 1600 rows down
-# the forward walks, past their first block: the chain certificates must
-# refuse the least (the greatest) value, for a dip lowers a later chain
-# member below its leader
-DIP, PEAK = (PiecewiseMap([-1700.0, -1601.0, -1600.0, -1599.0, -1.0, 0.0],
-                          [1.0, 1.0, v, 1.0, 2.0, 0.5], positive=True)
-             for v in (2.0 ** -20, 2.0 ** 20))
+# a telescoping-like weight with a deep dip 1600 rows down the forward
+# walks, past their first block: the chain certificates must refuse the
+# least value, for a dip lowers a later chain member below its leader
+DIP = PiecewiseMap([-1700.0, -1601.0, -1600.0, -1599.0, -1.0, 0.0],
+                   [1.0, 1.0, 2.0 ** -20, 1.0, 2.0, 0.5], positive=True)
 
 
 class TestChainCertificates:
@@ -861,20 +854,6 @@ class TestChainCertificates:
             else:
                 assert fwd.name == "tail" and fwd.c == 0.0 and row == 1702
             assert_full_width(op, pts, pts, horizon)
-
-    def test_a_peak_keeps_the_greatest(self, narrowings):
-        op = CompositionOperator(Translation(-1.0), PEAK)
-        pts = self.WINDOW
-        kept = {}
-        for mirrored in (False, True):
-            narrowings.clear()
-            _leg_extremes(op, pts, pts, 1650, mirrored=mirrored)
-            row, fwd, kept[mirrored] = narrowings[0]
-            assert fwd.name == "chain" and row == 4
-        # the least value is proved as for ex3.8, the greatest is not
-        assert pts[kept[False]].tolist() == [1.25, 1.5, 1.75, 2.0]
-        assert kept[True] is None
-        assert_full_width(op, pts, pts, 1650)
 
     def test_each_member_reads_its_leaders_sum_at_its_own_offset(
             self, narrowings):
@@ -918,17 +897,17 @@ def chain_margin(horizon=5000, whole=(0.5, 2.0)) -> float:
 
 
 class TestChainHelper:
-    """``_chain_columns``: a member goes when its key clears
-    the best key before it in its chain and slice by more than the
-    margin, and stays when it does not."""
+    """``_chain_columns``: a column goes when its key clears the best key
+    before it in its chain by more than the margin, and stays when it
+    does not."""
 
     STEPS = [0, 1, 2, 0, 1]
     CHAIN = [0, 0, 0, 3, 3]  # two chains, led by columns 0 and 3
 
-    def narrow(self, keys, slices=(slice(None),), high=False, **leg):
+    def narrow(self, keys, high=False, **leg):
         return _chain_columns(
             *chain_leg(keys, self.STEPS, self.CHAIN, high=high, **leg),
-            membership(slices, len(keys)), not high, high)
+            -1.0 if high else 1.0)
 
     def test_near_the_margin(self):
         m = chain_margin()
@@ -941,15 +920,6 @@ class TestChainHelper:
         cols = self.narrow([-k for k in keys], high=True)
         assert cols.tolist() == [0, 2, 3, 4]
 
-    def test_only_members_of_the_slice_rule_out(self):
-        m = chain_margin()
-        keys = [0.0, 1.1 * m, 2.2 * m, 0.0, 0.5 * m]
-        assert self.narrow(keys).tolist() == [0, 3, 4]
-        # without column 0, column 1 leads its chain in the second slice
-        # and column 2 clears it by 1.1 margins
-        cols = self.narrow(keys, slices=(slice(None), slice(1, 5)))
-        assert cols.tolist() == [0, 1, 3, 4]
-
     def test_one_long_chain_takes_memory_linear_in_its_length(self):
         # a translation by -0.25 chains the 4097 points of the quarter
         # grid's window of radius 512 into one chain 4096 rows long: the
@@ -961,11 +931,10 @@ class TestChainHelper:
         lam = _log2_range((1.0, 1.0))[0]
         k = pts.size
         lead = steps * lam - steps
-        member = np.ones((1, k), dtype=bool)
         tracemalloc.start()
         try:
             cols = _chain_columns(leader, steps, order, lead, (1.0, 1.0),
-                                  (0.5, 2.0), 5000, member, True, False)
+                                  (0.5, 2.0), 5000, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1341,7 +1310,7 @@ class TestTrim:
         ns = np.arange(1, 6)
         lf = np.array([forward_log2(op, win.points, n) for n in ns])
         lb = np.array([backward_log2(op, win.points, n) for n in ns])
-        x, y = _best_removal(kind, ns.astype(float), lf, lb, 2)
+        [(x, y)] = _best_removals([kind], ns.astype(float), lf, lb, 2)
         assert np.array_equal(v.log2_trace, x + y)
         for row, n in enumerate(ns):
             keep = _trim_exact(kind, n, lf[row], lb[row], 2)
@@ -1356,7 +1325,8 @@ class TestTrim:
         never above the greedy's.  A leg never holds -0.0 (its Sum2 starts
         at +0.0), which ties with +0.0 under min and max, so nor do these."""
         lf, lb = lf + 0.0, lb + 0.0
-        x, y = _best_removal(kind, np.array(ns, dtype=float), lf, lb, budget)
+        [(x, y)] = _best_removals([kind], np.array(ns, dtype=float), lf, lb,
+                                  budget)
         for row, n in enumerate(ns):
             keep = _trim_exact(kind, n, lf[row], lb[row], budget)
             assert keep.any()
@@ -1422,7 +1392,8 @@ class TestTrim:
         lb = np.array([[6.0, 6.0, 0.0]])
         for kind in sorted(_SOLID_KINDS):
             for budget in (2, 3, 9):
-                x, y = _best_removal(kind, np.array([1.0]), lf, lb, budget)
+                [(x, y)] = _best_removals([kind], np.array([1.0]), lf, lb,
+                                          budget)
                 assert (x[0], y[0]) == (0.0, 0.0)
                 self.check_rows(kind, [1], lf, lb, budget)
 
@@ -1433,7 +1404,7 @@ class TestTrim:
         kind = CriterionKind.CESARO_SOLID
         tracemalloc.start()
         try:
-            x, y = _best_removal(kind, ns, lf, lb, 512)
+            [(x, y)] = _best_removals([kind], ns, lf, lb, 512)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
